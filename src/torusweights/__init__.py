@@ -7,6 +7,7 @@ operations are pure functions, so concurrent use needs no synchronization.
 """
 
 from .errors import (
+    DependentColumnsError,
     HomogeneityError,
     InputError,
     MinimalityError,
@@ -55,6 +56,7 @@ from .propagate import (
 from .rings import Polynomial, RingSpec
 
 __all__ = [
+    "DependentColumnsError",
     "DivisionResult",
     "FreeModuleSpec",
     "GroebnerBasis",

@@ -17,6 +17,10 @@ class SingularMatrixError(InputError):
     """A scalar matrix that must be invertible is singular."""
 
 
+class DependentColumnsError(InputError):
+    """The coefficient matrix of a linear system has linearly dependent columns."""
+
+
 class ResolutionStepError(MinimalityError):
     """Propagation along a resolution failed at one step.
 

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HomogeneityError, InputError, MinimalityError
+from .errors import DependentColumnsError, HomogeneityError, InputError, MinimalityError
 from .linalg import Echelon, solve
 from .modules import (
     FreeModuleSpec,
@@ -293,10 +293,8 @@ def change_of_basis(matrix, sorted_basis_matrix):
             b_rows[pos][j] = value
     try:
         x = solve(a_rows, b_rows)
-    except InputError as exc:
-        if "dependent" in str(exc):
-            raise MinimalityError("matrix columns are linearly dependent; map is not minimal") from exc
-        raise
+    except DependentColumnsError as exc:
+        raise MinimalityError("matrix columns are linearly dependent; map is not minimal") from exc
     return ScalarMatrix(x)
 
 

@@ -5,7 +5,7 @@ Vectors are lists of Fraction; everything here is small and dense.
 
 from fractions import Fraction
 
-from .errors import InputError, SingularMatrixError
+from .errors import DependentColumnsError, InputError, SingularMatrixError
 
 
 class Echelon:
@@ -54,8 +54,8 @@ def rank(rows):
 def solve(a_rows, b_rows):
     """Solve A X = B exactly, A an n-by-r matrix of full column rank.
 
-    Raises InputError when the columns of A are linearly dependent or the
-    system is inconsistent.
+    Raises DependentColumnsError when the columns of A are linearly
+    dependent, and InputError when the system is inconsistent.
     """
     n = len(a_rows)
     r = len(a_rows[0]) if n else 0
@@ -67,7 +67,7 @@ def solve(a_rows, b_rows):
     for col in range(r):
         src = next((i for i in range(row, n) if aug[i][col]), None)
         if src is None:
-            raise InputError("columns of the coefficient matrix are linearly dependent")
+            raise DependentColumnsError("columns of the coefficient matrix are linearly dependent")
         aug[row], aug[src] = aug[src], aug[row]
         inv = Fraction(1) / aug[row][col]
         aug[row] = [x * inv for x in aug[row]]
@@ -96,5 +96,5 @@ def invert(rows):
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     try:
         return solve(rows, ident)
-    except InputError:
+    except DependentColumnsError:
         raise SingularMatrixError("matrix is singular") from None

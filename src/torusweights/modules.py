@@ -210,15 +210,6 @@ class ScalarMatrix:
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def permutation(cls, perm):
-        """P with P[perm[new]][new] = 1, so that (M P) column new = M column perm[new]."""
-        n = len(perm)
-        rows = [[0] * n for _ in range(n)]
-        for new, orig in enumerate(perm):
-            rows[orig][new] = 1
-        return cls(rows)
-
-    @classmethod
     def block_diagonal(cls, blocks):
         total = sum(b.num_rows for b in blocks)
         rows = [[Fraction(0)] * total for _ in range(total)]
@@ -388,10 +379,11 @@ def dual_map(matrix):
 def split_by_column_degree(matrix):
     """Group columns into blocks of equal degree.
 
-    Returns (P, blocks, degrees): degree classes are ordered by first
-    occurrence and stable within each class, P is the permutation matrix with
-    M @ P = (blocks[0] | blocks[1] | ...), and degrees[i] is the common
-    column degree of blocks[i].
+    Returns (perm, blocks, degrees): degree classes are ordered by first
+    occurrence and stable within each class, perm lists the original column
+    indices in block order, so that permute_columns(M, perm) equals
+    (blocks[0] | blocks[1] | ...), and degrees[i] is the common column
+    degree of blocks[i].
     """
     col_degrees = list(matrix.domain.basis_degrees)
     classes = []
@@ -409,7 +401,7 @@ def split_by_column_degree(matrix):
         blocks.append(
             PolyMatrix.from_columns(matrix.codomain, block_domain, [matrix.column(j) for j in js])
         )
-    return ScalarMatrix.permutation(perm), blocks, [d for d, _ in classes]
+    return perm, blocks, [d for d, _ in classes]
 
 
 def permute_columns(matrix, perm):

@@ -47,6 +47,26 @@ def _require(data, key, kind, where):
     return value
 
 
+def _is_int_vector(value):
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    )
+
+
+def _require_int_vectors(data, key, where):
+    value = _require(data, key, list, where)
+    if not all(_is_int_vector(v) for v in value):
+        raise ProblemFileError("%r in %s must be a list of integer lists" % (key, where))
+    return value
+
+
+def _section(data, key):
+    value = data.get(key, {})
+    if not isinstance(value, dict) or not all(isinstance(v, dict) for v in value.values()):
+        raise ProblemFileError("%r must map names to objects" % key)
+    return value
+
+
 def problem_from_dict(data):
     """Build a Problem from parsed JSON, resolving all references."""
     if not isinstance(data, dict):
@@ -54,17 +74,17 @@ def problem_from_dict(data):
     ring_data = _require(data, "ring", dict, "problem document")
     ring = RingSpec(
         _require(ring_data, "vars", list, "ring"),
-        _require(ring_data, "degrees", list, "ring"),
-        _require(ring_data, "weights", list, "ring"),
+        _require_int_vectors(ring_data, "degrees", "ring"),
+        _require_int_vectors(ring_data, "weights", "ring"),
         ring_data.get("order", "grevlex"),
     )
 
     modules = {}
-    for name, spec in data.get("modules", {}).items():
-        modules[name] = FreeModuleSpec(ring, _require(spec, "degrees", list, "module %r" % name))
+    for name, spec in _section(data, "modules").items():
+        modules[name] = FreeModuleSpec(ring, _require_int_vectors(spec, "degrees", "module %r" % name))
 
     matrices = {}
-    for name, spec in data.get("matrices", {}).items():
+    for name, spec in _section(data, "matrices").items():
         where = "matrix %r" % name
         rows_name = _require(spec, "rows", str, where)
         cols_name = _require(spec, "cols", str, where)
@@ -74,19 +94,26 @@ def problem_from_dict(data):
             raise ProblemFileError("matrix %r references unknown module %r" % (name, cols_name))
         codomain, domain = modules[rows_name], modules[cols_name]
         entry_rows = _require(spec, "entries", list, where)
+        if not all(isinstance(r, list) and all(isinstance(t, str) for t in r) for r in entry_rows):
+            raise ProblemFileError("'entries' in %s must be rows of polynomial strings" % where)
         if len(entry_rows) != codomain.rank or any(len(r) != domain.rank for r in entry_rows):
             raise ProblemFileError("matrix %r entries do not match the module ranks" % name)
         entries = [[parse_polynomial(ring, text) for text in row] for row in entry_rows]
         matrices[name] = PolyMatrix(codomain, domain, entries)
 
     weightlists = {}
-    for name, rows in data.get("weightlists", {}).items():
-        if not isinstance(rows, list):
-            raise ProblemFileError("weight list %r must be a list" % name)
-        weightlists[name] = tuple(tuple(int(x) for x in w) for w in rows)
+    weightlist_data = data.get("weightlists", {})
+    if not isinstance(weightlist_data, dict):
+        raise ProblemFileError("'weightlists' must map names to weight lists")
+    for name, rows in weightlist_data.items():
+        if not isinstance(rows, list) or not all(_is_int_vector(w) for w in rows):
+            raise ProblemFileError("weight list %r must be a list of integer lists" % name)
+        weightlists[name] = tuple(tuple(w) for w in rows)
 
     resolution = data.get("resolution")
     if resolution is not None:
+        if not isinstance(resolution, list) or not all(isinstance(n, str) for n in resolution):
+            raise ProblemFileError("'resolution' must be a list of matrix names")
         for name in resolution:
             if name not in matrices:
                 raise ProblemFileError("resolution references unknown matrix %r" % name)

@@ -27,7 +27,7 @@ from .groebner import (
     standard_monomials,
 )
 from .modules import FreeModuleSpec, ModuleTermOrder, PolyMatrix, ScalarMatrix, dual_map, split_by_column_degree
-from .rings import Polynomial, vector_add, vector_neg
+from .rings import vector_add, vector_neg
 
 log = logging.getLogger(__name__)
 
@@ -117,8 +117,9 @@ def propagate(matrix, weights, order):
 
     Splits the columns into blocks of equal degree (classes ordered by first
     occurrence), propagates each block separately, and reassembles the change
-    of basis as P (C_1 + ... + C_l block-diagonally) and the weights as the
-    ordered concatenation of the block weight lists.
+    of basis from the block-diagonal C_1 + ... + C_l by moving each of its
+    rows back to the position of the column it belongs to, and the weights
+    as the ordered concatenation of the block weight lists.
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
@@ -129,10 +130,14 @@ def propagate(matrix, weights, order):
         g = PolyMatrix.from_columns(matrix.codomain, empty, [])
         return PropagationResult(ScalarMatrix([]), (), g, empty)
 
-    permutation, blocks, _ = split_by_column_degree(matrix)
+    perm, blocks, _ = split_by_column_degree(matrix)
     results = [propagate_single_degree(block, weights, order) for block in blocks]
 
-    c = permutation @ ScalarMatrix.block_diagonal([r.change_of_basis for r in results])
+    diagonal = ScalarMatrix.block_diagonal([r.change_of_basis for r in results])
+    rows = [None] * len(perm)
+    for k, orig in enumerate(perm):
+        rows[orig] = diagonal.rows[k]
+    c = ScalarMatrix(rows)
     combined_weights = tuple(w for r in results for w in r.weights)
     columns = [col for r in results for col in r.sorted_matrix.columns()]
     degrees = [d for r in results for d in r.sorted_matrix.domain.basis_degrees]
@@ -248,20 +253,21 @@ def propagate_graded_components(degree, matrix, weights, order, gb_bound=None):
     """Weights of one graded component of the cokernel of a presentation.
 
     Computes a Groebner basis of the image (complete by default; `gb_bound`
-    optionally truncates it when the caller knows a sufficient degree),
-    assembles the standard monomials of the requested degree into a matrix,
-    and propagates the codomain weights through it.  Returns the weight list
-    for a basis of weight vectors of the component.
+    optionally truncates it when the caller knows a sufficient degree) and
+    the standard monomials of the requested degree.  By Macaulay's basis
+    theorem their residues form a basis of the component; each is a single
+    module term, so its weight is the weight of its monomial plus the weight
+    attached to its row.  Returns these weights sorted by term, increasing
+    for position-up orderings and decreasing for position-down, which is the
+    order `propagate` gives on the matrix of standard monomials.
     """
     degree = tuple(int(x) for x in degree)
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
+    if not isinstance(order, ModuleTermOrder):
+        raise InputError("order must be a ModuleTermOrder")
     basis = buchberger(matrix, order, bound=gb_bound)
     terms = standard_monomials(basis, degree, matrix.codomain)
-    columns = [
-        matrix.codomain.basis_element(t.index, Polynomial({t.monomial: 1})) for t in terms
-    ]
-    domain = FreeModuleSpec(ring, [degree] * len(terms))
-    standard_matrix = PolyMatrix.from_columns(matrix.codomain, domain, columns)
-    result = propagate(standard_matrix, weights, order)
-    return result.weights
+    if order.is_position_up:
+        terms.reverse()
+    return tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in terms)

@@ -198,6 +198,46 @@ def test_unknown_reference_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def run_on_broken_two_variables(capsys, tmp_path, edit):
+    doc = json.loads(fixture_path("two_variables.json").read_text())
+    edit(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "propagate", "--input", str(path))
+
+
+def test_non_integer_ring_weight_is_a_parse_error(capsys, tmp_path):
+    code, out, err = run_on_broken_two_variables(
+        capsys, tmp_path, lambda doc: doc["ring"].update(weights=[["a", 0], [0, 1]])
+    )
+    assert code == 2
+    assert "'weights' in ring" in err
+
+
+def test_non_integer_ring_degree_is_a_parse_error(capsys, tmp_path):
+    code, out, err = run_on_broken_two_variables(
+        capsys, tmp_path, lambda doc: doc["ring"].update(degrees=[["one"], [1]])
+    )
+    assert code == 2
+    assert "'degrees' in ring" in err
+
+
+def test_non_integer_weight_list_is_a_parse_error(capsys, tmp_path):
+    code, out, err = run_on_broken_two_variables(
+        capsys, tmp_path, lambda doc: doc["weightlists"].update(W=[["a", 0]])
+    )
+    assert code == 2
+    assert "weight list 'W'" in err
+
+
+def test_non_string_matrix_entry_is_a_parse_error(capsys, tmp_path):
+    code, out, err = run_on_broken_two_variables(
+        capsys, tmp_path, lambda doc: doc["matrices"]["m"].update(entries=[[5, "x2"]])
+    )
+    assert code == 2
+    assert "'entries' in matrix 'm'" in err
+
+
 def test_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "gb", "--input", str(tmp_path / "absent.json"))
     assert code == 1

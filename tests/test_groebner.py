@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from torusweights import (
+    DependentColumnsError,
     FreeModuleSpec,
     HomogeneityError,
     InputError,
@@ -13,6 +14,7 @@ from torusweights import (
     PolyMatrix,
     RingSpec,
     ScalarMatrix,
+    SingularMatrixError,
     buchberger,
     change_of_basis,
     enumerate_terms,
@@ -23,6 +25,7 @@ from torusweights import (
     standard_monomials,
     syzygies,
 )
+from torusweights.linalg import invert, solve
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 
 TOP_UP = ModuleTermOrder("top-up")
@@ -217,6 +220,17 @@ def test_change_of_basis_rejects_dependent_columns():
     m = row_matrix(ring, [[1], [1]], ["x", "x"])
     with pytest.raises(MinimalityError):
         change_of_basis(m, m)
+
+
+def test_solve_raises_typed_error_for_dependent_columns():
+    with pytest.raises(DependentColumnsError):
+        solve([[1, 2], [2, 4], [0, 0]], [[1], [2], [0]])
+    # an inconsistent system with independent columns is a plain InputError
+    with pytest.raises(InputError) as info:
+        solve([[1], [0]], [[0], [1]])
+    assert not isinstance(info.value, DependentColumnsError)
+    with pytest.raises(SingularMatrixError):
+        invert([[1, 2], [2, 4]])
 
 
 def test_change_of_basis_rejects_outside_span(std3):

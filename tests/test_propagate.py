@@ -7,20 +7,25 @@ from torusweights import (
     InputError,
     MinimalityError,
     ModuleTermOrder,
+    Polynomial,
     PolyMatrix,
     ResolutionStepError,
     RingSpec,
     ScalarMatrix,
+    buchberger,
     negate_weights,
     propagate,
     propagate_forward,
     propagate_graded_components,
     propagate_resolution,
     propagate_single_degree,
+    split_by_column_degree,
+    standard_monomials,
 )
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 
 TOP_UP = ModuleTermOrder("top-up")
+ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
 
 
 def matrix(ring, cod_degs, dom_degs, rows):
@@ -143,17 +148,34 @@ FIRST_SYZYGY_C = [
 ]
 
 
+FIRST_SYZYGY_CODOMAIN_WEIGHTS = (
+    (0, 1, 0, 0),
+    (1, 0, 0, 0),
+    (0, 0, 0, 2),
+    (0, 0, 1, 1),
+    (0, 0, 2, 0),
+)
+
+
 def test_first_syzygy_step(bigraded):
-    w = (
-        (0, 1, 0, 0),
-        (1, 0, 0, 0),
-        (0, 0, 0, 2),
-        (0, 0, 1, 1),
-        (0, 0, 2, 0),
-    )
-    result = propagate(first_syzygy_input_matrix(bigraded.ring), w, TOP_UP)
+    result = propagate(first_syzygy_input_matrix(bigraded.ring), FIRST_SYZYGY_CODOMAIN_WEIGHTS, TOP_UP)
     assert result.weights == FIRST_SYZYGY_WEIGHTS
     assert result.change_of_basis == scal(FIRST_SYZYGY_C)
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_change_of_basis_equals_permutation_product(bigraded, order):
+    # oracle: P @ (C_1 + C_2 + C_3), with P the permutation matrix of the split
+    m = first_syzygy_input_matrix(bigraded.ring)
+    w = FIRST_SYZYGY_CODOMAIN_WEIGHTS
+    perm, blocks, _ = split_by_column_degree(m)
+    p = [[0] * len(perm) for _ in perm]
+    for new, orig in enumerate(perm):
+        p[orig][new] = 1
+    diagonal = ScalarMatrix.block_diagonal(
+        [propagate_single_degree(b, w, order).change_of_basis for b in blocks]
+    )
+    assert propagate(m, w, order).change_of_basis == scal(p) @ diagonal
 
 
 def second_syzygy_input_matrix(ring):
@@ -491,8 +513,55 @@ def test_graded_component_small(bigraded):
 
 
 def test_graded_component_empty(bigraded):
-    v = propagate_graded_components((2, 0), bigraded.matrices["m"], bigraded.weightlists["W"], TOP_UP)
-    assert v == ()
+    for order in ALL_ORDERS:
+        v = propagate_graded_components((2, 0), bigraded.matrices["m"], bigraded.weightlists["W"], order)
+        assert v == ()
+
+
+def standard_monomial_matrix(degree, matrix, order):
+    """The standard monomials of one degree of coker(matrix) as matrix columns."""
+    terms = standard_monomials(buchberger(matrix, order), degree, matrix.codomain)
+    columns = [matrix.codomain.basis_element(t.index, Polynomial({t.monomial: 1})) for t in terms]
+    domain = FreeModuleSpec(matrix.domain.ring, [degree] * len(terms))
+    return PolyMatrix.from_columns(matrix.codomain, domain, columns)
+
+
+def grassmannian_case(grassmannian, which, order):
+    d1, w0 = grassmannian.matrices["d1"], grassmannian.weightlists["W0"]
+    if which == "d1":
+        return d1, w0
+    # coker of d2 rewritten in the basis of F1 that propagation along d1 produces
+    diffs = [grassmannian.matrices[n] for n in grassmannian.resolution]
+    result = propagate_resolution(diffs, 0, w0, order)
+    return result.steps[2].matrix, result.per_module[1]
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize(
+    "which, degree",
+    [
+        pytest.param(which, (d,), id="%s-degree%d" % (which, d))
+        for which, d in [("d1", 1), ("d1", 2), ("d1", 3), ("d2_rebased", 2), ("d2_rebased", 3)]
+    ],
+)
+def test_graded_component_matches_propagation_oracle(grassmannian, which, degree, order):
+    m, w = grassmannian_case(grassmannian, which, order)
+    expected = propagate(standard_monomial_matrix(degree, m, order), w, order).weights
+    assert expected
+    assert propagate_graded_components(degree, m, w, order) == expected
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize("degree", [(0, 1), (2, 0), (1, 2)], ids=str)
+def test_bigraded_component_matches_propagation_oracle(bigraded, degree, order):
+    m, w = bigraded.matrices["m"], bigraded.weightlists["W"]
+    expected = propagate(standard_monomial_matrix(degree, m, order), w, order).weights
+    assert propagate_graded_components(degree, m, w, order) == expected
+
+
+def test_graded_component_rejects_bad_order(bigraded):
+    with pytest.raises(InputError):
+        propagate_graded_components((0, 1), bigraded.matrices["m"], bigraded.weightlists["W"], "top-up")
 
 
 def test_graded_component_plucker_samples(grassmannian):
