@@ -10,6 +10,7 @@ from .errors import (
     DependentColumnsError,
     HomogeneityError,
     InputError,
+    InternalError,
     MinimalityError,
     PolynomialSyntaxError,
     ProblemFileError,
@@ -62,6 +63,7 @@ __all__ = [
     "GroebnerBasis",
     "HomogeneityError",
     "InputError",
+    "InternalError",
     "MinimalityError",
     "ModuleElement",
     "ModuleTerm",

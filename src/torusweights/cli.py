@@ -4,7 +4,8 @@ Subcommands: gb, resolve, propagate, propagate-forward, propagate-resolution,
 graded-weights, check-minimal.  Input is a problem description file (see
 problemfile).  Output is human-readable by default; --json switches to a
 deterministic machine schema.  Exit codes: 0 success, 1 domain error (message
-names the violated precondition), 2 parse error.  Set TORUSWEIGHTS_LOG to a
+names the violated precondition), 2 parse error, 3 internal error (a failed
+invariant of the library itself).  Set TORUSWEIGHTS_LOG to a
 level name (debug, info, ...) for diagnostics on stderr.
 """
 
@@ -14,7 +15,7 @@ import logging
 import os
 import sys
 
-from .errors import InputError, PolynomialSyntaxError, ProblemFileError
+from .errors import InputError, InternalError, PolynomialSyntaxError, ProblemFileError
 from .groebner import buchberger, is_minimal_map, minimal_resolution, sort_gb_columns
 from .modules import ModuleTermOrder
 from .problemfile import load_problem, matrix_to_rows, scalar_matrix_to_rows
@@ -249,6 +250,9 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

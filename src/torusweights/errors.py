@@ -35,6 +35,10 @@ class ResolutionStepError(MinimalityError):
         self.partial = partial
 
 
+class InternalError(Exception):
+    """An invariant of the library's own algorithms failed; not the caller's fault."""
+
+
 class PolynomialSyntaxError(ValueError):
     """Bad polynomial text; `position` is the 0-based offset of the offence."""
 

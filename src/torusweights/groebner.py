@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DependentColumnsError, HomogeneityError, InputError, MinimalityError
+from .errors import DependentColumnsError, HomogeneityError, InputError, InternalError, MinimalityError
 from .linalg import Echelon, solve
 from .modules import (
     FreeModuleSpec,
@@ -128,7 +128,6 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
     dropped.  The output is inter-reduced, monic, and sorted by leading term,
     hence canonical for the submodule and order.
     """
-    ring = cofactor_module.ring
     bound_key = degree_sort_key(tuple(bound)) if bound is not None else None
 
     heap = []
@@ -175,15 +174,10 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
         t = len(basis)
         basis.append(new)
         log.debug("basis element %d with leading term %s", t, new.lead[0])
-        cod_degrees = new.element.module.basis_degrees
         for i in range(t):
             if basis[i].lead[0].index == new.lead[0].index:
                 lcm = monomial_lcm(basis[i].lead[0].monomial, new.lead[0].monomial)
-                degree = tuple(
-                    a + b
-                    for a, b in zip(ring.monomial_degree(lcm), cod_degrees[new.lead[0].index])
-                )
-                push(degree, ("pair", i, t))
+                push(new.element.term_degree(ModuleTerm(lcm, new.lead[0].index)), ("pair", i, t))
 
     return _reduce_basis(basis, order)
 
@@ -203,10 +197,7 @@ def _reduce_basis(basis, order):
     for pos, item in enumerate(kept):
         others = [other for k, other in enumerate(kept) if k != pos]
         result = normal_form(item.element, [o.element for o in others], order)
-        cof = item.cofactor
-        for q, other in zip(result.quotients, others):
-            if not q.is_zero:
-                cof = cof - other.cofactor.multiply(q)
+        cof = _combine_cofactor(item.cofactor, result.quotients, others)
         reduced.append(_Tracked(result.remainder, cof, order))
     reduced.sort(key=lambda item: term_key(item.lead[0]))
     return reduced
@@ -330,6 +321,34 @@ def standard_monomials(basis, degree, module):
     ]
 
 
+def _nakayama_kept(vectors, degrees, ring):
+    """Graded Nakayama selection: one keep-flag per homogeneous vector.
+
+    Per degree class d, a degree-d vector is kept iff it is independent
+    modulo the span of all positive-degree monomial multiples of the vectors
+    that land in degree d plus the previously kept degree-d vectors.  The
+    kept vectors minimally generate the submodule all the vectors generate.
+    """
+    kept = [False] * len(vectors)
+    for d in dict.fromkeys(degrees):
+        products = []
+        for v, vd in zip(vectors, degrees):
+            gap = vector_sub(d, vd)
+            if not any(gap):
+                continue
+            for mono in ring.monomials_of_degree(gap):
+                if any(mono):
+                    products.append(v.multiply_term(mono, 1))
+        members = [i for i, vd in enumerate(degrees) if vd == d]
+        index = _coordinate_index(products + [vectors[i] for i in members])
+        ech = Echelon()
+        for p in products:
+            ech.add(_coordinates(p, index))
+        for i in members:
+            kept[i] = ech.add(_coordinates(vectors[i], index))
+    return kept
+
+
 def is_minimal_map(matrix):
     """Whether the columns minimally generate the image.
 
@@ -338,62 +357,22 @@ def is_minimal_map(matrix):
     part of (irrelevant ideal) * image, which is spanned by the products of
     the columns with monomials of positive degree.
     """
-    ring = matrix.domain.ring
-    col_degrees = matrix.domain.basis_degrees
-    columns = matrix.columns()
-    for d in dict.fromkeys(col_degrees):
-        vectors = []
-        for j, col in enumerate(columns):
-            gap = vector_sub(d, col_degrees[j])
-            if not any(gap):
-                continue
-            for mono in ring.monomials_of_degree(gap):
-                if any(mono):
-                    vectors.append(col.multiply_term(mono, 1))
-        same_degree = [col for j, col in enumerate(columns) if col_degrees[j] == d]
-        index = _coordinate_index(vectors + same_degree)
-        ech = Echelon()
-        for v in vectors:
-            ech.add(_coordinates(v, index))
-        for col in same_degree:
-            if not ech.add(_coordinates(col, index)):
-                return False
-    return True
+    return all(_nakayama_kept(matrix.columns(), matrix.domain.basis_degrees, matrix.domain.ring))
 
 
 def _minimize_generators(candidates, module):
     """Select a minimal generating subset of homogeneous candidates.
 
-    Per degree class, a candidate is kept iff it is independent modulo the
-    span of all positive-degree monomial multiples of the candidates plus
-    the previously kept same-degree candidates (graded Nakayama).  Returns
-    the kept candidates in their original order.
+    Keeps the candidates that graded Nakayama selection keeps, in their
+    original order.
     """
-    ring = module.ring
     degrees = []
     for c in candidates:
         d = c.homogeneous_degree()
         if d is None:
             raise HomogeneityError("syzygy candidate is not homogeneous")
         degrees.append(d)
-    kept = [False] * len(candidates)
-    for d in dict.fromkeys(degrees):
-        products = []
-        for c, cd in zip(candidates, degrees):
-            gap = vector_sub(d, cd)
-            if not any(gap):
-                continue
-            for mono in ring.monomials_of_degree(gap):
-                if any(mono):
-                    products.append(c.multiply_term(mono, 1))
-        members = [i for i, cd in enumerate(degrees) if cd == d]
-        index = _coordinate_index(products + [candidates[i] for i in members])
-        ech = Echelon()
-        for v in products:
-            ech.add(_coordinates(v, index))
-        for i in members:
-            if ech.add(_coordinates(candidates[i], index)):
-                kept[i] = True
+    kept = _nakayama_kept(candidates, degrees, module.ring)
     return [c for c, keep in zip(candidates, kept) if keep]
 
 
@@ -420,13 +399,7 @@ def syzygies(matrix, order):
             if tracked[i].lead[0].index != tracked[j].lead[0].index:
                 continue
             lcm = monomial_lcm(tracked[i].lead[0].monomial, tracked[j].lead[0].monomial)
-            degree = tuple(
-                a + b
-                for a, b in zip(
-                    ring.monomial_degree(lcm),
-                    matrix.codomain.basis_degrees[tracked[i].lead[0].index],
-                )
-            )
+            degree = tracked[i].element.term_degree(ModuleTerm(lcm, tracked[i].lead[0].index))
             pair_queue.append((degree_sort_key(degree), i, j, lcm))
     pair_queue.sort()
 
@@ -436,7 +409,7 @@ def syzygies(matrix, order):
         elem = tracked[i].element.multiply_term(mi, 1) - tracked[j].element.multiply_term(mj, 1)
         result = normal_form(elem, elements, order)
         if not result.remainder.is_zero:
-            raise InputError("internal error: S-pair did not reduce to zero over its basis")
+            raise InternalError("S-pair did not reduce to zero over its basis")
         syz = tracked[i].cofactor.multiply_term(mi, 1) - tracked[j].cofactor.multiply_term(mj, 1)
         syz = _combine_cofactor(syz, result.quotients, tracked)
         if not syz.is_zero:
@@ -445,7 +418,7 @@ def syzygies(matrix, order):
     for j, col in enumerate(columns):
         result = normal_form(col, elements, order)
         if not result.remainder.is_zero:
-            raise InputError("internal error: generator did not reduce to zero over its basis")
+            raise InternalError("generator did not reduce to zero over its basis")
         discrepancy = _combine_cofactor(frame.basis_element(j), result.quotients, tracked)
         if not discrepancy.is_zero:
             candidates.append(discrepancy)
@@ -455,8 +428,27 @@ def syzygies(matrix, order):
     domain = FreeModuleSpec(ring, degrees)
     result = PolyMatrix.from_columns(frame, domain, minimal)
     if not (matrix @ result).is_zero:
-        raise InputError("internal error: syzygy matrix does not annihilate the input")
+        raise InternalError("syzygy matrix does not annihilate the input")
     return result
+
+
+def check_chain(base_module, differentials):
+    """Raise InputError unless the differentials form a complex on base_module.
+
+    differentials[0] must map into base_module, each later differential into
+    the domain of the one before it, and consecutive composites must vanish.
+    Messages number the differentials from 1.
+    """
+    previous = base_module
+    for k, d in enumerate(differentials, 1):
+        if d.codomain.basis_degrees != previous.basis_degrees or d.codomain.ring != previous.ring:
+            if k == 1:
+                raise InputError("differential 1 does not map into the base module")
+            raise InputError("chain-shape mismatch between differentials %d and %d" % (k - 1, k))
+        previous = d.domain
+    for k in range(1, len(differentials)):
+        if not (differentials[k - 1] @ differentials[k]).is_zero:
+            raise InputError("differentials %d and %d do not compose to zero" % (k, k + 1))
 
 
 class Resolution:
@@ -467,14 +459,7 @@ class Resolution:
 
     def __init__(self, base_module, differentials):
         differentials = tuple(differentials)
-        previous = base_module
-        for k, d in enumerate(differentials):
-            if d.codomain.basis_degrees != previous.basis_degrees or d.codomain.ring != previous.ring:
-                raise InputError("differential %d does not chain with the previous module" % (k + 1))
-            previous = d.domain
-        for a, b in zip(differentials, differentials[1:]):
-            if not (a @ b).is_zero:
-                raise InputError("consecutive differentials do not compose to zero")
+        check_chain(base_module, differentials)
         self.base_module = base_module
         self.differentials = differentials
 

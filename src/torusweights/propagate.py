@@ -9,6 +9,15 @@ term's row.  Forward propagation runs the same procedure on the dual map
 with negated weights and a flipped (up <-> down) ordering, and resolutions
 chain these steps with the accumulated changes of basis.
 
+Each public function checks its preconditions once, on its own input:
+`propagate` runs the Nakayama minimality check on the whole map,
+`propagate_forward` on the dual map, and `propagate_resolution` checks the
+chain and every differential.  The steps inside do not check again, since
+rebasing a minimal map by an invertible scalar matrix keeps it minimal.  For
+a block of columns in a single degree, minimal means linearly independent,
+which the Groebner basis count checks: the truncated basis has as many
+elements as the block has independent columns.
+
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
 matrix alone and is not checked here.
@@ -22,6 +31,7 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     change_of_basis,
+    check_chain,
     is_minimal_map,
     sort_gb_columns,
     standard_monomials,
@@ -79,6 +89,14 @@ def _validate_weights(weights, rank, ring, role):
     return weights
 
 
+def _validate_order(order):
+    if not isinstance(order, ModuleTermOrder):
+        raise InputError("order must be a ModuleTermOrder")
+
+
+_NOT_MINIMAL = "map is not minimal; its columns do not minimally generate the image"
+
+
 def propagate_single_degree(matrix, weights, order):
     """Weight propagation along a minimal map whose domain sits in one degree.
 
@@ -87,22 +105,28 @@ def propagate_single_degree(matrix, weights, order):
     position-up orderings, decreasing for position-down), solves
     G = matrix @ C, and attaches to each column of G the weight of its
     leading monomial plus the weight of the row holding the leading term.
+    With all columns in one degree, minimal means linearly independent; a
+    MinimalityError is raised when the basis has fewer elements than the
+    matrix has columns.
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
+    _validate_order(order)
     degrees = set(matrix.domain.basis_degrees)
     if len(degrees) != 1:
         raise InputError("columns do not share a single degree")
-    if not is_minimal_map(matrix):
-        raise MinimalityError("map is not minimal; its columns do not minimally generate the image")
-    degree = degrees.pop()
+    return _propagate_block(matrix, weights, order, degrees.pop())
 
+
+def _propagate_block(matrix, weights, order, degree):
+    """propagate_single_degree on a block whose columns all have `degree`."""
+    ring = matrix.domain.ring
     basis = buchberger(matrix, order, bound=degree)
     in_degree = [g for g in basis.elements if g.homogeneous_degree() == degree]
     kept = GroebnerBasis(basis.module, basis.order, tuple(in_degree))
     sorted_matrix = sort_gb_columns(kept, "up" if order.is_position_up else "down")
     if sorted_matrix.num_cols != matrix.num_cols:
-        raise InputError("internal error: truncated basis size differs from the column count")
+        raise MinimalityError(_NOT_MINIMAL)
     c = change_of_basis(matrix, sorted_matrix)
 
     new_weights = []
@@ -119,19 +143,27 @@ def propagate(matrix, weights, order):
     occurrence), propagates each block separately, and reassembles the change
     of basis from the block-diagonal C_1 + ... + C_l by moving each of its
     rows back to the position of the column it belongs to, and the weights
-    as the ordered concatenation of the block weight lists.
+    as the ordered concatenation of the block weight lists.  The whole map
+    is checked for minimality first.
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
-    if not isinstance(order, ModuleTermOrder):
-        raise InputError("order must be a ModuleTermOrder")
+    _validate_order(order)
+    if not is_minimal_map(matrix):
+        raise MinimalityError(_NOT_MINIMAL)
+    return _propagate(matrix, weights, order)
+
+
+def _propagate(matrix, weights, order):
+    """propagate without checks: the weights are validated and the map is minimal."""
+    ring = matrix.domain.ring
     if matrix.num_cols == 0:
         empty = FreeModuleSpec(ring, [])
         g = PolyMatrix.from_columns(matrix.codomain, empty, [])
         return PropagationResult(ScalarMatrix([]), (), g, empty)
 
-    perm, blocks, _ = split_by_column_degree(matrix)
-    results = [propagate_single_degree(block, weights, order) for block in blocks]
+    perm, blocks, degrees = split_by_column_degree(matrix)
+    results = [_propagate_block(b, weights, order, d) for b, d in zip(blocks, degrees)]
 
     diagonal = ScalarMatrix.block_diagonal([r.change_of_basis for r in results])
     rows = [None] * len(perm)
@@ -155,10 +187,11 @@ def propagate_forward(matrix, weights, order):
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.domain.rank, ring, "domain weight list")
+    _validate_order(order)
     dual = dual_map(matrix)
     if not is_minimal_map(dual):
         raise MinimalityError("dual map is not minimal; cannot propagate forward")
-    inner = propagate(dual, negate_weights(weights), order.flipped())
+    inner = _propagate(dual, negate_weights(weights), order.flipped())
     rebased = FreeModuleSpec(ring, [vector_neg(d) for d in inner.rebased_module.basis_degrees])
     return PropagationResult(
         inner.change_of_basis.transpose(),
@@ -166,15 +199,6 @@ def propagate_forward(matrix, weights, order):
         inner.sorted_matrix,
         rebased,
     )
-
-
-def _validate_chain(differentials):
-    for k in range(1, len(differentials)):
-        a, b = differentials[k - 1], differentials[k]
-        if a.domain.basis_degrees != b.codomain.basis_degrees or a.domain.ring != b.codomain.ring:
-            raise InputError("chain-shape mismatch between differentials %d and %d" % (k, k + 1))
-        if not (a @ b).is_zero:
-            raise InputError("differentials %d and %d do not compose to zero" % (k, k + 1))
 
 
 def propagate_resolution(differentials, start_index, start_weights, order):
@@ -196,7 +220,8 @@ def propagate_resolution(differentials, start_index, start_weights, order):
         raise InputError("resolution has no differentials")
     if not 0 <= start_index <= m:
         raise InputError("start index %d outside 0..%d" % (start_index, m))
-    _validate_chain(differentials)
+    _validate_order(order)
+    check_chain(differentials[0].codomain, differentials)
     for k, d in enumerate(differentials):
         if not is_minimal_map(d):
             raise MinimalityError("differential %d is not a minimal map" % (k + 1))
@@ -219,7 +244,7 @@ def propagate_resolution(differentials, start_index, start_weights, order):
         rebase = current_c.inverse().to_poly_matrix(current_spec, diff.codomain)
         matrix = rebase @ diff
         log.debug("backward step onto module %d", start_index + i)
-        result = propagate(matrix, per_module[start_index + i - 1], order)
+        result = _propagate(matrix, per_module[start_index + i - 1], order)
         per_module[start_index + i] = result.weights
         steps[start_index + i] = ResolutionStep(start_index + i, matrix, result)
         current_c = result.change_of_basis
@@ -264,8 +289,7 @@ def propagate_graded_components(degree, matrix, weights, order, gb_bound=None):
     degree = tuple(int(x) for x in degree)
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
-    if not isinstance(order, ModuleTermOrder):
-        raise InputError("order must be a ModuleTermOrder")
+    _validate_order(order)
     basis = buchberger(matrix, order, bound=gb_bound)
     terms = standard_monomials(basis, degree, matrix.codomain)
     if order.is_position_up:

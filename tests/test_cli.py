@@ -1,7 +1,10 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torusweights import InputError, InternalError, PolynomialSyntaxError, ProblemFileError
 from torusweights.cli import main
 from torusweights.problemfile import load_problem, problem_from_dict, problem_to_dict
 
@@ -152,6 +155,32 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert "minimal" in err
 
 
+def test_non_minimal_mixed_degree_map_exit_code(capsys, tmp_path):
+    # x^2 = x * x: each equal-degree block is minimal, the whole map is not
+    doc = {
+        "ring": {"vars": ["x", "y"], "degrees": [[1], [1]], "weights": [[1], [0]]},
+        "modules": {"F0": {"degrees": [[0]]}, "E": {"degrees": [[1], [2]]}},
+        "matrices": {"m": {"rows": "F0", "cols": "E", "entries": [["x", "x^2"]]}},
+        "weightlists": {"W": [[0]]},
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "propagate", "--input", str(path))
+    assert code == 1
+    assert "not minimal" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise InternalError("S-pair did not reduce to zero over its basis")
+
+    monkeypatch.setattr("torusweights.cli.minimal_resolution", fail)
+    code, out, err = run(capsys, "resolve", "--input", str(fixture_path("bigraded.json")))
+    assert code == 3
+    assert out == ""
+    assert "internal error: S-pair did not reduce to zero over its basis" in err
+
+
 def test_inhomogeneous_matrix_rejected_at_load(capsys, tmp_path):
     doc = {
         "ring": {"vars": ["x"], "degrees": [[1]], "weights": [[1]]},
@@ -241,6 +270,50 @@ def test_non_string_matrix_entry_is_a_parse_error(capsys, tmp_path):
 def test_missing_file(capsys, tmp_path):
     code, out, err = run(capsys, "gb", "--input", str(tmp_path / "absent.json"))
     assert code == 1
+
+
+PROBLEM_FIXTURES = ["bigraded.json", "grassmannian.json", "koszul.json", "three_squares.json", "two_variables.json"]
+PROBLEM_DOCUMENTS = [json.loads(fixture_path(name).read_text()) for name in PROBLEM_FIXTURES]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def document_paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from document_paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from document_paths(item, prefix + (i,))
+
+
+@st.composite
+def corrupted_documents(draw):
+    """A fixture problem document with one field replaced by a drawn JSON value."""
+    doc = copy.deepcopy(draw(st.sampled_from(PROBLEM_DOCUMENTS)))
+    path = draw(st.sampled_from(list(document_paths(doc))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(corrupted_documents())
+def test_loader_raises_only_documented_errors(doc):
+    try:
+        problem_from_dict(doc)
+    except (ProblemFileError, PolynomialSyntaxError, InputError):
+        pass
 
 
 def test_log_verbosity_env_var():

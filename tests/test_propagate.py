@@ -72,6 +72,14 @@ def test_single_degree_rejects_non_minimal():
         propagate_single_degree(m, [(0,), (0,)], TOP_UP)
 
 
+def test_propagate_rejects_non_minimal_mixed_degrees():
+    # x^2 = x * x: each equal-degree block is minimal, the whole map is not
+    ring = RingSpec(["x", "y"], [[1], [1]], [[1], [0]])
+    m = matrix(ring, [[0]], [[1], [2]], [["x", "x^2"]])
+    with pytest.raises(MinimalityError):
+        propagate(m, [(0,)], TOP_UP)
+
+
 def test_weight_list_length_checked(two_variables):
     with pytest.raises(InputError):
         propagate_single_degree(two_variables.matrices["m"], [(0, 0), (0, 0)], TOP_UP)
@@ -562,6 +570,21 @@ def test_bigraded_component_matches_propagation_oracle(bigraded, degree, order):
 def test_graded_component_rejects_bad_order(bigraded):
     with pytest.raises(InputError):
         propagate_graded_components((0, 1), bigraded.matrices["m"], bigraded.weightlists["W"], "top-up")
+
+
+def test_propagation_rejects_bad_order(koszul):
+    d1, w0 = koszul.matrices["d1"], koszul.weightlists["W0"]
+    diffs = [koszul.matrices[n] for n in koszul.resolution]
+    calls = [
+        lambda: propagate(d1, w0, "top-up"),
+        lambda: propagate_single_degree(d1, w0, "top-up"),
+        lambda: propagate_forward(koszul.matrices["d3"], [(1, 1, 1)], "top-up"),
+        lambda: propagate_resolution(diffs, 0, w0, "top-up"),
+        lambda: propagate_resolution(diffs, 3, [(1, 1, 1)], "top-up"),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
 
 
 def test_graded_component_plucker_samples(grassmannian):
