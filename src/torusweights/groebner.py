@@ -1,9 +1,11 @@
 """Groebner machinery for graded submodules of free modules.
 
 Division with remainder, Buchberger's algorithm (optionally truncated at a
-degree bound), reduced-basis normalization, change of basis onto a Groebner
-basis, Schreyer-style syzygies, minimal free resolutions, standard monomials
-and Nakayama-style minimality checks.  All arithmetic is exact.
+degree bound) with the cofactor of each basis element over the input
+columns, reduced-basis normalization, change of basis onto a Groebner basis
+by a linear solve, Schreyer-style syzygies, minimal free resolutions,
+standard monomials and Nakayama-style minimality checks.  All arithmetic is
+exact.
 
 Degrees in Z^m are compared through a fixed total refinement of the
 componentwise order (component sum first, then lexicographic); S-pairs are
@@ -14,7 +16,7 @@ well defined.
 import heapq
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DependentColumnsError, HomogeneityError, InputError, InternalError, MinimalityError
@@ -29,6 +31,7 @@ from .modules import (
 )
 from .rings import (
     Polynomial,
+    _int_vector,
     degree_sort_key,
     monomial_div,
     monomial_divides,
@@ -91,12 +94,18 @@ class GroebnerBasis:
     With a truncation bound, contains exactly the elements of the
     (inter-reduced) basis whose degree does not exceed the bound in the
     degree refinement order.
+
+    `cofactors[k]` writes `elements[k]` in the input columns: it lives in a
+    free module with the input's column degrees, and
+    elements[k] == sum_j cofactors[k].entries[j] * column_j.  Cofactors
+    depend on the column order while the basis does not, so they take no
+    part in equality.
     """
 
     module: FreeModuleSpec
     order: object
     elements: tuple
-    monic: bool = True
+    cofactors: tuple = field(compare=False)
 
     def leading_terms(self):
         return [g.leading_term(self.order)[0] for g in self.elements]
@@ -203,19 +212,35 @@ def _reduce_basis(basis, order):
     return reduced
 
 
+def check_order(order):
+    """Raise InputError unless order is a ModuleTermOrder."""
+    if not isinstance(order, ModuleTermOrder):
+        raise InputError("order must be a ModuleTermOrder")
+
+
 def buchberger(matrix, order, bound=None):
     """Reduced monic Groebner basis of the column span of a homogeneous matrix.
 
     With a degree bound, S-pairs beyond the bound (in the refinement order)
     are never processed and only basis elements within the bound are
     returned; the degree-d elements of a bounded run at bound d form a basis
-    of the degree-d component of the column span.  The output is canonical:
-    it does not depend on the column order or on invertible scalar mixing of
-    equal-degree columns.
+    of the degree-d component of the column span.  The elements are
+    canonical: they do not depend on the column order or on invertible
+    scalar mixing of equal-degree columns.  Each element comes with the
+    cofactor the run tracked for it, which writes it in the input columns.
     """
-    cof_module = FreeModuleSpec(matrix.domain.ring, matrix.domain.basis_degrees)
+    check_order(order)
+    ring = matrix.domain.ring
+    if bound is not None:
+        bound = _int_vector(bound, "degree bound", ring.degree_length)
+    cof_module = FreeModuleSpec(ring, matrix.domain.basis_degrees)
     tracked = _buchberger_tracked(matrix.columns(), cof_module, order, bound)
-    return GroebnerBasis(matrix.codomain, order, tuple(item.element for item in tracked))
+    return GroebnerBasis(
+        matrix.codomain,
+        order,
+        tuple(item.element for item in tracked),
+        tuple(item.cofactor for item in tracked),
+    )
 
 
 def sort_gb_columns(basis, direction="up"):
@@ -386,6 +411,7 @@ def syzygies(matrix, order):
     quotients).  The generating set is then minimized degreewise.  The result
     S satisfies matrix @ S = 0 and its image is the full syzygy module.
     """
+    check_order(order)
     ring = matrix.domain.ring
     frame = FreeModuleSpec(ring, matrix.domain.basis_degrees)
     columns = matrix.columns()
@@ -482,8 +508,11 @@ def minimal_resolution(matrix, order, max_length=None):
     Iterates minimized syzygy computation until the syzygies vanish (or
     max_length differentials have been produced).  The input must be a
     minimal map; a zero-column presentation resolves a free module and gives
-    a length-zero resolution.
+    a length-zero resolution.  max_length, when given, must be at least 1.
     """
+    check_order(order)
+    if max_length is not None and max_length < 1:
+        raise InputError("max_length must be at least 1, got %r" % (max_length,))
     if not is_minimal_map(matrix):
         raise MinimalityError("presentation matrix is not a minimal map")
     if matrix.num_cols == 0:

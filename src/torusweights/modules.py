@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import HomogeneityError, InputError
 from .linalg import invert
-from .rings import Polynomial, vector_neg, vector_sub
+from .rings import Polynomial, _int_vector, vector_neg, vector_sub
 
 
 class FreeModuleSpec:
@@ -21,10 +21,9 @@ class FreeModuleSpec:
 
     def __init__(self, ring, basis_degrees):
         self.ring = ring
-        self.basis_degrees = tuple(tuple(int(x) for x in d) for d in basis_degrees)
-        for d in self.basis_degrees:
-            if len(d) != ring.degree_length:
-                raise InputError("basis degree %r has wrong length" % (d,))
+        self.basis_degrees = tuple(
+            _int_vector(d, "basis degree", ring.degree_length) for d in basis_degrees
+        )
 
     @property
     def rank(self):

@@ -5,9 +5,11 @@ weights attached to the codomain basis, replaces the columns by the sorted
 degree-truncated reduced Groebner basis of the image (a scalar change of
 basis in the domain) and reads each new column's weight off its leading
 term: weight of the leading monomial plus the weight attached to the leading
-term's row.  Forward propagation runs the same procedure on the dual map
-with negated weights and a flipped (up <-> down) ordering, and resolutions
-chain these steps with the accumulated changes of basis.
+term's row.  The change of basis is not solved for: its columns are the
+cofactors Buchberger's algorithm tracks, which write each basis element in
+the original columns.  Forward propagation runs the same procedure on the
+dual map with negated weights and a flipped (up <-> down) ordering, and
+resolutions chain these steps with the accumulated changes of basis.
 
 Each public function checks its preconditions once, on its own input:
 `propagate` runs the Nakayama minimality check on the whole map,
@@ -16,7 +18,7 @@ chain and every differential.  The steps inside do not check again, since
 rebasing a minimal map by an invertible scalar matrix keeps it minimal.  For
 a block of columns in a single degree, minimal means linearly independent,
 which the Groebner basis count checks: the truncated basis has as many
-elements as the block has independent columns.
+elements in that degree as the block has independent columns.
 
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
@@ -28,16 +30,14 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, MinimalityError, ResolutionStepError
 from .groebner import (
-    GroebnerBasis,
     buchberger,
-    change_of_basis,
     check_chain,
+    check_order,
     is_minimal_map,
-    sort_gb_columns,
     standard_monomials,
 )
-from .modules import FreeModuleSpec, ModuleTermOrder, PolyMatrix, ScalarMatrix, dual_map, split_by_column_degree
-from .rings import vector_add, vector_neg
+from .modules import FreeModuleSpec, PolyMatrix, ScalarMatrix, dual_map, split_by_column_degree
+from .rings import _int_vector, unit_monomial, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
 
@@ -80,18 +80,10 @@ class ResolutionWeights:
 
 
 def _validate_weights(weights, rank, ring, role):
-    weights = tuple(tuple(int(x) for x in w) for w in weights)
+    weights = tuple(_int_vector(w, "weight", ring.weight_length) for w in weights)
     if len(weights) != rank:
         raise InputError("%s has %d weights but the module has rank %d" % (role, len(weights), rank))
-    for w in weights:
-        if len(w) != ring.weight_length:
-            raise InputError("weight %r has wrong length" % (w,))
     return weights
-
-
-def _validate_order(order):
-    if not isinstance(order, ModuleTermOrder):
-        raise InputError("order must be a ModuleTermOrder")
 
 
 _NOT_MINIMAL = "map is not minimal; its columns do not minimally generate the image"
@@ -102,16 +94,17 @@ def propagate_single_degree(matrix, weights, order):
 
     Computes the degree-truncated reduced Groebner basis of the image,
     arranges it into a matrix G sorted by leading term (increasing for
-    position-up orderings, decreasing for position-down), solves
-    G = matrix @ C, and attaches to each column of G the weight of its
-    leading monomial plus the weight of the row holding the leading term.
+    position-up orderings, decreasing for position-down), takes the scalar
+    C with G = matrix @ C from the cofactors the Groebner run tracks, and
+    attaches to each column of G the weight of its leading monomial plus the
+    weight of the row holding the leading term.
     With all columns in one degree, minimal means linearly independent; a
     MinimalityError is raised when the basis has fewer elements than the
     matrix has columns.
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
-    _validate_order(order)
+    check_order(order)
     degrees = set(matrix.domain.basis_degrees)
     if len(degrees) != 1:
         raise InputError("columns do not share a single degree")
@@ -119,19 +112,35 @@ def propagate_single_degree(matrix, weights, order):
 
 
 def _propagate_block(matrix, weights, order, degree):
-    """propagate_single_degree on a block whose columns all have `degree`."""
+    """propagate_single_degree on a block whose columns all have `degree`.
+
+    The degree-`degree` elements of the run bounded at `degree` form a basis
+    of the block's span, sorted by increasing leading term, and each one's
+    cofactor is a vector of constants: its column of C.  Elements of other
+    degrees are dropped; the run reaches them only on gradings where a
+    variable's degree has a negative component sum, which the degree
+    refinement order sorts below `degree`.
+    """
     ring = matrix.domain.ring
     basis = buchberger(matrix, order, bound=degree)
-    in_degree = [g for g in basis.elements if g.homogeneous_degree() == degree]
-    kept = GroebnerBasis(basis.module, basis.order, tuple(in_degree))
-    sorted_matrix = sort_gb_columns(kept, "up" if order.is_position_up else "down")
-    if sorted_matrix.num_cols != matrix.num_cols:
+    pairs = [
+        (g, cof)
+        for g, cof in zip(basis.elements, basis.cofactors)
+        if g.homogeneous_degree() == degree
+    ]
+    if len(pairs) != matrix.num_cols:
         raise MinimalityError(_NOT_MINIMAL)
-    c = change_of_basis(matrix, sorted_matrix)
+    if not order.is_position_up:
+        pairs.reverse()
+    unit = unit_monomial(ring.num_vars)
+    c = ScalarMatrix(
+        [[cof.entries[j].terms.get(unit, 0) for _, cof in pairs] for j in range(matrix.num_cols)]
+    )
+    sorted_matrix = PolyMatrix.from_columns(matrix.codomain, matrix.domain, [g for g, _ in pairs])
 
     new_weights = []
-    for j in range(sorted_matrix.num_cols):
-        term, _ = sorted_matrix.column(j).leading_term(order)
+    for g, _ in pairs:
+        term, _ = g.leading_term(order)
         new_weights.append(vector_add(ring.monomial_weight(term.monomial), weights[term.index]))
     return PropagationResult(c, tuple(new_weights), sorted_matrix, sorted_matrix.domain)
 
@@ -148,7 +157,7 @@ def propagate(matrix, weights, order):
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
-    _validate_order(order)
+    check_order(order)
     if not is_minimal_map(matrix):
         raise MinimalityError(_NOT_MINIMAL)
     return _propagate(matrix, weights, order)
@@ -187,7 +196,7 @@ def propagate_forward(matrix, weights, order):
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.domain.rank, ring, "domain weight list")
-    _validate_order(order)
+    check_order(order)
     dual = dual_map(matrix)
     if not is_minimal_map(dual):
         raise MinimalityError("dual map is not minimal; cannot propagate forward")
@@ -220,7 +229,7 @@ def propagate_resolution(differentials, start_index, start_weights, order):
         raise InputError("resolution has no differentials")
     if not 0 <= start_index <= m:
         raise InputError("start index %d outside 0..%d" % (start_index, m))
-    _validate_order(order)
+    check_order(order)
     check_chain(differentials[0].codomain, differentials)
     for k, d in enumerate(differentials):
         if not is_minimal_map(d):
@@ -286,10 +295,10 @@ def propagate_graded_components(degree, matrix, weights, order, gb_bound=None):
     for position-up orderings and decreasing for position-down, which is the
     order `propagate` gives on the matrix of standard monomials.
     """
-    degree = tuple(int(x) for x in degree)
     ring = matrix.domain.ring
+    degree = _int_vector(degree, "degree", ring.degree_length)
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
-    _validate_order(order)
+    check_order(order)
     basis = buchberger(matrix, order, bound=gb_bound)
     terms = standard_monomials(basis, degree, matrix.codomain)
     if order.is_position_up:

@@ -7,6 +7,7 @@ precedence given by declaration order).  Polynomial is a sparse map from
 exponent tuples to nonzero exact rationals.
 """
 
+import operator
 import re
 from fractions import Fraction
 
@@ -55,11 +56,19 @@ def degree_sort_key(degree):
     return (sum(degree), degree)
 
 
-def _int_vector(value, what):
+def _int_vector(value, what, length=None):
+    """value as a tuple of ints, optionally of a required length.
+
+    Accepts only true integers (anything operator.index takes): a float or a
+    scalar where a vector belongs raises InputError instead of being
+    truncated.
+    """
     try:
-        vec = tuple(int(x) for x in value)
+        vec = tuple(operator.index(x) for x in value)
     except TypeError:
         raise InputError("%s must be a sequence of integers" % what) from None
+    if length is not None and len(vec) != length:
+        raise InputError("%s %r has wrong length" % (what, vec))
     return vec
 
 

@@ -111,6 +111,29 @@ def test_gb_truncate_flag(capsys, tmp_path):
     assert json.loads(out_cut)["size"] < json.loads(out_full)["size"]
 
 
+def test_degree_of_wrong_length_exit_code(capsys):
+    # two_variables.json is singly graded; a bidegree is a domain error
+    path = str(fixture_path("two_variables.json"))
+    for argv in (
+        ["graded-weights", "--degree", "1,2"],
+        ["graded-weights", "--degree", "1", "--truncate", "1,2"],
+        ["gb", "--truncate", "1,2"],
+    ):
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert (code, out) == (1, "")
+        assert "wrong length" in err
+
+
+def test_resolve_max_length_below_one_exit_code(capsys):
+    for value in ("0", "-1"):
+        code, out, err = run(
+            capsys, "resolve", "--input", str(fixture_path("koszul.json")),
+            "--matrix", "d1", "--max-length", value,
+        )
+        assert (code, out) == (1, "")
+        assert "max_length" in err
+
+
 def test_resolve_subcommand(capsys):
     code, out, err = run(
         capsys, "resolve", "--input", str(fixture_path("bigraded.json")), "--json"

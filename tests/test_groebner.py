@@ -183,6 +183,20 @@ def test_gb_truncation_bound(std3):
     assert full_lts_deg2 == list(truncated.elements)
 
 
+def test_gb_bound_must_be_an_integer_degree_of_the_ring(std3):
+    m = row_matrix(std3, [[1]], ["x1"])
+    for bad in [(1, 2), (1.5,), 1]:
+        with pytest.raises(InputError):
+            buchberger(m, TOP_UP, bound=bad)
+
+
+def test_groebner_entry_points_reject_bad_order(koszul):
+    d1 = koszul.matrices["d1"]
+    for call in (buchberger, syzygies, minimal_resolution):
+        with pytest.raises(InputError):
+            call(d1, "top-up")
+
+
 def test_gb_rejects_inhomogeneous_generator(std3):
     module = FreeModuleSpec(std3, [[0]])
     # bypass matrix validation by calling with a handmade inhomogeneous column
@@ -417,6 +431,12 @@ def test_minimal_resolution_non_saturated_monomial_ideal():
 def test_minimal_resolution_respects_max_length(koszul):
     res = minimal_resolution(koszul.matrices["d1"], TOP_UP, max_length=2)
     assert res.length == 2
+
+
+def test_minimal_resolution_rejects_max_length_below_one(koszul):
+    for bad in (0, -1):
+        with pytest.raises(InputError):
+            minimal_resolution(koszul.matrices["d1"], TOP_UP, max_length=bad)
 
 
 def test_minimal_resolution_of_free_module(std3):

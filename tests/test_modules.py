@@ -34,6 +34,13 @@ def matrix(ring, cod_degs, dom_degs, rows):
     return PolyMatrix(cod, dom, [[parse_polynomial(ring, t) for t in row] for row in rows])
 
 
+def test_basis_degrees_must_be_integer_vectors_of_the_ring_length():
+    ring = ring_xy()
+    for bad in ([[1.7]], [[1, 2]], [1]):
+        with pytest.raises(InputError):
+            FreeModuleSpec(ring, bad)
+
+
 def test_four_orderings_leading_terms():
     # f = y f1 + x f2 + x f3 + y f4 picks a different leading term per ordering
     ring = ring_xy()

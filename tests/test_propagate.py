@@ -13,6 +13,7 @@ from torusweights import (
     RingSpec,
     ScalarMatrix,
     buchberger,
+    change_of_basis,
     negate_weights,
     propagate,
     propagate_forward,
@@ -83,6 +84,39 @@ def test_propagate_rejects_non_minimal_mixed_degrees():
 def test_weight_list_length_checked(two_variables):
     with pytest.raises(InputError):
         propagate_single_degree(two_variables.matrices["m"], [(0, 0), (0, 0)], TOP_UP)
+
+
+def test_weights_must_be_integer_vectors(two_variables):
+    m = two_variables.matrices["m"]
+    for bad in ([(0.9, 0)], [5], [(0,)]):
+        with pytest.raises(InputError):
+            propagate(m, bad, TOP_UP)
+
+
+def test_block_drops_basis_elements_of_other_degrees():
+    # deg y = (1, -2) has a negative component sum, so the Groebner run bounded
+    # at (3, -4) also reaches the S-pair y^2 * f1 - w * f2 in degree (5, -8)
+    ring = RingSpec(
+        ["w", "x", "y", "z"],
+        [[2, -4], [1, 0], [1, -2], [2, -2]],
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "lex",
+    )
+    m = matrix(ring, [[0, 0]], [[3, -4], [3, -4]], [["x*w + y*z", "x*y^2 + y*z"]])
+    bounded = buchberger(m, TOP_UP, bound=(3, -4))
+    assert {g.homogeneous_degree() for g in bounded.elements} == {(3, -4), (5, -8)}
+    result = propagate(m, [(0, 0, 0, 0)], TOP_UP)
+    assert result.weights == ((0, 1, 2, 0), (1, 1, 0, 0))
+    assert result.change_of_basis == change_of_basis(m, result.sorted_matrix)
+
+
+def test_graded_component_degree_must_fit_the_ring(two_variables):
+    m, w = two_variables.matrices["m"], two_variables.weightlists["W"]
+    for bad in [(1, 2), (1.5,), 2]:
+        with pytest.raises(InputError):
+            propagate_graded_components(bad, m, w, TOP_UP)
+    with pytest.raises(InputError):
+        propagate_graded_components((1,), m, w, TOP_UP, gb_bound=(1, 2))
 
 
 # ---------- multiple degrees ----------
@@ -184,6 +218,22 @@ def test_change_of_basis_equals_permutation_product(bigraded, order):
         [propagate_single_degree(b, w, order).change_of_basis for b in blocks]
     )
     assert propagate(m, w, order).change_of_basis == scal(p) @ diagonal
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_block_change_of_basis_matches_linear_solve(bigraded, order):
+    # oracle: the C read off the tracked cofactors is the unique solution of
+    # sorted_matrix = block @ C
+    ring = RingSpec(["x", "y"], [[1], [1]], [[1, 0], [0, 1]])
+    quadrics = matrix(ring, [[0]], [[2]] * 3, [["x^2 + x*y", "x*y + y^2", "x^2"]])
+    cases = [(quadrics, [(0, 0)])]
+    _, blocks, _ = split_by_column_degree(first_syzygy_input_matrix(bigraded.ring))
+    cases += [(b, FIRST_SYZYGY_CODOMAIN_WEIGHTS) for b in blocks]
+    for block, weights in cases:
+        result = propagate_single_degree(block, weights, order)
+        assert result.change_of_basis == change_of_basis(block, result.sorted_matrix)
+        c = result.change_of_basis.to_poly_matrix(block.domain, result.rebased_module)
+        assert block @ c == result.sorted_matrix
 
 
 def second_syzygy_input_matrix(ring):

@@ -140,7 +140,15 @@ def test_gb_canonical_under_column_mixing(data):
         m.domain.ring, [m.domain.basis_degrees[perm[j]] for j in range(m.num_cols)]
     )
     mixed = m @ u.to_poly_matrix(m.domain, new_domain)
-    assert buchberger(m, TOP_UP).elements == buchberger(mixed, TOP_UP).elements
+    basis, mixed_basis = buchberger(m, TOP_UP), buchberger(mixed, TOP_UP)
+    assert basis.elements == mixed_basis.elements
+    # the cofactors differ with the columns and take no part in equality
+    assert basis == mixed_basis
+    for matrix, b in ((m, basis), (mixed, mixed_basis)):
+        assert all(cof.module == matrix.domain for cof in b.cofactors)
+        degrees = FreeModuleSpec(matrix.domain.ring, [g.homogeneous_degree() for g in b.elements])
+        cofactors = PolyMatrix.from_columns(matrix.domain, degrees, b.cofactors)
+        assert matrix @ cofactors == PolyMatrix.from_columns(matrix.codomain, degrees, b.elements)
 
 
 @SETTINGS
