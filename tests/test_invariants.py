@@ -14,10 +14,13 @@ from torusweights import (
     minimal_resolution,
     normal_form,
     propagate,
+    propagate_graded_components,
+    propagate_resolution,
     standard_monomials,
 )
 from torusweights.groebner import _term_divides
 from torusweights.parsing import parse_polynomial
+from torusweights.rings import vector_add, vector_sub
 
 TOP_UP = ModuleTermOrder("top-up")
 
@@ -55,18 +58,53 @@ def test_reduced_basis_invariants(bigraded, grassmannian):
                         assert not _term_divides(lt, term)
 
 
-def test_resolution_euler_characteristic(bigraded):
+def resolution_character(result, start_module, d):
+    """Signed weight multiset of the degree-d parts of the resolution's modules.
+
+    Sums, with sign (-1)^i, the weights w(mono) + w(g) over the basis elements
+    g of each F_i and the monomials of degree d - deg g; zero multiplicities
+    are dropped.
+    """
+    ring = start_module.ring
+    character = Counter()
+    for i, weights in enumerate(result.per_module):
+        step = result.steps.get(i)
+        module = step.result.rebased_module if step else start_module
+        for degree, w in zip(module.basis_degrees, weights):
+            for mono in ring.monomials_of_degree(vector_sub(d, degree)):
+                character[vector_add(ring.monomial_weight(mono), w)] += (-1) ** i
+    return {weight: count for weight, count in character.items() if count}
+
+
+def assert_euler_characteristic(diffs, start_index, start_weights, degrees, order=TOP_UP):
+    # an equivariant resolution is exact in each degree as a sequence of torus
+    # representations: the alternating sum of the modules' characters is the
+    # character of the cokernel, read off its standard monomials
+    result = propagate_resolution(diffs, start_index, start_weights, order)
+    modules = [diffs[0].codomain] + [d.domain for d in diffs]
+    for d in degrees:
+        expected = Counter(propagate_graded_components(d, diffs[0], result.per_module[0], order))
+        assert resolution_character(result, modules[start_index], d) == dict(expected)
+
+
+def test_resolution_euler_characteristic(bigraded, grassmannian):
     # quotient dimensions equal the alternating sum of module dimensions
     resolution = minimal_resolution(bigraded.matrices["m"], TOP_UP)
     basis = buchberger(bigraded.matrices["m"], TOP_UP)
     F0 = bigraded.matrices["m"].codomain
-    for d in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]:
+    degrees = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)]
+    for d in degrees:
         quotient_dim = len(standard_monomials(basis, d, F0))
         euler = sum(
             (-1) ** i * len(enumerate_terms(module, d))
             for i, module in enumerate(resolution.modules)
         )
         assert quotient_dim == euler
+    # and so do the weight multisets
+    assert_euler_characteristic(resolution.differentials, 0, bigraded.weightlists["W"], degrees)
+    diffs = [grassmannian.matrices[n] for n in grassmannian.resolution]
+    for start_index, weights in ((0, grassmannian.weightlists["W0"]), (3, grassmannian.weightlists["V3"])):
+        assert_euler_characteristic(diffs, start_index, weights, [(1,), (2,), (3,)])
 
 
 def test_concurrent_runs_are_bit_identical(bigraded, koszul):

@@ -3,6 +3,7 @@
 Each suite runs at least 100 generated cases (hypothesis profile below).
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -17,18 +18,23 @@ from torusweights import (
     buchberger,
     enumerate_terms,
     is_minimal_map,
+    minimal_resolution,
     normal_form,
     propagate,
     propagate_forward,
     standard_monomials,
 )
+from torusweights.errors import ResolutionStepError
 from torusweights.linalg import Echelon
 from torusweights.rings import Polynomial, monomial_divides
+
+from test_invariants import assert_euler_characteristic
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
 TOP_UP = ModuleTermOrder("top-up")
 POT_UP = ModuleTermOrder("pot-up")
+ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
 
 
 def std_ring(n, order="grevlex"):
@@ -231,6 +237,51 @@ def test_hilbert_function_of_leading_term_module(data):
         image_dim = ech.rank
         standard = standard_monomials(basis, degree, module)
         assert len(standard) == len(terms) - image_dim
+
+
+# ---------- equivariant Euler characteristic ----------
+
+
+def degrees_as_weights_ring(degrees, order="grevlex"):
+    """A ring whose torus weights are its degrees: every homogeneous map is equivariant."""
+    return RingSpec(["x%d" % (i + 1) for i in range(len(degrees))], degrees, degrees, order)
+
+
+EQUIVARIANT_RINGS = [
+    degrees_as_weights_ring([[1], [1]]),
+    degrees_as_weights_ring([[1], [1], [1]], "lex"),
+    degrees_as_weights_ring([[1, 0], [1, 0], [0, 1]]),
+]
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(EQUIVARIANT_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_resolution_character_matches_graded_components(data, ring, order):
+    m = data.draw(homogeneous_row_matrix(ring=ring, max_degree=2))
+    assume(is_minimal_map(m))
+    diffs = list(minimal_resolution(m, order).differentials)
+    start_index = data.draw(st.integers(0, len(diffs)))
+    start_module = ([m.codomain] + [d.domain for d in diffs])[start_index]
+    top = max(sum(d) for d in m.domain.basis_degrees) + 1
+    degrees = [d for d in itertools.product(range(top + 1), repeat=ring.degree_length) if sum(d) <= top]
+    try:
+        assert_euler_characteristic(diffs, start_index, start_module.basis_degrees, degrees, order)
+    except ResolutionStepError:
+        # the dual of some differential is not minimal: no forward propagation
+        assume(False)
+
+
+FINE_TORUS_RING = RingSpec(["x1", "x2", "x3"], [[1]] * 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@SETTINGS
+@given(data=st.data(), order=st.sampled_from(ALL_ORDERS))
+def test_monomial_resolution_character_under_the_fine_torus(data, order):
+    # the ring weights are the exponent vectors, so weights tell terms of one degree apart
+    m = data.draw(monomial_antichain_matrix(FINE_TORUS_RING))
+    diffs = list(minimal_resolution(m, order).differentials)
+    top = max(sum(d) for d in m.domain.basis_degrees) + 1
+    assert_euler_characteristic(diffs, 0, [(0, 0, 0)], [(d,) for d in range(top + 1)], order)
 
 
 # ---------- minimal monomial matrices and propagation invariants ----------
