@@ -1,11 +1,11 @@
 """Groebner machinery for graded submodules of free modules.
 
 Division with remainder, Buchberger's algorithm (optionally truncated at a
-degree bound) with the cofactor of each basis element over the input
-columns, reduced-basis normalization, change of basis onto a Groebner basis
-by a linear solve, Schreyer-style syzygies, minimal free resolutions,
-standard monomials and Nakayama-style minimality checks.  All arithmetic is
-exact.
+degree bound), reduced-basis normalization, change of basis onto a Groebner
+basis by a linear solve, Schreyer-style syzygies (from the cofactor of each
+basis element over the input columns, which the core loop tracks), minimal
+free resolutions, standard monomials and Nakayama-style minimality checks.
+All arithmetic is exact.
 
 Degrees in Z^m are compared through a fixed total refinement of the
 componentwise order (component sum first, then lexicographic); S-pairs are
@@ -16,7 +16,7 @@ well defined.
 import heapq
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DependentColumnsError, HomogeneityError, InputError, InternalError, MinimalityError
@@ -94,18 +94,11 @@ class GroebnerBasis:
     With a truncation bound, contains exactly the elements of the
     (inter-reduced) basis whose degree does not exceed the bound in the
     degree refinement order.
-
-    `cofactors[k]` writes `elements[k]` in the input columns: it lives in a
-    free module with the input's column degrees, and
-    elements[k] == sum_j cofactors[k].entries[j] * column_j.  Cofactors
-    depend on the column order while the basis does not, so they take no
-    part in equality.
     """
 
     module: FreeModuleSpec
     order: object
     elements: tuple
-    cofactors: tuple = field(compare=False)
 
     def leading_terms(self):
         return [g.leading_term(self.order)[0] for g in self.elements]
@@ -226,8 +219,8 @@ def buchberger(matrix, order, bound=None):
     returned; the degree-d elements of a bounded run at bound d form a basis
     of the degree-d component of the column span.  The elements are
     canonical: they do not depend on the column order or on invertible
-    scalar mixing of equal-degree columns.  Each element comes with the
-    cofactor the run tracked for it, which writes it in the input columns.
+    scalar mixing of equal-degree columns.  Propagation along a map needs no
+    run: in the columns' own degree the basis is a reduced echelon form.
     """
     check_order(order)
     ring = matrix.domain.ring
@@ -235,12 +228,7 @@ def buchberger(matrix, order, bound=None):
         bound = _int_vector(bound, "degree bound", ring.degree_length)
     cof_module = FreeModuleSpec(ring, matrix.domain.basis_degrees)
     tracked = _buchberger_tracked(matrix.columns(), cof_module, order, bound)
-    return GroebnerBasis(
-        matrix.codomain,
-        order,
-        tuple(item.element for item in tracked),
-        tuple(item.cofactor for item in tracked),
-    )
+    return GroebnerBasis(matrix.codomain, order, tuple(item.element for item in tracked))
 
 
 def sort_gb_columns(basis, direction="up"):

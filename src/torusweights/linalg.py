@@ -9,7 +9,7 @@ from .errors import DependentColumnsError, InputError, SingularMatrixError
 
 
 class Echelon:
-    """Incremental row-echelon accumulator for rank and span-membership tests."""
+    """Incremental row-echelon accumulator for rank, span membership and RREF."""
 
     def __init__(self):
         self.pivots = {}  # pivot position -> normalized row
@@ -37,6 +37,20 @@ class Echelon:
 
     def contains(self, vec):
         return not any(self.reduce(vec))
+
+    def reduced_rows(self):
+        """Reduced row echelon form: pivot position -> row, by position.
+
+        Back-substitution from the last pivot up: a row is zero before its pivot.
+        """
+        rows = dict(sorted(self.pivots.items()))
+        for pos in reversed(rows):
+            row = rows[pos]
+            for other, vec in rows.items():
+                c = vec[pos]
+                if other != pos and c:
+                    rows[other] = [x - c * y for x, y in zip(vec, row)]
+        return rows
 
     @property
     def rank(self):

@@ -2,23 +2,24 @@
 
 The central operation takes a homogeneous minimal map together with the
 weights attached to the codomain basis, replaces the columns by the sorted
-degree-truncated reduced Groebner basis of the image (a scalar change of
-basis in the domain) and reads each new column's weight off its leading
-term: weight of the leading monomial plus the weight attached to the leading
-term's row.  The change of basis is not solved for: its columns are the
-cofactors Buchberger's algorithm tracks, which write each basis element in
-the original columns.  Forward propagation runs the same procedure on the
-dual map with negated weights and a flipped (up <-> down) ordering, and
-resolutions chain these steps with the accumulated changes of basis.
+reduced Groebner basis of the image in the columns' own degrees (a scalar
+change of basis in the domain) and reads each new column's weight off its
+leading term: weight of the leading monomial plus the weight attached to
+the leading term's row.  Every S-pair lies above its columns' degree, so
+that basis is the reduced row echelon form of the columns, and one
+elimination yields it, C and C^-1 with no Groebner run.  Forward propagation
+runs the same procedure on the dual map with negated weights and a flipped
+(up <-> down) ordering, and resolutions rebase each differential by the
+previous step's C^-1.
 
 Each public function checks its preconditions once, on its own input:
 `propagate` runs the Nakayama minimality check on the whole map,
 `propagate_forward` on the dual map, and `propagate_resolution` checks the
 chain and every differential.  The steps inside do not check again, since
 rebasing a minimal map by an invertible scalar matrix keeps it minimal.  For
-a block of columns in a single degree, minimal means linearly independent,
-which the Groebner basis count checks: the truncated basis has as many
-elements in that degree as the block has independent columns.
+columns in a single degree, minimal means linearly independent, which the
+elimination checks: `propagate_single_degree` raises MinimalityError when a
+column reduces to zero.
 
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
@@ -26,6 +27,7 @@ matrix alone and is not checked here.
 """
 
 import logging
+import operator
 from dataclasses import dataclass, field
 
 from .errors import InputError, MinimalityError, ResolutionStepError
@@ -36,8 +38,9 @@ from .groebner import (
     is_minimal_map,
     standard_monomials,
 )
-from .modules import FreeModuleSpec, PolyMatrix, ScalarMatrix, dual_map, split_by_column_degree
-from .rings import _int_vector, unit_monomial, vector_add, vector_neg
+from .linalg import Echelon
+from .modules import FreeModuleSpec, ModuleElement, PolyMatrix, ScalarMatrix, dual_map
+from .rings import Polynomial, _int_vector, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
 
@@ -53,10 +56,12 @@ class PropagationResult:
     `sorted_matrix` is the rebased matrix whose columns realize the weights
     (for forward propagation: the sorted basis matrix of the dual run), and
     `rebased_module` is the module whose basis the change of basis produces,
-    with its degrees in the new order.
+    with its degrees in the new order.  `inverse_change_of_basis` is C^-1,
+    read off the same elimination; resolutions rebase with it.
     """
 
     change_of_basis: ScalarMatrix
+    inverse_change_of_basis: ScalarMatrix
     weights: tuple
     sorted_matrix: PolyMatrix
     rebased_module: FreeModuleSpec
@@ -80,6 +85,10 @@ class ResolutionWeights:
 
 
 def _validate_weights(weights, rank, ring, role):
+    try:
+        weights = tuple(weights)
+    except TypeError:
+        raise InputError("%s must be a sequence of weight vectors" % role) from None
     weights = tuple(_int_vector(w, "weight", ring.weight_length) for w in weights)
     if len(weights) != rank:
         raise InputError("%s has %d weights but the module has rank %d" % (role, len(weights), rank))
@@ -92,68 +101,27 @@ _NOT_MINIMAL = "map is not minimal; its columns do not minimally generate the im
 def propagate_single_degree(matrix, weights, order):
     """Weight propagation along a minimal map whose domain sits in one degree.
 
-    Computes the degree-truncated reduced Groebner basis of the image,
-    arranges it into a matrix G sorted by leading term (increasing for
-    position-up orderings, decreasing for position-down), takes the scalar
-    C with G = matrix @ C from the cofactors the Groebner run tracks, and
-    attaches to each column of G the weight of its leading monomial plus the
-    weight of the row holding the leading term.
-    With all columns in one degree, minimal means linearly independent; a
-    MinimalityError is raised when the basis has fewer elements than the
-    matrix has columns.
+    Checks that the columns share one degree and hands off to the same
+    elimination as `propagate`.  With all columns in one degree, minimal
+    means linearly independent; a MinimalityError is raised when they are
+    not.
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
     check_order(order)
-    degrees = set(matrix.domain.basis_degrees)
-    if len(degrees) != 1:
+    if len(set(matrix.domain.basis_degrees)) != 1:
         raise InputError("columns do not share a single degree")
-    return _propagate_block(matrix, weights, order, degrees.pop())
-
-
-def _propagate_block(matrix, weights, order, degree):
-    """propagate_single_degree on a block whose columns all have `degree`.
-
-    The degree-`degree` elements of the run bounded at `degree` form a basis
-    of the block's span, sorted by increasing leading term, and each one's
-    cofactor is a vector of constants: its column of C.  Elements of other
-    degrees are dropped; the run reaches them only on gradings where a
-    variable's degree has a negative component sum, which the degree
-    refinement order sorts below `degree`.
-    """
-    ring = matrix.domain.ring
-    basis = buchberger(matrix, order, bound=degree)
-    pairs = [
-        (g, cof)
-        for g, cof in zip(basis.elements, basis.cofactors)
-        if g.homogeneous_degree() == degree
-    ]
-    if len(pairs) != matrix.num_cols:
-        raise MinimalityError(_NOT_MINIMAL)
-    if not order.is_position_up:
-        pairs.reverse()
-    unit = unit_monomial(ring.num_vars)
-    c = ScalarMatrix(
-        [[cof.entries[j].terms.get(unit, 0) for _, cof in pairs] for j in range(matrix.num_cols)]
-    )
-    sorted_matrix = PolyMatrix.from_columns(matrix.codomain, matrix.domain, [g for g, _ in pairs])
-
-    new_weights = []
-    for g, _ in pairs:
-        term, _ = g.leading_term(order)
-        new_weights.append(vector_add(ring.monomial_weight(term.monomial), weights[term.index]))
-    return PropagationResult(c, tuple(new_weights), sorted_matrix, sorted_matrix.domain)
+    return _propagate(matrix, weights, order)
 
 
 def propagate(matrix, weights, order):
     """Weight propagation along a minimal map (domain in any degrees).
 
-    Splits the columns into blocks of equal degree (classes ordered by first
-    occurrence), propagates each block separately, and reassembles the change
-    of basis from the block-diagonal C_1 + ... + C_l by moving each of its
-    rows back to the position of the column it belongs to, and the weights
-    as the ordered concatenation of the block weight lists.  The whole map
-    is checked for minimality first.
+    The whole map is checked for minimality first.  The columns of the
+    rebased matrix come grouped by degree, the classes in order of first
+    occurrence among the columns; within a class they are sorted by leading
+    term, increasing for position-up orderings and decreasing for
+    position-down.
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
@@ -164,27 +132,51 @@ def propagate(matrix, weights, order):
 
 
 def _propagate(matrix, weights, order):
-    """propagate without checks: the weights are validated and the map is minimal."""
+    """propagate without checks: the weights are validated and the map is minimal.
+
+    Row j of one elimination is column j's coefficients over the image's
+    terms, in decreasing order, then the j-th unit vector.  Each row of the
+    reduced echelon form holds a column of G, pivoting at its leading term,
+    and the matching column of C; a pivot in the unit part means dependent
+    columns.  G is the identity at the pivots, so C^-1[k][j] is column j's
+    coefficient at G_k's pivot.  Degrees share no term: they reduce apart.
+    """
     ring = matrix.domain.ring
-    if matrix.num_cols == 0:
-        empty = FreeModuleSpec(ring, [])
-        g = PolyMatrix.from_columns(matrix.codomain, empty, [])
-        return PropagationResult(ScalarMatrix([]), (), g, empty)
+    columns = matrix.columns()
+    degree_of = {t: d for col, d in zip(columns, matrix.domain.basis_degrees) for t, _ in col.support()}
+    terms = sorted(degree_of, key=order.sort_key(ring), reverse=True)
+    index = {t: i for i, t in enumerate(terms)}
+    n = len(terms)
+    ech = Echelon()
+    for j, col in enumerate(columns):
+        vec = [0] * (n + len(columns))
+        for term, coeff in col.support():
+            vec[index[term]] = coeff
+        vec[n + j] = 1
+        ech.add(vec)
+    if any(pos >= n for pos in ech.pivots):
+        raise MinimalityError(_NOT_MINIMAL)
+    rows = ech.reduced_rows()
 
-    perm, blocks, degrees = split_by_column_degree(matrix)
-    results = [_propagate_block(b, weights, order, d) for b, d in zip(blocks, degrees)]
-
-    diagonal = ScalarMatrix.block_diagonal([r.change_of_basis for r in results])
-    rows = [None] * len(perm)
-    for k, orig in enumerate(perm):
-        rows[orig] = diagonal.rows[k]
-    c = ScalarMatrix(rows)
-    combined_weights = tuple(w for r in results for w in r.weights)
-    columns = [col for r in results for col in r.sorted_matrix.columns()]
-    degrees = [d for r in results for d in r.sorted_matrix.domain.basis_degrees]
-    rebased = FreeModuleSpec(ring, degrees)
-    g = PolyMatrix.from_columns(matrix.codomain, rebased, columns)
-    return PropagationResult(c, combined_weights, g, rebased)
+    classes = {d: k for k, d in enumerate(dict.fromkeys(matrix.domain.basis_degrees))}
+    sign = -1 if order.is_position_up else 1
+    pivots = sorted(rows, key=lambda pos: (classes[degree_of[terms[pos]]], sign * pos))
+    g_columns = []
+    for pos in pivots:
+        entries = [{} for _ in range(matrix.num_rows)]
+        for term, coeff in zip(terms, rows[pos]):
+            if coeff:
+                entries[term.index][term.monomial] = coeff
+        g_columns.append(ModuleElement(matrix.codomain, [Polynomial(e) for e in entries]))
+    leads = [terms[pos] for pos in pivots]
+    rebased = FreeModuleSpec(ring, [degree_of[t] for t in leads])
+    return PropagationResult(
+        ScalarMatrix([[rows[pos][n + j] for pos in pivots] for j in range(len(columns))]),
+        ScalarMatrix([[col.entries[t.index].terms.get(t.monomial, 0) for col in columns] for t in leads]),
+        tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in leads),
+        PolyMatrix.from_columns(matrix.codomain, rebased, g_columns),
+        rebased,
+    )
 
 
 def propagate_forward(matrix, weights, order):
@@ -192,7 +184,7 @@ def propagate_forward(matrix, weights, order):
 
     Requires the dual map to be minimal.  Runs backward propagation on the
     transpose with negated weights under the flipped (up <-> down) ordering,
-    then transposes the change of basis and negates the weights back.
+    then transposes C and C^-1 and negates the weights back.
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.domain.rank, ring, "domain weight list")
@@ -204,6 +196,7 @@ def propagate_forward(matrix, weights, order):
     rebased = FreeModuleSpec(ring, [vector_neg(d) for d in inner.rebased_module.basis_degrees])
     return PropagationResult(
         inner.change_of_basis.transpose(),
+        inner.inverse_change_of_basis.transpose(),
         negate_weights(inner.weights),
         inner.sorted_matrix,
         rebased,
@@ -227,6 +220,10 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     m = len(differentials)
     if not differentials:
         raise InputError("resolution has no differentials")
+    try:
+        start_index = operator.index(start_index)
+    except TypeError:
+        raise InputError("start index must be an integer, got %r" % (start_index,)) from None
     if not 0 <= start_index <= m:
         raise InputError("start index %d outside 0..%d" % (start_index, m))
     check_order(order)
@@ -246,25 +243,25 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     def partial():
         return tuple(per_module)
 
-    current_c = ScalarMatrix.identity(modules[start_index].rank)
+    current_inverse = ScalarMatrix.identity(modules[start_index].rank)
     current_spec = modules[start_index]
     for i in range(1, m - start_index + 1):
         diff = differentials[start_index + i - 1]
-        rebase = current_c.inverse().to_poly_matrix(current_spec, diff.codomain)
+        rebase = current_inverse.to_poly_matrix(current_spec, diff.codomain)
         matrix = rebase @ diff
         log.debug("backward step onto module %d", start_index + i)
         result = _propagate(matrix, per_module[start_index + i - 1], order)
         per_module[start_index + i] = result.weights
         steps[start_index + i] = ResolutionStep(start_index + i, matrix, result)
-        current_c = result.change_of_basis
+        current_inverse = result.inverse_change_of_basis
         current_spec = result.rebased_module
 
-    current_c = ScalarMatrix.identity(modules[start_index].rank)
+    current_inverse = ScalarMatrix.identity(modules[start_index].rank)
     current_spec = modules[start_index]
     for i in range(1, start_index + 1):
         target = start_index - i
         diff = differentials[target]
-        rebase = current_c.inverse().to_poly_matrix(diff.domain, current_spec)
+        rebase = current_inverse.to_poly_matrix(diff.domain, current_spec)
         matrix = diff @ rebase
         log.debug("forward step onto module %d", target)
         try:
@@ -277,7 +274,7 @@ def propagate_resolution(differentials, start_index, start_weights, order):
             ) from exc
         per_module[target] = result.weights
         steps[target] = ResolutionStep(target, matrix, result)
-        current_c = result.change_of_basis
+        current_inverse = result.inverse_change_of_basis
         current_spec = result.rebased_module
 
     return ResolutionWeights(tuple(per_module), steps)

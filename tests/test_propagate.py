@@ -88,9 +88,13 @@ def test_weight_list_length_checked(two_variables):
 
 def test_weights_must_be_integer_vectors(two_variables):
     m = two_variables.matrices["m"]
-    for bad in ([(0.9, 0)], [5], [(0,)]):
+    for bad in ([(0.9, 0)], [5], [(0,)], 5):
         with pytest.raises(InputError):
             propagate(m, bad, TOP_UP)
+    with pytest.raises(InputError):
+        propagate_forward(m, 5, TOP_UP)
+    with pytest.raises(InputError):
+        propagate_graded_components((1,), m, 5, TOP_UP)
 
 
 def test_block_drops_basis_elements_of_other_degrees():
@@ -422,13 +426,24 @@ def test_forward_round_trip_on_regular_sequence(koszul):
 
 def test_koszul_resolution(koszul):
     diffs = [koszul.matrices[n] for n in koszul.resolution]
-    result = propagate_resolution(diffs, 0, koszul.weightlists["W0"], TOP_UP)
-    assert result.per_module == (
-        ((0, 0, 0),),
-        ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-        ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
-        ((1, 1, 1),),
-    )
+    # backward from F_0, and forward from F_3 (whose C are not symmetric)
+    for start_index, weights in ((0, koszul.weightlists["W0"]), (3, [(1, 1, 1)])):
+        result = propagate_resolution(diffs, start_index, weights, TOP_UP)
+        assert result.per_module == (
+            ((0, 0, 0),),
+            ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+            ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
+            ((1, 1, 1),),
+        )
+        assert_steps_carry_inverses(result)
+
+
+def assert_steps_carry_inverses(result):
+    # oracle: ScalarMatrix.inverse of each step's change of basis
+    for step in result.steps.values():
+        c, inverse = step.result.change_of_basis, step.result.inverse_change_of_basis
+        assert c @ inverse == ScalarMatrix.identity(c.num_rows)
+        assert inverse == c.inverse()
 
 
 def test_koszul_intermediate_matrices(koszul):
@@ -473,6 +488,7 @@ def test_grassmannian_backward_from_top(grassmannian):
         (1, 1, 1, 1, 0),
     )
     assert result.per_module[0] == ((0, 0, 0, 0, 0),)
+    assert_steps_carry_inverses(result)
 
 
 def test_grassmannian_intermediate_bases(grassmannian):
@@ -548,8 +564,9 @@ def test_resolution_validates_composites(koszul):
 
 def test_resolution_start_index_range(koszul):
     diffs = [koszul.matrices[n] for n in koszul.resolution]
-    with pytest.raises(InputError):
-        propagate_resolution(diffs, 4, koszul.weightlists["W0"], TOP_UP)
+    for bad in (4, 1.5):
+        with pytest.raises(InputError):
+            propagate_resolution(diffs, bad, koszul.weightlists["W0"], TOP_UP)
 
 
 def test_resolution_reports_non_minimal_dual_with_partial():
