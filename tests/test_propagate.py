@@ -226,7 +226,7 @@ def test_change_of_basis_equals_permutation_product(bigraded, order):
 
 @pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
 def test_block_change_of_basis_matches_linear_solve(bigraded, order):
-    # oracle: the C read off the tracked cofactors is the unique solution of
+    # oracle: the C read off the echelon form is the unique solution of
     # sorted_matrix = block @ C
     ring = RingSpec(["x", "y"], [[1], [1]], [[1, 0], [0, 1]])
     quadrics = matrix(ring, [[0]], [[2]] * 3, [["x^2 + x*y", "x*y + y^2", "x^2"]])
