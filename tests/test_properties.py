@@ -23,10 +23,12 @@ from torusweights import (
     propagate,
     propagate_forward,
     standard_monomials,
+    syzygies,
 )
 from torusweights.errors import ResolutionStepError
-from torusweights.linalg import Echelon
-from torusweights.rings import Polynomial, monomial_divides
+from torusweights.linalg import Echelon, rank
+from torusweights.parsing import parse_polynomial
+from torusweights.rings import Polynomial, monomial_divides, vector_add, vector_sub
 
 from test_invariants import assert_euler_characteristic
 
@@ -231,6 +233,108 @@ def test_hilbert_function_of_leading_term_module(data):
         image_dim = ech.rank
         standard = standard_monomials(basis, degree, module)
         assert len(standard) == len(terms) - image_dim
+
+
+# ---------- syzygies against the kernel dimension ----------
+
+
+KERNEL_RINGS = [
+    std_ring(2),
+    std_ring(2, "lex"),
+    RingSpec(["x1", "x2", "y"], [[1, 0], [1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+]
+
+
+@st.composite
+def homogeneous_matrix(draw, ring):
+    """A homogeneous matrix with one or two rows, sometimes with a redundant column.
+
+    The redundant column repeats a column, multiplies one by a variable, or
+    is zero, so the columns need not generate their image minimally.
+    """
+    m = ring.degree_length
+    units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    row_degrees = [draw(st.sampled_from([(0,) * m] + units)) for _ in range(draw(st.integers(1, 2)))]
+    lowest = tuple(map(max, zip(*row_degrees)))
+    column_degrees = []
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = vector_add(lowest, tuple(draw(st.integers(0, 2)) for _ in range(m)))
+        entries = []
+        for r in row_degrees:
+            monos = ring.monomials_of_degree(vector_sub(degree, r)) if min(vector_sub(degree, r)) >= 0 else []
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos)))
+            entries.append(Polynomial(dict(zip(monos, coeffs))))
+        assume(any(not e.is_zero for e in entries))
+        column_degrees.append(degree)
+        columns.append(entries)
+    extra = draw(st.sampled_from([None, None, None, "repeat", "multiple", "zero"]))
+    if extra == "repeat":
+        j = draw(st.integers(0, len(columns) - 1))
+        column_degrees.append(column_degrees[j])
+        columns.append(columns[j])
+    elif extra == "multiple":
+        j = draw(st.integers(0, len(columns) - 1))
+        var = draw(st.integers(0, ring.num_vars - 1))
+        column_degrees.append(vector_add(column_degrees[j], ring.var_degrees[var]))
+        columns.append([e * ring.variable(var) for e in columns[j]])
+    elif extra == "zero":
+        column_degrees.append(vector_add(lowest, tuple(draw(st.integers(0, 2)) for _ in range(m))))
+        columns.append([Polynomial() for _ in row_degrees])
+    cod = FreeModuleSpec(ring, row_degrees)
+    dom = FreeModuleSpec(ring, column_degrees)
+    rows = [[col[i] for col in columns] for i in range(len(row_degrees))]
+    return PolyMatrix(cod, dom, rows)
+
+
+def coordinates(element, index):
+    vec = [Fraction(0)] * len(index)
+    for term, coeff in element.support():
+        vec[index[term]] = coeff
+    return vec
+
+
+def assert_syzygies_span_the_kernel(m, s, top):
+    """In every degree d <= top, the degree-d part of the image of s is ker(m)_d."""
+    ring = m.domain.ring
+    assert (m @ s).is_zero
+    assert is_minimal_map(s)
+    for d in itertools.product(*(range(t + 1) for t in top)):
+        domain_terms = enumerate_terms(m.domain, d)
+        if not domain_terms:
+            continue
+        domain_index = {t: i for i, t in enumerate(domain_terms)}
+        codomain_index = {t: i for i, t in enumerate(enumerate_terms(m.codomain, d))}
+        image_rank = rank(
+            [coordinates(m.column(t.index).multiply_term(t.monomial, 1), codomain_index) for t in domain_terms]
+        )
+        multiples = [
+            coordinates(s.column(k).multiply_term(mono, 1), domain_index)
+            for k, degree in enumerate(s.domain.basis_degrees)
+            if min(vector_sub(d, degree)) >= 0
+            for mono in ring.monomials_of_degree(vector_sub(d, degree))
+        ]
+        assert rank(multiples) == len(domain_terms) - image_rank, d
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_syzygies_span_the_kernel_in_each_degree(data, ring, order):
+    m = data.draw(homogeneous_matrix(ring))
+    s = syzygies(m, order)
+    # every syzygy of the columns lies in degrees up to the sum of the column degrees
+    top = tuple(map(sum, zip(*m.domain.basis_degrees)))
+    assert_syzygies_span_the_kernel(m, s, top)
+
+
+def test_syzygies_of_a_row_with_repeated_multiple_and_zero_entries():
+    ring = std_ring(2)
+    row = [parse_polynomial(ring, t) for t in ["x1", "x1", "x1^2", "0"]]
+    m = PolyMatrix(FreeModuleSpec(ring, [[0]]), FreeModuleSpec(ring, [[1], [1], [2], [3]]), [row])
+    s = syzygies(m, TOP_UP)
+    assert s.num_cols == 3
+    assert sorted(s.domain.basis_degrees) == [(1,), (2,), (3,)]
+    assert_syzygies_span_the_kernel(m, s, (7,))
 
 
 # ---------- equivariant Euler characteristic ----------
