@@ -1,10 +1,12 @@
 """Groebner machinery for graded submodules of free modules.
 
 Division with remainder, Buchberger's algorithm (optionally truncated at a
-degree bound), reduced-basis normalization, change of basis onto a Groebner
-basis by a linear solve, Schreyer-style syzygies (from the cofactor of each
-basis element over the input columns, which the core loop tracks), minimal
-free resolutions, standard monomials and Nakayama-style minimality checks.
+degree bound), reduced-basis normalization, Schreyer syzygies (read off the
+relations that the zero reductions of one Buchberger run give, through the
+cofactor of each basis element over the input columns, which the core loop
+tracks), minimal free resolutions, standard monomials and Nakayama-style
+minimality checks.  `change_of_basis` solves G = M @ C as a linear system;
+propagation does not use it, and the tests keep it as an independent check.
 All arithmetic is exact.
 
 Degrees in Z^m are compared through a fixed total refinement of the
@@ -123,17 +125,21 @@ def _combine_cofactor(cofactor, quotients, basis):
 
 
 def _buchberger_tracked(columns, cofactor_module, order, bound):
-    """Core Buchberger loop; returns the reduced basis as _Tracked items.
+    """Core Buchberger loop; returns (basis, reductions).
 
     Generators and S-pairs are processed in increasing refinement order of
     their degrees (normal selection strategy); items beyond the bound are
-    dropped.  The output is inter-reduced, monic, and sorted by leading term,
-    hence canonical for the submodule and order.
+    dropped.  basis lists the monic _Tracked elements in the order they were
+    added, not yet inter-reduced.  reductions holds (cofactor, quotients) for
+    every generator or S-pair that reduced to zero, and (e_j, []) for a zero
+    column j: cofactor - sum(quotients[k] * basis[k].cofactor) is a syzygy of
+    the columns.  Without a bound these relations generate all syzygies.
     """
     bound_key = degree_sort_key(tuple(bound)) if bound is not None else None
 
     heap = []
     seq = itertools.count()
+    reductions = []
 
     def push(degree, payload):
         key = degree_sort_key(degree)
@@ -143,6 +149,7 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
 
     for j, col in enumerate(columns):
         if col.is_zero:
+            reductions.append((cofactor_module.basis_element(j), []))
             continue
         degree = col.homogeneous_degree()
         if degree is None:
@@ -168,6 +175,7 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
             elem, cof = s_pair(basis[i], basis[j])
         result = normal_form(elem, [item.element for item in basis], order)
         if result.remainder.is_zero:
+            reductions.append((cof, result.quotients))
             continue
         cof = _combine_cofactor(cof, result.quotients, basis)
         lead_coeff = result.remainder.leading_term(order)[1]
@@ -181,28 +189,28 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
                 lcm = monomial_lcm(basis[i].lead[0].monomial, new.lead[0].monomial)
                 push(new.element.term_degree(ModuleTerm(lcm, new.lead[0].index)), ("pair", i, t))
 
-    return _reduce_basis(basis, order)
+    return basis, reductions
 
 
-def _reduce_basis(basis, order):
-    """Inter-reduce a monic basis: drop redundant leading terms, reduce tails."""
-    if not basis:
+def _reduce_basis(elements, order):
+    """Inter-reduce monic elements: drop redundant leading terms, reduce tails.
+
+    Returns the reduced basis sorted by increasing leading term.  Reducing
+    a tail does not change its leading term, so the sort is done once.
+    """
+    if not elements:
         return []
-    ring = basis[0].element.module.ring
-    term_key = order.sort_key(ring)
-    basis = sorted(basis, key=lambda item: term_key(item.lead[0]))
+    term_key = order.sort_key(elements[0].module.ring)
+    leads = sorted(((g.leading_term(order)[0], g) for g in elements), key=lambda pair: term_key(pair[0]))
     kept = []
-    for item in basis:
-        if not any(_term_divides(other.lead[0], item.lead[0]) for other in kept):
-            kept.append(item)
-    reduced = []
-    for pos, item in enumerate(kept):
-        others = [other for k, other in enumerate(kept) if k != pos]
-        result = normal_form(item.element, [o.element for o in others], order)
-        cof = _combine_cofactor(item.cofactor, result.quotients, others)
-        reduced.append(_Tracked(result.remainder, cof, order))
-    reduced.sort(key=lambda item: term_key(item.lead[0]))
-    return reduced
+    for lead, g in leads:
+        if not any(_term_divides(other, lead) for other, _ in kept):
+            kept.append((lead, g))
+    kept = [g for _, g in kept]
+    return [
+        normal_form(g, kept[:pos] + kept[pos + 1:], order).remainder
+        for pos, g in enumerate(kept)
+    ]
 
 
 def check_order(order):
@@ -227,8 +235,9 @@ def buchberger(matrix, order, bound=None):
     if bound is not None:
         bound = _int_vector(bound, "degree bound", ring.degree_length)
     cof_module = FreeModuleSpec(ring, matrix.domain.basis_degrees)
-    tracked = _buchberger_tracked(matrix.columns(), cof_module, order, bound)
-    return GroebnerBasis(matrix.codomain, order, tuple(item.element for item in tracked))
+    basis, _ = _buchberger_tracked(matrix.columns(), cof_module, order, bound)
+    elements = _reduce_basis([item.element for item in basis], order)
+    return GroebnerBasis(matrix.codomain, order, tuple(elements))
 
 
 def sort_gb_columns(basis, direction="up"):
@@ -392,51 +401,27 @@ def _minimize_generators(candidates, module):
 def syzygies(matrix, order):
     """A minimal generating set for the syzygies of the matrix columns.
 
-    Schreyer lifting: every S-pair of the reduced Groebner basis reduces to
-    zero and the recorded quotients give a syzygy in the basis frame; the
-    tracked cofactors convert these back to the original generator frame,
-    together with the discrepancy columns of (identity - cofactors * division
-    quotients).  The generating set is then minimized degreewise.  The result
-    S satisfies matrix @ S = 0 and its image is the full syzygy module.
+    Schreyer's theorem on standard representations (Moeller, Mora and
+    Traverso, ISSAC 1992), read off one unbounded Buchberger run: every
+    generator or S-pair that reduces to zero gives a relation, its cofactor
+    minus the quotient-weighted cofactors of the basis elements.  For an
+    S-pair this is the pair's standard representation taken to the frame of
+    the columns; for column j it is the discrepancy e_j - sum(q_k * cof_k),
+    and a zero column gives e_j itself.  A pair that added a basis element
+    maps to zero through the cofactors and needs no relation.  The relations
+    are then minimized degreewise.  The result S satisfies matrix @ S = 0 and
+    its image is the full syzygy module; S is one minimal generating set of
+    it, not a canonical one.
     """
     check_order(order)
     ring = matrix.domain.ring
     frame = FreeModuleSpec(ring, matrix.domain.basis_degrees)
-    columns = matrix.columns()
-    tracked = _buchberger_tracked(columns, frame, order, bound=None)
-    elements = [item.element for item in tracked]
-
+    basis, reductions = _buchberger_tracked(matrix.columns(), frame, order, bound=None)
     candidates = []
-    pair_queue = []
-    for i in range(len(tracked)):
-        for j in range(i + 1, len(tracked)):
-            if tracked[i].lead[0].index != tracked[j].lead[0].index:
-                continue
-            lcm = monomial_lcm(tracked[i].lead[0].monomial, tracked[j].lead[0].monomial)
-            degree = tracked[i].element.term_degree(ModuleTerm(lcm, tracked[i].lead[0].index))
-            pair_queue.append((degree_sort_key(degree), i, j, lcm))
-    pair_queue.sort()
-
-    for _, i, j, lcm in pair_queue:
-        mi = monomial_div(lcm, tracked[i].lead[0].monomial)
-        mj = monomial_div(lcm, tracked[j].lead[0].monomial)
-        elem = tracked[i].element.multiply_term(mi, 1) - tracked[j].element.multiply_term(mj, 1)
-        result = normal_form(elem, elements, order)
-        if not result.remainder.is_zero:
-            raise InternalError("S-pair did not reduce to zero over its basis")
-        syz = tracked[i].cofactor.multiply_term(mi, 1) - tracked[j].cofactor.multiply_term(mj, 1)
-        syz = _combine_cofactor(syz, result.quotients, tracked)
+    for cofactor, quotients in reductions:
+        syz = _combine_cofactor(cofactor, quotients, basis)
         if not syz.is_zero:
             candidates.append(syz)
-
-    for j, col in enumerate(columns):
-        result = normal_form(col, elements, order)
-        if not result.remainder.is_zero:
-            raise InternalError("generator did not reduce to zero over its basis")
-        discrepancy = _combine_cofactor(frame.basis_element(j), result.quotients, tracked)
-        if not discrepancy.is_zero:
-            candidates.append(discrepancy)
-
     minimal = _minimize_generators(candidates, frame)
     degrees = [s.homogeneous_degree() for s in minimal]
     domain = FreeModuleSpec(ring, degrees)

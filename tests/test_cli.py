@@ -195,13 +195,13 @@ def test_non_minimal_mixed_degree_map_exit_code(capsys, tmp_path):
 
 def test_internal_error_exit_code(capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise InternalError("S-pair did not reduce to zero over its basis")
+        raise InternalError("syzygy matrix does not annihilate the input")
 
     monkeypatch.setattr("torusweights.cli.minimal_resolution", fail)
     code, out, err = run(capsys, "resolve", "--input", str(fixture_path("bigraded.json")))
     assert code == 3
     assert out == ""
-    assert "internal error: S-pair did not reduce to zero over its basis" in err
+    assert "internal error: syzygy matrix does not annihilate the input" in err
 
 
 def test_inhomogeneous_matrix_rejected_at_load(capsys, tmp_path):
