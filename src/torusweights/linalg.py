@@ -9,7 +9,7 @@ from .errors import DependentColumnsError, InputError, SingularMatrixError
 
 
 class Echelon:
-    """Incremental row-echelon accumulator for rank, span membership and RREF."""
+    """Incremental row-echelon accumulator for rank and RREF."""
 
     def __init__(self):
         self.pivots = {}  # pivot position -> normalized row
@@ -34,9 +34,6 @@ class Echelon:
                 self.pivots[pos] = [x * inv for x in vec]
                 return True
         return False
-
-    def contains(self, vec):
-        return not any(self.reduce(vec))
 
     def reduced_rows(self):
         """Reduced row echelon form: pivot position -> row, by position.
