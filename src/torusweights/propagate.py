@@ -211,7 +211,11 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     `start_weights` is known.  Weights move backward along the later
     differentials and forward (through duals) along the earlier ones, with
     each step's change of basis folded into the next matrix.  Returns the
-    weight lists for all modules F_0 ... F_m.
+    weight lists for all modules F_0 ... F_m.  per_module[start_index] is
+    `start_weights` in the input basis; every other per_module[i] lists the
+    weights of the rebased basis of F_i, steps[i].result.rebased_module (the
+    sorted Groebner basis columns of that step), not of the input basis, so
+    it is in general not a start weight list for the input differentials at i.
 
     If a forward step hits a non-minimal dual mid-resolution, a
     ResolutionStepError is raised carrying the weight lists computed so far.
