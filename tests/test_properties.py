@@ -322,7 +322,7 @@ def assert_syzygies_span_the_kernel(m, s, top):
 def test_syzygies_span_the_kernel_in_each_degree(data, ring, order):
     m = data.draw(homogeneous_matrix(ring))
     s = syzygies(m, order)
-    # every syzygy of the columns lies in degrees up to the sum of the column degrees
+    # the sum of the column degrees is at least the degree of any two entries' Koszul relation
     top = tuple(map(sum, zip(*m.domain.basis_degrees)))
     assert_syzygies_span_the_kernel(m, s, top)
 
