@@ -365,9 +365,9 @@ def _nakayama_kept(vectors, degrees, ring):
         index = _coordinate_index(products + [vectors[i] for i in members])
         ech = Echelon()
         for p in products:
-            ech.add(_coordinates(p, index))
+            ech.add({index[t]: c for t, c in p.support()})
         for i in members:
-            kept[i] = ech.add(_coordinates(vectors[i], index))
+            kept[i] = ech.add({index[t]: c for t, c in vectors[i].support()})
     return kept
 
 

@@ -1,53 +1,99 @@
 """Exact Gaussian elimination over the rationals.
 
-Vectors are lists of Fraction; everything here is small and dense.
+`Echelon` eliminates sparse vectors, mappings {position: rational}, without
+fractions: each vector is cleared of denominators on entry and kept as an
+integer row whose content (the gcd of its entries) is divided out after
+every step.  Fractions appear only in `reduced_rows`.  `rank` adapts dense
+rows to it.  `solve` and `invert` stay dense, on lists of Fraction; the
+tests keep them as references independent of `Echelon`.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DependentColumnsError, InputError, SingularMatrixError
 
 
+def _primitive(row):
+    """row with its content divided out."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {k: v // g for k, v in row.items()}
+    return row
+
+
+def _integer_row(vec):
+    """Primitive integer multiple of a {position: rational} mapping, zeros dropped."""
+    entries = {k: v for k, v in vec.items() if v}
+    scale = lcm(*(v.denominator for v in entries.values()))
+    return _primitive({k: v.numerator * (scale // v.denominator) for k, v in entries.items()})
+
+
+def _eliminate(row, pivot_row, pos):
+    """Primitive integer combination of row and pivot_row that is zero at pos."""
+    g = gcd(pivot_row[pos], row[pos])
+    a, b = pivot_row[pos] // g, row[pos] // g
+    out = {k: a * v for k, v in row.items()}
+    for k, v in pivot_row.items():
+        s = out.get(k, 0) - b * v
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return _primitive(out)
+
+
 class Echelon:
-    """Incremental row-echelon accumulator for rank and RREF."""
+    """Incremental row echelon form of sparse rational vectors.
+
+    A vector maps integer positions to rationals; its pivot is its first
+    (smallest) nonzero position.  `pivots` maps each pivot position to its
+    stored primitive integer row, in the order the rows were added.  Each
+    stored row is zero at the pivots of the rows before it, and every row is
+    zero before its own pivot.
+    """
 
     def __init__(self):
-        self.pivots = {}  # pivot position -> normalized row
+        self.pivots = {}
 
-    def reduce(self, vec):
-        """Return a copy of vec reduced against the stored pivot rows."""
-        vec = list(vec)
-        for pos, row in self.pivots.items():
-            c = vec[pos]
-            if c:
-                for i, r in enumerate(row):
-                    if r:
-                        vec[i] -= c * r
-        return vec
+    def _reduce(self, row):
+        """An integer row reduced to zero at every stored pivot.
+
+        Rows are taken in the order they were added: a later row is zero at
+        the earlier pivots, so it cannot bring back an entry cleared before.
+        """
+        for pos, pivot_row in self.pivots.items():
+            if pos in row:
+                row = _eliminate(row, pivot_row, pos)
+        return row
 
     def add(self, vec):
         """Reduce vec and absorb it; return True if it enlarged the span."""
-        vec = self.reduce(vec)
-        for pos, c in enumerate(vec):
-            if c:
-                inv = Fraction(1) / c
-                self.pivots[pos] = [x * inv for x in vec]
-                return True
-        return False
+        row = self._reduce(_integer_row(vec))
+        if not row:
+            return False
+        self.pivots[min(row)] = row
+        return True
 
     def reduced_rows(self):
-        """Reduced row echelon form: pivot position -> row, by position.
+        """Reduced row echelon form: {pivot: {position: Fraction}}, by position.
 
-        Back-substitution from the last pivot up: a row is zero before its pivot.
+        Back-substitution in integers from the last pivot up: a row is zero
+        before its pivot, so only the rows with smaller pivots need it.  Each
+        row is then divided by its pivot entry; zero entries are left out.
         """
         rows = dict(sorted(self.pivots.items()))
         for pos in reversed(rows):
             row = rows[pos]
             for other, vec in rows.items():
-                c = vec[pos]
-                if other != pos and c:
-                    rows[other] = [x - c * y for x, y in zip(vec, row)]
-        return rows
+                if other >= pos:
+                    break
+                if pos in vec:
+                    rows[other] = _eliminate(vec, row, pos)
+        return {
+            pos: {k: Fraction(v, row[pos]) for k, v in sorted(row.items())}
+            for pos, row in rows.items()
+        }
 
     @property
     def rank(self):
@@ -55,10 +101,10 @@ class Echelon:
 
 
 def rank(rows):
-    """Rank of a matrix given as a list of rows."""
+    """Rank of a matrix given as a list of dense rows."""
     ech = Echelon()
     for row in rows:
-        ech.add(row)
+        ech.add(dict(enumerate(row)))
     return ech.rank
 
 

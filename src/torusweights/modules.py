@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import HomogeneityError, InputError
 from .linalg import invert
-from .rings import Polynomial, _int_vector, vector_neg, vector_sub
+from .rings import Polynomial, _int_vector, monomial_mul, vector_neg, vector_sub
 
 
 class FreeModuleSpec:
@@ -345,20 +345,28 @@ class PolyMatrix:
             raise InputError("convert the scalar matrix with to_poly_matrix first")
         if self.domain.basis_degrees != other.codomain.basis_degrees or self.domain.ring != other.codomain.ring:
             raise InputError("matrix shapes do not compose")
-        entries = [
-            [
-                sum(
-                    (self.entries[i][k] * other.entries[k][j] for k in range(self.num_cols)),
-                    Polynomial(),
-                )
-                for j in range(other.num_cols)
-            ]
-            for i in range(self.num_rows)
-        ]
+        columns = list(zip(*other.entries))
+        entries = [[_dot(row, col) for col in columns] for row in self.entries]
         return PolyMatrix(self.codomain, other.domain, entries)
 
     def __repr__(self):
         return "PolyMatrix(%dx%d)" % (self.num_rows, self.num_cols)
+
+
+def _dot(row, col):
+    """sum(a * b for a, b in zip(row, col)), skipping zero factors, in one term dict."""
+    terms = {}
+    for a, b in zip(row, col):
+        if a.terms and b.terms:
+            for m1, c1 in a.terms.items():
+                for m2, c2 in b.terms.items():
+                    mono = monomial_mul(m1, m2)
+                    s = terms.get(mono, 0) + c1 * c2
+                    if s:
+                        terms[mono] = s
+                    else:
+                        del terms[mono]
+    return Polynomial(terms)
 
 
 def dual_map(matrix):

@@ -149,9 +149,7 @@ def _propagate(matrix, weights, order):
     n = len(terms)
     ech = Echelon()
     for j, col in enumerate(columns):
-        vec = [0] * (n + len(columns))
-        for term, coeff in col.support():
-            vec[index[term]] = coeff
+        vec = {index[term]: coeff for term, coeff in col.support()}
         vec[n + j] = 1
         ech.add(vec)
     if any(pos >= n for pos in ech.pivots):
@@ -164,14 +162,15 @@ def _propagate(matrix, weights, order):
     g_columns = []
     for pos in pivots:
         entries = [{} for _ in range(matrix.num_rows)]
-        for term, coeff in zip(terms, rows[pos]):
-            if coeff:
+        for p, coeff in rows[pos].items():
+            if p < n:
+                term = terms[p]
                 entries[term.index][term.monomial] = coeff
         g_columns.append(ModuleElement(matrix.codomain, [Polynomial(e) for e in entries]))
     leads = [terms[pos] for pos in pivots]
     rebased = FreeModuleSpec(ring, [degree_of[t] for t in leads])
     return PropagationResult(
-        ScalarMatrix([[rows[pos][n + j] for pos in pivots] for j in range(len(columns))]),
+        ScalarMatrix([[rows[pos].get(n + j, 0) for pos in pivots] for j in range(len(columns))]),
         ScalarMatrix([[col.entries[t.index].terms.get(t.monomial, 0) for col in columns] for t in leads]),
         tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in leads),
         PolyMatrix.from_columns(matrix.codomain, rebased, g_columns),
@@ -203,6 +202,20 @@ def propagate_forward(matrix, weights, order):
     )
 
 
+def _combine(coeffs, polys):
+    """sum(c * p for c, p in zip(coeffs, polys)), accumulated in one term dict."""
+    terms = {}
+    for c, p in zip(coeffs, polys):
+        if c:
+            for mono, x in p.terms.items():
+                s = terms.get(mono, 0) + c * x
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
+    return Polynomial(terms)
+
+
 def propagate_resolution(differentials, start_index, start_weights, order):
     """Weight propagation along an entire minimal free resolution.
 
@@ -230,15 +243,14 @@ def propagate_resolution(differentials, start_index, start_weights, order):
         raise InputError("start index must be an integer, got %r" % (start_index,)) from None
     if not 0 <= start_index <= m:
         raise InputError("start index %d outside 0..%d" % (start_index, m))
+    modules = [differentials[0].codomain] + [d.domain for d in differentials]
+    ring = modules[0].ring
+    start_weights = _validate_weights(start_weights, modules[start_index].rank, ring, "starting weight list")
     check_order(order)
     check_chain(differentials[0].codomain, differentials)
     for k, d in enumerate(differentials):
         if not is_minimal_map(d):
             raise MinimalityError("differential %d is not a minimal map" % (k + 1))
-
-    modules = [differentials[0].codomain] + [d.domain for d in differentials]
-    ring = modules[0].ring
-    start_weights = _validate_weights(start_weights, modules[start_index].rank, ring, "starting weight list")
 
     per_module = [None] * (m + 1)
     per_module[start_index] = start_weights
@@ -251,8 +263,12 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     current_spec = modules[start_index]
     for i in range(1, m - start_index + 1):
         diff = differentials[start_index + i - 1]
-        rebase = current_inverse.to_poly_matrix(current_spec, diff.codomain)
-        matrix = rebase @ diff
+        columns = list(zip(*diff.entries))
+        matrix = PolyMatrix(
+            current_spec,
+            diff.domain,
+            [[_combine(coeffs, col) for col in columns] for coeffs in current_inverse.rows],
+        )
         log.debug("backward step onto module %d", start_index + i)
         result = _propagate(matrix, per_module[start_index + i - 1], order)
         per_module[start_index + i] = result.weights
@@ -265,8 +281,12 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     for i in range(1, start_index + 1):
         target = start_index - i
         diff = differentials[target]
-        rebase = current_inverse.to_poly_matrix(diff.domain, current_spec)
-        matrix = diff @ rebase
+        coeff_columns = list(zip(*current_inverse.rows))
+        matrix = PolyMatrix(
+            diff.codomain,
+            current_spec,
+            [[_combine(coeffs, row) for coeffs in coeff_columns] for row in diff.entries],
+        )
         log.debug("forward step onto module %d", target)
         try:
             result = propagate_forward(matrix, per_module[target + 1], order)

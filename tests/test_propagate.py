@@ -435,15 +435,29 @@ def test_koszul_resolution(koszul):
             ((0, 1, 1), (1, 0, 1), (1, 1, 0)),
             ((1, 1, 1),),
         )
-        assert_steps_carry_inverses(result)
+        assert_steps_carry_inverses(result, diffs, start_index)
 
 
-def assert_steps_carry_inverses(result):
-    # oracle: ScalarMatrix.inverse of each step's change of basis
-    for step in result.steps.values():
+def assert_steps_carry_inverses(result, diffs, start_index):
+    # oracles: ScalarMatrix.inverse of each step's change of basis, and each
+    # step's matrix as the differential times the previous step's C^-1 taken
+    # as a matrix of constants (on the left going backward, on the right
+    # going forward)
+    for index, step in result.steps.items():
         c, inverse = step.result.change_of_basis, step.result.inverse_change_of_basis
         assert c @ inverse == ScalarMatrix.identity(c.num_rows)
         assert inverse == c.inverse()
+        backward = index > start_index
+        diff = diffs[index - 1] if backward else diffs[index]
+        previous = result.steps.get(index - 1 if backward else index + 1)
+        if previous is None:
+            assert step.matrix == diff
+            continue
+        inverse, spec = previous.result.inverse_change_of_basis, previous.result.rebased_module
+        if backward:
+            assert step.matrix == inverse.to_poly_matrix(spec, diff.codomain) @ diff
+        else:
+            assert step.matrix == diff @ inverse.to_poly_matrix(diff.domain, spec)
 
 
 def test_koszul_intermediate_matrices(koszul):
@@ -488,7 +502,7 @@ def test_grassmannian_backward_from_top(grassmannian):
         (1, 1, 1, 1, 0),
     )
     assert result.per_module[0] == ((0, 0, 0, 0, 0),)
-    assert_steps_carry_inverses(result)
+    assert_steps_carry_inverses(result, diffs, 3)
 
 
 def test_grassmannian_intermediate_bases(grassmannian):
@@ -560,6 +574,13 @@ def test_resolution_validates_composites(koszul):
     )
     with pytest.raises(InputError):
         propagate_resolution([koszul.matrices["d1"], bad_d2], 0, koszul.weightlists["W0"], TOP_UP)
+
+
+def test_resolution_checks_the_start_weights_before_the_chain(koszul):
+    ring = koszul.ring
+    bad_d2 = matrix(ring, [[1]] * 3, [[2]] * 3, [["x1", "0", "0"], ["0", "x1", "0"], ["0", "0", "x1"]])
+    with pytest.raises(InputError, match="starting weight list has 2 weights"):
+        propagate_resolution([koszul.matrices["d1"], bad_d2], 0, [(0, 0, 0)] * 2, TOP_UP)
 
 
 def test_resolution_start_index_range(koszul):

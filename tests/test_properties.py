@@ -87,6 +87,67 @@ def test_weight_additivity(s, t):
     )
 
 
+# ---------- sparse echelon against sympy ----------
+
+
+nonzero_rationals = st.builds(
+    Fraction,
+    st.integers(-9, 9).filter(bool),
+    st.sampled_from([1, 1, 2, 3, 4, 6]),
+)
+
+
+@st.composite
+def rational_rows(draw):
+    """Sparse rational rows, plus zero, repeated and rescaled copies."""
+    num_cols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), nonzero_rationals)
+    rows = draw(st.lists(st.lists(entry, min_size=num_cols, max_size=num_cols), max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "scale"]))
+        if kind == "zero" or not rows:
+            rows.append([Fraction(0)] * num_cols)
+            continue
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        factor = 1 if kind == "repeat" else draw(nonzero_rationals)
+        rows.insert(draw(st.integers(0, len(rows))), [factor * x for x in source])
+    return num_cols, rows
+
+
+@SETTINGS
+@given(case=rational_rows(), explicit_zeros=st.booleans())
+def test_echelon_matches_sympy_rref(case, explicit_zeros):
+    sympy = __import__("sympy")
+    num_cols, rows = case
+    ech = Echelon()
+    flags = []
+    for row in rows:
+        vec = {j: x for j, x in enumerate(row) if x or explicit_zeros}
+        flags.append(ech.add(vec))
+
+    def reference(prefix):
+        return sympy.Matrix(len(prefix), num_cols, [sympy.Rational(x) for r in prefix for x in r]).rref()
+
+    matrix, pivots = reference(rows)
+    assert ech.rank == rank(rows) == len(pivots)
+    assert sorted(ech.pivots) == list(pivots)
+    assert flags == [
+        len(reference(rows[: k + 1])[1]) > len(reference(rows[:k])[1]) for k in range(len(rows))
+    ]
+    expected = {
+        pos: {
+            j: Fraction(int(matrix[r, j].p), int(matrix[r, j].q))
+            for j in range(num_cols)
+            if matrix[r, j]
+        }
+        for r, pos in enumerate(pivots)
+    }
+    reduced = ech.reduced_rows()
+    assert reduced == expected
+    assert list(reduced) == sorted(reduced)
+    assert all(list(row) == sorted(row) for row in reduced.values())
+
+
 # ---------- random homogeneous matrices ----------
 
 
@@ -226,10 +287,7 @@ def test_hilbert_function_of_leading_term_module(data):
                 continue
             for mono in ring.monomials_of_degree((gap,)):
                 shifted = col.multiply_term(mono, 1)
-                vec = [Fraction(0)] * len(terms)
-                for term, coeff in shifted.support():
-                    vec[index[term]] = coeff
-                ech.add(vec)
+                ech.add({index[term]: coeff for term, coeff in shifted.support()})
         image_dim = ech.rank
         standard = standard_monomials(basis, degree, module)
         assert len(standard) == len(terms) - image_dim
