@@ -43,7 +43,7 @@ F0 = FreeModuleSpec(ring, [[0]])
 E = FreeModuleSpec(ring, [[2], [2]])
 ideal = PolyMatrix(F0, E, [[parse_polynomial(ring, "x^2-y^2"), parse_polynomial(ring, "x*y")]])
 basis = buchberger(ideal, order)
-g = sort_gb_columns(basis, "up")
+g = sort_gb_columns(basis)
 print("\nreduced Groebner basis of (x^2 - y^2, x*y):")
 print("  ", [polynomial_to_string(ring, e) for e in g.entries[0]])
 

@@ -86,8 +86,7 @@ def _cmd_gb(problem, args):
     order = _module_order(problem, args)
     bound = _parse_degree(args.truncate) if args.truncate else None
     basis = buchberger(matrix, order, bound=bound)
-    direction = "up" if order.is_position_up else "down"
-    rows = matrix_to_rows(sort_gb_columns(basis, direction))
+    rows = matrix_to_rows(sort_gb_columns(basis))
     if args.json:
         _emit_json({"groebner_matrix": rows, "size": len(basis.elements)})
     else:

@@ -18,6 +18,7 @@ well defined.
 import heapq
 import itertools
 import logging
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -240,19 +241,17 @@ def buchberger(matrix, order, bound=None):
     return GroebnerBasis(matrix.codomain, order, tuple(elements))
 
 
-def sort_gb_columns(basis, direction="up"):
+def sort_gb_columns(basis):
     """Arrange the basis elements as matrix columns sorted by leading term.
 
-    direction "up" sorts strictly increasing (for position-up orderings),
-    "down" strictly decreasing.  Reducedness guarantees strictness.
+    Strictly increasing under a position-up ordering of the basis, strictly
+    decreasing under a position-down one.  Reducedness guarantees strictness.
     """
-    if direction not in ("up", "down"):
-        raise InputError("direction must be 'up' or 'down'")
     ring = basis.module.ring
     term_key = basis.order.sort_key(ring)
     elements = sorted(
         basis.elements, key=lambda g: term_key(g.leading_term(basis.order)[0]),
-        reverse=(direction == "down"),
+        reverse=not basis.order.is_position_up,
     )
     degrees = []
     for g in elements:
@@ -453,14 +452,15 @@ def check_chain(base_module, differentials):
 class Resolution:
     """Minimal free resolution: base module and the chain of differentials.
 
-    differentials[0] maps F_1 -> F_0, and consecutive composites vanish.
+    Holds the output of `minimal_resolution`: differentials[0] maps
+    F_1 -> F_0, and consecutive composites vanish, which `syzygies` proved
+    for each one as it computed it.  The constructor does not check the chain
+    again; `propagate_resolution` checks any chain it is given.
     """
 
     def __init__(self, base_module, differentials):
-        differentials = tuple(differentials)
-        check_chain(base_module, differentials)
         self.base_module = base_module
-        self.differentials = differentials
+        self.differentials = tuple(differentials)
 
     @property
     def length(self):
@@ -481,11 +481,17 @@ def minimal_resolution(matrix, order, max_length=None):
     Iterates minimized syzygy computation until the syzygies vanish (or
     max_length differentials have been produced).  The input must be a
     minimal map; a zero-column presentation resolves a free module and gives
-    a length-zero resolution.  max_length, when given, must be at least 1.
+    a length-zero resolution.  max_length, when given, must be an integer of at
+    least 1.
     """
     check_order(order)
-    if max_length is not None and max_length < 1:
-        raise InputError("max_length must be at least 1, got %r" % (max_length,))
+    if max_length is not None:
+        try:
+            max_length = operator.index(max_length)
+        except TypeError:
+            raise InputError("max_length must be an integer, got %r" % (max_length,)) from None
+        if max_length < 1:
+            raise InputError("max_length must be at least 1, got %r" % (max_length,))
     if not is_minimal_map(matrix):
         raise MinimalityError("presentation matrix is not a minimal map")
     if matrix.num_cols == 0:

@@ -12,14 +12,19 @@ runs the same procedure on the dual map with negated weights and a flipped
 (up <-> down) ordering, and resolutions rebase each differential by the
 previous step's C^-1.
 
-Each public function checks its preconditions once, on its own input:
-`propagate` runs the Nakayama minimality check on the whole map,
-`propagate_forward` on the dual map, and `propagate_resolution` checks the
-chain and every differential.  The steps inside do not check again, since
-rebasing a minimal map by an invertible scalar matrix keeps it minimal.  For
-columns in a single degree, minimal means linearly independent, which the
-elimination checks: `propagate_single_degree` raises MinimalityError when a
-column reduces to zero.
+Each public function checks its preconditions once, on its own input, and
+hands off to a private one that does not check them again.  `propagate`
+validates the weights and the order and runs the Nakayama minimality check
+on the whole map before `_propagate`; `propagate_forward` validates the
+weights and the order before `_propagate_forward`, which checks the dual
+map.  `propagate_resolution` validates its start, checks the chain and every
+differential once, and runs its steps through `_propagate` and
+`_propagate_forward`.  A backward step is not checked again, since rebasing
+a minimal map by an invertible scalar matrix keeps it minimal; a forward
+step checks its dual map, since the dual of a minimal map need not be
+minimal.  For columns in a single degree, minimal means linearly
+independent, which the elimination checks: `propagate_single_degree` raises
+MinimalityError when a column reduces to zero.
 
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
@@ -181,24 +186,33 @@ def _propagate(matrix, weights, order):
 def propagate_forward(matrix, weights, order):
     """Weight propagation from the domain to the codomain of a map.
 
-    Requires the dual map to be minimal.  Runs backward propagation on the
-    transpose with negated weights under the flipped (up <-> down) ordering,
-    then transposes C and C^-1 and negates the weights back.
+    Requires the dual map to be minimal.  Checks the weights and the order
+    and hands off to `_propagate_forward`, which checks the dual map, runs
+    backward propagation on it with negated weights under the flipped
+    (up <-> down) ordering, transposes C and C^-1 and negates the weights
+    back.
     """
-    ring = matrix.domain.ring
-    weights = _validate_weights(weights, matrix.domain.rank, ring, "domain weight list")
+    weights = _validate_weights(weights, matrix.domain.rank, matrix.domain.ring, "domain weight list")
     check_order(order)
+    return _propagate_forward(matrix, weights, order)
+
+
+def _propagate_forward(matrix, weights, order):
+    """propagate_forward with the weights and the order already validated.
+
+    Still checks the dual map, which a resolution's chain and minimality
+    checks do not cover.
+    """
     dual = dual_map(matrix)
     if not is_minimal_map(dual):
         raise MinimalityError("dual map is not minimal; cannot propagate forward")
     inner = _propagate(dual, negate_weights(weights), order.flipped())
-    rebased = FreeModuleSpec(ring, [vector_neg(d) for d in inner.rebased_module.basis_degrees])
     return PropagationResult(
         inner.change_of_basis.transpose(),
         inner.inverse_change_of_basis.transpose(),
         negate_weights(inner.weights),
         inner.sorted_matrix,
-        rebased,
+        inner.rebased_module.dual(),
     )
 
 
@@ -289,7 +303,7 @@ def propagate_resolution(differentials, start_index, start_weights, order):
         )
         log.debug("forward step onto module %d", target)
         try:
-            result = propagate_forward(matrix, per_module[target + 1], order)
+            result = _propagate_forward(matrix, per_module[target + 1], order)
         except MinimalityError as exc:
             raise ResolutionStepError(
                 "forward propagation failed at module %d: %s" % (target, exc),

@@ -95,6 +95,22 @@ def test_gb_subcommand(capsys):
     assert json.loads(out) == {"groebner_matrix": [["x3", "x2", "x1"]], "size": 3}
 
 
+def test_gb_subcommand_sorts_decreasing_under_position_down(capsys):
+    code, out, err = run(
+        capsys, "gb", "--input", str(fixture_path("koszul.json")), "--matrix", "d2",
+        "--module-order", "top-down", "--json",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "groebner_matrix": [
+            ["x1+x3", "0", "x2-x3"],
+            ["0", "x1+x3", "x3"],
+            ["-x1", "-x1-x2", "-x2"],
+        ],
+        "size": 3,
+    }
+
+
 def test_gb_truncate_flag(capsys, tmp_path):
     doc = {
         "ring": {"vars": ["x", "y"], "degrees": [[1], [1]], "weights": [[1, 0], [0, 1]]},

@@ -572,8 +572,9 @@ def test_resolution_validates_composites(koszul):
             ["0", "0", "x1"],
         ],
     )
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as info:
         propagate_resolution([koszul.matrices["d1"], bad_d2], 0, koszul.weightlists["W0"], TOP_UP)
+    assert str(info.value) == "differentials 1 and 2 do not compose to zero"
 
 
 def test_resolution_checks_the_start_weights_before_the_chain(koszul):
@@ -596,6 +597,9 @@ def test_resolution_reports_non_minimal_dual_with_partial():
     d1 = matrix(ring, [[0], [0]], [[1]], [["x"], ["x"]])
     with pytest.raises(ResolutionStepError) as info:
         propagate_resolution([d1], 1, [(1,)], TOP_UP)
+    assert str(info.value) == (
+        "forward propagation failed at module 0: dual map is not minimal; cannot propagate forward"
+    )
     assert info.value.step == 0
     assert info.value.partial == (None, ((1,),))
 
