@@ -27,8 +27,9 @@ from torusweights import (
 )
 from torusweights.errors import ResolutionStepError
 from torusweights.linalg import Echelon, rank
+from torusweights.modules import ModuleElement
 from torusweights.parsing import parse_polynomial
-from torusweights.rings import Polynomial, monomial_divides, vector_add, vector_sub
+from torusweights.rings import Polynomial, monomial_div, monomial_divides, vector_add, vector_sub
 
 from test_invariants import assert_euler_characteristic
 
@@ -267,6 +268,126 @@ def test_gb_membership_soundness(data):
     for col, c, mono in zip(cols, coeffs, monos):
         combo = combo + col.multiply_term(mono, c)
     assert normal_form(combo, divisors, TOP_UP).remainder.is_zero
+
+
+# ---------- division with remainder against a reference ----------
+
+
+def _reference_term_divides(a, b):
+    return a.index == b.index and monomial_divides(a.monomial, b.monomial)
+
+
+def reference_normal_form(element, divisors, order):
+    """The ModuleElement-based division that `normal_form` replaced, kept verbatim."""
+    module = element.module
+    lts = [g.leading_term(order) for g in divisors]
+    quotients = [Polynomial() for _ in divisors]
+    remainder = module.zero_element()
+    work = element
+    while not work.is_zero:
+        term, coeff = work.leading_term(order)
+        for k, (g_term, g_coeff) in enumerate(lts):
+            if _reference_term_divides(g_term, term):
+                q_mono = monomial_div(term.monomial, g_term.monomial)
+                q_coeff = coeff / g_coeff
+                quotients[k] = quotients[k] + Polynomial({q_mono: q_coeff})
+                work = work - divisors[k].multiply_term(q_mono, q_coeff)
+                break
+        else:
+            single = Polynomial({term.monomial: coeff})
+            remainder = remainder + module.basis_element(term.index, single)
+            work = work - module.basis_element(term.index, single)
+    return quotients, remainder
+
+
+@st.composite
+def module_elements(draw, module, max_terms=3, max_exponent=2):
+    """An element with up to max_terms terms per entry; not homogeneous, maybe zero."""
+    mono = st.tuples(*(st.integers(0, max_exponent) for _ in range(module.ring.num_vars)))
+    entries = []
+    for _ in range(module.rank):
+        monos = draw(st.lists(mono, max_size=max_terms))
+        coeffs = draw(st.lists(nonzero_rationals, min_size=len(monos), max_size=len(monos)))
+        entries.append(Polynomial(dict(zip(monos, coeffs))))
+    return ModuleElement(module, entries)
+
+
+@st.composite
+def division_case(draw):
+    """(element, divisors) over a rank-1 or rank-2 module.
+
+    The divisors are random, so not a Groebner basis; some are repeated
+    (maybe rescaled), some sit in one row only, and the list may be empty.
+    The element is a combination of the divisors plus a random element, so
+    that the division has work to do.
+    """
+    ring = std_ring(draw(st.integers(2, 3)), draw(st.sampled_from(["grevlex", "lex"])))
+    rank = draw(st.integers(1, 2))
+    module = FreeModuleSpec(ring, [(draw(st.integers(0, 1)),) for _ in range(rank)])
+    nonzero = module_elements(module).filter(lambda e: not e.is_zero)
+    divisors = draw(st.lists(nonzero, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["repeat", "one-row"]))
+        if kind == "repeat" and divisors:
+            source = divisors[draw(st.integers(0, len(divisors) - 1))]
+            copy = source.scale(draw(st.sampled_from([1, 1, -2, Fraction(1, 3)])))
+            divisors.insert(draw(st.integers(0, len(divisors))), copy)
+        else:
+            row = draw(st.integers(0, rank - 1))
+            entry = draw(module_elements(FreeModuleSpec(ring, [(0,)]))).entries[0]
+            assume(not entry.is_zero)
+            divisors.append(module.basis_element(row, entry))
+    element = draw(module_elements(module))
+    for g in divisors:
+        mono = draw(st.tuples(*(st.integers(0, 1) for _ in range(ring.num_vars))))
+        element = element + g.multiply_term(mono, draw(st.integers(-2, 2)))
+    return element, divisors
+
+
+@SETTINGS
+@given(case=division_case(), order=st.sampled_from(ALL_ORDERS))
+def test_normal_form_matches_the_reference_division(case, order):
+    element, divisors = case
+    result = normal_form(element, divisors, order)
+    quotients, remainder = reference_normal_form(element, divisors, order)
+    assert result.quotients == quotients
+    assert result.remainder == remainder
+    total = result.remainder
+    for q, g in zip(result.quotients, divisors):
+        total = total + g.multiply(q)
+    assert total == element
+
+
+@SETTINGS
+@given(data=st.data(), order=st.sampled_from(["grevlex", "lex"]))
+def test_normal_form_remainder_matches_sympy_reduced(data, order):
+    # the remainder modulo a Groebner basis is unique, whatever the division
+    sympy = __import__("sympy")
+    ring = std_ring(3, order)
+    m = data.draw(homogeneous_row_matrix(ring=ring, max_degree=2))
+    divisors = list(buchberger(m, TOP_UP).elements)
+    element = data.draw(module_elements(m.codomain, max_terms=4, max_exponent=3))
+    remainder = normal_form(element, divisors, TOP_UP).remainder
+
+    syms = sympy.symbols("x1 x2 x3")
+
+    def to_sympy(poly):
+        expr = sympy.Integer(0)
+        for mono, coeff in poly.terms.items():
+            term = sympy.Rational(coeff.numerator, coeff.denominator)
+            for s, e in zip(syms, mono):
+                term *= s ** e
+            expr += term
+        return expr
+
+    _, theirs = sympy.reduced(
+        to_sympy(element.entries[0]), [to_sympy(g.entries[0]) for g in divisors], *syms, order=order
+    )
+    theirs = sympy.Poly(theirs, *syms)
+    expected = {
+        mono: Fraction(int(c.numerator), int(c.denominator)) for mono, c in theirs.terms() if c
+    }
+    assert remainder.entries[0].terms == expected
 
 
 @SETTINGS
