@@ -15,6 +15,7 @@ processed in increasing refinement order, which makes degree-truncated runs
 well defined.
 """
 
+import bisect
 import heapq
 import itertools
 import logging
@@ -39,6 +40,7 @@ from .rings import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
     vector_sub,
 )
 
@@ -68,26 +70,56 @@ def normal_form(element, divisors, order):
     the current leading term is used; irreducible leading terms move to the
     remainder.  Deterministic, and complete: no remainder term is divisible
     by any divisor's leading term.
+
+    The work is one mutable {ModuleTerm: coefficient} dict.  Its terms wait
+    in a list sorted by the order's key, so the leading term is popped, not
+    searched for.  A reduction step only adds terms below the one it
+    cancels, so a popped term never comes back; a term that cancels to zero
+    leaves the dict and its stale list entry is skipped.  Each divisor's
+    leading term comes from its element's cache.
     """
+    check_order(order)
     module = element.module
-    lts = [g.leading_term(order) for g in divisors]
-    quotients = [Polynomial() for _ in divisors]
-    remainder = module.zero_element()
-    work = element
-    while not work.is_zero:
-        term, coeff = work.leading_term(order)
-        for k, (g_term, g_coeff) in enumerate(lts):
+    for k, g in enumerate(divisors):
+        if g.module is not module and g.module != module:
+            raise InputError("divisor %d lives in another module than the element" % k)
+        if g.is_zero:
+            raise InputError("divisor %d is zero" % k)
+    key = order.sort_key(module.ring)
+    leads = [g.leading_term(order) for g in divisors]
+    work = dict(element.support())
+    pending = sorted((key(term), term) for term in work)
+    quotients = [{} for _ in divisors]
+    remainder = [{} for _ in range(module.rank)]
+    while pending:
+        term = pending.pop()[1]
+        coeff = work.pop(term, None)
+        if coeff is None:
+            continue
+        for k, (g_term, g_coeff) in enumerate(leads):
             if _term_divides(g_term, term):
                 q_mono = monomial_div(term.monomial, g_term.monomial)
                 q_coeff = coeff / g_coeff
-                quotients[k] = quotients[k] + Polynomial({q_mono: q_coeff})
-                work = work - divisors[k].multiply_term(q_mono, q_coeff)
+                quotients[k][q_mono] = q_coeff
+                for index, poly in enumerate(divisors[k].entries):
+                    for mono, c in poly.terms.items():
+                        if index == g_term.index and mono == g_term.monomial:
+                            continue
+                        t = ModuleTerm(monomial_mul(mono, q_mono), index)
+                        value = work.get(t, 0) - c * q_coeff
+                        if value:
+                            if t not in work:
+                                bisect.insort(pending, (key(t), t))
+                            work[t] = value
+                        else:
+                            del work[t]
                 break
         else:
-            single = Polynomial({term.monomial: coeff})
-            remainder = remainder + module.basis_element(term.index, single)
-            work = work - module.basis_element(term.index, single)
-    return DivisionResult(quotients, remainder)
+            remainder[term.index][term.monomial] = coeff
+    return DivisionResult(
+        [Polynomial(q) for q in quotients],
+        ModuleElement(module, [Polynomial(r) for r in remainder]),
+    )
 
 
 @dataclass
@@ -110,19 +142,27 @@ class GroebnerBasis:
 class _Tracked:
     """Basis element together with its cofactor over the original generators."""
 
-    __slots__ = ("element", "cofactor", "lead")
+    __slots__ = ("element", "cofactor")
 
-    def __init__(self, element, cofactor, order):
+    def __init__(self, element, cofactor):
         self.element = element
         self.cofactor = cofactor
-        self.lead = element.leading_term(order)
 
 
 def _combine_cofactor(cofactor, quotients, basis):
+    """cofactor - sum(quotients[k] * basis[k].cofactor), one term dict per entry."""
+    entries = [dict(p.terms) for p in cofactor.entries]
     for q, item in zip(quotients, basis):
-        if not q.is_zero:
-            cofactor = cofactor - item.cofactor.multiply(q)
-    return cofactor
+        for acc, p in zip(entries, item.cofactor.entries):
+            for m1, c1 in q.terms.items():
+                for m2, c2 in p.terms.items():
+                    mono = monomial_mul(m1, m2)
+                    value = acc.get(mono, 0) - c1 * c2
+                    if value:
+                        acc[mono] = value
+                    else:
+                        del acc[mono]
+    return ModuleElement(cofactor.module, [Polynomial(e) for e in entries])
 
 
 def _buchberger_tracked(columns, cofactor_module, order, bound):
@@ -160,9 +200,11 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
     basis = []
 
     def s_pair(a, b):
-        lcm = monomial_lcm(a.lead[0].monomial, b.lead[0].monomial)
-        ma = monomial_div(lcm, a.lead[0].monomial)
-        mb = monomial_div(lcm, b.lead[0].monomial)
+        a_lead = a.element.leading_term(order)[0].monomial
+        b_lead = b.element.leading_term(order)[0].monomial
+        lcm = monomial_lcm(a_lead, b_lead)
+        ma = monomial_div(lcm, a_lead)
+        mb = monomial_div(lcm, b_lead)
         elem = a.element.multiply_term(ma, 1) - b.element.multiply_term(mb, 1)
         cof = a.cofactor.multiply_term(ma, 1) - b.cofactor.multiply_term(mb, 1)
         return elem, cof
@@ -181,14 +223,16 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
         cof = _combine_cofactor(cof, result.quotients, basis)
         lead_coeff = result.remainder.leading_term(order)[1]
         inv = Fraction(1) / lead_coeff
-        new = _Tracked(result.remainder.scale(inv), cof.scale(inv), order)
+        new = _Tracked(result.remainder.scale(inv), cof.scale(inv))
+        lead = new.element.leading_term(order)[0]
         t = len(basis)
         basis.append(new)
-        log.debug("basis element %d with leading term %s", t, new.lead[0])
+        log.debug("basis element %d with leading term %s", t, lead)
         for i in range(t):
-            if basis[i].lead[0].index == new.lead[0].index:
-                lcm = monomial_lcm(basis[i].lead[0].monomial, new.lead[0].monomial)
-                push(new.element.term_degree(ModuleTerm(lcm, new.lead[0].index)), ("pair", i, t))
+            other = basis[i].element.leading_term(order)[0]
+            if other.index == lead.index:
+                lcm = monomial_lcm(other.monomial, lead.monomial)
+                push(new.element.term_degree(ModuleTerm(lcm, lead.index)), ("pair", i, t))
 
     return basis, reductions
 
@@ -315,9 +359,11 @@ def enumerate_terms(module, degree, order=None):
 
     Finiteness comes from the positivity of the grading.
     """
-    order = order or ModuleTermOrder("top-up")
+    if order is None:
+        order = ModuleTermOrder("top-up")
+    check_order(order)
     ring = module.ring
-    degree = tuple(degree)
+    degree = _int_vector(degree, "degree", ring.degree_length)
     terms = []
     for idx in range(module.rank):
         remaining = vector_sub(degree, module.basis_degrees[idx])
@@ -332,8 +378,11 @@ def standard_monomials(basis, degree, module):
 
     By Macaulay's basis theorem their residues form a basis of the degree-d
     component of the quotient by the submodule the basis generates.
-    Returned in decreasing module term order.
+    Returned in decreasing module term order.  module must be the basis's
+    module.
     """
+    if module != basis.module:
+        raise InputError("module is not the module of the Groebner basis")
     lts = basis.leading_terms()
     return [
         t

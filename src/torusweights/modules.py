@@ -112,9 +112,14 @@ class ModuleTermOrder:
 
 
 class ModuleElement:
-    """Element of a free module: one Polynomial per basis position."""
+    """Element of a free module: one Polynomial per basis position.
 
-    __slots__ = ("module", "entries")
+    Immutable by convention, like its entries, so `leading_term` caches its
+    answer per module term order.  The cache slot stays unset until the
+    first call: most elements never need a leading term.
+    """
+
+    __slots__ = ("module", "entries", "_leads")
 
     def __init__(self, module, entries):
         entries = tuple(entries)
@@ -166,11 +171,18 @@ class ModuleElement:
 
     def leading_term(self, order):
         """Largest support term under the module term order, with coefficient."""
+        try:
+            return self._leads[order.kind]
+        except AttributeError:
+            self._leads = {}
+        except KeyError:
+            pass
         if self.is_zero:
             raise InputError("the zero element has no leading term")
         key = order.sort_key(self.module.ring)
         best = max((t for t, _ in self.support()), key=key)
-        return best, self.entries[best.index].terms[best.monomial]
+        lead = self._leads[order.kind] = (best, self.entries[best.index].terms[best.monomial])
+        return lead
 
     def term_degree(self, term):
         """Multidegree of the module term t*f_i inside this module."""

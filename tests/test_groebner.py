@@ -89,6 +89,32 @@ def test_normal_form_membership(std3):
     assert recombined == e2
 
 
+def test_normal_form_rejects_an_order_that_is_not_a_module_term_order(std3):
+    module = FreeModuleSpec(std3, [[0]])
+    e = module.basis_element(0, parse_polynomial(std3, "x1"))
+    with pytest.raises(InputError, match="ModuleTermOrder"):
+        normal_form(e, [e], "top-up")
+
+
+def test_normal_form_rejects_a_zero_divisor(std3):
+    module = FreeModuleSpec(std3, [[0]])
+    e = module.basis_element(0, parse_polynomial(std3, "x1"))
+    with pytest.raises(InputError, match="divisor 1 is zero"):
+        normal_form(e, [e, module.zero_element()], TOP_UP)
+
+
+def test_normal_form_rejects_a_divisor_from_another_module(std3):
+    # a rank-2 divisor used to "divide" a rank-1 element and return a quotient
+    line = FreeModuleSpec(std3, [[0]])
+    plane = FreeModuleSpec(std3, [[0], [0]])
+    e = line.basis_element(0, parse_polynomial(std3, "x1"))
+    with pytest.raises(InputError, match="divisor 0 lives in another module"):
+        normal_form(e, [plane.basis_element(0, parse_polynomial(std3, "x1"))], TOP_UP)
+    shifted = FreeModuleSpec(std3, [[1]])
+    with pytest.raises(InputError, match="divisor 0 lives in another module"):
+        normal_form(e, [shifted.basis_element(0, parse_polynomial(std3, "x1"))], TOP_UP)
+
+
 # ---------- buchberger ----------
 
 
@@ -285,6 +311,40 @@ def test_enumerate_terms_empty_degree():
     ring = RingSpec(["x", "y"], [[1], [1]], [[0], [0]])
     module = FreeModuleSpec(ring, [[0]])
     assert enumerate_terms(module, (-1,)) == []
+
+
+@pytest.mark.parametrize("degree", [(2, 3), (), 2, (1.5,), ("2",)])
+def test_enumerate_terms_rejects_a_malformed_degree(degree):
+    # (2, 3) used to be truncated to (2,); 2 and (1.5,) raised a bare TypeError
+    ring = RingSpec(["x", "y"], [[1], [1]], [[0], [0]])
+    module = FreeModuleSpec(ring, [[0]])
+    with pytest.raises(InputError, match="degree"):
+        enumerate_terms(module, degree)
+
+
+def test_enumerate_terms_rejects_an_order_that_is_not_a_module_term_order():
+    ring = RingSpec(["x", "y"], [[1], [1]], [[0], [0]])
+    module = FreeModuleSpec(ring, [[0]])
+    with pytest.raises(InputError, match="ModuleTermOrder"):
+        enumerate_terms(module, (1,), "top-up")
+
+
+def test_standard_monomials_rejects_a_malformed_degree(grassmannian):
+    basis = buchberger(grassmannian.matrices["d1"], TOP_UP)
+    module = grassmannian.matrices["d1"].codomain
+    for degree in [(2, 3), 2, (1.5,)]:
+        with pytest.raises(InputError, match="degree"):
+            standard_monomials(basis, degree, module)
+
+
+def test_standard_monomials_rejects_another_module(grassmannian):
+    d1 = grassmannian.matrices["d1"]
+    basis = buchberger(d1, TOP_UP)
+    with pytest.raises(InputError, match="module of the Groebner basis"):
+        standard_monomials(basis, (2,), d1.domain)
+    shifted = FreeModuleSpec(d1.codomain.ring, [[1]])
+    with pytest.raises(InputError, match="module of the Groebner basis"):
+        standard_monomials(basis, (2,), shifted)
 
 
 def test_standard_monomials_small_bigraded(bigraded):
