@@ -9,6 +9,11 @@ minimality checks.  `change_of_basis` solves G = M @ C as a linear system;
 propagation does not use it, and the tests keep it as an independent check.
 All arithmetic is exact.
 
+Division reduces one mutable {ModuleTerm: coefficient} dict and pops each
+leading term off a sorted list instead of searching for it, and every
+ModuleElement caches its leading term per module term order, so a divisor's
+leading term is found once, not once per division.
+
 Degrees in Z^m are compared through a fixed total refinement of the
 componentwise order (component sum first, then lexicographic); S-pairs are
 processed in increasing refinement order, which makes degree-truncated runs
@@ -77,6 +82,9 @@ def normal_form(element, divisors, order):
     cancels, so a popped term never comes back; a term that cancels to zero
     leaves the dict and its stale list entry is skipped.  Each divisor's
     leading term comes from its element's cache.
+
+    Raises InputError unless order is a ModuleTermOrder and every divisor
+    is nonzero and lives in the element's module.
     """
     check_order(order)
     module = element.module
@@ -153,8 +161,8 @@ def _combine_cofactor(cofactor, quotients, basis):
     """cofactor - sum(quotients[k] * basis[k].cofactor), one term dict per entry."""
     entries = [dict(p.terms) for p in cofactor.entries]
     for q, item in zip(quotients, basis):
-        for acc, p in zip(entries, item.cofactor.entries):
-            for m1, c1 in q.terms.items():
+        for m1, c1 in q.terms.items():
+            for acc, p in zip(entries, item.cofactor.entries):
                 for m2, c2 in p.terms.items():
                     mono = monomial_mul(m1, m2)
                     value = acc.get(mono, 0) - c1 * c2
@@ -221,10 +229,9 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
             reductions.append((cof, result.quotients))
             continue
         cof = _combine_cofactor(cof, result.quotients, basis)
-        lead_coeff = result.remainder.leading_term(order)[1]
+        lead, lead_coeff = result.remainder.leading_term(order)
         inv = Fraction(1) / lead_coeff
         new = _Tracked(result.remainder.scale(inv), cof.scale(inv))
-        lead = new.element.leading_term(order)[0]
         t = len(basis)
         basis.append(new)
         log.debug("basis element %d with leading term %s", t, lead)
