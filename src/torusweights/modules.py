@@ -171,8 +171,9 @@ class ModuleElement:
 
     def leading_term(self, order):
         """Largest support term under the module term order, with coefficient."""
+        kind = order.kind
         try:
-            return self._leads[order.kind]
+            return self._leads[kind]
         except AttributeError:
             self._leads = {}
         except KeyError:
@@ -181,7 +182,7 @@ class ModuleElement:
             raise InputError("the zero element has no leading term")
         key = order.sort_key(self.module.ring)
         best = max((t for t, _ in self.support()), key=key)
-        lead = self._leads[order.kind] = (best, self.entries[best.index].terms[best.monomial])
+        lead = self._leads[kind] = (best, self.entries[best.index].terms[best.monomial])
         return lead
 
     def term_degree(self, term):

@@ -104,7 +104,7 @@ def test_normal_form_rejects_a_zero_divisor(std3):
 
 
 def test_normal_form_rejects_a_divisor_from_another_module(std3):
-    # a rank-2 divisor used to "divide" a rank-1 element and return a quotient
+    # a divisor from another module must not "divide" the element and return a quotient
     line = FreeModuleSpec(std3, [[0]])
     plane = FreeModuleSpec(std3, [[0], [0]])
     e = line.basis_element(0, parse_polynomial(std3, "x1"))
@@ -315,7 +315,7 @@ def test_enumerate_terms_empty_degree():
 
 @pytest.mark.parametrize("degree", [(2, 3), (), 2, (1.5,), ("2",)])
 def test_enumerate_terms_rejects_a_malformed_degree(degree):
-    # (2, 3) used to be truncated to (2,); 2 and (1.5,) raised a bare TypeError
+    # (2, 3) must not be truncated to (2,), nor 2 or (1.5,) end in a bare TypeError
     ring = RingSpec(["x", "y"], [[1], [1]], [[0], [0]])
     module = FreeModuleSpec(ring, [[0]])
     with pytest.raises(InputError, match="degree"):
