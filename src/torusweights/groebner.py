@@ -14,10 +14,12 @@ leading term off a sorted list instead of searching for it, and every
 ModuleElement caches its leading term per module term order, so a divisor's
 leading term is found once, not once per division.
 
-Degrees in Z^m are compared through a fixed total refinement of the
-componentwise order (component sum first, then lexicographic); S-pairs are
-processed in increasing refinement order, which makes degree-truncated runs
-well defined.
+Generators and S-pairs are processed in increasing order of their degrees
+(component sum first, then lexicographic).  A degree bound is compared
+through the ring's positive functional, a linear form that multiplying by a
+monomial never lowers, so a truncated run keeps everything a degree within
+the bound depends on, even where a variable's degree has a negative
+component sum.
 """
 
 import bisect
@@ -135,8 +137,8 @@ class GroebnerBasis:
     """Reduced monic Groebner basis, elements sorted by increasing leading term.
 
     With a truncation bound, contains exactly the elements of the
-    (inter-reduced) basis whose degree does not exceed the bound in the
-    degree refinement order.
+    (inter-reduced) basis whose degree does not exceed the bound under the
+    ring's positive functional.
     """
 
     module: FreeModuleSpec
@@ -176,25 +178,26 @@ def _combine_cofactor(cofactor, quotients, basis):
 def _buchberger_tracked(columns, cofactor_module, order, bound):
     """Core Buchberger loop; returns (basis, reductions).
 
-    Generators and S-pairs are processed in increasing refinement order of
-    their degrees (normal selection strategy); items beyond the bound are
-    dropped.  basis lists the monic _Tracked elements in the order they were
-    added, not yet inter-reduced.  reductions holds (cofactor, quotients) for
+    Generators and S-pairs are processed in increasing `degree_sort_key`
+    order of their degrees (normal selection strategy); items whose degree
+    exceeds the bound under the ring's positive functional are dropped.
+    basis lists the monic _Tracked elements in the order they were added,
+    not yet inter-reduced.  reductions holds (cofactor, quotients) for
     every generator or S-pair that reduced to zero, and (e_j, []) for a zero
     column j: cofactor - sum(quotients[k] * basis[k].cofactor) is a syzygy of
     the columns.  Without a bound these relations generate all syzygies.
     """
-    bound_key = degree_sort_key(tuple(bound)) if bound is not None else None
+    functional = cofactor_module.ring._functional
+    limit = functional(bound) if bound is not None else None
 
     heap = []
     seq = itertools.count()
     reductions = []
 
     def push(degree, payload):
-        key = degree_sort_key(degree)
-        if bound_key is not None and key > bound_key:
+        if limit is not None and functional(degree) > limit:
             return
-        heapq.heappush(heap, (key, next(seq), payload))
+        heapq.heappush(heap, (degree_sort_key(degree), next(seq), payload))
 
     for j, col in enumerate(columns):
         if col.is_zero:
@@ -274,10 +277,10 @@ def check_order(order):
 def buchberger(matrix, order, bound=None):
     """Reduced monic Groebner basis of the column span of a homogeneous matrix.
 
-    With a degree bound, S-pairs beyond the bound (in the refinement order)
-    are never processed and only basis elements within the bound are
-    returned; the degree-d elements of a bounded run at bound d form a basis
-    of the degree-d component of the column span.  The elements are
+    With a degree bound, S-pairs beyond the bound (under the ring's
+    positive functional) are never processed and only basis elements within
+    the bound are returned; the degree-d elements of a bounded run at bound
+    d form a basis of the degree-d component of the column span.  The elements are
     canonical: they do not depend on the column order or on invertible
     scalar mixing of equal-degree columns.  Propagation along a map needs no
     run: in the columns' own degree the basis is a reduced echelon form.

@@ -13,18 +13,19 @@ runs the same procedure on the dual map with negated weights and a flipped
 previous step's C^-1.
 
 Each public function checks its preconditions once, on its own input, and
-hands off to a private one that does not check them again.  `propagate`
+hands off to private ones that do not check them again.  `propagate`
 validates the weights and the order and runs the Nakayama minimality check
-on the whole map before `_propagate`; `propagate_forward` validates the
-weights and the order before `_propagate_forward`, which checks the dual
-map.  `propagate_resolution` validates its start, checks the chain and every
-differential once, and runs its steps through `_propagate` and
-`_propagate_forward`.  A backward step is not checked again, since rebasing
-a minimal map by an invertible scalar matrix keeps it minimal; a forward
-step checks its dual map, since the dual of a minimal map need not be
-minimal.  For columns in a single degree, minimal means linearly
-independent, which the elimination checks: `propagate_single_degree` raises
-MinimalityError when a column reduces to zero.
+on the whole map before `_propagate`.  Resolutions take one walk:
+`_walk` propagates backward along consecutive maps, rebasing each by the
+previous step's C^-1, and `_walk_forward` runs it on the dual complex;
+`propagate_forward` is its one-step case.  `propagate_resolution` validates
+its start and checks the chain and every differential once.  A backward
+step is not checked again, since rebasing a minimal map by an invertible
+scalar matrix keeps it minimal; a forward step checks its dual map, since
+the dual of a minimal map need not be minimal.  For columns in a single
+degree, minimal means linearly independent, which the elimination checks:
+`propagate_single_degree` raises MinimalityError when a column reduces to
+zero.
 
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
@@ -187,33 +188,14 @@ def propagate_forward(matrix, weights, order):
     """Weight propagation from the domain to the codomain of a map.
 
     Requires the dual map to be minimal.  Checks the weights and the order
-    and hands off to `_propagate_forward`, which checks the dual map, runs
-    backward propagation on it with negated weights under the flipped
-    (up <-> down) ordering, transposes C and C^-1 and negates the weights
-    back.
+    and takes the one step of `_walk_forward`, which checks the dual map and
+    runs backward propagation on it with negated weights under the flipped
+    (up <-> down) ordering.
     """
     weights = _validate_weights(weights, matrix.domain.rank, matrix.domain.ring, "domain weight list")
     check_order(order)
-    return _propagate_forward(matrix, weights, order)
-
-
-def _propagate_forward(matrix, weights, order):
-    """propagate_forward with the weights and the order already validated.
-
-    Still checks the dual map, which a resolution's chain and minimality
-    checks do not cover.
-    """
-    dual = dual_map(matrix)
-    if not is_minimal_map(dual):
-        raise MinimalityError("dual map is not minimal; cannot propagate forward")
-    inner = _propagate(dual, negate_weights(weights), order.flipped())
-    return PropagationResult(
-        inner.change_of_basis.transpose(),
-        inner.inverse_change_of_basis.transpose(),
-        negate_weights(inner.weights),
-        inner.sorted_matrix,
-        inner.rebased_module.dual(),
-    )
+    ((_, result),) = _walk_forward([matrix], weights, order)
+    return result
 
 
 def _combine(coeffs, polys):
@@ -228,6 +210,52 @@ def _combine(coeffs, polys):
                 else:
                     del terms[mono]
     return Polynomial(terms)
+
+
+def _walk(maps, weights, order):
+    """Backward propagation along consecutive maps of a complex, unchecked.
+
+    Rebases each map after the first onto the previous step's rebased
+    module (new row i is sum_k C^-1[i][k] times row k) and yields
+    (rebased map, PropagationResult) per step, drawing each map from `maps`
+    only when its step is taken.
+    """
+    inverse = None
+    for matrix in maps:
+        if inverse is not None:
+            columns = list(zip(*matrix.entries))
+            rows = [[_combine(coeffs, col) for col in columns] for coeffs in inverse.rows]
+            matrix = PolyMatrix(spec, matrix.domain, rows)
+        result = _propagate(matrix, weights, order)
+        yield matrix, result
+        weights, inverse, spec = result.weights, result.inverse_change_of_basis, result.rebased_module
+
+
+def _walk_forward(maps, weights, order):
+    """Forward propagation along maps[0], maps[1], ...: `_walk` on the dual complex.
+
+    Each step on a dual is read back by transposing C and C^-1, negating the
+    weights and dualizing the modules.  Each dual map is checked, as given,
+    before its step: the rebased dual differs from it by an automorphism of
+    the codomain (an invertible degree-preserving scalar matrix), so both
+    are minimal or neither is.
+    """
+
+    def duals():
+        for matrix in maps:
+            dual = dual_map(matrix)
+            if not is_minimal_map(dual):
+                raise MinimalityError("dual map is not minimal; cannot propagate forward")
+            yield dual
+
+    for dual, inner in _walk(duals(), negate_weights(weights), order.flipped()):
+        yield dual_map(dual), PropagationResult(
+            inner.change_of_basis.transpose(),
+            inner.inverse_change_of_basis.transpose(),
+            negate_weights(inner.weights),
+            inner.sorted_matrix,
+            inner.rebased_module.dual(),
+        )
 
 
 def propagate_resolution(differentials, start_index, start_weights, order):
@@ -270,50 +298,25 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     per_module[start_index] = start_weights
     steps = {}
 
-    def partial():
-        return tuple(per_module)
+    backward = _walk(differentials[start_index:], start_weights, order)
+    for target, (matrix, result) in enumerate(backward, start_index + 1):
+        log.debug("backward step onto module %d", target)
+        per_module[target] = result.weights
+        steps[target] = ResolutionStep(target, matrix, result)
 
-    current_inverse = ScalarMatrix.identity(modules[start_index].rank)
-    current_spec = modules[start_index]
-    for i in range(1, m - start_index + 1):
-        diff = differentials[start_index + i - 1]
-        columns = list(zip(*diff.entries))
-        matrix = PolyMatrix(
-            current_spec,
-            diff.domain,
-            [[_combine(coeffs, col) for col in columns] for coeffs in current_inverse.rows],
-        )
-        log.debug("backward step onto module %d", start_index + i)
-        result = _propagate(matrix, per_module[start_index + i - 1], order)
-        per_module[start_index + i] = result.weights
-        steps[start_index + i] = ResolutionStep(start_index + i, matrix, result)
-        current_inverse = result.inverse_change_of_basis
-        current_spec = result.rebased_module
-
-    current_inverse = ScalarMatrix.identity(modules[start_index].rank)
-    current_spec = modules[start_index]
-    for i in range(1, start_index + 1):
-        target = start_index - i
-        diff = differentials[target]
-        coeff_columns = list(zip(*current_inverse.rows))
-        matrix = PolyMatrix(
-            diff.codomain,
-            current_spec,
-            [[_combine(coeffs, row) for coeffs in coeff_columns] for row in diff.entries],
-        )
+    forward = _walk_forward(reversed(differentials[:start_index]), start_weights, order)
+    for target in reversed(range(start_index)):
         log.debug("forward step onto module %d", target)
         try:
-            result = _propagate_forward(matrix, per_module[target + 1], order)
+            matrix, result = next(forward)
         except MinimalityError as exc:
             raise ResolutionStepError(
                 "forward propagation failed at module %d: %s" % (target, exc),
                 step=target,
-                partial=partial(),
+                partial=tuple(per_module),
             ) from exc
         per_module[target] = result.weights
         steps[target] = ResolutionStep(target, matrix, result)
-        current_inverse = result.inverse_change_of_basis
-        current_spec = result.rebased_module
 
     return ResolutionWeights(tuple(per_module), steps)
 

@@ -263,9 +263,6 @@ class RingSpec:
     def one(self):
         return Polynomial({unit_monomial(self.num_vars): 1})
 
-    def constant(self, value):
-        return Polynomial({unit_monomial(self.num_vars): value})
-
     def _check_monomial(self, mono):
         if len(mono) != self.num_vars:
             raise InputError("monomial has %d exponents, expected %d" % (len(mono), self.num_vars))
@@ -351,11 +348,3 @@ class RingSpec:
             return None
         return degrees.pop()
 
-    def poly_weight(self, p):
-        """Common weight of the support of p, or None if the terms disagree."""
-        if p.is_zero:
-            raise InputError("the zero polynomial has no weight")
-        weights = {self.monomial_weight(m) for m in p.terms}
-        if len(weights) > 1:
-            return None
-        return weights.pop()

@@ -98,8 +98,8 @@ def test_weights_must_be_integer_vectors(two_variables):
 
 
 def test_block_drops_basis_elements_of_other_degrees():
-    # deg y = (1, -2) has a negative component sum, so the Groebner run bounded
-    # at (3, -4) also reaches the S-pair y^2 * f1 - w * f2 in degree (5, -8)
+    # deg y = (1, -2) has a negative component sum; the S-pair y^2 * f1 - w * f2
+    # in degree (5, -8) has the smaller component sum but lies beyond the bound
     ring = RingSpec(
         ["w", "x", "y", "z"],
         [[2, -4], [1, 0], [1, -2], [2, -2]],
@@ -108,10 +108,21 @@ def test_block_drops_basis_elements_of_other_degrees():
     )
     m = matrix(ring, [[0, 0]], [[3, -4], [3, -4]], [["x*w + y*z", "x*y^2 + y*z"]])
     bounded = buchberger(m, TOP_UP, bound=(3, -4))
-    assert {g.homogeneous_degree() for g in bounded.elements} == {(3, -4), (5, -8)}
+    assert {g.homogeneous_degree() for g in bounded.elements} == {(3, -4)}
     result = propagate(m, [(0, 0, 0, 0)], TOP_UP)
     assert result.weights == ((0, 1, 2, 0), (1, 1, 0, 0))
     assert result.change_of_basis == change_of_basis(m, result.sorted_matrix)
+
+
+def test_bound_keeps_generators_with_negative_component_sum():
+    # y lies in degree (1, -2), whose component sum -1 exceeds that of the
+    # bound (2, -4), yet y * y = y^2 is the only monomial of degree (2, -4)
+    ring = RingSpec(["x", "y"], [[1, 0], [1, -2]], [[1, 0], [0, 1]])
+    m = matrix(ring, [[0, 0]], [[1, -2]], [["y"]])
+    bounded = buchberger(m, TOP_UP, bound=(2, -4))
+    assert [polynomial_to_string(ring, g.entries[0]) for g in bounded.elements] == ["y"]
+    assert propagate_graded_components((2, -4), m, [(0, 0)], TOP_UP, gb_bound=(2, -4)) == ()
+    assert propagate_graded_components((2, -4), m, [(0, 0)], TOP_UP) == ()
 
 
 def test_graded_component_degree_must_fit_the_ring(two_variables):
@@ -460,6 +471,24 @@ def assert_steps_carry_inverses(result, diffs, start_index):
             assert step.matrix == diff @ inverse.to_poly_matrix(diff.domain, spec)
 
 
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize(
+    "name, start_index, weights",
+    [("grassmannian", 0, "W0"), ("grassmannian", 3, "V3"), ("koszul", 0, "W0")],
+)
+def test_each_step_is_the_single_map_call_on_its_matrix(request, name, start_index, weights, order):
+    problem = request.getfixturevalue(name)
+    diffs = [problem.matrices[n] for n in problem.resolution]
+    result = propagate_resolution(diffs, start_index, problem.weightlists[weights], order)
+    assert set(result.steps) == set(range(len(diffs) + 1)) - {start_index}
+    for index, step in result.steps.items():
+        if index > start_index:
+            expected = propagate(step.matrix, result.per_module[index - 1], order)
+        else:
+            expected = propagate_forward(step.matrix, result.per_module[index + 1], order)
+        assert step.result == expected
+
+
 def test_koszul_intermediate_matrices(koszul):
     ring = koszul.ring
     diffs = [koszul.matrices[n] for n in koszul.resolution]
@@ -602,6 +631,17 @@ def test_resolution_reports_non_minimal_dual_with_partial():
     )
     assert info.value.step == 0
     assert info.value.partial == (None, ((1,),))
+
+
+def test_resolution_partial_keeps_the_forward_steps_before_the_failure():
+    # the dual of d2 is minimal, that of d1 is not: its two rows are equal
+    ring = RingSpec(["x", "y"], [[1], [1]], [[1, 0], [0, 1]])
+    d1 = matrix(ring, [[0], [0]], [[1], [1]], [["x", "y"], ["x", "y"]])
+    d2 = matrix(ring, [[1], [1]], [[2]], [["-y"], ["x"]])
+    with pytest.raises(ResolutionStepError) as info:
+        propagate_resolution([d1, d2], 2, [(1, 1)], TOP_UP)
+    assert info.value.step == 0
+    assert info.value.partial == (None, ((0, 1), (1, 0)), ((1, 1),))
 
 
 # ---------- graded components ----------
