@@ -52,7 +52,7 @@ remainder = normal_form(probe, list(basis.elements), order).remainder
 print("normal form of x^3:", polynomial_to_string(ring, remainder.entries[0]))
 
 for d in range(0, 5):
-    terms = standard_monomials(basis, (d,), F0)
+    terms = standard_monomials(basis, (d,))
     total = len(enumerate_terms(F0, (d,)))
     print("degree %d: %d of %d monomials survive in the quotient" % (d, len(terms), total))
 

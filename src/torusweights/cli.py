@@ -2,7 +2,9 @@
 
 Subcommands: gb, resolve, propagate, propagate-forward, propagate-resolution,
 graded-weights, check-minimal.  Input is a problem description file (see
-problemfile).  Output is human-readable by default; --json switches to a
+problemfile).  graded-weights stops its Groebner run at --degree; gb --truncate
+bounds degrees through the ring's positive functional.  Output is
+human-readable by default; --json switches to a
 deterministic machine schema.  Exit codes: 0 success, 1 domain error (message
 names the violated precondition), 2 parse error, 3 internal error (a failed
 invariant of the library itself).  Set TORUSWEIGHTS_LOG to a
@@ -156,9 +158,7 @@ def _cmd_graded_weights(problem, args):
     matrix = _pick(problem.matrices, args.matrix, "matrix", "matrix")
     weights = _pick(problem.weightlists, args.weights, "weight list", "weights")
     order = _module_order(problem, args)
-    degree = _parse_degree(args.degree)
-    bound = _parse_degree(args.truncate) if args.truncate else None
-    result = propagate_graded_components(degree, matrix, weights, order, gb_bound=bound)
+    result = propagate_graded_components(_parse_degree(args.degree), matrix, weights, order)
     if args.json:
         _emit_json({"weights": [list(w) for w in result]})
     else:
@@ -197,7 +197,8 @@ def _build_parser():
 
     p = sub.add_parser("gb", help="reduced Groebner basis of a matrix image")
     common(p)
-    p.add_argument("--truncate", help="degree bound, comma-separated integers")
+    p.add_argument("--truncate", help="degree bound, comma-separated integers, compared through the "
+                   "ring's positive functional (so not componentwise on a multigraded ring)")
     p.set_defaults(run=_cmd_gb)
 
     p = sub.add_parser("resolve", help="minimal free resolution of a presentation")
@@ -223,7 +224,6 @@ def _build_parser():
     p = sub.add_parser("graded-weights", help="weights of one graded component of a cokernel")
     common(p, weights=True)
     p.add_argument("--degree", required=True, help="target degree, comma-separated integers")
-    p.add_argument("--truncate", help="optional Groebner degree cap")
     p.set_defaults(run=_cmd_graded_weights)
 
     p = sub.add_parser("check-minimal", help="test whether a matrix is a minimal map")

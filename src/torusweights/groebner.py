@@ -138,7 +138,7 @@ class GroebnerBasis:
 
     With a truncation bound, contains exactly the elements of the
     (inter-reduced) basis whose degree does not exceed the bound under the
-    ring's positive functional.
+    ring's positive functional, not only those componentwise below it.
     """
 
     module: FreeModuleSpec
@@ -277,10 +277,11 @@ def check_order(order):
 def buchberger(matrix, order, bound=None):
     """Reduced monic Groebner basis of the column span of a homogeneous matrix.
 
-    With a degree bound, S-pairs beyond the bound (under the ring's
-    positive functional) are never processed and only basis elements within
-    the bound are returned; the degree-d elements of a bounded run at bound
-    d form a basis of the degree-d component of the column span.  The elements are
+    With a degree bound, S-pairs beyond the bound under the ring's positive
+    functional are never processed and only basis elements within it are
+    returned (on a multigraded ring, not only those componentwise below it);
+    the degree-d elements of a bounded run at bound d form a basis of the
+    degree-d component of the column span.  The elements are
     canonical: they do not depend on the column order or on invertible
     scalar mixing of equal-degree columns.  Propagation along a map needs no
     run: in the columns' own degree the basis is a reduced echelon form.
@@ -383,20 +384,17 @@ def enumerate_terms(module, degree, order=None):
     return terms
 
 
-def standard_monomials(basis, degree, module):
-    """Degree-d module terms not divisible by any basis leading term.
+def standard_monomials(basis, degree):
+    """Degree-d terms of the basis's module not divisible by any leading term.
 
     By Macaulay's basis theorem their residues form a basis of the degree-d
     component of the quotient by the submodule the basis generates.
-    Returned in decreasing module term order.  module must be the basis's
-    module.
+    Returned in decreasing module term order.
     """
-    if module != basis.module:
-        raise InputError("module is not the module of the Groebner basis")
     lts = basis.leading_terms()
     return [
         t
-        for t in enumerate_terms(module, degree, basis.order)
+        for t in enumerate_terms(basis.module, degree, basis.order)
         if not any(_term_divides(lt, t) for lt in lts)
     ]
 
@@ -489,20 +487,17 @@ def syzygies(matrix, order):
     return result
 
 
-def check_chain(base_module, differentials):
-    """Raise InputError unless the differentials form a complex on base_module.
+def check_chain(differentials):
+    """Raise InputError unless the differentials form a complex.
 
-    differentials[0] must map into base_module, each later differential into
-    the domain of the one before it, and consecutive composites must vanish.
-    Messages number the differentials from 1.
+    Each differential after the first must map into the domain of the one
+    before it, and consecutive composites must vanish.  Messages number the
+    differentials from 1.
     """
-    previous = base_module
-    for k, d in enumerate(differentials, 1):
-        if d.codomain.basis_degrees != previous.basis_degrees or d.codomain.ring != previous.ring:
-            if k == 1:
-                raise InputError("differential 1 does not map into the base module")
-            raise InputError("chain-shape mismatch between differentials %d and %d" % (k - 1, k))
-        previous = d.domain
+    for k in range(1, len(differentials)):
+        previous, d = differentials[k - 1].domain, differentials[k].codomain
+        if d.basis_degrees != previous.basis_degrees or d.ring != previous.ring:
+            raise InputError("chain-shape mismatch between differentials %d and %d" % (k, k + 1))
     for k in range(1, len(differentials)):
         if not (differentials[k - 1] @ differentials[k]).is_zero:
             raise InputError("differentials %d and %d do not compose to zero" % (k, k + 1))

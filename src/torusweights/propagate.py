@@ -289,7 +289,7 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     ring = modules[0].ring
     start_weights = _validate_weights(start_weights, modules[start_index].rank, ring, "starting weight list")
     check_order(order)
-    check_chain(differentials[0].codomain, differentials)
+    check_chain(differentials)
     for k, d in enumerate(differentials):
         if not is_minimal_map(d):
             raise MinimalityError("differential %d is not a minimal map" % (k + 1))
@@ -321,24 +321,24 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     return ResolutionWeights(tuple(per_module), steps)
 
 
-def propagate_graded_components(degree, matrix, weights, order, gb_bound=None):
+def propagate_graded_components(degree, matrix, weights, order):
     """Weights of one graded component of the cokernel of a presentation.
 
-    Computes a Groebner basis of the image (complete by default; `gb_bound`
-    optionally truncates it when the caller knows a sufficient degree) and
-    the standard monomials of the requested degree.  By Macaulay's basis
-    theorem their residues form a basis of the component; each is a single
-    module term, so its weight is the weight of its monomial plus the weight
-    attached to its row.  Returns these weights sorted by term, increasing
-    for position-up orderings and decreasing for position-down, which is the
-    order `propagate` gives on the matrix of standard monomials.
+    Computes a Groebner basis of the image, stopped at the requested degree
+    (a leading term dividing a degree-d term lies at or below d under the
+    ring's positive functional), and the standard monomials of that degree.
+    By Macaulay's basis theorem their residues form a basis of the
+    component; each is a single module term, so its weight is the weight of
+    its monomial plus the weight attached to its row.  Returns these weights
+    sorted by term, increasing for position-up orderings and decreasing for
+    position-down, which is the order `propagate` gives on the matrix of
+    standard monomials.
     """
     ring = matrix.domain.ring
     degree = _int_vector(degree, "degree", ring.degree_length)
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
     check_order(order)
-    basis = buchberger(matrix, order, bound=gb_bound)
-    terms = standard_monomials(basis, degree, matrix.codomain)
+    terms = standard_monomials(buchberger(matrix, order, bound=degree), degree)
     if order.is_position_up:
         terms.reverse()
     return tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in terms)

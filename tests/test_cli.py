@@ -132,12 +132,27 @@ def test_degree_of_wrong_length_exit_code(capsys):
     path = str(fixture_path("two_variables.json"))
     for argv in (
         ["graded-weights", "--degree", "1,2"],
-        ["graded-weights", "--degree", "1", "--truncate", "1,2"],
         ["gb", "--truncate", "1,2"],
     ):
         code, out, err = run(capsys, *argv, "--input", path)
         assert (code, out) == (1, "")
         assert "wrong length" in err
+
+
+def test_graded_weights_has_no_truncate_flag(capsys):
+    # the Groebner run stops at --degree; a cap below it used to print 55 weights, not 50
+    argv = [
+        "graded-weights", "--input", str(fixture_path("grassmannian.json")),
+        "--matrix", "d1", "--weights", "W0", "--degree", "2",
+    ]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--truncate", "1"])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert "--truncate" in captured.err
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert len(json.loads(out)["weights"]) == 50
 
 
 def test_resolve_max_length_below_one_exit_code(capsys):

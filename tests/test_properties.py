@@ -22,6 +22,7 @@ from torusweights import (
     normal_form,
     propagate,
     propagate_forward,
+    propagate_graded_components,
     standard_monomials,
     syzygies,
 )
@@ -410,7 +411,7 @@ def test_hilbert_function_of_leading_term_module(data):
                 shifted = col.multiply_term(mono, 1)
                 ech.add({index[term]: coeff for term, coeff in shifted.support()})
         image_dim = ech.rank
-        standard = standard_monomials(basis, degree, module)
+        standard = standard_monomials(basis, degree)
         assert len(standard) == len(terms) - image_dim
 
 
@@ -425,23 +426,31 @@ KERNEL_RINGS = [
 
 
 @st.composite
-def homogeneous_matrix(draw, ring):
+def homogeneous_matrix(draw, ring, offsets=None):
     """A homogeneous matrix with one or two rows, sometimes with a redundant column.
 
-    The redundant column repeats a column, multiplies one by a variable, or
-    is zero, so the columns need not generate their image minimally.
+    Column degrees lie above the highest row degree by a draw from offsets
+    (by default, a vector of integers 0..2).  The redundant column repeats
+    a column, multiplies one by a variable, or is zero, so the columns need
+    not generate their image minimally.
     """
     m = ring.degree_length
+
+    def offset():
+        if offsets is None:
+            return tuple(draw(st.integers(0, 2)) for _ in range(m))
+        return draw(offsets)
+
     units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
     row_degrees = [draw(st.sampled_from([(0,) * m] + units)) for _ in range(draw(st.integers(1, 2)))]
     lowest = tuple(map(max, zip(*row_degrees)))
     column_degrees = []
     columns = []
     for _ in range(draw(st.integers(1, 3))):
-        degree = vector_add(lowest, tuple(draw(st.integers(0, 2)) for _ in range(m)))
+        degree = vector_add(lowest, offset())
         entries = []
         for r in row_degrees:
-            monos = ring.monomials_of_degree(vector_sub(degree, r)) if min(vector_sub(degree, r)) >= 0 else []
+            monos = ring.monomials_of_degree(vector_sub(degree, r))
             coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos)))
             entries.append(Polynomial(dict(zip(monos, coeffs))))
         assume(any(not e.is_zero for e in entries))
@@ -458,7 +467,7 @@ def homogeneous_matrix(draw, ring):
         column_degrees.append(vector_add(column_degrees[j], ring.var_degrees[var]))
         columns.append([e * ring.variable(var) for e in columns[j]])
     elif extra == "zero":
-        column_degrees.append(vector_add(lowest, tuple(draw(st.integers(0, 2)) for _ in range(m))))
+        column_degrees.append(vector_add(lowest, offset()))
         columns.append([Polynomial() for _ in row_degrees])
     cod = FreeModuleSpec(ring, row_degrees)
     dom = FreeModuleSpec(ring, column_degrees)
@@ -514,6 +523,43 @@ def test_syzygies_of_a_row_with_repeated_multiple_and_zero_entries():
     assert s.num_cols == 3
     assert sorted(s.domain.basis_degrees) == [(1,), (2,), (3,)]
     assert_syzygies_span_the_kernel(m, s, (7,))
+
+
+# ---------- graded components from the bounded run ----------
+
+
+# deg y = (1, -2) has a negative component sum, so degree_sort_key is not
+# monotone under multiplication and the bounded run must compare degrees
+# through the positive functional
+NEGATIVE_SUM_RING = RingSpec(
+    ["x", "y", "z"], [[1, 0], [1, -2], [2, -2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "lex"
+)
+COMPONENT_RINGS = [std_ring(3), bigraded_ring(), NEGATIVE_SUM_RING]
+
+
+def monomial_degrees(ring, top):
+    """Degrees of the monomials with every exponent at most top."""
+    exponents = st.tuples(*(st.integers(0, top) for _ in range(ring.num_vars)))
+    return exponents.map(ring.monomial_degree)
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(COMPONENT_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_graded_components_match_the_unbounded_basis(data, ring, order):
+    m = data.draw(homogeneous_matrix(ring, offsets=monomial_degrees(ring, 1)))
+    weights = [
+        tuple(data.draw(st.integers(-2, 2)) for _ in ring.var_weights[0])
+        for _ in range(m.codomain.rank)
+    ]
+    basis = buchberger(m, order)
+    lowest = tuple(map(max, zip(*m.codomain.basis_degrees)))
+    degrees = data.draw(st.lists(monomial_degrees(ring, 2), min_size=1, max_size=4))
+    for degree in [vector_add(lowest, d) for d in degrees]:
+        terms = standard_monomials(basis, degree)
+        if order.is_position_up:
+            terms.reverse()
+        expected = tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in terms)
+        assert propagate_graded_components(degree, m, weights, order) == expected, degree
 
 
 # ---------- equivariant Euler characteristic ----------
