@@ -7,7 +7,10 @@ cofactor of each basis element over the input columns, which the core loop
 tracks), minimal free resolutions, standard monomials and Nakayama-style
 minimality checks.  `change_of_basis` solves G = M @ C as a linear system;
 propagation does not use it, and the tests keep it as an independent check.
-All arithmetic is exact.
+All arithmetic is exact.  Coefficients are ints where they are integral
+(see `rings`), so coefficients are divided with `exact_quotient`, never with
+`/`, which would make a float of two ints.  Syzygy columns come out as
+primitive integer vectors.
 
 Division reduces one mutable {ModuleTerm: coefficient} dict and pops each
 leading term off a sorted list instead of searching for it, and every
@@ -29,6 +32,7 @@ import logging
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DependentColumnsError, HomogeneityError, InputError, InternalError, MinimalityError
 from .linalg import Echelon, solve
@@ -39,11 +43,13 @@ from .modules import (
     ModuleTermOrder,
     PolyMatrix,
     ScalarMatrix,
+    _column_rows,
 )
 from .rings import (
     Polynomial,
     _int_vector,
     degree_sort_key,
+    exact_quotient,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -109,7 +115,7 @@ def normal_form(element, divisors, order):
         for k, (g_term, g_coeff) in enumerate(leads):
             if _term_divides(g_term, term):
                 q_mono = monomial_div(term.monomial, g_term.monomial)
-                q_coeff = coeff / g_coeff
+                q_coeff = exact_quotient(coeff, g_coeff)
                 quotients[k][q_mono] = q_coeff
                 for index, poly in enumerate(divisors[k].entries):
                     for mono, c in poly.terms.items():
@@ -172,7 +178,7 @@ def _combine_cofactor(cofactor, quotients, basis):
                         acc[mono] = value
                     else:
                         del acc[mono]
-    return ModuleElement(cofactor.module, [Polynomial(e) for e in entries])
+    return ModuleElement(cofactor.module, [Polynomial._from_exact(e) for e in entries])
 
 
 def _buchberger_tracked(columns, cofactor_module, order, bound):
@@ -315,7 +321,7 @@ def sort_gb_columns(basis):
             raise HomogeneityError("basis element is not homogeneous")
         degrees.append(d)
     domain = FreeModuleSpec(ring, degrees)
-    return PolyMatrix.from_columns(basis.module, domain, elements)
+    return PolyMatrix._unchecked(basis.module, domain, _column_rows(elements, basis.module.rank))
 
 
 def _coordinate_index(elements):
@@ -454,6 +460,26 @@ def _minimize_generators(candidates, module):
     return [c for c, keep in zip(candidates, kept) if keep]
 
 
+def _primitive_column(element):
+    """The primitive integer vector (content 1) on the ray of a nonzero element.
+
+    For coefficients n_i / d_i in lowest terms, the content is
+    gcd(n_i) / lcm(d_i); dividing by it is scaling by a positive rational.
+    """
+    coeffs = [c for p in element.entries for c in p.terms.values()]
+    den = lcm(*(c.denominator for c in coeffs))
+    num = gcd(*(c.numerator for c in coeffs))
+    if den == 1 and num == 1:
+        return element
+    return ModuleElement(
+        element.module,
+        [
+            Polynomial._from_exact({m: c.numerator * (den // c.denominator) // num for m, c in p.terms.items()})
+            for p in element.entries
+        ],
+    )
+
+
 def syzygies(matrix, order):
     """A minimal generating set for the syzygies of the matrix columns.
 
@@ -467,7 +493,9 @@ def syzygies(matrix, order):
     maps to zero through the cofactors and needs no relation.  The relations
     are then minimized degreewise.  The result S satisfies matrix @ S = 0 and
     its image is the full syzygy module; S is one minimal generating set of
-    it, not a canonical one.
+    it, not a canonical one.  Each relation is scaled by a positive rational
+    to a primitive integer vector (integer coefficients with gcd 1), which
+    changes no degree and no Nakayama selection.
     """
     check_order(order)
     ring = matrix.domain.ring
@@ -477,11 +505,11 @@ def syzygies(matrix, order):
     for cofactor, quotients in reductions:
         syz = _combine_cofactor(cofactor, quotients, basis)
         if not syz.is_zero:
-            candidates.append(syz)
+            candidates.append(_primitive_column(syz))
     minimal = _minimize_generators(candidates, frame)
     degrees = [s.homogeneous_degree() for s in minimal]
     domain = FreeModuleSpec(ring, degrees)
-    result = PolyMatrix.from_columns(frame, domain, minimal)
+    result = PolyMatrix._unchecked(frame, domain, _column_rows(minimal, frame.rank))
     if not (matrix @ result).is_zero:
         raise InternalError("syzygy matrix does not annihilate the input")
     return result

@@ -3,9 +3,10 @@
 `Echelon` eliminates sparse vectors, mappings {position: rational}, without
 fractions: each vector is cleared of denominators on entry and kept as an
 integer row whose content (the gcd of its entries) is divided out after
-every step.  Fractions appear only in `reduced_rows`.  `rank` adapts dense
-rows to it.  `solve` and `invert` stay dense, on lists of Fraction; the
-tests keep them as references independent of `Echelon`.
+every step.  Fractions appear only in `reduced_rows`, and there only for
+entries that are not integers.  `rank` adapts dense rows to it.  `solve`
+and `invert` stay dense, on lists of Fraction; the tests keep them as
+references independent of `Echelon`.
 """
 
 from fractions import Fraction
@@ -27,6 +28,12 @@ def _integer_row(vec):
     entries = {k: v for k, v in vec.items() if v}
     scale = lcm(*(v.denominator for v in entries.values()))
     return _primitive({k: v.numerator * (scale // v.denominator) for k, v in entries.items()})
+
+
+def _quotient(a, b):
+    """a / b for ints: an int when b divides a, otherwise a Fraction."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
 
 
 def _eliminate(row, pivot_row, pos):
@@ -76,11 +83,12 @@ class Echelon:
         return True
 
     def reduced_rows(self):
-        """Reduced row echelon form: {pivot: {position: Fraction}}, by position.
+        """Reduced row echelon form: {pivot: {position: rational}}, by position.
 
         Back-substitution in integers from the last pivot up: a row is zero
         before its pivot, so only the rows with smaller pivots need it.  Each
         row is then divided by its pivot entry; zero entries are left out.
+        An entry is an int when the division is exact, a Fraction otherwise.
         """
         rows = dict(sorted(self.pivots.items()))
         for pos in reversed(rows):
@@ -90,10 +98,7 @@ class Echelon:
                     break
                 if pos in vec:
                     rows[other] = _eliminate(vec, row, pos)
-        return {
-            pos: {k: Fraction(v, row[pos]) for k, v in sorted(row.items())}
-            for pos, row in rows.items()
-        }
+        return {pos: {k: _quotient(v, row[pos]) for k, v in sorted(row.items())} for pos, row in rows.items()}
 
     @property
     def rank(self):

@@ -8,12 +8,11 @@ modules written with respect to their bases: a nonzero entry in row i, column
 j must be homogeneous of degree domain[j] - codomain[i].
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import HomogeneityError, InputError
 from .linalg import invert
-from .rings import Polynomial, _int_vector, monomial_mul, vector_neg, vector_sub
+from .rings import Polynomial, _int_vector, exact, monomial_mul, vector_neg, vector_sub
 
 
 class FreeModuleSpec:
@@ -207,12 +206,16 @@ class ModuleElement:
 
 
 class ScalarMatrix:
-    """Dense matrix of exact rationals (change-of-basis bookkeeping)."""
+    """Dense matrix of exact rationals (change-of-basis bookkeeping).
+
+    Entries follow the Polynomial coefficient rule: an int when integral, a
+    Fraction otherwise.
+    """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(exact(x) for x in row) for row in rows)
         widths = {len(r) for r in self.rows}
         if len(widths) > 1:
             raise InputError("ragged scalar matrix")
@@ -224,7 +227,7 @@ class ScalarMatrix:
     @classmethod
     def block_diagonal(cls, blocks):
         total = sum(b.num_rows for b in blocks)
-        rows = [[Fraction(0)] * total for _ in range(total)]
+        rows = [[0] * total for _ in range(total)]
         offset = 0
         for b in blocks:
             if b.num_rows != b.num_cols:
@@ -255,7 +258,7 @@ class ScalarMatrix:
         return ScalarMatrix(
             [
                 [
-                    sum((self.rows[i][k] * other.rows[k][j] for k in range(self.num_cols)), Fraction(0))
+                    sum(self.rows[i][k] * other.rows[k][j] for k in range(self.num_cols))
                     for j in range(other.num_cols)
                 ]
                 for i in range(self.num_rows)
@@ -288,7 +291,9 @@ class PolyMatrix:
 
     Rows are indexed by the codomain basis, columns by the domain basis.
     Construction verifies that every nonzero entry is a homogeneous
-    polynomial of degree domain[j] - codomain[i].
+    polynomial of degree domain[j] - codomain[i].  Matrices the library
+    builds from homogeneous ones (products, transposes, rebased maps,
+    Groebner and syzygy columns) skip that check through `_unchecked`.
     """
 
     __slots__ = ("codomain", "domain", "entries")
@@ -319,9 +324,21 @@ class PolyMatrix:
         self.entries = rows
 
     @classmethod
+    def _unchecked(cls, codomain, domain, entries):
+        """The constructor without its checks, for entries known to fit the modules.
+
+        The caller guarantees the shape and that every nonzero entry (i, j)
+        is homogeneous of degree domain[j] - codomain[i].
+        """
+        out = cls.__new__(cls)
+        out.codomain = codomain
+        out.domain = domain
+        out.entries = tuple(tuple(row) for row in entries)
+        return out
+
+    @classmethod
     def from_columns(cls, codomain, domain, columns):
-        entries = [[col.entries[i] for col in columns] for i in range(codomain.rank)]
-        return cls(codomain, domain, entries)
+        return cls(codomain, domain, _column_rows(columns, codomain.rank))
 
     @property
     def num_rows(self):
@@ -360,10 +377,15 @@ class PolyMatrix:
             raise InputError("matrix shapes do not compose")
         columns = list(zip(*other.entries))
         entries = [[_dot(row, col) for col in columns] for row in self.entries]
-        return PolyMatrix(self.codomain, other.domain, entries)
+        return PolyMatrix._unchecked(self.codomain, other.domain, entries)
 
     def __repr__(self):
         return "PolyMatrix(%dx%d)" % (self.num_rows, self.num_cols)
+
+
+def _column_rows(columns, rank):
+    """The rows of the matrix whose columns are the given rank-`rank` elements."""
+    return [[col.entries[i] for col in columns] for i in range(rank)]
 
 
 def _dot(row, col):
@@ -379,7 +401,7 @@ def _dot(row, col):
                         terms[mono] = s
                     else:
                         del terms[mono]
-    return Polynomial(terms)
+    return Polynomial._from_exact(terms)
 
 
 def dual_map(matrix):
@@ -393,7 +415,7 @@ def dual_map(matrix):
     entries = [
         [matrix.entries[i][j] for i in range(matrix.num_rows)] for j in range(matrix.num_cols)
     ]
-    return PolyMatrix(new_codomain, new_domain, entries)
+    return PolyMatrix._unchecked(new_codomain, new_domain, entries)
 
 
 def split_by_column_degree(matrix):

@@ -45,7 +45,7 @@ from .groebner import (
     standard_monomials,
 )
 from .linalg import Echelon
-from .modules import FreeModuleSpec, ModuleElement, PolyMatrix, ScalarMatrix, dual_map
+from .modules import FreeModuleSpec, ModuleElement, PolyMatrix, ScalarMatrix, _column_rows, dual_map
 from .rings import Polynomial, _int_vector, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
@@ -179,7 +179,7 @@ def _propagate(matrix, weights, order):
         ScalarMatrix([[rows[pos].get(n + j, 0) for pos in pivots] for j in range(len(columns))]),
         ScalarMatrix([[col.entries[t.index].terms.get(t.monomial, 0) for col in columns] for t in leads]),
         tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in leads),
-        PolyMatrix.from_columns(matrix.codomain, rebased, g_columns),
+        PolyMatrix._unchecked(matrix.codomain, rebased, _column_rows(g_columns, matrix.num_rows)),
         rebased,
     )
 
@@ -209,7 +209,7 @@ def _combine(coeffs, polys):
                     terms[mono] = s
                 else:
                     del terms[mono]
-    return Polynomial(terms)
+    return Polynomial._from_exact(terms)
 
 
 def _walk(maps, weights, order):
@@ -225,7 +225,7 @@ def _walk(maps, weights, order):
         if inverse is not None:
             columns = list(zip(*matrix.entries))
             rows = [[_combine(coeffs, col) for col in columns] for coeffs in inverse.rows]
-            matrix = PolyMatrix(spec, matrix.domain, rows)
+            matrix = PolyMatrix._unchecked(spec, matrix.domain, rows)
         result = _propagate(matrix, weights, order)
         yield matrix, result
         weights, inverse, spec = result.weights, result.inverse_change_of_basis, result.rebased_module

@@ -4,7 +4,12 @@ Monomials are bare exponent tuples.  A RingSpec fixes the variable names,
 their multidegrees (vectors in Z^m defining a positive grading), their torus
 weights (vectors in Z^k), and a term order (lex or grevlex, with variable
 precedence given by declaration order).  Polynomial is a sparse map from
-exponent tuples to nonzero exact rationals.
+exponent tuples to nonzero exact rationals, each stored as an int when it is
+integral and as a Fraction only when it is not (see `exact`), so inputs with
+integer coefficients run on int arithmetic.  The two types mix exactly, and
+an integral Fraction equals, hashes and prints like its int, so the split
+shows only in speed.  True division is the one trap, since int / int is a
+float; `exact_quotient` divides exactly.
 """
 
 import operator
@@ -12,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import rank
+from .linalg import _quotient, rank
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -51,6 +56,26 @@ def vector_neg(a):
     return tuple(-x for x in a)
 
 
+def exact(value):
+    """value as an int when it is integral, otherwise as a Fraction.
+
+    Takes anything Fraction takes (int, Fraction, a float, a rational
+    string); a bool becomes a plain int.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def exact_quotient(a, b):
+    """a / b as an exact rational, an int when it is integral."""
+    if type(a) is int and type(b) is int:
+        return _quotient(a, b)
+    return exact(Fraction(a) / b)
+
+
 def degree_sort_key(degree):
     """Total refinement of the componentwise partial order on Z^m degrees."""
     return (sum(degree), degree)
@@ -73,10 +98,13 @@ def _int_vector(value, what, length=None):
 
 
 class Polynomial:
-    """Sparse polynomial: exponent tuple -> nonzero Fraction.
+    """Sparse polynomial: exponent tuple -> nonzero int or Fraction.
 
-    Values are immutable by convention; all arithmetic returns fresh objects.
-    The empty term map is the zero polynomial.
+    A coefficient is an int exactly when it is integral, a Fraction
+    otherwise; construction, `scale`, `multiply_term` and the arithmetic
+    operators all keep that rule.  Values are immutable by convention; all
+    arithmetic returns fresh objects.  The empty term map is the zero
+    polynomial.
     """
 
     __slots__ = ("terms",)
@@ -85,10 +113,24 @@ class Polynomial:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = exact(coeff)
                 if coeff:
                     clean[tuple(mono)] = coeff
         self.terms = clean
+
+    @classmethod
+    def _from_exact(cls, terms):
+        """Adopt a dict of nonzero int or Fraction coefficients, made exact in place.
+
+        A sum or product of exact coefficients can be an integral Fraction;
+        it becomes an int here.  The dict must not be shared.
+        """
+        for mono, coeff in terms.items():
+            if type(coeff) is Fraction and coeff.denominator == 1:
+                terms[mono] = coeff.numerator
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @property
     def is_zero(self):
@@ -104,7 +146,9 @@ class Polynomial:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        out = Polynomial.__new__(Polynomial)
+        out.terms = {m: -c for m, c in self.terms.items()}
+        return out
 
     def __add__(self, other):
         merged = dict(self.terms)
@@ -114,9 +158,7 @@ class Polynomial:
                 merged[mono] = s
             else:
                 merged.pop(mono, None)
-        out = Polynomial.__new__(Polynomial)
-        out.terms = merged
-        return out
+        return Polynomial._from_exact(merged)
 
     def __sub__(self, other):
         return self + (-other)
@@ -132,26 +174,24 @@ class Polynomial:
                         prod[mono] = s
                     else:
                         prod.pop(mono, None)
-            out = Polynomial.__new__(Polynomial)
-            out.terms = prod
-            return out
+            return Polynomial._from_exact(prod)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = exact(scalar)
         if not scalar:
             return Polynomial()
-        return Polynomial({m: c * scalar for m, c in self.terms.items()})
+        return Polynomial._from_exact({m: c * scalar for m, c in self.terms.items()})
 
     def multiply_term(self, mono, coeff):
         """Multiply by the single term coeff * x^mono."""
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         if not coeff or self.is_zero:
             return Polynomial()
-        return Polynomial({monomial_mul(m, mono): c * coeff for m, c in self.terms.items()})
+        return Polynomial._from_exact({monomial_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def leading_term(self, ring):
         """Largest (monomial, coefficient) pair under the ring's term order."""

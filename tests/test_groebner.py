@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from torusweights import (
     ModuleTerm,
     ModuleTermOrder,
     PolyMatrix,
+    Polynomial,
     RingSpec,
     ScalarMatrix,
     SingularMatrixError,
@@ -27,6 +29,9 @@ from torusweights import (
 )
 from torusweights.linalg import invert, solve
 from torusweights.parsing import parse_polynomial, polynomial_to_string
+from torusweights.problemfile import load_problem
+
+from conftest import fixture_path
 
 TOP_UP = ModuleTermOrder("top-up")
 
@@ -87,6 +92,22 @@ def test_normal_form_membership(std3):
     for q, g in zip(result.quotients, gens):
         recombined = recombined + g.multiply(q)
     assert recombined == e2
+
+
+def test_normal_form_divides_integer_coefficients_exactly(std3):
+    # the divisors' leading coefficients are not units, so int / int would
+    # give a float: 0.5 for 2, and an inexact 0.333... for 3
+    module = FreeModuleSpec(std3, [[0]])
+    cases = [("x1", "2*x1-x2", Fraction(1, 2)), ("x1", "3*x1-x2", Fraction(1, 3)), ("3*x1", "3*x1-x2", 1)]
+    for text, divisor, q in cases:
+        e = module.basis_element(0, parse_polynomial(std3, text))
+        g = module.basis_element(0, parse_polynomial(std3, divisor))
+        result = normal_form(e, [g], TOP_UP)
+        assert result.quotients == [Polynomial({(0, 0, 0): q})]
+        assert result.remainder == module.basis_element(0, Polynomial({(0, 1, 0): q}))
+        coefficients = [c for p in result.quotients for c in p.terms.values()]
+        coefficients += [c for _, c in result.remainder.support()]
+        assert [type(c) for c in coefficients] == [type(q)] * 2
 
 
 def test_normal_form_rejects_an_order_that_is_not_a_module_term_order(std3):
@@ -507,3 +528,32 @@ def test_resolution_differentials_have_no_constant_entries(bigraded):
             for p in row:
                 for mono in p.terms:
                     assert any(mono)
+
+
+# d2 of the generic Koszul fixture's resolution under top-up, as `syzygies`
+# gave it before its columns were scaled to primitive integer vectors
+GENERIC_KOSZUL_RATIONAL_D2 = [
+    ["-3/13*x1-2/13*x2-1/39*x3-7/39*x4", "42/319*x1-48/319*x3-12/319*x4", "42/319*x2+79/319*x3+67/319*x4",
+     "139/1331*x1-114/1331*x4", "139/1331*x2+344/1331*x4", "139/1331*x3-65/1331*x4"],
+    ["4/39*x1+7/39*x2+1/39*x3+4/39*x4", "-10/319*x1+57/319*x3+39/319*x4", "-10/319*x2-34/319*x3-28/319*x4",
+     "-185/1331*x1+123/1331*x4", "-185/1331*x2-161/1331*x4", "-185/1331*x3-105/1331*x4"],
+    ["0", "-39/319*x1-1/319*x3-25/319*x4", "-39/319*x2-5/319*x3-8/319*x4",
+     "-167/2662*x1-56/1331*x4", "-167/2662*x2-59/2662*x4", "-167/2662*x3+193/2662*x4"],
+    ["0", "0", "0", "29/242*x1+9/121*x4", "29/242*x2+3/242*x4", "29/242*x3+23/242*x4"],
+]
+
+
+def test_syzygies_of_generic_forms_are_primitive_integer_columns():
+    problem = load_problem(fixture_path("generic_koszul.json"))
+    m = problem.matrices["d1"]
+    s = syzygies(m, TOP_UP)
+    rational = matrix(m.domain.ring, [[1]] * 4, [[2]] * 6, GENERIC_KOSZUL_RATIONAL_D2)
+    assert s.domain == rational.domain
+    for col, old in zip(s.columns(), rational.columns()):
+        coefficients = [c for _, c in col.support()]
+        assert all(type(c) is int for c in coefficients)
+        assert gcd(*coefficients) == 1
+        term, c = next(old.support())
+        ratio = Fraction(col.entries[term.index].terms[term.monomial]) / c
+        assert ratio > 0
+        assert col == old.scale(ratio)

@@ -193,6 +193,28 @@ def test_dual_map():
     assert dual_map(d) == m
 
 
+def test_library_built_matrices_pass_the_homogeneity_check(bigraded):
+    # dual maps, products, sorted Groebner bases, syzygies and the rebased
+    # maps and sorted matrices of a propagated resolution skip the
+    # constructor's check; the public constructor accepts each of them
+    from torusweights import buchberger, minimal_resolution, propagate_resolution, sort_gb_columns, syzygies
+
+    m = bigraded.matrices["m"]
+    order = ModuleTermOrder("top-up")
+    resolution = minimal_resolution(m, order)
+    built = [dual_map(m), sort_gb_columns(buchberger(m, order)), syzygies(m, order)]
+    built += [a @ b for a, b in zip(resolution.differentials, resolution.differentials[1:])]
+    for start in (0, resolution.length):
+        weights = [(0, 0, 0, 0)] * resolution.modules[start].rank
+        for step in propagate_resolution(resolution.differentials, start, weights, order).steps.values():
+            built += [step.matrix, step.result.sorted_matrix]
+    for m_built in built:
+        assert PolyMatrix(m_built.codomain, m_built.domain, m_built.entries) == m_built
+    # the public constructor still checks: the transpose between the undualized modules is not homogeneous
+    with pytest.raises(HomogeneityError):
+        PolyMatrix(m.domain, m.codomain, dual_map(m).entries)
+
+
 def test_dual_involution_on_presentation(bigraded):
     m = bigraded.matrices["m"]
     assert dual_map(dual_map(m)) == m

@@ -6,6 +6,8 @@ Each suite runs at least 100 generated cases (hypothesis profile below).
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -29,7 +31,7 @@ from torusweights import (
 from torusweights.errors import ResolutionStepError
 from torusweights.linalg import Echelon, rank
 from torusweights.modules import ModuleElement
-from torusweights.parsing import parse_polynomial
+from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.rings import Polynomial, monomial_div, monomial_divides, vector_add, vector_sub
 
 from test_invariants import assert_euler_characteristic
@@ -148,6 +150,73 @@ def test_echelon_matches_sympy_rref(case, explicit_zeros):
     assert reduced == expected
     assert list(reduced) == sorted(reduced)
     assert all(list(row) == sorted(row) for row in reduced.values())
+
+
+# ---------- exact coefficients: int when integral, else Fraction ----------
+
+
+# every kind of scalar the library takes, zero included: ints, Fractions that
+# are and are not integral, bools and floats that Fraction converts exactly
+exact_scalars = st.one_of(
+    st.integers(-6, 6),
+    nonzero_rationals,
+    st.integers(-6, 6).map(Fraction),
+    st.booleans(),
+    st.sampled_from([0.5, -2.0, 3.0, -0.25]),
+)
+
+
+def assert_exact(coefficients):
+    """Each coefficient is an int when integral and a Fraction otherwise; never a float or a bool."""
+    for c in coefficients:
+        assert type(c) in (int, Fraction), repr(c)
+        assert (type(c) is int) == (Fraction(c).denominator == 1), repr(c)
+
+
+@st.composite
+def mixed_polynomials(draw, ring, degree=None):
+    """A polynomial built from exact_scalars; homogeneous of the degree when one is given."""
+    if degree is None:
+        monos = draw(st.lists(st.tuples(*(st.integers(0, 2) for _ in range(ring.num_vars))), max_size=4))
+    else:
+        monos = ring.monomials_of_degree(degree)
+    coefficients = draw(st.lists(exact_scalars, min_size=len(monos), max_size=len(monos)))
+    return Polynomial(dict(zip(monos, coefficients)))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_coefficients_are_int_exactly_when_integral(data):
+    ring = std_ring(2)
+    p, q = data.draw(mixed_polynomials(ring)), data.draw(mixed_polynomials(ring))
+    scalar = data.draw(exact_scalars)
+    mono = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    for r in [p, p + q, p - q, p * q, -p, p.scale(scalar), p.multiply_term(mono, scalar), scalar * p, p * scalar]:
+        assert_exact(r.terms.values())
+    # parsing: a printed polynomial, and rational literals that may be integral
+    assert_exact(parse_polynomial(ring, polynomial_to_string(ring, p)).terms.values())
+    num, den = data.draw(st.integers(-8, 8)), data.draw(st.integers(1, 4))
+    assert_exact(parse_polynomial(ring, "%d/%d*x1+%d/%d*x2^2" % (num, den, den, den)).terms.values())
+    # a Fraction-coefficient polynomial equals and hashes like its int twin
+    twin = Polynomial({m: Fraction(c) for m, c in p.terms.items()})
+    assert twin == p and hash(twin) == hash(p)
+    assert twin.terms == p.terms and [type(c) for c in twin.terms.values()] == [type(c) for c in p.terms.values()]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_matrix_entries_are_int_exactly_when_integral(data):
+    ring = std_ring(2)
+    row = [data.draw(mixed_polynomials(ring, (1,))) for _ in range(2)]
+    col = [data.draw(mixed_polynomials(ring, (1,))) for _ in range(2)]
+    a = PolyMatrix(FreeModuleSpec(ring, [[0]]), FreeModuleSpec(ring, [[1], [1]]), [row])
+    b = PolyMatrix(FreeModuleSpec(ring, [[1], [1]]), FreeModuleSpec(ring, [[2]]), [[e] for e in col])
+    assert_exact(c for entry in (a @ b).entries[0] for c in entry.terms.values())
+    rows = data.draw(st.lists(st.lists(exact_scalars, min_size=2, max_size=2), min_size=2, max_size=2))
+    scalars = ScalarMatrix(rows)
+    assert scalars == ScalarMatrix([[Fraction(x) for x in r] for r in rows])
+    for matrix in (scalars, scalars @ scalars, scalars.transpose()):
+        assert_exact(x for r in matrix.rows for x in r)
 
 
 # ---------- random homogeneous matrices ----------
@@ -523,6 +592,26 @@ def test_syzygies_of_a_row_with_repeated_multiple_and_zero_entries():
     assert s.num_cols == 3
     assert sorted(s.domain.basis_degrees) == [(1,), (2,), (3,)]
     assert_syzygies_span_the_kernel(m, s, (7,))
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_syzygy_columns_are_primitive_multiples_of_the_relations(data, ring, order):
+    # the columns as they were before scaling: the same relations, left as
+    # Buchberger's monic basis makes them
+    m = data.draw(homogeneous_matrix(ring))
+    s = syzygies(m, order)
+    with mock.patch("torusweights.groebner._primitive_column", lambda element: element):
+        relations = syzygies(m, order)
+    assert s.domain == relations.domain
+    for col, relation in zip(s.columns(), relations.columns()):
+        coefficients = [c for _, c in col.support()]
+        assert all(type(c) is int for c in coefficients)
+        assert gcd(*coefficients) == 1
+        term, c = next(relation.support())
+        ratio = Fraction(col.entries[term.index].terms[term.monomial]) / c
+        assert ratio > 0
+        assert col == relation.scale(ratio)
 
 
 # ---------- graded components from the bounded run ----------
