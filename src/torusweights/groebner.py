@@ -17,12 +17,14 @@ leading term off a sorted list instead of searching for it, and every
 ModuleElement caches its leading term per module term order, so a divisor's
 leading term is found once, not once per division.
 
-Generators and S-pairs are processed in increasing order of their degrees
-(component sum first, then lexicographic).  A degree bound is compared
-through the ring's positive functional, a linear form that multiplying by a
-monomial never lowers, so a truncated run keeps everything a degree within
-the bound depends on, even where a variable's degree has a negative
-component sum.
+Generators and S-pairs are processed in increasing order of the ring's
+positive functional of their degrees, a linear form that is positive on
+every variable's degree, so that multiplying by a monomial never lowers it
+(ties go to the lexicographically smaller degree).  The same functional
+bounds a truncated run, which therefore keeps everything a degree within the
+bound depends on, and orders the queue monotonically even where a variable's
+degree has a negative component sum.  Each queue item carries its degree, so
+no element's degree is recomputed from its terms.
 """
 
 import bisect
@@ -32,10 +34,9 @@ import logging
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
-from .errors import DependentColumnsError, HomogeneityError, InputError, InternalError, MinimalityError
-from .linalg import Echelon, solve
+from .errors import DependentColumnsError, InputError, InternalError, MinimalityError
+from .linalg import Echelon, _integer_row, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -48,7 +49,6 @@ from .modules import (
 from .rings import (
     Polynomial,
     _int_vector,
-    degree_sort_key,
     exact_quotient,
     monomial_div,
     monomial_divides,
@@ -144,7 +144,8 @@ class GroebnerBasis:
 
     With a truncation bound, contains exactly the elements of the
     (inter-reduced) basis whose degree does not exceed the bound under the
-    ring's positive functional, not only those componentwise below it.
+    ring's positive functional, the one order the Buchberger queue follows,
+    not only those componentwise below it.
     """
 
     module: FreeModuleSpec
@@ -184,14 +185,16 @@ def _combine_cofactor(cofactor, quotients, basis):
 def _buchberger_tracked(columns, cofactor_module, order, bound):
     """Core Buchberger loop; returns (basis, reductions).
 
-    Generators and S-pairs are processed in increasing `degree_sort_key`
-    order of their degrees (normal selection strategy); items whose degree
-    exceeds the bound under the ring's positive functional are dropped.
-    basis lists the monic _Tracked elements in the order they were added,
-    not yet inter-reduced.  reductions holds (cofactor, quotients) for
-    every generator or S-pair that reduced to zero, and (e_j, []) for a zero
-    column j: cofactor - sum(quotients[k] * basis[k].cofactor) is a syzygy of
-    the columns.  Without a bound these relations generate all syzygies.
+    Column j has degree cofactor_module.basis_degrees[j].  Generators and
+    S-pairs are processed in increasing order of the ring's positive
+    functional of their degrees, ties broken by the degrees themselves
+    (normal selection strategy); items whose functional exceeds the bound's
+    are dropped.  basis lists the monic _Tracked elements in the order they
+    were added, not yet inter-reduced.  reductions holds (cofactor, quotients, degree) for every generator or
+    S-pair of that degree that reduced to zero, and (e_j, [], degree of
+    column j) for a zero column j: cofactor - sum(quotients[k] *
+    basis[k].cofactor) is a syzygy of the columns in that degree.  Without a
+    bound these relations generate all syzygies.
     """
     functional = cofactor_module.ring._functional
     limit = functional(bound) if bound is not None else None
@@ -201,18 +204,15 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
     reductions = []
 
     def push(degree, payload):
-        if limit is not None and functional(degree) > limit:
-            return
-        heapq.heappush(heap, (degree_sort_key(degree), next(seq), payload))
+        value = functional(degree)
+        if limit is None or value <= limit:
+            heapq.heappush(heap, (value, degree, next(seq), payload))
 
-    for j, col in enumerate(columns):
+    for j, (col, degree) in enumerate(zip(columns, cofactor_module.basis_degrees)):
         if col.is_zero:
-            reductions.append((cofactor_module.basis_element(j), []))
-            continue
-        degree = col.homogeneous_degree()
-        if degree is None:
-            raise HomogeneityError("generator %d is not homogeneous" % j)
-        push(degree, ("gen", col, cofactor_module.basis_element(j)))
+            reductions.append((cofactor_module.basis_element(j), [], degree))
+        else:
+            push(degree, ("gen", col, cofactor_module.basis_element(j)))
 
     basis = []
 
@@ -227,7 +227,7 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
         return elem, cof
 
     while heap:
-        _, _, payload = heapq.heappop(heap)
+        _, degree, _, payload = heapq.heappop(heap)
         if payload[0] == "gen":
             _, elem, cof = payload
         else:
@@ -235,7 +235,7 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
             elem, cof = s_pair(basis[i], basis[j])
         result = normal_form(elem, [item.element for item in basis], order)
         if result.remainder.is_zero:
-            reductions.append((cof, result.quotients))
+            reductions.append((cof, result.quotients, degree))
             continue
         cof = _combine_cofactor(cof, result.quotients, basis)
         lead, lead_coeff = result.remainder.leading_term(order)
@@ -283,9 +283,11 @@ def check_order(order):
 def buchberger(matrix, order, bound=None):
     """Reduced monic Groebner basis of the column span of a homogeneous matrix.
 
-    With a degree bound, S-pairs beyond the bound under the ring's positive
-    functional are never processed and only basis elements within it are
-    returned (on a multigraded ring, not only those componentwise below it);
+    Generators and S-pairs are processed in increasing order of the ring's
+    positive functional of their degrees.  With a degree bound, S-pairs
+    beyond the bound under that functional are never processed and only
+    basis elements within it are returned (on a multigraded ring, not only
+    those componentwise below it);
     the degree-d elements of a bounded run at bound d form a basis of the
     degree-d component of the column span.  The elements are
     canonical: they do not depend on the column order or on invertible
@@ -307,6 +309,7 @@ def sort_gb_columns(basis):
 
     Strictly increasing under a position-up ordering of the basis, strictly
     decreasing under a position-down one.  Reducedness guarantees strictness.
+    Each column's degree is its element's leading-term degree.
     """
     ring = basis.module.ring
     term_key = basis.order.sort_key(ring)
@@ -314,13 +317,7 @@ def sort_gb_columns(basis):
         basis.elements, key=lambda g: term_key(g.leading_term(basis.order)[0]),
         reverse=not basis.order.is_position_up,
     )
-    degrees = []
-    for g in elements:
-        d = g.homogeneous_degree()
-        if d is None:
-            raise HomogeneityError("basis element is not homogeneous")
-        degrees.append(d)
-    domain = FreeModuleSpec(ring, degrees)
+    domain = FreeModuleSpec(ring, [g.term_degree(g.leading_term(basis.order)[0]) for g in elements])
     return PolyMatrix._unchecked(basis.module, domain, _column_rows(elements, basis.module.rank))
 
 
@@ -444,40 +441,17 @@ def is_minimal_map(matrix):
     return all(_nakayama_kept(matrix.columns(), matrix.domain.basis_degrees, matrix.domain.ring))
 
 
-def _minimize_generators(candidates, module):
-    """Select a minimal generating subset of homogeneous candidates.
-
-    Keeps the candidates that graded Nakayama selection keeps, in their
-    original order.
-    """
-    degrees = []
-    for c in candidates:
-        d = c.homogeneous_degree()
-        if d is None:
-            raise HomogeneityError("syzygy candidate is not homogeneous")
-        degrees.append(d)
-    kept = _nakayama_kept(candidates, degrees, module.ring)
-    return [c for c, keep in zip(candidates, kept) if keep]
-
-
 def _primitive_column(element):
     """The primitive integer vector (content 1) on the ray of a nonzero element.
 
-    For coefficients n_i / d_i in lowest terms, the content is
-    gcd(n_i) / lcm(d_i); dividing by it is scaling by a positive rational.
+    `linalg._integer_row` divides the coefficients n_i / d_i (in lowest
+    terms) by their content gcd(n_i) / lcm(d_i), a positive rational.
     """
-    coeffs = [c for p in element.entries for c in p.terms.values()]
-    den = lcm(*(c.denominator for c in coeffs))
-    num = gcd(*(c.numerator for c in coeffs))
-    if den == 1 and num == 1:
-        return element
-    return ModuleElement(
-        element.module,
-        [
-            Polynomial._from_exact({m: c.numerator * (den // c.denominator) // num for m, c in p.terms.items()})
-            for p in element.entries
-        ],
-    )
+    row = _integer_row({(i, m): c for i, p in enumerate(element.entries) for m, c in p.terms.items()})
+    entries = [{} for _ in element.entries]
+    for (i, m), c in row.items():
+        entries[i][m] = c
+    return ModuleElement(element.module, [Polynomial._from_exact(e) for e in entries])
 
 
 def syzygies(matrix, order):
@@ -490,25 +464,27 @@ def syzygies(matrix, order):
     S-pair this is the pair's standard representation taken to the frame of
     the columns; for column j it is the discrepancy e_j - sum(q_k * cof_k),
     and a zero column gives e_j itself.  A pair that added a basis element
-    maps to zero through the cofactors and needs no relation.  The relations
-    are then minimized degreewise.  The result S satisfies matrix @ S = 0 and
-    its image is the full syzygy module; S is one minimal generating set of
-    it, not a canonical one.  Each relation is scaled by a positive rational
-    to a primitive integer vector (integer coefficients with gcd 1), which
-    changes no degree and no Nakayama selection.
+    maps to zero through the cofactors and needs no relation.  Each relation
+    lies in the degree its item was queued at, and the relations are then
+    minimized degreewise by `_nakayama_kept`.  The result S satisfies
+    matrix @ S = 0 and its image is the full syzygy module; S is one minimal
+    generating set of it, not a canonical one.  Each relation is scaled by a
+    positive rational to a primitive integer vector (integer coefficients
+    with gcd 1), which changes no degree and no Nakayama selection.
     """
     check_order(order)
     ring = matrix.domain.ring
     frame = FreeModuleSpec(ring, matrix.domain.basis_degrees)
     basis, reductions = _buchberger_tracked(matrix.columns(), frame, order, bound=None)
-    candidates = []
-    for cofactor, quotients in reductions:
+    candidates, degrees = [], []
+    for cofactor, quotients, degree in reductions:
         syz = _combine_cofactor(cofactor, quotients, basis)
         if not syz.is_zero:
             candidates.append(_primitive_column(syz))
-    minimal = _minimize_generators(candidates, frame)
-    degrees = [s.homogeneous_degree() for s in minimal]
-    domain = FreeModuleSpec(ring, degrees)
+            degrees.append(degree)
+    kept = _nakayama_kept(candidates, degrees, ring)
+    minimal = [c for c, keep in zip(candidates, kept) if keep]
+    domain = FreeModuleSpec(ring, [d for d, keep in zip(degrees, kept) if keep])
     result = PolyMatrix._unchecked(frame, domain, _column_rows(minimal, frame.rank))
     if not (matrix @ result).is_zero:
         raise InternalError("syzygy matrix does not annihilate the input")

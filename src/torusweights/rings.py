@@ -23,7 +23,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def monomial_divides(a, b):
@@ -33,7 +33,7 @@ def monomial_divides(a, b):
 
 def monomial_div(a, b):
     """Quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def monomial_lcm(a, b):
@@ -45,11 +45,11 @@ def unit_monomial(num_vars):
 
 
 def vector_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vector_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vector_neg(a):
@@ -74,11 +74,6 @@ def exact_quotient(a, b):
     if type(a) is int and type(b) is int:
         return _quotient(a, b)
     return exact(Fraction(a) / b)
-
-
-def degree_sort_key(degree):
-    """Total refinement of the componentwise partial order on Z^m degrees."""
-    return (sum(degree), degree)
 
 
 def _int_vector(value, what, length=None):
@@ -260,8 +255,10 @@ class RingSpec:
         degree_rows = [[Fraction(d[i]) for d in self.var_degrees] for i in range(m)]
         if rank(degree_rows) != m:
             raise InputError("degree matrix rows are linearly dependent; grading not positive")
-        # Lex-dominant functional with value > 0 on every variable degree;
-        # used to bound exponent searches when enumerating monomials.
+        # Lex-dominant functional with value > 0 on every variable degree, so
+        # multiplying by a monomial never lowers it.  It is the one degree
+        # order of the library: it orders Buchberger's queue, bounds
+        # truncated runs and bounds exponent searches in monomials_of_degree.
         biggest = max(abs(x) for d in self.var_degrees for x in d)
         base = m * biggest + 1
         self._positive_functional = tuple(base ** (m - 1 - i) for i in range(m))

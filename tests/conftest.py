@@ -34,3 +34,8 @@ def bigraded():
 @pytest.fixture(scope="session")
 def grassmannian():
     return load_problem(fixture_path("grassmannian.json"))
+
+
+@pytest.fixture(scope="session")
+def mixed_sign():
+    return load_problem(fixture_path("mixed_sign.json"))

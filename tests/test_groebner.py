@@ -7,7 +7,6 @@ import pytest
 from torusweights import (
     DependentColumnsError,
     FreeModuleSpec,
-    HomogeneityError,
     InputError,
     MinimalityError,
     ModuleTerm,
@@ -237,21 +236,28 @@ def test_gb_truncation_bound_must_be_an_integer_degree_of_the_ring(std3):
             buchberger(m, TOP_UP, bound=bad)
 
 
+def test_buchberger_queue_follows_the_positive_functional():
+    # deg w = (2, -4) and deg y = (1, -2) have negative component sums.  By
+    # component sum, x^2*y + x*z in degree (3, -2) would be queued before x^2
+    # in degree (2, 0) and join the basis with leading term x^2*y, which x^2
+    # then makes redundant; under the functional x^2 comes first and reduces
+    # the second column to x*z
+    from torusweights.groebner import _buchberger_tracked
+
+    degrees = [[2, -4], [1, 0], [1, -2], [2, -2]]
+    ring = RingSpec(["w", "x", "y", "z"], degrees, degrees, "lex")
+    m = row_matrix(ring, [[2, 0], [3, -2]], ["x^2", "x^2*y+x*z"])
+    basis, _ = _buchberger_tracked(m.columns(), FreeModuleSpec(ring, m.domain.basis_degrees), TOP_UP, None)
+    assert [polynomial_to_string(ring, item.element.entries[0]) for item in basis] == ["x^2", "x*z"]
+    values = [ring._functional(g.element.term_degree(g.element.leading_term(TOP_UP)[0])) for g in basis]
+    assert values == sorted(values)
+
+
 def test_groebner_entry_points_reject_bad_order(koszul):
     d1 = koszul.matrices["d1"]
     for call in (buchberger, syzygies, minimal_resolution):
         with pytest.raises(InputError):
             call(d1, "top-up")
-
-
-def test_gb_rejects_inhomogeneous_generator(std3):
-    module = FreeModuleSpec(std3, [[0]])
-    # bypass matrix validation by calling with a handmade inhomogeneous column
-    bad = module.basis_element(0, parse_polynomial(std3, "x1+1"))
-    from torusweights.groebner import _buchberger_tracked
-
-    with pytest.raises(HomogeneityError):
-        _buchberger_tracked([bad], module, TOP_UP, None)
 
 
 # ---------- change of basis ----------

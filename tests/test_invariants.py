@@ -4,6 +4,8 @@ characteristic bookkeeping, and determinism under concurrency."""
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from torusweights import (
     FreeModuleSpec,
     ModuleTermOrder,
@@ -104,6 +106,17 @@ def test_resolution_euler_characteristic(bigraded, grassmannian):
     diffs = [grassmannian.matrices[n] for n in grassmannian.resolution]
     for start_index, weights in ((0, grassmannian.weightlists["W0"]), (3, grassmannian.weightlists["V3"])):
         assert_euler_characteristic(diffs, start_index, weights, [(1,), (2,), (3,)])
+
+
+@pytest.mark.parametrize("kind", ModuleTermOrder.KINDS)
+def test_mixed_sign_resolution_euler_characteristic(mixed_sign, kind):
+    # deg w = (2, -4) and deg y = (1, -2) have negative component sums, so
+    # only a queue ordered by the positive functional resolves this in time
+    order = ModuleTermOrder(kind)
+    resolution = minimal_resolution(mixed_sign.matrices["m"], order)
+    assert resolution.ranks == [1, 4, 7, 5, 1]
+    degrees = sorted({d for module in resolution.modules for d in module.basis_degrees})
+    assert_euler_characteristic(resolution.differentials, 0, mixed_sign.weightlists["W0"], degrees, order)
 
 
 def test_concurrent_runs_are_bit_identical(bigraded, koszul):

@@ -99,7 +99,8 @@ def test_weights_must_be_integer_vectors(two_variables):
 
 def test_block_drops_basis_elements_of_other_degrees():
     # deg y = (1, -2) has a negative component sum; the S-pair y^2 * f1 - w * f2
-    # in degree (5, -8) has the smaller component sum but lies beyond the bound
+    # in degree (5, -8) has the smaller component sum, but its positive
+    # functional, which orders and bounds the run, lies beyond the bound's
     ring = RingSpec(
         ["w", "x", "y", "z"],
         [[2, -4], [1, 0], [1, -2], [2, -2]],
@@ -116,7 +117,8 @@ def test_block_drops_basis_elements_of_other_degrees():
 
 def test_bound_keeps_generators_with_negative_component_sum():
     # y lies in degree (1, -2), whose component sum -1 exceeds that of the
-    # bound (2, -4), yet y * y = y^2 is the only monomial of degree (2, -4)
+    # bound (2, -4), yet y * y = y^2 is the only monomial of degree (2, -4);
+    # the run compares degrees through the positive functional, not the sum
     ring = RingSpec(["x", "y"], [[1, 0], [1, -2]], [[1, 0], [0, 1]])
     m = matrix(ring, [[0, 0]], [[1, -2]], [["y"]])
     bounded = buchberger(m, TOP_UP, bound=(2, -4))

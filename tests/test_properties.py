@@ -617,13 +617,20 @@ def test_syzygy_columns_are_primitive_multiples_of_the_relations(data, ring, ord
 # ---------- graded components from the bounded run ----------
 
 
-# deg y = (1, -2) has a negative component sum, so degree_sort_key is not
-# monotone under multiplication and the bounded run must compare degrees
-# through the positive functional
+# deg y = (1, -2) has a negative component sum, so ordering degrees by
+# component sum is not monotone under multiplication; the bounded run and
+# the queue compare degrees through the positive functional.  With w in
+# degree (2, -4) as well, unbounded runs depend on that order to finish.
 NEGATIVE_SUM_RING = RingSpec(
     ["x", "y", "z"], [[1, 0], [1, -2], [2, -2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "lex"
 )
-COMPONENT_RINGS = [std_ring(3), bigraded_ring(), NEGATIVE_SUM_RING]
+MIXED_SIGN_RING = RingSpec(
+    ["w", "x", "y", "z"],
+    [[2, -4], [1, 0], [1, -2], [2, -2]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "lex",
+)
+COMPONENT_RINGS = [std_ring(3), bigraded_ring(), NEGATIVE_SUM_RING, MIXED_SIGN_RING]
 
 
 def monomial_degrees(ring, top):
