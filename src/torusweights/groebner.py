@@ -15,7 +15,17 @@ primitive integer vectors.
 Division reduces one mutable {ModuleTerm: coefficient} dict and pops each
 leading term off a sorted list instead of searching for it, and every
 ModuleElement caches its leading term per module term order, so a divisor's
-leading term is found once, not once per division.
+leading term is found once, not once per division.  One routine,
+`_pseudo_divide`, does all division.  Where the coefficient to cancel and
+the divisor's leading coefficient are ints it pseudo-divides: it multiplies
+the work by the divisor's leading coefficient over their gcd instead of
+dividing by it, as fraction-free elimination does (Bareiss, Math. Comp.
+1968; `linalg.Echelon` works the same way on vectors).  Buchberger keeps its
+basis elements as primitive integer vectors with positive leading
+coefficients, so on integer input its run makes no fractions; each element
+and each relation is a positive multiple of what a run with monic elements
+gives, so the supports, the divisor choices and the outputs are the same.
+`buchberger` makes the basis monic once, before inter-reducing it.
 
 Generators and S-pairs are processed in increasing order of the ring's
 positive functional of their degrees, a linear form that is positive on
@@ -34,9 +44,10 @@ import logging
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DependentColumnsError, InputError, InternalError, MinimalityError
-from .linalg import Echelon, _integer_row, solve
+from .linalg import Echelon, _quotient, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -54,6 +65,7 @@ from .rings import (
     monomial_divides,
     monomial_lcm,
     monomial_mul,
+    unit_monomial,
     vector_sub,
 )
 
@@ -76,35 +88,36 @@ def _term_divides(a, b):
     return a.index == b.index and monomial_divides(a.monomial, b.monomial)
 
 
-def normal_form(element, divisors, order):
-    """Divide element by the divisors, reducing the leading term first.
+def _pseudo_divide(work, divisors, order, module):
+    """Fraction-free division of the {ModuleTerm: coefficient} dict work.
 
-    At each step the first divisor (in list order) whose leading term divides
-    the current leading term is used; irreducible leading terms move to the
-    remainder.  Deterministic, and complete: no remainder term is divisible
-    by any divisor's leading term.
+    Returns (multiplier, quotients, remainder), with multiplier a positive
+    int M such that M * input = sum(q_k * divisors[k]) + r.  quotients[k]
+    maps the monomials of q_k, and remainder[i] those of row i of r, to
+    pairs (coefficient, multiplier current when the entry was recorded);
+    an entry's coefficient in that identity is coefficient * M / its
+    multiplier.  work is consumed.
 
-    The work is one mutable {ModuleTerm: coefficient} dict.  Its terms wait
-    in a list sorted by the order's key, so the leading term is popped, not
-    searched for.  A reduction step only adds terms below the one it
-    cancels, so a popped term never comes back; a term that cancels to zero
-    leaves the dict and its stale list entry is skipped.  Each divisor's
-    leading term comes from its element's cache.
+    At each step the first divisor (in list order) whose leading term
+    divides the current leading term is used; irreducible leading terms
+    move to the remainder.  When the current coefficient c and the divisor's
+    leading coefficient a are both ints, the step is a pseudo-division:
+    with g = gcd(a, c), the work is multiplied by |a| / g and sign(a) * c / g
+    times the divisor is subtracted, so no fraction arises.  Otherwise it
+    subtracts c / a times the divisor and the multiplier stays.  Scaling
+    changes no term's support, so the steps, and the quotients and
+    remainder up to the positive factor M, are those of plain division.
 
-    Raises InputError unless order is a ModuleTermOrder and every divisor
-    is nonzero and lives in the element's module.
+    The terms of work wait in a list sorted by the order's key, so the
+    leading term is popped, not searched for.  A reduction step only adds
+    terms below the one it cancels, so a popped term never comes back; a
+    term that cancels to zero leaves the dict and its stale list entry is
+    skipped.  Each divisor's leading term comes from its element's cache.
     """
-    check_order(order)
-    module = element.module
-    for k, g in enumerate(divisors):
-        if g.module is not module and g.module != module:
-            raise InputError("divisor %d lives in another module than the element" % k)
-        if g.is_zero:
-            raise InputError("divisor %d is zero" % k)
     key = order.sort_key(module.ring)
     leads = [g.leading_term(order) for g in divisors]
-    work = dict(element.support())
     pending = sorted((key(term), term) for term in work)
+    multiplier = 1
     quotients = [{} for _ in divisors]
     remainder = [{} for _ in range(module.rank)]
     while pending:
@@ -114,9 +127,18 @@ def normal_form(element, divisors, order):
             continue
         for k, (g_term, g_coeff) in enumerate(leads):
             if _term_divides(g_term, term):
+                if type(coeff) is int and type(g_coeff) is int:
+                    g = gcd(g_coeff, coeff)
+                    q_coeff = coeff // g if g_coeff > 0 else -(coeff // g)
+                    factor = abs(g_coeff) // g
+                    if factor != 1:
+                        multiplier *= factor
+                        for t, c in work.items():
+                            work[t] = c * factor
+                else:
+                    q_coeff = exact_quotient(coeff, g_coeff)
                 q_mono = monomial_div(term.monomial, g_term.monomial)
-                q_coeff = exact_quotient(coeff, g_coeff)
-                quotients[k][q_mono] = q_coeff
+                quotients[k][q_mono] = (q_coeff, multiplier)
                 for index, poly in enumerate(divisors[k].entries):
                     for mono, c in poly.terms.items():
                         if index == g_term.index and mono == g_term.monomial:
@@ -131,10 +153,46 @@ def normal_form(element, divisors, order):
                             del work[t]
                 break
         else:
-            remainder[term.index][term.monomial] = coeff
+            remainder[term.index][term.monomial] = (coeff, multiplier)
+    return multiplier, quotients, remainder
+
+
+def _unscaled(recorded):
+    """A `_pseudo_divide` quotient or remainder row as a Polynomial in input = sum(q_k * d_k) + r."""
+    return Polynomial._from_exact({m: c if s == 1 else exact_quotient(c, s) for m, (c, s) in recorded.items()})
+
+
+def _scaled(recorded, multiplier):
+    """A `_pseudo_divide` quotient or remainder row as it enters M * input = sum(q_k * d_k) + r."""
+    return {m: c if s == multiplier else c * (multiplier // s) for m, (c, s) in recorded.items()}
+
+
+def normal_form(element, divisors, order):
+    """Divide element by the divisors, reducing the leading term first.
+
+    At each step the first divisor (in list order) whose leading term divides
+    the current leading term is used; irreducible leading terms move to the
+    remainder.  Deterministic, and complete: no remainder term is divisible
+    by any divisor's leading term.
+
+    The division is `_pseudo_divide`'s, fraction-free on integer
+    coefficients; each quotient and remainder coefficient is divided once,
+    exactly, by the multiplier it was recorded with.
+
+    Raises InputError unless order is a ModuleTermOrder and every divisor
+    is nonzero and lives in the element's module.
+    """
+    check_order(order)
+    module = element.module
+    for k, g in enumerate(divisors):
+        if g.module is not module and g.module != module:
+            raise InputError("divisor %d lives in another module than the element" % k)
+        if g.is_zero:
+            raise InputError("divisor %d is zero" % k)
+    _, quotients, remainder = _pseudo_divide(dict(element.support()), divisors, order, module)
     return DivisionResult(
-        [Polynomial(q) for q in quotients],
-        ModuleElement(module, [Polynomial(r) for r in remainder]),
+        [_unscaled(q) for q in quotients],
+        ModuleElement(module, [_unscaled(r) for r in remainder]),
     )
 
 
@@ -157,7 +215,12 @@ class GroebnerBasis:
 
 
 class _Tracked:
-    """Basis element together with its cofactor over the original generators."""
+    """Basis element together with its cofactor over the original generators.
+
+    The element is a primitive integer vector (integer coefficients with gcd
+    1) with a positive leading coefficient, and columns @ cofactor equals
+    it; the cofactor may have non-integer coefficients.
+    """
 
     __slots__ = ("element", "cofactor")
 
@@ -166,11 +229,34 @@ class _Tracked:
         self.cofactor = cofactor
 
 
-def _combine_cofactor(cofactor, quotients, basis):
-    """cofactor - sum(quotients[k] * basis[k].cofactor), one term dict per entry."""
-    entries = [dict(p.terms) for p in cofactor.entries]
+def _shifted_difference(x, mx, cx, y, my, cy):
+    """cx * mx * x - cy * my * y as a {ModuleTerm: coefficient} dict."""
+    out = {}
+    for i, p in enumerate(x.entries):
+        for mono, c in p.terms.items():
+            out[ModuleTerm(monomial_mul(mono, mx), i)] = cx * c
+    for i, p in enumerate(y.entries):
+        for mono, c in p.terms.items():
+            t = ModuleTerm(monomial_mul(mono, my), i)
+            value = out.get(t, 0) - cy * c
+            if value:
+                out[t] = value
+            else:
+                del out[t]
+    return out
+
+
+def _combine_cofactor(module, cofactor, multiplier, quotients, basis):
+    """multiplier * cofactor - sum(quotients[k] * basis[k].cofactor) as an element of module.
+
+    cofactor is a {ModuleTerm: coefficient} dict and each quotient a
+    {monomial: coefficient} dict; one term dict is built per entry.
+    """
+    entries = [{} for _ in range(module.rank)]
+    for t, c in cofactor.items():
+        entries[t.index][t.monomial] = multiplier * c
     for q, item in zip(quotients, basis):
-        for m1, c1 in q.terms.items():
+        for m1, c1 in q.items():
             for acc, p in zip(entries, item.cofactor.entries):
                 for m2, c2 in p.terms.items():
                     mono = monomial_mul(m1, m2)
@@ -179,7 +265,24 @@ def _combine_cofactor(cofactor, quotients, basis):
                         acc[mono] = value
                     else:
                         del acc[mono]
-    return ModuleElement(cofactor.module, [Polynomial._from_exact(e) for e in entries])
+    return ModuleElement(module, [Polynomial._from_exact(e) for e in entries])
+
+
+def _content(element):
+    """gcd(n_i) / lcm(d_i) over the nonzero coefficients n_i / d_i (in lowest terms).
+
+    A positive rational; element / content is a primitive integer vector.
+    """
+    coefficients = [c for p in element.entries for c in p.terms.values()]
+    return _quotient(gcd(*(c.numerator for c in coefficients)), lcm(*(c.denominator for c in coefficients)))
+
+
+def _divided(element, scalar):
+    """element / scalar, exactly."""
+    if scalar == 1:
+        return element
+    entries = [{m: exact_quotient(c, scalar) for m, c in p.terms.items()} for p in element.entries]
+    return ModuleElement(element.module, [Polynomial._from_exact(e) for e in entries])
 
 
 def _buchberger_tracked(columns, cofactor_module, order, bound):
@@ -189,15 +292,29 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
     S-pairs are processed in increasing order of the ring's positive
     functional of their degrees, ties broken by the degrees themselves
     (normal selection strategy); items whose functional exceeds the bound's
-    are dropped.  basis lists the monic _Tracked elements in the order they
-    were added, not yet inter-reduced.  reductions holds (cofactor, quotients, degree) for every generator or
-    S-pair of that degree that reduced to zero, and (e_j, [], degree of
-    column j) for a zero column j: cofactor - sum(quotients[k] *
-    basis[k].cofactor) is a syzygy of the columns in that degree.  Without a
-    bound these relations generate all syzygies.
+    are dropped.
+
+    The run is fraction-free on integer columns.  basis lists the _Tracked
+    elements in the order they were added, not yet inter-reduced: each is a
+    primitive integer vector with a positive leading coefficient, a positive
+    multiple of the monic element a run with monic elements would add at
+    that point.  The S-pair of elements with leading coefficients alpha and
+    beta is (beta / g) * m_a * a - (alpha / g) * m_b * b, g = gcd(alpha,
+    beta), and `_pseudo_divide` reduces it with multiplier M.
+
+    reductions holds (cofactor, M, quotients, degree) for every generator or
+    S-pair of that degree that reduced to zero, the cofactor a
+    {ModuleTerm: coefficient} dict over the columns, and (e_j, 1, [],
+    degree of column j) for a zero column j: M * cofactor - sum(quotients[k]
+    * basis[k].cofactor) is a syzygy of the columns in that degree (see
+    `_combine_cofactor`), a positive multiple of the monic run's relation.
+    Without a bound these relations generate all syzygies.
     """
-    functional = cofactor_module.ring._functional
+    ring = cofactor_module.ring
+    functional = ring._functional
     limit = functional(bound) if bound is not None else None
+    module = columns[0].module if columns else None
+    unit = unit_monomial(ring.num_vars)
 
     heap = []
     seq = itertools.count()
@@ -209,46 +326,55 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
             heapq.heappush(heap, (value, degree, next(seq), payload))
 
     for j, (col, degree) in enumerate(zip(columns, cofactor_module.basis_degrees)):
+        cofactor = {ModuleTerm(unit, j): 1}
         if col.is_zero:
-            reductions.append((cofactor_module.basis_element(j), [], degree))
+            reductions.append((cofactor, 1, [], degree))
         else:
-            push(degree, ("gen", col, cofactor_module.basis_element(j)))
+            push(degree, ("gen", dict(col.support()), cofactor))
 
     basis = []
 
     def s_pair(a, b):
-        a_lead = a.element.leading_term(order)[0].monomial
-        b_lead = b.element.leading_term(order)[0].monomial
-        lcm = monomial_lcm(a_lead, b_lead)
-        ma = monomial_div(lcm, a_lead)
-        mb = monomial_div(lcm, b_lead)
-        elem = a.element.multiply_term(ma, 1) - b.element.multiply_term(mb, 1)
-        cof = a.cofactor.multiply_term(ma, 1) - b.cofactor.multiply_term(mb, 1)
-        return elem, cof
+        a_term, alpha = a.element.leading_term(order)
+        b_term, beta = b.element.leading_term(order)
+        lcm_mono = monomial_lcm(a_term.monomial, b_term.monomial)
+        ma = monomial_div(lcm_mono, a_term.monomial)
+        mb = monomial_div(lcm_mono, b_term.monomial)
+        g = gcd(alpha, beta)
+        ca, cb = beta // g, alpha // g
+        return (
+            _shifted_difference(a.element, ma, ca, b.element, mb, cb),
+            _shifted_difference(a.cofactor, ma, ca, b.cofactor, mb, cb),
+        )
 
     while heap:
         _, degree, _, payload = heapq.heappop(heap)
         if payload[0] == "gen":
-            _, elem, cof = payload
+            _, work, cof = payload
         else:
             _, i, j = payload
-            elem, cof = s_pair(basis[i], basis[j])
-        result = normal_form(elem, [item.element for item in basis], order)
-        if result.remainder.is_zero:
-            reductions.append((cof, result.quotients, degree))
+            work, cof = s_pair(basis[i], basis[j])
+        divisors = [item.element for item in basis]
+        multiplier, quotients, remainder = _pseudo_divide(work, divisors, order, module)
+        quotients = [_scaled(q, multiplier) for q in quotients]
+        if not any(remainder):
+            reductions.append((cof, multiplier, quotients, degree))
             continue
-        cof = _combine_cofactor(cof, result.quotients, basis)
-        lead, lead_coeff = result.remainder.leading_term(order)
-        inv = Fraction(1) / lead_coeff
-        new = _Tracked(result.remainder.scale(inv), cof.scale(inv))
+        cof = _combine_cofactor(cofactor_module, cof, multiplier, quotients, basis)
+        remainder = ModuleElement(module, [Polynomial._from_exact(_scaled(r, multiplier)) for r in remainder])
+        lead, lead_coeff = remainder.leading_term(order)
+        content = _content(remainder)
+        if lead_coeff < 0:
+            content = -content
+        new = _Tracked(_divided(remainder, content), _divided(cof, content))
         t = len(basis)
         basis.append(new)
         log.debug("basis element %d with leading term %s", t, lead)
         for i in range(t):
             other = basis[i].element.leading_term(order)[0]
             if other.index == lead.index:
-                lcm = monomial_lcm(other.monomial, lead.monomial)
-                push(new.element.term_degree(ModuleTerm(lcm, lead.index)), ("pair", i, t))
+                lcm_mono = monomial_lcm(other.monomial, lead.monomial)
+                push(new.element.term_degree(ModuleTerm(lcm_mono, lead.index)), ("pair", i, t))
 
     return basis, reductions
 
@@ -289,10 +415,12 @@ def buchberger(matrix, order, bound=None):
     basis elements within it are returned (on a multigraded ring, not only
     those componentwise below it);
     the degree-d elements of a bounded run at bound d form a basis of the
-    degree-d component of the column span.  The elements are
-    canonical: they do not depend on the column order or on invertible
-    scalar mixing of equal-degree columns.  Propagation along a map needs no
-    run: in the columns' own degree the basis is a reduced echelon form.
+    degree-d component of the column span.  The run keeps primitive integer
+    elements; they are made monic once, before the inter-reduction.  The
+    elements are canonical: they do not depend on the column order or on
+    invertible scalar mixing of equal-degree columns.  Propagation along a
+    map needs no run: in the columns' own degree the basis is a reduced
+    echelon form.
     """
     check_order(order)
     ring = matrix.domain.ring
@@ -300,7 +428,8 @@ def buchberger(matrix, order, bound=None):
         bound = _int_vector(bound, "degree bound", ring.degree_length)
     cof_module = FreeModuleSpec(ring, matrix.domain.basis_degrees)
     basis, _ = _buchberger_tracked(matrix.columns(), cof_module, order, bound)
-    elements = _reduce_basis([item.element for item in basis], order)
+    monic = [_divided(item.element, item.element.leading_term(order)[1]) for item in basis]
+    elements = _reduce_basis(monic, order)
     return GroebnerBasis(matrix.codomain, order, tuple(elements))
 
 
@@ -409,17 +538,23 @@ def _nakayama_kept(vectors, degrees, ring):
     modulo the span of all positive-degree monomial multiples of the vectors
     that land in degree d plus the previously kept degree-d vectors.  The
     kept vectors minimally generate the submodule all the vectors generate.
+
+    The classes are visited in increasing order of the ring's positive
+    functional (ties by degree), and only the vectors already kept are
+    multiplied: the kept vectors of the classes before d generate the same
+    submodule as all of their vectors, so their multiples span the same
+    degree-d subspace.  A class of equal functional but another degree
+    contributes no multiples, since a nonconstant monomial has positive
+    functional.
     """
     kept = [False] * len(vectors)
-    for d in dict.fromkeys(degrees):
-        products = []
-        for v, vd in zip(vectors, degrees):
-            gap = vector_sub(d, vd)
-            if not any(gap):
-                continue
-            for mono in ring.monomials_of_degree(gap):
-                if any(mono):
-                    products.append(v.multiply_term(mono, 1))
+    generators = []
+    for d in sorted(set(degrees), key=lambda d: (ring._functional(d), d)):
+        products = [
+            v.multiply_term(mono, 1)
+            for v, vd in generators
+            for mono in ring.monomials_of_degree(vector_sub(d, vd))
+        ]
         members = [i for i, vd in enumerate(degrees) if vd == d]
         index = _coordinate_index(products + [vectors[i] for i in members])
         ech = Echelon()
@@ -427,6 +562,8 @@ def _nakayama_kept(vectors, degrees, ring):
             ech.add({index[t]: c for t, c in p.support()})
         for i in members:
             kept[i] = ech.add({index[t]: c for t, c in vectors[i].support()})
+            if kept[i]:
+                generators.append((vectors[i], d))
     return kept
 
 
@@ -442,16 +579,8 @@ def is_minimal_map(matrix):
 
 
 def _primitive_column(element):
-    """The primitive integer vector (content 1) on the ray of a nonzero element.
-
-    `linalg._integer_row` divides the coefficients n_i / d_i (in lowest
-    terms) by their content gcd(n_i) / lcm(d_i), a positive rational.
-    """
-    row = _integer_row({(i, m): c for i, p in enumerate(element.entries) for m, c in p.terms.items()})
-    entries = [{} for _ in element.entries]
-    for (i, m), c in row.items():
-        entries[i][m] = c
-    return ModuleElement(element.module, [Polynomial._from_exact(e) for e in entries])
+    """The primitive integer vector (content 1) on the ray of a nonzero element."""
+    return _divided(element, _content(element))
 
 
 def syzygies(matrix, order):
@@ -477,8 +606,8 @@ def syzygies(matrix, order):
     frame = FreeModuleSpec(ring, matrix.domain.basis_degrees)
     basis, reductions = _buchberger_tracked(matrix.columns(), frame, order, bound=None)
     candidates, degrees = [], []
-    for cofactor, quotients, degree in reductions:
-        syz = _combine_cofactor(cofactor, quotients, basis)
+    for cofactor, multiplier, quotients, degree in reductions:
+        syz = _combine_cofactor(frame, cofactor, multiplier, quotients, basis)
         if not syz.is_zero:
             candidates.append(_primitive_column(syz))
             degrees.append(degree)

@@ -29,6 +29,7 @@ from torusweights import (
     syzygies,
 )
 from torusweights.errors import ResolutionStepError
+from torusweights.groebner import _buchberger_tracked, _nakayama_kept
 from torusweights.linalg import Echelon, rank
 from torusweights.modules import ModuleElement
 from torusweights.parsing import parse_polynomial, polynomial_to_string
@@ -223,9 +224,14 @@ def test_matrix_entries_are_int_exactly_when_integral(data):
 
 
 @st.composite
-def homogeneous_row_matrix(draw, ring=None, max_cols=3, max_degree=3):
-    """A one-row matrix of homogeneous polynomials over a small ring."""
+def homogeneous_row_matrix(draw, ring=None, max_cols=3, max_degree=3, coefficients=None):
+    """A one-row matrix of homogeneous polynomials over a small ring.
+
+    Coefficients are drawn from coefficients, by default integers -3..3.
+    """
     ring = ring or std_ring(2)
+    if coefficients is None:
+        coefficients = st.integers(-3, 3)
     num_cols = draw(st.integers(1, max_cols))
     columns = []
     degrees = []
@@ -238,7 +244,7 @@ def homogeneous_row_matrix(draw, ring=None, max_cols=3, max_degree=3):
         monos = ring.monomials_of_degree(degree)
         assume(monos)
         coeffs = draw(
-            st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos))
+            st.lists(coefficients, min_size=len(monos), max_size=len(monos))
         )
         poly = Polynomial(dict(zip(monos, coeffs)))
         assume(not poly.is_zero)
@@ -285,13 +291,9 @@ def test_gb_canonical_under_column_mixing(data):
     assert basis == mixed_basis
 
 
-@SETTINGS
-@given(data=st.data(), order=st.sampled_from(["grevlex", "lex"]))
-def test_gb_matches_independent_implementation(data, order):
-    # cross-check the ideal case against sympy's reduced Groebner bases
+def assert_gb_matches_sympy(m, order):
+    """buchberger's reduced basis of a one-row matrix over std_ring(2, order) is sympy's."""
     sympy = __import__("sympy")
-    ring = std_ring(2, order)
-    m = data.draw(homogeneous_row_matrix(ring=ring))
     basis = buchberger(m, TOP_UP)
     mine = {frozenset(g.entries[0].terms.items()) for g in basis.elements}
 
@@ -300,7 +302,7 @@ def test_gb_matches_independent_implementation(data, order):
     for col in m.columns():
         expr = sympy.Integer(0)
         for mono, coeff in col.entries[0].terms.items():
-            term = sympy.Rational(coeff)
+            term = sympy.Rational(coeff.numerator, coeff.denominator)
             for s, e in zip(syms, mono):
                 term *= s ** e
             expr += term
@@ -315,6 +317,30 @@ def test_gb_matches_independent_implementation(data, order):
             )
         )
     assert mine == theirs
+
+
+@SETTINGS
+@given(data=st.data(), order=st.sampled_from(["grevlex", "lex"]))
+def test_gb_matches_independent_implementation(data, order):
+    # cross-check the ideal case against sympy's reduced Groebner bases
+    m = data.draw(homogeneous_row_matrix(ring=std_ring(2, order)))
+    assert_gb_matches_sympy(m, order)
+
+
+# zero or a rational other than 1 and -1, so that leading coefficients are
+# not units of the integers, and most coefficients are not integers
+non_unit_rationals = st.one_of(
+    st.just(0), nonzero_rationals.filter(lambda c: abs(c) != 1)
+)
+
+
+@SETTINGS
+@given(data=st.data(), order=st.sampled_from(["grevlex", "lex"]))
+def test_gb_matches_sympy_on_non_integer_coefficients(data, order):
+    # the Fraction steps of the division and the scaling of non-integer
+    # generators to primitive integer basis elements
+    m = data.draw(homogeneous_row_matrix(ring=std_ring(2, order), coefficients=non_unit_rationals))
+    assert_gb_matches_sympy(m, order)
 
 
 @SETTINGS
@@ -495,15 +521,18 @@ KERNEL_RINGS = [
 
 
 @st.composite
-def homogeneous_matrix(draw, ring, offsets=None):
+def homogeneous_matrix(draw, ring, offsets=None, coefficients=None):
     """A homogeneous matrix with one or two rows, sometimes with a redundant column.
 
     Column degrees lie above the highest row degree by a draw from offsets
-    (by default, a vector of integers 0..2).  The redundant column repeats
-    a column, multiplies one by a variable, or is zero, so the columns need
-    not generate their image minimally.
+    (by default, a vector of integers 0..2), and coefficients are drawn
+    from coefficients (by default, integers -2..2).  The redundant column
+    repeats a column, multiplies one by a variable, or is zero, so the
+    columns need not generate their image minimally.
     """
     m = ring.degree_length
+    if coefficients is None:
+        coefficients = st.integers(-2, 2)
 
     def offset():
         if offsets is None:
@@ -520,7 +549,7 @@ def homogeneous_matrix(draw, ring, offsets=None):
         entries = []
         for r in row_degrees:
             monos = ring.monomials_of_degree(vector_sub(degree, r))
-            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos)))
+            coeffs = draw(st.lists(coefficients, min_size=len(monos), max_size=len(monos)))
             entries.append(Polynomial(dict(zip(monos, coeffs))))
         assume(any(not e.is_zero for e in entries))
         column_degrees.append(degree)
@@ -584,6 +613,15 @@ def test_syzygies_span_the_kernel_in_each_degree(data, ring, order):
     assert_syzygies_span_the_kernel(m, s, top)
 
 
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_syzygies_span_the_kernel_on_non_integer_coefficients(data, ring, order):
+    m = data.draw(homogeneous_matrix(ring, coefficients=non_unit_rationals))
+    s = syzygies(m, order)
+    top = tuple(map(sum, zip(*m.domain.basis_degrees)))
+    assert_syzygies_span_the_kernel(m, s, top)
+
+
 def test_syzygies_of_a_row_with_repeated_multiple_and_zero_entries():
     ring = std_ring(2)
     row = [parse_polynomial(ring, t) for t in ["x1", "x1", "x1^2", "0"]]
@@ -597,8 +635,8 @@ def test_syzygies_of_a_row_with_repeated_multiple_and_zero_entries():
 @SETTINGS
 @given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
 def test_syzygy_columns_are_primitive_multiples_of_the_relations(data, ring, order):
-    # the columns as they were before scaling: the same relations, left as
-    # Buchberger's monic basis makes them
+    # the columns as they were before scaling: the relations as Buchberger's
+    # run leaves them, each a positive multiple of the column
     m = data.draw(homogeneous_matrix(ring))
     s = syzygies(m, order)
     with mock.patch("torusweights.groebner._primitive_column", lambda element: element):
@@ -612,6 +650,26 @@ def test_syzygy_columns_are_primitive_multiples_of_the_relations(data, ring, ord
         ratio = Fraction(col.entries[term.index].terms[term.monomial]) / c
         assert ratio > 0
         assert col == relation.scale(ratio)
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_buchberger_elements_are_primitive_integer_vectors(data, ring, order):
+    # on integer input the run is fraction-free: every element it adds is a
+    # primitive integer vector with a positive leading coefficient, and its
+    # cofactor over the columns still gives it
+    m = data.draw(homogeneous_matrix(ring))
+    columns = m.columns()
+    basis, _ = _buchberger_tracked(columns, FreeModuleSpec(ring, m.domain.basis_degrees), order, None)
+    for item in basis:
+        coefficients = [c for _, c in item.element.support()]
+        assert all(type(c) is int for c in coefficients)
+        assert gcd(*coefficients) == 1
+        assert item.element.leading_term(order)[1] > 0
+        image = m.codomain.zero_element()
+        for col, entry in zip(columns, item.cofactor.entries):
+            image = image + col.multiply(entry)
+        assert image == item.element
 
 
 # ---------- graded components from the bounded run ----------
@@ -637,6 +695,55 @@ def monomial_degrees(ring, top):
     """Degrees of the monomials with every exponent at most top."""
     exponents = st.tuples(*(st.integers(0, top) for _ in range(ring.num_vars)))
     return exponents.map(ring.monomial_degree)
+
+
+def reference_nakayama_kept(vectors, degrees, ring):
+    """The all-vectors formulation that `_nakayama_kept` replaced, kept verbatim but for the term index."""
+    kept = [False] * len(vectors)
+    for d in dict.fromkeys(degrees):
+        products = []
+        for v, vd in zip(vectors, degrees):
+            gap = vector_sub(d, vd)
+            if not any(gap):
+                continue
+            for mono in ring.monomials_of_degree(gap):
+                if any(mono):
+                    products.append(v.multiply_term(mono, 1))
+        members = [i for i, vd in enumerate(degrees) if vd == d]
+        terms = sorted({t for e in products + [vectors[i] for i in members] for t, _ in e.support()})
+        index = {t: i for i, t in enumerate(terms)}
+        ech = Echelon()
+        for p in products:
+            ech.add({index[t]: c for t, c in p.support()})
+        for i in members:
+            kept[i] = ech.add({index[t]: c for t, c in vectors[i].support()})
+    return kept
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS + [MIXED_SIGN_RING]))
+def test_nakayama_flags_match_the_all_vectors_formulation(data, ring):
+    # columns plus redundant combinations of monomial multiples of them, in
+    # a shuffled order, so that some degree classes hold dependent vectors
+    offsets = monomial_degrees(ring, 1) if ring is MIXED_SIGN_RING else None
+    m = data.draw(homogeneous_matrix(ring, offsets=offsets))
+    vectors, degrees = m.columns(), list(m.domain.basis_degrees)
+    for _ in range(data.draw(st.integers(0, 3))):
+        j = data.draw(st.integers(0, len(vectors) - 1))
+        var = data.draw(st.integers(0, ring.num_vars - 1))
+        mono = tuple(int(i == var) for i in range(ring.num_vars))
+        degree = vector_add(degrees[j], ring.var_degrees[var])
+        combo = vectors[j].multiply_term(mono, data.draw(st.integers(1, 2)))
+        for v, vd in zip(list(vectors), list(degrees)):
+            gap = vector_sub(degree, vd)
+            if vd != degree and data.draw(st.booleans()):
+                for other in ring.monomials_of_degree(gap)[:1]:
+                    combo = combo + v.multiply_term(other, data.draw(st.integers(-2, 2)))
+        vectors.append(combo)
+        degrees.append(degree)
+    perm = data.draw(st.permutations(range(len(vectors))))
+    vectors, degrees = [vectors[i] for i in perm], [degrees[i] for i in perm]
+    assert _nakayama_kept(vectors, degrees, ring) == reference_nakayama_kept(vectors, degrees, ring)
 
 
 @SETTINGS
