@@ -133,7 +133,9 @@ def _cmd_propagate(problem, args, forward=False):
 
 
 def _cmd_propagate_resolution(problem, args):
-    if args.matrices:
+    if args.matrices is not None:
+        if not args.matrices.strip():
+            raise ProblemFileError("--matrices names no differentials")
         names = [n.strip() for n in args.matrices.split(",")]
     elif problem.resolution:
         names = problem.resolution

@@ -636,18 +636,38 @@ def check_chain(differentials):
             raise InputError("differentials %d and %d do not compose to zero" % (k, k + 1))
 
 
+class _MinimalChain(tuple):
+    """Differentials that `minimal_resolution` proved to be a minimal chain.
+
+    Only `minimal_resolution` builds one, after its input passed
+    `is_minimal_map` and each syzygy matrix passed the `matrix @ result`
+    check in `syzygies`: the maps chain, consecutive composites vanish and
+    every map is minimal.  The tuple is immutable and so, by convention, is
+    each PolyMatrix, so the proof cannot go stale; `propagate_resolution`
+    trusts it.  Copies, slices and concatenations are plain tuples or lists
+    and carry no proof.
+    """
+
+    __slots__ = ()
+
+
 class Resolution:
     """Minimal free resolution: base module and the chain of differentials.
 
     Holds the output of `minimal_resolution`: differentials[0] maps
-    F_1 -> F_0, and consecutive composites vanish, which `syzygies` proved
-    for each one as it computed it.  The constructor does not check the chain
-    again; `propagate_resolution` checks any chain it is given.
+    F_1 -> F_0, consecutive composites vanish, which `syzygies` proved for
+    each one as it computed it, and every differential is minimal.  The
+    constructor checks nothing.  `propagate_resolution` takes a Resolution or
+    its differentials and trusts the chain only when it is the tuple
+    `minimal_resolution` built; it checks any other chain in full, also one
+    inside a Resolution built by hand.
     """
 
     def __init__(self, base_module, differentials):
         self.base_module = base_module
-        self.differentials = tuple(differentials)
+        if type(differentials) is not _MinimalChain:
+            differentials = tuple(differentials)
+        self.differentials = differentials
 
     @property
     def length(self):
@@ -669,7 +689,10 @@ def minimal_resolution(matrix, order, max_length=None):
     max_length differentials have been produced).  The input must be a
     minimal map; a zero-column presentation resolves a free module and gives
     a length-zero resolution.  max_length, when given, must be an integer of at
-    least 1.
+    least 1.  The differentials come as a `_MinimalChain`: the input passed
+    `is_minimal_map` and each syzygy matrix passed its check in `syzygies`,
+    so `propagate_resolution` does not prove the chain or its minimality
+    again.
     """
     check_order(order)
     if max_length is not None:
@@ -682,7 +705,7 @@ def minimal_resolution(matrix, order, max_length=None):
     if not is_minimal_map(matrix):
         raise MinimalityError("presentation matrix is not a minimal map")
     if matrix.num_cols == 0:
-        return Resolution(matrix.codomain, [])
+        return Resolution(matrix.codomain, _MinimalChain())
     differentials = [matrix]
     while max_length is None or len(differentials) < max_length:
         step = syzygies(differentials[-1], order)
@@ -690,4 +713,4 @@ def minimal_resolution(matrix, order, max_length=None):
             break
         differentials.append(step)
         log.debug("resolution step %d: rank %d", len(differentials), step.num_cols)
-    return Resolution(matrix.codomain, differentials)
+    return Resolution(matrix.codomain, _MinimalChain(differentials))

@@ -142,7 +142,14 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             e = self.exponent()
-            result = Polynomial({unit_monomial(self.ring.num_vars): 1})
+            one = Polynomial({unit_monomial(self.ring.num_vars): 1})
+            if len(poly.terms) == 1:
+                # one term: scale its exponents instead of multiplying e times
+                ((mono, coeff),) = poly.terms.items()
+                return Polynomial({tuple(x * e for x in mono): coeff ** e})
+            if poly.is_zero:
+                return poly if e else one
+            result = one
             for _ in range(e):
                 result = result * poly
             return result

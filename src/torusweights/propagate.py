@@ -12,20 +12,21 @@ runs the same procedure on the dual map with negated weights and a flipped
 (up <-> down) ordering, and resolutions rebase each differential by the
 previous step's C^-1.
 
-Each public function checks its preconditions once, on its own input, and
-hands off to private ones that do not check them again.  `propagate`
-validates the weights and the order and runs the Nakayama minimality check
-on the whole map before `_propagate`.  Resolutions take one walk:
-`_walk` propagates backward along consecutive maps, rebasing each by the
-previous step's C^-1, and `_walk_forward` runs it on the dual complex;
-`propagate_forward` is its one-step case.  `propagate_resolution` validates
-its start and checks the chain and every differential once.  A backward
-step is not checked again, since rebasing a minimal map by an invertible
-scalar matrix keeps it minimal; a forward step checks its dual map, since
-the dual of a minimal map need not be minimal.  For columns in a single
-degree, minimal means linearly independent, which the elimination checks:
-`propagate_single_degree` raises MinimalityError when a column reduces to
-zero.
+Each fact about the input is proved once, by the code that establishes it,
+and private functions do not check it again.  For columns in at most one
+degree, minimal means linearly independent, and `_propagate`'s elimination
+raises MinimalityError when a column reduces to zero; the Nakayama check
+`is_minimal_map` runs only on maps whose columns span more than one degree.
+`propagate` validates the weights and the order and leaves the rest to that
+rule.  Resolutions take one walk: `_walk` propagates backward along
+consecutive maps, rebasing each by the previous step's C^-1, and
+`_walk_forward` runs it on the dual complex; `propagate_forward` is its
+one-step case.  `propagate_resolution` validates its start, and checks the
+chain and every differential once unless `minimal_resolution` built them and
+so has proved both already.  A backward step is not checked again, since
+rebasing a minimal map by an invertible scalar matrix keeps it minimal; a
+forward step checks its dual map by the same rule as `propagate`, since the
+dual of a minimal map need not be minimal.
 
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
@@ -38,6 +39,8 @@ from dataclasses import dataclass, field
 
 from .errors import InputError, MinimalityError, ResolutionStepError
 from .groebner import (
+    Resolution,
+    _MinimalChain,
     buchberger,
     check_chain,
     check_order,
@@ -104,6 +107,15 @@ def _validate_weights(weights, rank, ring, role):
 _NOT_MINIMAL = "map is not minimal; its columns do not minimally generate the image"
 
 
+def _needs_nakayama(matrix):
+    """Whether minimality needs `is_minimal_map`, not just `_propagate`'s elimination.
+
+    With the columns in at most one degree, minimal means linearly
+    independent, and the elimination raises MinimalityError otherwise.
+    """
+    return len(set(matrix.domain.basis_degrees)) > 1
+
+
 def propagate_single_degree(matrix, weights, order):
     """Weight propagation along a minimal map whose domain sits in one degree.
 
@@ -123,7 +135,9 @@ def propagate_single_degree(matrix, weights, order):
 def propagate(matrix, weights, order):
     """Weight propagation along a minimal map (domain in any degrees).
 
-    The whole map is checked for minimality first.  The columns of the
+    A map whose columns span more than one degree is checked for minimality
+    first; otherwise minimal means linearly independent, and the elimination
+    raises MinimalityError when the columns are not.  The columns of the
     rebased matrix come grouped by degree, the classes in order of first
     occurrence among the columns; within a class they are sorted by leading
     term, increasing for position-up orderings and decreasing for
@@ -132,13 +146,14 @@ def propagate(matrix, weights, order):
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
     check_order(order)
-    if not is_minimal_map(matrix):
+    if _needs_nakayama(matrix) and not is_minimal_map(matrix):
         raise MinimalityError(_NOT_MINIMAL)
     return _propagate(matrix, weights, order)
 
 
 def _propagate(matrix, weights, order):
-    """propagate without checks: the weights are validated and the map is minimal.
+    """propagate without checks: the weights are validated, and the map is
+    minimal or has its columns in one degree (the elimination checks those).
 
     Row j of one elimination is column j's coefficients over the image's
     terms, in decreasing order, then the j-th unit vector.  Each row of the
@@ -235,46 +250,64 @@ def _walk_forward(maps, weights, order):
     """Forward propagation along maps[0], maps[1], ...: `_walk` on the dual complex.
 
     Each step on a dual is read back by transposing C and C^-1, negating the
-    weights and dualizing the modules.  Each dual map is checked, as given,
-    before its step: the rebased dual differs from it by an automorphism of
-    the codomain (an invertible degree-preserving scalar matrix), so both
-    are minimal or neither is.
+    weights and dualizing the modules.  Each dual map is checked by the rule
+    of `propagate`: a dual whose columns span more than one degree goes
+    through `is_minimal_map`, as given, before its step, and any other is
+    left to its step's elimination, which runs on the rebased dual.  The
+    rebased dual differs from the dual by an automorphism of the codomain
+    (an invertible degree-preserving scalar matrix), so both are minimal or
+    neither is.  Either way the MinimalityError says that the dual map is
+    not minimal.
     """
 
     def duals():
         for matrix in maps:
             dual = dual_map(matrix)
-            if not is_minimal_map(dual):
-                raise MinimalityError("dual map is not minimal; cannot propagate forward")
+            if _needs_nakayama(dual) and not is_minimal_map(dual):
+                raise MinimalityError(_NOT_MINIMAL)
             yield dual
 
-    for dual, inner in _walk(duals(), negate_weights(weights), order.flipped()):
-        yield dual_map(dual), PropagationResult(
-            inner.change_of_basis.transpose(),
-            inner.inverse_change_of_basis.transpose(),
-            negate_weights(inner.weights),
-            inner.sorted_matrix,
-            inner.rebased_module.dual(),
-        )
+    try:
+        for dual, inner in _walk(duals(), negate_weights(weights), order.flipped()):
+            yield dual_map(dual), PropagationResult(
+                inner.change_of_basis.transpose(),
+                inner.inverse_change_of_basis.transpose(),
+                negate_weights(inner.weights),
+                inner.sorted_matrix,
+                inner.rebased_module.dual(),
+            )
+    except MinimalityError:
+        raise MinimalityError("dual map is not minimal; cannot propagate forward") from None
 
 
 def propagate_resolution(differentials, start_index, start_weights, order):
     """Weight propagation along an entire minimal free resolution.
 
-    `differentials` lists the maps d_1 ... d_m of a minimal free resolution,
-    `start_index` names the free module whose basis-of-weight-vectors list
-    `start_weights` is known.  Weights move backward along the later
-    differentials and forward (through duals) along the earlier ones, with
-    each step's change of basis folded into the next matrix.  Returns the
+    `differentials` is a `Resolution` or a sequence of the maps d_1 ... d_m
+    of a minimal free resolution, and `start_index` names the free module
+    whose basis-of-weight-vectors list `start_weights` is known.  Weights
+    move backward along the later differentials and forward (through duals)
+    along the earlier ones, with each step's change of basis folded into the
+    next matrix.  Returns the
     weight lists for all modules F_0 ... F_m.  per_module[start_index] is
     `start_weights` in the input basis; every other per_module[i] lists the
     weights of the rebased basis of F_i, steps[i].result.rebased_module (the
     sorted Groebner basis columns of that step), not of the input basis, so
     it is in general not a start weight list for the input differentials at i.
 
+    The differentials are checked once: they must chain, compose to zero and
+    each be minimal.  The differentials of a Resolution from
+    `minimal_resolution`, passed as that Resolution or as its `differentials`
+    tuple, were proved all that as they were computed and are not checked
+    again; a copy, a slice or any other sequence, also inside a Resolution
+    built by hand, is checked in full.
+
     If a forward step hits a non-minimal dual mid-resolution, a
     ResolutionStepError is raised carrying the weight lists computed so far.
     """
+    if isinstance(differentials, Resolution):
+        differentials = differentials.differentials
+    proven = type(differentials) is _MinimalChain
     differentials = list(differentials)
     m = len(differentials)
     if not differentials:
@@ -289,10 +322,11 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     ring = modules[0].ring
     start_weights = _validate_weights(start_weights, modules[start_index].rank, ring, "starting weight list")
     check_order(order)
-    check_chain(differentials)
-    for k, d in enumerate(differentials):
-        if not is_minimal_map(d):
-            raise MinimalityError("differential %d is not a minimal map" % (k + 1))
+    if not proven:
+        check_chain(differentials)
+        for k, d in enumerate(differentials):
+            if not is_minimal_map(d):
+                raise MinimalityError("differential %d is not a minimal map" % (k + 1))
 
     per_module = [None] * (m + 1)
     per_module[start_index] = start_weights

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,17 @@ def test_propagate_resolution_from_top(capsys):
     assert payload["weights_by_module"][1] == [
         [0, 1, 1, 1, 1], [1, 0, 1, 1, 1], [1, 1, 0, 1, 1], [1, 1, 1, 0, 1], [1, 1, 1, 1, 0]
     ]
+
+
+def test_propagate_resolution_empty_matrices_flag(capsys):
+    # an empty name list used to fall back to the file's resolution list
+    for value in ("", " "):
+        code, out, err = run(
+            capsys, "propagate-resolution", "--input", str(fixture_path("koszul.json")),
+            "--matrices", value, "--json",
+        )
+        assert (code, out) == (2, "")
+        assert err == "parse error: --matrices names no differentials\n"
 
 
 def test_gb_subcommand(capsys):
@@ -246,6 +258,22 @@ def test_inhomogeneous_matrix_rejected_at_load(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "check-minimal", "--input", str(path))
     assert code == 1
+    assert "homogeneous" in err
+
+
+def test_huge_power_of_a_variable_fails_fast(capsys, tmp_path):
+    # x1^n used to take n multiplications before the degree check saw it
+    doc = {
+        "ring": {"vars": ["x1"], "degrees": [[1]], "weights": [[1]]},
+        "modules": {"F0": {"degrees": [[0]]}, "E": {"degrees": [[1]]}},
+        "matrices": {"m": {"rows": "F0", "cols": "E", "entries": [["x1^10000000"]]}},
+    }
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-minimal", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
     assert "homogeneous" in err
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from torusweights import Polynomial, PolynomialSyntaxError, RingSpec
@@ -35,6 +37,13 @@ def test_plucker_relation_string():
 
 def test_power_zero_is_one(ring):
     assert parse_polynomial(ring, "x1^0") == ring.one()
+
+
+def test_power_of_one_term_scales_its_exponents(ring):
+    assert parse_polynomial(ring, "x1^10000000").terms == {(10000000, 0, 0): 1}
+    assert parse_polynomial(ring, "(-2/3*x1*x2^2)^3").terms == {(3, 6, 0): Fraction(-8, 27)}
+    assert parse_polynomial(ring, "(x1 - x1)^10000000").is_zero
+    assert parse_polynomial(ring, "(x1 - x1)^0") == ring.one()
 
 
 def test_rationals_and_parentheses(ring):

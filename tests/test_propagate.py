@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 
 import pytest
@@ -9,11 +10,13 @@ from torusweights import (
     ModuleTermOrder,
     Polynomial,
     PolyMatrix,
+    Resolution,
     ResolutionStepError,
     RingSpec,
     ScalarMatrix,
     buchberger,
     change_of_basis,
+    minimal_resolution,
     negate_weights,
     propagate,
     propagate_forward,
@@ -24,6 +27,9 @@ from torusweights import (
     standard_monomials,
 )
 from torusweights.parsing import parse_polynomial, polynomial_to_string
+from torusweights.problemfile import load_problem
+
+from conftest import fixture_path
 
 TOP_UP = ModuleTermOrder("top-up")
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
@@ -641,6 +647,124 @@ def test_resolution_partial_keeps_the_forward_steps_before_the_failure():
         propagate_resolution([d1, d2], 2, [(1, 1)], TOP_UP)
     assert info.value.step == 0
     assert info.value.partial == (None, ((0, 1), (1, 0)), ((1, 1),))
+
+
+# ---------- resolutions from minimal_resolution ----------
+
+PRESENTATIONS = [
+    ("bigraded", "m", "W"),
+    ("generic_koszul", "d1", "W0"),
+    ("grassmannian", "d1", "W0"),
+    ("koszul", "d1", "W0"),
+    ("mixed_sign", "m", "W0"),
+    ("three_squares", "m", "W"),
+    ("two_variables", "m", "W"),
+]
+
+
+def outcome(differentials, start_index, weights, order):
+    """The weights and step records, or what the ResolutionStepError carried."""
+    try:
+        result = propagate_resolution(differentials, start_index, weights, order)
+    except ResolutionStepError as exc:
+        return ("error", str(exc), exc.step, exc.partial, str(exc.__cause__))
+    return (result.per_module, result.steps)
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize("name, presentation, weights", PRESENTATIONS, ids=lambda v: v)
+def test_proven_chain_propagates_like_a_checked_copy(name, presentation, weights, order):
+    # start weights at F_i: the weights the backward walk from F_0 gives there
+    problem = load_problem(fixture_path(name + ".json"))
+    resolution = minimal_resolution(problem.matrices[presentation], order)
+    diffs = resolution.differentials
+    backward = propagate_resolution(diffs, 0, problem.weightlists[weights], order).per_module
+    for start_index, weights in enumerate(backward):
+        proven = outcome(diffs, start_index, weights, order)
+        assert proven == outcome(list(diffs), start_index, weights, order)
+        assert proven == outcome(resolution, start_index, weights, order)
+
+
+class Spy:
+    """Counts the calls of one function of torusweights.propagate."""
+
+    def __init__(self, monkeypatch, name):
+        # the package's `propagate` attribute is the function, not the module
+        module = importlib.import_module("torusweights.propagate")
+        self.calls = 0
+        wrapped = getattr(module, name)
+
+        def spy(*args):
+            self.calls += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+
+def test_only_the_proven_chain_skips_the_checks(monkeypatch, grassmannian):
+    resolution = minimal_resolution(grassmannian.matrices["d1"], TOP_UP)
+    diffs = resolution.differentials
+    weights = grassmannian.weightlists["W0"]
+    expected = propagate_resolution(list(diffs), 0, weights, TOP_UP).per_module
+    chain, minimal = Spy(monkeypatch, "check_chain"), Spy(monkeypatch, "is_minimal_map")
+    for proven in (diffs, resolution):
+        assert propagate_resolution(proven, 0, weights, TOP_UP).per_module == expected
+        assert (chain.calls, minimal.calls) == (0, 0)
+    copies = [
+        (list(diffs), len(diffs)),
+        (diffs[:2], 2),
+        (tuple(diffs), len(diffs)),
+        (Resolution(resolution.base_module, list(diffs)), len(diffs)),
+    ]
+    for copy, length in copies:
+        chain.calls = minimal.calls = 0
+        propagate_resolution(copy, 0, weights, TOP_UP)
+        assert (chain.calls, minimal.calls) == (1, length)
+
+
+def test_hand_built_resolution_is_checked(koszul):
+    base = koszul.matrices["d1"].codomain
+    not_a_chain = Resolution(base, [koszul.matrices["d1"], koszul.matrices["d3"]])
+    with pytest.raises(InputError, match="chain-shape mismatch"):
+        propagate_resolution(not_a_chain, 0, koszul.weightlists["W0"], TOP_UP)
+    not_minimal = Resolution(base, [matrix(koszul.ring, [[0]], [[1], [2]], [["x1", "x1*x2"]])])
+    with pytest.raises(MinimalityError, match="differential 1 is not a minimal map"):
+        propagate_resolution(not_minimal, 0, koszul.weightlists["W0"], TOP_UP)
+
+
+def test_single_degree_non_minimal_dual_is_left_to_the_elimination(monkeypatch):
+    # both rows of d1 sit in degree 0, so its dual's columns share one degree
+    ring = RingSpec(["x"], [[1]], [[1]])
+    d1 = matrix(ring, [[0], [0]], [[1]], [["x"], ["x"]])
+    minimal = Spy(monkeypatch, "is_minimal_map")
+    with pytest.raises(ResolutionStepError) as info:
+        propagate_resolution([d1], 1, [(1,)], TOP_UP)
+    assert str(info.value) == (
+        "forward propagation failed at module 0: dual map is not minimal; cannot propagate forward"
+    )
+    assert (info.value.step, info.value.partial) == (0, (None, ((1,),)))
+    assert isinstance(info.value.__cause__, MinimalityError)
+    with pytest.raises(MinimalityError) as info:
+        propagate_forward(d1, [(1,)], TOP_UP)
+    assert str(info.value) == "dual map is not minimal; cannot propagate forward"
+    with pytest.raises(MinimalityError) as info:
+        propagate(matrix(ring, [[0]], [[1], [1]], [["x", "x"]]), [(0,)], TOP_UP)
+    assert str(info.value) == "map is not minimal; its columns do not minimally generate the image"
+    # one check for the resolution's differential, none for the duals or propagate's map
+    assert minimal.calls == 1
+
+
+def test_mixed_degree_non_minimal_dual_is_rejected():
+    # the dual's columns x^2 and x lie in two degrees and x^2 = x * x: each
+    # degree alone is independent, so only the Nakayama check can see it
+    ring = RingSpec(["x"], [[1]], [[1]])
+    d1 = matrix(ring, [[0], [1]], [[2]], [["x^2"], ["x"]])
+    with pytest.raises(MinimalityError) as info:
+        propagate_forward(d1, [(2,)], TOP_UP)
+    assert str(info.value) == "dual map is not minimal; cannot propagate forward"
+    with pytest.raises(ResolutionStepError) as info:
+        propagate_resolution([d1], 1, [(2,)], TOP_UP)
+    assert (info.value.step, info.value.partial) == (0, (None, ((2,),)))
 
 
 # ---------- graded components ----------
