@@ -2,26 +2,32 @@
 
 Division with remainder, Buchberger's algorithm (optionally truncated at a
 degree bound), reduced-basis normalization, Schreyer syzygies (read off the
-relations that the zero reductions of one Buchberger run give, through the
-cofactor of each basis element over the input columns, which the core loop
-tracks), minimal free resolutions, standard monomials and Nakayama-style
-minimality checks.  `change_of_basis` solves G = M @ C as a linear system;
-propagation does not use it, and the tests keep it as an independent check.
-All arithmetic is exact.  Coefficients are ints where they are integral
-(see `rings`), so coefficients are divided with `exact_quotient`, never with
+relations that the zero reductions of one Buchberger run leave behind),
+minimal free resolutions, standard monomials and Nakayama-style minimality
+checks.  `change_of_basis` solves G = M @ C as a linear system; propagation
+does not use it, and the tests keep it as an independent check.  All
+arithmetic is exact.  Coefficients are ints where they are integral (see
+`rings`), so coefficients are divided with `exact_quotient`, never with
 `/`, which would make a float of two ints.  Syzygy columns come out as
 primitive integer vectors.
 
-Division reduces one mutable {ModuleTerm: coefficient} dict and pops each
+One routine, `_pseudo_divide`, does all division.  It reduces one mutable
+{ModuleTerm: coefficient} dict that holds the element at the indices below
+the module's rank and a tail at the indices from the rank on, and every
+divisor carries its own tail through the division: in Buchberger the tail is
+the cofactor over the input columns, in `normal_form` the negated unit
+vector -e_k, which collects M times the quotient q_k.  When the division
+ends the dict is M * input - sum(q_k * (g_k | tail_k)), so the remainder,
+the quotients, each relation (Moeller, Mora and Traverso, ISSAC 1992) and
+each new element's cofactor are read straight off it.  Division pops each
 leading term off a sorted list instead of searching for it, and every
 ModuleElement caches its leading term per module term order, so a divisor's
-leading term is found once, not once per division.  One routine,
-`_pseudo_divide`, does all division.  Where the coefficient to cancel and
-the divisor's leading coefficient are ints it pseudo-divides: it multiplies
-the work by the divisor's leading coefficient over their gcd instead of
-dividing by it, as fraction-free elimination does (Bareiss, Math. Comp.
-1968; `linalg.Echelon` works the same way on vectors).  Buchberger keeps its
-basis elements as primitive integer vectors with positive leading
+leading term is found once, not once per division.  Where the coefficient to
+cancel and the divisor's leading coefficient are ints it pseudo-divides: it
+multiplies the work by the divisor's leading coefficient over their gcd
+instead of dividing by it, as fraction-free elimination does (Bareiss,
+Math. Comp. 1968; `linalg.Echelon` works the same way on vectors).  Buchberger
+keeps its basis elements as primitive integer vectors with positive leading
 coefficients, so on integer input its run makes no fractions; each element
 and each relation is a positive multiple of what a run with monic elements
 gives, so the supports, the divisor choices and the outputs are the same.
@@ -89,44 +95,49 @@ def _term_divides(a, b):
 
 
 def _pseudo_divide(work, divisors, order, module):
-    """Fraction-free division of the {ModuleTerm: coefficient} dict work.
+    """Fraction-free division of the {ModuleTerm: coefficient} dict work, in place.
 
-    Returns (multiplier, quotients, remainder), with multiplier a positive
-    int M such that M * input = sum(q_k * divisors[k]) + r.  quotients[k]
-    maps the monomials of q_k, and remainder[i] those of row i of r, to
-    pairs (coefficient, multiplier current when the entry was recorded);
-    an entry's coefficient in that identity is coefficient * M / its
-    multiplier.  work is consumed.
+    Terms at indices below module.rank form the element to divide; terms at
+    module.rank and above form its tail.  Each divisor is a pair (g_k,
+    body_k): g_k a nonzero element of module, and body_k the (monomial,
+    index, coefficient) triples of every term of g_k | tail_k but g_k's
+    leading term, tail_k again at module.rank and above.  Returns a positive
+    int M; work then is M * input - sum(q_k * (g_k | tail_k)), where q_k are
+    the quotients of the division scaled by M.  Its terms below module.rank
+    are M times the remainder, and its tail is M times the input's tail
+    minus the quotient-weighted tails of the divisors.
 
     At each step the first divisor (in list order) whose leading term
-    divides the current leading term is used; irreducible leading terms
-    move to the remainder.  When the current coefficient c and the divisor's
-    leading coefficient a are both ints, the step is a pseudo-division:
-    with g = gcd(a, c), the work is multiplied by |a| / g and sign(a) * c / g
-    times the divisor is subtracted, so no fraction arises.  Otherwise it
-    subtracts c / a times the divisor and the multiplier stays.  Scaling
-    changes no term's support, so the steps, and the quotients and
-    remainder up to the positive factor M, are those of plain division.
+    divides the current leading term is used; irreducible leading terms stay
+    in work as remainder terms.  When the current coefficient c and the
+    divisor's leading coefficient a are both ints, the step is a
+    pseudo-division: with g = gcd(a, c), the whole of work is multiplied by
+    |a| / g and sign(a) * c / g times the divisor is subtracted, so no
+    fraction arises.  Otherwise it subtracts c / a times the divisor and M
+    stays.  Scaling changes no term's support, so the steps, and the
+    quotients and remainder up to the positive factor M, are those of plain
+    division.
 
-    The terms of work wait in a list sorted by the order's key, so the
-    leading term is popped, not searched for.  A reduction step only adds
-    terms below the one it cancels, so a popped term never comes back; a
-    term that cancels to zero leaves the dict and its stale list entry is
-    skipped.  Each divisor's leading term comes from its element's cache.
+    The element's terms wait in a list sorted by the order's key, so the
+    leading term is popped, not searched for; tail terms never lead.  A
+    reduction step only adds terms below the one it cancels, so a popped
+    term never comes back; a term that cancels to zero leaves the dict and
+    its stale list entry is skipped.  Each divisor's leading term comes from
+    its element's cache.
     """
     key = order.sort_key(module.ring)
-    leads = [g.leading_term(order) for g in divisors]
-    pending = sorted((key(term), term) for term in work)
+    rank = module.rank
+    leads = [g.leading_term(order) for g, _ in divisors]
+    pending = sorted((key(term), term) for term in work if term.index < rank)
     multiplier = 1
-    quotients = [{} for _ in divisors]
-    remainder = [{} for _ in range(module.rank)]
     while pending:
         term = pending.pop()[1]
-        coeff = work.pop(term, None)
+        coeff = work.get(term)
         if coeff is None:
             continue
         for k, (g_term, g_coeff) in enumerate(leads):
             if _term_divides(g_term, term):
+                del work[term]
                 if type(coeff) is int and type(g_coeff) is int:
                     g = gcd(g_coeff, coeff)
                     q_coeff = coeff // g if g_coeff > 0 else -(coeff // g)
@@ -138,33 +149,37 @@ def _pseudo_divide(work, divisors, order, module):
                 else:
                     q_coeff = exact_quotient(coeff, g_coeff)
                 q_mono = monomial_div(term.monomial, g_term.monomial)
-                quotients[k][q_mono] = (q_coeff, multiplier)
-                for index, poly in enumerate(divisors[k].entries):
-                    for mono, c in poly.terms.items():
-                        if index == g_term.index and mono == g_term.monomial:
-                            continue
-                        t = ModuleTerm(monomial_mul(mono, q_mono), index)
-                        value = work.get(t, 0) - c * q_coeff
-                        if value:
-                            if t not in work:
-                                bisect.insort(pending, (key(t), t))
-                            work[t] = value
-                        else:
-                            del work[t]
+                for mono, index, c in divisors[k][1]:
+                    t = ModuleTerm(monomial_mul(mono, q_mono), index)
+                    value = work.get(t, 0) - c * q_coeff
+                    if value:
+                        if t not in work and index < rank:
+                            bisect.insort(pending, (key(t), t))
+                        work[t] = value
+                    else:
+                        del work[t]
                 break
-        else:
-            remainder[term.index][term.monomial] = (coeff, multiplier)
-    return multiplier, quotients, remainder
+    return multiplier
 
 
-def _unscaled(recorded):
-    """A `_pseudo_divide` quotient or remainder row as a Polynomial in input = sum(q_k * d_k) + r."""
-    return Polynomial._from_exact({m: c if s == 1 else exact_quotient(c, s) for m, (c, s) in recorded.items()})
+def _divisor(element, order, tail=()):
+    """element as a `_pseudo_divide` divisor: (element, body).
+
+    body lists (monomial, index, coefficient) for each term of element but
+    its leading term, then the triples of tail.
+    """
+    lead = element.leading_term(order)[0]
+    body = [(t.monomial, t.index, c) for t, c in element.support() if t != lead]
+    body.extend(tail)
+    return element, body
 
 
-def _scaled(recorded, multiplier):
-    """A `_pseudo_divide` quotient or remainder row as it enters M * input = sum(q_k * d_k) + r."""
-    return {m: c if s == multiplier else c * (multiplier // s) for m, (c, s) in recorded.items()}
+def _polynomials(terms, size, scalar=1):
+    """The {ModuleTerm: coefficient} dict terms divided by scalar, as one Polynomial per index below size."""
+    entries = [{} for _ in range(size)]
+    for t, c in terms.items():
+        entries[t.index][t.monomial] = c if scalar == 1 else exact_quotient(c, scalar)
+    return [Polynomial._from_exact(e) for e in entries]
 
 
 def normal_form(element, divisors, order):
@@ -176,24 +191,27 @@ def normal_form(element, divisors, order):
     by any divisor's leading term.
 
     The division is `_pseudo_divide`'s, fraction-free on integer
-    coefficients; each quotient and remainder coefficient is divided once,
-    exactly, by the multiplier it was recorded with.
+    coefficients.  Divisor k carries the tail -e_k, so the tail the division
+    leaves at index k is M * q_k; the quotients and the remainder are each
+    divided once, exactly, by the multiplier M.
 
     Raises InputError unless order is a ModuleTermOrder and every divisor
     is nonzero and lives in the element's module.
     """
     check_order(order)
+    divisors = tuple(divisors)
     module = element.module
     for k, g in enumerate(divisors):
         if g.module is not module and g.module != module:
             raise InputError("divisor %d lives in another module than the element" % k)
         if g.is_zero:
             raise InputError("divisor %d is zero" % k)
-    _, quotients, remainder = _pseudo_divide(dict(element.support()), divisors, order, module)
-    return DivisionResult(
-        [_unscaled(q) for q in quotients],
-        ModuleElement(module, [_unscaled(r) for r in remainder]),
-    )
+    rank = module.rank
+    unit = unit_monomial(module.ring.num_vars)
+    work = dict(element.support())
+    tailed = [_divisor(g, order, [(unit, rank + k, -1)]) for k, g in enumerate(divisors)]
+    entries = _polynomials(work, rank + len(divisors), _pseudo_divide(work, tailed, order, module))
+    return DivisionResult(entries[rank:], ModuleElement(module, entries[:rank]))
 
 
 @dataclass
@@ -230,42 +248,18 @@ class _Tracked:
 
 
 def _shifted_difference(x, mx, cx, y, my, cy):
-    """cx * mx * x - cy * my * y as a {ModuleTerm: coefficient} dict."""
+    """cx * mx * x - cy * my * y for divisor bodies x and y, as a {ModuleTerm: coefficient} dict."""
     out = {}
-    for i, p in enumerate(x.entries):
-        for mono, c in p.terms.items():
-            out[ModuleTerm(monomial_mul(mono, mx), i)] = cx * c
-    for i, p in enumerate(y.entries):
-        for mono, c in p.terms.items():
-            t = ModuleTerm(monomial_mul(mono, my), i)
-            value = out.get(t, 0) - cy * c
-            if value:
-                out[t] = value
-            else:
-                del out[t]
+    for mono, i, c in x:
+        out[ModuleTerm(monomial_mul(mono, mx), i)] = cx * c
+    for mono, i, c in y:
+        t = ModuleTerm(monomial_mul(mono, my), i)
+        value = out.get(t, 0) - cy * c
+        if value:
+            out[t] = value
+        else:
+            del out[t]
     return out
-
-
-def _combine_cofactor(module, cofactor, multiplier, quotients, basis):
-    """multiplier * cofactor - sum(quotients[k] * basis[k].cofactor) as an element of module.
-
-    cofactor is a {ModuleTerm: coefficient} dict and each quotient a
-    {monomial: coefficient} dict; one term dict is built per entry.
-    """
-    entries = [{} for _ in range(module.rank)]
-    for t, c in cofactor.items():
-        entries[t.index][t.monomial] = multiplier * c
-    for q, item in zip(quotients, basis):
-        for m1, c1 in q.items():
-            for acc, p in zip(entries, item.cofactor.entries):
-                for m2, c2 in p.terms.items():
-                    mono = monomial_mul(m1, m2)
-                    value = acc.get(mono, 0) - c1 * c2
-                    if value:
-                        acc[mono] = value
-                    else:
-                        del acc[mono]
-    return ModuleElement(module, [Polynomial._from_exact(e) for e in entries])
 
 
 def _content(element):
@@ -294,26 +288,35 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
     (normal selection strategy); items whose functional exceeds the bound's
     are dropped.
 
+    Every item is divided together with its cofactor over the columns, as a
+    tail at the indices from the columns' rank on: column j enters as
+    col_j | e_j, and each basis element carries its own cofactor as its
+    divisor tail.  The division therefore leaves M * cofactor -
+    sum(q_k * cofactor_k) behind the remainder: the relation of a zero
+    reduction, or the cofactor of a new basis element.
+
     The run is fraction-free on integer columns.  basis lists the _Tracked
     elements in the order they were added, not yet inter-reduced: each is a
     primitive integer vector with a positive leading coefficient, a positive
     multiple of the monic element a run with monic elements would add at
     that point.  The S-pair of elements with leading coefficients alpha and
     beta is (beta / g) * m_a * a - (alpha / g) * m_b * b, g = gcd(alpha,
-    beta), and `_pseudo_divide` reduces it with multiplier M.
+    beta), taken on element and cofactor at once; the leading terms cancel,
+    so it is formed from the divisor bodies.
 
-    reductions holds (cofactor, M, quotients, degree) for every generator or
-    S-pair of that degree that reduced to zero, the cofactor a
-    {ModuleTerm: coefficient} dict over the columns, and (e_j, 1, [],
-    degree of column j) for a zero column j: M * cofactor - sum(quotients[k]
-    * basis[k].cofactor) is a syzygy of the columns in that degree (see
-    `_combine_cofactor`), a positive multiple of the monic run's relation.
-    Without a bound these relations generate all syzygies.
+    reductions holds (relation, degree) for every generator or S-pair of
+    that degree that reduced to zero, the relation being the tail the
+    division left, and (e_j, degree of column j) for a zero column j.  Each
+    relation is a syzygy of the columns in that degree, a positive multiple
+    of the monic run's relation.  Without a bound these relations generate
+    all syzygies.
     """
     ring = cofactor_module.ring
     functional = ring._functional
     limit = functional(bound) if bound is not None else None
     module = columns[0].module if columns else None
+    rank = module.rank if columns else 0
+    size = rank + cofactor_module.rank
     unit = unit_monomial(ring.num_vars)
 
     heap = []
@@ -326,49 +329,47 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
             heapq.heappush(heap, (value, degree, next(seq), payload))
 
     for j, (col, degree) in enumerate(zip(columns, cofactor_module.basis_degrees)):
-        cofactor = {ModuleTerm(unit, j): 1}
+        work = dict(col.support())
+        work[ModuleTerm(unit, rank + j)] = 1
         if col.is_zero:
-            reductions.append((cofactor, 1, [], degree))
+            reductions.append((ModuleElement(cofactor_module, _polynomials(work, size)[rank:]), degree))
         else:
-            push(degree, ("gen", dict(col.support()), cofactor))
+            push(degree, ("gen", work))
 
     basis = []
+    divisors = []
 
-    def s_pair(a, b):
-        a_term, alpha = a.element.leading_term(order)
-        b_term, beta = b.element.leading_term(order)
+    def s_pair(i, j):
+        (a, a_body), (b, b_body) = divisors[i], divisors[j]
+        a_term, alpha = a.leading_term(order)
+        b_term, beta = b.leading_term(order)
         lcm_mono = monomial_lcm(a_term.monomial, b_term.monomial)
-        ma = monomial_div(lcm_mono, a_term.monomial)
-        mb = monomial_div(lcm_mono, b_term.monomial)
         g = gcd(alpha, beta)
-        ca, cb = beta // g, alpha // g
-        return (
-            _shifted_difference(a.element, ma, ca, b.element, mb, cb),
-            _shifted_difference(a.cofactor, ma, ca, b.cofactor, mb, cb),
+        return _shifted_difference(
+            a_body, monomial_div(lcm_mono, a_term.monomial), beta // g,
+            b_body, monomial_div(lcm_mono, b_term.monomial), alpha // g,
         )
 
     while heap:
         _, degree, _, payload = heapq.heappop(heap)
-        if payload[0] == "gen":
-            _, work, cof = payload
-        else:
-            _, i, j = payload
-            work, cof = s_pair(basis[i], basis[j])
-        divisors = [item.element for item in basis]
-        multiplier, quotients, remainder = _pseudo_divide(work, divisors, order, module)
-        quotients = [_scaled(q, multiplier) for q in quotients]
-        if not any(remainder):
-            reductions.append((cof, multiplier, quotients, degree))
+        work = payload[1] if payload[0] == "gen" else s_pair(payload[1], payload[2])
+        _pseudo_divide(work, divisors, order, module)
+        entries = _polynomials(work, size)
+        remainder = ModuleElement(module, entries[:rank])
+        if remainder.is_zero:
+            reductions.append((ModuleElement(cofactor_module, entries[rank:]), degree))
             continue
-        cof = _combine_cofactor(cofactor_module, cof, multiplier, quotients, basis)
-        remainder = ModuleElement(module, [Polynomial._from_exact(_scaled(r, multiplier)) for r in remainder])
         lead, lead_coeff = remainder.leading_term(order)
         content = _content(remainder)
         if lead_coeff < 0:
             content = -content
-        new = _Tracked(_divided(remainder, content), _divided(cof, content))
+        if content != 1:
+            work = {t: exact_quotient(c, content) for t, c in work.items()}
+            entries = _polynomials(work, size)
+        new = _Tracked(ModuleElement(module, entries[:rank]), ModuleElement(cofactor_module, entries[rank:]))
         t = len(basis)
         basis.append(new)
+        divisors.append((new.element, [(term.monomial, term.index, c) for term, c in work.items() if term != lead]))
         log.debug("basis element %d with leading term %s", t, lead)
         for i in range(t):
             other = basis[i].element.leading_term(order)[0]
@@ -387,17 +388,20 @@ def _reduce_basis(elements, order):
     """
     if not elements:
         return []
-    term_key = order.sort_key(elements[0].module.ring)
+    module = elements[0].module
+    term_key = order.sort_key(module.ring)
     leads = sorted(((g.leading_term(order)[0], g) for g in elements), key=lambda pair: term_key(pair[0]))
     kept = []
     for lead, g in leads:
         if not any(_term_divides(other, lead) for other, _ in kept):
             kept.append((lead, g))
-    kept = [g for _, g in kept]
-    return [
-        normal_form(g, kept[:pos] + kept[pos + 1:], order).remainder
-        for pos, g in enumerate(kept)
-    ]
+    kept = [_divisor(g, order) for _, g in kept]
+    reduced = []
+    for pos, (g, _) in enumerate(kept):
+        work = dict(g.support())
+        multiplier = _pseudo_divide(work, kept[:pos] + kept[pos + 1:], order, module)
+        reduced.append(ModuleElement(module, _polynomials(work, module.rank, multiplier)))
+    return reduced
 
 
 def check_order(order):
@@ -604,12 +608,11 @@ def syzygies(matrix, order):
     check_order(order)
     ring = matrix.domain.ring
     frame = FreeModuleSpec(ring, matrix.domain.basis_degrees)
-    basis, reductions = _buchberger_tracked(matrix.columns(), frame, order, bound=None)
+    _, reductions = _buchberger_tracked(matrix.columns(), frame, order, bound=None)
     candidates, degrees = [], []
-    for cofactor, multiplier, quotients, degree in reductions:
-        syz = _combine_cofactor(frame, cofactor, multiplier, quotients, basis)
-        if not syz.is_zero:
-            candidates.append(_primitive_column(syz))
+    for relation, degree in reductions:
+        if not relation.is_zero:
+            candidates.append(_primitive_column(relation))
             degrees.append(degree)
     kept = _nakayama_kept(candidates, degrees, ring)
     minimal = [c for c, keep in zip(candidates, kept) if keep]

@@ -188,18 +188,8 @@ class Polynomial:
             return Polynomial()
         return Polynomial._from_exact({monomial_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
-    def leading_term(self, ring):
-        """Largest (monomial, coefficient) pair under the ring's term order."""
-        if self.is_zero:
-            raise InputError("the zero polynomial has no leading term")
-        mono = max(self.terms, key=ring.monomial_key)
-        return mono, self.terms[mono]
-
     def __repr__(self):
         return "Polynomial(%r)" % (self.terms,)
-
-
-ZERO = Polynomial()
 
 
 class RingSpec:

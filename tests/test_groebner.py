@@ -109,6 +109,17 @@ def test_normal_form_divides_integer_coefficients_exactly(std3):
         assert [type(c) for c in coefficients] == [type(q)] * 2
 
 
+def test_normal_form_takes_a_one_shot_iterable_of_divisors(std3):
+    # the divisors are checked and then divided by, so an iterator that the
+    # checks use up must not leave the division without divisors
+    module = FreeModuleSpec(std3, [[0]])
+    e = module.basis_element(0, parse_polynomial(std3, "x1^2+x1*x2"))
+    g = module.basis_element(0, parse_polynomial(std3, "x1"))
+    result = normal_form(e, iter([g]), TOP_UP)
+    assert result.remainder.is_zero
+    assert result.quotients == [parse_polynomial(std3, "x1+x2")]
+
+
 def test_normal_form_rejects_an_order_that_is_not_a_module_term_order(std3):
     module = FreeModuleSpec(std3, [[0]])
     e = module.basis_element(0, parse_polynomial(std3, "x1"))

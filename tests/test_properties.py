@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import gcd
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from torusweights import (
@@ -670,6 +671,27 @@ def test_buchberger_elements_are_primitive_integer_vectors(data, ring, order):
         for col, entry in zip(columns, item.cofactor.entries):
             image = image + col.multiply(entry)
         assert image == item.element
+
+
+@SETTINGS
+@pytest.mark.parametrize("coefficients", [None, non_unit_rationals], ids=["integers", "non-unit-rationals"])
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_buchberger_relations_are_homogeneous_syzygies(coefficients, data, ring, order):
+    # every relation the run records, not only those that survive the
+    # minimization in `syzygies`, is annihilated by the columns and lies in
+    # the degree recorded with it
+    m = data.draw(homogeneous_matrix(ring, coefficients=coefficients))
+    columns = m.columns()
+    frame = FreeModuleSpec(ring, m.domain.basis_degrees)
+    _, reductions = _buchberger_tracked(columns, frame, order, None)
+    for relation, degree in reductions:
+        assert relation.module == frame
+        image = m.codomain.zero_element()
+        for col, entry in zip(columns, relation.entries):
+            image = image + col.multiply(entry)
+        assert image.is_zero
+        if not relation.is_zero:
+            assert relation.homogeneous_degree() == degree
 
 
 # ---------- graded components from the bounded run ----------
