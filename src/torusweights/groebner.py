@@ -11,27 +11,40 @@ arithmetic is exact.  Coefficients are ints where they are integral (see
 `/`, which would make a float of two ints.  Syzygy columns come out as
 primitive integer vectors.
 
-One routine, `_pseudo_divide`, does all division.  It reduces one mutable
-{ModuleTerm: coefficient} dict that holds the element at the indices below
-the module's rank and a tail at the indices from the rank on, and every
-divisor carries its own tail through the division: in Buchberger the tail is
-the cofactor over the input columns, in `normal_form` the negated unit
-vector -e_k, which collects M times the quotient q_k.  When the division
-ends the dict is M * input - sum(q_k * (g_k | tail_k)), so the remainder,
-the quotients, each relation (Moeller, Mora and Traverso, ISSAC 1992) and
-each new element's cofactor are read straight off it.  Division pops each
-leading term off a sorted list instead of searching for it, and every
-ModuleElement caches its leading term per module term order, so a divisor's
-leading term is found once, not once per division.  Where the coefficient to
-cancel and the divisor's leading coefficient are ints it pseudo-divides: it
-multiplies the work by the divisor's leading coefficient over their gcd
-instead of dividing by it, as fraction-free elimination does (Bareiss,
-Math. Comp. 1968; `linalg.Echelon` works the same way on vectors).  Buchberger
-keeps its basis elements as primitive integer vectors with positive leading
-coefficients, so on integer input its run makes no fractions; each element
-and each relation is a positive multiple of what a run with monic elements
-gives, so the supports, the divisor choices and the outputs are the same.
-`buchberger` makes the basis monic once, before inter-reducing it.
+Division, Buchberger and the inter-reduction run on packed terms (see
+`packed`): a module term is one int that is its own order key, a product is
+one add and a divisibility test one subtraction and one mask.  The boundary
+does not move: `Polynomial`, `ModuleTerm`, `ModuleElement` and every public
+or printed value keep exponent tuples.  Columns are packed once on entry,
+and basis elements and relations are unpacked once on exit.
+
+The field widths come from a bound the run proves.  Every variable's degree
+has positive functional (see `rings`), so a term of degree d at an index of
+basis degree b has total degree at most (functional(d) - functional(b)) /
+(the least functional of a variable).  A Buchberger run sizes its fields
+for its largest column degree, and before it takes an item whose degree
+would exceed them it widens them and repacks its basis and relations.
+`normal_form` divides elements that need not be homogeneous, where no such
+bound holds: it sizes the fields for its inputs' largest total degree, and
+if a term outgrows them it widens them and divides again.
+
+One routine, `packed._pseudo_divide`, does all division.  It reduces an
+element dict and a tail dict, and every divisor carries its own tail
+through the division: in Buchberger the tail is the cofactor over the input
+columns, in `normal_form` the negated unit vector -e_k, which collects M
+times the quotient q_k.  When the division ends the two dicts hold M *
+input - sum(q_k * (g_k | tail_k)), so the remainder, the quotients, each
+relation (Moeller, Mora and Traverso, ISSAC 1992) and each new element's
+cofactor are read straight off them.  A run that wants no relations, the
+one behind `buchberger`, gives its columns empty tails, so its divisors
+carry none.  Where the coefficient to cancel and the divisor's leading
+coefficient are ints the division is fraction-free, as in `linalg.Echelon`
+(Bareiss, Math. Comp. 1968).  Buchberger keeps its basis elements as
+primitive integer vectors with positive leading coefficients, so on integer
+input its run makes no fractions; each element and each relation is a
+positive multiple of what a run with monic elements gives, so the supports,
+the divisor choices and the outputs are the same.  `buchberger` makes the
+basis monic once, before inter-reducing it.
 
 Generators and S-pairs are processed in increasing order of the ring's
 positive functional of their degrees, a linear form that is positive on
@@ -43,7 +56,6 @@ degree has a negative component sum.  Each queue item carries its degree, so
 no element's degree is recomputed from its terms.
 """
 
-import bisect
 import heapq
 import itertools
 import logging
@@ -63,15 +75,15 @@ from .modules import (
     ScalarMatrix,
     _column_rows,
 )
+from .packed import _FieldOverflow, _TermCodec, _divisor, _pseudo_divide, _shifted_difference
 from .rings import (
     Polynomial,
     _int_vector,
     exact_quotient,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
-    monomial_mul,
     unit_monomial,
+    vector_add,
     vector_sub,
 )
 
@@ -94,94 +106,6 @@ def _term_divides(a, b):
     return a.index == b.index and monomial_divides(a.monomial, b.monomial)
 
 
-def _pseudo_divide(work, divisors, order, module):
-    """Fraction-free division of the {ModuleTerm: coefficient} dict work, in place.
-
-    Terms at indices below module.rank form the element to divide; terms at
-    module.rank and above form its tail.  Each divisor is a pair (g_k,
-    body_k): g_k a nonzero element of module, and body_k the (monomial,
-    index, coefficient) triples of every term of g_k | tail_k but g_k's
-    leading term, tail_k again at module.rank and above.  Returns a positive
-    int M; work then is M * input - sum(q_k * (g_k | tail_k)), where q_k are
-    the quotients of the division scaled by M.  Its terms below module.rank
-    are M times the remainder, and its tail is M times the input's tail
-    minus the quotient-weighted tails of the divisors.
-
-    At each step the first divisor (in list order) whose leading term
-    divides the current leading term is used; irreducible leading terms stay
-    in work as remainder terms.  When the current coefficient c and the
-    divisor's leading coefficient a are both ints, the step is a
-    pseudo-division: with g = gcd(a, c), the whole of work is multiplied by
-    |a| / g and sign(a) * c / g times the divisor is subtracted, so no
-    fraction arises.  Otherwise it subtracts c / a times the divisor and M
-    stays.  Scaling changes no term's support, so the steps, and the
-    quotients and remainder up to the positive factor M, are those of plain
-    division.
-
-    The element's terms wait in a list sorted by the order's key, so the
-    leading term is popped, not searched for; tail terms never lead.  A
-    reduction step only adds terms below the one it cancels, so a popped
-    term never comes back; a term that cancels to zero leaves the dict and
-    its stale list entry is skipped.  Each divisor's leading term comes from
-    its element's cache.
-    """
-    key = order.sort_key(module.ring)
-    rank = module.rank
-    leads = [g.leading_term(order) for g, _ in divisors]
-    pending = sorted((key(term), term) for term in work if term.index < rank)
-    multiplier = 1
-    while pending:
-        term = pending.pop()[1]
-        coeff = work.get(term)
-        if coeff is None:
-            continue
-        for k, (g_term, g_coeff) in enumerate(leads):
-            if _term_divides(g_term, term):
-                del work[term]
-                if type(coeff) is int and type(g_coeff) is int:
-                    g = gcd(g_coeff, coeff)
-                    q_coeff = coeff // g if g_coeff > 0 else -(coeff // g)
-                    factor = abs(g_coeff) // g
-                    if factor != 1:
-                        multiplier *= factor
-                        for t, c in work.items():
-                            work[t] = c * factor
-                else:
-                    q_coeff = exact_quotient(coeff, g_coeff)
-                q_mono = monomial_div(term.monomial, g_term.monomial)
-                for mono, index, c in divisors[k][1]:
-                    t = ModuleTerm(monomial_mul(mono, q_mono), index)
-                    value = work.get(t, 0) - c * q_coeff
-                    if value:
-                        if t not in work and index < rank:
-                            bisect.insort(pending, (key(t), t))
-                        work[t] = value
-                    else:
-                        del work[t]
-                break
-    return multiplier
-
-
-def _divisor(element, order, tail=()):
-    """element as a `_pseudo_divide` divisor: (element, body).
-
-    body lists (monomial, index, coefficient) for each term of element but
-    its leading term, then the triples of tail.
-    """
-    lead = element.leading_term(order)[0]
-    body = [(t.monomial, t.index, c) for t, c in element.support() if t != lead]
-    body.extend(tail)
-    return element, body
-
-
-def _polynomials(terms, size, scalar=1):
-    """The {ModuleTerm: coefficient} dict terms divided by scalar, as one Polynomial per index below size."""
-    entries = [{} for _ in range(size)]
-    for t, c in terms.items():
-        entries[t.index][t.monomial] = c if scalar == 1 else exact_quotient(c, scalar)
-    return [Polynomial._from_exact(e) for e in entries]
-
-
 def normal_form(element, divisors, order):
     """Divide element by the divisors, reducing the leading term first.
 
@@ -190,10 +114,13 @@ def normal_form(element, divisors, order):
     remainder.  Deterministic, and complete: no remainder term is divisible
     by any divisor's leading term.
 
-    The division is `_pseudo_divide`'s, fraction-free on integer
-    coefficients.  Divisor k carries the tail -e_k, so the tail the division
-    leaves at index k is M * q_k; the quotients and the remainder are each
-    divided once, exactly, by the multiplier M.
+    The division is `_pseudo_divide`'s, on packed terms and fraction-free on
+    integer coefficients.  Divisor k carries the tail -e_k, so the tail the
+    division leaves at index k is M * q_k; the quotients and the remainder
+    are each divided once, exactly, by the multiplier M.  The inputs need
+    not be homogeneous, so a division (under lex) can reach total degrees
+    above all of theirs; the fields start at their largest total degree and
+    are widened, and the division run again, when a term outgrows them.
 
     Raises InputError unless order is a ModuleTermOrder and every divisor
     is nonzero and lives in the element's module.
@@ -206,12 +133,21 @@ def normal_form(element, divisors, order):
             raise InputError("divisor %d lives in another module than the element" % k)
         if g.is_zero:
             raise InputError("divisor %d is zero" % k)
-    rank = module.rank
-    unit = unit_monomial(module.ring.num_vars)
-    work = dict(element.support())
-    tailed = [_divisor(g, order, [(unit, rank + k, -1)]) for k, g in enumerate(divisors)]
-    entries = _polynomials(work, rank + len(divisors), _pseudo_divide(work, tailed, order, module))
-    return DivisionResult(entries[rank:], ModuleElement(module, entries[:rank]))
+    ring = module.ring
+    unit = unit_monomial(ring.num_vars)
+    bound = max((sum(t.monomial) for g in (element,) + divisors for t, _ in g.support()), default=0)
+    codec = _TermCodec(ring, order, max(module.rank, len(divisors)), bound)
+    while True:
+        work, tail = codec.packed(element), {}
+        tailed = [_divisor(codec.packed(g), {codec.term(unit, k): -1}) for k, g in enumerate(divisors)]
+        try:
+            multiplier = _pseudo_divide(work, tail, tailed, codec)
+        except _FieldOverflow:
+            codec = codec.widened(codec.capacity + 1)
+            log.debug("normal form: widened exponent fields to %d bits", codec.bits)
+            continue
+        quotients = codec.entries(tail, len(divisors), multiplier)
+        return DivisionResult(quotients, ModuleElement(module, codec.entries(work, module.rank, multiplier)))
 
 
 @dataclass
@@ -233,41 +169,37 @@ class GroebnerBasis:
 
 
 class _Tracked:
-    """Basis element together with its cofactor over the original generators.
+    """Basis element of a run together with its cofactor over the original generators.
 
     The element is a primitive integer vector (integer coefficients with gcd
     1) with a positive leading coefficient, and columns @ cofactor equals
-    it; the cofactor may have non-integer coefficients.
+    it; the cofactor may have non-integer coefficients.  Both are held
+    packed and unpacked when read.
     """
 
-    __slots__ = ("element", "cofactor")
+    __slots__ = ("_codec", "_work", "_tail", "_module", "_cofactor_module")
 
-    def __init__(self, element, cofactor):
-        self.element = element
-        self.cofactor = cofactor
+    def __init__(self, codec, work, tail, module, cofactor_module):
+        self._codec, self._work, self._tail = codec, work, tail
+        self._module, self._cofactor_module = module, cofactor_module
 
+    @property
+    def element(self):
+        module = self._module
+        return ModuleElement(module, self._codec.entries(self._work, module.rank))
 
-def _shifted_difference(x, mx, cx, y, my, cy):
-    """cx * mx * x - cy * my * y for divisor bodies x and y, as a {ModuleTerm: coefficient} dict."""
-    out = {}
-    for mono, i, c in x:
-        out[ModuleTerm(monomial_mul(mono, mx), i)] = cx * c
-    for mono, i, c in y:
-        t = ModuleTerm(monomial_mul(mono, my), i)
-        value = out.get(t, 0) - cy * c
-        if value:
-            out[t] = value
-        else:
-            del out[t]
-    return out
+    @property
+    def cofactor(self):
+        module = self._cofactor_module
+        return ModuleElement(module, self._codec.entries(self._tail, module.rank))
 
 
-def _content(element):
+def _content(coefficients):
     """gcd(n_i) / lcm(d_i) over the nonzero coefficients n_i / d_i (in lowest terms).
 
-    A positive rational; element / content is a primitive integer vector.
+    A positive rational; the coefficients divided by it are primitive
+    integers.  coefficients must be iterable twice.
     """
-    coefficients = [c for p in element.entries for c in p.terms.values()]
     return _quotient(gcd(*(c.numerator for c in coefficients)), lcm(*(c.denominator for c in coefficients)))
 
 
@@ -279,8 +211,8 @@ def _divided(element, scalar):
     return ModuleElement(element.module, [Polynomial._from_exact(e) for e in entries])
 
 
-def _buchberger_tracked(columns, cofactor_module, order, bound):
-    """Core Buchberger loop; returns (basis, reductions).
+def _buchberger_run(columns, cofactor_module, order, bound, tails):
+    """Core Buchberger loop on packed terms; returns (codec, basis, reductions).
 
     Column j has degree cofactor_module.basis_degrees[j].  Generators and
     S-pairs are processed in increasing order of the ring's positive
@@ -288,35 +220,56 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
     (normal selection strategy); items whose functional exceeds the bound's
     are dropped.
 
-    Every item is divided together with its cofactor over the columns, as a
-    tail at the indices from the columns' rank on: column j enters as
-    col_j | e_j, and each basis element carries its own cofactor as its
-    divisor tail.  The division therefore leaves M * cofactor -
-    sum(q_k * cofactor_k) behind the remainder: the relation of a zero
-    reduction, or the cofactor of a new basis element.
+    With tails, every item is divided together with its cofactor over the
+    columns, as a tail: column j enters as col_j | e_j, and each basis
+    element carries its own cofactor as its divisor tail.  The division
+    therefore leaves M * cofactor - sum(q_k * cofactor_k) behind the
+    remainder: the relation of a zero reduction, or the cofactor of a new
+    basis element.  Without tails the columns enter with empty tails and
+    every tail stays empty.
 
-    The run is fraction-free on integer columns.  basis lists the _Tracked
-    elements in the order they were added, not yet inter-reduced: each is a
-    primitive integer vector with a positive leading coefficient, a positive
-    multiple of the monic element a run with monic elements would add at
-    that point.  The S-pair of elements with leading coefficients alpha and
-    beta is (beta / g) * m_a * a - (alpha / g) * m_b * b, g = gcd(alpha,
-    beta), taken on element and cofactor at once; the leading terms cancel,
-    so it is formed from the divisor bodies.
+    The codec's fields hold every term of the largest column degree.  Before
+    an item whose degree admits a larger total degree is taken, the codec is
+    widened and the basis and the relations are repacked; codec is the last
+    one, and everything returned is packed by it.  No generator is left in
+    the queue then, since the item's degree has a larger functional than
+    every column's, and an S-pair waits as two indices and an lcm tuple.
+
+    The run is fraction-free on integer columns.  basis lists the (work,
+    tail) packed dicts of the elements in the order they were added, not
+    yet inter-reduced: each element is a primitive integer vector with a
+    positive leading coefficient, a positive multiple of the monic element
+    a run with monic elements would add at that point.  The S-pair of
+    elements with leading coefficients alpha and beta is (beta / g) * m_a *
+    a - (alpha / g) * m_b * b, g = gcd(alpha, beta), taken on element and
+    tail at once; the leading terms cancel, so it is formed from the
+    divisor bodies.
 
     reductions holds (relation, degree) for every generator or S-pair of
-    that degree that reduced to zero, the relation being the tail the
-    division left, and (e_j, degree of column j) for a zero column j.  Each
-    relation is a syzygy of the columns in that degree, a positive multiple
-    of the monic run's relation.  Without a bound these relations generate
-    all syzygies.
+    that degree that reduced to zero, the relation being the packed tail
+    the division left, and (e_j, degree of column j) for a zero column j.
+    Each relation is a syzygy of the columns in that degree, a positive
+    multiple of the monic run's relation.  Without a bound these relations
+    generate all syzygies.
     """
+    if not columns:
+        return None, [], []
     ring = cofactor_module.ring
     functional = ring._functional
     limit = functional(bound) if bound is not None else None
-    module = columns[0].module if columns else None
-    rank = module.rank if columns else 0
-    size = rank + cofactor_module.rank
+    module = columns[0].module
+    # a term of an item of degree d at element index i has degree d, so its
+    # monomial has degree d - deg e_i; at tail index j, d - deg column j
+    base = min(functional(d) for d in module.basis_degrees + cofactor_module.basis_degrees)
+    step = min(functional(d) for d in ring.var_degrees)
+
+    def reach(degree):
+        """The largest total degree of a term of an item of this degree."""
+        return max(0, (functional(degree) - base) // step)
+
+    degrees = cofactor_module.basis_degrees
+    indices = max(module.rank, cofactor_module.rank if tails else 0)
+    codec = _TermCodec(ring, order, indices, max(map(reach, degrees)))
     unit = unit_monomial(ring.num_vars)
 
     heap = []
@@ -328,79 +281,101 @@ def _buchberger_tracked(columns, cofactor_module, order, bound):
         if limit is None or value <= limit:
             heapq.heappush(heap, (value, degree, next(seq), payload))
 
-    for j, (col, degree) in enumerate(zip(columns, cofactor_module.basis_degrees)):
-        work = dict(col.support())
-        work[ModuleTerm(unit, rank + j)] = 1
-        if col.is_zero:
-            reductions.append((ModuleElement(cofactor_module, _polynomials(work, size)[rank:]), degree))
+    for j, (col, degree) in enumerate(zip(columns, degrees)):
+        work = codec.packed(col)
+        tail = {codec.term(unit, j): 1} if tails else {}
+        if work:
+            push(degree, ("gen", work, tail))
         else:
-            push(degree, ("gen", work))
+            reductions.append((tail, degree))
 
     basis = []
     divisors = []
+    leads = []
 
-    def s_pair(i, j):
-        (a, a_body), (b, b_body) = divisors[i], divisors[j]
-        a_term, alpha = a.leading_term(order)
-        b_term, beta = b.leading_term(order)
-        lcm_mono = monomial_lcm(a_term.monomial, b_term.monomial)
+    def s_pair(i, j, lcm_mono):
+        a_lead, alpha, a_body, a_tail = divisors[i]
+        b_lead, beta, b_body, b_tail = divisors[j]
         g = gcd(alpha, beta)
-        return _shifted_difference(
-            a_body, monomial_div(lcm_mono, a_term.monomial), beta // g,
-            b_body, monomial_div(lcm_mono, b_term.monomial), alpha // g,
+        lcm_term = codec.term(lcm_mono, leads[j].index)
+        mx, my = lcm_term - a_lead, lcm_term - b_lead
+        return (
+            _shifted_difference(a_body, mx, beta // g, b_body, my, alpha // g),
+            _shifted_difference(a_tail, mx, beta // g, b_tail, my, alpha // g),
         )
 
     while heap:
+        needed = reach(heap[0][1])
+        if needed > codec.capacity:
+            old, codec = codec, codec.widened(needed)
+            log.debug("buchberger: widened exponent fields to %d bits for degree %s", codec.bits, heap[0][1])
+            basis = [(codec.repacked(old, w), codec.repacked(old, t)) for w, t in basis]
+            divisors = [_divisor(w, t) for w, t in basis]
+            reductions = [(codec.repacked(old, t), d) for t, d in reductions]
         _, degree, _, payload = heapq.heappop(heap)
-        work = payload[1] if payload[0] == "gen" else s_pair(payload[1], payload[2])
-        _pseudo_divide(work, divisors, order, module)
-        entries = _polynomials(work, size)
-        remainder = ModuleElement(module, entries[:rank])
-        if remainder.is_zero:
-            reductions.append((ModuleElement(cofactor_module, entries[rank:]), degree))
+        work, tail = payload[1:] if payload[0] == "gen" else s_pair(*payload[1:])
+        _pseudo_divide(work, tail, divisors, codec)
+        if not work:
+            reductions.append((tail, degree))
             continue
-        lead, lead_coeff = remainder.leading_term(order)
-        content = _content(remainder)
-        if lead_coeff < 0:
+        lead = max(work)
+        content = _content(work.values())
+        if work[lead] < 0:
             content = -content
         if content != 1:
             work = {t: exact_quotient(c, content) for t, c in work.items()}
-            entries = _polynomials(work, size)
-        new = _Tracked(ModuleElement(module, entries[:rank]), ModuleElement(cofactor_module, entries[rank:]))
+            tail = {t: exact_quotient(c, content) for t, c in tail.items()}
         t = len(basis)
-        basis.append(new)
-        divisors.append((new.element, [(term.monomial, term.index, c) for term, c in work.items() if term != lead]))
-        log.debug("basis element %d with leading term %s", t, lead)
+        basis.append((work, tail))
+        divisors.append(_divisor(work, tail))
+        new = codec.unpack(lead)
+        leads.append(new)
+        log.debug("basis element %d with leading term %s", t, new)
         for i in range(t):
-            other = basis[i].element.leading_term(order)[0]
-            if other.index == lead.index:
-                lcm_mono = monomial_lcm(other.monomial, lead.monomial)
-                push(new.element.term_degree(ModuleTerm(lcm_mono, lead.index)), ("pair", i, t))
+            other = leads[i]
+            if other.index == new.index:
+                lcm_mono = monomial_lcm(other.monomial, new.monomial)
+                pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
+                push(pair_degree, ("pair", i, t, lcm_mono))
 
-    return basis, reductions
+    return codec, basis, reductions
 
 
-def _reduce_basis(elements, order):
-    """Inter-reduce monic elements: drop redundant leading terms, reduce tails.
+def _buchberger_tracked(columns, cofactor_module, order, bound):
+    """Buchberger run with cofactors; returns (basis, reductions), unpacked.
 
-    Returns the reduced basis sorted by increasing leading term.  Reducing
-    a tail does not change its leading term, so the sort is done once.
+    basis lists a _Tracked element and cofactor for each element the run
+    added, in order, and reductions the (relation, degree) pairs of
+    `_buchberger_run`, each relation a ModuleElement of cofactor_module.
     """
-    if not elements:
-        return []
-    module = elements[0].module
-    term_key = order.sort_key(module.ring)
-    leads = sorted(((g.leading_term(order)[0], g) for g in elements), key=lambda pair: term_key(pair[0]))
+    codec, basis, reductions = _buchberger_run(columns, cofactor_module, order, bound, True)
+    module = columns[0].module if columns else None
+    tracked = [_Tracked(codec, work, tail, module, cofactor_module) for work, tail in basis]
+    relations = [
+        (ModuleElement(cofactor_module, codec.entries(tail, cofactor_module.rank)), degree)
+        for tail, degree in reductions
+    ]
+    return tracked, relations
+
+
+def _reduce_basis(elements, codec, module):
+    """Inter-reduce monic packed element dicts: drop redundant leading terms, reduce tails.
+
+    Returns the reduced basis as ModuleElements of module, sorted by
+    increasing leading term.  Reducing a tail does not change its leading
+    term, so the sort is done once.
+    """
     kept = []
-    for lead, g in leads:
-        if not any(_term_divides(other, lead) for other, _ in kept):
+    for g in sorted(elements, key=max):
+        lead = max(g)
+        if not any(codec.divides(other, lead) for other, _ in kept):
             kept.append((lead, g))
-    kept = [_divisor(g, order) for _, g in kept]
+    divisors = [_divisor(g) for _, g in kept]
     reduced = []
-    for pos, (g, _) in enumerate(kept):
-        work = dict(g.support())
-        multiplier = _pseudo_divide(work, kept[:pos] + kept[pos + 1:], order, module)
-        reduced.append(ModuleElement(module, _polynomials(work, module.rank, multiplier)))
+    for pos, (_, g) in enumerate(kept):
+        work = dict(g)
+        multiplier = _pseudo_divide(work, {}, divisors[:pos] + divisors[pos + 1:], codec)
+        reduced.append(ModuleElement(module, codec.entries(work, module.rank, multiplier)))
     return reduced
 
 
@@ -420,20 +395,23 @@ def buchberger(matrix, order, bound=None):
     those componentwise below it);
     the degree-d elements of a bounded run at bound d form a basis of the
     degree-d component of the column span.  The run keeps primitive integer
-    elements; they are made monic once, before the inter-reduction.  The
-    elements are canonical: they do not depend on the column order or on
-    invertible scalar mixing of equal-degree columns.  Propagation along a
-    map needs no run: in the columns' own degree the basis is a reduced
-    echelon form.
+    elements and carries no cofactors; they are made monic once, before the
+    inter-reduction.  The elements are canonical: they do not depend on the
+    column order or on invertible scalar mixing of equal-degree columns.
+    Propagation along a map needs no run: in the columns' own degree the
+    basis is a reduced echelon form.
     """
     check_order(order)
     ring = matrix.domain.ring
     if bound is not None:
         bound = _int_vector(bound, "degree bound", ring.degree_length)
     cof_module = FreeModuleSpec(ring, matrix.domain.basis_degrees)
-    basis, _ = _buchberger_tracked(matrix.columns(), cof_module, order, bound)
-    monic = [_divided(item.element, item.element.leading_term(order)[1]) for item in basis]
-    elements = _reduce_basis(monic, order)
+    codec, basis, _ = _buchberger_run(matrix.columns(), cof_module, order, bound, False)
+    monic = []
+    for work, _ in basis:
+        lead_coeff = work[max(work)]
+        monic.append({t: exact_quotient(c, lead_coeff) for t, c in work.items()})
+    elements = _reduce_basis(monic, codec, matrix.codomain)
     return GroebnerBasis(matrix.codomain, order, tuple(elements))
 
 
@@ -584,7 +562,7 @@ def is_minimal_map(matrix):
 
 def _primitive_column(element):
     """The primitive integer vector (content 1) on the ray of a nonzero element."""
-    return _divided(element, _content(element))
+    return _divided(element, _content([c for p in element.entries for c in p.terms.values()]))
 
 
 def syzygies(matrix, order):

@@ -113,12 +113,10 @@ class ModuleTermOrder:
 class ModuleElement:
     """Element of a free module: one Polynomial per basis position.
 
-    Immutable by convention, like its entries, so `leading_term` caches its
-    answer per module term order.  The cache slot stays unset until the
-    first call: most elements never need a leading term.
+    Immutable by convention, like its entries.
     """
 
-    __slots__ = ("module", "entries", "_leads")
+    __slots__ = ("module", "entries")
 
     def __init__(self, module, entries):
         entries = tuple(entries)
@@ -170,19 +168,10 @@ class ModuleElement:
 
     def leading_term(self, order):
         """Largest support term under the module term order, with coefficient."""
-        kind = order.kind
-        try:
-            return self._leads[kind]
-        except AttributeError:
-            self._leads = {}
-        except KeyError:
-            pass
         if self.is_zero:
             raise InputError("the zero element has no leading term")
-        key = order.sort_key(self.module.ring)
-        best = max((t for t, _ in self.support()), key=key)
-        lead = self._leads[kind] = (best, self.entries[best.index].terms[best.monomial])
-        return lead
+        best = max((t for t, _ in self.support()), key=order.sort_key(self.module.ring))
+        return best, self.entries[best.index].terms[best.monomial]
 
     def term_degree(self, term):
         """Multidegree of the module term t*f_i inside this module."""

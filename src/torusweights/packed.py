@@ -1,0 +1,244 @@
+"""Packed module terms: the int format of the Groebner engine, and its division.
+
+Inside `groebner` a module term, a monomial with a basis index, is one
+Python int (Monagan and Pearce, "Sparse polynomial division using a heap",
+JSC 2011, and "POLY: a new polynomial data structure for Maple 17", 2013).
+A `_TermCodec`, built once per run, gives every exponent a fixed-width
+field with a guard bit on top and the basis index a field of its own, placed
+so that the int itself is the order key of `ModuleTermOrder.sort_key`.
+Multiplying a term by a monomial is one int add, and "same index and
+divides" is one subtraction and one mask test on the guard bits.  Under
+grevlex the fields above the exponents hold their prefix sums e_1 + ... +
+e_k, which order exactly like `RingSpec.monomial_key`; they are stored, not
+recomputed by a multiply and a mask per comparison, so the int is the key
+under lex and grevlex alike.
+
+A codec holds every term whose total degree is within its capacity; the
+caller proves that bound, or lets `_pseudo_divide` find a term that
+outgrew it: a popped term with a guard bit set raises `_FieldOverflow`, so
+no field overflows silently.  `_TermCodec.widened` gives the same layout
+with wider fields, to which the caller repacks what it holds.  Nothing
+outside `groebner` sees a packed term: a codec packs ModuleElements on entry
+and unpacks its dicts into Polynomials of exponent tuples on exit, through a
+memo of the distinct terms it has met.
+"""
+
+import bisect
+import operator
+from math import gcd
+
+from .errors import InternalError
+from .modules import ModuleTerm
+from .rings import Polynomial, exact, exact_quotient
+
+# Value bits of an exponent field in a fresh codec: total degrees up to 127.
+_FIELD_BITS = 7
+
+
+class _FieldOverflow(InternalError):
+    """A packed term outgrew its exponent fields."""
+
+
+class _TermCodec:
+    """Packs the module terms of one run into single ints.
+
+    A term is a monomial over ring with an index below `indices`: an index
+    of the module a run divides in, or of the tail it carries along, which
+    share one layout, so that one packed monomial shifts either.  Each
+    exponent field holds `bits` value bits under a guard bit, so every term
+    of total degree up to `capacity` = 2**bits - 1 packs, and capacity is
+    at least the bound the codec is built for.  From the least significant
+    bit up: the index field for top-* orders; the exponents, e_n lowest;
+    under grevlex the prefix sums e_1 + ... + e_k, k = 1 lowest and the
+    total degree highest; the index field for pot-* orders.  The index
+    field holds the index under *-up and indices - 1 - index under *-down,
+    and has a guard bit too.
+
+    So the packed term is the order key: a > b exactly when the term a is
+    bigger under order.sort_key(ring).  A term times a monomial packs to the
+    sum of their packings while the product's total degree is within
+    capacity.  b - a has no bit of `divmask` set exactly when a and b have
+    the same index and a's monomial divides b's, and a sum of packings has a
+    bit of `guards` set exactly when a field has overflowed.  `unpack`
+    memoizes, so each distinct term is unpacked once per codec.
+    """
+
+    __slots__ = (
+        "ring", "order", "indices", "bits", "capacity", "divmask", "guards",
+        "_units", "_shifts", "_index_shift", "_index_mask", "_down", "_terms",
+    )
+
+    def __init__(self, ring, order, indices, bound):
+        n = ring.num_vars
+        self.ring, self.order, self.indices = ring, order, indices
+        self.bits = bits = max(_FIELD_BITS, bound.bit_length())
+        self.capacity = (1 << bits) - 1
+        width = bits + 1
+        fields = 2 * n if ring.term_order == "grevlex" else n
+        index_width = max(indices, 1).bit_length() + 1
+        position_first = order.kind.startswith("pot")
+        low = 0 if position_first else index_width
+        self._index_shift = fields * width if position_first else 0
+        self._index_mask = (1 << index_width) - 1
+        self._down = not order.is_position_up
+        self._shifts = [low + (n - 1 - i) * width for i in range(n)]
+        units = []
+        for i, shift in enumerate(self._shifts):
+            unit = 1 << shift
+            if fields > n:
+                for k in range(i, n):
+                    unit |= 1 << (low + (n + k) * width)
+            units.append(unit)
+        self._units = units
+        guards = [1 << (low + f * width + bits) for f in range(fields)]
+        self.guards = sum(guards)
+        self.divmask = sum(guards[:n]) | (self._index_mask << self._index_shift)
+        self._terms = {}
+
+    def widened(self, bound):
+        """A codec of the same layout with at least twice the bits, holding bound."""
+        return _TermCodec(self.ring, self.order, self.indices, max(bound, (1 << (2 * self.bits)) - 1))
+
+    def term(self, mono, index):
+        """The term (mono, index) packed."""
+        if self._down:
+            index = self.indices - 1 - index
+        return sum(map(operator.mul, mono, self._units)) | index << self._index_shift
+
+    def packed(self, element):
+        """The terms of a ModuleElement as a packed dict, in support order."""
+        return {self.term(t.monomial, t.index): c for t, c in element.support()}
+
+    def divides(self, a, b):
+        """Whether packed term a has b's index and divides it."""
+        return not (b - a) & self.divmask
+
+    def unpack(self, t):
+        """The packed term t as a ModuleTerm."""
+        term = self._terms.get(t)
+        if term is None:
+            mono = tuple([(t >> s) & self.capacity for s in self._shifts])
+            index = (t >> self._index_shift) & self._index_mask
+            term = self._terms[t] = ModuleTerm(mono, self.indices - 1 - index if self._down else index)
+        return term
+
+    def entries(self, terms, size, scalar=1):
+        """The packed dict terms divided by scalar, as one Polynomial per index below size."""
+        entries = [{} for _ in range(size)]
+        for t, c in terms.items():
+            mono, index = self.unpack(t)
+            entries[index][mono] = c if scalar == 1 else exact_quotient(c, scalar)
+        return [Polynomial._from_exact(e) for e in entries]
+
+    def repacked(self, old, terms):
+        """The dict terms, packed by codec old, packed by this codec."""
+        return {self.term(*old.unpack(t)): c for t, c in terms.items()}
+
+
+def _pseudo_divide(work, tail, divisors, codec):
+    """Fraction-free division of the packed element dict work, in place.
+
+    work maps the packed terms of an element to their coefficients, tail
+    those of its tail.  Each divisor is a tuple (lead, lead_coeff, body,
+    body_tail) from `_divisor`: the packed leading term and leading
+    coefficient of a nonzero element g_k, and the (packed term, coefficient)
+    pairs of the rest of g_k and of its tail tail_k.  Returns a positive int
+    M; work | tail then is M * input - sum(q_k * (g_k | tail_k)), where q_k
+    are the quotients of the division scaled by M.  work holds M times the
+    remainder, and tail holds M times the input's tail minus the
+    quotient-weighted tails of the divisors.
+
+    At each step the first divisor (in list order) whose leading term
+    divides the current leading term is used; irreducible leading terms stay
+    in work as remainder terms.  When the current coefficient c and the
+    divisor's leading coefficient a are both ints, the step is a
+    pseudo-division: with g = gcd(a, c), work and tail are multiplied by
+    |a| / g and sign(a) * c / g times the divisor is subtracted, so no
+    fraction arises.  Otherwise it subtracts c / a times the divisor and M
+    stays.  Scaling changes no term's support, so the steps, and the
+    quotients and remainder up to the positive factor M, are those of plain
+    division.
+
+    The element's packed terms wait in a sorted list, so the leading term is
+    the last one and is popped, not searched for.  The quotient's monomial
+    is the difference of two packed terms and shifts each body term by one
+    add.  A reduction step only adds terms below the one it cancels, so a
+    popped term never comes back; a term that cancels to zero leaves work
+    and its stale list entry is skipped.  A popped term with a guard bit set
+    has overflowed its field, and the division raises _FieldOverflow.
+    """
+    divmask, guards = codec.divmask, codec.guards
+    pending = sorted(work)
+    multiplier = 1
+    while pending:
+        term = pending.pop()
+        coeff = work.get(term)
+        if coeff is None:
+            continue
+        if term & guards:
+            raise _FieldOverflow("a packed exponent outgrew its %d-bit field" % codec.bits)
+        for lead, g_coeff, body, body_tail in divisors:
+            if not (term - lead) & divmask:
+                break
+        else:
+            continue
+        del work[term]
+        if type(coeff) is int and type(g_coeff) is int:
+            g = gcd(g_coeff, coeff)
+            q_coeff = coeff // g if g_coeff > 0 else -(coeff // g)
+            factor = abs(g_coeff) // g
+            if factor != 1:
+                multiplier *= factor
+                for t, c in work.items():
+                    work[t] = c * factor
+                for t, c in tail.items():
+                    tail[t] = c * factor
+        else:
+            q_coeff = exact_quotient(coeff, g_coeff)
+        shift = term - lead
+        for t, c in body:
+            t += shift
+            value = work.get(t, 0) - c * q_coeff
+            if value:
+                if t not in work:
+                    bisect.insort(pending, t)
+                work[t] = value
+            else:
+                del work[t]
+        for t, c in body_tail:
+            t += shift
+            value = tail.get(t, 0) - c * q_coeff
+            if value:
+                tail[t] = value
+            else:
+                del tail[t]
+    return multiplier
+
+
+def _divisor(work, tail=None):
+    """The nonzero packed element dict work, with its tail dict, as a `_pseudo_divide` divisor.
+
+    Its leading term is work's largest packed term.  Its leading coefficient
+    is made exact, as a ModuleElement's are, so that an integral Fraction
+    left by a division is an int and the division by it stays
+    fraction-free; the body's coefficients are taken as they are.
+    """
+    lead = max(work)
+    body = [(t, c) for t, c in work.items() if t != lead]
+    return lead, exact(work[lead]), body, list(tail.items()) if tail else []
+
+
+def _shifted_difference(x, mx, cx, y, my, cy):
+    """cx * mx * x - cy * my * y for lists x, y of (packed term, coefficient) pairs, as a dict.
+
+    mx and my are packed monomials.
+    """
+    out = {t + mx: cx * c for t, c in x}
+    for t, c in y:
+        t += my
+        value = out.get(t, 0) - cy * c
+        if value:
+            out[t] = value
+        else:
+            del out[t]
+    return out

@@ -1,10 +1,10 @@
 """Polynomial expression parser and canonical printer.
 
 Grammar: integer literals, rational literals `a/b`, variable names from the
-ring, `^` with a nonnegative integer exponent, `*`, `+`, binary and unary `-`,
-and parentheses.  Implicit multiplication is not allowed.  The canonical
-printed form (terms in decreasing term order, explicit `*` and `^`) parses
-back to the same polynomial.
+ring, `^` with a nonnegative integer exponent of at most MAX_EXPONENT, `*`,
+`+`, binary and unary `-`, and parentheses.  Implicit multiplication is not
+allowed.  The canonical printed form (terms in decreasing term order,
+explicit `*` and `^`) parses back to the same polynomial.
 """
 
 import re
@@ -12,6 +12,12 @@ from fractions import Fraction
 
 from .errors import PolynomialSyntaxError
 from .rings import Polynomial, unit_monomial
+
+# The largest exponent `^` accepts.  A larger one is a PolynomialSyntaxError,
+# raised before any power is computed: powering a coefficient or a sum of
+# terms costs time that grows with the exponent.  A power of one variable
+# alone, such as x1^10000000, is only an exponent tuple and stays cheap.
+MAX_EXPONENT = 10_000_000
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
@@ -36,7 +42,12 @@ def _tokenize(text):
                 "unexpected character %r" % stripped[0], len(text) - len(stripped)
             )
         if match.lastgroup == "int":
-            tokens.append(("int", int(match.group("int")), match.start("int")))
+            try:
+                value = int(match.group("int"))
+            except ValueError:
+                # more digits than int() converts (sys.get_int_max_str_digits)
+                raise PolynomialSyntaxError("integer literal is too long", match.start("int")) from None
+            tokens.append(("int", value, match.start("int")))
         elif match.lastgroup == "name":
             tokens.append(("name", match.group("name"), match.start("name")))
         else:
@@ -105,6 +116,8 @@ class _Parser:
             self.fail("negative exponent")
         if kind != "int":
             self.fail("expected integer exponent")
+        if value > MAX_EXPONENT:
+            self.fail("exponent %d is above the cap of %d" % (value, MAX_EXPONENT))
         self.advance()
         return value
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import time
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from torusweights import InputError, InternalError, PolynomialSyntaxError, ProblemFileError
 from torusweights.cli import main
+from torusweights.parsing import MAX_EXPONENT
 from torusweights.problemfile import load_problem, problem_from_dict, problem_to_dict
 
 from conftest import fixture_path
@@ -275,6 +277,73 @@ def test_huge_power_of_a_variable_fails_fast(capsys, tmp_path):
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     assert "homogeneous" in err
+
+
+@pytest.mark.parametrize("base", ["(3*x1)", "(x1+2*x2)", "x1"], ids=["single-term", "multi-term", "variable"])
+def test_exponent_above_the_cap_is_a_parse_error(capsys, tmp_path, base):
+    # the cap is checked before any power is computed: (3*x1)^e powers the
+    # coefficient, (x1+2*x2)^e multiplies e times
+    doc = {
+        "ring": {"vars": ["x1", "x2"], "degrees": [[1], [1]], "weights": [[1], [1]]},
+        "modules": {"F0": {"degrees": [[0]]}, "E": {"degrees": [[1]]}},
+        "matrices": {"m": {"rows": "F0", "cols": "E", "entries": [["%s^%d" % (base, MAX_EXPONENT + 1)]]}},
+    }
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-minimal", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "parse error: exponent %d is above the cap of %d" % (MAX_EXPONENT + 1, MAX_EXPONENT) in err
+
+
+def test_overlong_integer_literal_is_a_parse_error(capsys, tmp_path):
+    # int() refuses strings of more than sys.get_int_max_str_digits() digits
+    doc = {
+        "ring": {"vars": ["x1"], "degrees": [[1]], "weights": [[1]]},
+        "modules": {"F0": {"degrees": [[0]]}, "E": {"degrees": [[1]]}},
+        "matrices": {"m": {"rows": "F0", "cols": "E", "entries": [["x1^" + "9" * 5000]]}},
+    }
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-minimal", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
+HIGH_DEGREE_RESOLUTION = {
+    "ranks": [1, 4, 3],
+    "degrees": [[[0]], [[101], [101], [120], [101]], [[102], [159], [160]]],
+    "differentials": [
+        [["x^100*y", "x^99*y^2", "x^60*y^60+3*x^30*y^90", "x*y^100"]],
+        [
+            ["y", "0", "0"],
+            ["-x", "y^58", "0"],
+            ["0", "-x^39+3*x^9*y^30", "-y^40"],
+            ["0", "-9*x^38*y^20", "x^59+3*x^29*y^30"],
+        ],
+    ],
+}
+HIGH_DEGREE_BASIS = ["x*y^100", "x^99*y^2", "x^100*y", "x^60*y^60+3*x^30*y^90"]
+
+
+@pytest.mark.parametrize("order", ["top-up", "pot-up", "top-down", "pot-down"])
+def test_high_degree_fixture_widens_the_packed_fields(capsys, caplog, order):
+    # the columns have total degree at most 120, which the first fields hold;
+    # S-pair lcms such as x^99*y^60 (degree 159) and x^60*y^100 (degree 160)
+    # do not fit, so every run widens its fields before it takes them
+    caplog.set_level(logging.DEBUG, logger="torusweights.groebner")
+    path = str(fixture_path("high_degree.json"))
+    code, out, err = run(capsys, "resolve", "--input", path, "--module-order", order, "--json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(HIGH_DEGREE_RESOLUTION, sort_keys=True, separators=(",", ":")) + "\n"
+    assert "buchberger: widened exponent fields" in caplog.text
+    caplog.clear()
+    code, out, err = run(capsys, "gb", "--input", path, "--module-order", order, "--json")
+    assert (code, err) == (0, "")
+    basis = HIGH_DEGREE_BASIS if order.endswith("-up") else HIGH_DEGREE_BASIS[::-1]
+    assert out == json.dumps({"groebner_matrix": [basis], "size": 4}, separators=(",", ":")) + "\n"
+    assert "buchberger: widened exponent fields" in caplog.text
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import logging
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -144,6 +145,20 @@ def test_normal_form_rejects_a_divisor_from_another_module(std3):
     shifted = FreeModuleSpec(std3, [[1]])
     with pytest.raises(InputError, match="divisor 0 lives in another module"):
         normal_form(e, [shifted.basis_element(0, parse_polynomial(std3, "x1"))], TOP_UP)
+
+
+def test_normal_form_widens_its_fields_when_a_lex_division_outgrows_them(caplog):
+    # under lex, dividing x^30 by the inhomogeneous x - y^5 leaves y^150:
+    # total degree 150, above the fields sized for the inputs (degree 30)
+    ring = RingSpec(["x", "y"], [[1], [1]], [[1, 0], [0, 1]], "lex")
+    module = FreeModuleSpec(ring, [[0]])
+    element = module.basis_element(0, parse_polynomial(ring, "x^30"))
+    divisor = module.basis_element(0, parse_polynomial(ring, "x - y^5"))
+    caplog.set_level(logging.DEBUG, logger="torusweights.groebner")
+    result = normal_form(element, [divisor], TOP_UP)
+    assert result.remainder == module.basis_element(0, parse_polynomial(ring, "y^150"))
+    assert result.quotients == [parse_polynomial(ring, "+".join("x^%d*y^%d" % (29 - k, 5 * k) for k in range(30)))]
+    assert "normal form: widened exponent fields" in caplog.text
 
 
 # ---------- buchberger ----------

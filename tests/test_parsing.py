@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from torusweights import Polynomial, PolynomialSyntaxError, RingSpec
-from torusweights.parsing import parse_polynomial, polynomial_to_string
+from torusweights.parsing import MAX_EXPONENT, parse_polynomial, polynomial_to_string
 
 
 @pytest.fixture
@@ -66,6 +66,14 @@ def test_unknown_identifier(ring):
 def test_negative_exponent(ring):
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial(ring, "x1^-2")
+
+
+def test_exponent_cap(ring):
+    assert parse_polynomial(ring, "x1^%d" % MAX_EXPONENT).terms == {(MAX_EXPONENT, 0, 0): 1}
+    text = "2*(x1 + x2)^%d" % (MAX_EXPONENT + 1)
+    with pytest.raises(PolynomialSyntaxError, match="cap of %d" % MAX_EXPONENT) as info:
+        parse_polynomial(ring, text)
+    assert info.value.position == text.index("^") + 1
 
 
 def test_implicit_multiplication_rejected(ring):

@@ -30,9 +30,10 @@ from torusweights import (
     syzygies,
 )
 from torusweights.errors import ResolutionStepError
-from torusweights.groebner import _buchberger_tracked, _nakayama_kept
+from torusweights.groebner import _buchberger_tracked, _nakayama_kept, _term_divides
 from torusweights.linalg import Echelon, rank
-from torusweights.modules import ModuleElement
+from torusweights.modules import ModuleElement, ModuleTerm
+from torusweights.packed import _FIELD_BITS, _TermCodec
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.rings import Polynomial, monomial_div, monomial_divides, vector_add, vector_sub
 
@@ -509,6 +510,77 @@ def test_hilbert_function_of_leading_term_module(data):
         image_dim = ech.rank
         standard = standard_monomials(basis, degree)
         assert len(standard) == len(terms) - image_dim
+
+
+# ---------- packed module terms against the tuple code ----------
+
+# The largest total degree a codec of the initial field width holds.
+INITIAL_CAPACITY = (1 << _FIELD_BITS) - 1
+
+
+@st.composite
+def packed_term_case(draw):
+    """(ring, order, rank, terms, multiplier): terms over 1-10 variables and rank indices.
+
+    Exponents reach up to, and some cases across, the initial field width;
+    each term is followed by its multiple by multiplier (so that some pairs
+    divide), and the codec is sized for the largest total degree.
+    """
+    n = draw(st.integers(1, 10))
+    ring = std_ring(n, draw(st.sampled_from(["grevlex", "lex"])))
+    order = draw(st.sampled_from(ALL_ORDERS))
+    rank = draw(st.integers(1, 5))
+    top = draw(st.sampled_from([3, INITIAL_CAPACITY, 3 * INITIAL_CAPACITY]))
+    monomials = st.tuples(*(st.integers(0, top) for _ in range(n)))
+    multiplier = draw(st.tuples(*(st.integers(0, 2) for _ in range(n))))
+    terms = []
+    for mono, index in draw(st.lists(st.tuples(monomials, st.integers(0, rank - 1)), min_size=1, max_size=5)):
+        terms.append(ModuleTerm(mono, index))
+        terms.append(ModuleTerm(vector_add(mono, multiplier), index))
+    return ring, order, rank, terms, multiplier
+
+
+def _codec(ring, order, indices, terms):
+    return _TermCodec(ring, order, indices, max(sum(t.monomial) for t in terms))
+
+
+@SETTINGS
+@given(case=packed_term_case())
+def test_packed_terms_order_like_the_sort_key(case):
+    ring, order, rank, terms, _ = case
+    codec = _codec(ring, order, rank, terms)
+    key = order.sort_key(ring)
+    for a, b in itertools.product(terms, repeat=2):
+        pa, pb = codec.term(*a), codec.term(*b)
+        assert (pa > pb) - (pa < pb) == (key(a) > key(b)) - (key(a) < key(b))
+
+
+@SETTINGS
+@given(case=packed_term_case())
+def test_packed_divides_agrees_with_term_divides(case):
+    ring, order, rank, terms, multiplier = case
+    codec = _codec(ring, order, rank, terms)
+    for a, b in itertools.product(terms, repeat=2):
+        assert codec.divides(codec.term(*a), codec.term(*b)) == _term_divides(a, b)
+    # a term times a monomial packs to the sum, and is divisible by it
+    shift = codec.term(multiplier, 0) - codec.term((0,) * ring.num_vars, 0)
+    for a, b in zip(terms[::2], terms[1::2]):
+        assert codec.term(*a) + shift == codec.term(*b)
+        assert codec.divides(codec.term(*a), codec.term(*b))
+
+
+@SETTINGS
+@given(case=packed_term_case())
+def test_packed_terms_unpack_to_themselves(case):
+    ring, order, rank, terms, _ = case
+    codec = _codec(ring, order, rank, terms)
+    packed = [codec.term(*t) for t in terms]
+    assert [codec.unpack(p) for p in packed] == terms
+    assert not any(p & codec.guards for p in packed)
+    # widening keeps the layout: repacked terms unpack to the same terms
+    wide = codec.widened(codec.capacity + 1)
+    assert wide.bits >= 2 * codec.bits
+    assert [wide.unpack(p) for p in wide.repacked(codec, dict.fromkeys(packed))] == list(dict.fromkeys(terms))
 
 
 # ---------- syzygies against the kernel dimension ----------
