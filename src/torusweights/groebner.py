@@ -16,7 +16,9 @@ Division, Buchberger and the inter-reduction run on packed terms (see
 one add and a divisibility test one subtraction and one mask.  The boundary
 does not move: `Polynomial`, `ModuleTerm`, `ModuleElement` and every public
 or printed value keep exponent tuples.  Columns are packed once on entry,
-and basis elements and relations are unpacked once on exit.
+and basis elements and relations are unpacked once on exit.  The checks
+that maps compose to zero, `check_chain` and the one `syzygies` makes of
+its own result, multiply packed columns too (`_nonzero_composite`).
 
 The field widths come from a bound the run proves.  Every variable's degree
 has positive functional (see `rings`), so a term of degree d at an index of
@@ -75,7 +77,14 @@ from .modules import (
     ScalarMatrix,
     _column_rows,
 )
-from .packed import _FieldOverflow, _TermCodec, _divisor, _pseudo_divide, _shifted_difference
+from .packed import (
+    _FieldOverflow,
+    _TermCodec,
+    _divisor,
+    _largest_degree,
+    _pseudo_divide,
+    _shifted_difference,
+)
 from .rings import (
     Polynomial,
     _int_vector,
@@ -581,7 +590,9 @@ def syzygies(matrix, order):
     matrix @ S = 0 and its image is the full syzygy module; S is one minimal
     generating set of it, not a canonical one.  Each relation is scaled by a
     positive rational to a primitive integer vector (integer coefficients
-    with gcd 1), which changes no degree and no Nakayama selection.
+    with gcd 1), which changes no degree and no Nakayama selection.  The
+    claim matrix @ S = 0 is checked on packed terms before S is returned; an
+    InternalError says it failed.
     """
     check_order(order)
     ring = matrix.domain.ring
@@ -596,25 +607,46 @@ def syzygies(matrix, order):
     minimal = [c for c, keep in zip(candidates, kept) if keep]
     domain = FreeModuleSpec(ring, [d for d, keep in zip(degrees, kept) if keep])
     result = PolyMatrix._unchecked(frame, domain, _column_rows(minimal, frame.rank))
-    if not (matrix @ result).is_zero:
+    if _nonzero_composite([matrix, result]) is not None:
         raise InternalError("syzygy matrix does not annihilate the input")
     return result
+
+
+def _nonzero_composite(maps):
+    """The first k with maps[k] @ maps[k + 1] nonzero, or None; the maps must chain.
+
+    Every map is packed once, by one codec whose fields hold the largest
+    total degree of any consecutive product, and each composite is
+    multiplied by `_TermCodec.product` until its first nonzero column.  Any
+    module order serves a zero test; top-up is used.
+    """
+    if len(maps) < 2:
+        return None
+    degrees = [_largest_degree(d) for d in maps]
+    bound = max(map(operator.add, degrees, degrees[1:]))
+    codec = _TermCodec(maps[0].domain.ring, ModuleTermOrder(), max(d.num_rows for d in maps), bound)
+    packed = [codec.columns(d) for d in maps]
+    for k in range(len(maps) - 1):
+        if any(codec.product(packed[k], packed[k + 1])):
+            return k
+    return None
 
 
 def check_chain(differentials):
     """Raise InputError unless the differentials form a complex.
 
     Each differential after the first must map into the domain of the one
-    before it, and consecutive composites must vanish.  Messages number the
-    differentials from 1.
+    before it, and consecutive composites must vanish.  The composites are
+    tested on packed terms (see `_nonzero_composite`), not multiplied out as
+    PolyMatrix products.  Messages number the differentials from 1.
     """
     for k in range(1, len(differentials)):
         previous, d = differentials[k - 1].domain, differentials[k].codomain
         if d.basis_degrees != previous.basis_degrees or d.ring != previous.ring:
             raise InputError("chain-shape mismatch between differentials %d and %d" % (k, k + 1))
-    for k in range(1, len(differentials)):
-        if not (differentials[k - 1] @ differentials[k]).is_zero:
-            raise InputError("differentials %d and %d do not compose to zero" % (k, k + 1))
+    k = _nonzero_composite(differentials)
+    if k is not None:
+        raise InputError("differentials %d and %d do not compose to zero" % (k + 1, k + 2))
 
 
 class _MinimalChain(tuple):

@@ -1,11 +1,13 @@
-"""Packed module terms: the int format of the Groebner engine, and its division.
+"""Packed module terms: the int format of the Groebner engine, the walk and the chain checks.
 
-Inside `groebner` a module term, a monomial with a basis index, is one
-Python int (Monagan and Pearce, "Sparse polynomial division using a heap",
-JSC 2011, and "POLY: a new polynomial data structure for Maple 17", 2013).
-A `_TermCodec`, built once per run, gives every exponent a fixed-width
-field with a guard bit on top and the basis index a field of its own, placed
-so that the int itself is the order key of `ModuleTermOrder.sort_key`.
+A module term, a monomial with a basis index, is one Python int (Monagan
+and Pearce, "Sparse polynomial division using a heap", JSC 2011, and "POLY:
+a new polynomial data structure for Maple 17", 2013) inside `groebner`'s
+division, Buchberger and inter-reduction, inside the propagation walk of
+`propagate`, and inside the tests that consecutive maps compose to zero.  A
+`_TermCodec`, built once per run, gives every exponent a fixed-width field
+with a guard bit on top and the basis index a field of its own, placed so
+that the int itself is the order key of `ModuleTermOrder.sort_key`.
 Multiplying a term by a monomial is one int add, and "same index and
 divides" is one subtraction and one mask test on the guard bits.  Under
 grevlex the fields above the exponents hold their prefix sums e_1 + ... +
@@ -17,10 +19,15 @@ A codec holds every term whose total degree is within its capacity; the
 caller proves that bound, or lets `_pseudo_divide` find a term that
 outgrew it: a popped term with a guard bit set raises `_FieldOverflow`, so
 no field overflows silently.  `_TermCodec.widened` gives the same layout
-with wider fields, to which the caller repacks what it holds.  Nothing
-outside `groebner` sees a packed term: a codec packs ModuleElements on entry
-and unpacks its dicts into Polynomials of exponent tuples on exit, through a
-memo of the distinct terms it has met.
+with wider fields, to which the caller repacks what it holds.  Outside the
+division, two routines work on the packed columns of a matrix:
+`_TermCodec.product` multiplies two matrices by adding packed terms, and
+`_TermCodec.rebased` takes the scalar combinations of a matrix's rows by
+moving terms between index fields.  Only this module knows the bit layout.
+Everything else, `Polynomial`, `ModuleTerm`, `ModuleElement`, `PolyMatrix`
+and every value the library returns or prints, keeps exponent tuples: a
+codec packs its inputs on entry and unpacks what it returns, through a memo
+of the distinct terms it has met.
 """
 
 import bisect
@@ -28,7 +35,7 @@ import operator
 from math import gcd
 
 from .errors import InternalError
-from .modules import ModuleTerm
+from .modules import ModuleTerm, PolyMatrix
 from .rings import Polynomial, exact, exact_quotient
 
 # Value bits of an exponent field in a fresh codec: total degrees up to 127.
@@ -43,8 +50,9 @@ class _TermCodec:
     """Packs the module terms of one run into single ints.
 
     A term is a monomial over ring with an index below `indices`: an index
-    of the module a run divides in, or of the tail it carries along, which
-    share one layout, so that one packed monomial shifts either.  Each
+    of the module a run divides in, or of the tail it carries along, or a
+    row of the matrices it packs, which share one layout, so that one packed
+    monomial shifts any of them.  Each
     exponent field holds `bits` value bits under a guard bit, so every term
     of total degree up to `capacity` = 2**bits - 1 packs, and capacity is
     at least the bound the codec is built for.  From the least significant
@@ -99,15 +107,77 @@ class _TermCodec:
         """A codec of the same layout with at least twice the bits, holding bound."""
         return _TermCodec(self.ring, self.order, self.indices, max(bound, (1 << (2 * self.bits)) - 1))
 
+    def _tag(self, index):
+        """The index field of a term at index, in place."""
+        return (self.indices - 1 - index if self._down else index) << self._index_shift
+
     def term(self, mono, index):
         """The term (mono, index) packed."""
-        if self._down:
-            index = self.indices - 1 - index
-        return sum(map(operator.mul, mono, self._units)) | index << self._index_shift
+        return sum(map(operator.mul, mono, self._units)) | self._tag(index)
 
     def packed(self, element):
         """The terms of a ModuleElement as a packed dict, in support order."""
         return {self.term(t.monomial, t.index): c for t, c in element.support()}
+
+    def columns(self, matrix):
+        """The columns of a PolyMatrix as packed dicts, entry i at index i."""
+        units = self._units
+        columns = [{} for _ in range(matrix.num_cols)]
+        for i, row in enumerate(matrix.entries):
+            tag = self._tag(i)
+            for col, p in zip(columns, row):
+                for mono, c in p.terms.items():
+                    col[sum(map(operator.mul, mono, units)) | tag] = c
+        return columns
+
+    def product(self, a, b):
+        """The columns of A @ B as packed dicts, one at a time.
+
+        a and b are the packed columns of A and B.  The term of B's column j
+        at index k, stripped of its index field, is a packed monomial, so it
+        shifts every term of A's column k by one add; only nonzero entries
+        meet.  The columns come lazily, so a caller testing the product for
+        zero stops at the first nonzero one.  The codec must hold every
+        product's total degree: the largest in A plus the largest in B.
+        """
+        field = self._index_mask << self._index_shift
+        by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
+        for col in b:
+            out = {}
+            get = out.get
+            for t, c in col.items():
+                tag = t & field
+                shift = t - tag
+                for s, x in by_tag[tag]:
+                    s += shift
+                    out[s] = get(s, 0) + x * c
+            yield {s: value for s, value in out.items() if value}
+
+    def rebased(self, columns, rows):
+        """The packed columns with new entry i = sum_k rows[i][k] * old entry k.
+
+        rows is a scalar matrix as a sequence of rows.  Each term moves from
+        index k to every index i with rows[i][k] nonzero, by one add to its
+        index field; the monomial, and so the fields' capacity, stays.  A
+        coefficient may be an integral Fraction; `entries` makes it an int.
+        """
+        field = self._index_mask << self._index_shift
+        moves = {self._tag(k): [] for k in range(self.indices)}
+        for i, row in enumerate(rows):
+            tag = self._tag(i)
+            for k, x in enumerate(row):
+                if x:
+                    moves[self._tag(k)].append((tag - self._tag(k), x))
+        out = []
+        for col in columns:
+            new = {}
+            get = new.get
+            for t, c in col.items():
+                for shift, x in moves[t & field]:
+                    s = t + shift
+                    new[s] = get(s, 0) + x * c
+            out.append({s: value for s, value in new.items() if value})
+        return out
 
     def divides(self, a, b):
         """Whether packed term a has b's index and divides it."""
@@ -130,9 +200,23 @@ class _TermCodec:
             entries[index][mono] = c if scalar == 1 else exact_quotient(c, scalar)
         return [Polynomial._from_exact(e) for e in entries]
 
+    def matrix(self, columns, codomain, domain):
+        """The PolyMatrix from domain to codomain whose columns are the packed dicts.
+
+        The caller guarantees that the columns fit the modules, as for
+        `PolyMatrix._unchecked`.
+        """
+        entries = [self.entries(col, codomain.rank) for col in columns]
+        return PolyMatrix._unchecked(codomain, domain, [[e[i] for e in entries] for i in range(codomain.rank)])
+
     def repacked(self, old, terms):
         """The dict terms, packed by codec old, packed by this codec."""
         return {self.term(*old.unpack(t)): c for t, c in terms.items()}
+
+
+def _largest_degree(matrix):
+    """The largest total degree of a monomial in the entries of a PolyMatrix, 0 if none."""
+    return max((sum(mono) for row in matrix.entries for p in row for mono in p.terms), default=0)
 
 
 def _pseudo_divide(work, tail, divisors, codec):

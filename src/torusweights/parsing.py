@@ -1,7 +1,8 @@
 """Polynomial expression parser and canonical printer.
 
 Grammar: integer literals, rational literals `a/b`, variable names from the
-ring, `^` with a nonnegative integer exponent of at most MAX_EXPONENT, `*`,
+ring, `^` with a nonnegative integer exponent of at most MAX_EXPONENT (and
+a result within MAX_POWER_TERMS and MAX_POWER_BITS), `*`,
 `+`, binary and unary `-`, and parentheses.  Implicit multiplication is not
 allowed.  The canonical printed form (terms in decreasing term order,
 explicit `*` and `^`) parses back to the same polynomial.
@@ -9,15 +10,25 @@ explicit `*` and `^`) parses back to the same polynomial.
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .errors import PolynomialSyntaxError
 from .rings import Polynomial, unit_monomial
 
 # The largest exponent `^` accepts.  A larger one is a PolynomialSyntaxError,
-# raised before any power is computed: powering a coefficient or a sum of
-# terms costs time that grows with the exponent.  A power of one variable
-# alone, such as x1^10000000, is only an exponent tuple and stays cheap.
+# raised before any power is computed.  A power of one variable alone, such
+# as x1^10000000, is only an exponent tuple and stays cheap.
 MAX_EXPONENT = 10_000_000
+
+# Caps on the estimated size of a power, checked before it is computed,
+# since powering a coefficient or a sum of terms costs time that grows with
+# the result.  A base of t terms to the power e has at most
+# C(e + t - 1, t - 1) terms, and each coefficient of it has at most about e
+# times (the largest ceil(log2) of a coefficient's numerator plus that of
+# its denominator, plus ceil(log2 t)) bits, the last for the multinomial
+# coefficients.  A power above either cap is a PolynomialSyntaxError.
+MAX_POWER_TERMS = 500
+MAX_POWER_BITS = 10_000
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
@@ -154,7 +165,10 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
+            tok = self.peek()
             e = self.exponent()
+            if e > 1 and poly.terms:
+                self.check_power_size(poly, e, tok)
             one = Polynomial({unit_monomial(self.ring.num_vars): 1})
             if len(poly.terms) == 1:
                 # one term: scale its exponents instead of multiplying e times
@@ -167,6 +181,22 @@ class _Parser:
                 result = result * poly
             return result
         return poly
+
+
+    def check_power_size(self, poly, e, tok):
+        """Raise PolynomialSyntaxError, at tok, if poly^e is estimated above a cap."""
+        t = len(poly.terms)
+        # for e >= 1 the count is at least t; testing t first keeps comb small
+        if t > MAX_POWER_TERMS or comb(e + t - 1, t - 1) > MAX_POWER_TERMS:
+            self.fail("power of a %d-term base to %d would have more than MAX_POWER_TERMS = %d terms"
+                      % (t, e, MAX_POWER_TERMS), tok)
+        growth = max(
+            (abs(c.numerator) - 1).bit_length() + (c.denominator - 1).bit_length() for c in poly.terms.values()
+        )
+        bits = e * (growth + (t - 1).bit_length())
+        if bits > MAX_POWER_BITS:
+            self.fail("power to %d would have coefficients of up to about %d bits, above MAX_POWER_BITS = %d"
+                      % (e, bits, MAX_POWER_BITS), tok)
 
 
 def parse_polynomial(ring, text):

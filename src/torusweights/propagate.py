@@ -28,6 +28,15 @@ rebasing a minimal map by an invertible scalar matrix keeps it minimal; a
 forward step checks its dual map by the same rule as `propagate`, since the
 dual of a minimal map need not be minimal.
 
+Each step runs on packed terms (see `packed`).  The walk packs each map
+once, by a codec sized for the map's largest total degree, and rebases it
+by C^-1 on its packed columns, through the nonzero entries of C^-1: a
+scalar rebase moves terms between rows and never changes a monomial, so the
+fields never need widening.  A packed term is its own order key, so the
+elimination sorts the image's terms as plain ints.  Only the columns of G,
+their leading terms and each step's rebased map are unpacked, through the
+codec's memo; every returned value keeps exponent tuples.
+
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
 matrix alone and is not checked here.
@@ -48,8 +57,9 @@ from .groebner import (
     standard_monomials,
 )
 from .linalg import Echelon
-from .modules import FreeModuleSpec, ModuleElement, PolyMatrix, ScalarMatrix, _column_rows, dual_map
-from .rings import Polynomial, _int_vector, vector_add, vector_neg
+from .modules import FreeModuleSpec, PolyMatrix, ScalarMatrix, dual_map
+from .packed import _TermCodec, _largest_degree
+from .rings import _int_vector, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
 
@@ -129,7 +139,7 @@ def propagate_single_degree(matrix, weights, order):
     check_order(order)
     if len(set(matrix.domain.basis_degrees)) != 1:
         raise InputError("columns do not share a single degree")
-    return _propagate(matrix, weights, order)
+    return _propagate(matrix, weights, *_packed(matrix, order))
 
 
 def propagate(matrix, weights, order):
@@ -148,29 +158,42 @@ def propagate(matrix, weights, order):
     check_order(order)
     if _needs_nakayama(matrix) and not is_minimal_map(matrix):
         raise MinimalityError(_NOT_MINIMAL)
-    return _propagate(matrix, weights, order)
+    return _propagate(matrix, weights, *_packed(matrix, order))
 
 
-def _propagate(matrix, weights, order):
+def _packed(matrix, order):
+    """A codec sized for matrix's largest total degree under order, and matrix's packed columns.
+
+    A scalar rebase moves terms between indices and never changes a
+    monomial, so the codec holds every rebased column of the map too.
+    """
+    codec = _TermCodec(matrix.domain.ring, order, matrix.num_rows, _largest_degree(matrix))
+    return codec, codec.columns(matrix)
+
+
+def _propagate(matrix, weights, codec, columns):
     """propagate without checks: the weights are validated, and the map is
     minimal or has its columns in one degree (the elimination checks those).
 
-    Row j of one elimination is column j's coefficients over the image's
-    terms, in decreasing order, then the j-th unit vector.  Each row of the
-    reduced echelon form holds a column of G, pivoting at its leading term,
-    and the matching column of C; a pivot in the unit part means dependent
-    columns.  G is the identity at the pivots, so C^-1[k][j] is column j's
-    coefficient at G_k's pivot.  Degrees share no term: they reduce apart.
+    columns are matrix's columns packed by codec, whose order is the one
+    propagated under.  A packed term is its own order key, so the image's
+    terms sort as plain ints.  Row j of one elimination is column j's
+    coefficients over those terms, in decreasing order, then the j-th unit
+    vector.  Each row of the reduced echelon form holds a column of G,
+    pivoting at its leading term, and the matching column of C; a pivot in
+    the unit part means dependent columns.  G is the identity at the
+    pivots, so C^-1[k][j] is column j's coefficient at G_k's pivot.  Degrees
+    share no term: they reduce apart.  Only the columns of G and their
+    leading terms are unpacked.
     """
     ring = matrix.domain.ring
-    columns = matrix.columns()
-    degree_of = {t: d for col, d in zip(columns, matrix.domain.basis_degrees) for t, _ in col.support()}
-    terms = sorted(degree_of, key=order.sort_key(ring), reverse=True)
+    degree_of = {t: d for col, d in zip(columns, matrix.domain.basis_degrees) for t in col}
+    terms = sorted(degree_of, reverse=True)
     index = {t: i for i, t in enumerate(terms)}
     n = len(terms)
     ech = Echelon()
     for j, col in enumerate(columns):
-        vec = {index[term]: coeff for term, coeff in col.support()}
+        vec = {index[t]: coeff for t, coeff in col.items()}
         vec[n + j] = 1
         ech.add(vec)
     if any(pos >= n for pos in ech.pivots):
@@ -178,23 +201,19 @@ def _propagate(matrix, weights, order):
     rows = ech.reduced_rows()
 
     classes = {d: k for k, d in enumerate(dict.fromkeys(matrix.domain.basis_degrees))}
-    sign = -1 if order.is_position_up else 1
+    sign = -1 if codec.order.is_position_up else 1
     pivots = sorted(rows, key=lambda pos: (classes[degree_of[terms[pos]]], sign * pos))
-    g_columns = []
-    for pos in pivots:
-        entries = [{} for _ in range(matrix.num_rows)]
-        for p, coeff in rows[pos].items():
-            if p < n:
-                term = terms[p]
-                entries[term.index][term.monomial] = coeff
-        g_columns.append(ModuleElement(matrix.codomain, [Polynomial(e) for e in entries]))
     leads = [terms[pos] for pos in pivots]
+    g_columns = [{terms[p]: coeff for p, coeff in rows[pos].items() if p < n} for pos in pivots]
     rebased = FreeModuleSpec(ring, [degree_of[t] for t in leads])
     return PropagationResult(
         ScalarMatrix([[rows[pos].get(n + j, 0) for pos in pivots] for j in range(len(columns))]),
-        ScalarMatrix([[col.entries[t.index].terms.get(t.monomial, 0) for col in columns] for t in leads]),
-        tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in leads),
-        PolyMatrix._unchecked(matrix.codomain, rebased, _column_rows(g_columns, matrix.num_rows)),
+        ScalarMatrix([[col.get(t, 0) for col in columns] for t in leads]),
+        tuple(
+            vector_add(ring.monomial_weight(t.monomial), weights[t.index])
+            for t in map(codec.unpack, leads)
+        ),
+        codec.matrix(g_columns, matrix.codomain, rebased),
         rebased,
     )
 
@@ -213,35 +232,22 @@ def propagate_forward(matrix, weights, order):
     return result
 
 
-def _combine(coeffs, polys):
-    """sum(c * p for c, p in zip(coeffs, polys)), accumulated in one term dict."""
-    terms = {}
-    for c, p in zip(coeffs, polys):
-        if c:
-            for mono, x in p.terms.items():
-                s = terms.get(mono, 0) + c * x
-                if s:
-                    terms[mono] = s
-                else:
-                    del terms[mono]
-    return Polynomial._from_exact(terms)
-
-
 def _walk(maps, weights, order):
     """Backward propagation along consecutive maps of a complex, unchecked.
 
-    Rebases each map after the first onto the previous step's rebased
-    module (new row i is sum_k C^-1[i][k] times row k) and yields
-    (rebased map, PropagationResult) per step, drawing each map from `maps`
-    only when its step is taken.
+    Packs each map once (see `_packed`), rebases each map after the first
+    onto the previous step's rebased module (new row i is sum_k C^-1[i][k]
+    times row k) on its packed columns, and yields (rebased map,
+    PropagationResult) per step, drawing each map from `maps` only when its
+    step is taken.  The rebased map is unpacked for the step record.
     """
     inverse = None
     for matrix in maps:
+        codec, columns = _packed(matrix, order)
         if inverse is not None:
-            columns = list(zip(*matrix.entries))
-            rows = [[_combine(coeffs, col) for col in columns] for coeffs in inverse.rows]
-            matrix = PolyMatrix._unchecked(spec, matrix.domain, rows)
-        result = _propagate(matrix, weights, order)
+            columns = codec.rebased(columns, inverse.rows)
+            matrix = codec.matrix(columns, spec, matrix.domain)
+        result = _propagate(matrix, weights, codec, columns)
         yield matrix, result
         weights, inverse, spec = result.weights, result.inverse_change_of_basis, result.rebased_module
 

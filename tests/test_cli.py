@@ -297,6 +297,28 @@ def test_exponent_above_the_cap_is_a_parse_error(capsys, tmp_path, base):
     assert "parse error: exponent %d is above the cap of %d" % (MAX_EXPONENT + 1, MAX_EXPONENT) in err
 
 
+@pytest.mark.parametrize(
+    "entry, cap",
+    [("(x1+2*x2)^10000000", "MAX_POWER_TERMS"), ("(3*x1)^10000000", "MAX_POWER_BITS")],
+    ids=["multi-term", "single-term"],
+)
+def test_power_above_a_size_cap_is_a_parse_error(capsys, tmp_path, entry, cap):
+    # the exponent is within MAX_EXPONENT, but the power's estimated size is
+    # not: (x1+2*x2)^e would multiply e times, (3*x1)^e power the coefficient
+    doc = {
+        "ring": {"vars": ["x1", "x2"], "degrees": [[1], [1]], "weights": [[1], [1]]},
+        "modules": {"F0": {"degrees": [[0]]}, "E": {"degrees": [[1]]}},
+        "matrices": {"m": {"rows": "F0", "cols": "E", "entries": [[entry]]}},
+    }
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-minimal", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and cap in err
+
+
 def test_overlong_integer_literal_is_a_parse_error(capsys, tmp_path):
     # int() refuses strings of more than sys.get_int_max_str_digits() digits
     doc = {

@@ -1,9 +1,16 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from torusweights import Polynomial, PolynomialSyntaxError, RingSpec
-from torusweights.parsing import MAX_EXPONENT, parse_polynomial, polynomial_to_string
+from torusweights.parsing import (
+    MAX_EXPONENT,
+    MAX_POWER_BITS,
+    MAX_POWER_TERMS,
+    parse_polynomial,
+    polynomial_to_string,
+)
 
 
 @pytest.fixture
@@ -74,6 +81,30 @@ def test_exponent_cap(ring):
     with pytest.raises(PolynomialSyntaxError, match="cap of %d" % MAX_EXPONENT) as info:
         parse_polynomial(ring, text)
     assert info.value.position == text.index("^") + 1
+
+
+def test_power_term_cap(ring):
+    # (x1 + x2 + x3)^e has C(e + 2, 2) terms
+    e = max(e for e in range(MAX_POWER_TERMS) if comb(e + 2, 2) <= MAX_POWER_TERMS)
+    assert len(parse_polynomial(ring, "(x1 + x2 + x3)^%d" % e).terms) == comb(e + 2, 2)
+    text = "(x1 + x2 + x3)^%d" % (e + 1)
+    with pytest.raises(PolynomialSyntaxError, match="MAX_POWER_TERMS = %d" % MAX_POWER_TERMS) as info:
+        parse_polynomial(ring, text)
+    assert info.value.position == text.index("^") + 1
+
+
+def test_power_coefficient_cap(ring):
+    # 2^e has e + 1 bits; the estimate counts ceil(log2 2) = 1 per factor
+    assert parse_polynomial(ring, "(2*x1)^%d" % MAX_POWER_BITS).terms == {(MAX_POWER_BITS, 0, 0): 2**MAX_POWER_BITS}
+    text = "(2*x1)^%d" % (MAX_POWER_BITS + 1)
+    with pytest.raises(PolynomialSyntaxError, match="MAX_POWER_BITS = %d" % MAX_POWER_BITS) as info:
+        parse_polynomial(ring, text)
+    assert info.value.position == text.index("^") + 1
+    # a coefficient of 1, -1 or 1/2 grows by at most one bit per factor or none
+    assert parse_polynomial(ring, "(-x1)^%d" % MAX_EXPONENT).terms == {(MAX_EXPONENT, 0, 0): 1}
+    assert parse_polynomial(ring, "(1/2*x1)^%d" % MAX_POWER_BITS).terms == {
+        (MAX_POWER_BITS, 0, 0): Fraction(1, 2**MAX_POWER_BITS)
+    }
 
 
 def test_implicit_multiplication_rejected(ring):
