@@ -3,7 +3,7 @@
 Division with remainder, Buchberger's algorithm (optionally truncated at a
 degree bound), reduced-basis normalization, Schreyer syzygies (read off the
 relations that the zero reductions of one Buchberger run leave behind),
-minimal free resolutions, standard monomials and Nakayama-style minimality
+minimal free resolutions, standard monomials and graded Nakayama minimality
 checks.  `change_of_basis` solves G = M @ C as a linear system; propagation
 does not use it, and the tests keep it as an independent check.  All
 arithmetic is exact.  Coefficients are ints where they are integral (see
@@ -11,21 +11,31 @@ arithmetic is exact.  Coefficients are ints where they are integral (see
 `/`, which would make a float of two ints.  Syzygy columns come out as
 primitive integer vectors.
 
+One engine, `_buchberger_run`, computes Groebner bases, syzygies and
+minimality.  Whether vectors minimally generate their span (graded
+Nakayama) is read off a bounded run over them that takes the S-pairs of
+each degree before its generators: a vector is needed exactly when it joins
+the basis (see `_nakayama_kept`).  No monomial multiple of a vector is
+formed.
+
 Division, Buchberger and the inter-reduction run on packed terms (see
 `packed`): a module term is one int that is its own order key, a product is
 one add and a divisibility test one subtraction and one mask.  The boundary
 does not move: `Polynomial`, `ModuleTerm`, `ModuleElement` and every public
 or printed value keep exponent tuples.  Columns are packed once on entry,
-and basis elements and relations are unpacked once on exit.  The checks
-that maps compose to zero, `check_chain` and the one `syzygies` makes of
-its own result, multiply packed columns too (`_nonzero_composite`).
+and basis elements and relations are unpacked once on exit; `syzygies`
+makes its relations primitive and minimizes them packed, and unpacks only
+the ones it keeps.  The checks that maps compose to zero, `check_chain` and
+the one `syzygies` makes of its own result, multiply packed columns too
+(`_nonzero_composite`).
 
 The field widths come from a bound the run proves.  Every variable's degree
 has positive functional (see `rings`), so a term of degree d at an index of
 basis degree b has total degree at most (functional(d) - functional(b)) /
-(the least functional of a variable).  A Buchberger run sizes its fields
-for its largest column degree, and before it takes an item whose degree
-would exceed them it widens them and repacks its basis and relations.
+(the least functional of a variable).  A Buchberger run starts from a codec
+that holds its columns, and before it takes an item whose degree would
+exceed its fields it widens them and repacks its columns, basis and
+relations.
 `normal_form` divides elements that need not be homogeneous, where no such
 bound holds: it sizes the fields for its inputs' largest total degree, and
 if a term outgrows them it widens them and divides again.
@@ -67,7 +77,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DependentColumnsError, InputError, InternalError, MinimalityError
-from .linalg import Echelon, _quotient, solve
+from .linalg import _quotient, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -86,7 +96,6 @@ from .packed import (
     _shifted_difference,
 )
 from .rings import (
-    Polynomial,
     _int_vector,
     exact_quotient,
     monomial_divides,
@@ -177,32 +186,6 @@ class GroebnerBasis:
         return [g.leading_term(self.order)[0] for g in self.elements]
 
 
-class _Tracked:
-    """Basis element of a run together with its cofactor over the original generators.
-
-    The element is a primitive integer vector (integer coefficients with gcd
-    1) with a positive leading coefficient, and columns @ cofactor equals
-    it; the cofactor may have non-integer coefficients.  Both are held
-    packed and unpacked when read.
-    """
-
-    __slots__ = ("_codec", "_work", "_tail", "_module", "_cofactor_module")
-
-    def __init__(self, codec, work, tail, module, cofactor_module):
-        self._codec, self._work, self._tail = codec, work, tail
-        self._module, self._cofactor_module = module, cofactor_module
-
-    @property
-    def element(self):
-        module = self._module
-        return ModuleElement(module, self._codec.entries(self._work, module.rank))
-
-    @property
-    def cofactor(self):
-        module = self._cofactor_module
-        return ModuleElement(module, self._codec.entries(self._tail, module.rank))
-
-
 def _content(coefficients):
     """gcd(n_i) / lcm(d_i) over the nonzero coefficients n_i / d_i (in lowest terms).
 
@@ -212,22 +195,36 @@ def _content(coefficients):
     return _quotient(gcd(*(c.numerator for c in coefficients)), lcm(*(c.denominator for c in coefficients)))
 
 
-def _divided(element, scalar):
-    """element / scalar, exactly."""
-    if scalar == 1:
-        return element
-    entries = [{m: exact_quotient(c, scalar) for m, c in p.terms.items()} for p in element.entries]
-    return ModuleElement(element.module, [Polynomial._from_exact(e) for e in entries])
+def _primitive(terms):
+    """The nonzero packed dict terms divided by their content: the primitive integer vector on its ray."""
+    values = terms.values()
+    g = gcd(*(c.numerator for c in values))
+    den = lcm(*(c.denominator for c in values))
+    if g == den == 1:
+        return terms
+    return {t: c.numerator * (den // c.denominator) // g for t, c in terms.items()}
 
 
-def _buchberger_run(columns, cofactor_module, order, bound, tails):
-    """Core Buchberger loop on packed terms; returns (codec, basis, reductions).
+def _buchberger_run(codec, columns, degrees, module, bound, tails):
+    """Core Buchberger loop on packed terms; returns (codec, basis, reductions, joined).
 
-    Column j has degree cofactor_module.basis_degrees[j].  Generators and
-    S-pairs are processed in increasing order of the ring's positive
-    functional of their degrees, ties broken by the degrees themselves
-    (normal selection strategy); items whose functional exceeds the bound's
-    are dropped.
+    columns are packed dicts, packed by codec, of elements of module, column
+    j of degree degrees[j]; the run copies them and leaves them as they are.
+    codec has indices for module and, with tails, for the columns.
+    Generators and S-pairs are processed in increasing order of the ring's
+    positive functional of their degrees, ties broken by the degrees
+    themselves (normal selection strategy); items whose functional exceeds
+    the bound's are dropped.  joined holds one flag per column: whether it
+    joined the basis.
+
+    Within a degree a run without tails takes the S-pairs before the
+    generators, in column order.  A new element's S-pairs lie in strictly
+    higher degrees, so when column j's turn comes the basis is a Groebner
+    basis, up to j's degree, of the submodule the columns before j
+    generate, and column j joins exactly when it is not in that submodule:
+    graded Nakayama's test of whether it is needed to generate (see
+    `_nakayama_kept`).  A run with tails takes the generators first; the
+    relations it records depend on that order.
 
     With tails, every item is divided together with its cofactor over the
     columns, as a tail: column j enters as col_j | e_j, and each basis
@@ -237,12 +234,11 @@ def _buchberger_run(columns, cofactor_module, order, bound, tails):
     basis element.  Without tails the columns enter with empty tails and
     every tail stays empty.
 
-    The codec's fields hold every term of the largest column degree.  Before
-    an item whose degree admits a larger total degree is taken, the codec is
-    widened and the basis and the relations are repacked; codec is the last
-    one, and everything returned is packed by it.  No generator is left in
-    the queue then, since the item's degree has a larger functional than
-    every column's, and an S-pair waits as two indices and an lcm tuple.
+    Before an item whose degree admits a larger total degree than the
+    codec's fields hold is taken, the codec is widened and the columns, the
+    basis and the relations are repacked; codec is the last one, and
+    everything returned is packed by it.  An S-pair waits in the queue as
+    two indices and an lcm tuple, a generator as its column's index.
 
     The run is fraction-free on integer columns.  basis lists the (work,
     tail) packed dicts of the elements in the order they were added, not
@@ -261,42 +257,35 @@ def _buchberger_run(columns, cofactor_module, order, bound, tails):
     multiple of the monic run's relation.  Without a bound these relations
     generate all syzygies.
     """
+    joined = [False] * len(columns)
     if not columns:
-        return None, [], []
-    ring = cofactor_module.ring
+        return codec, [], [], joined
+    ring = codec.ring
     functional = ring._functional
     limit = functional(bound) if bound is not None else None
-    module = columns[0].module
     # a term of an item of degree d at element index i has degree d, so its
     # monomial has degree d - deg e_i; at tail index j, d - deg column j
-    base = min(functional(d) for d in module.basis_degrees + cofactor_module.basis_degrees)
+    base = min(map(functional, itertools.chain(module.basis_degrees, degrees)))
     step = min(functional(d) for d in ring.var_degrees)
-
-    def reach(degree):
-        """The largest total degree of a term of an item of this degree."""
-        return max(0, (functional(degree) - base) // step)
-
-    degrees = cofactor_module.basis_degrees
-    indices = max(module.rank, cofactor_module.rank if tails else 0)
-    codec = _TermCodec(ring, order, indices, max(map(reach, degrees)))
     unit = unit_monomial(ring.num_vars)
-
     heap = []
     seq = itertools.count()
     reductions = []
 
-    def push(degree, payload):
+    def push(degree, generator, payload):
         value = functional(degree)
         if limit is None or value <= limit:
-            heapq.heappush(heap, (value, degree, next(seq), payload))
+            # without tails the S-pairs of a degree go before its generators,
+            # so that a generator joins exactly when Nakayama keeps it; with
+            # tails the generators go first, in push order, since the
+            # relations, and so the syzygy matrices printed, depend on it
+            heapq.heappush(heap, (value, degree, generator and not tails, next(seq), payload))
 
     for j, (col, degree) in enumerate(zip(columns, degrees)):
-        work = codec.packed(col)
-        tail = {codec.term(unit, j): 1} if tails else {}
-        if work:
-            push(degree, ("gen", work, tail))
+        if col:
+            push(degree, True, j)
         else:
-            reductions.append((tail, degree))
+            reductions.append(({codec.term(unit, j): 1} if tails else {}, degree))
 
     basis = []
     divisors = []
@@ -314,19 +303,27 @@ def _buchberger_run(columns, cofactor_module, order, bound, tails):
         )
 
     while heap:
-        needed = reach(heap[0][1])
+        # the largest total degree of a term of the next item
+        needed = max(0, (heap[0][0] - base) // step)
         if needed > codec.capacity:
             old, codec = codec, codec.widened(needed)
             log.debug("buchberger: widened exponent fields to %d bits for degree %s", codec.bits, heap[0][1])
+            columns = [codec.repacked(old, c) for c in columns]
             basis = [(codec.repacked(old, w), codec.repacked(old, t)) for w, t in basis]
             divisors = [_divisor(w, t) for w, t in basis]
             reductions = [(codec.repacked(old, t), d) for t, d in reductions]
-        _, degree, _, payload = heapq.heappop(heap)
-        work, tail = payload[1:] if payload[0] == "gen" else s_pair(*payload[1:])
+        _, degree, _, _, payload = heapq.heappop(heap)
+        if type(payload) is int:
+            work = dict(columns[payload])
+            tail = {codec.term(unit, payload): 1} if tails else {}
+        else:
+            work, tail = s_pair(*payload)
         _pseudo_divide(work, tail, divisors, codec)
         if not work:
             reductions.append((tail, degree))
             continue
+        if type(payload) is int:
+            joined[payload] = True
         lead = max(work)
         content = _content(work.values())
         if work[lead] < 0:
@@ -345,26 +342,9 @@ def _buchberger_run(columns, cofactor_module, order, bound, tails):
             if other.index == new.index:
                 lcm_mono = monomial_lcm(other.monomial, new.monomial)
                 pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
-                push(pair_degree, ("pair", i, t, lcm_mono))
+                push(pair_degree, False, (i, t, lcm_mono))
 
-    return codec, basis, reductions
-
-
-def _buchberger_tracked(columns, cofactor_module, order, bound):
-    """Buchberger run with cofactors; returns (basis, reductions), unpacked.
-
-    basis lists a _Tracked element and cofactor for each element the run
-    added, in order, and reductions the (relation, degree) pairs of
-    `_buchberger_run`, each relation a ModuleElement of cofactor_module.
-    """
-    codec, basis, reductions = _buchberger_run(columns, cofactor_module, order, bound, True)
-    module = columns[0].module if columns else None
-    tracked = [_Tracked(codec, work, tail, module, cofactor_module) for work, tail in basis]
-    relations = [
-        (ModuleElement(cofactor_module, codec.entries(tail, cofactor_module.rank)), degree)
-        for tail, degree in reductions
-    ]
-    return tracked, relations
+    return codec, basis, reductions, joined
 
 
 def _reduce_basis(elements, codec, module):
@@ -414,8 +394,10 @@ def buchberger(matrix, order, bound=None):
     ring = matrix.domain.ring
     if bound is not None:
         bound = _int_vector(bound, "degree bound", ring.degree_length)
-    cof_module = FreeModuleSpec(ring, matrix.domain.basis_degrees)
-    codec, basis, _ = _buchberger_run(matrix.columns(), cof_module, order, bound, False)
+    codec = _TermCodec(ring, order, matrix.num_rows, _largest_degree(matrix))
+    codec, basis, _, _ = _buchberger_run(
+        codec, codec.columns(matrix), matrix.domain.basis_degrees, matrix.codomain, bound, False
+    )
     monic = []
     for work, _ in basis:
         lead_coeff = work[max(work)]
@@ -441,21 +423,6 @@ def sort_gb_columns(basis):
     return PolyMatrix._unchecked(basis.module, domain, _column_rows(elements, basis.module.rank))
 
 
-def _coordinate_index(elements):
-    terms = set()
-    for e in elements:
-        for term, _ in e.support():
-            terms.add(term)
-    return {term: i for i, term in enumerate(sorted(terms))}
-
-
-def _coordinates(element, index):
-    vec = [Fraction(0)] * len(index)
-    for term, coeff in element.support():
-        vec[index[term]] = coeff
-    return vec
-
-
 def change_of_basis(matrix, sorted_basis_matrix):
     """The unique scalar C with sorted_basis_matrix = matrix @ C.
 
@@ -472,17 +439,17 @@ def change_of_basis(matrix, sorted_basis_matrix):
         return ScalarMatrix([])
     m_cols = matrix.columns()
     g_cols = sorted_basis_matrix.columns()
-    index = _coordinate_index(m_cols + g_cols)
-    a_rows = [[Fraction(0)] * len(m_cols) for _ in index]
-    for j, col in enumerate(m_cols):
-        for pos, value in enumerate(_coordinates(col, index)):
-            a_rows[pos][j] = value
-    b_rows = [[Fraction(0)] * len(g_cols) for _ in index]
-    for j, col in enumerate(g_cols):
-        for pos, value in enumerate(_coordinates(col, index)):
-            b_rows[pos][j] = value
+    index = {term: i for i, term in enumerate(sorted({t for e in m_cols + g_cols for t, _ in e.support()}))}
+
+    def rows(cols):
+        dense = [[Fraction(0)] * len(cols) for _ in index]
+        for j, col in enumerate(cols):
+            for term, coeff in col.support():
+                dense[index[term]][j] = coeff
+        return dense
+
     try:
-        x = solve(a_rows, b_rows)
+        x = solve(rows(m_cols), rows(g_cols))
     except DependentColumnsError as exc:
         raise MinimalityError("matrix columns are linearly dependent; map is not minimal") from exc
     return ScalarMatrix(x)
@@ -522,56 +489,41 @@ def standard_monomials(basis, degree):
     ]
 
 
-def _nakayama_kept(vectors, degrees, ring):
+def _nakayama_kept(codec, module, vectors, degrees):
     """Graded Nakayama selection: one keep-flag per homogeneous vector.
 
-    Per degree class d, a degree-d vector is kept iff it is independent
-    modulo the span of all positive-degree monomial multiples of the vectors
-    that land in degree d plus the previously kept degree-d vectors.  The
-    kept vectors minimally generate the submodule all the vectors generate.
+    vectors are packed dicts, packed by codec, of elements of module, vector
+    i of degree degrees[i].  Taken in increasing order of the ring's
+    positive functional of their degrees (ties by degree), then in index
+    order, a vector is kept iff it is not in the submodule the vectors
+    before it generate.  The kept vectors minimally generate the submodule
+    all the vectors generate: in each degree d, a degree-d vector is kept
+    iff it is independent modulo the positive-degree monomial multiples of
+    the vectors that land in degree d plus the kept degree-d vectors before
+    it.
 
-    The classes are visited in increasing order of the ring's positive
-    functional (ties by degree), and only the vectors already kept are
-    multiplied: the kept vectors of the classes before d generate the same
-    submodule as all of their vectors, so their multiples span the same
-    degree-d subspace.  A class of equal functional but another degree
-    contributes no multiples, since a nonconstant monomial has positive
-    functional.
+    The flags are the "joined the basis" flags of one Buchberger run
+    without tails, bounded at the largest degree, which takes the S-pairs
+    of each degree before its generators (see `_buchberger_run`).  No
+    monomial multiple of a vector is formed.
     """
-    kept = [False] * len(vectors)
-    generators = []
-    for d in sorted(set(degrees), key=lambda d: (ring._functional(d), d)):
-        products = [
-            v.multiply_term(mono, 1)
-            for v, vd in generators
-            for mono in ring.monomials_of_degree(vector_sub(d, vd))
-        ]
-        members = [i for i, vd in enumerate(degrees) if vd == d]
-        index = _coordinate_index(products + [vectors[i] for i in members])
-        ech = Echelon()
-        for p in products:
-            ech.add({index[t]: c for t, c in p.support()})
-        for i in members:
-            kept[i] = ech.add({index[t]: c for t, c in vectors[i].support()})
-            if kept[i]:
-                generators.append((vectors[i], d))
-    return kept
+    if not vectors:
+        return []
+    functional = codec.ring._functional
+    bound = max(degrees, key=lambda d: (functional(d), d))
+    return _buchberger_run(codec, vectors, degrees, module, bound, False)[3]
 
 
 def is_minimal_map(matrix):
     """Whether the columns minimally generate the image.
 
-    Nakayama reduction: for each degree d occurring among the column degrees,
+    Graded Nakayama: for each degree d occurring among the column degrees,
     the degree-d columns must stay linearly independent modulo the degree-d
-    part of (irrelevant ideal) * image, which is spanned by the products of
-    the columns with monomials of positive degree.
+    part of (irrelevant ideal) * image.  Decided by `_nakayama_kept` on the
+    packed columns, under top-up; the answer does not depend on the order.
     """
-    return all(_nakayama_kept(matrix.columns(), matrix.domain.basis_degrees, matrix.domain.ring))
-
-
-def _primitive_column(element):
-    """The primitive integer vector (content 1) on the ray of a nonzero element."""
-    return _divided(element, _content([c for p in element.entries for c in p.terms.values()]))
+    codec = _TermCodec(matrix.domain.ring, ModuleTermOrder(), matrix.num_rows, _largest_degree(matrix))
+    return all(_nakayama_kept(codec, matrix.codomain, codec.columns(matrix), matrix.domain.basis_degrees))
 
 
 def syzygies(matrix, order):
@@ -585,28 +537,31 @@ def syzygies(matrix, order):
     the columns; for column j it is the discrepancy e_j - sum(q_k * cof_k),
     and a zero column gives e_j itself.  A pair that added a basis element
     maps to zero through the cofactors and needs no relation.  Each relation
-    lies in the degree its item was queued at, and the relations are then
-    minimized degreewise by `_nakayama_kept`.  The result S satisfies
-    matrix @ S = 0 and its image is the full syzygy module; S is one minimal
-    generating set of it, not a canonical one.  Each relation is scaled by a
-    positive rational to a primitive integer vector (integer coefficients
-    with gcd 1), which changes no degree and no Nakayama selection.  The
-    claim matrix @ S = 0 is checked on packed terms before S is returned; an
-    InternalError says it failed.
+    lies in the degree its item was queued at.  Each is scaled by a positive
+    rational to a primitive integer vector (integer coefficients with gcd
+    1), which changes no degree and no Nakayama selection, and the relations
+    are then minimized by `_nakayama_kept`: a second, bounded run over the
+    relations, in the codec the first run ended with.  Only the kept
+    relations are unpacked.  The result S satisfies matrix @ S = 0 and its
+    image is the full syzygy module; S is one minimal generating set of it,
+    not a canonical one.  The claim matrix @ S = 0 is checked on packed
+    terms before S is returned; an InternalError says it failed.
     """
     check_order(order)
     ring = matrix.domain.ring
     frame = FreeModuleSpec(ring, matrix.domain.basis_degrees)
-    _, reductions = _buchberger_tracked(matrix.columns(), frame, order, bound=None)
+    codec = _TermCodec(ring, order, max(matrix.num_rows, matrix.num_cols), _largest_degree(matrix))
+    codec, _, reductions, _ = _buchberger_run(
+        codec, codec.columns(matrix), frame.basis_degrees, matrix.codomain, None, True
+    )
     candidates, degrees = [], []
     for relation, degree in reductions:
-        if not relation.is_zero:
-            candidates.append(_primitive_column(relation))
+        if relation:
+            candidates.append(_primitive(relation))
             degrees.append(degree)
-    kept = _nakayama_kept(candidates, degrees, ring)
-    minimal = [c for c, keep in zip(candidates, kept) if keep]
+    kept = _nakayama_kept(codec, frame, candidates, degrees)
     domain = FreeModuleSpec(ring, [d for d, keep in zip(degrees, kept) if keep])
-    result = PolyMatrix._unchecked(frame, domain, _column_rows(minimal, frame.rank))
+    result = codec.matrix([c for c, keep in zip(candidates, kept) if keep], frame, domain)
     if _nonzero_composite([matrix, result]) is not None:
         raise InternalError("syzygy matrix does not annihilate the input")
     return result

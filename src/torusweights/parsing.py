@@ -9,10 +9,11 @@ explicit `*` and `^`) parses back to the same polynomial.
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import comb
 
-from .errors import PolynomialSyntaxError
+from .errors import InputError, PolynomialSyntaxError
 from .rings import Polynomial, unit_monomial
 
 # The largest exponent `^` accepts.  A larger one is a PolynomialSyntaxError,
@@ -214,8 +215,26 @@ def _monomial_string(ring, mono):
     return "*".join(parts)
 
 
+def number_to_string(value):
+    """str of an int or a Fraction.
+
+    Raises InputError if a numerator or denominator has more decimal digits
+    than Python converts to text (sys.get_int_max_str_digits).
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(
+            "a coefficient has more than %d decimal digits, the most Python prints "
+            "(see sys.set_int_max_str_digits)" % sys.get_int_max_str_digits()
+        ) from None
+
+
 def polynomial_to_string(ring, poly):
-    """Canonical text form: terms in decreasing term order, explicit * and ^."""
+    """Canonical text form: terms in decreasing term order, explicit * and ^.
+
+    Raises InputError on a coefficient too long to print (see `number_to_string`).
+    """
     if poly.is_zero:
         return "0"
     pieces = []
@@ -225,11 +244,11 @@ def polynomial_to_string(ring, poly):
         mag = -coeff if coeff < 0 else coeff
         var_part = _monomial_string(ring, mono)
         if not var_part:
-            body = str(mag)
+            body = number_to_string(mag)
         elif mag == 1:
             body = var_part
         else:
-            body = "%s*%s" % (mag, var_part)
+            body = "%s*%s" % (number_to_string(mag), var_part)
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
     text = ("-" if first_sign == "-" else "") + first_body

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import ProblemFileError
 from .modules import FreeModuleSpec, ModuleTermOrder, PolyMatrix
-from .parsing import parse_polynomial, polynomial_to_string
+from .parsing import number_to_string, parse_polynomial, polynomial_to_string
 from .rings import RingSpec
 
 
@@ -138,8 +138,8 @@ def matrix_to_rows(matrix):
 
 
 def scalar_matrix_to_rows(matrix):
-    """Scalar matrix entries as exact strings ("3", "-1/2")."""
-    return [[str(x) for x in row] for row in matrix.rows]
+    """Scalar matrix entries as exact strings ("3", "-1/2"); see `number_to_string`."""
+    return [[number_to_string(x) for x in row] for row in matrix.rows]
 
 
 def problem_to_dict(problem):

@@ -1,15 +1,17 @@
 import copy
 import json
 import logging
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusweights import InputError, InternalError, PolynomialSyntaxError, ProblemFileError
+from torusweights import InputError, InternalError, PolynomialSyntaxError, ProblemFileError, ScalarMatrix
 from torusweights.cli import main
 from torusweights.parsing import MAX_EXPONENT
-from torusweights.problemfile import load_problem, problem_from_dict, problem_to_dict
+from torusweights.problemfile import load_problem, problem_from_dict, problem_to_dict, scalar_matrix_to_rows
 
 from conftest import fixture_path
 
@@ -366,6 +368,46 @@ def test_high_degree_fixture_widens_the_packed_fields(capsys, caplog, order):
     basis = HIGH_DEGREE_BASIS if order.endswith("-up") else HIGH_DEGREE_BASIS[::-1]
     assert out == json.dumps({"groebner_matrix": [basis], "size": 4}, separators=(",", ":")) + "\n"
     assert "buchberger: widened exponent fields" in caplog.text
+
+
+def test_mixed_sign_resolution_golden(capsys):
+    # the printed syzygy matrices depend on the order in which a run with
+    # cofactors takes its generators and S-pairs: generators first
+    path = str(fixture_path("mixed_sign.json"))
+    code, out, err = run(capsys, "resolve", "--input", path, "--module-order", "top-up", "--json")
+    assert (code, err) == (0, "")
+    assert out == fixture_path("mixed_sign_resolve_top_up.json").read_text()
+
+
+def test_coefficients_too_long_to_print_are_a_domain_error(tmp_path):
+    # the 3000-digit literals parse, but the syzygies' coefficients outgrow
+    # the number of digits Python converts to text
+    import subprocess
+
+    a, b = "7" * 3000, "3" * 3000
+    doc = {
+        "ring": {"vars": ["x", "y", "z"], "degrees": [[1]] * 3, "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        "modules": {"F0": {"degrees": [[0], [0]]}, "F1": {"degrees": [[1], [1], [1]]}},
+        "matrices": {"m": {"rows": "F0", "cols": "F1", "entries": [
+            ["%s*x" % a, "y", "z"], ["x", "%s*y" % b, "x+z"]]}},
+        "weightlists": {"W": [[0, 0, 0], [0, 0, 0]]},
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torusweights.cli", "resolve", "--input", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert str(sys.get_int_max_str_digits()) in proc.stderr
+
+
+def test_scalar_matrix_too_long_to_print_is_a_domain_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InputError, match=str(limit)):
+        scalar_matrix_to_rows(ScalarMatrix([[1, Fraction(1, 10 ** (limit + 1))]]))
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import logging
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -27,7 +29,10 @@ from torusweights import (
     standard_monomials,
     syzygies,
 )
+from torusweights.groebner import _buchberger_run
 from torusweights.linalg import invert, solve
+from torusweights.modules import ModuleElement
+from torusweights.packed import _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 
@@ -49,6 +54,25 @@ def row_matrix(ring, degs, texts):
 def entries_as_text(m):
     ring = m.domain.ring
     return [[polynomial_to_string(ring, p) for p in row] for row in m.entries]
+
+
+def tracked_run(m, order):
+    """The unbounded Buchberger run with tails on m's columns, unpacked.
+
+    Returns the (element, cofactor) pair of every element the run added, in
+    order, and its (relation, degree) pairs, each relation a ModuleElement
+    of the frame over m's columns.
+    """
+    ring = m.domain.ring
+    frame = FreeModuleSpec(ring, m.domain.basis_degrees)
+    codec = _TermCodec(ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
+    codec, basis, reductions, _ = _buchberger_run(codec, codec.columns(m), frame.basis_degrees, m.codomain, None, True)
+
+    def unpacked(module, terms):
+        return ModuleElement(module, codec.entries(terms, module.rank))
+
+    elements = [(unpacked(m.codomain, work), unpacked(frame, tail)) for work, tail in basis]
+    return elements, [(unpacked(frame, tail), degree) for tail, degree in reductions]
 
 
 @pytest.fixture
@@ -268,14 +292,12 @@ def test_buchberger_queue_follows_the_positive_functional():
     # in degree (2, 0) and join the basis with leading term x^2*y, which x^2
     # then makes redundant; under the functional x^2 comes first and reduces
     # the second column to x*z
-    from torusweights.groebner import _buchberger_tracked
-
     degrees = [[2, -4], [1, 0], [1, -2], [2, -2]]
     ring = RingSpec(["w", "x", "y", "z"], degrees, degrees, "lex")
     m = row_matrix(ring, [[2, 0], [3, -2]], ["x^2", "x^2*y+x*z"])
-    basis, _ = _buchberger_tracked(m.columns(), FreeModuleSpec(ring, m.domain.basis_degrees), TOP_UP, None)
-    assert [polynomial_to_string(ring, item.element.entries[0]) for item in basis] == ["x^2", "x*z"]
-    values = [ring._functional(g.element.term_degree(g.element.leading_term(TOP_UP)[0])) for g in basis]
+    basis, _ = tracked_run(m, TOP_UP)
+    assert [polynomial_to_string(ring, element.entries[0]) for element, _ in basis] == ["x^2", "x*z"]
+    values = [ring._functional(g.term_degree(g.leading_term(TOP_UP)[0])) for g, _ in basis]
     assert values == sorted(values)
 
 
@@ -429,6 +451,16 @@ def test_is_minimal_map_nakayama_mixed_degrees():
     assert is_minimal_map(m2)
 
 
+def test_is_minimal_map_sees_a_generator_that_only_an_s_pair_gives():
+    # over grevlex x > y, with a = x*y and b = x^2+y^2, y^3 = y*b - x*a: the
+    # degree-3 S-pair of a and b reduces to y^3, so y^3 is redundant, but
+    # only a run that takes that S-pair before the degree-3 generator sees it
+    ring = RingSpec(["x", "y"], [[1], [1]], [[1, 0], [0, 1]])
+    m = row_matrix(ring, [[2], [2], [3]], ["x*y", "x^2+y^2", "y^3"])
+    assert not is_minimal_map(m)
+    assert is_minimal_map(row_matrix(ring, [[2], [2]], ["x*y", "x^2+y^2"]))
+
+
 def test_is_minimal_map_zero_column(std3):
     m = row_matrix(std3, [[1], [1]], ["x1", "0"])
     assert not is_minimal_map(m)
@@ -490,6 +522,35 @@ def test_syzygies_of_exa3_presentation(bigraded):
     assert Counter(s.domain.basis_degrees) == Counter(
         {(2, 0): 1, (1, 2): 6, (0, 3): 2}
     )
+
+
+def test_syzygies_of_a_high_degree_row_in_three_variables_are_fast():
+    # a minimality check by monomial products did not finish in 25 s here:
+    # it multiplied relations by every monomial of gaps of 40 to 100 degrees
+    m = load_problem(fixture_path("high_degree_3var.json")).matrices["m"]
+    start = time.perf_counter()
+    s = syzygies(m, ModuleTermOrder("top-down"))
+    assert time.perf_counter() - start < 2
+    assert [d for (d,) in s.domain.basis_degrees] == [182, 200, 200]
+
+
+def test_syzygies_of_generic_rational_cubics_are_fast(std3):
+    # four cubic columns over rows in degrees 0 and 1, with coefficients
+    # n/d, |n| <= 5, d in {1, 2, 3, 4, 6}: the relations' integer
+    # coefficients grow large, and with a minimality check by monomial
+    # products this call took 6-7 s on a 2-vCPU container, against 2 s now
+    rng = random.Random(1)
+
+    def form(degree):
+        monos = std3.monomials_of_degree((degree,))
+        return Polynomial({mono: Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])) for mono in monos})
+
+    rows = [[form(3) for _ in range(4)], [form(2) for _ in range(4)]]
+    m = PolyMatrix(FreeModuleSpec(std3, [[0], [1]]), FreeModuleSpec(std3, [[3]] * 4), rows)
+    start = time.perf_counter()
+    s = syzygies(m, TOP_UP)
+    assert time.perf_counter() - start < 5
+    assert s.domain.basis_degrees == ((8,),) * 4
 
 
 def test_minimal_resolution_koszul_shape(koszul):

@@ -30,13 +30,14 @@ from torusweights import (
     syzygies,
 )
 from torusweights.errors import ResolutionStepError
-from torusweights.groebner import _buchberger_tracked, _nakayama_kept, _term_divides
+from torusweights.groebner import _nakayama_kept, _term_divides
 from torusweights.linalg import Echelon, rank
 from torusweights.modules import ModuleElement, ModuleTerm
 from torusweights.packed import _FIELD_BITS, _TermCodec
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.rings import Polynomial, monomial_div, monomial_divides, vector_add, vector_sub
 
+from test_groebner import tracked_run
 from test_invariants import assert_euler_characteristic
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
@@ -712,7 +713,7 @@ def test_syzygy_columns_are_primitive_multiples_of_the_relations(data, ring, ord
     # run leaves them, each a positive multiple of the column
     m = data.draw(homogeneous_matrix(ring))
     s = syzygies(m, order)
-    with mock.patch("torusweights.groebner._primitive_column", lambda element: element):
+    with mock.patch("torusweights.groebner._primitive", lambda terms: terms):
         relations = syzygies(m, order)
     assert s.domain == relations.domain
     for col, relation in zip(s.columns(), relations.columns()):
@@ -733,16 +734,16 @@ def test_buchberger_elements_are_primitive_integer_vectors(data, ring, order):
     # cofactor over the columns still gives it
     m = data.draw(homogeneous_matrix(ring))
     columns = m.columns()
-    basis, _ = _buchberger_tracked(columns, FreeModuleSpec(ring, m.domain.basis_degrees), order, None)
-    for item in basis:
-        coefficients = [c for _, c in item.element.support()]
+    basis, _ = tracked_run(m, order)
+    for element, cofactor in basis:
+        coefficients = [c for _, c in element.support()]
         assert all(type(c) is int for c in coefficients)
         assert gcd(*coefficients) == 1
-        assert item.element.leading_term(order)[1] > 0
+        assert element.leading_term(order)[1] > 0
         image = m.codomain.zero_element()
-        for col, entry in zip(columns, item.cofactor.entries):
+        for col, entry in zip(columns, cofactor.entries):
             image = image + col.multiply(entry)
-        assert image == item.element
+        assert image == element
 
 
 @SETTINGS
@@ -755,7 +756,7 @@ def test_buchberger_relations_are_homogeneous_syzygies(coefficients, data, ring,
     m = data.draw(homogeneous_matrix(ring, coefficients=coefficients))
     columns = m.columns()
     frame = FreeModuleSpec(ring, m.domain.basis_degrees)
-    _, reductions = _buchberger_tracked(columns, frame, order, None)
+    _, reductions = tracked_run(m, order)
     for relation, degree in reductions:
         assert relation.module == frame
         image = m.codomain.zero_element()
@@ -815,12 +816,19 @@ def reference_nakayama_kept(vectors, degrees, ring):
 
 
 @SETTINGS
-@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS + [MIXED_SIGN_RING]))
-def test_nakayama_flags_match_the_all_vectors_formulation(data, ring):
+@given(
+    data=st.data(),
+    ring=st.sampled_from(KERNEL_RINGS + [MIXED_SIGN_RING]),
+    order=st.sampled_from(ALL_ORDERS),
+    coefficients=st.sampled_from([None, non_unit_rationals]),
+)
+def test_nakayama_flags_match_the_all_vectors_formulation(data, ring, order, coefficients):
     # columns plus redundant combinations of monomial multiples of them, in
-    # a shuffled order, so that some degree classes hold dependent vectors
+    # a shuffled order, so that some degree classes hold dependent vectors;
+    # the flags come from a run on the packed vectors, under any order, on
+    # integer or non-integer coefficients
     offsets = monomial_degrees(ring, 1) if ring is MIXED_SIGN_RING else None
-    m = data.draw(homogeneous_matrix(ring, offsets=offsets))
+    m = data.draw(homogeneous_matrix(ring, offsets=offsets, coefficients=coefficients))
     vectors, degrees = m.columns(), list(m.domain.basis_degrees)
     for _ in range(data.draw(st.integers(0, 3))):
         j = data.draw(st.integers(0, len(vectors) - 1))
@@ -837,7 +845,10 @@ def test_nakayama_flags_match_the_all_vectors_formulation(data, ring):
         degrees.append(degree)
     perm = data.draw(st.permutations(range(len(vectors))))
     vectors, degrees = [vectors[i] for i in perm], [degrees[i] for i in perm]
-    assert _nakayama_kept(vectors, degrees, ring) == reference_nakayama_kept(vectors, degrees, ring)
+    bound = max((sum(t.monomial) for v in vectors for t, _ in v.support()), default=0)
+    codec = _TermCodec(ring, order, m.num_rows, bound)
+    packed = [codec.packed(v) for v in vectors]
+    assert _nakayama_kept(codec, m.codomain, packed, degrees) == reference_nakayama_kept(vectors, degrees, ring)
 
 
 @SETTINGS
