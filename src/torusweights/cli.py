@@ -141,10 +141,7 @@ def _cmd_propagate_resolution(problem, args):
         names = problem.resolution
     else:
         raise ProblemFileError("no resolution: add a \"resolution\" list or pass --matrices")
-    for name in names:
-        if name not in problem.matrices:
-            raise ProblemFileError("no matrix named %r in the problem file" % name)
-    differentials = [problem.matrices[n] for n in names]
+    differentials = [_pick(problem.matrices, n, "matrix", "matrices") for n in names]
     weights = _pick(problem.weightlists, args.weights, "weight list", "weights")
     order = _module_order(problem, args)
     result = propagate_resolution(differentials, args.start_index, weights, order)
@@ -242,7 +239,7 @@ def main(argv=None):
     try:
         problem = load_problem(args.input)
         return args.run(problem, args)
-    except (ProblemFileError, PolynomialSyntaxError, json.JSONDecodeError) as exc:
+    except (ProblemFileError, PolynomialSyntaxError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
     except InputError as exc:

@@ -77,7 +77,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DependentColumnsError, InputError, InternalError, MinimalityError
-from .linalg import _quotient, solve
+from .linalg import _integer_row, _quotient, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -193,16 +193,6 @@ def _content(coefficients):
     integers.  coefficients must be iterable twice.
     """
     return _quotient(gcd(*(c.numerator for c in coefficients)), lcm(*(c.denominator for c in coefficients)))
-
-
-def _primitive(terms):
-    """The nonzero packed dict terms divided by their content: the primitive integer vector on its ray."""
-    values = terms.values()
-    g = gcd(*(c.numerator for c in values))
-    den = lcm(*(c.denominator for c in values))
-    if g == den == 1:
-        return terms
-    return {t: c.numerator * (den // c.denominator) // g for t, c in terms.items()}
 
 
 def _buchberger_run(codec, columns, degrees, module, bound, tails):
@@ -557,7 +547,7 @@ def syzygies(matrix, order):
     candidates, degrees = [], []
     for relation, degree in reductions:
         if relation:
-            candidates.append(_primitive(relation))
+            candidates.append(_integer_row(relation))
             degrees.append(degree)
     kept = _nakayama_kept(codec, frame, candidates, degrees)
     domain = FreeModuleSpec(ring, [d for d, keep in zip(degrees, kept) if keep])

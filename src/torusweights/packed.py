@@ -20,10 +20,11 @@ caller proves that bound, or lets `_pseudo_divide` find a term that
 outgrew it: a popped term with a guard bit set raises `_FieldOverflow`, so
 no field overflows silently.  `_TermCodec.widened` gives the same layout
 with wider fields, to which the caller repacks what it holds.  Outside the
-division, two routines work on the packed columns of a matrix:
-`_TermCodec.product` multiplies two matrices by adding packed terms, and
-`_TermCodec.rebased` takes the scalar combinations of a matrix's rows by
-moving terms between index fields.  Only this module knows the bit layout.
+division, one kernel multiplies packed matrices: `_TermCodec.product`
+computes A @ B on packed columns by adding packed terms.  It serves the
+chain checks and the walk's rebase, the product C^-1 @ d of a constant
+matrix and a map, whose constant terms add no degree, so the map's own
+codec holds the product.  Only this module knows the bit layout.
 Everything else, `Polynomial`, `ModuleTerm`, `ModuleElement`, `PolyMatrix`
 and every value the library returns or prints, keeps exponent tuples: a
 codec packs its inputs on entry and unpacks what it returns, through a memo
@@ -152,32 +153,6 @@ class _TermCodec:
                     s += shift
                     out[s] = get(s, 0) + x * c
             yield {s: value for s, value in out.items() if value}
-
-    def rebased(self, columns, rows):
-        """The packed columns with new entry i = sum_k rows[i][k] * old entry k.
-
-        rows is a scalar matrix as a sequence of rows.  Each term moves from
-        index k to every index i with rows[i][k] nonzero, by one add to its
-        index field; the monomial, and so the fields' capacity, stays.  A
-        coefficient may be an integral Fraction; `entries` makes it an int.
-        """
-        field = self._index_mask << self._index_shift
-        moves = {self._tag(k): [] for k in range(self.indices)}
-        for i, row in enumerate(rows):
-            tag = self._tag(i)
-            for k, x in enumerate(row):
-                if x:
-                    moves[self._tag(k)].append((tag - self._tag(k), x))
-        out = []
-        for col in columns:
-            new = {}
-            get = new.get
-            for t, c in col.items():
-                for shift, x in moves[t & field]:
-                    s = t + shift
-                    new[s] = get(s, 0) + x * c
-            out.append({s: value for s, value in new.items() if value})
-        return out
 
     def divides(self, a, b):
         """Whether packed term a has b's index and divides it."""

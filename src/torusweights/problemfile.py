@@ -123,8 +123,17 @@ def problem_from_dict(data):
 
 
 def load_problem(path):
+    """The Problem in the file at path; a file that does not decode as JSON is a ProblemFileError.
+
+    Besides malformed JSON, the decoder rejects bytes that are not UTF-8,
+    integers longer than `sys.get_int_max_str_digits()` and nesting deeper
+    than the recursion limit.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise ProblemFileError(str(exc)) from exc
     return problem_from_dict(data)
 
 

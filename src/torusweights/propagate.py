@@ -9,8 +9,8 @@ the leading term's row.  Every S-pair lies above its columns' degree, so
 that basis is the reduced row echelon form of the columns, and one
 elimination yields it, C and C^-1 with no Groebner run.  Forward propagation
 runs the same procedure on the dual map with negated weights and a flipped
-(up <-> down) ordering, and resolutions rebase each differential by the
-previous step's C^-1.
+(up <-> down) ordering, and resolutions rebase each differential d as the
+product C^-1 @ d with the previous step's C^-1.
 
 Each fact about the input is proved once, by the code that establishes it,
 and private functions do not check it again.  For columns in at most one
@@ -19,20 +19,21 @@ raises MinimalityError when a column reduces to zero; the Nakayama check
 `is_minimal_map` runs only on maps whose columns span more than one degree.
 `propagate` validates the weights and the order and leaves the rest to that
 rule.  Resolutions take one walk: `_walk` propagates backward along
-consecutive maps, rebasing each by the previous step's C^-1, and
-`_walk_forward` runs it on the dual complex; `propagate_forward` is its
-one-step case.  `propagate_resolution` validates its start, and checks the
-chain and every differential once unless `minimal_resolution` built them and
-so has proved both already.  A backward step is not checked again, since
-rebasing a minimal map by an invertible scalar matrix keeps it minimal; a
-forward step checks its dual map by the same rule as `propagate`, since the
-dual of a minimal map need not be minimal.
+consecutive maps, rebasing each map d as C^-1 @ d with the previous step's
+C^-1, and `_walk_forward` runs it on the dual complex; `propagate_forward`
+is its one-step case.  `propagate_resolution` validates its start, and
+checks the chain and every differential once unless `minimal_resolution`
+built them and so has proved both already.  A backward step is not checked
+again, since rebasing a minimal map by an invertible scalar matrix keeps it
+minimal; a forward step checks its dual map by the same rule as
+`propagate`, since the dual of a minimal map need not be minimal.
 
 Each step runs on packed terms (see `packed`).  The walk packs each map
 once, by a codec sized for the map's largest total degree, and rebases it
-by C^-1 on its packed columns, through the nonzero entries of C^-1: a
-scalar rebase moves terms between rows and never changes a monomial, so the
-fields never need widening.  A packed term is its own order key, so the
+as the product C^-1 @ d through `_TermCodec.product`, with the nonzero
+entries of C^-1 packed as constant terms: a constant factor adds no degree,
+so the map's own codec holds every term of the product and the fields
+never need widening.  A packed term is its own order key, so the
 elimination sorts the image's terms as plain ints.  Only the columns of G,
 their leading terms and each step's rebased map are unpacked, through the
 codec's memo; every returned value keeps exponent tuples.
@@ -59,7 +60,7 @@ from .groebner import (
 from .linalg import Echelon
 from .modules import FreeModuleSpec, PolyMatrix, ScalarMatrix, dual_map
 from .packed import _TermCodec, _largest_degree
-from .rings import _int_vector, vector_add, vector_neg
+from .rings import _int_vector, unit_monomial, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
 
@@ -164,8 +165,8 @@ def propagate(matrix, weights, order):
 def _packed(matrix, order):
     """A codec sized for matrix's largest total degree under order, and matrix's packed columns.
 
-    A scalar rebase moves terms between indices and never changes a
-    monomial, so the codec holds every rebased column of the map too.
+    A rebase C^-1 @ d by a constant matrix adds no degree, so the codec
+    holds every rebased column of the map too.
     """
     codec = _TermCodec(matrix.domain.ring, order, matrix.num_rows, _largest_degree(matrix))
     return codec, codec.columns(matrix)
@@ -235,17 +236,21 @@ def propagate_forward(matrix, weights, order):
 def _walk(maps, weights, order):
     """Backward propagation along consecutive maps of a complex, unchecked.
 
-    Packs each map once (see `_packed`), rebases each map after the first
-    onto the previous step's rebased module (new row i is sum_k C^-1[i][k]
-    times row k) on its packed columns, and yields (rebased map,
-    PropagationResult) per step, drawing each map from `maps` only when its
-    step is taken.  The rebased map is unpacked for the step record.
+    Packs each map once (see `_packed`), rebases each map d after the first
+    onto the previous step's rebased module as the product C^-1 @ d with
+    that step's C^-1, through `_TermCodec.product` with the columns of C^-1
+    packed as constant terms, and yields (rebased map, PropagationResult)
+    per step, drawing each map from `maps` only when its step is taken.  The
+    rebased map is unpacked for the step record.
     """
     inverse = None
     for matrix in maps:
         codec, columns = _packed(matrix, order)
         if inverse is not None:
-            columns = codec.rebased(columns, inverse.rows)
+            unit = unit_monomial(matrix.domain.ring.num_vars)
+            constants = [codec.term(unit, i) for i in range(matrix.num_rows)]
+            left = [{t: x for t, x in zip(constants, col) if x} for col in zip(*inverse.rows)]
+            columns = list(codec.product(left, columns))
             matrix = codec.matrix(columns, spec, matrix.domain)
         result = _propagate(matrix, weights, codec, columns)
         yield matrix, result

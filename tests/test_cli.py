@@ -418,6 +418,30 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+def run_on_undecodable_file(capsys, tmp_path, content):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "propagate", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    return err
+
+
+def test_json_integer_above_the_digit_limit_is_a_parse_error(capsys, tmp_path):
+    err = run_on_undecodable_file(capsys, tmp_path, b"9" * 5000)
+    assert "digits" in err
+
+
+def test_problem_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    err = run_on_undecodable_file(capsys, tmp_path, b'{"ring": "\xff"}')
+    assert "utf-8" in err
+
+
+def test_json_nested_beyond_the_recursion_limit_is_a_parse_error(capsys, tmp_path):
+    err = run_on_undecodable_file(capsys, tmp_path, b"[" * 100000 + b"]" * 100000)
+    assert "recursion" in err
+
+
 def test_polynomial_syntax_error_exit_code(capsys, tmp_path):
     doc = {
         "ring": {"vars": ["x"], "degrees": [[1]], "weights": [[1]]},

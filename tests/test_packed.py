@@ -1,7 +1,8 @@
 """Packed terms outside the Groebner engine, against the tuple code they replaced.
 
 `_TermCodec.product` must give `PolyMatrix.__matmul__`'s product, entry for
-entry, and its zero test must agree with `(a @ b).is_zero`.  The packed
+entry, also for the constant left factor C^-1 by which the walk rebases a
+map, and its zero test must agree with `(a @ b).is_zero`.  The packed
 propagation walk must give, step by step, what the tuple walk gave: the
 functions `_combine`, `_propagate` and `_walk` below are the tuple versions,
 kept verbatim as the reference.  Hypothesis runs derandomized, as in
@@ -32,7 +33,7 @@ from torusweights.modules import ModuleElement, _column_rows
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.problemfile import load_problem
 from torusweights.propagate import _NOT_MINIMAL, PropagationResult
-from torusweights.rings import Polynomial, vector_add
+from torusweights.rings import Polynomial, unit_monomial, vector_add
 
 from conftest import fixture_path
 
@@ -149,6 +150,67 @@ def test_product_kernel_matches_matmul(pair, order):
     assert typed_matrix(product) == typed_matrix(expected)
     assert (not any(codec.product(packed_a, packed_b))) == expected.is_zero
     assert (_nonzero_composite([a, b]) is None) == expected.is_zero
+
+
+ENTRIES = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def constant_left_factor(draw, spec):
+    """(C, codomain): an invertible ScalarMatrix that maps spec to codomain preserving degrees.
+
+    Either a permutation, with codomain spec's basis permuted, or, within
+    each degree of spec, L @ U for L unit lower triangular and U upper
+    triangular with a nonzero diagonal, whose entries include zeros and
+    Fractions, with codomain spec.
+    """
+    r, degrees = spec.rank, spec.basis_degrees
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(r)))
+        rows = [[int(k == perm[i]) for k in range(r)] for i in range(r)]
+        return ScalarMatrix(rows), FreeModuleSpec(spec.ring, [degrees[k] for k in perm])
+    rows = [[0] * r for _ in range(r)]
+    for d in dict.fromkeys(degrees):
+        block = [k for k in range(r) if degrees[k] == d]
+        size = len(block)
+        lower = [[1 if p == q else draw(ENTRIES) if q < p else 0 for q in range(size)] for p in range(size)]
+        upper = [[draw(COEFFICIENTS) if p == q else draw(ENTRIES) if q > p else 0 for q in range(size)] for p in range(size)]
+        for p, i in enumerate(block):
+            for q, k in enumerate(block):
+                rows[i][k] = sum(lower[p][m] * upper[m][q] for m in range(size))
+    return ScalarMatrix(rows), spec
+
+
+def assert_constant_product_matches_matmul(left, codomain, b, order):
+    # the walk's rebase C^-1 @ d, with the columns of C^-1 packed as constant
+    # terms into a codec sized for d alone
+    expected = left.to_poly_matrix(codomain, b.codomain) @ b
+    codec = _TermCodec(b.domain.ring, order, b.num_rows, _largest_degree(b))
+    unit = unit_monomial(b.domain.ring.num_vars)
+    packed_left = [{codec.term(unit, i): x for i, x in enumerate(col) if x} for col in zip(*left.rows)]
+    product = codec.matrix(list(codec.product(packed_left, codec.columns(b))), codomain, b.domain)
+    assert typed_matrix(product) == typed_matrix(expected)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), pair=composable_pair(), order=st.sampled_from(ALL_ORDERS))
+def test_product_kernel_with_a_constant_left_factor_matches_matmul(data, pair, order):
+    _, b = pair
+    assert_constant_product_matches_matmul(*data.draw(constant_left_factor(b.codomain)), b, order)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[1, 0, Fraction(1, 2)], [0, -2, 3], [Fraction(-2, 3), 1, 0]],
+    ],
+    ids=["permutation", "dense"],
+)
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda order: order.kind)
+def test_product_kernel_rebases_the_koszul_map_by_a_constant_matrix(rows, order):
+    d2 = load_problem(fixture_path("koszul.json")).matrices["d2"]
+    assert_constant_product_matches_matmul(ScalarMatrix(rows), d2.codomain, d2, order)
 
 
 def test_composite_that_would_alias_under_the_first_field_width_is_caught():
