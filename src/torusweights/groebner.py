@@ -48,12 +48,18 @@ times the quotient q_k.  When the division ends the two dicts hold M *
 input - sum(q_k * (g_k | tail_k)), so the remainder, the quotients, each
 relation (Moeller, Mora and Traverso, ISSAC 1992) and each new element's
 cofactor are read straight off them.  A run that wants no relations, the
-one behind `buchberger`, gives its columns empty tails, so its divisors
-carry none.  Where the coefficient to cancel and the divisor's leading
-coefficient are ints the division is fraction-free, as in `linalg.Echelon`
-(Bareiss, Math. Comp. 1968).  Buchberger keeps its basis elements as
-primitive integer vectors with positive leading coefficients, so on integer
-input its run makes no fractions; each element and each relation is a
+one behind `buchberger` and `_nakayama_kept`, gives its columns empty
+tails, so its divisors carry none, and it only top-reduces each item: the
+division stops at the first term that no leading term divides, which is
+the leading term full reduction would leave.  So whether an item joins the
+basis, and with what leading term, does not change, nor does any later
+S-pair's degree; `buchberger` fully inter-reduces its basis at the end, and
+`normal_form` and the runs with tails reduce fully.  Where the coefficient
+to cancel and the divisor's leading coefficient are ints the division is
+fraction-free, as in `linalg.Echelon` (Bareiss, Math. Comp. 1968).
+Buchberger keeps its basis elements as primitive integer vectors with
+positive leading coefficients, so on integer input its run makes no
+fractions; each element and each relation is a
 positive multiple of what a run with monic elements gives, so the supports,
 the divisor choices and the outputs are the same.  `buchberger` makes the
 basis monic once, before inter-reducing it.
@@ -222,7 +228,16 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     therefore leaves M * cofactor - sum(q_k * cofactor_k) behind the
     remainder: the relation of a zero reduction, or the cofactor of a new
     basis element.  Without tails the columns enter with empty tails and
-    every tail stays empty.
+    every tail stays empty, and each item is only top-reduced (see
+    `_pseudo_divide`): the division stops at the first popped term that no
+    divisor's leading term divides.  Up to there its steps are those of full
+    reduction, so the item reduces to zero, or joins with that leading
+    term, exactly as it would under full reduction by the same basis.  The
+    element's lower terms may stay reducible, and a later S-pair of it then
+    differs from full reduction's by an element of the submodule the basis
+    generates; the leading terms the basis reaches in each degree, and so
+    the S-pair degrees and the generators that join (within a degree the
+    S-pairs go first), depend only on that submodule.
 
     Before an item whose degree admits a larger total degree than the
     codec's fields hold is taken, the codec is widened and the columns, the
@@ -308,7 +323,7 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
             tail = {codec.term(unit, payload): 1} if tails else {}
         else:
             work, tail = s_pair(*payload)
-        _pseudo_divide(work, tail, divisors, codec)
+        _pseudo_divide(work, tail if tails else None, divisors, codec)
         if not work:
             reductions.append((tail, degree))
             continue
@@ -494,8 +509,8 @@ def _nakayama_kept(codec, module, vectors, degrees):
 
     The flags are the "joined the basis" flags of one Buchberger run
     without tails, bounded at the largest degree, which takes the S-pairs
-    of each degree before its generators (see `_buchberger_run`).  No
-    monomial multiple of a vector is formed.
+    of each degree before its generators and top-reduces each item (see
+    `_buchberger_run`).  No monomial multiple of a vector is formed.
     """
     if not vectors:
         return []

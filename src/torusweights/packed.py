@@ -209,8 +209,12 @@ def _pseudo_divide(work, tail, divisors, codec):
 
     At each step the first divisor (in list order) whose leading term
     divides the current leading term is used; irreducible leading terms stay
-    in work as remainder terms.  When the current coefficient c and the
-    divisor's leading coefficient a are both ints, the step is a
+    in work as remainder terms.  A tail of None marks an item of a
+    Buchberger run without tails: its divisors carry none either, and the
+    division top-reduces, stopping at the first popped term that no divisor
+    divides.  work then holds M times an element with that leading term,
+    whose lower terms are left as they are.  When the current coefficient c
+    and the divisor's leading coefficient a are both ints, the step is a
     pseudo-division: with g = gcd(a, c), work and tail are multiplied by
     |a| / g and sign(a) * c / g times the divisor is subtracted, so no
     fraction arises.  Otherwise it subtracts c / a times the divisor and M
@@ -240,6 +244,8 @@ def _pseudo_divide(work, tail, divisors, codec):
             if not (term - lead) & divmask:
                 break
         else:
+            if tail is None:
+                return multiplier
             continue
         del work[term]
         if type(coeff) is int and type(g_coeff) is int:
@@ -250,8 +256,9 @@ def _pseudo_divide(work, tail, divisors, codec):
                 multiplier *= factor
                 for t, c in work.items():
                     work[t] = c * factor
-                for t, c in tail.items():
-                    tail[t] = c * factor
+                if tail:
+                    for t, c in tail.items():
+                        tail[t] = c * factor
         else:
             q_coeff = exact_quotient(coeff, g_coeff)
         shift = term - lead

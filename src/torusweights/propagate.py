@@ -7,7 +7,9 @@ change of basis in the domain) and reads each new column's weight off its
 leading term: weight of the leading monomial plus the weight attached to
 the leading term's row.  Every S-pair lies above its columns' degree, so
 that basis is the reduced row echelon form of the columns, and one
-elimination yields it, C and C^-1 with no Groebner run.  Forward propagation
+elimination yields it and C^-1 with no Groebner run; C, which the walk
+never reads, is built on first read by inverting C^-1 one degree block at a
+time (`_invert_by_degree`).  Forward propagation
 runs the same procedure on the dual map with negated weights and a flipped
 (up <-> down) ordering, and resolutions rebase each differential d as the
 product C^-1 @ d with the previous step's C^-1.
@@ -34,9 +36,10 @@ as the product C^-1 @ d through `_TermCodec.product`, with the nonzero
 entries of C^-1 packed as constant terms: a constant factor adds no degree,
 so the map's own codec holds every term of the product and the fields
 never need widening.  A packed term is its own order key, so the
-elimination sorts the image's terms as plain ints.  Only the columns of G,
-their leading terms and each step's rebased map are unpacked, through the
-codec's memo; every returned value keeps exponent tuples.
+elimination sorts the image's terms as plain ints.  The walk unpacks only
+the leading terms of G.  G, C and each step's rebased map are built on
+first read (see `PropagationResult` and `ResolutionStep`) and unpacked
+through the codec's memo; every returned value keeps exponent tuples.
 
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
@@ -46,6 +49,7 @@ matrix alone and is not checked here.
 import logging
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .errors import InputError, MinimalityError, ResolutionStepError
 from .groebner import (
@@ -58,7 +62,7 @@ from .groebner import (
     standard_monomials,
 )
 from .linalg import Echelon
-from .modules import FreeModuleSpec, PolyMatrix, ScalarMatrix, dual_map
+from .modules import FreeModuleSpec, ScalarMatrix, dual_map
 from .packed import _TermCodec, _largest_degree
 from .rings import _int_vector, unit_monomial, vector_add, vector_neg
 
@@ -69,7 +73,6 @@ def negate_weights(weights):
     return tuple(vector_neg(w) for w in weights)
 
 
-@dataclass
 class PropagationResult:
     """Change of basis plus the propagated weight list.
 
@@ -78,22 +81,70 @@ class PropagationResult:
     `rebased_module` is the module whose basis the change of basis produces,
     with its degrees in the new order.  `inverse_change_of_basis` is C^-1,
     read off the same elimination; resolutions rebase with it.
+
+    `inverse_change_of_basis`, `weights` and `rebased_module` are computed
+    with the result.  `change_of_basis` and `sorted_matrix` are built on
+    first read, by the functions of no argument the result is made with,
+    and cached, since propagation and the resolution walk read neither.
+    Results are equal when all five fields are.
     """
 
-    change_of_basis: ScalarMatrix
-    inverse_change_of_basis: ScalarMatrix
-    weights: tuple
-    sorted_matrix: PolyMatrix
-    rebased_module: FreeModuleSpec
+    def __init__(
+        self, inverse_change_of_basis, weights, rebased_module, build_change_of_basis, build_sorted_matrix
+    ):
+        self.inverse_change_of_basis = inverse_change_of_basis
+        self.weights = weights
+        self.rebased_module = rebased_module
+        self._build_change_of_basis = build_change_of_basis
+        self._build_sorted_matrix = build_sorted_matrix
+
+    @cached_property
+    def change_of_basis(self):
+        return self._build_change_of_basis()
+
+    @cached_property
+    def sorted_matrix(self):
+        return self._build_sorted_matrix()
+
+    def _fields(self):
+        return (
+            self.change_of_basis,
+            self.inverse_change_of_basis,
+            self.weights,
+            self.sorted_matrix,
+            self.rebased_module,
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
-@dataclass
 class ResolutionStep:
-    """One propagation step along a resolution."""
+    """One propagation step along a resolution.
 
-    module_index: int
-    matrix: PolyMatrix
-    result: PropagationResult
+    `matrix` is the map the step propagated along, in the bases the walk had
+    reached: the differential itself for the first step from the start, and
+    after it the differential rebased by the previous step's C^-1.  It is
+    built on first read, by the function of no argument the step is made
+    with, and cached, since the walk holds the map packed.  Steps are equal
+    when `module_index`, `matrix` and `result` are.
+    """
+
+    def __init__(self, module_index, build_matrix, result):
+        self.module_index = module_index
+        self._build_matrix = build_matrix
+        self.result = result
+
+    @cached_property
+    def matrix(self):
+        return self._build_matrix()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.module_index, self.matrix, self.result) == (other.module_index, other.matrix, other.result)
 
 
 @dataclass
@@ -140,7 +191,7 @@ def propagate_single_degree(matrix, weights, order):
     check_order(order)
     if len(set(matrix.domain.basis_degrees)) != 1:
         raise InputError("columns do not share a single degree")
-    return _propagate(matrix, weights, *_packed(matrix, order))
+    return _propagate(matrix.codomain, matrix.domain, weights, *_packed(matrix, order))
 
 
 def propagate(matrix, weights, order):
@@ -159,7 +210,7 @@ def propagate(matrix, weights, order):
     check_order(order)
     if _needs_nakayama(matrix) and not is_minimal_map(matrix):
         raise MinimalityError(_NOT_MINIMAL)
-    return _propagate(matrix, weights, *_packed(matrix, order))
+    return _propagate(matrix.codomain, matrix.domain, weights, *_packed(matrix, order))
 
 
 def _packed(matrix, order):
@@ -172,51 +223,80 @@ def _packed(matrix, order):
     return codec, codec.columns(matrix)
 
 
-def _propagate(matrix, weights, codec, columns):
+def _propagate(codomain, domain, weights, codec, columns):
     """propagate without checks: the weights are validated, and the map is
     minimal or has its columns in one degree (the elimination checks those).
 
-    columns are matrix's columns packed by codec, whose order is the one
-    propagated under.  A packed term is its own order key, so the image's
-    terms sort as plain ints.  Row j of one elimination is column j's
-    coefficients over those terms, in decreasing order, then the j-th unit
-    vector.  Each row of the reduced echelon form holds a column of G,
-    pivoting at its leading term, and the matching column of C; a pivot in
-    the unit part means dependent columns.  G is the identity at the
-    pivots, so C^-1[k][j] is column j's coefficient at G_k's pivot.  Degrees
-    share no term: they reduce apart.  Only the columns of G and their
-    leading terms are unpacked.
+    columns are the packed columns, packed by codec, of a map from domain to
+    codomain; codec's order is the one propagated under.  A packed term is
+    its own order key, so the image's terms sort as plain ints.  Row j of
+    one elimination is column j's coefficients over those terms, in
+    decreasing order; a column that reduces to zero means dependent
+    columns.  Each row of the reduced echelon form is a column of G,
+    pivoting at its leading term.  G is the identity at the pivots, so
+    C^-1[k][j] is column j's coefficient at G_k's pivot.  Degrees share no
+    term: they reduce apart.  Only the leading terms of G are unpacked;
+    G itself and C are built on first read (see `_invert_by_degree`).
     """
-    ring = matrix.domain.ring
-    degree_of = {t: d for col, d in zip(columns, matrix.domain.basis_degrees) for t in col}
+    ring = domain.ring
+    degree_of = {t: d for col, d in zip(columns, domain.basis_degrees) for t in col}
     terms = sorted(degree_of, reverse=True)
     index = {t: i for i, t in enumerate(terms)}
-    n = len(terms)
     ech = Echelon()
-    for j, col in enumerate(columns):
-        vec = {index[t]: coeff for t, coeff in col.items()}
-        vec[n + j] = 1
-        ech.add(vec)
-    if any(pos >= n for pos in ech.pivots):
-        raise MinimalityError(_NOT_MINIMAL)
+    for col in columns:
+        if not ech.add({index[t]: coeff for t, coeff in col.items()}):
+            raise MinimalityError(_NOT_MINIMAL)
     rows = ech.reduced_rows()
 
-    classes = {d: k for k, d in enumerate(dict.fromkeys(matrix.domain.basis_degrees))}
+    classes = {d: k for k, d in enumerate(dict.fromkeys(domain.basis_degrees))}
     sign = -1 if codec.order.is_position_up else 1
     pivots = sorted(rows, key=lambda pos: (classes[degree_of[terms[pos]]], sign * pos))
     leads = [terms[pos] for pos in pivots]
-    g_columns = [{terms[p]: coeff for p, coeff in rows[pos].items() if p < n} for pos in pivots]
+    g_columns = [{terms[p]: coeff for p, coeff in rows[pos].items()} for pos in pivots]
     rebased = FreeModuleSpec(ring, [degree_of[t] for t in leads])
+    inverse = ScalarMatrix([[col.get(t, 0) for col in columns] for t in leads])
     return PropagationResult(
-        ScalarMatrix([[rows[pos].get(n + j, 0) for pos in pivots] for j in range(len(columns))]),
-        ScalarMatrix([[col.get(t, 0) for col in columns] for t in leads]),
+        inverse,
         tuple(
             vector_add(ring.monomial_weight(t.monomial), weights[t.index])
             for t in map(codec.unpack, leads)
         ),
-        codec.matrix(g_columns, matrix.codomain, rebased),
         rebased,
+        partial(_invert_by_degree, inverse, rebased.basis_degrees, domain.basis_degrees),
+        partial(codec.matrix, g_columns, codomain, rebased),
     )
+
+
+def _invert_by_degree(inverse, row_degrees, column_degrees):
+    """C from C^-1: the inverse of the invertible scalar matrix `inverse`.
+
+    Entry (k, j) of `inverse` is zero unless row_degrees[k] equals
+    column_degrees[j], so its inverse is zero between degrees too and is
+    taken one square degree block B at a time, by one `Echelon` each: row c
+    of [B^T | I] is column c of B followed by the unit vector e_c, and the
+    reduced echelon form is [I | (B^T)^-1], whose row r holds B^-1[c][r] at
+    position b + c, b the size of the block.  Entries are ints where they
+    are integral, as everywhere.
+    """
+    n = len(row_degrees)
+    rows_of, columns_of = {}, {}
+    for k, d in enumerate(row_degrees):
+        rows_of.setdefault(d, []).append(k)
+    for j, d in enumerate(column_degrees):
+        columns_of.setdefault(d, []).append(j)
+    out = [[0] * n for _ in range(n)]
+    for d, ks in rows_of.items():
+        js, b = columns_of[d], len(ks)
+        ech = Echelon()
+        for c, j in enumerate(js):
+            vec = {r: inverse.rows[k][j] for r, k in enumerate(ks) if inverse.rows[k][j]}
+            vec[b + c] = 1
+            ech.add(vec)
+        for r, row in ech.reduced_rows().items():
+            for pos, x in row.items():
+                if pos >= b:
+                    out[js[pos - b]][ks[r]] = x
+    return ScalarMatrix(out)
 
 
 def propagate_forward(matrix, weights, order):
@@ -239,36 +319,38 @@ def _walk(maps, weights, order):
     Packs each map once (see `_packed`), rebases each map d after the first
     onto the previous step's rebased module as the product C^-1 @ d with
     that step's C^-1, through `_TermCodec.product` with the columns of C^-1
-    packed as constant terms, and yields (rebased map, PropagationResult)
-    per step, drawing each map from `maps` only when its step is taken.  The
-    rebased map is unpacked for the step record.
+    packed as constant terms, and yields (build, PropagationResult) per
+    step, drawing each map from `maps` only when its step is taken.  build
+    is a function of no argument that unpacks the step's rebased map; the
+    walk itself never does.
     """
     inverse = None
     for matrix in maps:
         codec, columns = _packed(matrix, order)
+        codomain = matrix.codomain
         if inverse is not None:
             unit = unit_monomial(matrix.domain.ring.num_vars)
             constants = [codec.term(unit, i) for i in range(matrix.num_rows)]
             left = [{t: x for t, x in zip(constants, col) if x} for col in zip(*inverse.rows)]
             columns = list(codec.product(left, columns))
-            matrix = codec.matrix(columns, spec, matrix.domain)
-        result = _propagate(matrix, weights, codec, columns)
-        yield matrix, result
+            codomain = spec
+        result = _propagate(codomain, matrix.domain, weights, codec, columns)
+        yield partial(codec.matrix, columns, codomain, matrix.domain), result
         weights, inverse, spec = result.weights, result.inverse_change_of_basis, result.rebased_module
 
 
 def _walk_forward(maps, weights, order):
     """Forward propagation along maps[0], maps[1], ...: `_walk` on the dual complex.
 
-    Each step on a dual is read back by transposing C and C^-1, negating the
-    weights and dualizing the modules.  Each dual map is checked by the rule
-    of `propagate`: a dual whose columns span more than one degree goes
-    through `is_minimal_map`, as given, before its step, and any other is
-    left to its step's elimination, which runs on the rebased dual.  The
-    rebased dual differs from the dual by an automorphism of the codomain
-    (an invertible degree-preserving scalar matrix), so both are minimal or
-    neither is.  Either way the MinimalityError says that the dual map is
-    not minimal.
+    Each step on a dual is read back (see `_read_back`) by transposing C and
+    C^-1, negating the weights and dualizing the modules.  Each dual map is
+    checked by the rule of `propagate`: a dual whose columns span more than
+    one degree goes through `is_minimal_map`, as given, before its step, and
+    any other is left to its step's elimination, which runs on the rebased
+    dual.  The rebased dual differs from the dual by an automorphism of the
+    codomain (an invertible degree-preserving scalar matrix), so both are
+    minimal or neither is.  Either way the MinimalityError says that the
+    dual map is not minimal.
     """
 
     def duals():
@@ -279,16 +361,25 @@ def _walk_forward(maps, weights, order):
             yield dual
 
     try:
-        for dual, inner in _walk(duals(), negate_weights(weights), order.flipped()):
-            yield dual_map(dual), PropagationResult(
-                inner.change_of_basis.transpose(),
-                inner.inverse_change_of_basis.transpose(),
-                negate_weights(inner.weights),
-                inner.sorted_matrix,
-                inner.rebased_module.dual(),
-            )
+        for build, inner in _walk(duals(), negate_weights(weights), order.flipped()):
+            yield _read_back(build, inner)
     except MinimalityError:
         raise MinimalityError("dual map is not minimal; cannot propagate forward") from None
+
+
+def _read_back(build, inner):
+    """A step of `_walk` on a dual map, as (build, PropagationResult) of the forward step.
+
+    The step's map, the dual of the rebased dual, and C, the transpose of
+    the dual run's C, are built on first read, like the dual run's own.
+    """
+    return (lambda: dual_map(build())), PropagationResult(
+        inner.inverse_change_of_basis.transpose(),
+        negate_weights(inner.weights),
+        inner.rebased_module.dual(),
+        lambda: inner.change_of_basis.transpose(),
+        lambda: inner.sorted_matrix,
+    )
 
 
 def propagate_resolution(differentials, start_index, start_weights, order):
@@ -344,16 +435,16 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     steps = {}
 
     backward = _walk(differentials[start_index:], start_weights, order)
-    for target, (matrix, result) in enumerate(backward, start_index + 1):
+    for target, (build, result) in enumerate(backward, start_index + 1):
         log.debug("backward step onto module %d", target)
         per_module[target] = result.weights
-        steps[target] = ResolutionStep(target, matrix, result)
+        steps[target] = ResolutionStep(target, build, result)
 
     forward = _walk_forward(reversed(differentials[:start_index]), start_weights, order)
     for target in reversed(range(start_index)):
         log.debug("forward step onto module %d", target)
         try:
-            matrix, result = next(forward)
+            build, result = next(forward)
         except MinimalityError as exc:
             raise ResolutionStepError(
                 "forward propagation failed at module %d: %s" % (target, exc),
@@ -361,7 +452,7 @@ def propagate_resolution(differentials, start_index, start_weights, order):
                 partial=tuple(per_module),
             ) from exc
         per_module[target] = result.weights
-        steps[target] = ResolutionStep(target, matrix, result)
+        steps[target] = ResolutionStep(target, build, result)
 
     return ResolutionWeights(tuple(per_module), steps)
 

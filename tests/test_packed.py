@@ -5,8 +5,9 @@ entry, also for the constant left factor C^-1 by which the walk rebases a
 map, and its zero test must agree with `(a @ b).is_zero`.  The packed
 propagation walk must give, step by step, what the tuple walk gave: the
 functions `_combine`, `_propagate` and `_walk` below are the tuple versions,
-kept verbatim as the reference.  Hypothesis runs derandomized, as in
-test_properties.
+kept as the reference; they compute C, G and each step's map eagerly and
+hand them over as functions of no argument, as the records take them.
+Hypothesis runs derandomized, as in test_properties.
 """
 
 import importlib
@@ -278,12 +279,14 @@ def _propagate(matrix, weights, order):
         g_columns.append(ModuleElement(matrix.codomain, [Polynomial(e) for e in entries]))
     leads = [terms[pos] for pos in pivots]
     rebased = FreeModuleSpec(ring, [degree_of[t] for t in leads])
+    change_of_basis = ScalarMatrix([[rows[pos].get(n + j, 0) for pos in pivots] for j in range(len(columns))])
+    sorted_matrix = PolyMatrix._unchecked(matrix.codomain, rebased, _column_rows(g_columns, matrix.num_rows))
     return PropagationResult(
-        ScalarMatrix([[rows[pos].get(n + j, 0) for pos in pivots] for j in range(len(columns))]),
         ScalarMatrix([[col.entries[t.index].terms.get(t.monomial, 0) for col in columns] for t in leads]),
         tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in leads),
-        PolyMatrix._unchecked(matrix.codomain, rebased, _column_rows(g_columns, matrix.num_rows)),
         rebased,
+        lambda: change_of_basis,
+        lambda: sorted_matrix,
     )
 
 
@@ -306,8 +309,8 @@ def _walk(maps, weights, order):
 
     Rebases each map after the first onto the previous step's rebased
     module (new row i is sum_k C^-1[i][k] times row k) and yields
-    (rebased map, PropagationResult) per step, drawing each map from `maps`
-    only when its step is taken.
+    (function returning the rebased map, PropagationResult) per step,
+    drawing each map from `maps` only when its step is taken.
     """
     inverse = None
     for matrix in maps:
@@ -316,7 +319,7 @@ def _walk(maps, weights, order):
             rows = [[_combine(coeffs, col) for col in columns] for coeffs in inverse.rows]
             matrix = PolyMatrix._unchecked(spec, matrix.domain, rows)
         result = _propagate(matrix, weights, order)
-        yield matrix, result
+        yield (lambda matrix=matrix: matrix), result
         weights, inverse, spec = result.weights, result.inverse_change_of_basis, result.rebased_module
 
 

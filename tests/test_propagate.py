@@ -16,6 +16,7 @@ from torusweights import (
     ScalarMatrix,
     buchberger,
     change_of_basis,
+    is_minimal_map,
     minimal_resolution,
     negate_weights,
     propagate,
@@ -26,6 +27,8 @@ from torusweights import (
     split_by_column_degree,
     standard_monomials,
 )
+from torusweights.modules import dual_map, permute_columns
+from torusweights.packed import _TermCodec
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 
@@ -686,19 +689,20 @@ def test_proven_chain_propagates_like_a_checked_copy(name, presentation, weights
 
 
 class Spy:
-    """Counts the calls of one function of torusweights.propagate."""
+    """Counts the calls of one function of torusweights.propagate, or of one method of owner."""
 
-    def __init__(self, monkeypatch, name):
+    def __init__(self, monkeypatch, name, owner=None):
         # the package's `propagate` attribute is the function, not the module
-        module = importlib.import_module("torusweights.propagate")
+        if owner is None:
+            owner = importlib.import_module("torusweights.propagate")
         self.calls = 0
-        wrapped = getattr(module, name)
+        wrapped = getattr(owner, name)
 
         def spy(*args):
             self.calls += 1
             return wrapped(*args)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(owner, name, spy)
 
 
 def test_only_the_proven_chain_skips_the_checks(monkeypatch, grassmannian):
@@ -765,6 +769,117 @@ def test_mixed_degree_non_minimal_dual_is_rejected():
     with pytest.raises(ResolutionStepError) as info:
         propagate_resolution([d1], 1, [(2,)], TOP_UP)
     assert (info.value.step, info.value.partial) == (0, (None, ((2,),)))
+
+
+# ---------- fields built on first read ----------
+
+
+def test_the_forward_walk_builds_only_what_is_read(monkeypatch):
+    # the Koszul complex on four generic forms, explicit, walked from the top
+    problem = load_problem(fixture_path("generic_koszul.json"))
+    diffs = list(minimal_resolution(problem.matrices["d1"], TOP_UP).differentials)
+    n = len(diffs)
+    unpack = Spy(monkeypatch, "matrix", _TermCodec)
+    dual = Spy(monkeypatch, "dual_map")
+    invert = Spy(monkeypatch, "_invert_by_degree")
+    result = propagate_resolution(diffs, n, [(1,) * 4], TOP_UP)
+    assert result.per_module[0] == ((0, 0, 0, 0),)
+    # one dual per forward step for the walk, none for the step records
+    assert (unpack.calls, dual.calls, invert.calls) == (0, n, 0)
+    for index, step in result.steps.items():
+        reads = [(step, "matrix", unpack), (step.result, "sorted_matrix", unpack), (step.result, "change_of_basis", invert)]
+        for owner, name, spy in reads:
+            calls = spy.calls
+            first = getattr(owner, name)
+            assert getattr(owner, name) is first
+            assert spy.calls == calls + 1, (index, name)
+    assert dual.calls == 2 * n
+
+
+def typed_rows(scalars):
+    return [[(type(x), x) for x in row] for row in scalars.rows]
+
+
+def solved_change_of_basis(matrix, sorted_matrix):
+    """The C with sorted_matrix = matrix @ C, solved one column degree at a time by `change_of_basis`."""
+    c = [[0] * sorted_matrix.num_cols for _ in range(matrix.num_cols)]
+    for d in set(matrix.domain.basis_degrees):
+        js = [j for j, e in enumerate(matrix.domain.basis_degrees) if e == d]
+        ks = [k for k, e in enumerate(sorted_matrix.domain.basis_degrees) if e == d]
+        block = change_of_basis(permute_columns(matrix, js), permute_columns(sorted_matrix, ks))
+        for j, row in zip(js, block.rows):
+            for k, x in zip(ks, row):
+                c[j][k] = x
+    return ScalarMatrix(c)
+
+
+def assert_change_of_basis_is_solved(matrix, result, forward):
+    """C, built on first read, against the solved system G = M @ C, with coefficient types.
+
+    A forward result's C is the transpose of the one its dual run solves
+    for, on the dual map.
+    """
+    c = result.change_of_basis
+    if forward:
+        expected = solved_change_of_basis(dual_map(matrix), result.sorted_matrix).transpose()
+    else:
+        expected = solved_change_of_basis(matrix, result.sorted_matrix)
+    assert typed_rows(c) == typed_rows(expected)
+    assert c @ result.inverse_change_of_basis == ScalarMatrix.identity(c.num_rows)
+
+
+PROBLEM_FIXTURES = [
+    "bigraded",
+    "generic_koszul",
+    "grassmannian",
+    "high_degree",
+    "high_degree_3var",
+    "koszul",
+    "mixed_sign",
+    "three_squares",
+    "two_variables",
+]
+
+
+def fixture_maps():
+    for name in PROBLEM_FIXTURES:
+        problem = load_problem(fixture_path(name + ".json"))
+        for label, m in problem.matrices.items():
+            yield pytest.param(problem, m, id="%s-%s" % (name, label))
+
+
+def small_weights(module):
+    length = module.ring.weight_length
+    return [tuple((i + j) % 3 - 1 for j in range(length)) for i in range(module.rank)]
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize("problem, m", fixture_maps())
+def test_change_of_basis_built_on_read_is_the_solved_one(problem, m, order):
+    for run, weights, forward in (
+        (propagate, small_weights(m.codomain), False),
+        (propagate_forward, small_weights(m.domain), True),
+    ):
+        try:
+            result = run(m, weights, order)
+        except MinimalityError:
+            continue
+        assert_change_of_basis_is_solved(m, result, forward)
+    # the file's resolution, once, and the one computed from m
+    resolutions = []
+    if problem.resolution and m is problem.matrices[problem.resolution[0]]:
+        resolutions.append([problem.matrices[name] for name in problem.resolution])
+    if is_minimal_map(m):
+        resolutions.append(minimal_resolution(m, order).differentials)
+    for diffs in resolutions:
+        modules = [diffs[0].codomain] + [d.domain for d in diffs]
+        for start_index, module in enumerate(modules):
+            try:
+                result = propagate_resolution(diffs, start_index, small_weights(module), order)
+            except ResolutionStepError:
+                continue
+            for index, step in result.steps.items():
+                assert_change_of_basis_is_solved(step.matrix, step.result, index < start_index)
 
 
 # ---------- graded components ----------

@@ -30,13 +30,15 @@ from torusweights import (
     syzygies,
 )
 from torusweights.errors import ResolutionStepError
-from torusweights.groebner import _nakayama_kept, _term_divides
+from torusweights.groebner import _buchberger_run, _nakayama_kept, _term_divides
 from torusweights.linalg import Echelon, rank
-from torusweights.modules import ModuleElement, ModuleTerm
+from torusweights.modules import ModuleElement, ModuleTerm, dual_map
 from torusweights.packed import _FIELD_BITS, _TermCodec
 from torusweights.parsing import parse_polynomial, polynomial_to_string
+from torusweights.problemfile import load_problem
 from torusweights.rings import Polynomial, monomial_div, monomial_divides, vector_add, vector_sub
 
+from conftest import fixture_path
 from test_groebner import tracked_run
 from test_invariants import assert_euler_characteristic
 
@@ -849,6 +851,85 @@ def test_nakayama_flags_match_the_all_vectors_formulation(data, ring, order, coe
     codec = _TermCodec(ring, order, m.num_rows, bound)
     packed = [codec.packed(v) for v in vectors]
     assert _nakayama_kept(codec, m.codomain, packed, degrees) == reference_nakayama_kept(vectors, degrees, ring)
+
+
+# ---------- top reduction in runs without tails ----------
+
+
+def recorded_nakayama_inputs(matrix, order):
+    """minimal_resolution(matrix, order), and the unpacked (module, vectors, degrees) of its `_nakayama_kept` calls."""
+    calls = []
+
+    def record(codec, module, vectors, degrees):
+        calls.append((module, [ModuleElement(module, codec.entries(v, module.rank)) for v in vectors], list(degrees)))
+        return _nakayama_kept(codec, module, vectors, degrees)
+
+    with mock.patch("torusweights.groebner._nakayama_kept", record):
+        resolution = minimal_resolution(matrix, order)
+    return resolution, calls
+
+
+def assert_flags_match_the_reference(module, vectors, degrees, expected):
+    ring = module.ring
+    bound = max((sum(t.monomial) for v in vectors for t, _ in v.support()), default=0)
+    for order in ALL_ORDERS:
+        codec = _TermCodec(ring, order, module.rank, bound)
+        assert _nakayama_kept(codec, module, [codec.packed(v) for v in vectors], degrees) == expected, order
+
+
+@pytest.mark.parametrize(
+    "name, inner_runs",
+    # the reference takes minutes on the 29 relations of high_degree_3var:
+    # their degrees run from 182 to 318, and it multiplies each by every
+    # monomial of a gap, in three variables
+    [("mixed_sign", True), ("high_degree", True), ("high_degree_3var", False), ("bigraded", True), ("grassmannian", True)],
+)
+def test_top_reduced_runs_keep_the_nakayama_flags_on_the_fixtures(name, inner_runs):
+    # each map, its dual and the differentials minimal_resolution computes
+    # from it under every order; with inner_runs also every vector set a
+    # Nakayama run takes inside those resolutions, among them the
+    # relations that `syzygies` minimizes
+    problem = load_problem(fixture_path(name + ".json"))
+    maps, runs = [], []
+    for m in problem.matrices.values():
+        maps += [m, dual_map(m)]
+        for order in ALL_ORDERS:
+            resolution, calls = recorded_nakayama_inputs(m, order)
+            maps += resolution.differentials[1:]
+            runs += calls
+    for k in maps:
+        degrees = list(k.domain.basis_degrees)
+        expected = reference_nakayama_kept(k.columns(), degrees, k.domain.ring)
+        assert is_minimal_map(k) == all(expected)
+        assert_flags_match_the_reference(k.codomain, k.columns(), degrees, expected)
+    if inner_runs:
+        flags = [reference_nakayama_kept(vectors, degrees, module.ring) for module, vectors, degrees in runs]
+        assert not all(map(all, flags))
+        for (module, vectors, degrees), expected in zip(runs, flags):
+            assert_flags_match_the_reference(module, vectors, degrees, expected)
+
+
+def test_a_top_reduced_element_keeps_a_reducible_tail_that_an_s_pair_meets():
+    # over grevlex x > y, b = x^2+x*y+y^2 joins after a = x*y with its tail
+    # term x*y, which a divides, left unreduced; the degree-3 S-pair
+    # x*a - y*b = -x*y^2 - y^3 meets that term and reduces to -y^3, as it
+    # does with b fully reduced to x^2+y^2, so the generator y^3 is redundant
+    ring = RingSpec(["x", "y"], [[1], [1]], [[1, 0], [0, 1]])
+    row = [parse_polynomial(ring, t) for t in ("x*y", "x^2+x*y+y^2", "y^3")]
+    m = PolyMatrix(FreeModuleSpec(ring, [[0]]), FreeModuleSpec(ring, [[2], [2], [3]]), [row])
+    degrees = list(m.domain.basis_degrees)
+    expected = reference_nakayama_kept(m.columns(), degrees, ring)
+    assert expected == [True, True, False]
+    for order in ALL_ORDERS:
+        codec = _TermCodec(ring, order, 1, 3)
+        _, basis, _, joined = _buchberger_run(codec, codec.columns(m), degrees, m.codomain, (3,), False)
+        assert joined == expected
+        assert codec.term((1, 1), 0) in basis[1][0]
+        assert basis[2][0] == {codec.term((0, 3), 0): 1}
+        elements = buchberger(m, order).elements
+        assert [polynomial_to_string(ring, g.entries[0]) for g in elements] == ["x*y", "x^2+y^2", "y^3"]
+    assert_flags_match_the_reference(m.codomain, m.columns(), degrees, expected)
+    assert not is_minimal_map(m)
 
 
 @SETTINGS
