@@ -25,9 +25,12 @@ does not move: `Polynomial`, `ModuleTerm`, `ModuleElement` and every public
 or printed value keep exponent tuples.  Columns are packed once on entry,
 and basis elements and relations are unpacked once on exit; `syzygies`
 makes its relations primitive and minimizes them packed, and unpacks only
-the ones it keeps.  The checks that maps compose to zero, `check_chain` and
-the one `syzygies` makes of its own result, multiply packed columns too
-(`_nonzero_composite`).
+the ones it keeps.  The checks that maps compose to zero multiply packed
+columns too (`_nonzero_composite`): the chain check packs each map once,
+by one codec for the whole chain (`_packed_chain`), and
+`propagate_resolution` reuses those columns for its minimality runs and its
+walk; `syzygies` multiplies the columns and relations its run already
+holds.
 
 The field widths come from a bound the run proves.  Every variable's degree
 has positive functional (see `rings`), so a term of degree d at an index of
@@ -202,7 +205,7 @@ def _content(coefficients):
 
 
 def _buchberger_run(codec, columns, degrees, module, bound, tails):
-    """Core Buchberger loop on packed terms; returns (codec, basis, reductions, joined).
+    """Core Buchberger loop on packed terms; returns (codec, columns, basis, reductions, joined).
 
     columns are packed dicts, packed by codec, of elements of module, column
     j of degree degrees[j]; the run copies them and leaves them as they are.
@@ -242,8 +245,9 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     Before an item whose degree admits a larger total degree than the
     codec's fields hold is taken, the codec is widened and the columns, the
     basis and the relations are repacked; codec is the last one, and
-    everything returned is packed by it.  An S-pair waits in the queue as
-    two indices and an lcm tuple, a generator as its column's index.
+    everything returned is packed by it, the columns too.  An S-pair waits in
+    the queue as two indices and an lcm tuple, a generator as its column's
+    index.
 
     The run is fraction-free on integer columns.  basis lists the (work,
     tail) packed dicts of the elements in the order they were added, not
@@ -264,7 +268,7 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     """
     joined = [False] * len(columns)
     if not columns:
-        return codec, [], [], joined
+        return codec, columns, [], [], joined
     ring = codec.ring
     functional = ring._functional
     limit = functional(bound) if bound is not None else None
@@ -349,7 +353,7 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
                 pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
                 push(pair_degree, False, (i, t, lcm_mono))
 
-    return codec, basis, reductions, joined
+    return codec, columns, basis, reductions, joined
 
 
 def _reduce_basis(elements, codec, module):
@@ -400,7 +404,7 @@ def buchberger(matrix, order, bound=None):
     if bound is not None:
         bound = _int_vector(bound, "degree bound", ring.degree_length)
     codec = _TermCodec(ring, order, matrix.num_rows, _largest_degree(matrix))
-    codec, basis, _, _ = _buchberger_run(
+    codec, _, basis, _, _ = _buchberger_run(
         codec, codec.columns(matrix), matrix.domain.basis_degrees, matrix.codomain, bound, False
     )
     monic = []
@@ -516,7 +520,7 @@ def _nakayama_kept(codec, module, vectors, degrees):
         return []
     functional = codec.ring._functional
     bound = max(degrees, key=lambda d: (functional(d), d))
-    return _buchberger_run(codec, vectors, degrees, module, bound, False)[3]
+    return _buchberger_run(codec, vectors, degrees, module, bound, False)[4]
 
 
 def is_minimal_map(matrix):
@@ -525,7 +529,9 @@ def is_minimal_map(matrix):
     Graded Nakayama: for each degree d occurring among the column degrees,
     the degree-d columns must stay linearly independent modulo the degree-d
     part of (irrelevant ideal) * image.  Decided by `_nakayama_kept` on the
-    packed columns, under top-up; the answer does not depend on the order.
+    packed columns, under top-up; the flags do not depend on the order, so
+    `propagate` and `propagate_resolution` run it on the columns they packed
+    under theirs.
     """
     codec = _TermCodec(matrix.domain.ring, ModuleTermOrder(), matrix.num_rows, _largest_degree(matrix))
     return all(_nakayama_kept(codec, matrix.codomain, codec.columns(matrix), matrix.domain.basis_degrees))
@@ -549,14 +555,15 @@ def syzygies(matrix, order):
     relations, in the codec the first run ended with.  Only the kept
     relations are unpacked.  The result S satisfies matrix @ S = 0 and its
     image is the full syzygy module; S is one minimal generating set of it,
-    not a canonical one.  The claim matrix @ S = 0 is checked on packed
-    terms before S is returned; an InternalError says it failed.
+    not a canonical one.  The claim matrix @ S = 0 is checked before S is
+    unpacked, on the run's own columns and the kept relations, in the run's
+    last codec, so nothing is packed again; an InternalError says it failed.
     """
     check_order(order)
     ring = matrix.domain.ring
     frame = FreeModuleSpec(ring, matrix.domain.basis_degrees)
     codec = _TermCodec(ring, order, max(matrix.num_rows, matrix.num_cols), _largest_degree(matrix))
-    codec, _, reductions, _ = _buchberger_run(
+    codec, columns, _, reductions, _ = _buchberger_run(
         codec, codec.columns(matrix), frame.basis_degrees, matrix.codomain, None, True
     )
     candidates, degrees = [], []
@@ -565,31 +572,64 @@ def syzygies(matrix, order):
             candidates.append(_integer_row(relation))
             degrees.append(degree)
     kept = _nakayama_kept(codec, frame, candidates, degrees)
-    domain = FreeModuleSpec(ring, [d for d, keep in zip(degrees, kept) if keep])
-    result = codec.matrix([c for c, keep in zip(candidates, kept) if keep], frame, domain)
-    if _nonzero_composite([matrix, result]) is not None:
+    relations = [c for c, keep in zip(candidates, kept) if keep]
+    # The run's last codec holds matrix @ S.  A relation of degree D is the
+    # tail of an item the run took at degree D (or e_j for a zero column j,
+    # which meets only zero entries), and before taking it the run widened
+    # its fields to hold total degree (functional(D) - base) / step, base
+    # and step as in `_buchberger_run`.  Both factors are homogeneous, so
+    # every term the product kernel forms for that relation, at codomain
+    # index i, has degree D, and its monomial has total degree at most
+    # (functional(D) - functional(deg e_i)) / step, which is within that.
+    if _nonzero_composite(codec, [columns, relations]) is not None:
         raise InternalError("syzygy matrix does not annihilate the input")
-    return result
+    domain = FreeModuleSpec(ring, [d for d, keep in zip(degrees, kept) if keep])
+    return codec.matrix(relations, frame, domain)
 
 
-def _nonzero_composite(maps):
-    """The first k with maps[k] @ maps[k + 1] nonzero, or None; the maps must chain.
+def _packed_chain(differentials, order):
+    """One codec under order for a nonempty chain of maps, and each map's packed columns.
 
-    Every map is packed once, by one codec whose fields hold the largest
-    total degree of any consecutive product, and each composite is
-    multiplied by `_TermCodec.product` until its first nonzero column.  Any
-    module order serves a zero test; top-up is used.
+    The fields hold the largest total degree of a product of consecutive
+    maps, so that `_nonzero_composite` can multiply any two neighbours, and
+    the index field holds max(rows, cols) over the chain, so that
+    `_TermCodec.transposed` can re-tag any map's transpose.
     """
-    if len(maps) < 2:
-        return None
-    degrees = [_largest_degree(d) for d in maps]
-    bound = max(map(operator.add, degrees, degrees[1:]))
-    codec = _TermCodec(maps[0].domain.ring, ModuleTermOrder(), max(d.num_rows for d in maps), bound)
-    packed = [codec.columns(d) for d in maps]
-    for k in range(len(maps) - 1):
+    degrees = [_largest_degree(d) for d in differentials]
+    bound = max(map(operator.add, degrees, degrees[1:]), default=degrees[0])
+    indices = max(max(d.num_rows, d.num_cols) for d in differentials)
+    codec = _TermCodec(differentials[0].domain.ring, order, indices, bound)
+    return codec, [codec.columns(d) for d in differentials]
+
+
+def _nonzero_composite(codec, packed):
+    """The first k with packed[k] @ packed[k + 1] nonzero, or None.
+
+    packed are the packed columns, by codec, of maps that chain, and codec
+    holds the total degree of every consecutive product.  Each composite is
+    multiplied by `_TermCodec.product` until its first nonzero column.
+    """
+    for k in range(len(packed) - 1):
         if any(codec.product(packed[k], packed[k + 1])):
             return k
     return None
+
+
+def _checked_chain(differentials, order):
+    """`check_chain` under order, returning `_packed_chain`'s codec and packed columns.
+
+    The differentials must be nonempty.  The shapes are checked before
+    anything is packed, so a chain over several rings fails there.
+    """
+    for k in range(1, len(differentials)):
+        previous, d = differentials[k - 1].domain, differentials[k].codomain
+        if d.basis_degrees != previous.basis_degrees or d.ring != previous.ring:
+            raise InputError("chain-shape mismatch between differentials %d and %d" % (k, k + 1))
+    codec, packed = _packed_chain(differentials, order)
+    k = _nonzero_composite(codec, packed)
+    if k is not None:
+        raise InputError("differentials %d and %d do not compose to zero" % (k + 1, k + 2))
+    return codec, packed
 
 
 def check_chain(differentials):
@@ -597,16 +637,14 @@ def check_chain(differentials):
 
     Each differential after the first must map into the domain of the one
     before it, and consecutive composites must vanish.  The composites are
-    tested on packed terms (see `_nonzero_composite`), not multiplied out as
-    PolyMatrix products.  Messages number the differentials from 1.
+    tested on packed terms, each map packed once (see `_nonzero_composite`),
+    not multiplied out as PolyMatrix products; any order serves a zero test,
+    and top-up is used.  `propagate_resolution` runs the same checks under
+    its own order and keeps the packed columns for its minimality runs and
+    its walk.  Messages number the differentials from 1.
     """
-    for k in range(1, len(differentials)):
-        previous, d = differentials[k - 1].domain, differentials[k].codomain
-        if d.basis_degrees != previous.basis_degrees or d.ring != previous.ring:
-            raise InputError("chain-shape mismatch between differentials %d and %d" % (k, k + 1))
-    k = _nonzero_composite(differentials)
-    if k is not None:
-        raise InputError("differentials %d and %d do not compose to zero" % (k + 1, k + 2))
+    if differentials:
+        _checked_chain(differentials, ModuleTermOrder())
 
 
 class _MinimalChain(tuple):

@@ -24,7 +24,13 @@ division, one kernel multiplies packed matrices: `_TermCodec.product`
 computes A @ B on packed columns by adding packed terms.  It serves the
 chain checks and the walk's rebase, the product C^-1 @ d of a constant
 matrix and a map, whose constant terms add no degree, so the map's own
-codec holds the product.  Only this module knows the bit layout.
+codec holds the product.  A map is packed once per public call, and its
+packed columns serve every reader of that call: the test that consecutive
+maps compose to zero, the minimality run and the walk.
+`_TermCodec.transposed` gives the packed columns of the transpose, the
+dual map the forward walk runs on, by re-tagging each term's index under
+the flipped order; the monomial fields do not move.  Only this module
+knows the bit layout.
 Everything else, `Polynomial`, `ModuleTerm`, `ModuleElement`, `PolyMatrix`
 and every value the library returns or prints, keeps exponent tuples: a
 codec packs its inputs on entry and unpacks what it returns, through a memo
@@ -130,6 +136,26 @@ class _TermCodec:
                 for mono, c in p.terms.items():
                     col[sum(map(operator.mul, mono, units)) | tag] = c
         return columns
+
+    def transposed(self, columns, rows):
+        """A codec of this layout under the flipped order, and the transpose's packed columns.
+
+        columns are the packed columns of a map with `rows` rows; the result
+        packs the columns of its transpose (`modules.dual_map`), as that
+        codec's `columns` would, dicts in the same insertion order.  The
+        flipped order changes only how an index is tagged, so each term keeps
+        its packed monomial and takes its column's index as its own.  The
+        codec must index max(rows, columns) for both to fit.
+        """
+        flipped = _TermCodec(self.ring, self.order.flipped(), self.indices, self.capacity)
+        field = self._index_mask << self._index_shift
+        out = {self._tag(i): {} for i in range(rows)}
+        for j, col in enumerate(columns):
+            tag = flipped._tag(j)
+            for t, c in col.items():
+                old = t & field
+                out[old][t - old | tag] = c
+        return flipped, list(out.values())
 
     def product(self, a, b):
         """The columns of A @ B as packed dicts, one at a time.

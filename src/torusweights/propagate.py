@@ -7,18 +7,21 @@ change of basis in the domain) and reads each new column's weight off its
 leading term: weight of the leading monomial plus the weight attached to
 the leading term's row.  Every S-pair lies above its columns' degree, so
 that basis is the reduced row echelon form of the columns, and one
-elimination yields it and C^-1 with no Groebner run; C, which the walk
-never reads, is built on first read by inverting C^-1 one degree block at a
-time (`_invert_by_degree`).  Forward propagation
-runs the same procedure on the dual map with negated weights and a flipped
-(up <-> down) ordering, and resolutions rebase each differential d as the
-product C^-1 @ d with the previous step's C^-1.
+elimination yields it and C^-1 with no Groebner run.  The weights and C^-1
+need only the elimination's pivots; G is back-substituted to the reduced
+echelon form on first read (`_reduced_columns`), and C, which the walk
+never reads either, is built on first read by inverting C^-1 one degree
+block at a time (`_invert_by_degree`).  Forward propagation runs the same
+procedure on the dual map with negated weights and a flipped (up <-> down)
+ordering, and resolutions rebase each differential d as the product
+C^-1 @ d with the previous step's C^-1.
 
 Each fact about the input is proved once, by the code that establishes it,
 and private functions do not check it again.  For columns in at most one
 degree, minimal means linearly independent, and `_propagate`'s elimination
 raises MinimalityError when a column reduces to zero; the Nakayama check
-`is_minimal_map` runs only on maps whose columns span more than one degree.
+(`_fails_nakayama`) runs only on maps whose columns span more than one
+degree.
 `propagate` validates the weights and the order and leaves the rest to that
 rule.  Resolutions take one walk: `_walk` propagates backward along
 consecutive maps, rebasing each map d as C^-1 @ d with the previous step's
@@ -30,16 +33,25 @@ again, since rebasing a minimal map by an invertible scalar matrix keeps it
 minimal; a forward step checks its dual map by the same rule as
 `propagate`, since the dual of a minimal map need not be minimal.
 
-Each step runs on packed terms (see `packed`).  The walk packs each map
-once, by a codec sized for the map's largest total degree, and rebases it
-as the product C^-1 @ d through `_TermCodec.product`, with the nonzero
-entries of C^-1 packed as constant terms: a constant factor adds no degree,
-so the map's own codec holds every term of the product and the fields
-never need widening.  A packed term is its own order key, so the
-elimination sorts the image's terms as plain ints.  The walk unpacks only
-the leading terms of G.  G, C and each step's rebased map are built on
-first read (see `PropagationResult` and `ResolutionStep`) and unpacked
-through the codec's memo; every returned value keeps exponent tuples.
+Each step runs on packed terms (see `packed`).  Every public call packs each
+map once, under the order it propagates under: `propagate_resolution` packs
+the chain by one codec (`groebner._packed_chain`), whose fields hold a
+product of consecutive maps and whose index field holds max(rows, cols),
+and the same packed columns serve the test that the maps compose to zero,
+each differential's minimality run and the walk, which lets each map's
+columns go once it has passed it.  The walk takes (codomain, domain,
+codec, columns) steps, no PolyMatrix, and rebases each map as the product
+C^-1 @ d through `_TermCodec.product`, with the nonzero entries of C^-1
+packed as constant terms: a constant factor adds no degree, so the map's
+own codec holds every term of the product and the fields never need
+widening.  The forward walk packs each dual map by re-tagging the map's
+packed columns under the flipped order (`_TermCodec.transposed`), so no
+dual PolyMatrix is built until a step's map is read.  A packed term is its
+own order key, so the elimination sorts the image's terms as plain ints.
+The walk unpacks only the leading terms of G.  G, C and each step's rebased
+map are built on first read (see `PropagationResult` and `ResolutionStep`)
+and unpacked through the codec's memo; every returned value keeps exponent
+tuples.
 
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
@@ -54,16 +66,16 @@ from functools import cached_property, partial
 from .errors import InputError, MinimalityError, ResolutionStepError
 from .groebner import (
     Resolution,
+    _checked_chain,
     _MinimalChain,
+    _nakayama_kept,
+    _packed_chain,
     buchberger,
-    check_chain,
     check_order,
-    is_minimal_map,
     standard_monomials,
 )
 from .linalg import Echelon
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
-from .packed import _TermCodec, _largest_degree
 from .rings import _int_vector, unit_monomial, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
@@ -169,13 +181,17 @@ def _validate_weights(weights, rank, ring, role):
 _NOT_MINIMAL = "map is not minimal; its columns do not minimally generate the image"
 
 
-def _needs_nakayama(matrix):
-    """Whether minimality needs `is_minimal_map`, not just `_propagate`'s elimination.
+def _fails_nakayama(codomain, domain, codec, columns):
+    """Whether a packed map fails the Nakayama check, run only where the elimination cannot decide.
 
-    With the columns in at most one degree, minimal means linearly
-    independent, and the elimination raises MinimalityError otherwise.
+    columns are the map's packed columns, packed by codec.  With the
+    columns in at most one degree, minimal means linearly independent, the
+    check does not run, and `_propagate`'s elimination raises
+    MinimalityError when they are not.  The flags of `_nakayama_kept` do
+    not depend on codec's order.
     """
-    return len(set(matrix.domain.basis_degrees)) > 1
+    degrees = domain.basis_degrees
+    return len(set(degrees)) > 1 and not all(_nakayama_kept(codec, codomain, columns, degrees))
 
 
 def propagate_single_degree(matrix, weights, order):
@@ -191,7 +207,8 @@ def propagate_single_degree(matrix, weights, order):
     check_order(order)
     if len(set(matrix.domain.basis_degrees)) != 1:
         raise InputError("columns do not share a single degree")
-    return _propagate(matrix.codomain, matrix.domain, weights, *_packed(matrix, order))
+    codec, (columns,) = _packed_chain([matrix], order)
+    return _propagate(matrix.codomain, matrix.domain, weights, codec, columns)
 
 
 def propagate(matrix, weights, order):
@@ -199,28 +216,20 @@ def propagate(matrix, weights, order):
 
     A map whose columns span more than one degree is checked for minimality
     first; otherwise minimal means linearly independent, and the elimination
-    raises MinimalityError when the columns are not.  The columns of the
-    rebased matrix come grouped by degree, the classes in order of first
-    occurrence among the columns; within a class they are sorted by leading
-    term, increasing for position-up orderings and decreasing for
-    position-down.
+    raises MinimalityError when the columns are not.  The map is packed
+    once, and the check and the elimination share its packed columns.  The
+    columns of the rebased matrix come grouped by degree, the classes in
+    order of first occurrence among the columns; within a class they are
+    sorted by leading term, increasing for position-up orderings and
+    decreasing for position-down.
     """
     ring = matrix.domain.ring
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
     check_order(order)
-    if _needs_nakayama(matrix) and not is_minimal_map(matrix):
+    codec, (columns,) = _packed_chain([matrix], order)
+    if _fails_nakayama(matrix.codomain, matrix.domain, codec, columns):
         raise MinimalityError(_NOT_MINIMAL)
-    return _propagate(matrix.codomain, matrix.domain, weights, *_packed(matrix, order))
-
-
-def _packed(matrix, order):
-    """A codec sized for matrix's largest total degree under order, and matrix's packed columns.
-
-    A rebase C^-1 @ d by a constant matrix adds no degree, so the codec
-    holds every rebased column of the map too.
-    """
-    codec = _TermCodec(matrix.domain.ring, order, matrix.num_rows, _largest_degree(matrix))
-    return codec, codec.columns(matrix)
+    return _propagate(matrix.codomain, matrix.domain, weights, codec, columns)
 
 
 def _propagate(codomain, domain, weights, codec, columns):
@@ -232,11 +241,13 @@ def _propagate(codomain, domain, weights, codec, columns):
     its own order key, so the image's terms sort as plain ints.  Row j of
     one elimination is column j's coefficients over those terms, in
     decreasing order; a column that reduces to zero means dependent
-    columns.  Each row of the reduced echelon form is a column of G,
-    pivoting at its leading term.  G is the identity at the pivots, so
-    C^-1[k][j] is column j's coefficient at G_k's pivot.  Degrees share no
-    term: they reduce apart.  Only the leading terms of G are unpacked;
-    G itself and C are built on first read (see `_invert_by_degree`).
+    columns.  The pivots of the echelon form are the leading terms of G,
+    whose columns are the rows of the reduced echelon form.  G is the
+    identity at the pivots, so C^-1[k][j] is column j's coefficient at G_k's
+    pivot, and neither C^-1 nor the weights need the back-substitution.
+    Degrees share no term: they reduce apart.  Only the leading terms of G
+    are unpacked; G itself (see `_reduced_columns`) and C (see
+    `_invert_by_degree`) are built on first read.
     """
     ring = domain.ring
     degree_of = {t: d for col, d in zip(columns, domain.basis_degrees) for t in col}
@@ -246,13 +257,11 @@ def _propagate(codomain, domain, weights, codec, columns):
     for col in columns:
         if not ech.add({index[t]: coeff for t, coeff in col.items()}):
             raise MinimalityError(_NOT_MINIMAL)
-    rows = ech.reduced_rows()
 
     classes = {d: k for k, d in enumerate(dict.fromkeys(domain.basis_degrees))}
     sign = -1 if codec.order.is_position_up else 1
-    pivots = sorted(rows, key=lambda pos: (classes[degree_of[terms[pos]]], sign * pos))
+    pivots = sorted(ech.pivots, key=lambda pos: (classes[degree_of[terms[pos]]], sign * pos))
     leads = [terms[pos] for pos in pivots]
-    g_columns = [{terms[p]: coeff for p, coeff in rows[pos].items()} for pos in pivots]
     rebased = FreeModuleSpec(ring, [degree_of[t] for t in leads])
     inverse = ScalarMatrix([[col.get(t, 0) for col in columns] for t in leads])
     return PropagationResult(
@@ -263,8 +272,19 @@ def _propagate(codomain, domain, weights, codec, columns):
         ),
         rebased,
         partial(_invert_by_degree, inverse, rebased.basis_degrees, domain.basis_degrees),
-        partial(codec.matrix, g_columns, codomain, rebased),
+        partial(_reduced_columns, ech, terms, pivots, codec, codomain, rebased),
     )
+
+
+def _reduced_columns(ech, terms, pivots, codec, codomain, rebased):
+    """G, the sorted basis matrix, from `_propagate`'s elimination.
+
+    Back-substitutes ech to its reduced echelon form; the row at each of
+    pivots, over the packed terms at its positions in terms, is a column of
+    G, from codomain to rebased.
+    """
+    rows = ech.reduced_rows()
+    return codec.matrix([{terms[p]: c for p, c in rows[pos].items()} for pos in pivots], codomain, rebased)
 
 
 def _invert_by_degree(inverse, row_degrees, column_degrees):
@@ -302,66 +322,72 @@ def _invert_by_degree(inverse, row_degrees, column_degrees):
 def propagate_forward(matrix, weights, order):
     """Weight propagation from the domain to the codomain of a map.
 
-    Requires the dual map to be minimal.  Checks the weights and the order
-    and takes the one step of `_walk_forward`, which checks the dual map and
-    runs backward propagation on it with negated weights under the flipped
-    (up <-> down) ordering.
+    Requires the dual map to be minimal.  Checks the weights and the order,
+    packs the map once and takes the one step of `_walk_forward`, which
+    checks the dual map and runs backward propagation on it with negated
+    weights under the flipped (up <-> down) ordering.
     """
     weights = _validate_weights(weights, matrix.domain.rank, matrix.domain.ring, "domain weight list")
     check_order(order)
-    ((_, result),) = _walk_forward([matrix], weights, order)
+    codec, (columns,) = _packed_chain([matrix], order)
+    ((_, result),) = _walk_forward([(matrix.codomain, matrix.domain, codec, columns)], weights)
     return result
 
 
-def _walk(maps, weights, order):
+def _walk(steps, weights):
     """Backward propagation along consecutive maps of a complex, unchecked.
 
-    Packs each map once (see `_packed`), rebases each map d after the first
+    steps yields one (codomain, domain, codec, columns) per map: its
+    modules, and its packed columns with the codec that packed them, under
+    the order propagated under.  The walk rebases each map d after the first
     onto the previous step's rebased module as the product C^-1 @ d with
     that step's C^-1, through `_TermCodec.product` with the columns of C^-1
     packed as constant terms, and yields (build, PropagationResult) per
-    step, drawing each map from `maps` only when its step is taken.  build
+    step, drawing each map from steps only when its step is taken.  build
     is a function of no argument that unpacks the step's rebased map; the
     walk itself never does.
     """
     inverse = None
-    for matrix in maps:
-        codec, columns = _packed(matrix, order)
-        codomain = matrix.codomain
+    for codomain, domain, codec, columns in steps:
         if inverse is not None:
-            unit = unit_monomial(matrix.domain.ring.num_vars)
-            constants = [codec.term(unit, i) for i in range(matrix.num_rows)]
+            unit = unit_monomial(codec.ring.num_vars)
+            constants = [codec.term(unit, i) for i in range(codomain.rank)]
             left = [{t: x for t, x in zip(constants, col) if x} for col in zip(*inverse.rows)]
             columns = list(codec.product(left, columns))
             codomain = spec
-        result = _propagate(codomain, matrix.domain, weights, codec, columns)
-        yield partial(codec.matrix, columns, codomain, matrix.domain), result
+        result = _propagate(codomain, domain, weights, codec, columns)
+        yield partial(codec.matrix, columns, codomain, domain), result
         weights, inverse, spec = result.weights, result.inverse_change_of_basis, result.rebased_module
 
 
-def _walk_forward(maps, weights, order):
-    """Forward propagation along maps[0], maps[1], ...: `_walk` on the dual complex.
+def _walk_forward(steps, weights):
+    """Forward propagation along the maps of steps: `_walk` on the dual complex.
 
-    Each step on a dual is read back (see `_read_back`) by transposing C and
-    C^-1, negating the weights and dualizing the modules.  Each dual map is
+    steps are as for `_walk`; the walk runs under the flipped order.  Each
+    dual map is packed by re-tagging its map's packed columns into a codec
+    of the same layout under the flipped order (`_TermCodec.transposed`),
+    so no dual PolyMatrix is built until a step's map is read.  Each step on
+    a dual is read back (see `_read_back`) by transposing C and C^-1,
+    negating the weights and dualizing the modules.  Each dual map is
     checked by the rule of `propagate`: a dual whose columns span more than
-    one degree goes through `is_minimal_map`, as given, before its step, and
-    any other is left to its step's elimination, which runs on the rebased
-    dual.  The rebased dual differs from the dual by an automorphism of the
-    codomain (an invertible degree-preserving scalar matrix), so both are
-    minimal or neither is.  Either way the MinimalityError says that the
+    one degree goes through the Nakayama check, as given, before its step,
+    and any other is left to its step's elimination, which runs on the
+    rebased dual.  The rebased dual differs from the dual by an automorphism
+    of the codomain (an invertible degree-preserving scalar matrix), so both
+    are minimal or neither is.  Either way the MinimalityError says that the
     dual map is not minimal.
     """
 
     def duals():
-        for matrix in maps:
-            dual = dual_map(matrix)
-            if _needs_nakayama(dual) and not is_minimal_map(dual):
+        for codomain, domain, codec, columns in steps:
+            dual_codec, dual_columns = codec.transposed(columns, codomain.rank)
+            dual_codomain, dual_domain = domain.dual(), codomain.dual()
+            if _fails_nakayama(dual_codomain, dual_domain, dual_codec, dual_columns):
                 raise MinimalityError(_NOT_MINIMAL)
-            yield dual
+            yield dual_codomain, dual_domain, dual_codec, dual_columns
 
     try:
-        for build, inner in _walk(duals(), negate_weights(weights), order.flipped()):
+        for build, inner in _walk(duals(), negate_weights(weights)):
             yield _read_back(build, inner)
     except MinimalityError:
         raise MinimalityError("dual map is not minimal; cannot propagate forward") from None
@@ -398,7 +424,8 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     it is in general not a start weight list for the input differentials at i.
 
     The differentials are checked once: they must chain, compose to zero and
-    each be minimal.  The differentials of a Resolution from
+    each be minimal.  Each is packed once, under order, and the checks and
+    the walk share its packed columns.  The differentials of a Resolution from
     `minimal_resolution`, passed as that Resolution or as its `differentials`
     tuple, were proved all that as they were computed and are not checked
     again; a copy, a slice or any other sequence, also inside a Resolution
@@ -424,23 +451,32 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     ring = modules[0].ring
     start_weights = _validate_weights(start_weights, modules[start_index].rank, ring, "starting weight list")
     check_order(order)
-    if not proven:
-        check_chain(differentials)
-        for k, d in enumerate(differentials):
-            if not is_minimal_map(d):
+    if proven:
+        codec, packed = _packed_chain(differentials, order)
+    else:
+        codec, packed = _checked_chain(differentials, order)
+        for k, (d, columns) in enumerate(zip(differentials, packed)):
+            if not all(_nakayama_kept(codec, d.codomain, columns, d.domain.basis_degrees)):
                 raise MinimalityError("differential %d is not a minimal map" % (k + 1))
+
+    def walked(ks):
+        for k in ks:
+            d = differentials[k]
+            yield d.codomain, d.domain, codec, packed[k]
+            # the walk has passed map k: let its packed columns go
+            packed[k] = None
 
     per_module = [None] * (m + 1)
     per_module[start_index] = start_weights
     steps = {}
 
-    backward = _walk(differentials[start_index:], start_weights, order)
+    backward = _walk(walked(range(start_index, m)), start_weights)
     for target, (build, result) in enumerate(backward, start_index + 1):
         log.debug("backward step onto module %d", target)
         per_module[target] = result.weights
         steps[target] = ResolutionStep(target, build, result)
 
-    forward = _walk_forward(reversed(differentials[:start_index]), start_weights, order)
+    forward = _walk_forward(walked(reversed(range(start_index))), start_weights)
     for target in reversed(range(start_index)):
         log.debug("forward step onto module %d", target)
         try:

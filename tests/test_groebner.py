@@ -1,3 +1,4 @@
+import importlib
 import logging
 import random
 import time
@@ -29,10 +30,11 @@ from torusweights import (
     standard_monomials,
     syzygies,
 )
+from torusweights.errors import InternalError
 from torusweights.groebner import _buchberger_run
 from torusweights.linalg import invert, solve
 from torusweights.modules import ModuleElement
-from torusweights.packed import _TermCodec, _largest_degree
+from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 
@@ -66,7 +68,7 @@ def tracked_run(m, order):
     ring = m.domain.ring
     frame = FreeModuleSpec(ring, m.domain.basis_degrees)
     codec = _TermCodec(ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
-    codec, basis, reductions, _ = _buchberger_run(codec, codec.columns(m), frame.basis_degrees, m.codomain, None, True)
+    codec, _, basis, reductions, _ = _buchberger_run(codec, codec.columns(m), frame.basis_degrees, m.codomain, None, True)
 
     def unpacked(module, terms):
         return ModuleElement(module, codec.entries(terms, module.rank))
@@ -551,6 +553,58 @@ def test_syzygies_of_generic_rational_cubics_are_fast(std3):
     s = syzygies(m, TOP_UP)
     assert time.perf_counter() - start < 5
     assert s.domain.basis_degrees == ((8,),) * 4
+
+
+ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
+
+
+@pytest.mark.parametrize(
+    "name, presentation, widens",
+    [
+        ("koszul", "d1", False),
+        ("bigraded", "m", False),
+        ("grassmannian", "d1", False),
+        ("mixed_sign", "m", False),
+        # the runs on these widen their fields before the guard reads them
+        ("high_degree", "m", True),
+        ("high_degree_3var", "m", True),
+    ],
+)
+def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(monkeypatch, name, presentation, widens):
+    groebner = importlib.import_module("torusweights.groebner")
+    m = load_problem(fixture_path(name + ".json")).matrices[presentation]
+    real_integer_row, real_composite = groebner._integer_row, groebner._nonzero_composite
+    guard_bits = []
+
+    def composite(codec, packed):
+        guard_bits.append(codec.bits)
+        return real_composite(codec, packed)
+
+    monkeypatch.setattr(groebner, "_nonzero_composite", composite)
+    for order in ALL_ORDERS:
+        guard_bits.clear()
+        s = syzygies(m, order)
+        assert (m @ s).is_zero
+        assert len(guard_bits) == 1 and (guard_bits[0] > _FIELD_BITS) == widens, order
+        perturbed = []
+
+        def integer_row(vec):
+            # double one coefficient of the first relation, which is the
+            # first in degree order, so the minimization keeps it: it stays
+            # homogeneous but no longer maps the nonzero columns to zero
+            row = real_integer_row(vec)
+            if not perturbed:
+                term = next(iter(row))
+                row[term] *= 2
+                perturbed.append(term)
+            return row
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_integer_row", integer_row)
+            with pytest.raises(InternalError) as info:
+                syzygies(m, order)
+        assert str(info.value) == "syzygy matrix does not annihilate the input"
+        assert perturbed
 
 
 def test_minimal_resolution_koszul_shape(koszul):

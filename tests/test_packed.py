@@ -28,9 +28,9 @@ from torusweights import (
     propagate_resolution,
 )
 from torusweights.errors import MinimalityError, ResolutionStepError
-from torusweights.groebner import _nonzero_composite, check_chain
+from torusweights.groebner import _nonzero_composite, _packed_chain, check_chain
 from torusweights.linalg import Echelon, rank
-from torusweights.modules import ModuleElement, _column_rows
+from torusweights.modules import ModuleElement, _column_rows, dual_map
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.problemfile import load_problem
 from torusweights.propagate import _NOT_MINIMAL, PropagationResult
@@ -150,7 +150,7 @@ def test_product_kernel_matches_matmul(pair, order):
     product = codec.matrix(list(codec.product(packed_a, packed_b)), a.codomain, b.domain)
     assert typed_matrix(product) == typed_matrix(expected)
     assert (not any(codec.product(packed_a, packed_b))) == expected.is_zero
-    assert (_nonzero_composite([a, b]) is None) == expected.is_zero
+    assert (_nonzero_composite(*_packed_chain([a, b], order)) is None) == expected.is_zero
 
 
 ENTRIES = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
@@ -234,6 +234,42 @@ def test_composite_that_would_alias_under_the_first_field_width_is_caught():
         propagate_resolution([d1, d2], 0, [(0, 0)], ModuleTermOrder())
 
 
+# ---------- the packed transpose against dual_map ----------
+
+
+def transpose_cases():
+    """Every fixture map, the differentials computed from each, and maps with no rows or no columns."""
+    for name in ["bigraded", "generic_koszul", "grassmannian", "high_degree", "high_degree_3var", "koszul",
+                 "mixed_sign", "three_squares", "two_variables"]:
+        problem = load_problem(fixture_path(name + ".json"))
+        for label, m in problem.matrices.items():
+            yield pytest.param(m, id="%s-%s" % (name, label))
+        for label, m in problem.matrices.items():
+            differentials = minimal_resolution(m, problem.module_order).differentials
+            for k, d in enumerate(differentials[1:], 2):
+                yield pytest.param(d, id="%s-%s-computed-d%d" % (name, label, k))
+    ring = std_ring(2)
+    two = FreeModuleSpec(ring, [[0], [1]])
+    none = FreeModuleSpec(ring, [])
+    yield pytest.param(PolyMatrix(none, two, []), id="no-rows")
+    yield pytest.param(PolyMatrix(two, none, [[], []]), id="no-columns")
+    yield pytest.param(PolyMatrix(none, none, []), id="empty")
+
+
+@pytest.mark.parametrize("m", transpose_cases())
+def test_transposed_columns_are_the_packed_dual_map(m):
+    # the forward walk's dual columns, re-tagged from the map's own, against
+    # the dual map packed by the flipped codec: same layout, same terms and
+    # the same insertion order in every column
+    for order in ALL_ORDERS:
+        codec = _TermCodec(m.domain.ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
+        flipped, columns = codec.transposed(codec.columns(m), m.num_rows)
+        assert (flipped.order, flipped.indices, flipped.bits) == (order.flipped(), codec.indices, codec.bits)
+        expected = flipped.columns(dual_map(m))
+        assert [list(col.items()) for col in columns] == [list(col.items()) for col in expected], order
+        assert flipped.matrix(columns, m.domain.dual(), m.codomain.dual()) == dual_map(m)
+
+
 # ---------- the packed walk against the tuple walk ----------
 
 
@@ -304,16 +340,20 @@ def _combine(coeffs, polys):
     return Polynomial._from_exact(terms)
 
 
-def _walk(maps, weights, order):
+def _walk(steps, weights):
     """Backward propagation along consecutive maps of a complex, unchecked.
 
-    Rebases each map after the first onto the previous step's rebased
-    module (new row i is sum_k C^-1[i][k] times row k) and yields
-    (function returning the rebased map, PropagationResult) per step,
-    drawing each map from `maps` only when its step is taken.
+    Takes the steps of the packed walk, (codomain, domain, codec, packed
+    columns) per map, and unpacks each map as its step is taken; from there
+    on all is tuples, under codec's order.  Rebases each map after the first
+    onto the previous step's rebased module (new row i is sum_k C^-1[i][k]
+    times row k) and yields (function returning the rebased map,
+    PropagationResult) per step, drawing each map from steps only when its
+    step is taken.
     """
     inverse = None
-    for matrix in maps:
+    for codomain, domain, codec, packed in steps:
+        matrix, order = codec.matrix(packed, codomain, domain), codec.order
         if inverse is not None:
             columns = list(zip(*matrix.entries))
             rows = [[_combine(coeffs, col) for col in columns] for coeffs in inverse.rows]

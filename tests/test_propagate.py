@@ -710,7 +710,9 @@ def test_only_the_proven_chain_skips_the_checks(monkeypatch, grassmannian):
     diffs = resolution.differentials
     weights = grassmannian.weightlists["W0"]
     expected = propagate_resolution(list(diffs), 0, weights, TOP_UP).per_module
-    chain, minimal = Spy(monkeypatch, "check_chain"), Spy(monkeypatch, "is_minimal_map")
+    # one composite test for the chain and one minimality run per differential
+    groebner = importlib.import_module("torusweights.groebner")
+    chain, minimal = Spy(monkeypatch, "_nonzero_composite", groebner), Spy(monkeypatch, "_nakayama_kept")
     for proven in (diffs, resolution):
         assert propagate_resolution(proven, 0, weights, TOP_UP).per_module == expected
         assert (chain.calls, minimal.calls) == (0, 0)
@@ -724,6 +726,73 @@ def test_only_the_proven_chain_skips_the_checks(monkeypatch, grassmannian):
         chain.calls = minimal.calls = 0
         propagate_resolution(copy, 0, weights, TOP_UP)
         assert (chain.calls, minimal.calls) == (1, length)
+
+
+def packing_spies(monkeypatch):
+    """Spies on `_TermCodec.columns` and on `packed._largest_degree`, wherever it was imported."""
+    packed, groebner = (importlib.import_module("torusweights." + name) for name in ("packed", "groebner"))
+    columns, degree = Spy(monkeypatch, "columns", _TermCodec), Spy(monkeypatch, "_largest_degree", packed)
+    monkeypatch.setattr(groebner, "_largest_degree", packed._largest_degree)
+    return columns, degree
+
+
+@pytest.mark.parametrize("name", ["koszul", "grassmannian"])
+def test_each_map_is_packed_once_per_call(monkeypatch, name):
+    problem = load_problem(fixture_path(name + ".json"))
+    explicit = [problem.matrices[d] for d in problem.resolution]
+    proven = minimal_resolution(explicit[0], TOP_UP).differentials
+    columns, degree = packing_spies(monkeypatch)
+    for diffs in (explicit, proven):
+        modules = [diffs[0].codomain] + [d.domain for d in diffs]
+        for order in ALL_ORDERS:
+            for start in range(len(diffs) + 1):
+                columns.calls = degree.calls = 0
+                propagate_resolution(diffs, start, small_weights(modules[start]), order)
+                assert (columns.calls, degree.calls) == (len(diffs), len(diffs)), (order, start)
+    for m in explicit:
+        for run, weights in ((propagate, small_weights(m.codomain)), (propagate_forward, small_weights(m.domain))):
+            columns.calls = degree.calls = 0
+            run(m, weights, TOP_UP)
+            assert (columns.calls, degree.calls) == (1, 1), run
+
+
+@pytest.mark.parametrize("name", ["koszul", "generic_koszul"])
+def test_minimal_resolution_packs_each_level_once(monkeypatch, name):
+    # the input once for the minimality check and each level once for its
+    # syzygies; the syzygy guard multiplies what the run already holds
+    m = load_problem(fixture_path(name + ".json")).matrices["d1"]
+    columns, degree = packing_spies(monkeypatch)
+    resolution = minimal_resolution(m, TOP_UP)
+    assert resolution.length == m.num_cols
+    assert (columns.calls, degree.calls) == (1 + resolution.length, 1 + resolution.length)
+
+
+def chain_faults(koszul):
+    """(chain, expected error) for explicit Koszul chains that fail the checks, in the checks' precedence."""
+    d1, d2, d3 = (koszul.matrices[name] for name in koszul.resolution)
+    ring = koszul.ring
+    bad_d2 = matrix(ring, [[1]] * 3, [[2]] * 3, [["x1", "0", "0"], ["0", "x1", "0"], ["0", "0", "x1"]])
+    # d3 with its column repeated: still composes to zero, but not minimal
+    doubled_d3 = PolyMatrix(d3.codomain, FreeModuleSpec(ring, [[3], [3]]), [row * 2 for row in d3.entries])
+    not_composing = "differentials 1 and 2 do not compose to zero"
+    return [
+        ([d1, d3], InputError, "chain-shape mismatch between differentials 1 and 2"),
+        ([d1, bad_d2, d1], InputError, "chain-shape mismatch between differentials 2 and 3"),
+        ([d1, bad_d2], InputError, not_composing),
+        ([d1, bad_d2, d3], InputError, not_composing),
+        ([d1, d2, doubled_d3], MinimalityError, "differential 3 is not a minimal map"),
+        ([doubled_d3], MinimalityError, "differential 1 is not a minimal map"),
+    ]
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_chain_faults_are_reported_alike_under_every_order(koszul, order):
+    for chain, error, message in chain_faults(koszul):
+        modules = [chain[0].codomain] + [d.domain for d in chain]
+        for start in range(len(chain) + 1):
+            with pytest.raises(error) as info:
+                propagate_resolution(chain, start, small_weights(modules[start]), order)
+            assert type(info.value) is error and str(info.value) == message, (message, start)
 
 
 def test_hand_built_resolution_is_checked(koszul):
@@ -740,7 +809,7 @@ def test_single_degree_non_minimal_dual_is_left_to_the_elimination(monkeypatch):
     # both rows of d1 sit in degree 0, so its dual's columns share one degree
     ring = RingSpec(["x"], [[1]], [[1]])
     d1 = matrix(ring, [[0], [0]], [[1]], [["x"], ["x"]])
-    minimal = Spy(monkeypatch, "is_minimal_map")
+    minimal = Spy(monkeypatch, "_nakayama_kept")
     with pytest.raises(ResolutionStepError) as info:
         propagate_resolution([d1], 1, [(1,)], TOP_UP)
     assert str(info.value) == (
@@ -784,8 +853,8 @@ def test_the_forward_walk_builds_only_what_is_read(monkeypatch):
     invert = Spy(monkeypatch, "_invert_by_degree")
     result = propagate_resolution(diffs, n, [(1,) * 4], TOP_UP)
     assert result.per_module[0] == ((0, 0, 0, 0),)
-    # one dual per forward step for the walk, none for the step records
-    assert (unpack.calls, dual.calls, invert.calls) == (0, n, 0)
+    # the walk transposes packed columns: no dual map is built before a read
+    assert (unpack.calls, dual.calls, invert.calls) == (0, 0, 0)
     for index, step in result.steps.items():
         reads = [(step, "matrix", unpack), (step.result, "sorted_matrix", unpack), (step.result, "change_of_basis", invert)]
         for owner, name, spy in reads:
@@ -793,7 +862,8 @@ def test_the_forward_walk_builds_only_what_is_read(monkeypatch):
             first = getattr(owner, name)
             assert getattr(owner, name) is first
             assert spy.calls == calls + 1, (index, name)
-    assert dual.calls == 2 * n
+    # one dual per forward step, for the read of its map
+    assert dual.calls == n
 
 
 def typed_rows(scalars):

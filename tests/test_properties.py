@@ -33,7 +33,7 @@ from torusweights.errors import ResolutionStepError
 from torusweights.groebner import _buchberger_run, _nakayama_kept, _term_divides
 from torusweights.linalg import Echelon, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
-from torusweights.packed import _FIELD_BITS, _TermCodec
+from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.rings import Polynomial, monomial_div, monomial_divides, vector_add, vector_sub
@@ -909,6 +909,45 @@ def test_top_reduced_runs_keep_the_nakayama_flags_on_the_fixtures(name, inner_ru
             assert_flags_match_the_reference(module, vectors, degrees, expected)
 
 
+def flags_under_every_order(m):
+    """`_nakayama_kept`'s flags on m's columns, packed as `propagate_resolution` packs them, per order."""
+    flags = []
+    for order in ALL_ORDERS:
+        codec = _TermCodec(m.domain.ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
+        flags.append(_nakayama_kept(codec, m.codomain, codec.columns(m), m.domain.basis_degrees))
+    return flags
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["bigraded", "generic_koszul", "grassmannian", "high_degree", "high_degree_3var", "koszul", "mixed_sign",
+     "three_squares", "two_variables"],
+)
+def test_nakayama_flags_do_not_depend_on_the_order_on_the_fixtures(name):
+    # the chain and dual checks run under the caller's order: each fixture
+    # map, its dual and the differentials computed from it
+    problem = load_problem(fixture_path(name + ".json"))
+    maps = []
+    for m in problem.matrices.values():
+        maps += [m, dual_map(m)]
+        if is_minimal_map(m):
+            maps += minimal_resolution(m, problem.module_order).differentials[1:]
+    for m in maps:
+        flags = flags_under_every_order(m)
+        assert flags == [flags[0]] * len(ALL_ORDERS)
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS + [MIXED_SIGN_RING]), dual=st.booleans())
+def test_nakayama_flags_do_not_depend_on_the_order(data, ring, dual):
+    offsets = monomial_degrees(ring, 1) if ring is MIXED_SIGN_RING else None
+    m = data.draw(homogeneous_matrix(ring, offsets=offsets))
+    if dual:
+        m = dual_map(m)
+    flags = flags_under_every_order(m)
+    assert flags == [flags[0]] * len(ALL_ORDERS)
+
+
 def test_a_top_reduced_element_keeps_a_reducible_tail_that_an_s_pair_meets():
     # over grevlex x > y, b = x^2+x*y+y^2 joins after a = x*y with its tail
     # term x*y, which a divides, left unreduced; the degree-3 S-pair
@@ -922,7 +961,7 @@ def test_a_top_reduced_element_keeps_a_reducible_tail_that_an_s_pair_meets():
     assert expected == [True, True, False]
     for order in ALL_ORDERS:
         codec = _TermCodec(ring, order, 1, 3)
-        _, basis, _, joined = _buchberger_run(codec, codec.columns(m), degrees, m.codomain, (3,), False)
+        _, _, basis, _, joined = _buchberger_run(codec, codec.columns(m), degrees, m.codomain, (3,), False)
         assert joined == expected
         assert codec.term((1, 1), 0) in basis[1][0]
         assert basis[2][0] == {codec.term((0, 3), 0): 1}
