@@ -23,7 +23,8 @@ Division, Buchberger and the inter-reduction run on packed terms (see
 one add and a divisibility test one subtraction and one mask.  The boundary
 does not move: `Polynomial`, `ModuleTerm`, `ModuleElement` and every public
 or printed value keep exponent tuples.  Columns are packed once on entry,
-and basis elements and relations are unpacked once on exit; `syzygies`
+every map by `_packed_chain` (a single map is a chain of one), and basis
+elements and relations are unpacked once on exit; `syzygies`
 makes its relations primitive and minimizes them packed, and unpacks only
 the ones it keeps.  The checks that maps compose to zero multiply packed
 columns too (`_nonzero_composite`): the chain check packs each map once,
@@ -403,9 +404,9 @@ def buchberger(matrix, order, bound=None):
     ring = matrix.domain.ring
     if bound is not None:
         bound = _int_vector(bound, "degree bound", ring.degree_length)
-    codec = _TermCodec(ring, order, matrix.num_rows, _largest_degree(matrix))
+    codec, (columns,) = _packed_chain([matrix], order)
     codec, _, basis, _, _ = _buchberger_run(
-        codec, codec.columns(matrix), matrix.domain.basis_degrees, matrix.codomain, bound, False
+        codec, columns, matrix.domain.basis_degrees, matrix.codomain, bound, False
     )
     monic = []
     for work, _ in basis:
@@ -420,15 +421,13 @@ def sort_gb_columns(basis):
 
     Strictly increasing under a position-up ordering of the basis, strictly
     decreasing under a position-down one.  Reducedness guarantees strictness.
-    Each column's degree is its element's leading-term degree.
+    The elements of a `GroebnerBasis` already come sorted by increasing
+    leading term, so they are taken as they are, or reversed.  Each column's
+    degree is its element's leading-term degree.
     """
-    ring = basis.module.ring
-    term_key = basis.order.sort_key(ring)
-    elements = sorted(
-        basis.elements, key=lambda g: term_key(g.leading_term(basis.order)[0]),
-        reverse=not basis.order.is_position_up,
-    )
-    domain = FreeModuleSpec(ring, [g.term_degree(g.leading_term(basis.order)[0]) for g in elements])
+    elements = basis.elements if basis.order.is_position_up else basis.elements[::-1]
+    degrees = [g.term_degree(g.leading_term(basis.order)[0]) for g in elements]
+    domain = FreeModuleSpec(basis.module.ring, degrees)
     return PolyMatrix._unchecked(basis.module, domain, _column_rows(elements, basis.module.rank))
 
 
@@ -533,8 +532,8 @@ def is_minimal_map(matrix):
     `propagate` and `propagate_resolution` run it on the columns they packed
     under theirs.
     """
-    codec = _TermCodec(matrix.domain.ring, ModuleTermOrder(), matrix.num_rows, _largest_degree(matrix))
-    return all(_nakayama_kept(codec, matrix.codomain, codec.columns(matrix), matrix.domain.basis_degrees))
+    codec, (columns,) = _packed_chain([matrix], ModuleTermOrder())
+    return all(_nakayama_kept(codec, matrix.codomain, columns, matrix.domain.basis_degrees))
 
 
 def syzygies(matrix, order):
@@ -560,18 +559,16 @@ def syzygies(matrix, order):
     last codec, so nothing is packed again; an InternalError says it failed.
     """
     check_order(order)
-    ring = matrix.domain.ring
-    frame = FreeModuleSpec(ring, matrix.domain.basis_degrees)
-    codec = _TermCodec(ring, order, max(matrix.num_rows, matrix.num_cols), _largest_degree(matrix))
+    codec, (columns,) = _packed_chain([matrix], order)
     codec, columns, _, reductions, _ = _buchberger_run(
-        codec, codec.columns(matrix), frame.basis_degrees, matrix.codomain, None, True
+        codec, columns, matrix.domain.basis_degrees, matrix.codomain, None, True
     )
     candidates, degrees = [], []
     for relation, degree in reductions:
         if relation:
             candidates.append(_integer_row(relation))
             degrees.append(degree)
-    kept = _nakayama_kept(codec, frame, candidates, degrees)
+    kept = _nakayama_kept(codec, matrix.domain, candidates, degrees)
     relations = [c for c, keep in zip(candidates, kept) if keep]
     # The run's last codec holds matrix @ S.  A relation of degree D is the
     # tail of an item the run took at degree D (or e_j for a zero column j,
@@ -583,8 +580,8 @@ def syzygies(matrix, order):
     # (functional(D) - functional(deg e_i)) / step, which is within that.
     if _nonzero_composite(codec, [columns, relations]) is not None:
         raise InternalError("syzygy matrix does not annihilate the input")
-    domain = FreeModuleSpec(ring, [d for d, keep in zip(degrees, kept) if keep])
-    return codec.matrix(relations, frame, domain)
+    domain = FreeModuleSpec(matrix.domain.ring, [d for d, keep in zip(degrees, kept) if keep])
+    return codec.matrix(relations, matrix.domain, domain)
 
 
 def _packed_chain(differentials, order):

@@ -10,8 +10,8 @@ that basis is the reduced row echelon form of the columns, and one
 elimination yields it and C^-1 with no Groebner run.  The weights and C^-1
 need only the elimination's pivots; G is back-substituted to the reduced
 echelon form on first read (`_reduced_columns`), and C, which the walk
-never reads either, is built on first read by inverting C^-1 one degree
-block at a time (`_invert_by_degree`).  Forward propagation runs the same
+never reads either, is built on first read by inverting C^-1 in one more
+elimination (`_inverted`).  Forward propagation runs the same
 procedure on the dual map with negated weights and a flipped (up <-> down)
 ordering, and resolutions rebase each differential d as the product
 C^-1 @ d with the previous step's C^-1.
@@ -246,8 +246,8 @@ def _propagate(codomain, domain, weights, codec, columns):
     identity at the pivots, so C^-1[k][j] is column j's coefficient at G_k's
     pivot, and neither C^-1 nor the weights need the back-substitution.
     Degrees share no term: they reduce apart.  Only the leading terms of G
-    are unpacked; G itself (see `_reduced_columns`) and C (see
-    `_invert_by_degree`) are built on first read.
+    are unpacked; G itself (see `_reduced_columns`) and C (see `_inverted`)
+    are built on first read.
     """
     ring = domain.ring
     degree_of = {t: d for col, d in zip(columns, domain.basis_degrees) for t in col}
@@ -271,7 +271,7 @@ def _propagate(codomain, domain, weights, codec, columns):
             for t in map(codec.unpack, leads)
         ),
         rebased,
-        partial(_invert_by_degree, inverse, rebased.basis_degrees, domain.basis_degrees),
+        partial(_inverted, inverse),
         partial(_reduced_columns, ech, terms, pivots, codec, codomain, rebased),
     )
 
@@ -287,35 +287,26 @@ def _reduced_columns(ech, terms, pivots, codec, codomain, rebased):
     return codec.matrix([{terms[p]: c for p, c in rows[pos].items()} for pos in pivots], codomain, rebased)
 
 
-def _invert_by_degree(inverse, row_degrees, column_degrees):
-    """C from C^-1: the inverse of the invertible scalar matrix `inverse`.
+def _inverted(inverse):
+    """C from C^-1: the inverse of the invertible scalar matrix `inverse`, by one `Echelon`.
 
-    Entry (k, j) of `inverse` is zero unless row_degrees[k] equals
-    column_degrees[j], so its inverse is zero between degrees too and is
-    taken one square degree block B at a time, by one `Echelon` each: row c
-    of [B^T | I] is column c of B followed by the unit vector e_c, and the
-    reduced echelon form is [I | (B^T)^-1], whose row r holds B^-1[c][r] at
-    position b + c, b the size of the block.  Entries are ints where they
-    are integral, as everywhere.
+    Row j of [M^T | I], M = inverse of size n, is column j of M followed by
+    the unit vector e_j at position n + j, and the reduced echelon form is
+    [I | (M^T)^-1], whose row r holds M^-1[j][r] at position n + j.  M is
+    zero between degrees, so its degree blocks share no position and reduce
+    apart.  Entries are ints where they are integral, as everywhere.
     """
-    n = len(row_degrees)
-    rows_of, columns_of = {}, {}
-    for k, d in enumerate(row_degrees):
-        rows_of.setdefault(d, []).append(k)
-    for j, d in enumerate(column_degrees):
-        columns_of.setdefault(d, []).append(j)
+    n = inverse.num_rows
+    ech = Echelon()
+    for j, column in enumerate(zip(*inverse.rows)):
+        vec = {k: x for k, x in enumerate(column) if x}
+        vec[n + j] = 1
+        ech.add(vec)
     out = [[0] * n for _ in range(n)]
-    for d, ks in rows_of.items():
-        js, b = columns_of[d], len(ks)
-        ech = Echelon()
-        for c, j in enumerate(js):
-            vec = {r: inverse.rows[k][j] for r, k in enumerate(ks) if inverse.rows[k][j]}
-            vec[b + c] = 1
-            ech.add(vec)
-        for r, row in ech.reduced_rows().items():
-            for pos, x in row.items():
-                if pos >= b:
-                    out[js[pos - b]][ks[r]] = x
+    for r, row in ech.reduced_rows().items():
+        for pos, x in row.items():
+            if pos >= n:
+                out[pos - n][r] = x
     return ScalarMatrix(out)
 
 

@@ -2,13 +2,35 @@ import pathlib
 
 import pytest
 
+from torusweights import FreeModuleSpec, PolyMatrix, RingSpec
+from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
+# The problem files under fixtures/, without their ".json".
+PROBLEMS = ["bigraded", "generic_koszul", "grassmannian", "high_degree", "high_degree_3var", "koszul",
+            "mixed_sign", "three_squares", "two_variables"]
+
 
 def fixture_path(name):
     return FIXTURES / name
+
+
+def matrix(ring, cod_degs, dom_degs, rows):
+    cod = FreeModuleSpec(ring, cod_degs)
+    dom = FreeModuleSpec(ring, dom_degs)
+    return PolyMatrix(cod, dom, [[parse_polynomial(ring, t) for t in row] for row in rows])
+
+
+def entries_as_text(m):
+    ring = m.domain.ring
+    return [[polynomial_to_string(ring, p) for p in row] for row in m.entries]
+
+
+def std_ring(n, order="grevlex"):
+    weights = [[int(i == j) for j in range(n)] for i in range(n)]
+    return RingSpec(["x%d" % (i + 1) for i in range(n)], [[1]] * n, weights, order)
 
 
 @pytest.fixture(scope="session")

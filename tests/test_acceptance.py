@@ -11,11 +11,9 @@ from itertools import combinations_with_replacement
 import pytest
 
 from torusweights import (
-    FreeModuleSpec,
     HomogeneityError,
     MinimalityError,
     ModuleTermOrder,
-    PolyMatrix,
     RingSpec,
     ScalarMatrix,
     buchberger,
@@ -27,10 +25,9 @@ from torusweights import (
     propagate_graded_components,
     propagate_resolution,
 )
-from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import problem_from_dict
 
-from conftest import fixture_path
+from conftest import entries_as_text, fixture_path, matrix
 
 TOP_UP = ModuleTermOrder("top-up")
 
@@ -50,17 +47,6 @@ def run_criterion(number, description, body):
         hook("FAIL")
         raise
     hook("PASS")
-
-
-def entries_as_text(m):
-    ring = m.domain.ring
-    return [[polynomial_to_string(ring, p) for p in row] for row in m.entries]
-
-
-def matrix(ring, cod_degs, dom_degs, rows):
-    cod = FreeModuleSpec(ring, cod_degs)
-    dom = FreeModuleSpec(ring, dom_degs)
-    return PolyMatrix(cod, dom, [[parse_polynomial(ring, t) for t in row] for row in rows])
 
 
 def test_criterion_1(koszul):

@@ -38,24 +38,13 @@ from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 
-from conftest import fixture_path
+from conftest import PROBLEMS, entries_as_text, fixture_path, matrix
 
 TOP_UP = ModuleTermOrder("top-up")
 
 
-def matrix(ring, cod_degs, dom_degs, rows):
-    cod = FreeModuleSpec(ring, cod_degs)
-    dom = FreeModuleSpec(ring, dom_degs)
-    return PolyMatrix(cod, dom, [[parse_polynomial(ring, t) for t in row] for row in rows])
-
-
 def row_matrix(ring, degs, texts):
     return matrix(ring, [[0] * ring.degree_length], [list(d) for d in degs], [texts])
-
-
-def entries_as_text(m):
-    ring = m.domain.ring
-    return [[polynomial_to_string(ring, p) for p in row] for row in m.entries]
 
 
 def tracked_run(m, order):
@@ -205,6 +194,34 @@ def test_gb_single_column_is_itself(koszul):
     basis = buchberger(m, TOP_UP)
     assert len(basis.elements) == 1
     assert entries_as_text(sort_gb_columns(basis)) == [["x1"], ["-x2"], ["x3"]]
+
+
+def fixture_matrices():
+    for name in PROBLEMS:
+        for label, m in load_problem(fixture_path(name + ".json")).matrices.items():
+            yield pytest.param(m, id="%s-%s" % (name, label))
+
+
+@pytest.mark.parametrize("m", fixture_matrices())
+def test_sorted_gb_columns_are_the_elements_sorted_by_leading_term(m):
+    # sort_gb_columns keeps buchberger's element order, or reverses it: the
+    # leading terms must still be strictly monotone under the order's key,
+    # and the matrix the one a sort by leading term gives
+    ring = m.domain.ring
+    for order in [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]:
+        basis = buchberger(m, order)
+        g = sort_gb_columns(basis)
+        key = order.sort_key(ring)
+        leads = [key(col.leading_term(order)[0]) for col in g.columns()]
+        if order.is_position_up:
+            assert all(a < b for a, b in zip(leads, leads[1:])), order
+        else:
+            assert all(a > b for a, b in zip(leads, leads[1:])), order
+        by_lead = sorted(
+            basis.elements, key=lambda e: key(e.leading_term(order)[0]), reverse=not order.is_position_up
+        )
+        domain = FreeModuleSpec(ring, [e.term_degree(e.leading_term(order)[0]) for e in by_lead])
+        assert g == PolyMatrix.from_columns(basis.module, domain, by_lead), order
 
 
 def test_gb_of_first_syzygy_middle_block(bigraded):

@@ -18,6 +18,8 @@ from torusweights import (
 )
 from torusweights.parsing import parse_polynomial
 
+from conftest import matrix
+
 
 def ring_xy():
     return RingSpec(["x", "y"], [[1], [1]], [[1, 0], [0, 1]])
@@ -26,12 +28,6 @@ def ring_xy():
 def elem(module, texts):
     ring = module.ring
     return ModuleElement(module, [parse_polynomial(ring, t) for t in texts])
-
-
-def matrix(ring, cod_degs, dom_degs, rows):
-    cod = FreeModuleSpec(ring, cod_degs)
-    dom = FreeModuleSpec(ring, dom_degs)
-    return PolyMatrix(cod, dom, [[parse_polynomial(ring, t) for t in row] for row in rows])
 
 
 def test_basis_degrees_must_be_integer_vectors_of_the_ring_length():

@@ -36,17 +36,12 @@ from torusweights.problemfile import load_problem
 from torusweights.propagate import _NOT_MINIMAL, PropagationResult
 from torusweights.rings import Polynomial, unit_monomial, vector_add
 
-from conftest import fixture_path
+from conftest import PROBLEMS, fixture_path, std_ring
 
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
 
 # The largest exponent the first field width holds.
 FIRST_CAPACITY = (1 << _FIELD_BITS) - 1
-
-
-def std_ring(n, order="grevlex"):
-    weights = [[int(i == j) for j in range(n)] for i in range(n)]
-    return RingSpec(["x%d" % (i + 1) for i in range(n)], [[1]] * n, weights, order)
 
 
 def typed_poly(p):
@@ -239,8 +234,7 @@ def test_composite_that_would_alias_under_the_first_field_width_is_caught():
 
 def transpose_cases():
     """Every fixture map, the differentials computed from each, and maps with no rows or no columns."""
-    for name in ["bigraded", "generic_koszul", "grassmannian", "high_degree", "high_degree_3var", "koszul",
-                 "mixed_sign", "three_squares", "two_variables"]:
+    for name in PROBLEMS:
         problem = load_problem(fixture_path(name + ".json"))
         for label, m in problem.matrices.items():
             yield pytest.param(m, id="%s-%s" % (name, label))

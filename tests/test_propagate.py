@@ -1,5 +1,6 @@
 import importlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -31,22 +32,12 @@ from torusweights.modules import dual_map, permute_columns
 from torusweights.packed import _TermCodec
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
+from torusweights.propagate import _inverted
 
-from conftest import fixture_path
+from conftest import entries_as_text, fixture_path, matrix
 
 TOP_UP = ModuleTermOrder("top-up")
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
-
-
-def matrix(ring, cod_degs, dom_degs, rows):
-    cod = FreeModuleSpec(ring, cod_degs)
-    dom = FreeModuleSpec(ring, dom_degs)
-    return PolyMatrix(cod, dom, [[parse_polynomial(ring, t) for t in row] for row in rows])
-
-
-def entries_as_text(m):
-    ring = m.domain.ring
-    return [[polynomial_to_string(ring, p) for p in row] for row in m.entries]
 
 
 def scal(rows):
@@ -850,7 +841,7 @@ def test_the_forward_walk_builds_only_what_is_read(monkeypatch):
     n = len(diffs)
     unpack = Spy(monkeypatch, "matrix", _TermCodec)
     dual = Spy(monkeypatch, "dual_map")
-    invert = Spy(monkeypatch, "_invert_by_degree")
+    invert = Spy(monkeypatch, "_inverted")
     result = propagate_resolution(diffs, n, [(1,) * 4], TOP_UP)
     assert result.per_module[0] == ((0, 0, 0, 0),)
     # the walk transposes packed columns: no dual map is built before a read
@@ -868,6 +859,23 @@ def test_the_forward_walk_builds_only_what_is_read(monkeypatch):
 
 def typed_rows(scalars):
     return [[(type(x), x) for x in row] for row in scalars.rows]
+
+
+def test_the_inverter_matches_the_dense_inverse():
+    # C^-1 is zero between degrees; in these its degree blocks interleave in
+    # index order, rows in degrees a, b, a, b and columns in a, b, a, b, then
+    # in b, a, a, b, so one elimination must keep them apart
+    cases = [
+        [],
+        [[3]],
+        [[Fraction(2, 3)]],
+        [[2, 0, 1, 0], [0, 1, 0, 5], [1, 0, 1, 0], [0, 3, 0, 4]],
+        [[0, 2, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [3, 0, 0, -1]],
+        [[Fraction(1, 2), 0, -1, 0], [0, 0, 0, 7], [4, 0, 2, 0], [0, Fraction(-3, 5), 0, 0]],
+    ]
+    for rows in cases:
+        inverse = ScalarMatrix(rows)
+        assert typed_rows(_inverted(inverse)) == typed_rows(inverse.inverse()), rows
 
 
 def solved_change_of_basis(matrix, sorted_matrix):

@@ -38,7 +38,7 @@ from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.rings import Polynomial, monomial_div, monomial_divides, vector_add, vector_sub
 
-from conftest import fixture_path
+from conftest import fixture_path, std_ring
 from test_groebner import tracked_run
 from test_invariants import assert_euler_characteristic
 
@@ -47,11 +47,6 @@ SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 TOP_UP = ModuleTermOrder("top-up")
 POT_UP = ModuleTermOrder("pot-up")
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
-
-
-def std_ring(n, order="grevlex"):
-    weights = [[int(i == j) for j in range(n)] for i in range(n)]
-    return RingSpec(["x%d" % (i + 1) for i in range(n)], [[1]] * n, weights, order)
 
 
 def bigraded_ring():
