@@ -3,20 +3,22 @@
 Division with remainder, Buchberger's algorithm (optionally truncated at a
 degree bound), reduced-basis normalization, Schreyer syzygies (read off the
 relations that the zero reductions of one Buchberger run leave behind),
-minimal free resolutions, standard monomials and graded Nakayama minimality
-checks.  `change_of_basis` solves G = M @ C as a linear system; propagation
-does not use it, and the tests keep it as an independent check.  All
+minimal free resolutions (pruned from a Schreyer frame: one Buchberger run,
+then one division per S-pair at each level, then the frame's units
+cancelled), standard monomials and graded Nakayama minimality checks.
+`change_of_basis` solves G = M @ C as a linear system; propagation does
+not use it, and the tests keep it as an independent check.  All
 arithmetic is exact.  Coefficients are ints where they are integral (see
 `rings`), so coefficients are divided with `exact_quotient`, never with
 `/`, which would make a float of two ints.  Syzygy columns come out as
 primitive integer vectors.
 
-One engine, `_buchberger_run`, computes Groebner bases, syzygies and
-minimality.  Whether vectors minimally generate their span (graded
-Nakayama) is read off a bounded run over them that takes the S-pairs of
-each degree before its generators: a vector is needed exactly when it joins
-the basis (see `_nakayama_kept`).  No monomial multiple of a vector is
-formed.
+One engine, `_buchberger_run`, computes Groebner bases, syzygies,
+minimality and the first two levels of a resolution's frame.  Whether
+vectors minimally generate their span (graded Nakayama) is read off a
+bounded run over them that takes the S-pairs of each degree before its
+generators: a vector is needed exactly when it joins the basis (see
+`_nakayama_kept`).  No monomial multiple of a vector is formed.
 
 Division, Buchberger and the inter-reduction run on packed terms (see
 `packed`): a module term is one int that is its own order key, a product is
@@ -31,7 +33,10 @@ columns too (`_nonzero_composite`): the chain check packs each map once,
 by one codec for the whole chain (`_packed_chain`), and
 `propagate_resolution` reuses those columns for its minimality runs and its
 walk; `syzygies` multiplies the columns and relations its run already
-holds.
+holds.  `minimal_resolution` packs its input once, keeps the frame's
+levels in the keys of `schreyer._FrameLayout` from the run on, and checks
+the composites of its pruned differentials, packed by one codec, before it
+unpacks them.
 
 The field widths come from a bound the run proves.  Every variable's degree
 has positive functional (see `rings`), so a term of degree d at an index of
@@ -46,10 +51,12 @@ if a term outgrows them it widens them and divides again.
 
 One routine, `packed._pseudo_divide`, does all division.  It reduces an
 element dict and a tail dict, and every divisor carries its own tail
-through the division: in Buchberger the tail is the cofactor over the input
-columns, in `normal_form` the negated unit vector -e_k, which collects M
-times the quotient q_k.  When the division ends the two dicts hold M *
-input - sum(q_k * (g_k | tail_k)), so the remainder, the quotients, each
+through the division: in `syzygies`' Buchberger run the tail is the
+cofactor over the input columns, in the run and the levels of a Schreyer
+frame the unit vector of the divisor's own basis element, in `normal_form`
+the negated unit vector -e_k, which collects M times the quotient q_k.
+When the division ends the two dicts hold M * input - sum(q_k * (g_k |
+tail_k)), so the remainder, the quotients, each
 relation (Moeller, Mora and Traverso, ISSAC 1992) and each new element's
 cofactor are read straight off them.  A run that wants no relations, the
 one behind `buchberger` and `_nakayama_kept`, gives its columns empty
@@ -116,6 +123,10 @@ from .rings import (
 )
 
 log = logging.getLogger(__name__)
+
+# `_buchberger_run`'s tails for the frame of `minimal_resolution`: each
+# basis element carries its own unit vector
+_UNIT_TAILS = "units"
 
 
 @dataclass
@@ -210,7 +221,10 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
 
     columns are packed dicts, packed by codec, of elements of module, column
     j of degree degrees[j]; the run copies them and leaves them as they are.
-    codec has indices for module and, with tails, for the columns.
+    codec has indices for module and, with tails, for the columns.  tails
+    is False (no tails), True (cofactors over the columns, for `syzygies`)
+    or _UNIT_TAILS (unit vectors over the basis, for the frame of
+    `minimal_resolution`).
     Generators and S-pairs are processed in increasing order of the ring's
     positive functional of their degrees, ties broken by the degrees
     themselves (normal selection strategy); items whose functional exceeds
@@ -243,6 +257,18 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     the S-pair degrees and the generators that join (within a degree the
     S-pairs go first), depend only on that submodule.
 
+    With unit tails, element t of the basis carries the unit vector e_t over
+    the basis as its divisor tail, and every item enters with an empty
+    tail, so the division leaves minus the quotients over the basis behind
+    the remainder.  Each item gives a relation over the basis: its tail if
+    it reduced to zero, its tail less content * e_t if it joined as element
+    t (its remainder being content times the element).  An S-pair's
+    relation is the one Schreyer's frame takes; a column's, with the
+    multiplier M of its division, says how the column, times M, is made of
+    the basis.  Only the S-pairs `_minimal_pairs` keeps are queued, which
+    still completes the basis.  The codec's index field must then also hold
+    the basis, and it is widened when the basis fills it.
+
     Before an item whose degree admits a larger total degree than the
     codec's fields hold is taken, the codec is widened and the columns, the
     basis and the relations are repacked; codec is the last one, and
@@ -265,16 +291,22 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     the division left, and (e_j, degree of column j) for a zero column j.
     Each relation is a syzygy of the columns in that degree, a positive
     multiple of the monic run's relation.  Without a bound these relations
-    generate all syzygies.
+    generate all syzygies.  With unit tails it holds (relation, degree,
+    payload, M, t) for every item taken, in the order taken: payload is the
+    column index or the S-pair (i, t', lcm), M the division's multiplier and
+    t the index the item joined the basis at, None if it reduced to zero; a
+    zero column gives ({}, its degree, j, 1, None).
     """
     joined = [False] * len(columns)
     if not columns:
         return codec, columns, [], [], joined
+    frame = tails == _UNIT_TAILS
     ring = codec.ring
     functional = ring._functional
     limit = functional(bound) if bound is not None else None
     # a term of an item of degree d at element index i has degree d, so its
-    # monomial has degree d - deg e_i; at tail index j, d - deg column j
+    # monomial has degree d - deg e_i; at tail index j, d - deg column j, or
+    # with unit tails d - deg g_j, which is at least a column's degree
     base = min(map(functional, itertools.chain(module.basis_degrees, degrees)))
     step = min(functional(d) for d in ring.var_degrees)
     unit = unit_monomial(ring.num_vars)
@@ -294,6 +326,8 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     for j, (col, degree) in enumerate(zip(columns, degrees)):
         if col:
             push(degree, True, j)
+        elif frame:
+            reductions.append(({}, degree, j, 1, None))
         else:
             reductions.append(({codec.term(unit, j): 1} if tails else {}, degree))
 
@@ -301,36 +335,29 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     divisors = []
     leads = []
 
-    def s_pair(i, j, lcm_mono):
-        a_lead, alpha, a_body, a_tail = divisors[i]
-        b_lead, beta, b_body, b_tail = divisors[j]
-        g = gcd(alpha, beta)
-        lcm_term = codec.term(lcm_mono, leads[j].index)
-        mx, my = lcm_term - a_lead, lcm_term - b_lead
-        return (
-            _shifted_difference(a_body, mx, beta // g, b_body, my, alpha // g),
-            _shifted_difference(a_tail, mx, beta // g, b_tail, my, alpha // g),
-        )
-
     while heap:
-        # the largest total degree of a term of the next item
+        # the largest total degree of a term of the next item; a run with
+        # unit tails also needs an index for the element it may add
         needed = max(0, (heap[0][0] - base) // step)
-        if needed > codec.capacity:
-            old, codec = codec, codec.widened(needed)
-            log.debug("buchberger: widened exponent fields to %d bits for degree %s", codec.bits, heap[0][1])
+        if needed > codec.capacity or (frame and len(basis) >= codec.indices):
+            old, codec = codec, codec.widened(needed, 2 * len(basis) if frame else 0)
+            if codec.bits > old.bits:
+                log.debug("buchberger: widened exponent fields to %d bits for degree %s", codec.bits, heap[0][1])
             columns = [codec.repacked(old, c) for c in columns]
             basis = [(codec.repacked(old, w), codec.repacked(old, t)) for w, t in basis]
             divisors = [_divisor(w, t) for w, t in basis]
-            reductions = [(codec.repacked(old, t), d) for t, d in reductions]
+            reductions = [(codec.repacked(old, t), *rest) for t, *rest in reductions]
         _, degree, _, _, payload = heapq.heappop(heap)
         if type(payload) is int:
             work = dict(columns[payload])
-            tail = {codec.term(unit, payload): 1} if tails else {}
+            tail = {codec.term(unit, payload): 1} if tails is True else {}
         else:
-            work, tail = s_pair(*payload)
-        _pseudo_divide(work, tail if tails else None, divisors, codec)
+            i, j, lcm_mono = payload
+            work, tail = _s_pair(divisors[i], divisors[j], codec.term(lcm_mono, leads[j].index))
+        multiplier = _pseudo_divide(work, tail if tails else None, divisors, codec)
+        t = len(basis)
         if not work:
-            reductions.append((tail, degree))
+            reductions.append((tail, degree, payload, multiplier, None) if frame else (tail, degree))
             continue
         if type(payload) is int:
             joined[payload] = True
@@ -338,23 +365,70 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
         content = _content(work.values())
         if work[lead] < 0:
             content = -content
+        if frame:
+            # work is content times the new element, so the item's relation
+            # is its tail less content times the element's unit
+            own = codec.term(unit, t)
+            tail[own] = -content
+            reductions.append((tail, degree, payload, multiplier, t))
+            tail = {own: 1}
+        elif content != 1:
+            tail = {s: exact_quotient(c, content) for s, c in tail.items()}
         if content != 1:
-            work = {t: exact_quotient(c, content) for t, c in work.items()}
-            tail = {t: exact_quotient(c, content) for t, c in tail.items()}
-        t = len(basis)
+            work = {s: exact_quotient(c, content) for s, c in work.items()}
         basis.append((work, tail))
         divisors.append(_divisor(work, tail))
         new = codec.unpack(lead)
         leads.append(new)
         log.debug("basis element %d with leading term %s", t, new)
-        for i in range(t):
-            other = leads[i]
-            if other.index == new.index:
-                lcm_mono = monomial_lcm(other.monomial, new.monomial)
-                pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
-                push(pair_degree, False, (i, t, lcm_mono))
+        pairs = [(i, monomial_lcm(leads[i].monomial, new.monomial)) for i in range(t) if leads[i].index == new.index]
+        if frame:
+            pairs = _minimal_pairs(pairs, monomial_divides)
+        for i, lcm_mono in pairs:
+            pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
+            push(pair_degree, False, (i, t, lcm_mono))
 
     return codec, columns, basis, reductions, joined
+
+
+def _s_pair(a, b, lcm_term):
+    """The S-pair of the `_pseudo_divide` divisors a and b at the packed term lcm_term, with its tail.
+
+    With leading coefficients alpha and beta and g = gcd(alpha, beta), it is
+    (beta / g) * m_a * a - (alpha / g) * m_b * b, on element and tail at
+    once; the leading terms cancel, so it is formed from the bodies.
+    """
+    a_lead, alpha, a_body, a_tail = a
+    b_lead, beta, b_body, b_tail = b
+    g = gcd(alpha, beta)
+    mx, my = lcm_term - a_lead, lcm_term - b_lead
+    return (
+        _shifted_difference(a_body, mx, beta // g, b_body, my, alpha // g),
+        _shifted_difference(a_tail, mx, beta // g, b_tail, my, alpha // g),
+    )
+
+
+def _minimal_pairs(pairs, divides):
+    """The pairs (i, lcm) whose lcm no other pair's lcm divides, the first of equal lcms kept.
+
+    The pairs are those of one element with the elements i before it whose
+    leading terms share its basis element, lcm the lcm of the two leading
+    terms, and divides(a, b) tells whether lcm a divides lcm b.  In the
+    order a Schreyer frame induces, ties going to the larger index, the
+    relation of pair i has its leading term at the later element, times its
+    lcm over that element's leading term.  A dropped pair's leading term is
+    a multiple of a kept one's, and the difference of the two binomial
+    relations of the leading terms is a relation among earlier elements, so
+    the kept pairs' relations of the leading terms still generate all of
+    them: the kept S-pairs complete a Groebner basis (Buchberger's
+    criterion), and their relations are a Groebner basis of its syzygies
+    (Schreyer's theorem; La Scala and Stillman, JSC 1998).
+    """
+    return [
+        (i, m)
+        for n, (i, m) in enumerate(pairs)
+        if not any(k != n and divides(o, m) and (k < n or o != m) for k, (_, o) in enumerate(pairs))
+    ]
 
 
 def _reduce_basis(elements, codec, module):
@@ -647,10 +721,11 @@ def check_chain(differentials):
 class _MinimalChain(tuple):
     """Differentials that `minimal_resolution` proved to be a minimal chain.
 
-    Only `minimal_resolution` builds one, after its input passed
-    `is_minimal_map` and each syzygy matrix passed the `matrix @ result`
-    check in `syzygies`: the maps chain, consecutive composites vanish and
-    every map is minimal.  The tuple is immutable and so, by convention, is
+    Only `minimal_resolution` builds one, after its input passed the
+    `is_minimal_map` test, every consecutive composite of the pruned frame
+    was checked to vanish, and no differential after the first was left
+    with a constant entry: the maps chain, consecutive composites vanish
+    and every map is minimal.  The tuple is immutable and so, by convention, is
     each PolyMatrix, so the proof cannot go stale; `propagate_resolution`
     trusts it.  Copies, slices and concatenations are plain tuples or lists
     and carry no proof.
@@ -663,8 +738,8 @@ class Resolution:
     """Minimal free resolution: base module and the chain of differentials.
 
     Holds the output of `minimal_resolution`: differentials[0] maps
-    F_1 -> F_0, consecutive composites vanish, which `syzygies` proved for
-    each one as it computed it, and every differential is minimal.  The
+    F_1 -> F_0, consecutive composites vanish and every differential is
+    minimal, which `minimal_resolution` checked before it returned them.  The
     constructor checks nothing.  `propagate_resolution` takes a Resolution or
     its differentials and trusts the chain only when it is the tuple
     `minimal_resolution` built; it checks any other chain in full, also one
@@ -693,14 +768,24 @@ class Resolution:
 def minimal_resolution(matrix, order, max_length=None):
     """Minimal free resolution of the cokernel of a minimal presentation.
 
-    Iterates minimized syzygy computation until the syzygies vanish (or
-    max_length differentials have been produced).  The input must be a
-    minimal map; a zero-column presentation resolves a free module and gives
-    a length-zero resolution.  max_length, when given, must be an integer of at
-    least 1.  The differentials come as a `_MinimalChain`: the input passed
-    `is_minimal_map` and each syzygy matrix passed its check in `syzygies`,
-    so `propagate_resolution` does not prove the chain or its minimality
-    again.
+    The resolution is pruned from a Schreyer frame (see `schreyer`): one
+    Buchberger run with unit tails gives the Groebner basis G of the image
+    and the relations of its S-pairs, and each further level costs one
+    division per S-pair.  The frame is a free resolution of the cokernel,
+    through G, but not a minimal one; `schreyer._pruned` cancels its units
+    and writes the second differential over the input columns, so that the
+    first differential is the input itself.  The input must be a minimal map; a
+    zero-column presentation resolves a free module and gives a length-zero
+    resolution.  max_length, when given, must be an integer of at least 1,
+    and at most max_length differentials are returned; the frame is then
+    built only one level beyond them.
+
+    The differentials come as a `_MinimalChain`: the input passed the
+    `is_minimal_map` test, each consecutive composite was checked to vanish
+    on packed columns before anything was unpacked, and no differential
+    after the first has a nonzero constant entry, which, since the pruned
+    frame stays exact, makes every map minimal.  So `propagate_resolution`
+    does not prove the chain or its minimality again.
     """
     check_order(order)
     if max_length is not None:
@@ -710,15 +795,18 @@ def minimal_resolution(matrix, order, max_length=None):
             raise InputError("max_length must be an integer, got %r" % (max_length,)) from None
         if max_length < 1:
             raise InputError("max_length must be at least 1, got %r" % (max_length,))
-    if not is_minimal_map(matrix):
+    # `is_minimal_map`'s test, on the columns the frame's run takes: its
+    # flags do not depend on the order
+    codec, (columns,) = _packed_chain([matrix], order)
+    if not all(_nakayama_kept(codec, matrix.codomain, columns, matrix.domain.basis_degrees)):
         raise MinimalityError("presentation matrix is not a minimal map")
     if matrix.num_cols == 0:
         return Resolution(matrix.codomain, _MinimalChain())
-    differentials = [matrix]
-    while max_length is None or len(differentials) < max_length:
-        step = syzygies(differentials[-1], order)
-        if step.num_cols == 0:
-            break
-        differentials.append(step)
-        log.debug("resolution step %d: rank %d", len(differentials), step.num_cols)
-    return Resolution(matrix.codomain, _MinimalChain(differentials))
+    if max_length == 1:
+        return Resolution(matrix.codomain, _MinimalChain([matrix]))
+    # only resolutions need the frame: a process that never resolves does
+    # not load its module
+    from .schreyer import _frame, _pruned
+
+    frame = _frame(codec, columns, matrix, None if max_length is None else max_length + 1)
+    return Resolution(matrix.codomain, _MinimalChain(_pruned(frame, matrix, max_length)))

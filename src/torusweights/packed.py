@@ -30,7 +30,9 @@ maps compose to zero, the minimality run and the walk.
 `_TermCodec.transposed` gives the packed columns of the transpose, the
 dual map the forward walk runs on, by re-tagging each term's index under
 the flipped order; the monomial fields do not move.  Only this module
-knows the bit layout.
+knows the bit layout; `schreyer._FrameLayout` stacks chains of basis
+indices below a codec's packed terms, and sees those only as ints whose
+sums multiply and whose differences `divmask` tests.
 Everything else, `Polynomial`, `ModuleTerm`, `ModuleElement`, `PolyMatrix`
 and every value the library returns or prints, keeps exponent tuples: a
 codec packs its inputs on entry and unpacks what it returns, through a memo
@@ -43,7 +45,7 @@ from math import gcd
 
 from .errors import InternalError
 from .modules import ModuleTerm, PolyMatrix
-from .rings import Polynomial, exact, exact_quotient
+from .rings import Polynomial, exact, exact_quotient, monomial_lcm
 
 # Value bits of an exponent field in a fresh codec: total degrees up to 127.
 _FIELD_BITS = 7
@@ -110,9 +112,14 @@ class _TermCodec:
         self.divmask = sum(guards[:n]) | (self._index_mask << self._index_shift)
         self._terms = {}
 
-    def widened(self, bound):
-        """A codec of the same layout with at least twice the bits, holding bound."""
-        return _TermCodec(self.ring, self.order, self.indices, max(bound, (1 << (2 * self.bits)) - 1))
+    def widened(self, bound, indices=0):
+        """A codec of the same layout holding bound, with at least max(indices, self.indices) indices.
+
+        When bound exceeds the capacity, the fields take at least twice the bits.
+        """
+        if bound > self.capacity:
+            bound = max(bound, (1 << (2 * self.bits)) - 1)
+        return _TermCodec(self.ring, self.order, max(self.indices, indices), max(bound, self.capacity))
 
     def _tag(self, index):
         """The index field of a term at index, in place."""
@@ -192,6 +199,20 @@ class _TermCodec:
             index = (t >> self._index_shift) & self._index_mask
             term = self._terms[t] = ModuleTerm(mono, self.indices - 1 - index if self._down else index)
         return term
+
+    def split(self, t):
+        """(the packed monomial of the packed term t, its index): t less its index field, and the index."""
+        index = self.unpack(t).index
+        return t - self._tag(index), index
+
+    def exponents(self, monomial):
+        """The exponent tuple of a packed monomial, a term less its index field."""
+        return self.unpack(monomial + self._tag(0)).monomial
+
+    def lcm(self, a, b):
+        """The packed term lcm(a, b) of two packed terms at one index."""
+        mono, index = self.unpack(a)
+        return self.term(monomial_lcm(mono, self.unpack(b).monomial), index)
 
     def entries(self, terms, size, scalar=1):
         """The packed dict terms divided by scalar, as one Polynomial per index below size."""

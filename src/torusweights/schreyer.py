@@ -1,0 +1,451 @@
+"""Minimal free resolutions pruned from a Schreyer frame.
+
+`groebner.minimal_resolution` checks its input and builds the frame here
+(`_frame`): one Buchberger run with unit tails over its basis (see
+`groebner._buchberger_run`) gives the Groebner basis G of the image and the
+relations of the S-pairs it took, and each further level costs one
+division per S-pair, whose leading term Schreyer's theorem gives (La Scala
+and Stillman, "Strategies for computing minimal free resolutions", JSC
+1998; Erocal, Motsak, Schreyer and Steenpass, "Refined algorithms to
+compute syzygies", JSC 2016).  `_pruned` cancels the frame's units and
+returns the differentials of the minimal resolution.  The frame's terms
+are ints laid out by `_FrameLayout`, so the division is `packed`'s.
+"""
+
+import logging
+from dataclasses import dataclass
+from math import gcd
+
+from .errors import InternalError
+from .groebner import (
+    _UNIT_TAILS,
+    _buchberger_run,
+    _content,
+    _minimal_pairs,
+    _nonzero_composite,
+    _s_pair,
+)
+from .modules import FreeModuleSpec
+from .packed import _TermCodec, _divisor, _pseudo_divide
+from .rings import exact, exact_quotient, monomial_lcm, vector_add
+
+log = logging.getLogger(__name__)
+
+
+class _FrameLayout:
+    """Packed terms of the free modules F_1, F_2, ... of a Schreyer frame.
+
+    A basis element e_p of F_k has a leading term m_p * e_q in F_{k-1}, q
+    has one in F_{k-2}, and so on down to F_0; the chain of indices and the
+    product of the monomials, times the F_0 basis element the chain ends at,
+    stand for e_p.  A term m * e_p of F_k packs as the packed F_0 term (by
+    `codec`) of m times that product, shifted left by `width` bits, OR the
+    chain: one field per level, level 1 highest.  Comparing keys compares
+    the F_0 terms first and then the chains from level 1 down, which is the
+    order Schreyer's frame induces (La Scala and Stillman, JSC 1998), with
+    ties between basis elements going to the larger index.  Multiplying a
+    term by a monomial adds the packed monomial shifted by `width`, at every
+    level.  A term divides another exactly when their chains are equal and
+    the F_0 terms divide, one subtraction and one mask test on `divmask`; a
+    layout serves `_pseudo_divide` as its codec.
+
+    A layout with the fields `widths` holds chains of len(widths) levels, a
+    term of F_k with k < len(widths) leaving the fields below level k zero.
+    `appended` adds a field at the bottom; a key moves to it shifted left by
+    the new field's width, `shift`.
+    """
+
+    __slots__ = ("codec", "widths", "width", "shift", "offsets", "divmask", "guards", "bits")
+
+    def __init__(self, codec, widths):
+        self.codec, self.widths = codec, widths
+        self.width = width = sum(widths)
+        self.shift = widths[-1]
+        self.offsets = [width - sum(widths[:k + 1]) for k in range(len(widths))]
+        self.divmask = codec.divmask << width | ((1 << width) - 1)
+        self.guards = codec.guards << width
+        self.bits = codec.bits
+
+    def appended(self, count):
+        """This layout with one more field, at the bottom, for indices below count."""
+        return _FrameLayout(self.codec, self.widths + (max(count, 1).bit_length(),))
+
+    def key(self, term, chain):
+        """The key of the packed F_0 term times the chain's basis element, chain listed from level 1."""
+        return term << self.width | sum(p << o for p, o in zip(chain, self.offsets))
+
+    def lifted(self, unit, monomial):
+        """The key of the packed monomial times the term whose key is unit."""
+        return unit + (monomial << self.width)
+
+    def index(self, key, level):
+        """The basis index at level `level` (from 1) of the chain of key."""
+        return key >> self.offsets[level - 1] & ((1 << self.widths[level - 1]) - 1)
+
+    def chain(self, key):
+        return key & ((1 << self.width) - 1)
+
+    def lcm(self, a, b):
+        """The lcm of two keys with one chain."""
+        return self.codec.lcm(a >> self.width, b >> self.width) << self.width | self.chain(a)
+
+    def divides(self, a, b):
+        return not (b - a) & self.divmask
+
+    def exponents(self, key, unit):
+        """The exponents of the monomial m with key = m * unit."""
+        return self.codec.exponents((key - unit) >> self.width)
+
+
+def _primitive_element(element):
+    """The packed element dict divided by its content: a primitive integer vector, signs kept.
+
+    Returns (the vector, the content); the content of the zero vector is 1.
+    """
+    content = _content(element.values()) if element else 1
+    if content == 1:
+        return element, content
+    return {t: exact_quotient(c, content) for t, c in element.items()}, content
+
+
+@dataclass
+class _FrameLevel:
+    """The elements of one level of a Schreyer frame.
+
+    layout packs the level's keys (see `_FrameLayout`) and has a
+    field for the level's own indices, at the bottom.  elements are the
+    packed dicts of the elements, vectors over the level below (None at
+    level 1, whose elements are those of G), leads the keys of their
+    leading terms, with the level's own field zero, so that leads[p] | p is
+    the key of the basis element e_p itself, and degrees their degrees.
+    """
+
+    layout: object
+    elements: list
+    leads: list
+    degrees: list
+
+
+@dataclass
+class _Frame:
+    """A Schreyer frame over a minimal map, as `_frame` builds it.
+
+    levels[k - 1] is level k.  codec packs the F_0 terms of every level and
+    the input's columns (columns), and holds total degree bound, which every
+    frame term is within.  born[t] is the input column that joined the
+    Groebner basis G as its element t, None if an S-pair added t; joins[t]
+    is, for a column-born t, the relation over G that its division left
+    (packed by level 2's layout) and the division's multiplier; creators[t]
+    is, for an S-pair-born t, the level-2 element of the S-pair that added
+    it.
+    """
+
+    codec: object
+    bound: int
+    columns: list
+    levels: list
+    born: list
+    joins: dict
+    creators: dict
+
+
+def _frame(codec, columns, matrix, top):
+    """The Schreyer frame (a `_Frame`) over the minimal map matrix, whose columns codec packed.
+
+    Level 1 is the Groebner basis G of the image that one Buchberger run
+    with unit tails builds (see `_buchberger_run`), level 2 the relations
+    of the S-pairs that run took, and level k + 1 the relations of the
+    S-pairs of level k's elements whose leading terms share a basis element
+    of F_{k-1}, those `_minimal_pairs` keeps.  By Schreyer's theorem each
+    level is a Groebner basis of the syzygies of the one below, under the
+    order its keys follow (see `_FrameLayout`): the relation of an
+    S-pair has its leading term at the pair's later element, times the lcm
+    over that element's leading term, and costs one division of the
+    S-polynomial, which reduces to zero.  No level is reduced again.  Levels
+    beyond top are not built (all are if top is None); the frame ends at
+    the first level with no S-pair.  Every element from level 2 up is a
+    primitive integer vector.
+
+    The run fits its fields to the items it takes.  A frame term has the
+    degree of its element's leading term, whose F_0 monomial divides the
+    lcm of G's leading monomials at its index; the codec is widened, once,
+    to hold the largest such degree before level 2 is packed.
+    """
+    module = matrix.codomain
+    ring = module.ring
+    codec, columns, basis, records, joined = _buchberger_run(
+        codec, columns, matrix.domain.basis_degrees, module, None, _UNIT_TAILS
+    )
+    if not all(joined):
+        raise InternalError("a column of a minimal map reduced to zero in the frame's run")
+    lcms = {}
+    for work, _ in basis:
+        mono, index = codec.unpack(max(work))
+        lcms[index] = monomial_lcm(lcms.get(index, mono), mono)
+    functional = ring._functional
+    top_degree = max(functional(vector_add(ring.monomial_degree(m), module.basis_degrees[i])) for i, m in lcms.items())
+    base = min(map(functional, module.basis_degrees))
+    step = min(map(functional, ring.var_degrees))
+    bound = (top_degree - base) // step
+    if bound > codec.capacity:
+        old, codec = codec, codec.widened(bound)
+        log.debug("frame: widened exponent fields to %d bits", codec.bits)
+        columns = [codec.repacked(old, c) for c in columns]
+        basis = [(codec.repacked(old, w), None) for w, _ in basis]
+        records = [(codec.repacked(old, r), *rest) for r, *rest in records]
+    g_leads = [max(w) for w, _ in basis]
+    first = _FrameLayout(codec, (max(len(basis), 1).bit_length(),))
+    level1 = _FrameLevel(first, None, [first.key(lead, ()) for lead in g_leads], [])
+    for mono, index in map(codec.unpack, g_leads):
+        level1.degrees.append(vector_add(ring.monomial_degree(mono), module.basis_degrees[index]))
+    frame = _Frame(codec, bound, columns, [level1], [None] * len(basis), {}, {})
+    layout = first.appended(sum(type(payload) is not int for _, _, payload, _, _ in records))
+    level2 = _FrameLevel(layout, [], [], [])
+    units = [layout.key(lead, (p,)) for p, lead in enumerate(g_leads)]
+
+    def lifted(relation):
+        # the run's tail term m * e_p packs as the F_0 term of m at index p
+        out = {}
+        for t, c in relation.items():
+            monomial, p = codec.split(t)
+            out[layout.lifted(units[p], monomial)] = c
+        return out
+
+    for relation, degree, payload, multiplier, t in records:
+        if type(payload) is int:
+            frame.born[t] = payload
+            frame.joins[t] = (lifted(relation), multiplier)
+            continue
+        if t is not None:
+            frame.creators[t] = len(level2.elements)
+        _, j, lcm_mono = payload
+        level2.elements.append(_primitive_element(lifted(relation))[0])
+        level2.leads.append(layout.key(codec.term(lcm_mono, codec.unpack(g_leads[j]).index), (j,)))
+        level2.degrees.append(degree)
+    frame.levels.append(level2)
+    while frame.levels[-1].elements and (top is None or len(frame.levels) < top):
+        frame.levels.append(_next_level(frame.levels[-1]))
+    return frame
+
+
+def _next_level(level):
+    """The frame level of the relations of level's S-pairs, each one S-polynomial divided by level's elements.
+
+    The new elements come in increasing order of the ring's positive
+    functional of their degrees (ties by degree).
+    """
+    layout = level.layout
+    ring = layout.codec.ring
+    divisors = []
+    for p, (element, lead) in enumerate(zip(level.elements, level.leads)):
+        divisors.append(_divisor(element, {lead | p: 1}))
+        if divisors[-1][0] != lead:
+            raise InternalError("a frame element's leading term is not the one Schreyer's theorem gives")
+    groups = {}
+    for p, lead in enumerate(level.leads):
+        groups.setdefault(layout.chain(lead), []).append(p)
+    pairs = []
+    for members in groups.values():
+        for n, j in enumerate(members):
+            lead = level.leads[j]
+            lcms = [(i, layout.lcm(level.leads[i], lead)) for i in members[:n]]
+            for i, lcm_key in _minimal_pairs(lcms, layout.divides):
+                degree = vector_add(level.degrees[j], ring.monomial_degree(layout.exponents(lcm_key, lead)))
+                pairs.append((degree, i, j, lcm_key))
+    functional = ring._functional
+    pairs.sort(key=lambda pair: (functional(pair[0]), pair[0]))
+    below = layout.appended(len(pairs))
+    out = _FrameLevel(below, [], [], [])
+    for degree, i, j, lcm_key in pairs:
+        work, tail = _s_pair(divisors[i], divisors[j], lcm_key)
+        _pseudo_divide(work, tail, divisors, layout)
+        if work:
+            raise InternalError("an S-polynomial of the frame did not reduce to zero")
+        relation = _primitive_element(tail)[0]
+        out.elements.append({t << below.shift: c for t, c in relation.items()})
+        out.leads.append((lcm_key | j) << below.shift)
+        out.degrees.append(degree)
+    return out
+
+
+def _input_coordinates(frame):
+    """Level 2 of the frame written over the input columns and the elements of G that S-pairs added.
+
+    The run divides input column c, which joins G as element t, by unit
+    tails: it leaves M * c = content * g_t - tail . G, and records the
+    relation tail - content * e_t.  So g_t is (M * c + tail . G) / content,
+    and substituting that for every column-born e_t writes a vector over G
+    over the columns and the S-pair-born elements.  A tail involves only
+    elements before t, so each substitution is built from the earlier ones.
+    Keys stay those of level 2's layout, the key of e_t standing for the
+    input column of element t; a column that joined as it was (M = content,
+    empty tail) needs no substitution.
+    """
+    level1, level2 = frame.levels[0], frame.levels[1]
+    layout = level2.layout
+    units = [(lead | p) << layout.shift for p, lead in enumerate(level1.leads)]
+    cofactors = {}
+
+    def substituted(vector):
+        out = {}
+        for key, c in vector.items():
+            p = layout.index(key, 1)
+            if p not in cofactors:
+                out[key] = out.get(key, 0) + c
+                continue
+            move = key - units[p]
+            for t, x in cofactors[p]:
+                t += move
+                out[t] = out.get(t, 0) + c * x
+        return {key: c for key, c in out.items() if c}
+
+    for t, (relation, multiplier) in frame.joins.items():
+        tail = dict(relation)
+        content = -tail.pop(units[t])
+        if tail or multiplier != content:
+            tail = substituted(tail)
+            tail[units[t]] = tail.get(units[t], 0) + multiplier
+            cofactors[t] = [(key, exact_quotient(c, content)) for key, c in tail.items() if c]
+    if not cofactors:
+        return level2.elements
+    return [substituted(e) for e in level2.elements]
+
+
+def _pruned(frame, matrix, max_length):
+    """The differentials of the minimal resolution that pruning the frame's units leaves, as PolyMatrices.
+
+    A nonzero constant entry of differential d_k (frame level k over level
+    k - 1) at row a and column b splits off a trivial complex (Eisenbud,
+    "The Geometry of Syzygies", ch. 1): the other columns are cleared of
+    row a by multiples of column b, then row a and column b go, with column
+    a of d_{k-1} and row b of d_{k+1}.  Levels are pruned from d_2 up.  The
+    second differential is first written over the input columns (see
+    `_input_coordinates`), and there only the units that added an
+    S-pair-born element t of G are cancelled, the last t first: the
+    relation of the S-pair that added t has the constant -content at t and
+    involves no later element, so no cancellation disturbs another's unit,
+    and what is left of level 1 is the input columns.  Higher differentials
+    cancel whatever constant entries they have, column by column, each at
+    its lowest row.  Each differential ends with an exact check that no
+    constant entry is left, an InternalError otherwise; the cancellations
+    keep the frame exact, so the result is minimal.
+
+    The cancellation is fraction-free: each differential's columns start
+    as primitive integer vectors, and clearing a row scales a column by a
+    positive integer instead of dividing by the pivot.  Each column ends as
+    a primitive integer vector too (signs kept), and every scaling of a
+    column by s divides the next differential's row by s.  All
+    differentials are packed by one codec and checked to compose to zero
+    before they are unpacked (an InternalError says a pair did not).  At
+    most max_length differentials are kept (all if None), and none from the
+    first level that pruning empties.
+    """
+    levels = frame.levels
+    steps = []  # per differential d_k, k >= 2: (layout, units of its rows, columns, alive columns, pruned rows)
+    dead, factors = set(), {}
+    for k in range(2, len(levels) + 1):
+        layout, below = levels[k - 1].layout, levels[k - 2]
+        units = [(lead | a) << layout.shift for a, lead in enumerate(below.leads)]
+        columns = []
+        for element in _input_coordinates(frame) if k == 2 else levels[k - 1].elements:
+            column = {}
+            for key, c in element.items():
+                a = layout.index(key, k - 1)
+                if a not in dead:
+                    column[key] = exact(c * factors[a]) if a in factors else c
+            columns.append(column)
+        # what the next differential's rows are multiplied by: 1 / s for
+        # each scaling of the column by s
+        next_factors = [1] * len(columns)
+        for c, column in enumerate(columns):
+            columns[c], next_factors[c] = _primitive_element(column)
+        alive = list(range(len(columns)))
+        pruned, touched = set(), set()
+
+        def cancel(a, b):
+            # fraction-free: a column with entries x at row a becomes
+            # (|p| / g) * column - sum((sign(p) * x / g) * m_x * pivot)
+            unit, pivot = units[a], list(columns[b].items())
+            p = columns[b][unit]
+            alive.remove(b)
+            pruned.add(a)
+            for c in alive:
+                column = columns[c]
+                hits = [(key, x) for key, x in column.items() if layout.index(key, k - 1) == a]
+                if not hits:
+                    continue
+                touched.add(c)
+                g = gcd(p, *(x for _, x in hits))
+                scale, sign = abs(p) // g, 1 if p > 0 else -1
+                if scale != 1:
+                    for key in column:
+                        column[key] *= scale
+                    next_factors[c] = exact_quotient(next_factors[c], scale)
+                for key, x in hits:
+                    q, move = sign * x // g, key - unit
+                    for t, y in pivot:
+                        t += move
+                        value = column.get(t, 0) - q * y
+                        if value:
+                            column[t] = value
+                        else:
+                            del column[t]
+
+        def constants(column):
+            return sorted(a for key in column for a in (layout.index(key, k - 1),) if key == units[a])
+
+        if k == 2:
+            for t in sorted(frame.creators, reverse=True):
+                cancel(t, frame.creators[t])
+        else:
+            for b in list(alive):
+                rows = constants(columns[b])
+                if rows:
+                    cancel(rows[0], b)
+        if any(constants(columns[c]) for c in alive):
+            raise InternalError("a unit survived pruning differential %d of the frame" % k)
+        for c in touched.intersection(alive):
+            columns[c], content = _primitive_element(columns[c])
+            next_factors[c] = exact(next_factors[c] * content)
+        factors = {c: next_factors[c] for c in alive if next_factors[c] != 1}
+        dead = set(range(len(columns))) - set(alive)
+        steps.append((layout, units, columns, alive, pruned))
+    # what survives of each level: G's column-born elements at level 1, and
+    # at level k the columns of d_k not cancelled as rows of d_{k+1}
+    survivors = [[t for t, c in enumerate(frame.born) if c is not None]]
+    for k, (_, _, _, alive, _) in enumerate(steps, start=2):
+        removed = steps[k - 1][4] if k - 1 < len(steps) else ()
+        survivors.append([c for c in alive if c not in removed])
+    # a level's minimal rank is known once the differential above it is pruned
+    known = len(levels) if not levels[-1].elements or max_length is None else len(levels) - 1
+    for k in range(1, known + 1):
+        if levels[k - 1].degrees:
+            log.debug(
+                "resolution level %d: frame rank %d, %d S-pairs divided, %d units pruned, minimal rank %d",
+                k, len(levels[k - 1].degrees), len(levels[k].degrees) if k < len(levels) else 0,
+                len(levels[k - 1].degrees) - len(survivors[k - 1]), len(survivors[k - 1]),
+            )
+    length = 1
+    while length < len(survivors) and survivors[length] and (max_length is None or length < max_length):
+        length += 1
+    ring = matrix.domain.ring
+    modules = [matrix.codomain, matrix.domain]
+    for k in range(2, length + 1):
+        modules.append(FreeModuleSpec(ring, [levels[k - 1].degrees[c] for c in survivors[k - 1]]))
+    codec = _TermCodec(ring, frame.codec.order, max(m.rank for m in modules), frame.bound)
+    packed = [[codec.repacked(frame.codec, c) for c in frame.columns]]
+    for k in range(2, length + 1):
+        layout, units, columns, _, _ = steps[k - 2]
+        rows = dict(enumerate(frame.born)) if k == 2 else {a: n for n, a in enumerate(survivors[k - 2])}
+        packed.append([
+            {
+                codec.term(layout.exponents(key, units[a]), rows[a]): c
+                for key, c in columns[b].items()
+                for a in (layout.index(key, k - 1),)
+            }
+            for b in survivors[k - 1]
+        ])
+    failed = _nonzero_composite(codec, packed)
+    if failed is not None:
+        raise InternalError("differentials %d and %d of the resolution do not compose to zero" % (failed + 1, failed + 2))
+    return [matrix] + [codec.matrix(packed[k], modules[k], modules[k + 1]) for k in range(1, length)]

@@ -371,8 +371,9 @@ def test_high_degree_fixture_widens_the_packed_fields(capsys, caplog, order):
 
 
 def test_mixed_sign_resolution_golden(capsys):
-    # the printed syzygy matrices depend on the order in which a run with
-    # cofactors takes its generators and S-pairs: generators first
+    # the printed matrices depend on the frame: the order in which its run
+    # takes generators and S-pairs (generators first), the pairs each
+    # level keeps, and which units pruning cancels
     path = str(fixture_path("mixed_sign.json"))
     code, out, err = run(capsys, "resolve", "--input", path, "--module-order", "top-up", "--json")
     assert (code, err) == (0, "")

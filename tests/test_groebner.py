@@ -26,12 +26,13 @@ from torusweights import (
     is_minimal_map,
     minimal_resolution,
     normal_form,
+    propagate_resolution,
     sort_gb_columns,
     standard_monomials,
     syzygies,
 )
 from torusweights.errors import InternalError
-from torusweights.groebner import _buchberger_run
+from torusweights.groebner import _buchberger_run, check_chain
 from torusweights.linalg import invert, solve
 from torusweights.modules import ModuleElement
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
@@ -692,6 +693,162 @@ def test_resolution_differentials_have_no_constant_entries(bigraded):
             for p in row:
                 for mono in p.terms:
                     assert any(mono)
+
+
+# ---------- the Schreyer frame against a loop over `syzygies` ----------
+
+
+def syzygies_loop(m, order):
+    """The resolution that iterating the public `syzygies` gives: the reference for `minimal_resolution`."""
+    diffs = [m]
+    while True:
+        s = syzygies(diffs[-1], order)
+        if s.num_cols == 0:
+            return diffs
+        diffs.append(s)
+
+
+def resolution_invariants(diffs, weightlists, order):
+    """Ranks, degree multisets and, per start weight list at F_0, the propagated weight multisets."""
+    ranks = [diffs[0].num_rows] + [d.num_cols for d in diffs]
+    degrees = [Counter(d.domain.basis_degrees) for d in diffs]
+    weights = [
+        [Counter(map(tuple, ws)) for ws in propagate_resolution(list(diffs), 0, w, order).per_module]
+        for w in weightlists
+    ]
+    return ranks, degrees, weights
+
+
+def assert_resolution_matches_the_syzygies_loop(m, weightlists, order):
+    resolution = minimal_resolution(m, order)
+    diffs = resolution.differentials
+    assert diffs[0] is m
+    check_chain(list(diffs))
+    assert all(is_minimal_map(d) for d in diffs)
+    reference = syzygies_loop(m, order)
+    assert resolution_invariants(diffs, weightlists, order) == resolution_invariants(reference, weightlists, order)
+    return resolution
+
+
+def minimal_fixture_maps():
+    """(problem, matrix name) of every minimal map among the fixtures."""
+    out = []
+    for name in PROBLEMS:
+        problem = load_problem(fixture_path(name + ".json"))
+        out += [(name, key) for key, m in problem.matrices.items() if is_minimal_map(m)]
+    return out
+
+
+@pytest.mark.parametrize("order", [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS], ids=lambda o: o.kind)
+@pytest.mark.parametrize("name, presentation", minimal_fixture_maps())
+def test_minimal_resolution_matches_the_syzygies_loop_on_the_fixtures(name, presentation, order):
+    problem = load_problem(fixture_path(name + ".json"))
+    m = problem.matrices[presentation]
+    weightlists = [w for w in problem.weightlists.values() if len(w) == m.num_rows]
+    assert_resolution_matches_the_syzygies_loop(m, weightlists, order)
+
+
+def frame_log(caplog, m, order):
+    """The per-level lines `minimal_resolution` logs on m, and its ranks."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="torusweights.schreyer"):
+        ranks = minimal_resolution(m, order).ranks
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("resolution level")], ranks
+
+
+def test_the_frame_logs_each_level(caplog, grassmannian):
+    # Gr(2,5): the five Pluecker quadrics are a Groebner basis, six of their
+    # ten S-pairs give the frame's level 2, and one unit between levels 2
+    # and 3 is pruned
+    lines, ranks = frame_log(caplog, grassmannian.matrices["d1"], TOP_UP)
+    assert ranks == [1, 5, 5, 1]
+    assert lines == [
+        "resolution level 1: frame rank 5, 6 S-pairs divided, 0 units pruned, minimal rank 5",
+        "resolution level 2: frame rank 6, 2 S-pairs divided, 1 units pruned, minimal rank 5",
+        "resolution level 3: frame rank 2, 0 S-pairs divided, 1 units pruned, minimal rank 1",
+    ]
+
+
+@pytest.mark.parametrize("order", [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS], ids=lambda o: o.kind)
+def test_the_frame_prunes_the_basis_elements_s_pairs_added(caplog, grassmannian, order):
+    # d2 as a presentation: its Groebner basis has 12 elements for 5
+    # columns, and the 7 that S-pairs added go with the units of the
+    # relations that added them
+    m = grassmannian.matrices["d2"]
+    lines, ranks = frame_log(caplog, m, order)
+    assert ranks == [5, 5, 1]
+    assert lines[0].startswith("resolution level 1: frame rank 12,")
+    assert lines[0].endswith(", 7 units pruned, minimal rank 5")
+    weightlists = [w for w in grassmannian.weightlists.values() if len(w) == m.num_rows]
+    assert_resolution_matches_the_syzygies_loop(m, weightlists, order)
+
+
+@pytest.mark.parametrize("name, row", [
+    # the S-pairs' lcms (degrees 159 and 160) outgrow the first fields, so
+    # the frame's run widens them
+    ("high_degree", None),
+    ("high_degree_3var", None),
+    # no S-pair outgrows them (degree 100), but the frame's third level
+    # lies in degree 150, so the frame widens them before it packs level 2
+    (None, ["x1^50", "x2^50", "x3^50"]),
+])
+def test_the_frame_widens_its_fields(caplog, std3, name, row):
+    if name is None:
+        m, message, weightlists = row_matrix(std3, [[50]] * 3, row), "frame: widened exponent fields", [[(0, 0, 0)]]
+    else:
+        problem = load_problem(fixture_path(name + ".json"))
+        m, message, weightlists = problem.matrices["m"], "buchberger: widened exponent fields", problem.weightlists.values()
+    for order in ALL_ORDERS:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG):
+            resolution = assert_resolution_matches_the_syzygies_loop(m, weightlists, order)
+        assert message in caplog.text, order
+    if name is None:
+        assert resolution.ranks == [1, 3, 3, 1]
+        assert [d.domain.basis_degrees for d in resolution.differentials] == [((50,),) * 3, ((100,),) * 3, ((150,),)]
+
+
+def test_max_length_keeps_a_prefix_of_the_resolution():
+    # the frame is built one level beyond the last differential returned,
+    # so each of them is the one the whole resolution has
+    for name, presentation in minimal_fixture_maps():
+        m = load_problem(fixture_path(name + ".json")).matrices[presentation]
+        for order in ALL_ORDERS:
+            full = minimal_resolution(m, order).differentials
+            for length in range(1, len(full) + 2):
+                cut = minimal_resolution(m, order, max_length=length).differentials
+                assert list(cut) == list(full[:length]), (name, presentation, order, length)
+
+
+def test_the_resolution_guard_rejects_differentials_that_do_not_compose(monkeypatch, koszul, grassmannian):
+    schreyer = importlib.import_module("torusweights.schreyer")
+    real = schreyer._input_coordinates
+
+    def doubled(frame):
+        # double one coefficient of the first relation: it stays
+        # homogeneous, but no longer maps to zero
+        elements = [dict(e) for e in real(frame)]
+        key = next(iter(elements[0]))
+        elements[0][key] *= 2
+        return elements
+
+    monkeypatch.setattr(schreyer, "_input_coordinates", doubled)
+    with pytest.raises(InternalError) as info:
+        minimal_resolution(koszul.matrices["d1"], TOP_UP)
+    assert str(info.value) == "differentials 1 and 2 of the resolution do not compose to zero"
+    monkeypatch.undo()
+    real_frame = schreyer._frame
+
+    def without_creators(*args):
+        # forget which relations added the elements of G that S-pairs added
+        frame = real_frame(*args)
+        frame.creators.clear()
+        return frame
+
+    monkeypatch.setattr(schreyer, "_frame", without_creators)
+    with pytest.raises(InternalError) as info:
+        minimal_resolution(grassmannian.matrices["d2"], TOP_UP)
+    assert str(info.value) == "a unit survived pruning differential 2 of the frame"
 
 
 # d2 of the generic Koszul fixture's resolution under top-up, as `syzygies`

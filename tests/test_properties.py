@@ -39,7 +39,7 @@ from torusweights.problemfile import load_problem
 from torusweights.rings import Polynomial, monomial_div, monomial_divides, vector_add, vector_sub
 
 from conftest import fixture_path, std_ring
-from test_groebner import tracked_run
+from test_groebner import assert_resolution_matches_the_syzygies_loop, tracked_run
 from test_invariants import assert_euler_characteristic
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
@@ -852,15 +852,18 @@ def test_nakayama_flags_match_the_all_vectors_formulation(data, ring, order, coe
 
 
 def recorded_nakayama_inputs(matrix, order):
-    """minimal_resolution(matrix, order), and the unpacked (module, vectors, degrees) of its `_nakayama_kept` calls."""
+    """minimal_resolution(matrix, order), and the unpacked (module, vectors, degrees) of the `_nakayama_kept` calls
+    of `syzygies` on each of its differentials."""
     calls = []
 
     def record(codec, module, vectors, degrees):
         calls.append((module, [ModuleElement(module, codec.entries(v, module.rank)) for v in vectors], list(degrees)))
         return _nakayama_kept(codec, module, vectors, degrees)
 
+    resolution = minimal_resolution(matrix, order)
     with mock.patch("torusweights.groebner._nakayama_kept", record):
-        resolution = minimal_resolution(matrix, order)
+        for d in resolution.differentials:
+            syzygies(d, order)
     return resolution, calls
 
 
@@ -882,8 +885,8 @@ def assert_flags_match_the_reference(module, vectors, degrees, expected):
 def test_top_reduced_runs_keep_the_nakayama_flags_on_the_fixtures(name, inner_runs):
     # each map, its dual and the differentials minimal_resolution computes
     # from it under every order; with inner_runs also every vector set a
-    # Nakayama run takes inside those resolutions, among them the
-    # relations that `syzygies` minimizes
+    # Nakayama run takes in `syzygies` on those differentials, among them
+    # the relations it minimizes
     problem = load_problem(fixture_path(name + ".json"))
     maps, runs = [], []
     for m in problem.matrices.values():
@@ -1018,6 +1021,46 @@ def test_resolution_character_matches_graded_components(data, ring, order):
 
 
 FINE_TORUS_RING = RingSpec(["x1", "x2", "x3"], [[1]] * 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@st.composite
+def torus_stable_matrix(draw):
+    """A minimal map of one or two rows over FINE_TORUS_RING whose columns each have a single weight, and F_0's weights.
+
+    The torus weight of a term is its exponent vector.  Row i has the weight
+    u_i, a column the weight w, and its entry in row i is c * x^(w - u_i) or
+    0, so each column, and so the map, is torus-stable.  No column's weight
+    is at most another's, so no column lies in the submodule the others
+    generate: the map is minimal.
+    """
+    row_weights = [(0, 0, 0)]
+    if draw(st.booleans()):
+        row_weights.append(draw(st.sampled_from([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])))
+    pool = draw(st.lists(st.tuples(*(st.integers(0, 2) for _ in range(3))).filter(any), min_size=1, max_size=5))
+    kept = []
+    for w in pool:
+        if not any(monomial_divides(other, w) for other in kept):
+            kept = [other for other in kept if not monomial_divides(w, other)] + [w]
+    columns = []
+    for w in kept:
+        rows = [i for i, u in enumerate(row_weights) if min(vector_sub(w, u)) >= 0]
+        chosen = draw(st.lists(st.sampled_from(rows), min_size=1, unique=True))
+        columns.append([
+            Polynomial({vector_sub(w, u): draw(st.sampled_from([-2, -1, 1, 2, 3]))}) if i in chosen else Polynomial({})
+            for i, u in enumerate(row_weights)
+        ])
+    cod = FreeModuleSpec(FINE_TORUS_RING, [[sum(u)] for u in row_weights])
+    dom = FreeModuleSpec(FINE_TORUS_RING, [[sum(w)] for w in kept])
+    return PolyMatrix(cod, dom, [list(row) for row in zip(*columns)]), row_weights
+
+
+@SETTINGS
+@given(data=st.data(), order=st.sampled_from(ALL_ORDERS))
+def test_minimal_resolution_matches_the_syzygies_loop_on_torus_stable_maps(data, order):
+    # weight multisets are invariants of a torus-stable map only, so only
+    # such maps are compared
+    m, weights = data.draw(torus_stable_matrix())
+    assert_resolution_matches_the_syzygies_loop(m, [weights], order)
 
 
 @SETTINGS
