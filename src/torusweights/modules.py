@@ -297,13 +297,15 @@ class PolyMatrix:
             )
         rows = tuple(tuple(entries[i][j] for j in range(domain.rank)) for i in range(codomain.rank))
         ring = codomain.ring
+        degrees = {}  # id of an entry -> its degree; loaded matrices share equal entries
         for i in range(codomain.rank):
             for j in range(domain.rank):
                 p = rows[i][j]
                 if p.is_zero:
                     continue
                 expected = vector_sub(domain.basis_degrees[j], codomain.basis_degrees[i])
-                actual = ring.poly_degree(p)
+                key = id(p)
+                actual = degrees[key] if key in degrees else degrees.setdefault(key, ring.poly_degree(p))
                 if actual != expected:
                     raise HomogeneityError(
                         "entry (%d, %d) is not homogeneous of degree %r" % (i, j, expected)

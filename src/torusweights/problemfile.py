@@ -16,7 +16,8 @@ Schema (see docs/problem-file-schema.json for the machine-readable version):
 
 Matrix entries are polynomial strings in the expression grammar; "rows" names
 the codomain module, "cols" the domain module.  Matrices are checked for
-homogeneity while loading.
+homogeneity while loading.  Equal entry strings in one document are parsed
+once and load as one shared Polynomial.
 """
 
 import json
@@ -84,6 +85,7 @@ def problem_from_dict(data):
         modules[name] = FreeModuleSpec(ring, _require_int_vectors(spec, "degrees", "module %r" % name))
 
     matrices = {}
+    parsed = {}
     for name, spec in _section(data, "matrices").items():
         where = "matrix %r" % name
         rows_name = _require(spec, "rows", str, where)
@@ -98,7 +100,10 @@ def problem_from_dict(data):
             raise ProblemFileError("'entries' in %s must be rows of polynomial strings" % where)
         if len(entry_rows) != codomain.rank or any(len(r) != domain.rank for r in entry_rows):
             raise ProblemFileError("matrix %r entries do not match the module ranks" % name)
-        entries = [[parse_polynomial(ring, text) for text in row] for row in entry_rows]
+        entries = [
+            [parsed[t] if t in parsed else parsed.setdefault(t, parse_polynomial(ring, t)) for t in row]
+            for row in entry_rows
+        ]
         matrices[name] = PolyMatrix(codomain, domain, entries)
 
     weightlists = {}

@@ -98,8 +98,9 @@ class Polynomial:
     A coefficient is an int exactly when it is integral, a Fraction
     otherwise; construction, `scale`, `multiply_term` and the arithmetic
     operators all keep that rule.  Values are immutable by convention; all
-    arithmetic returns fresh objects.  The empty term map is the zero
-    polynomial.
+    arithmetic returns fresh objects.  Loaded problem files share one
+    Polynomial between equal entry strings, so nothing may write to
+    `.terms`.  The empty term map is the zero polynomial.
     """
 
     __slots__ = ("terms",)

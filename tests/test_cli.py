@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import logging
@@ -8,12 +9,30 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusweights import InputError, InternalError, PolynomialSyntaxError, ProblemFileError, ScalarMatrix
+from torusweights import (
+    HomogeneityError,
+    InputError,
+    InternalError,
+    ModuleTermOrder,
+    PolyMatrix,
+    PolynomialSyntaxError,
+    ProblemFileError,
+    ScalarMatrix,
+    buchberger,
+    is_minimal_map,
+    minimal_resolution,
+    propagate,
+    propagate_forward,
+    propagate_graded_components,
+    propagate_resolution,
+    syzygies,
+)
+from torusweights import problemfile
 from torusweights.cli import main
-from torusweights.parsing import MAX_EXPONENT
+from torusweights.parsing import MAX_EXPONENT, parse_polynomial
 from torusweights.problemfile import load_problem, problem_from_dict, problem_to_dict, scalar_matrix_to_rows
 
-from conftest import fixture_path
+from conftest import PROBLEMS, fixture_path
 
 
 def run(capsys, *argv):
@@ -599,3 +618,128 @@ def test_module_order_flag(capsys):
     top = json.loads(out_top)["weights"]
     pot = json.loads(out_pot)["weights"]
     assert sorted(map(tuple, top)) == sorted(map(tuple, pot))
+
+
+# Loading parses each distinct entry string of a document once, and equal
+# strings share one Polynomial.
+
+def spy_on_parsing(monkeypatch):
+    """The list of strings that problemfile hands to parse_polynomial from now on."""
+    texts = []
+
+    def spy(ring, text):
+        texts.append(text)
+        return parse_polynomial(ring, text)
+
+    monkeypatch.setattr(problemfile, "parse_polynomial", spy)
+    return texts
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_loading_parses_each_distinct_entry_once(monkeypatch, name):
+    doc = json.loads(fixture_path(name + ".json").read_text())
+    texts = spy_on_parsing(monkeypatch)
+    problem = problem_from_dict(doc)
+    strings = [t for spec in doc["matrices"].values() for row in spec["entries"] for t in row]
+    assert collections.Counter(texts) == collections.Counter(set(strings))
+    ring = problem.ring
+    for label, spec in doc["matrices"].items():
+        codomain, domain = problem.modules[spec["rows"]], problem.modules[spec["cols"]]
+        alone = PolyMatrix(codomain, domain, [[parse_polynomial(ring, t) for t in row] for row in spec["entries"]])
+        loaded = problem.matrices[label]
+        assert loaded.entries == alone.entries
+        assert (loaded.domain, loaded.codomain) == (alone.domain, alone.codomain)
+
+
+def one_variable_document(modules, matrices):
+    return {
+        "ring": {"vars": ["x1"], "degrees": [[1]], "weights": [[1]]},
+        "modules": {name: {"degrees": degrees} for name, degrees in modules.items()},
+        "matrices": {
+            name: {"rows": rows, "cols": cols, "entries": entries} for name, (rows, cols, entries) in matrices.items()
+        },
+    }
+
+
+def test_a_shared_entry_is_checked_at_every_cell():
+    # "x1" is homogeneous of the expected degree 1 at (0, 0) and not at (0, 1)
+    doc = one_variable_document({"F0": [[0]], "E": [[1], [2]]}, {"m": ("F0", "E", [["x1", "x1"]])})
+    with pytest.raises(HomogeneityError, match=r"entry \(0, 1\) is not homogeneous of degree \(2,\)"):
+        problem_from_dict(doc)
+    # and across matrices: n's entries reuse m's "x1", and n's (1, 0) expects degree 2
+    doc = one_variable_document(
+        {"F0": [[0]], "E": [[1]], "G": [[0], [-1]]},
+        {"m": ("F0", "E", [["x1"]]), "n": ("G", "E", [["x1"], ["x1"]])},
+    )
+    with pytest.raises(HomogeneityError, match=r"entry \(1, 0\) is not homogeneous of degree \(2,\)"):
+        problem_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad", ["x1 +", "(3*x1)^10000001", "(3*x1)^10000000", "x1 ^ -1", "y"])
+def test_a_repeated_malformed_entry_fails_as_a_single_one(monkeypatch, bad):
+    def failure(doc):
+        with pytest.raises(PolynomialSyntaxError) as info:
+            problem_from_dict(doc)
+        return str(info.value), info.value.position
+
+    once = one_variable_document({"F0": [[0]], "E": [[1]]}, {"m": ("F0", "E", [[bad]])})
+    everywhere = one_variable_document({"F0": [[0]] * 3, "E": [[1]] * 4}, {"m": ("F0", "E", [[bad] * 4] * 3)})
+    assert failure(everywhere) == failure(once)
+    # the load stops at the first copy
+    texts = spy_on_parsing(monkeypatch)
+    failure(everywhere)
+    assert texts == [bad]
+
+
+def test_a_homogeneity_error_wins_over_a_later_parse_error():
+    doc = one_variable_document(
+        {"F0": [[0]], "E": [[1]]},
+        {"m": ("F0", "E", [["x1^2"]]), "n": ("F0", "E", [["x1 +"]]), "p": ("F0", "E", [["x1^2"]])},
+    )
+    with pytest.raises(HomogeneityError, match=r"entry \(0, 0\)"):
+        problem_from_dict(doc)
+
+
+def entry_terms(problem):
+    return {label: [[dict(p.terms) for p in row] for row in m.entries] for label, m in problem.matrices.items()}
+
+
+def run_every_computation(problem, order):
+    """Run each public computation on the problem's maps and the weight lists that fit them; returns those run."""
+    ran = {buchberger, syzygies, is_minimal_map, minimal_resolution}
+    for m in problem.matrices.values():
+        buchberger(m, order)
+        syzygies(m, order)
+        is_minimal_map(m)
+        minimal_resolution(m, order)
+        for w in problem.weightlists.values():
+            if len(w) == m.num_rows:
+                propagate(m, w, order)
+                propagate_graded_components(m.domain.basis_degrees[0], m, w, order)
+                ran |= {propagate, propagate_graded_components}
+            if len(w) == m.num_cols:
+                propagate_forward(m, w, order)
+                ran.add(propagate_forward)
+    if problem.resolution is not None:
+        maps = [problem.matrices[name] for name in problem.resolution]
+        ranks = [maps[0].num_rows] + [d.num_cols for d in maps]
+        for index, rank in enumerate(ranks):
+            for w in problem.weightlists.values():
+                if len(w) == rank:
+                    propagate_resolution(maps, index, w, order)
+                    ran.add(propagate_resolution)
+    return ran
+
+
+@pytest.mark.parametrize("order", [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS], ids=lambda o: o.kind)
+def test_no_computation_writes_to_a_shared_entry(order):
+    ran = set()
+    for name in PROBLEMS:
+        problem = load_problem(fixture_path(name + ".json"))
+        before = entry_terms(problem)
+        ran |= run_every_computation(problem, order)
+        assert entry_terms(problem) == before, name
+    assert ran == {
+        buchberger, syzygies, is_minimal_map, minimal_resolution, propagate, propagate_forward,
+        propagate_resolution, propagate_graded_components,
+    }
