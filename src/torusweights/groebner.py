@@ -1,11 +1,11 @@
 """Groebner machinery for graded submodules of free modules.
 
 Division with remainder, Buchberger's algorithm (optionally truncated at a
-degree bound), reduced-basis normalization, Schreyer syzygies (read off the
-relations that the zero reductions of one Buchberger run leave behind),
-minimal free resolutions (pruned from a Schreyer frame: one Buchberger run,
-then one division per S-pair at each level, then the frame's units
-cancelled), standard monomials and graded Nakayama minimality checks.
+degree bound), reduced-basis normalization, minimal free resolutions (pruned
+from a Schreyer frame: one Buchberger run, then one division per S-pair at
+each level, then the frame's units cancelled), syzygies (the second
+differential of that pruned frame), standard monomials and graded Nakayama
+minimality checks.
 `change_of_basis` solves G = M @ C as a linear system; propagation does
 not use it, and the tests keep it as an independent check.  All
 arithmetic is exact.  Coefficients are ints where they are integral (see
@@ -13,8 +13,8 @@ arithmetic is exact.  Coefficients are ints where they are integral (see
 `/`, which would make a float of two ints.  Syzygy columns come out as
 primitive integer vectors.
 
-One engine, `_buchberger_run`, computes Groebner bases, syzygies,
-minimality and the first two levels of a resolution's frame.  Whether
+One engine, `_buchberger_run`, computes Groebner bases, minimality and the
+first two levels of the frame behind resolutions and syzygies.  Whether
 vectors minimally generate their span (graded Nakayama) is read off a
 bounded run over them that takes the S-pairs of each degree before its
 generators: a vector is needed exactly when it joins the basis (see
@@ -26,17 +26,14 @@ one add and a divisibility test one subtraction and one mask.  The boundary
 does not move: `Polynomial`, `ModuleTerm`, `ModuleElement` and every public
 or printed value keep exponent tuples.  Columns are packed once on entry,
 every map by `_packed_chain` (a single map is a chain of one), and basis
-elements and relations are unpacked once on exit; `syzygies`
-makes its relations primitive and minimizes them packed, and unpacks only
-the ones it keeps.  The checks that maps compose to zero multiply packed
-columns too (`_nonzero_composite`): the chain check packs each map once,
-by one codec for the whole chain (`_packed_chain`), and
-`propagate_resolution` reuses those columns for its minimality runs and its
-walk; `syzygies` multiplies the columns and relations its run already
-holds.  `minimal_resolution` packs its input once, keeps the frame's
-levels in the keys of `schreyer._FrameLayout` from the run on, and checks
-the composites of its pruned differentials, packed by one codec, before it
-unpacks them.
+elements and differentials are unpacked once on exit.  The checks that maps
+compose to zero multiply packed columns too (`_nonzero_composite`): the
+chain check packs each map once, by one codec for the whole chain
+(`_packed_chain`), and `propagate_resolution` reuses those columns for its
+minimality runs and its walk.  `minimal_resolution` and `syzygies` pack
+their input once, keep the frame's levels in the keys of
+`schreyer._FrameLayout` from the run on, and check the composites of the
+pruned differentials, packed by one codec, before they are unpacked.
 
 The field widths come from a bound the run proves.  Every variable's degree
 has positive functional (see `rings`), so a term of degree d at an index of
@@ -51,21 +48,20 @@ if a term outgrows them it widens them and divides again.
 
 One routine, `packed._pseudo_divide`, does all division.  It reduces an
 element dict and a tail dict, and every divisor carries its own tail
-through the division: in `syzygies`' Buchberger run the tail is the
-cofactor over the input columns, in the run and the levels of a Schreyer
-frame the unit vector of the divisor's own basis element, in `normal_form`
-the negated unit vector -e_k, which collects M times the quotient q_k.
-When the division ends the two dicts hold M * input - sum(q_k * (g_k |
-tail_k)), so the remainder, the quotients, each
-relation (Moeller, Mora and Traverso, ISSAC 1992) and each new element's
-cofactor are read straight off them.  A run that wants no relations, the
-one behind `buchberger` and `_nakayama_kept`, gives its columns empty
-tails, so its divisors carry none, and it only top-reduces each item: the
-division stops at the first term that no leading term divides, which is
-the leading term full reduction would leave.  So whether an item joins the
-basis, and with what leading term, does not change, nor does any later
-S-pair's degree; `buchberger` fully inter-reduces its basis at the end, and
-`normal_form` and the runs with tails reduce fully.  Where the coefficient
+through the division: in the run and the levels of a Schreyer frame the
+unit vector of the divisor's own basis element, in `normal_form` the
+negated unit vector -e_k, which collects M times the quotient q_k.  When
+the division ends the two dicts hold M * input - sum(q_k * (g_k |
+tail_k)), so the remainder, the quotients and each relation over the
+divisors (Moeller, Mora and Traverso, ISSAC 1992) are read straight off
+them.  A run that wants no relations, the one behind `buchberger` and
+`_nakayama_kept`, gives its columns empty tails, so its divisors carry
+none, and it only top-reduces each item: the division stops at the first
+term that no leading term divides, which is the leading term full
+reduction would leave.  So whether an item joins the basis, and with what
+leading term, does not change, nor does any later S-pair's degree;
+`buchberger` fully inter-reduces its basis at the end, and `normal_form`
+and the runs with unit tails reduce fully.  Where the coefficient
 to cancel and the divisor's leading coefficient are ints the division is
 fraction-free, as in `linalg.Echelon` (Bareiss, Math. Comp. 1968).
 Buchberger keeps its basis elements as primitive integer vectors with
@@ -93,8 +89,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DependentColumnsError, InputError, InternalError, MinimalityError
-from .linalg import _integer_row, _quotient, solve
+from .errors import DependentColumnsError, InputError, MinimalityError
+from .linalg import _quotient, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -123,11 +119,6 @@ from .rings import (
 )
 
 log = logging.getLogger(__name__)
-
-# `_buchberger_run`'s tails for the frame of `minimal_resolution`: each
-# basis element carries its own unit vector
-_UNIT_TAILS = "units"
-
 
 @dataclass
 class DivisionResult:
@@ -216,15 +207,14 @@ def _content(coefficients):
     return _quotient(gcd(*(c.numerator for c in coefficients)), lcm(*(c.denominator for c in coefficients)))
 
 
-def _buchberger_run(codec, columns, degrees, module, bound, tails):
-    """Core Buchberger loop on packed terms; returns (codec, columns, basis, reductions, joined).
+def _buchberger_run(codec, columns, degrees, module, bound, units):
+    """Core Buchberger loop on packed terms; returns (codec, columns, basis, records, joined).
 
     columns are packed dicts, packed by codec, of elements of module, column
     j of degree degrees[j]; the run copies them and leaves them as they are.
-    codec has indices for module and, with tails, for the columns.  tails
-    is False (no tails), True (cofactors over the columns, for `syzygies`)
-    or _UNIT_TAILS (unit vectors over the basis, for the frame of
-    `minimal_resolution`).
+    codec has indices for module.  units is False for a run without tails
+    (`buchberger`, `_nakayama_kept`) and True for a run with unit tails (the
+    frame of `minimal_resolution` and `syzygies`).
     Generators and S-pairs are processed in increasing order of the ring's
     positive functional of their degrees, ties broken by the degrees
     themselves (normal selection strategy); items whose functional exceeds
@@ -237,16 +227,7 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     basis, up to j's degree, of the submodule the columns before j
     generate, and column j joins exactly when it is not in that submodule:
     graded Nakayama's test of whether it is needed to generate (see
-    `_nakayama_kept`).  A run with tails takes the generators first; the
-    relations it records depend on that order.
-
-    With tails, every item is divided together with its cofactor over the
-    columns, as a tail: column j enters as col_j | e_j, and each basis
-    element carries its own cofactor as its divisor tail.  The division
-    therefore leaves M * cofactor - sum(q_k * cofactor_k) behind the
-    remainder: the relation of a zero reduction, or the cofactor of a new
-    basis element.  Without tails the columns enter with empty tails and
-    every tail stays empty, and each item is only top-reduced (see
+    `_nakayama_kept`).  Such a run only top-reduces each item (see
     `_pseudo_divide`): the division stops at the first popped term that no
     divisor's leading term divides.  Up to there its steps are those of full
     reduction, so the item reduces to zero, or joins with that leading
@@ -259,77 +240,69 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
 
     With unit tails, element t of the basis carries the unit vector e_t over
     the basis as its divisor tail, and every item enters with an empty
-    tail, so the division leaves minus the quotients over the basis behind
-    the remainder.  Each item gives a relation over the basis: its tail if
-    it reduced to zero, its tail less content * e_t if it joined as element
-    t (its remainder being content times the element).  An S-pair's
-    relation is the one Schreyer's frame takes; a column's, with the
-    multiplier M of its division, says how the column, times M, is made of
-    the basis.  Only the S-pairs `_minimal_pairs` keeps are queued, which
+    tail, so the division, a full one, leaves minus the quotients over the
+    basis behind the remainder.  Each item gives a relation over the basis:
+    its tail if it reduced to zero, its tail less content * e_t if it joined
+    as element t (its remainder being content times the element).  An
+    S-pair's relation is the one Schreyer's frame takes; a column's, with
+    the multiplier M of its division, says how the column, times M, is made
+    of the basis.  Only the S-pairs `_minimal_pairs` keeps are queued, which
     still completes the basis.  The codec's index field must then also hold
     the basis, and it is widened when the basis fills it.
 
     Before an item whose degree admits a larger total degree than the
     codec's fields hold is taken, the codec is widened and the columns, the
-    basis and the relations are repacked; codec is the last one, and
+    basis and the records are repacked; codec is the last one, and
     everything returned is packed by it, the columns too.  An S-pair waits in
     the queue as two indices and an lcm tuple, a generator as its column's
     index.
 
     The run is fraction-free on integer columns.  basis lists the (work,
     tail) packed dicts of the elements in the order they were added, not
-    yet inter-reduced: each element is a primitive integer vector with a
-    positive leading coefficient, a positive multiple of the monic element
-    a run with monic elements would add at that point.  The S-pair of
-    elements with leading coefficients alpha and beta is (beta / g) * m_a *
-    a - (alpha / g) * m_b * b, g = gcd(alpha, beta), taken on element and
-    tail at once; the leading terms cancel, so it is formed from the
-    divisor bodies.
+    yet inter-reduced, tail {e_t: 1} with unit tails and empty without:
+    each element is a primitive integer vector with a positive leading
+    coefficient, a positive multiple of the monic element a run with monic
+    elements would add at that point.  The S-pair of elements with leading
+    coefficients alpha and beta is (beta / g) * m_a * a - (alpha / g) * m_b
+    * b, g = gcd(alpha, beta), taken on element and tail at once; the
+    leading terms cancel, so it is formed from the divisor bodies.
 
-    reductions holds (relation, degree) for every generator or S-pair of
-    that degree that reduced to zero, the relation being the packed tail
-    the division left, and (e_j, degree of column j) for a zero column j.
-    Each relation is a syzygy of the columns in that degree, a positive
-    multiple of the monic run's relation.  Without a bound these relations
-    generate all syzygies.  With unit tails it holds (relation, degree,
-    payload, M, t) for every item taken, in the order taken: payload is the
-    column index or the S-pair (i, t', lcm), M the division's multiplier and
-    t the index the item joined the basis at, None if it reduced to zero; a
-    zero column gives ({}, its degree, j, 1, None).
+    records is empty without tails.  With unit tails it holds (relation,
+    degree, payload, M, t) for every item taken, in the order taken: payload
+    is the column index or the S-pair (i, t', lcm), M the division's
+    multiplier and t the index the item joined the basis at, None if it
+    reduced to zero; a zero column gives ({}, its degree, j, 1, None).
     """
     joined = [False] * len(columns)
     if not columns:
         return codec, columns, [], [], joined
-    frame = tails == _UNIT_TAILS
     ring = codec.ring
     functional = ring._functional
     limit = functional(bound) if bound is not None else None
     # a term of an item of degree d at element index i has degree d, so its
-    # monomial has degree d - deg e_i; at tail index j, d - deg column j, or
-    # with unit tails d - deg g_j, which is at least a column's degree
+    # monomial has degree d - deg e_i; with unit tails, at tail index t,
+    # d - deg g_t, which is at least a column's degree
     base = min(map(functional, itertools.chain(module.basis_degrees, degrees)))
     step = min(functional(d) for d in ring.var_degrees)
     unit = unit_monomial(ring.num_vars)
     heap = []
     seq = itertools.count()
-    reductions = []
+    records = []
 
     def push(degree, generator, payload):
         value = functional(degree)
         if limit is None or value <= limit:
             # without tails the S-pairs of a degree go before its generators,
             # so that a generator joins exactly when Nakayama keeps it; with
-            # tails the generators go first, in push order, since the
-            # relations, and so the syzygy matrices printed, depend on it
-            heapq.heappush(heap, (value, degree, generator and not tails, next(seq), payload))
+            # unit tails the generators go first, in push order, since the
+            # matrices `resolve` prints depend on it
+            heapq.heappush(heap, (value, degree, generator and not units, next(seq), payload))
 
     for j, (col, degree) in enumerate(zip(columns, degrees)):
         if col:
             push(degree, True, j)
-        elif frame:
-            reductions.append(({}, degree, j, 1, None))
-        else:
-            reductions.append(({codec.term(unit, j): 1} if tails else {}, degree))
+        elif units:
+            records.append(({}, degree, j, 1, None))
 
     basis = []
     divisors = []
@@ -339,25 +312,25 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
         # the largest total degree of a term of the next item; a run with
         # unit tails also needs an index for the element it may add
         needed = max(0, (heap[0][0] - base) // step)
-        if needed > codec.capacity or (frame and len(basis) >= codec.indices):
-            old, codec = codec, codec.widened(needed, 2 * len(basis) if frame else 0)
+        if needed > codec.capacity or (units and len(basis) >= codec.indices):
+            old, codec = codec, codec.widened(needed, 2 * len(basis) if units else 0)
             if codec.bits > old.bits:
                 log.debug("buchberger: widened exponent fields to %d bits for degree %s", codec.bits, heap[0][1])
             columns = [codec.repacked(old, c) for c in columns]
             basis = [(codec.repacked(old, w), codec.repacked(old, t)) for w, t in basis]
             divisors = [_divisor(w, t) for w, t in basis]
-            reductions = [(codec.repacked(old, t), *rest) for t, *rest in reductions]
+            records = [(codec.repacked(old, t), *rest) for t, *rest in records]
         _, degree, _, _, payload = heapq.heappop(heap)
         if type(payload) is int:
-            work = dict(columns[payload])
-            tail = {codec.term(unit, payload): 1} if tails is True else {}
+            work, tail = dict(columns[payload]), {}
         else:
             i, j, lcm_mono = payload
             work, tail = _s_pair(divisors[i], divisors[j], codec.term(lcm_mono, leads[j].index))
-        multiplier = _pseudo_divide(work, tail if tails else None, divisors, codec)
+        multiplier = _pseudo_divide(work, tail if units else None, divisors, codec)
         t = len(basis)
         if not work:
-            reductions.append((tail, degree, payload, multiplier, None) if frame else (tail, degree))
+            if units:
+                records.append((tail, degree, payload, multiplier, None))
             continue
         if type(payload) is int:
             joined[payload] = True
@@ -365,15 +338,13 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
         content = _content(work.values())
         if work[lead] < 0:
             content = -content
-        if frame:
+        if units:
             # work is content times the new element, so the item's relation
             # is its tail less content times the element's unit
             own = codec.term(unit, t)
             tail[own] = -content
-            reductions.append((tail, degree, payload, multiplier, t))
+            records.append((tail, degree, payload, multiplier, t))
             tail = {own: 1}
-        elif content != 1:
-            tail = {s: exact_quotient(c, content) for s, c in tail.items()}
         if content != 1:
             work = {s: exact_quotient(c, content) for s, c in work.items()}
         basis.append((work, tail))
@@ -382,13 +353,13 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
         leads.append(new)
         log.debug("basis element %d with leading term %s", t, new)
         pairs = [(i, monomial_lcm(leads[i].monomial, new.monomial)) for i in range(t) if leads[i].index == new.index]
-        if frame:
+        if units:
             pairs = _minimal_pairs(pairs, monomial_divides)
         for i, lcm_mono in pairs:
             pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
             push(pair_degree, False, (i, t, lcm_mono))
 
-    return codec, columns, basis, reductions, joined
+    return codec, columns, basis, records, joined
 
 
 def _s_pair(a, b, lcm_term):
@@ -479,9 +450,7 @@ def buchberger(matrix, order, bound=None):
     if bound is not None:
         bound = _int_vector(bound, "degree bound", ring.degree_length)
     codec, (columns,) = _packed_chain([matrix], order)
-    codec, _, basis, _, _ = _buchberger_run(
-        codec, columns, matrix.domain.basis_degrees, matrix.codomain, bound, False
-    )
+    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, bound, False)
     monic = []
     for work, _ in basis:
         lead_coeff = work[max(work)]
@@ -613,49 +582,39 @@ def is_minimal_map(matrix):
 def syzygies(matrix, order):
     """A minimal generating set for the syzygies of the matrix columns.
 
-    Schreyer's theorem on standard representations (Moeller, Mora and
-    Traverso, ISSAC 1992), read off one unbounded Buchberger run: every
-    generator or S-pair that reduces to zero gives a relation, its cofactor
-    minus the quotient-weighted cofactors of the basis elements.  For an
-    S-pair this is the pair's standard representation taken to the frame of
-    the columns; for column j it is the discrepancy e_j - sum(q_k * cof_k),
-    and a zero column gives e_j itself.  A pair that added a basis element
-    maps to zero through the cofactors and needs no relation.  Each relation
-    lies in the degree its item was queued at.  Each is scaled by a positive
-    rational to a primitive integer vector (integer coefficients with gcd
-    1), which changes no degree and no Nakayama selection, and the relations
-    are then minimized by `_nakayama_kept`: a second, bounded run over the
-    relations, in the codec the first run ended with.  Only the kept
-    relations are unpacked.  The result S satisfies matrix @ S = 0 and its
-    image is the full syzygy module; S is one minimal generating set of it,
-    not a canonical one.  The claim matrix @ S = 0 is checked before S is
-    unpacked, on the run's own columns and the kept relations, in the run's
-    last codec, so nothing is packed again; an InternalError says it failed.
+    Read off the pruned Schreyer frame that `minimal_resolution` builds
+    (see `schreyer`).  Graded Nakayama (`_nakayama_kept`) splits the columns
+    of M = matrix into kept ones K, which minimally generate the image, and
+    redundant ones R.  The frame is built over M_K, and each redundant
+    column c_j is divided by its Groebner basis G with unit tails, as the
+    frame's run divides a column: s * c_j = v_j . G for a positive integer
+    s, which gives the relation s * e_j - v_j once v_j is written over the
+    kept columns, as the frame's second differential is.  The map (u, w) ->
+    (u + A * w, w), with M_R = M_K * A, is a degree-preserving automorphism
+    that carries the syzygies of M onto those of M_K plus the free module on
+    R, so the pruned second differential over M_K and these relations
+    together generate the syzygies minimally.  On a minimal map R is empty
+    and the result is exactly `minimal_resolution(matrix, order,
+    max_length=2)`'s second differential, or a zero-column matrix where the
+    resolution has none.  Where every column is zero (so also where the map
+    has no rows) the syzygies are the identity.
+
+    Every column is a primitive integer vector (integer coefficients with
+    gcd 1).  The claim matrix @ S = 0 is checked once, on packed columns,
+    before S is unpacked; an InternalError says it failed.
     """
     check_order(order)
     codec, (columns,) = _packed_chain([matrix], order)
-    codec, columns, _, reductions, _ = _buchberger_run(
-        codec, columns, matrix.domain.basis_degrees, matrix.codomain, None, True
-    )
-    candidates, degrees = [], []
-    for relation, degree in reductions:
-        if relation:
-            candidates.append(_integer_row(relation))
-            degrees.append(degree)
-    kept = _nakayama_kept(codec, matrix.domain, candidates, degrees)
-    relations = [c for c, keep in zip(candidates, kept) if keep]
-    # The run's last codec holds matrix @ S.  A relation of degree D is the
-    # tail of an item the run took at degree D (or e_j for a zero column j,
-    # which meets only zero entries), and before taking it the run widened
-    # its fields to hold total degree (functional(D) - base) / step, base
-    # and step as in `_buchberger_run`.  Both factors are homogeneous, so
-    # every term the product kernel forms for that relation, at codomain
-    # index i, has degree D, and its monomial has total degree at most
-    # (functional(D) - functional(deg e_i)) / step, which is within that.
-    if _nonzero_composite(codec, [columns, relations]) is not None:
-        raise InternalError("syzygy matrix does not annihilate the input")
-    domain = FreeModuleSpec(matrix.domain.ring, [d for d, keep in zip(degrees, kept) if keep])
-    return codec.matrix(relations, matrix.domain, domain)
+    kept = _nakayama_kept(codec, matrix.codomain, columns, matrix.domain.basis_degrees)
+    if not any(kept):
+        unit = unit_monomial(codec.ring.num_vars)
+        return codec.matrix([{codec.term(unit, j): 1} for j in range(matrix.num_cols)], matrix.domain, matrix.domain)
+    from .schreyer import _frame, _pruned
+
+    differentials = _pruned(_frame(codec, columns, matrix, 3, kept), matrix, 2)
+    if len(differentials) == 2:
+        return differentials[1]
+    return codec.matrix([], matrix.domain, FreeModuleSpec(codec.ring, []))
 
 
 def _packed_chain(differentials, order):
@@ -798,7 +757,8 @@ def minimal_resolution(matrix, order, max_length=None):
     # `is_minimal_map`'s test, on the columns the frame's run takes: its
     # flags do not depend on the order
     codec, (columns,) = _packed_chain([matrix], order)
-    if not all(_nakayama_kept(codec, matrix.codomain, columns, matrix.domain.basis_degrees)):
+    kept = _nakayama_kept(codec, matrix.codomain, columns, matrix.domain.basis_degrees)
+    if not all(kept):
         raise MinimalityError("presentation matrix is not a minimal map")
     if matrix.num_cols == 0:
         return Resolution(matrix.codomain, _MinimalChain())
@@ -808,5 +768,5 @@ def minimal_resolution(matrix, order, max_length=None):
     # not load its module
     from .schreyer import _frame, _pruned
 
-    frame = _frame(codec, columns, matrix, None if max_length is None else max_length + 1)
+    frame = _frame(codec, columns, matrix, None if max_length is None else max_length + 1, kept)
     return Resolution(matrix.codomain, _MinimalChain(_pruned(frame, matrix, max_length)))

@@ -252,7 +252,9 @@ def _pseudo_divide(work, tail, divisors, codec):
     M; work | tail then is M * input - sum(q_k * (g_k | tail_k)), where q_k
     are the quotients of the division scaled by M.  work holds M times the
     remainder, and tail holds M times the input's tail minus the
-    quotient-weighted tails of the divisors.
+    quotient-weighted tails of the divisors.  A divisor's tail is its unit
+    vector e_k in the Buchberger run and levels of a Schreyer frame (the
+    tail collects a relation over the divisors), -e_k in `normal_form`.
 
     At each step the first divisor (in list order) whose leading term
     divides the current leading term is used; irreducible leading terms stay

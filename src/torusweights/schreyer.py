@@ -18,7 +18,6 @@ from math import gcd
 
 from .errors import InternalError
 from .groebner import (
-    _UNIT_TAILS,
     _buchberger_run,
     _content,
     _minimal_pairs,
@@ -137,7 +136,9 @@ class _Frame:
     is, for a column-born t, the relation over G that its division left
     (packed by level 2's layout) and the division's multiplier; creators[t]
     is, for an S-pair-born t, the level-2 element of the S-pair that added
-    it.
+    it.  redundant lists the (relation, degree) of each redundant column,
+    packed by level 2's layout; level 1 gives each a row after G's, with
+    lead 0.
     """
 
     codec: object
@@ -147,10 +148,16 @@ class _Frame:
     born: list
     joins: dict
     creators: dict
+    redundant: list
 
 
-def _frame(codec, columns, matrix, top):
-    """The Schreyer frame (a `_Frame`) over the minimal map matrix, whose columns codec packed.
+def _frame(codec, columns, matrix, top, kept):
+    """The Schreyer frame (a `_Frame`) over matrix, whose columns codec packed, and kept of them.
+
+    kept flags the columns that minimally generate the image (see
+    `groebner.syzygies`), and the frame is built over those.  Each other
+    column c_j is divided by G with unit tails: M * c_j = v_j . G gives its
+    relation M * e_j - v_j, e_j the column's own row of level 1.
 
     Level 1 is the Groebner basis G of the image that one Buchberger run
     with unit tails builds (see `_buchberger_run`), level 2 the relations
@@ -168,13 +175,18 @@ def _frame(codec, columns, matrix, top):
 
     The run fits its fields to the items it takes.  A frame term has the
     degree of its element's leading term, whose F_0 monomial divides the
-    lcm of G's leading monomials at its index; the codec is widened, once,
-    to hold the largest such degree before level 2 is packed.
+    lcm of G's leading monomials at its index, and a redundant column's
+    relation the column's degree; the codec is widened, once, to hold the
+    largest such degree before level 2 is packed.
     """
     module = matrix.codomain
     ring = module.ring
-    codec, columns, basis, records, joined = _buchberger_run(
-        codec, columns, matrix.domain.basis_degrees, module, None, _UNIT_TAILS
+    degrees = matrix.domain.basis_degrees
+    inputs = [j for j, keep in enumerate(kept) if keep]
+    redundant = [j for j, keep in enumerate(kept) if not keep]
+    start = codec
+    codec, packed, basis, records, joined = _buchberger_run(
+        codec, [columns[j] for j in inputs], [degrees[j] for j in inputs], module, None, True
     )
     if not all(joined):
         raise InternalError("a column of a minimal map reduced to zero in the frame's run")
@@ -184,21 +196,27 @@ def _frame(codec, columns, matrix, top):
         lcms[index] = monomial_lcm(lcms.get(index, mono), mono)
     functional = ring._functional
     top_degree = max(functional(vector_add(ring.monomial_degree(m), module.basis_degrees[i])) for i, m in lcms.items())
+    top_degree = max([top_degree] + [functional(degrees[j]) for j in redundant])
     base = min(map(functional, module.basis_degrees))
     step = min(map(functional, ring.var_degrees))
     bound = (top_degree - base) // step
     if bound > codec.capacity:
         old, codec = codec, codec.widened(bound)
         log.debug("frame: widened exponent fields to %d bits", codec.bits)
-        columns = [codec.repacked(old, c) for c in columns]
-        basis = [(codec.repacked(old, w), None) for w, _ in basis]
+        packed = [codec.repacked(old, c) for c in packed]
+        basis = [(codec.repacked(old, w), codec.repacked(old, t)) for w, t in basis]
         records = [(codec.repacked(old, r), *rest) for r, *rest in records]
+    if redundant:
+        # the run packed only the kept columns by its last codec
+        packed = [codec.repacked(start, c) for c in columns]
     g_leads = [max(w) for w, _ in basis]
-    first = _FrameLayout(codec, (max(len(basis), 1).bit_length(),))
-    level1 = _FrameLevel(first, None, [first.key(lead, ()) for lead in g_leads], [])
+    first = _FrameLayout(codec, (max(len(basis) + len(redundant), 1).bit_length(),))
+    # a redundant column's row has no leading term: its key is its chain
+    level1 = _FrameLevel(first, None, [first.key(lead, ()) for lead in g_leads] + [0] * len(redundant), [])
     for mono, index in map(codec.unpack, g_leads):
         level1.degrees.append(vector_add(ring.monomial_degree(mono), module.basis_degrees[index]))
-    frame = _Frame(codec, bound, columns, [level1], [None] * len(basis), {}, {})
+    level1.degrees += [degrees[j] for j in redundant]
+    frame = _Frame(codec, bound, packed, [level1], [None] * len(basis) + redundant, {}, {}, [])
     layout = first.appended(sum(type(payload) is not int for _, _, payload, _, _ in records))
     level2 = _FrameLevel(layout, [], [], [])
     units = [layout.key(lead, (p,)) for p, lead in enumerate(g_leads)]
@@ -213,7 +231,7 @@ def _frame(codec, columns, matrix, top):
 
     for relation, degree, payload, multiplier, t in records:
         if type(payload) is int:
-            frame.born[t] = payload
+            frame.born[t] = inputs[payload]
             frame.joins[t] = (lifted(relation), multiplier)
             continue
         if t is not None:
@@ -222,6 +240,15 @@ def _frame(codec, columns, matrix, top):
         level2.elements.append(_primitive_element(lifted(relation))[0])
         level2.leads.append(layout.key(codec.term(lcm_mono, codec.unpack(g_leads[j]).index), (j,)))
         level2.degrees.append(degree)
+    divisors = [_divisor(w, t) for w, t in basis] if redundant else []
+    for r, j in enumerate(redundant):
+        work, tail = dict(packed[j]), {}
+        multiplier = _pseudo_divide(work, tail, divisors, codec)
+        if work:
+            raise InternalError("a redundant column is not in the span of the kept columns")
+        relation = lifted(tail)
+        relation[layout.key(0, (len(basis) + r,))] = multiplier
+        frame.redundant.append((relation, degrees[j]))
     frame.levels.append(level2)
     while frame.levels[-1].elements and (top is None or len(frame.levels) < top):
         frame.levels.append(_next_level(frame.levels[-1]))
@@ -269,7 +296,7 @@ def _next_level(level):
 
 
 def _input_coordinates(frame):
-    """Level 2 of the frame written over the input columns and the elements of G that S-pairs added.
+    """Level 2 of the frame and the redundant columns' relations, over the input columns and G's S-pair-born elements.
 
     The run divides input column c, which joins G as element t, by unit
     tails: it leaves M * c = content * g_t - tail . G, and records the
@@ -279,7 +306,7 @@ def _input_coordinates(frame):
     elements before t, so each substitution is built from the earlier ones.
     Keys stay those of level 2's layout, the key of e_t standing for the
     input column of element t; a column that joined as it was (M = content,
-    empty tail) needs no substitution.
+    empty tail) needs no substitution, nor does a redundant column's row.
     """
     level1, level2 = frame.levels[0], frame.levels[1]
     layout = level2.layout
@@ -306,9 +333,10 @@ def _input_coordinates(frame):
             tail = substituted(tail)
             tail[units[t]] = tail.get(units[t], 0) + multiplier
             cofactors[t] = [(key, exact_quotient(c, content)) for key, c in tail.items() if c]
+    vectors = level2.elements + [relation for relation, _ in frame.redundant]
     if not cofactors:
-        return level2.elements
-    return [substituted(e) for e in level2.elements]
+        return vectors
+    return [substituted(e) for e in vectors]
 
 
 def _pruned(frame, matrix, max_length):
@@ -328,7 +356,9 @@ def _pruned(frame, matrix, max_length):
     cancel whatever constant entries they have, column by column, each at
     its lowest row.  Each differential ends with an exact check that no
     constant entry is left, an InternalError otherwise; the cancellations
-    keep the frame exact, so the result is minimal.
+    keep the frame exact, so the result is minimal.  The redundant columns'
+    relations follow level 2's elements in d_2: no pivots, and their
+    constants stay (see `groebner.syzygies` for why they are minimal).
 
     The cancellation is fraction-free: each differential's columns start
     as primitive integer vectors, and clearing a row scales a column by a
@@ -402,7 +432,7 @@ def _pruned(frame, matrix, max_length):
                 rows = constants(columns[b])
                 if rows:
                     cancel(rows[0], b)
-        if any(constants(columns[c]) for c in alive):
+        if any(constants(columns[c]) for c in alive if c < len(levels[k - 1].elements)):
             raise InternalError("a unit survived pruning differential %d of the frame" % k)
         for c in touched.intersection(alive):
             columns[c], content = _primitive_element(columns[c])
@@ -410,8 +440,9 @@ def _pruned(frame, matrix, max_length):
         factors = {c: next_factors[c] for c in alive if next_factors[c] != 1}
         dead = set(range(len(columns))) - set(alive)
         steps.append((layout, units, columns, alive, pruned))
-    # what survives of each level: G's column-born elements at level 1, and
-    # at level k the columns of d_k not cancelled as rows of d_{k+1}
+    # what survives of each level: G's column-born elements and the
+    # redundant columns at level 1, and at level k the columns of d_k not
+    # cancelled as rows of d_{k+1}
     survivors = [[t for t, c in enumerate(frame.born) if c is not None]]
     for k, (_, _, _, alive, _) in enumerate(steps, start=2):
         removed = steps[k - 1][4] if k - 1 < len(steps) else ()
@@ -430,8 +461,10 @@ def _pruned(frame, matrix, max_length):
         length += 1
     ring = matrix.domain.ring
     modules = [matrix.codomain, matrix.domain]
+    degrees = [level.degrees for level in levels]
+    degrees[1] = degrees[1] + [degree for _, degree in frame.redundant]
     for k in range(2, length + 1):
-        modules.append(FreeModuleSpec(ring, [levels[k - 1].degrees[c] for c in survivors[k - 1]]))
+        modules.append(FreeModuleSpec(ring, [degrees[k - 1][c] for c in survivors[k - 1]]))
     codec = _TermCodec(ring, frame.codec.order, max(m.rank for m in modules), frame.bound)
     packed = [[codec.repacked(frame.codec, c) for c in frame.columns]]
     for k in range(2, length + 1):

@@ -38,6 +38,7 @@ from torusweights.modules import ModuleElement
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
+from torusweights.rings import vector_add
 
 from conftest import PROBLEMS, entries_as_text, fixture_path, matrix
 
@@ -49,22 +50,22 @@ def row_matrix(ring, degs, texts):
 
 
 def tracked_run(m, order):
-    """The unbounded Buchberger run with tails on m's columns, unpacked.
+    """The unbounded Buchberger run with unit tails on m's columns, unpacked.
 
-    Returns the (element, cofactor) pair of every element the run added, in
-    order, and its (relation, degree) pairs, each relation a ModuleElement
-    of the frame over m's columns.
+    Returns the elements g_t the run added, in order, and its records
+    (relation, degree, payload, multiplier, t), each relation a
+    ModuleElement of the free module over those elements.
     """
     ring = m.domain.ring
-    frame = FreeModuleSpec(ring, m.domain.basis_degrees)
     codec = _TermCodec(ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
-    codec, _, basis, reductions, _ = _buchberger_run(codec, codec.columns(m), frame.basis_degrees, m.codomain, None, True)
-
-    def unpacked(module, terms):
-        return ModuleElement(module, codec.entries(terms, module.rank))
-
-    elements = [(unpacked(m.codomain, work), unpacked(frame, tail)) for work, tail in basis]
-    return elements, [(unpacked(frame, tail), degree) for tail, degree in reductions]
+    codec, _, basis, records, _ = _buchberger_run(
+        codec, codec.columns(m), m.domain.basis_degrees, m.codomain, None, True
+    )
+    elements = [ModuleElement(m.codomain, codec.entries(work, m.num_rows)) for work, _ in basis]
+    over = FreeModuleSpec(ring, [g.term_degree(g.leading_term(order)[0]) for g in elements])
+    return elements, [
+        (ModuleElement(over, codec.entries(relation, over.rank)), *rest) for relation, *rest in records
+    ]
 
 
 @pytest.fixture
@@ -315,9 +316,9 @@ def test_buchberger_queue_follows_the_positive_functional():
     degrees = [[2, -4], [1, 0], [1, -2], [2, -2]]
     ring = RingSpec(["w", "x", "y", "z"], degrees, degrees, "lex")
     m = row_matrix(ring, [[2, 0], [3, -2]], ["x^2", "x^2*y+x*z"])
-    basis, _ = tracked_run(m, TOP_UP)
-    assert [polynomial_to_string(ring, element.entries[0]) for element, _ in basis] == ["x^2", "x*z"]
-    values = [ring._functional(g.term_degree(g.leading_term(TOP_UP)[0])) for g, _ in basis]
+    elements, _ = tracked_run(m, TOP_UP)
+    assert [polynomial_to_string(ring, element.entries[0]) for element in elements] == ["x^2", "x*z"]
+    values = [ring._functional(g.term_degree(g.leading_term(TOP_UP)[0])) for g in elements]
     assert values == sorted(values)
 
 
@@ -557,8 +558,9 @@ def test_syzygies_of_a_high_degree_row_in_three_variables_are_fast():
 def test_syzygies_of_generic_rational_cubics_are_fast(std3):
     # four cubic columns over rows in degrees 0 and 1, with coefficients
     # n/d, |n| <= 5, d in {1, 2, 3, 4, 6}: the relations' integer
-    # coefficients grow large, and with a minimality check by monomial
-    # products this call took 6-7 s on a 2-vCPU container, against 2 s now
+    # coefficients grow large; with a minimality check by monomial products
+    # this call took 6-7 s on a 2-vCPU container, and from the pruned frame
+    # it takes 0.6-0.7 s
     rng = random.Random(1)
 
     def form(degree):
@@ -576,53 +578,75 @@ def test_syzygies_of_generic_rational_cubics_are_fast(std3):
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
 
 
+def with_redundant_columns(m):
+    """m with two redundant columns appended: its first column again, and its last one times the first variable."""
+    ring = m.domain.ring
+    columns = m.columns()
+    degrees = list(m.domain.basis_degrees)
+    degrees += [degrees[0], vector_add(degrees[-1], ring.var_degrees[0])]
+    extra = [columns[0], columns[-1].multiply(ring.variable(0))]
+    return PolyMatrix.from_columns(m.codomain, FreeModuleSpec(ring, degrees), columns + extra)
+
+
 @pytest.mark.parametrize(
-    "name, presentation, widens",
+    "name, presentation, widens, redundant",
     [
-        ("koszul", "d1", False),
-        ("bigraded", "m", False),
-        ("grassmannian", "d1", False),
-        ("mixed_sign", "m", False),
-        # the runs on these widen their fields before the guard reads them
-        ("high_degree", "m", True),
-        ("high_degree_3var", "m", True),
+        ("koszul", "d1", False, False),
+        ("bigraded", "m", False, False),
+        ("grassmannian", "d1", False, False),
+        ("mixed_sign", "m", False, False),
+        # the frames of these widen their fields before the guard reads them
+        ("high_degree", "m", True, False),
+        ("high_degree_3var", "m", True, False),
+        # maps that are not minimal: only the redundant columns' relations
+        # are perturbed
+        ("grassmannian", "d1", False, True),
+        ("high_degree", "m", True, True),
     ],
 )
-def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(monkeypatch, name, presentation, widens):
-    groebner = importlib.import_module("torusweights.groebner")
+def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(
+    monkeypatch, name, presentation, widens, redundant
+):
+    schreyer = importlib.import_module("torusweights.schreyer")
     m = load_problem(fixture_path(name + ".json")).matrices[presentation]
-    real_integer_row, real_composite = groebner._integer_row, groebner._nonzero_composite
+    if redundant:
+        m = with_redundant_columns(m)
+    real_coordinates, real_composite = schreyer._input_coordinates, schreyer._nonzero_composite
     guard_bits = []
 
     def composite(codec, packed):
         guard_bits.append(codec.bits)
         return real_composite(codec, packed)
 
-    monkeypatch.setattr(groebner, "_nonzero_composite", composite)
+    def doubled(frame):
+        # double one coefficient of each relation that reaches the guard as
+        # it is, up to multiples of the pivots: the redundant columns'
+        # relations, which come last, or else every level-2 element that is
+        # no pivot of pruning; each then no longer maps to zero, and pruning
+        # the third differential removes only some level-2 elements
+        vectors = [dict(v) for v in real_coordinates(frame)]
+        if redundant:
+            targets = range(len(vectors) - len(frame.redundant), len(vectors))
+        else:
+            targets = set(range(len(vectors))) - set(frame.creators.values())
+        for k in targets:
+            vectors[k][next(iter(vectors[k]))] *= 2
+        return vectors
+
+    monkeypatch.setattr(schreyer, "_nonzero_composite", composite)
     for order in ALL_ORDERS:
         guard_bits.clear()
         s = syzygies(m, order)
         assert (m @ s).is_zero
+        assert s.num_cols > 0
         assert len(guard_bits) == 1 and (guard_bits[0] > _FIELD_BITS) == widens, order
-        perturbed = []
-
-        def integer_row(vec):
-            # double one coefficient of the first relation, which is the
-            # first in degree order, so the minimization keeps it: it stays
-            # homogeneous but no longer maps the nonzero columns to zero
-            row = real_integer_row(vec)
-            if not perturbed:
-                term = next(iter(row))
-                row[term] *= 2
-                perturbed.append(term)
-            return row
-
+        guard_bits.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(groebner, "_integer_row", integer_row)
+            patch.setattr(schreyer, "_input_coordinates", doubled)
             with pytest.raises(InternalError) as info:
                 syzygies(m, order)
-        assert str(info.value) == "syzygy matrix does not annihilate the input"
-        assert perturbed
+        assert str(info.value) == "differentials 1 and 2 of the resolution do not compose to zero"
+        assert len(guard_bits) == 1
 
 
 def test_minimal_resolution_koszul_shape(koszul):
@@ -748,6 +772,18 @@ def test_minimal_resolution_matches_the_syzygies_loop_on_the_fixtures(name, pres
     assert_resolution_matches_the_syzygies_loop(m, weightlists, order)
 
 
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize("name, presentation", minimal_fixture_maps())
+def test_syzygies_of_a_minimal_map_are_the_resolutions_second_differential(name, presentation, order):
+    m = load_problem(fixture_path(name + ".json")).matrices[presentation]
+    s = syzygies(m, order)
+    differentials = minimal_resolution(m, order, max_length=2).differentials
+    if len(differentials) == 2:
+        assert s == differentials[1]
+    else:
+        assert (s.codomain, s.domain.rank) == (m.domain, 0)
+
+
 def frame_log(caplog, m, order):
     """The per-level lines `minimal_resolution` logs on m, and its ranks."""
     caplog.clear()
@@ -852,7 +888,8 @@ def test_the_resolution_guard_rejects_differentials_that_do_not_compose(monkeypa
 
 
 # d2 of the generic Koszul fixture's resolution under top-up, as `syzygies`
-# gave it before its columns were scaled to primitive integer vectors
+# gave it before its columns were scaled to primitive integer vectors; the
+# pruned frame gives the same columns, each scaled by a positive rational
 GENERIC_KOSZUL_RATIONAL_D2 = [
     ["-3/13*x1-2/13*x2-1/39*x3-7/39*x4", "42/319*x1-48/319*x3-12/319*x4", "42/319*x2+79/319*x3+67/319*x4",
      "139/1331*x1-114/1331*x4", "139/1331*x2+344/1331*x4", "139/1331*x3-65/1331*x4"],
@@ -868,6 +905,7 @@ def test_syzygies_of_generic_forms_are_primitive_integer_columns():
     problem = load_problem(fixture_path("generic_koszul.json"))
     m = problem.matrices["d1"]
     s = syzygies(m, TOP_UP)
+    assert s == minimal_resolution(m, TOP_UP, max_length=2).differentials[1]
     rational = matrix(m.domain.ring, [[1]] * 4, [[2]] * 6, GENERIC_KOSZUL_RATIONAL_D2)
     assert s.domain == rational.domain
     for col, old in zip(s.columns(), rational.columns()):
