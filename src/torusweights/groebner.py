@@ -87,10 +87,10 @@ import logging
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DependentColumnsError, InputError, MinimalityError
-from .linalg import _quotient, solve
+from .linalg import _primitive, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -198,15 +198,6 @@ class GroebnerBasis:
         return [g.leading_term(self.order)[0] for g in self.elements]
 
 
-def _content(coefficients):
-    """gcd(n_i) / lcm(d_i) over the nonzero coefficients n_i / d_i (in lowest terms).
-
-    A positive rational; the coefficients divided by it are primitive
-    integers.  coefficients must be iterable twice.
-    """
-    return _quotient(gcd(*(c.numerator for c in coefficients)), lcm(*(c.denominator for c in coefficients)))
-
-
 def _buchberger_run(codec, columns, degrees, module, bound, units):
     """Core Buchberger loop on packed terms; returns (codec, columns, basis, records, joined).
 
@@ -262,10 +253,13 @@ def _buchberger_run(codec, columns, degrees, module, bound, units):
     yet inter-reduced, tail {e_t: 1} with unit tails and empty without:
     each element is a primitive integer vector with a positive leading
     coefficient, a positive multiple of the monic element a run with monic
-    elements would add at that point.  The S-pair of elements with leading
-    coefficients alpha and beta is (beta / g) * m_a * a - (alpha / g) * m_b
-    * b, g = gcd(alpha, beta), taken on element and tail at once; the
-    leading terms cancel, so it is formed from the divisor bodies.
+    elements would add at that point: an item that joins is divided by its
+    content (`linalg._primitive`) and negated if its leading coefficient is
+    negative, which gives the signed content above.  The S-pair of elements
+    with leading coefficients alpha and beta is (beta / g) * m_a * a -
+    (alpha / g) * m_b * b, g = gcd(alpha, beta), taken on element and tail
+    at once; the leading terms cancel, so it is formed from the divisor
+    bodies.
 
     records is empty without tails.  With unit tails it holds (relation,
     degree, payload, M, t) for every item taken, in the order taken: payload
@@ -335,8 +329,9 @@ def _buchberger_run(codec, columns, degrees, module, bound, units):
         if type(payload) is int:
             joined[payload] = True
         lead = max(work)
-        content = _content(work.values())
+        work, content = _primitive(work)
         if work[lead] < 0:
+            work = {s: -c for s, c in work.items()}
             content = -content
         if units:
             # work is content times the new element, so the item's relation
@@ -345,8 +340,6 @@ def _buchberger_run(codec, columns, degrees, module, bound, units):
             tail[own] = -content
             records.append((tail, degree, payload, multiplier, t))
             tail = {own: 1}
-        if content != 1:
-            work = {s: exact_quotient(c, content) for s, c in work.items()}
         basis.append((work, tail))
         divisors.append(_divisor(work, tail))
         new = codec.unpack(lead)

@@ -1,12 +1,14 @@
 """Exact Gaussian elimination over the rationals.
 
-`Echelon` eliminates sparse vectors, mappings {position: rational}, without
-fractions: each vector is cleared of denominators on entry and kept as an
-integer row whose content (the gcd of its entries) is divided out after
-every step.  Fractions appear only in `reduced_rows`, and there only for
-entries that are not integers.  `rank` adapts dense rows to it.  `solve`
-and `invert` stay dense, on lists of Fraction; the tests keep them as
-references independent of `Echelon`.
+`_primitive` is the engine's one routine for its fraction-free rule: it
+divides a mapping {key: rational} by its content, leaving a primitive
+integer vector with the same signs, and `Echelon`, `groebner._buchberger_run`
+and the Schreyer frame and its pruning apply it wherever a vector changes.
+`Echelon` eliminates sparse vectors, mappings {position: rational}: each is
+made primitive on entry and after every step.  Fractions appear only in
+`reduced_rows`, and there only for entries that are not integers.  `rank`
+adapts dense rows to it.  `solve` and `invert` stay dense, on lists of
+Fraction; the tests keep them as references independent of `Echelon`.
 """
 
 from fractions import Fraction
@@ -15,25 +17,28 @@ from math import gcd, lcm
 from .errors import DependentColumnsError, InputError, SingularMatrixError
 
 
-def _primitive(row):
-    """row with its content divided out."""
-    g = gcd(*row.values())
-    if g > 1:
-        return {k: v // g for k, v in row.items()}
-    return row
-
-
-def _integer_row(vec):
-    """Primitive integer multiple of a {position: rational} mapping, zeros dropped."""
-    entries = {k: v for k, v in vec.items() if v}
-    scale = lcm(*(v.denominator for v in entries.values()))
-    return _primitive({k: v.numerator * (scale // v.denominator) for k, v in entries.items()})
-
-
 def _quotient(a, b):
     """a / b for ints: an int when b divides a, otherwise a Fraction."""
     q, r = divmod(a, b)
     return Fraction(a, b) if r else q
+
+
+def _primitive(vec):
+    """(vec / c, c), c the content of the {key: rational} mapping vec.
+
+    c is the positive rational gcd(numerators) / lcm(denominators) of the
+    entries, so vec / c is a primitive integer vector with vec's signs; c is
+    an int when it is integral.  vec itself comes back when c is 1, and an
+    empty vec gives (vec, 1).
+    """
+    values = vec.values()
+    if all(type(v) is int for v in values):
+        c = gcd(*values)
+        if c > 1:
+            return {k: v // c for k, v in vec.items()}, c
+        return vec, 1
+    num, den = gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values))
+    return {k: v.numerator * (den // v.denominator) // num for k, v in vec.items()}, _quotient(num, den)
 
 
 def _eliminate(row, pivot_row, pos):
@@ -47,7 +52,7 @@ def _eliminate(row, pivot_row, pos):
             out[k] = s
         else:
             del out[k]
-    return _primitive(out)
+    return _primitive(out)[0]
 
 
 class Echelon:
@@ -76,7 +81,7 @@ class Echelon:
 
     def add(self, vec):
         """Reduce vec and absorb it; return True if it enlarged the span."""
-        row = self._reduce(_integer_row(vec))
+        row = self._reduce(_primitive({k: v for k, v in vec.items() if v})[0])
         if not row:
             return False
         self.pivots[min(row)] = row

@@ -8,10 +8,10 @@ leading term: weight of the leading monomial plus the weight attached to
 the leading term's row.  Every S-pair lies above its columns' degree, so
 that basis is the reduced row echelon form of the columns, and one
 elimination yields it and C^-1 with no Groebner run.  The weights and C^-1
-need only the elimination's pivots; G is back-substituted to the reduced
-echelon form on first read (`_reduced_columns`), and C, which the walk
-never reads either, is built on first read by inverting C^-1 in one more
-elimination (`_inverted`).  Forward propagation runs the same
+need only the elimination's pivots.  C, which the walk never reads, is
+built on first read by inverting C^-1 in one more elimination
+(`_inverted`), and G, which it does not read either, as the product
+M @ C (`_sorted_matrix`).  Forward propagation runs the same
 procedure on the dual map with negated weights and a flipped (up <-> down)
 ordering, and resolutions rebase each differential d as the product
 C^-1 @ d with the previous step's C^-1.
@@ -246,8 +246,8 @@ def _propagate(codomain, domain, weights, codec, columns):
     identity at the pivots, so C^-1[k][j] is column j's coefficient at G_k's
     pivot, and neither C^-1 nor the weights need the back-substitution.
     Degrees share no term: they reduce apart.  Only the leading terms of G
-    are unpacked; G itself (see `_reduced_columns`) and C (see `_inverted`)
-    are built on first read.
+    are unpacked; C (see `_inverted`) and G = M @ C (see `_sorted_matrix`)
+    are built on first read, so the result keeps no elimination.
     """
     ring = domain.ring
     degree_of = {t: d for col, d in zip(columns, domain.basis_degrees) for t in col}
@@ -272,19 +272,30 @@ def _propagate(codomain, domain, weights, codec, columns):
         ),
         rebased,
         partial(_inverted, inverse),
-        partial(_reduced_columns, ech, terms, pivots, codec, codomain, rebased),
+        partial(_sorted_matrix, codec, columns, inverse, codomain, rebased),
     )
 
 
-def _reduced_columns(ech, terms, pivots, codec, codomain, rebased):
-    """G, the sorted basis matrix, from `_propagate`'s elimination.
+def _sorted_matrix(codec, columns, inverse, codomain, rebased):
+    """G, the sorted basis matrix from codomain to rebased, as M @ C.
 
-    Back-substitutes ech to its reduced echelon form; the row at each of
-    pivots, over the packed terms at its positions in terms, is a column of
-    G, from codomain to rebased.
+    columns are the packed columns of M, packed by codec, and inverse is
+    C^-1; C comes from `_inverted` and is multiplied in by
+    `_TermCodec.product` with its columns packed as constant terms.
     """
-    rows = ech.reduced_rows()
-    return codec.matrix([{terms[p]: c for p, c in rows[pos].items()} for pos in pivots], codomain, rebased)
+    change = _constant_columns(codec, _inverted(inverse))
+    return codec.matrix(list(codec.product(columns, change)), codomain, rebased)
+
+
+def _constant_columns(codec, scalars):
+    """The columns of the ScalarMatrix scalars packed by codec as constant terms, entry i at index i.
+
+    A constant factor adds no degree, so a codec that holds a map holds
+    its product with them.
+    """
+    unit = unit_monomial(codec.ring.num_vars)
+    constants = [codec.term(unit, i) for i in range(scalars.num_rows)]
+    return [{t: x for t, x in zip(constants, col) if x} for col in zip(*scalars.rows)]
 
 
 def _inverted(inverse):
@@ -341,10 +352,7 @@ def _walk(steps, weights):
     inverse = None
     for codomain, domain, codec, columns in steps:
         if inverse is not None:
-            unit = unit_monomial(codec.ring.num_vars)
-            constants = [codec.term(unit, i) for i in range(codomain.rank)]
-            left = [{t: x for t, x in zip(constants, col) if x} for col in zip(*inverse.rows)]
-            columns = list(codec.product(left, columns))
+            columns = list(codec.product(_constant_columns(codec, inverse), columns))
             codomain = spec
         result = _propagate(codomain, domain, weights, codec, columns)
         yield partial(codec.matrix, columns, codomain, domain), result

@@ -19,11 +19,11 @@ from math import gcd
 from .errors import InternalError
 from .groebner import (
     _buchberger_run,
-    _content,
     _minimal_pairs,
     _nonzero_composite,
     _s_pair,
 )
+from .linalg import _primitive
 from .modules import FreeModuleSpec
 from .packed import _TermCodec, _divisor, _pseudo_divide
 from .rings import exact, exact_quotient, monomial_lcm, vector_add
@@ -94,17 +94,6 @@ class _FrameLayout:
     def exponents(self, key, unit):
         """The exponents of the monomial m with key = m * unit."""
         return self.codec.exponents((key - unit) >> self.width)
-
-
-def _primitive_element(element):
-    """The packed element dict divided by its content: a primitive integer vector, signs kept.
-
-    Returns (the vector, the content); the content of the zero vector is 1.
-    """
-    content = _content(element.values()) if element else 1
-    if content == 1:
-        return element, content
-    return {t: exact_quotient(c, content) for t, c in element.items()}, content
 
 
 @dataclass
@@ -237,7 +226,7 @@ def _frame(codec, columns, matrix, top, kept):
         if t is not None:
             frame.creators[t] = len(level2.elements)
         _, j, lcm_mono = payload
-        level2.elements.append(_primitive_element(lifted(relation))[0])
+        level2.elements.append(_primitive(lifted(relation))[0])
         level2.leads.append(layout.key(codec.term(lcm_mono, codec.unpack(g_leads[j]).index), (j,)))
         level2.degrees.append(degree)
     divisors = [_divisor(w, t) for w, t in basis] if redundant else []
@@ -288,7 +277,7 @@ def _next_level(level):
         _pseudo_divide(work, tail, divisors, layout)
         if work:
             raise InternalError("an S-polynomial of the frame did not reduce to zero")
-        relation = _primitive_element(tail)[0]
+        relation = _primitive(tail)[0]
         out.elements.append({t << below.shift: c for t, c in relation.items()})
         out.leads.append((lcm_key | j) << below.shift)
         out.degrees.append(degree)
@@ -362,9 +351,10 @@ def _pruned(frame, matrix, max_length):
 
     The cancellation is fraction-free: each differential's columns start
     as primitive integer vectors, and clearing a row scales a column by a
-    positive integer instead of dividing by the pivot.  Each column ends as
-    a primitive integer vector too (signs kept), and every scaling of a
-    column by s divides the next differential's row by s.  All
+    positive integer instead of dividing by the pivot.  Right after, the
+    column is divided by its content (`linalg._primitive`, signs kept), so
+    every column stays a primitive integer vector as it goes, and the net
+    scaling of a column by s divides the next differential's row by s.  All
     differentials are packed by one codec and checked to compose to zero
     before they are unpacked (an InternalError says a pair did not).  At
     most max_length differentials are kept (all if None), and none from the
@@ -388,9 +378,9 @@ def _pruned(frame, matrix, max_length):
         # each scaling of the column by s
         next_factors = [1] * len(columns)
         for c, column in enumerate(columns):
-            columns[c], next_factors[c] = _primitive_element(column)
+            columns[c], next_factors[c] = _primitive(column)
         alive = list(range(len(columns)))
-        pruned, touched = set(), set()
+        pruned = set()
 
         def cancel(a, b):
             # fraction-free: a column with entries x at row a becomes
@@ -404,13 +394,11 @@ def _pruned(frame, matrix, max_length):
                 hits = [(key, x) for key, x in column.items() if layout.index(key, k - 1) == a]
                 if not hits:
                     continue
-                touched.add(c)
                 g = gcd(p, *(x for _, x in hits))
                 scale, sign = abs(p) // g, 1 if p > 0 else -1
                 if scale != 1:
                     for key in column:
                         column[key] *= scale
-                    next_factors[c] = exact_quotient(next_factors[c], scale)
                 for key, x in hits:
                     q, move = sign * x // g, key - unit
                     for t, y in pivot:
@@ -420,6 +408,8 @@ def _pruned(frame, matrix, max_length):
                             column[t] = value
                         else:
                             del column[t]
+                columns[c], content = _primitive(column)
+                next_factors[c] = exact_quotient(next_factors[c] * content, scale)
 
         def constants(column):
             return sorted(a for key in column for a in (layout.index(key, k - 1),) if key == units[a])
@@ -434,9 +424,6 @@ def _pruned(frame, matrix, max_length):
                     cancel(rows[0], b)
         if any(constants(columns[c]) for c in alive if c < len(levels[k - 1].elements)):
             raise InternalError("a unit survived pruning differential %d of the frame" % k)
-        for c in touched.intersection(alive):
-            columns[c], content = _primitive_element(columns[c])
-            next_factors[c] = exact(next_factors[c] * content)
         factors = {c: next_factors[c] for c in alive if next_factors[c] != 1}
         dead = set(range(len(columns))) - set(alive)
         steps.append((layout, units, columns, alive, pruned))

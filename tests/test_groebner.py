@@ -559,8 +559,9 @@ def test_syzygies_of_generic_rational_cubics_are_fast(std3):
     # four cubic columns over rows in degrees 0 and 1, with coefficients
     # n/d, |n| <= 5, d in {1, 2, 3, 4, 6}: the relations' integer
     # coefficients grow large; with a minimality check by monomial products
-    # this call took 6-7 s on a 2-vCPU container, and from the pruned frame
-    # it takes 0.6-0.7 s
+    # this call took 6-7 s on a 2-vCPU container, and from the pruned frame,
+    # with each column made primitive as soon as a cancellation changes it,
+    # it takes 0.5-0.75 s there (best of three, five runs)
     rng = random.Random(1)
 
     def form(degree):
@@ -754,6 +755,14 @@ def assert_resolution_matches_the_syzygies_loop(m, weightlists, order):
     return resolution
 
 
+def assert_primitive_integer_columns(m):
+    """Every column of the PolyMatrix m has int coefficients with gcd 1."""
+    for col in m.columns():
+        coefficients = [c for _, c in col.support()]
+        assert all(type(c) is int for c in coefficients)
+        assert gcd(*coefficients) == 1
+
+
 def minimal_fixture_maps():
     """(problem, matrix name) of every minimal map among the fixtures."""
     out = []
@@ -782,6 +791,14 @@ def test_syzygies_of_a_minimal_map_are_the_resolutions_second_differential(name,
         assert s == differentials[1]
     else:
         assert (s.codomain, s.domain.rank) == (m.domain, 0)
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+@pytest.mark.parametrize("name, presentation", minimal_fixture_maps())
+def test_resolution_differentials_of_the_fixtures_are_primitive_integer_columns(name, presentation, order):
+    m = load_problem(fixture_path(name + ".json")).matrices[presentation]
+    for d in minimal_resolution(m, order).differentials[1:]:
+        assert_primitive_integer_columns(d)
 
 
 def frame_log(caplog, m, order):
@@ -908,10 +925,8 @@ def test_syzygies_of_generic_forms_are_primitive_integer_columns():
     assert s == minimal_resolution(m, TOP_UP, max_length=2).differentials[1]
     rational = matrix(m.domain.ring, [[1]] * 4, [[2]] * 6, GENERIC_KOSZUL_RATIONAL_D2)
     assert s.domain == rational.domain
+    assert_primitive_integer_columns(s)
     for col, old in zip(s.columns(), rational.columns()):
-        coefficients = [c for _, c in col.support()]
-        assert all(type(c) is int for c in coefficients)
-        assert gcd(*coefficients) == 1
         term, c = next(old.support())
         ratio = Fraction(col.entries[term.index].terms[term.monomial]) / c
         assert ratio > 0

@@ -31,7 +31,7 @@ from torusweights import (
 )
 from torusweights.errors import ResolutionStepError
 from torusweights.groebner import _buchberger_run, _nakayama_kept, _term_divides
-from torusweights.linalg import Echelon, rank
+from torusweights.linalg import Echelon, _primitive, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
@@ -39,7 +39,12 @@ from torusweights.problemfile import load_problem
 from torusweights.rings import Polynomial, exact, monomial_div, monomial_divides, vector_add, vector_sub
 
 from conftest import fixture_path, std_ring
-from test_groebner import assert_resolution_matches_the_syzygies_loop, tracked_run, with_redundant_columns
+from test_groebner import (
+    assert_primitive_integer_columns,
+    assert_resolution_matches_the_syzygies_loop,
+    tracked_run,
+    with_redundant_columns,
+)
 from test_invariants import assert_euler_characteristic
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
@@ -151,6 +156,32 @@ def test_echelon_matches_sympy_rref(case, explicit_zeros):
     assert reduced == expected
     assert list(reduced) == sorted(reduced)
     assert all(list(row) == sorted(row) for row in reduced.values())
+
+
+# mappings {key: rational} mixing ints and Fractions of either sign, with a
+# common factor, and sometimes empty
+@st.composite
+def rational_mappings(draw):
+    entry = st.one_of(st.integers(-30, 30).filter(bool), nonzero_rationals)
+    values = draw(st.lists(entry, max_size=6))
+    factor = draw(st.sampled_from([1, 1, 2, 6, 35, 2**70]))
+    return {3 * k + 1: v * factor for k, v in enumerate(values)}
+
+
+@SETTINGS
+@given(vec=rational_mappings())
+def test_primitive_divides_out_the_positive_content(vec):
+    out, c = _primitive(vec)
+    assert c > 0
+    assert type(c) is int or c.denominator != 1
+    assert list(out) == list(vec)
+    assert all(type(x) is int for x in out.values())
+    if vec:
+        assert gcd(*out.values()) == 1
+    else:
+        assert c == 1
+    assert all((x > 0) == (v > 0) for x, v in zip(out.values(), vec.values()))
+    assert all(v == c * out[k] for k, v in vec.items())
 
 
 # ---------- exact coefficients: int when integral, else Fraction ----------
@@ -744,10 +775,11 @@ def test_syzygies_span_sympys_syzygy_module(data, ring, order, coefficients):
 @SETTINGS
 @given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
 def test_syzygy_columns_are_primitive_multiples_of_the_relations(data, ring, order):
-    # the frame divides each relation and each column of a differential by
-    # its content (`schreyer._primitive_element`); where it only clears
-    # denominators instead, each column still comes out a positive multiple
-    # of the one `syzygies` returns, which is a primitive integer vector
+    # the frame divides each relation, and each column of a differential
+    # wherever it changes, by its content (`linalg._primitive`, as
+    # `schreyer` imports it); where it only clears denominators instead,
+    # each column still comes out a positive multiple of the one
+    # `syzygies` returns, which is a primitive integer vector
     m = data.draw(homogeneous_matrix(ring))
     s = syzygies(m, order)
 
@@ -755,7 +787,7 @@ def test_syzygy_columns_are_primitive_multiples_of_the_relations(data, ring, ord
         scale = lcm(*(Fraction(c).denominator for c in element.values()))
         return {t: exact(c * scale) for t, c in element.items()}, Fraction(1, scale)
 
-    with mock.patch("torusweights.schreyer._primitive_element", integral):
+    with mock.patch("torusweights.schreyer._primitive", integral):
         relations = syzygies(m, order)
     assert s.domain == relations.domain
     for col, relation in zip(s.columns(), relations.columns()):
@@ -766,6 +798,16 @@ def test_syzygy_columns_are_primitive_multiples_of_the_relations(data, ring, ord
         ratio = Fraction(col.entries[term.index].terms[term.monomial]) / c
         assert ratio > 0
         assert col == relation.scale(ratio)
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_resolution_differentials_are_primitive_integer_columns(data, ring, order):
+    # pruning divides each column by its content whenever it changes
+    m = data.draw(homogeneous_matrix(ring, coefficients=st.one_of(st.integers(-2, 2), non_unit_rationals)))
+    assume(is_minimal_map(m))
+    for d in minimal_resolution(m, order).differentials[1:]:
+        assert_primitive_integer_columns(d)
 
 
 def basis_image(module, elements, vector):
