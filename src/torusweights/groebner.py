@@ -17,8 +17,10 @@ One engine, `_buchberger_run`, computes Groebner bases, minimality and the
 first two levels of the frame behind resolutions and syzygies.  Whether
 vectors minimally generate their span (graded Nakayama) is read off a
 bounded run over them that takes the S-pairs of each degree before its
-generators: a vector is needed exactly when it joins the basis (see
-`_nakayama_kept`).  No monomial multiple of a vector is formed.
+generators: a vector is needed exactly when it joins the basis.  Vectors
+that all lie in one degree are decided without a run, by the engine's one
+elimination, `linalg.Echelon` (see `_nakayama_kept`).  No monomial multiple
+of a vector is formed.
 
 Division, Buchberger and the inter-reduction run on packed terms (see
 `packed`): a module term is one int that is its own order key, a product is
@@ -63,7 +65,8 @@ leading term, does not change, nor does any later S-pair's degree;
 `buchberger` fully inter-reduces its basis at the end, and `normal_form`
 and the runs with unit tails reduce fully.  Where the coefficient
 to cancel and the divisor's leading coefficient are ints the division is
-fraction-free, as in `linalg.Echelon` (Bareiss, Math. Comp. 1968).
+fraction-free, as `linalg.Echelon`'s elimination of dense integer rows is
+(Bareiss, Math. Comp. 1968).
 Buchberger keeps its basis elements as primitive integer vectors with
 positive leading coefficients, so on integer input its run makes no
 fractions; each element and each relation is a
@@ -90,7 +93,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DependentColumnsError, InputError, MinimalityError
-from .linalg import _primitive, solve
+from .linalg import Echelon, _primitive, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -550,9 +553,22 @@ def _nakayama_kept(codec, module, vectors, degrees):
     without tails, bounded at the largest degree, which takes the S-pairs
     of each degree before its generators and top-reduces each item (see
     `_buchberger_run`).  No monomial multiple of a vector is formed.
+
+    Vectors that all lie in one degree d need no run: no positive-degree
+    monomial multiple of a vector lands in d, so a vector is kept iff it is
+    linearly independent of the vectors before it.  One `linalg.Echelon`
+    over their terms decides that, keeping a vector iff adding it enlarges
+    the span, which is the run's flag there.  This is the rule for every
+    caller: `is_minimal_map`, `syzygies`, the input check of
+    `minimal_resolution` and the per-differential checks of
+    `propagate.propagate_resolution`.
     """
     if not vectors:
         return []
+    if len(set(degrees)) == 1:
+        index = {t: i for i, t in enumerate(dict.fromkeys(t for v in vectors for t in v))}
+        ech = Echelon(len(index))
+        return [ech.add({index[t]: c for t, c in v.items()}) for v in vectors]
     functional = codec.ring._functional
     bound = max(degrees, key=lambda d: (functional(d), d))
     return _buchberger_run(codec, vectors, degrees, module, bound, False)[4]
@@ -564,7 +580,8 @@ def is_minimal_map(matrix):
     Graded Nakayama: for each degree d occurring among the column degrees,
     the degree-d columns must stay linearly independent modulo the degree-d
     part of (irrelevant ideal) * image.  Decided by `_nakayama_kept` on the
-    packed columns, under top-up; the flags do not depend on the order, so
+    packed columns, under top-up, by a bounded run or, for columns in one
+    degree, by one elimination; the flags do not depend on the order, so
     `propagate` and `propagate_resolution` run it on the columns they packed
     under theirs.
     """

@@ -4,8 +4,12 @@
 divides a mapping {key: rational} by its content, leaving a primitive
 integer vector with the same signs, and `Echelon`, `groebner._buchberger_run`
 and the Schreyer frame and its pruning apply it wherever a vector changes.
-`Echelon` eliminates sparse vectors, mappings {position: rational}: each is
-made primitive on entry and after every step.  Fractions appear only in
+`Echelon` is the engine's one elimination.  It takes mappings {position:
+rational} and keeps dense integer rows, lists over a width fixed when it is
+made, since the vectors it takes (the columns of a map over the terms of
+one degree, a block of C^-1 beside the identity) are mostly nonzero and
+their entries stay small: a list comprehension per step costs less than
+dict passes.  Each row is made primitive on entry and after every step.  Fractions appear only in
 `reduced_rows`, and there only for entries that are not integers.  `rank`
 adapts dense rows to it.  `solve` and `invert` stay dense, on lists of
 Fraction; the tests keep them as references independent of `Echelon`.
@@ -32,7 +36,7 @@ def _primitive(vec):
     empty vec gives (vec, 1).
     """
     values = vec.values()
-    if all(type(v) is int for v in values):
+    if set(map(type, values)) <= {int}:
         c = gcd(*values)
         if c > 1:
             return {k: v // c for k, v in vec.items()}, c
@@ -42,49 +46,52 @@ def _primitive(vec):
 
 
 def _eliminate(row, pivot_row, pos):
-    """Primitive integer combination of row and pivot_row that is zero at pos."""
+    """Primitive integer combination of the dense rows row and pivot_row that is zero at pos.
+
+    Both are integer rows, so `_primitive`'s int branch is all the
+    combination needs, written out here since this is the kernel's step.
+    """
     g = gcd(pivot_row[pos], row[pos])
     a, b = pivot_row[pos] // g, row[pos] // g
-    out = {k: a * v for k, v in row.items()}
-    for k, v in pivot_row.items():
-        s = out.get(k, 0) - b * v
-        if s:
-            out[k] = s
-        else:
-            del out[k]
-    return _primitive(out)[0]
+    if a == 1:
+        out = [u - b * v for u, v in zip(row, pivot_row)]
+    else:
+        out = [a * u - b * v for u, v in zip(row, pivot_row)]
+    c = gcd(*out)
+    return [v // c for v in out] if c > 1 else out
 
 
 class Echelon:
-    """Incremental row echelon form of sparse rational vectors.
+    """Incremental row echelon form of rational vectors of a fixed width.
 
-    A vector maps integer positions to rationals; its pivot is its first
-    (smallest) nonzero position.  `pivots` maps each pivot position to its
-    stored primitive integer row, in the order the rows were added.  Each
-    stored row is zero at the pivots of the rows before it, and every row is
-    zero before its own pivot.
+    A vector maps positions in range(width) to rationals; its pivot is its
+    first (smallest) nonzero position.  Each vector is kept as a dense
+    primitive integer row, a list of width ints: it is made so on entry,
+    clearing its denominators, and again after every elimination step.
+    `pivots` maps each pivot position to its stored row, in the order the
+    rows were added.  Each stored row is zero at the pivots of the rows
+    before it, and every row is zero before its own pivot.
     """
 
-    def __init__(self):
+    def __init__(self, width):
+        self.width = width
         self.pivots = {}
 
-    def _reduce(self, row):
-        """An integer row reduced to zero at every stored pivot.
+    def add(self, vec):
+        """Reduce vec and absorb it; return True if it enlarged the span.
 
         Rows are taken in the order they were added: a later row is zero at
         the earlier pivots, so it cannot bring back an entry cleared before.
         """
+        row = [0] * self.width
+        for pos, x in _primitive({k: v for k, v in vec.items() if v})[0].items():
+            row[pos] = x
         for pos, pivot_row in self.pivots.items():
-            if pos in row:
+            if row[pos]:
                 row = _eliminate(row, pivot_row, pos)
-        return row
-
-    def add(self, vec):
-        """Reduce vec and absorb it; return True if it enlarged the span."""
-        row = self._reduce(_primitive({k: v for k, v in vec.items() if v})[0])
-        if not row:
+        if not any(row):
             return False
-        self.pivots[min(row)] = row
+        self.pivots[next(pos for pos, x in enumerate(row) if x)] = row
         return True
 
     def reduced_rows(self):
@@ -101,9 +108,11 @@ class Echelon:
             for other, vec in rows.items():
                 if other >= pos:
                     break
-                if pos in vec:
+                if vec[pos]:
                     rows[other] = _eliminate(vec, row, pos)
-        return {pos: {k: _quotient(v, row[pos]) for k, v in sorted(row.items())} for pos, row in rows.items()}
+        return {
+            pos: {k: _quotient(x, row[pos]) for k, x in enumerate(row) if x} for pos, row in rows.items()
+        }
 
     @property
     def rank(self):
@@ -112,7 +121,7 @@ class Echelon:
 
 def rank(rows):
     """Rank of a matrix given as a list of dense rows."""
-    ech = Echelon()
+    ech = Echelon(len(rows[0]) if rows else 0)
     for row in rows:
         ech.add(dict(enumerate(row)))
     return ech.rank

@@ -7,14 +7,14 @@ change of basis in the domain) and reads each new column's weight off its
 leading term: weight of the leading monomial plus the weight attached to
 the leading term's row.  Every S-pair lies above its columns' degree, so
 that basis is the reduced row echelon form of the columns, and one
-elimination yields it and C^-1 with no Groebner run.  The weights and C^-1
-need only the elimination's pivots.  C, which the walk never reads, is
-built on first read by inverting C^-1 in one more elimination
-(`_inverted`), and G, which it does not read either, as the product
-M @ C (`_sorted_matrix`).  Forward propagation runs the same
-procedure on the dual map with negated weights and a flipped (up <-> down)
-ordering, and resolutions rebase each differential d as the product
-C^-1 @ d with the previous step's C^-1.
+elimination per degree of the columns yields it and C^-1 with no Groebner
+run.  The weights and C^-1 need only the eliminations' pivots.  C, which
+the walk never reads, is built on first read by inverting C^-1 one degree
+block at a time (`_inverted`), and G, which it does not read either, as
+the product M @ C with that C (`_sorted_matrix`).  Forward propagation
+runs the same procedure on the dual map with negated weights and a flipped
+(up <-> down) ordering, and resolutions rebase each differential d as the
+product C^-1 @ d with the previous step's C^-1.
 
 Each fact about the input is proved once, by the code that establishes it,
 and private functions do not check it again.  For columns in at most one
@@ -96,9 +96,11 @@ class PropagationResult:
 
     `inverse_change_of_basis`, `weights` and `rebased_module` are computed
     with the result.  `change_of_basis` and `sorted_matrix` are built on
-    first read, by the functions of no argument the result is made with,
-    and cached, since propagation and the resolution walk read neither.
-    Results are equal when all five fields are.
+    first read and cached, since propagation and the resolution walk read
+    neither: C by the function of no argument the result is made with, and
+    G by the function of one argument, C, it is made with, from the cached
+    C, so that reading both inverts C^-1 once.  Results are equal when all
+    five fields are.
     """
 
     def __init__(
@@ -116,7 +118,7 @@ class PropagationResult:
 
     @cached_property
     def sorted_matrix(self):
-        return self._build_sorted_matrix()
+        return self._build_sorted_matrix(self.change_of_basis)
 
     def _fields(self):
         return (
@@ -182,13 +184,14 @@ _NOT_MINIMAL = "map is not minimal; its columns do not minimally generate the im
 
 
 def _fails_nakayama(codomain, domain, codec, columns):
-    """Whether a packed map fails the Nakayama check, run only where the elimination cannot decide.
+    """Whether a packed map fails the Nakayama check, run only where `_propagate` cannot decide.
 
     columns are the map's packed columns, packed by codec.  With the
-    columns in at most one degree, minimal means linearly independent, the
-    check does not run, and `_propagate`'s elimination raises
-    MinimalityError when they are not.  The flags of `_nakayama_kept` do
-    not depend on codec's order.
+    columns in at most one degree, minimal means linearly independent (see
+    `_nakayama_kept`), the check does not run, and `_propagate`'s
+    elimination raises MinimalityError when they are not.  With columns in
+    several degrees `_nakayama_kept` runs its bounded Buchberger run; its
+    flags do not depend on codec's order.
     """
     degrees = domain.basis_degrees
     return len(set(degrees)) > 1 and not all(_nakayama_kept(codec, codomain, columns, degrees))
@@ -238,31 +241,34 @@ def _propagate(codomain, domain, weights, codec, columns):
 
     columns are the packed columns, packed by codec, of a map from domain to
     codomain; codec's order is the one propagated under.  A packed term is
-    its own order key, so the image's terms sort as plain ints.  Row j of
-    one elimination is column j's coefficients over those terms, in
-    decreasing order; a column that reduces to zero means dependent
-    columns.  The pivots of the echelon form are the leading terms of G,
-    whose columns are the rows of the reduced echelon form.  G is the
-    identity at the pivots, so C^-1[k][j] is column j's coefficient at G_k's
-    pivot, and neither C^-1 nor the weights need the back-substitution.
-    Degrees share no term: they reduce apart.  Only the leading terms of G
-    are unpacked; C (see `_inverted`) and G = M @ C (see `_sorted_matrix`)
-    are built on first read, so the result keeps no elimination.
+    its own order key, so the image's terms sort as plain ints.  Degrees
+    share no term, so each degree class of columns is eliminated on its
+    own, by one `Echelon` over that class's terms only, in decreasing
+    order: row j is column j's coefficients over them, and a column that
+    reduces to zero means dependent columns.  The pivots of the echelon
+    forms are the leading terms of G, whose columns are the rows of the
+    reduced echelon forms.  G is the identity at the pivots, so C^-1[k][j]
+    is column j's coefficient at G_k's pivot, and neither C^-1 nor the
+    weights need the back-substitution.  Only the leading terms of G are
+    unpacked; C (see `_inverted`) and G = M @ C (see `_sorted_matrix`) are
+    built on first read, so the result keeps no elimination.
     """
     ring = domain.ring
-    degree_of = {t: d for col, d in zip(columns, domain.basis_degrees) for t in col}
-    terms = sorted(degree_of, reverse=True)
-    index = {t: i for i, t in enumerate(terms)}
-    ech = Echelon()
-    for col in columns:
-        if not ech.add({index[t]: coeff for t, coeff in col.items()}):
-            raise MinimalityError(_NOT_MINIMAL)
+    classes = {}
+    for col, d in zip(columns, domain.basis_degrees):
+        classes.setdefault(d, []).append(col)
+    leads, degrees = [], []
+    for d, block in classes.items():
+        terms = sorted({t for col in block for t in col}, reverse=True)
+        index = {t: i for i, t in enumerate(terms)}
+        ech = Echelon(len(terms))
+        for col in block:
+            if not ech.add({index[t]: coeff for t, coeff in col.items()}):
+                raise MinimalityError(_NOT_MINIMAL)
+        leads += [terms[pos] for pos in sorted(ech.pivots, reverse=codec.order.is_position_up)]
+        degrees += [d] * len(block)
 
-    classes = {d: k for k, d in enumerate(dict.fromkeys(domain.basis_degrees))}
-    sign = -1 if codec.order.is_position_up else 1
-    pivots = sorted(ech.pivots, key=lambda pos: (classes[degree_of[terms[pos]]], sign * pos))
-    leads = [terms[pos] for pos in pivots]
-    rebased = FreeModuleSpec(ring, [degree_of[t] for t in leads])
+    rebased = FreeModuleSpec(ring, degrees)
     inverse = ScalarMatrix([[col.get(t, 0) for col in columns] for t in leads])
     return PropagationResult(
         inverse,
@@ -271,20 +277,19 @@ def _propagate(codomain, domain, weights, codec, columns):
             for t in map(codec.unpack, leads)
         ),
         rebased,
-        partial(_inverted, inverse),
-        partial(_sorted_matrix, codec, columns, inverse, codomain, rebased),
+        partial(_inverted, inverse, degrees, domain.basis_degrees),
+        partial(_sorted_matrix, codec, columns, codomain, rebased),
     )
 
 
-def _sorted_matrix(codec, columns, inverse, codomain, rebased):
+def _sorted_matrix(codec, columns, codomain, rebased, change):
     """G, the sorted basis matrix from codomain to rebased, as M @ C.
 
-    columns are the packed columns of M, packed by codec, and inverse is
-    C^-1; C comes from `_inverted` and is multiplied in by
-    `_TermCodec.product` with its columns packed as constant terms.
+    columns are the packed columns of M, packed by codec, and change is C,
+    which is multiplied in by `_TermCodec.product` with its columns packed
+    as constant terms.
     """
-    change = _constant_columns(codec, _inverted(inverse))
-    return codec.matrix(list(codec.product(columns, change)), codomain, rebased)
+    return codec.matrix(list(codec.product(columns, _constant_columns(codec, change))), codomain, rebased)
 
 
 def _constant_columns(codec, scalars):
@@ -298,26 +303,31 @@ def _constant_columns(codec, scalars):
     return [{t: x for t, x in zip(constants, col) if x} for col in zip(*scalars.rows)]
 
 
-def _inverted(inverse):
-    """C from C^-1: the inverse of the invertible scalar matrix `inverse`, by one `Echelon`.
+def _inverted(inverse, row_degrees, column_degrees):
+    """C from C^-1: the inverse of the invertible scalar matrix `inverse`, one `Echelon` per degree block.
 
-    Row j of [M^T | I], M = inverse of size n, is column j of M followed by
-    the unit vector e_j at position n + j, and the reduced echelon form is
-    [I | (M^T)^-1], whose row r holds M^-1[j][r] at position n + j.  M is
-    zero between degrees, so its degree blocks share no position and reduce
-    apart.  Entries are ints where they are integral, as everywhere.
+    Row r of inverse lies in degree row_degrees[r] and column j in
+    column_degrees[j], and inverse is zero between degrees, so each degree's
+    block of rows and columns is square and inverts on its own.  Within a
+    block M of size n, row j of [M^T | I] is column j of M followed by the
+    unit vector e_j at position n + j, and the reduced echelon form is
+    [I | (M^T)^-1], whose row r holds M^-1[j][r] at position n + j.
+    Entries are ints where they are integral, as everywhere.
     """
-    n = inverse.num_rows
-    ech = Echelon()
-    for j, column in enumerate(zip(*inverse.rows)):
-        vec = {k: x for k, x in enumerate(column) if x}
-        vec[n + j] = 1
-        ech.add(vec)
-    out = [[0] * n for _ in range(n)]
-    for r, row in ech.reduced_rows().items():
-        for pos, x in row.items():
-            if pos >= n:
-                out[pos - n][r] = x
+    out = [[0] * inverse.num_rows for _ in range(inverse.num_rows)]
+    for d in dict.fromkeys(column_degrees):
+        rows = [r for r, e in enumerate(row_degrees) if e == d]
+        cols = [j for j, e in enumerate(column_degrees) if e == d]
+        n = len(cols)
+        ech = Echelon(2 * n)
+        for k, j in enumerate(cols):
+            vec = {i: inverse.rows[r][j] for i, r in enumerate(rows)}
+            vec[n + k] = 1
+            ech.add(vec)
+        for i, row in ech.reduced_rows().items():
+            for pos, x in row.items():
+                if pos >= n:
+                    out[cols[pos - n]][rows[i]] = x
     return ScalarMatrix(out)
 
 
@@ -403,7 +413,7 @@ def _read_back(build, inner):
         negate_weights(inner.weights),
         inner.rebased_module.dual(),
         lambda: inner.change_of_basis.transpose(),
-        lambda: inner.sorted_matrix,
+        lambda change: inner.sorted_matrix,
     )
 
 

@@ -287,7 +287,7 @@ def _propagate(matrix, weights, order):
     terms = sorted(degree_of, key=order.sort_key(ring), reverse=True)
     index = {t: i for i, t in enumerate(terms)}
     n = len(terms)
-    ech = Echelon()
+    ech = Echelon(n + len(columns))
     for j, col in enumerate(columns):
         vec = {index[term]: coeff for term, coeff in col.support()}
         vec[n + j] = 1
@@ -316,7 +316,7 @@ def _propagate(matrix, weights, order):
         tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in leads),
         rebased,
         lambda: change_of_basis,
-        lambda: sorted_matrix,
+        lambda change: sorted_matrix,
     )
 
 

@@ -1,4 +1,5 @@
 import importlib
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -643,6 +644,31 @@ def test_resolution_partial_keeps_the_forward_steps_before_the_failure():
     assert info.value.partial == (None, ((0, 1), (1, 0)), ((1, 1),))
 
 
+def test_generic_koszul_complex_matches_its_goldens():
+    # the Koszul complex on four generic forms, with dense duals; every
+    # step's C^-1 (ints as ints, Fractions as "p/q"), rebased degrees and
+    # the weights, walked from the top and from F_0 under each order
+    problem = load_problem(fixture_path("generic_koszul_complex.json"))
+    diffs = [problem.matrices[name] for name in problem.resolution]
+    goldens = json.loads(fixture_path("generic_koszul_complex_propagated.json").read_text())
+    for order in ALL_ORDERS:
+        for start_index in (len(diffs), 0):
+            result = propagate_resolution(diffs, start_index, problem.weightlists["VN"], order)
+            steps = {
+                str(index): {
+                    "inverse_change_of_basis": [
+                        [x if type(x) is int else str(x) for x in row]
+                        for row in step.result.inverse_change_of_basis.rows
+                    ],
+                    "rebased_degrees": [list(d) for d in step.result.rebased_module.basis_degrees],
+                }
+                for index, step in result.steps.items()
+            }
+            weights = [[list(w) for w in ws] for ws in result.per_module]
+            key = "%s from %d" % (order.kind, start_index)
+            assert {"weights": weights, "steps": steps} == goldens[key], key
+
+
 # ---------- resolutions from minimal_resolution ----------
 
 PRESENTATIONS = [
@@ -848,7 +874,8 @@ def test_the_forward_walk_builds_only_what_is_read(monkeypatch):
     # the walk transposes packed columns: no dual map is built before a read
     assert (unpack.calls, dual.calls, invert.calls) == (0, 0, 0)
     for index, step in result.steps.items():
-        reads = [(step, "matrix", unpack), (step.result, "sorted_matrix", unpack), (step.result, "change_of_basis", invert)]
+        # G is built from the cached C, so C is read first for its count
+        reads = [(step, "matrix", unpack), (step.result, "change_of_basis", invert), (step.result, "sorted_matrix", unpack)]
         for owner, name, spy in reads:
             calls = spy.calls
             first = getattr(owner, name)
@@ -865,18 +892,38 @@ def typed_rows(scalars):
 def test_the_inverter_matches_the_dense_inverse():
     # C^-1 is zero between degrees; in these its degree blocks interleave in
     # index order, rows in degrees a, b, a, b and columns in a, b, a, b, then
-    # in b, a, a, b, so one elimination must keep them apart
+    # in b, a, a, b, so the blocks must be kept apart, whether they are
+    # inverted one degree at a time or as one block of a single degree
     cases = [
-        [],
-        [[3]],
-        [[Fraction(2, 3)]],
-        [[2, 0, 1, 0], [0, 1, 0, 5], [1, 0, 1, 0], [0, 3, 0, 4]],
-        [[0, 2, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [3, 0, 0, -1]],
-        [[Fraction(1, 2), 0, -1, 0], [0, 0, 0, 7], [4, 0, 2, 0], [0, Fraction(-3, 5), 0, 0]],
+        ([], "", ""),
+        ([[3]], "a", "a"),
+        ([[Fraction(2, 3)]], "a", "a"),
+        ([[2, 0, 1, 0], [0, 1, 0, 5], [1, 0, 1, 0], [0, 3, 0, 4]], "abab", "abab"),
+        ([[0, 2, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [3, 0, 0, -1]], "abab", "baab"),
+        ([[Fraction(1, 2), 0, -1, 0], [0, 0, 0, 7], [4, 0, 2, 0], [0, Fraction(-3, 5), 0, 0]], "abab", "abab"),
     ]
-    for rows in cases:
+    for rows, row_degrees, column_degrees in cases:
         inverse = ScalarMatrix(rows)
-        assert typed_rows(_inverted(inverse)) == typed_rows(inverse.inverse()), rows
+        expected = typed_rows(inverse.inverse())
+        assert typed_rows(_inverted(inverse, row_degrees, column_degrees)) == expected, rows
+        one = "a" * len(rows)
+        assert typed_rows(_inverted(inverse, one, one)) == expected, rows
+
+
+@pytest.mark.parametrize("forward", [False, True])
+def test_reading_c_and_g_inverts_once(monkeypatch, forward):
+    # G = M @ C is built from the result's cached C, in either order of reads
+    problem = load_problem(fixture_path("generic_koszul_complex.json"))
+    m = problem.matrices["d2"]
+    run, weights = (propagate_forward, small_weights(m.domain)) if forward else (propagate, small_weights(m.codomain))
+    invert = Spy(monkeypatch, "_inverted")
+    for names in (("change_of_basis", "sorted_matrix"), ("sorted_matrix", "change_of_basis")):
+        invert.calls = 0
+        result = run(m, weights, TOP_UP)
+        for name in names:
+            getattr(result, name)
+        assert invert.calls == 1, names
+        assert result == run(m, weights, TOP_UP)
 
 
 def solved_change_of_basis(matrix, sorted_matrix):

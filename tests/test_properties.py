@@ -97,7 +97,7 @@ def test_weight_additivity(s, t):
     )
 
 
-# ---------- sparse echelon against sympy ----------
+# ---------- echelon against sympy ----------
 
 
 nonzero_rationals = st.builds(
@@ -129,7 +129,7 @@ def rational_rows(draw):
 def test_echelon_matches_sympy_rref(case, explicit_zeros):
     sympy = __import__("sympy")
     num_cols, rows = case
-    ech = Echelon()
+    ech = Echelon(num_cols)
     flags = []
     for row in rows:
         vec = {j: x for j, x in enumerate(row) if x or explicit_zeros}
@@ -528,7 +528,7 @@ def test_hilbert_function_of_leading_term_module(data):
         degree = (total,)
         terms = enumerate_terms(module, degree)
         index = {t: i for i, t in enumerate(terms)}
-        ech = Echelon()
+        ech = Echelon(len(terms))
         for j, col in enumerate(m.columns()):
             gap = total - m.domain.basis_degrees[j][0]
             if gap < 0:
@@ -908,7 +908,7 @@ def reference_nakayama_kept(vectors, degrees, ring):
         members = [i for i, vd in enumerate(degrees) if vd == d]
         terms = sorted({t for e in products + [vectors[i] for i in members] for t, _ in e.support()})
         index = {t: i for i, t in enumerate(terms)}
-        ech = Echelon()
+        ech = Echelon(len(terms))
         for p in products:
             ech.add({index[t]: c for t, c in p.support()})
         for i in members:
@@ -950,6 +950,65 @@ def test_nakayama_flags_match_the_all_vectors_formulation(data, ring, order, coe
     codec = _TermCodec(ring, order, m.num_rows, bound)
     packed = [codec.packed(v) for v in vectors]
     assert _nakayama_kept(codec, m.codomain, packed, degrees) == reference_nakayama_kept(vectors, degrees, ring)
+
+
+@st.composite
+def single_degree_vectors(draw, ring, coefficients):
+    """(module, vectors, degree): one to four vectors of one degree, plus zero, repeated, rescaled and
+    combined ones, shuffled, so that some are dependent on those before them."""
+    m = ring.degree_length
+    units = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    row_degrees = [draw(st.sampled_from([(0,) * m] + units)) for _ in range(draw(st.integers(1, 2)))]
+    degree = vector_add(tuple(map(max, zip(*row_degrees))), draw(monomial_degrees(ring, 2)))
+    module = FreeModuleSpec(ring, row_degrees)
+    monos = [ring.monomials_of_degree(vector_sub(degree, r)) for r in row_degrees]
+    assume(any(monos))
+
+    def vector():
+        return ModuleElement(
+            module, [Polynomial(dict(zip(ms, draw(st.lists(coefficients, min_size=len(ms), max_size=len(ms)))))) for ms in monos]
+        )
+
+    vectors = [vector() for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "scale", "combination"]))
+        a, b = (vectors[draw(st.integers(0, len(vectors) - 1))] for _ in range(2))
+        if kind == "zero":
+            vectors.append(ModuleElement(module, [Polynomial() for _ in row_degrees]))
+        elif kind == "repeat":
+            vectors.append(a)
+        elif kind == "scale":
+            vectors.append(a.scale(draw(nonzero_rationals)))
+        else:
+            vectors.append(a.scale(draw(nonzero_rationals)) + b.scale(draw(nonzero_rationals)))
+    perm = draw(st.permutations(range(len(vectors))))
+    return module, [vectors[i] for i in perm], degree
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    ring=st.sampled_from(KERNEL_RINGS + [MIXED_SIGN_RING]),
+    order=st.sampled_from(ALL_ORDERS),
+    coefficients=st.sampled_from([st.integers(-2, 2), non_unit_rationals]),
+)
+def test_single_degree_nakayama_flags_match_the_run_and_sympy(data, ring, order, coefficients):
+    # vectors of one degree are decided by one elimination; the reference is
+    # the bounded run without tails that decides every other case, with no
+    # `Echelon` in it, and all of them are kept iff sympy finds full rank
+    sympy = __import__("sympy")
+    module, vectors, degree = data.draw(single_degree_vectors(ring, coefficients))
+    degrees = [degree] * len(vectors)
+    bound = max((sum(t.monomial) for v in vectors for t, _ in v.support()), default=0)
+    codec = _TermCodec(ring, order, module.rank, bound)
+    packed = [codec.packed(v) for v in vectors]
+    flags = _nakayama_kept(codec, module, packed, degrees)
+    assert flags == _buchberger_run(codec, packed, degrees, module, degree, False)[4]
+    terms = sorted({t for v in vectors for t, _ in v.support()})
+    coefficients = [dict(v.support()) for v in vectors]
+    cells = [Fraction(c.get(t, 0)) for c in coefficients for t in terms]
+    matrix = sympy.Matrix(len(vectors), len(terms), [sympy.Rational(x.numerator, x.denominator) for x in cells])
+    assert all(flags) == (matrix.rank() == len(vectors))
 
 
 # ---------- top reduction in runs without tails ----------
