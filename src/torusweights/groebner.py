@@ -93,7 +93,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DependentColumnsError, InputError, MinimalityError
-from .linalg import Echelon, _primitive, solve
+from .linalg import Echelon, _dense_primitive, _primitive, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -567,8 +567,8 @@ def _nakayama_kept(codec, module, vectors, degrees):
         return []
     if len(set(degrees)) == 1:
         index = {t: i for i, t in enumerate(dict.fromkeys(t for v in vectors for t in v))}
-        ech = Echelon(len(index))
-        return [ech.add({index[t]: c for t, c in v.items()}) for v in vectors]
+        ech = Echelon()
+        return [ech.add(_dense_primitive(v, index)) for v in vectors]
     functional = codec.ring._functional
     bound = max(degrees, key=lambda d: (functional(d), d))
     return _buchberger_run(codec, vectors, degrees, module, bound, False)[4]

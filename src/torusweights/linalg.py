@@ -2,17 +2,19 @@
 
 `_primitive` is the engine's one routine for its fraction-free rule: it
 divides a mapping {key: rational} by its content, leaving a primitive
-integer vector with the same signs, and `Echelon`, `groebner._buchberger_run`
-and the Schreyer frame and its pruning apply it wherever a vector changes.
-`Echelon` is the engine's one elimination.  It takes mappings {position:
-rational} and keeps dense integer rows, lists over a width fixed when it is
-made, since the vectors it takes (the columns of a map over the terms of
-one degree, a block of C^-1 beside the identity) are mostly nonzero and
-their entries stay small: a list comprehension per step costs less than
-dict passes.  Each row is made primitive on entry and after every step.  Fractions appear only in
-`reduced_rows`, and there only for entries that are not integers.  `rank`
-adapts dense rows to it.  `solve` and `invert` stay dense, on lists of
-Fraction; the tests keep them as references independent of `Echelon`.
+integer vector with the same signs, and `Echelon`'s callers,
+`groebner._buchberger_run` and the Schreyer frame and its pruning apply it
+wherever a vector changes.  `Echelon` is the engine's one elimination.  It
+takes dense primitive integer rows, lists of one length, since the vectors
+it takes (the columns of a map over the terms of one degree, a block of
+C^-1 beside the identity) are mostly nonzero and their entries stay small:
+a list comprehension per step costs less than dict passes.  Its callers
+lay their vectors out as such lists through `_dense_primitive`, which
+clears any Fractions by `_primitive`, and each row stays primitive after
+every step.  Fractions appear only in `reduced_rows`, and there only for
+entries that are not integers.  `rank` is a caller like any other.  `solve` and `invert`
+stay dense, on lists of Fraction; the tests keep them as references
+independent of `Echelon`.
 """
 
 from fractions import Fraction
@@ -33,7 +35,7 @@ def _primitive(vec):
     c is the positive rational gcd(numerators) / lcm(denominators) of the
     entries, so vec / c is a primitive integer vector with vec's signs; c is
     an int when it is integral.  vec itself comes back when c is 1, and an
-    empty vec gives (vec, 1).
+    empty or zero vec gives c = 1.
     """
     values = vec.values()
     if set(map(type, values)) <= {int}:
@@ -41,8 +43,22 @@ def _primitive(vec):
         if c > 1:
             return {k: v // c for k, v in vec.items()}, c
         return vec, 1
-    num, den = gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values))
+    den = lcm(*(v.denominator for v in values))
+    num = gcd(*(v.numerator for v in values)) or den
     return {k: v.numerator * (den // v.denominator) // num for k, v in vec.items()}, _quotient(num, den)
+
+
+def _dense_primitive(vec, index):
+    """The {key: rational} mapping vec, divided by its content, as the dense row `Echelon.add` takes.
+
+    index maps each key of vec to its position, and the row has len(index)
+    entries: a dict over the terms of one degree, or range(width) when the
+    keys are positions already.
+    """
+    row = [0] * len(index)
+    for key, x in _primitive(vec)[0].items():
+        row[index[key]] = x
+    return row
 
 
 def _eliminate(row, pivot_row, pos):
@@ -62,30 +78,27 @@ def _eliminate(row, pivot_row, pos):
 
 
 class Echelon:
-    """Incremental row echelon form of rational vectors of a fixed width.
+    """Incremental row echelon form of rational vectors of one length.
 
-    A vector maps positions in range(width) to rationals; its pivot is its
-    first (smallest) nonzero position.  Each vector is kept as a dense
-    primitive integer row, a list of width ints: it is made so on entry,
-    clearing its denominators, and again after every elimination step.
-    `pivots` maps each pivot position to its stored row, in the order the
-    rows were added.  Each stored row is zero at the pivots of the rows
-    before it, and every row is zero before its own pivot.
+    A vector is a dense primitive integer row, a list of ints as
+    `_dense_primitive` lays out a vector of rationals; its pivot is its
+    first (smallest) nonzero position.  A stored row is made primitive
+    again after every elimination step.  `pivots` maps each pivot position
+    to its stored row, in the order the rows were added.  Each stored row is
+    zero at the pivots of the rows before it, and every row is zero before
+    its own pivot.
     """
 
-    def __init__(self, width):
-        self.width = width
+    def __init__(self):
         self.pivots = {}
 
-    def add(self, vec):
-        """Reduce vec and absorb it; return True if it enlarged the span.
+    def add(self, row):
+        """Reduce the primitive integer row and absorb it; return True if it enlarged the span.
 
         Rows are taken in the order they were added: a later row is zero at
         the earlier pivots, so it cannot bring back an entry cleared before.
+        row is not modified, but may be stored as it is.
         """
-        row = [0] * self.width
-        for pos, x in _primitive({k: v for k, v in vec.items() if v})[0].items():
-            row[pos] = x
         for pos, pivot_row in self.pivots.items():
             if row[pos]:
                 row = _eliminate(row, pivot_row, pos)
@@ -121,9 +134,9 @@ class Echelon:
 
 def rank(rows):
     """Rank of a matrix given as a list of dense rows."""
-    ech = Echelon(len(rows[0]) if rows else 0)
+    ech = Echelon()
     for row in rows:
-        ech.add(dict(enumerate(row)))
+        ech.add(_dense_primitive(dict(enumerate(row)), range(len(row))))
     return ech.rank
 
 

@@ -22,9 +22,13 @@ no field overflows silently.  `_TermCodec.widened` gives the same layout
 with wider fields, to which the caller repacks what it holds.  Outside the
 division, one kernel multiplies packed matrices: `_TermCodec.product`
 computes A @ B on packed columns by adding packed terms.  It serves the
-chain checks and the walk's rebase, the product C^-1 @ d of a constant
+chain checks, the walk's rebase, the product C^-1 @ d of a constant
 matrix and a map, whose constant terms add no degree, so the map's own
-codec holds the product.  A map is packed once per public call, and its
+codec holds the product, and G = M @ C.  Where A repeats a monomial across
+rows, it packs the rows too (Kronecker substitution on the row index;
+Harvey, JSC 2009): one int per monomial, one signed slot per row, each
+slot wider than any sum it takes, so that an int is 0 exactly when every
+slot is.  A map is packed once per public call, and its
 packed columns serve every reader of that call: the test that consecutive
 maps compose to zero, the minimality run and the walk.
 `_TermCodec.transposed` gives the packed columns of the transpose, the
@@ -41,9 +45,11 @@ of the distinct terms it has met.
 
 import bisect
 import operator
-from math import gcd
+import struct
+from math import gcd, lcm
 
 from .errors import InternalError
+from .linalg import _quotient
 from .modules import ModuleTerm, PolyMatrix
 from .rings import Polynomial, exact, exact_quotient, monomial_lcm
 
@@ -173,19 +179,69 @@ class _TermCodec:
         meet.  The columns come lazily, so a caller testing the product for
         zero stops at the first nonzero one.  The codec must hold every
         product's total degree: the largest in A plus the largest in B.
+
+        Where `_row_slots` finds it cheaper, the rows are packed too: the
+        terms one packed monomial has in a column of A become one int whose
+        slot r, `width` bits wide, holds the coefficient at the r-th index
+        field value from A's lowest as a signed digit, once A and B are
+        scaled to integers by the lcms of their denominators.  A term of B
+        then costs one int multiply-add per monomial of A's column, not one
+        dict update per term.  width is at least the sum of the bit lengths
+        of max|A|, of max|B| and of the longest column of B, plus 1: a slot
+        sums at most that many products, so it stays below 2**(width - 1) in
+        absolute value, no slot borrows from the next, and an int is 0
+        exactly when every slot is; a product column is zero exactly when
+        all its ints are.  Only nonzero ints are read out: adding 2**(width
+        - 1) to every slot and XOR-ing it off again leaves each digit in
+        two's complement, zero exactly on the zero slots, and each nonzero
+        digit, divided by the scales, is a coefficient.  A slot takes 1, 2, 4
+        or 8 bytes; where it would need more, the dict loop takes the
+        product.  Every coefficient that is scaled or not an int, a Fraction
+        of denominator 1 too, is made an int on entry.  Otherwise each term
+        of B updates one dict entry per term of A's column.  The product is
+        the same either way; the terms' insertion order is not.
         """
-        field = self._index_mask << self._index_shift
-        by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
+        shift = self._index_shift
+        field = self._index_mask << shift
+        layout = _row_slots(a, b, field, shift)
+        if layout is None:
+            by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
+            scale_b = 1
+        else:
+            size, low, slots, scale_a, scale_b = layout
+            width, nbytes, scale = 8 * size, size * slots, scale_a * scale_b
+            row_tags = [low + (r << shift) for r in range(slots)]
+            offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+            digits = struct.Struct("<%d%s" % (slots, "bhiq"[size.bit_length() - 1])).unpack
+            by_tag = {}
+            for k, col in enumerate(a):
+                group = {}
+                get = group.get
+                for s, x in col.items():
+                    tag = s & field
+                    x = x.numerator * (scale_a // x.denominator)
+                    s -= tag
+                    group[s] = get(s, 0) + (x << ((tag - low) >> shift) * width)
+                by_tag[self._tag(k)] = list(group.items())
         for col in b:
             out = {}
             get = out.get
             for t, c in col.items():
                 tag = t & field
-                shift = t - tag
+                t -= tag
+                if scale_b != 1 or type(c) is not int and layout:
+                    c = c.numerator * (scale_b // c.denominator)
                 for s, x in by_tag[tag]:
-                    s += shift
+                    s += t
                     out[s] = get(s, 0) + x * c
-            yield {s: value for s, value in out.items() if value}
+            if layout is None:
+                yield {s: value for s, value in out.items() if value}
+            else:
+                yield {
+                    s + tag: d if scale == 1 else _quotient(d, scale)
+                    for s, value in out.items() if value
+                    for tag, d in zip(row_tags, digits(((value + offset) ^ offset).to_bytes(nbytes, "little"))) if d
+                }
 
     def divides(self, a, b):
         """Whether packed term a has b's index and divides it."""
@@ -234,6 +290,48 @@ class _TermCodec:
     def repacked(self, old, terms):
         """The dict terms, packed by codec old, packed by this codec."""
         return {self.term(*old.unpack(t)): c for t, c in terms.items()}
+
+
+# The most bytes of packed int per coefficient it holds at which
+# `_TermCodec.product` still packs rows: measured on the benchmark's calls,
+# wider or emptier ints cost more than the dict loop saves.
+_BYTES_PER_ROW = 20
+
+
+def _row_slots(a, b, field, shift):
+    """The row slots of `_TermCodec.product` for A @ B: (size, low, slots, scale_a, scale_b), or None.
+
+    None, for the dict loop, where A has fewer than two rows per packed
+    monomial of a column, a slot would need more than 64 bits, or a packed
+    int would take more than `_BYTES_PER_ROW` bytes per row it holds.
+    Otherwise slot r, for r below slots, holds the row whose index field is
+    low + (r << shift) and takes size bytes, 1, 2, 4 or 8, so that one
+    `struct` unpack reads a packed int out; scale_a and scale_b are the
+    lcms of A's and B's denominators.
+    """
+    keep = ~field
+    terms = sum(map(len, a))
+    groups = sum(len({s & keep for s in col}) for col in a)
+    if not terms or terms < 2 * groups:
+        return None
+    tags = {s & field for col in a for s in col}
+    low = min(tags)
+    slots = ((max(tags) - low) >> shift) + 1
+    scale_a = lcm(*{x.denominator for col in a for x in col.values()})
+    scale_b = lcm(*{c.denominator for col in b for c in col.values()})
+    bits = (
+        int(max(abs(x) for col in a for x in col.values()) * scale_a).bit_length()
+        + int(max((abs(c) for col in b for c in col.values()), default=0) * scale_b).bit_length()
+        + max(map(len, b), default=0).bit_length()
+        + 1
+    )
+    size = (bits + 7) // 8
+    if size > 8:
+        return None
+    size = 1 << (size - 1).bit_length()
+    if slots * size * groups > _BYTES_PER_ROW * terms:
+        return None
+    return size, low, slots, scale_a, scale_b
 
 
 def _largest_degree(matrix):

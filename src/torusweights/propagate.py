@@ -44,10 +44,17 @@ codec, columns) steps, no PolyMatrix, and rebases each map as the product
 C^-1 @ d through `_TermCodec.product`, with the nonzero entries of C^-1
 packed as constant terms: a constant factor adds no degree, so the map's
 own codec holds every term of the product and the fields never need
-widening.  The forward walk packs each dual map by re-tagging the map's
-packed columns under the flipped order (`_TermCodec.transposed`), so no
-dual PolyMatrix is built until a step's map is read.  A packed term is its
-own order key, so the elimination sorts the image's terms as plain ints.
+widening.  A column of C^-1 so has one monomial, the constant one, across
+all its rows.  Where C^-1 is dense, with at least two nonzero rows per
+column, the kernel packs those rows into one int, so that each term of d
+costs one int multiply-add; a sparse C^-1, such as a permutation or a
+nearly diagonal block, keeps the kernel's per-term loop.  The elimination
+takes each packed column as a dense primitive integer row over its
+degree's terms (`linalg._dense_primitive`).  The forward walk packs each
+dual map by re-tagging the map's packed columns under the flipped order
+(`_TermCodec.transposed`), so no dual PolyMatrix is built until a step's
+map is read.  A packed term is its own order key, so the elimination
+sorts the image's terms as plain ints.
 The walk unpacks only the leading terms of G.  G, C and each step's rebased
 map are built on first read (see `PropagationResult` and `ResolutionStep`)
 and unpacked through the codec's memo; every returned value keeps exponent
@@ -74,7 +81,7 @@ from .groebner import (
     check_order,
     standard_monomials,
 )
-from .linalg import Echelon
+from .linalg import Echelon, _dense_primitive
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
 from .rings import _int_vector, unit_monomial, vector_add, vector_neg
 
@@ -261,9 +268,9 @@ def _propagate(codomain, domain, weights, codec, columns):
     for d, block in classes.items():
         terms = sorted({t for col in block for t in col}, reverse=True)
         index = {t: i for i, t in enumerate(terms)}
-        ech = Echelon(len(terms))
+        ech = Echelon()
         for col in block:
-            if not ech.add({index[t]: coeff for t, coeff in col.items()}):
+            if not ech.add(_dense_primitive(col, index)):
                 raise MinimalityError(_NOT_MINIMAL)
         leads += [terms[pos] for pos in sorted(ech.pivots, reverse=codec.order.is_position_up)]
         degrees += [d] * len(block)
@@ -319,11 +326,11 @@ def _inverted(inverse, row_degrees, column_degrees):
         rows = [r for r, e in enumerate(row_degrees) if e == d]
         cols = [j for j, e in enumerate(column_degrees) if e == d]
         n = len(cols)
-        ech = Echelon(2 * n)
+        ech = Echelon()
         for k, j in enumerate(cols):
             vec = {i: inverse.rows[r][j] for i, r in enumerate(rows)}
             vec[n + k] = 1
-            ech.add(vec)
+            ech.add(_dense_primitive(vec, range(2 * n)))
         for i, row in ech.reduced_rows().items():
             for pos, x in row.items():
                 if pos >= n:

@@ -2,14 +2,17 @@
 
 `_TermCodec.product` must give `PolyMatrix.__matmul__`'s product, entry for
 entry, also for the constant left factor C^-1 by which the walk rebases a
-map, and its zero test must agree with `(a @ b).is_zero`.  The packed
-propagation walk must give, step by step, what the tuple walk gave: the
-functions `_combine`, `_propagate` and `_walk` below are the tuple versions,
-kept as the reference; they compute C, G and each step's map eagerly and
-hand them over as functions of no argument, as the records take them.
-Hypothesis runs derandomized, as in test_properties.
+map, and its zero test must agree with `(a @ b).is_zero`, on both of its
+paths: the dict loop and the packed rows.  A spy on `packed._row_slots`,
+which picks the path, records which one each product took and can force
+either.  The packed propagation walk must give, step by step, what the
+tuple walk gave: the functions `_combine`, `_propagate` and `_walk` below
+are the tuple versions, kept as the reference; they compute C, G and each
+step's map eagerly and hand them over as functions of no argument, as the
+records take them.  Hypothesis runs derandomized, as in test_properties.
 """
 
+import contextlib
 import importlib
 import itertools
 from fractions import Fraction
@@ -29,8 +32,9 @@ from torusweights import (
 )
 from torusweights.errors import MinimalityError, ResolutionStepError
 from torusweights.groebner import _nonzero_composite, _packed_chain, check_chain
-from torusweights.linalg import Echelon, rank
+from torusweights.linalg import Echelon, _dense_primitive, rank
 from torusweights.modules import ModuleElement, _column_rows, dual_map
+from torusweights import packed
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.problemfile import load_problem
 from torusweights.propagate import _NOT_MINIMAL, PropagationResult
@@ -65,6 +69,42 @@ def typed_scalars(s):
 
 COEFFICIENTS = st.sampled_from([1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)])
 
+# Coefficients that would widen the kernel's row slots past a machine word,
+# which sends their products to the dict loop: up to +-2**200, and Fractions
+# whose large denominators are pairwise coprime.
+WIDE_COEFFICIENTS = st.sampled_from(
+    [
+        2**200, -(2**200), 2**200 - 1, -(2**64 + 1),
+        Fraction(1, 2**61 - 1), Fraction(-5, 10**30 + 3), Fraction(2**100, 3**50),
+    ]
+)
+
+ANY_COEFFICIENTS = st.one_of(COEFFICIENTS, WIDE_COEFFICIENTS)
+
+
+@contextlib.contextmanager
+def kernel_paths(force=None):
+    """The paths `_TermCodec.product` takes inside the block, as a list of "dict" and "packed".
+
+    force "dict" sends every product through the dict loop, and force
+    "packed" packs the rows wherever A has two rows per packed monomial and
+    the slots fit 64 bits, however empty they would be; None leaves the
+    rule as it is.
+    """
+    taken = []
+    rule = packed._row_slots
+
+    def spy(a, b, field, shift):
+        layout = None if force == "dict" else rule(a, b, field, shift)
+        taken.append("dict" if layout is None else "packed")
+        return layout
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packed, "_row_slots", spy)
+        if force == "packed":
+            patch.setattr(packed, "_BYTES_PER_ROW", float("inf"))
+        yield taken
+
 
 @st.composite
 def monomial_of_degree(draw, n, degree):
@@ -73,10 +113,10 @@ def monomial_of_degree(draw, n, degree):
 
 
 @st.composite
-def homogeneous_poly(draw, n, degree, max_terms=3):
+def homogeneous_poly(draw, n, degree, max_terms=3, coefficients=COEFFICIENTS):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
-        terms[draw(monomial_of_degree(n, degree))] = draw(COEFFICIENTS)
+        terms[draw(monomial_of_degree(n, degree))] = draw(coefficients)
     return Polynomial(terms)
 
 
@@ -84,12 +124,14 @@ def homogeneous_poly(draw, n, degree, max_terms=3):
 def composable_pair(draw):
     """(a, b) with a @ b defined, over 1-3 variables under lex or grevlex.
 
-    Half the pairs compose to zero by construction: the rows of a are
-    scalar multiples of one row (f_1, ..., f_r), and each column of b is
-    h * (f_j e_i - f_i e_j).  Some of those have one entry of b perturbed by
-    a term, so that the composite is (most likely) nonzero.  The other half
-    have random entries.  Entry degrees reach across the first field width,
-    and products of them further.
+    Half the pairs compose to zero by construction: the rows of a are up to
+    five scalar multiples of one row (f_1, ..., f_r), so that a monomial of
+    a column of a sits in up to five rows, and each column of b is
+    h * (f_j e_i - f_i e_j).  In some of those pairs the multipliers and h
+    take wide coefficients too, which keep the dict loop.  Some of those have one entry of b perturbed by a term, so that
+    the composite is (most likely) nonzero.  The other half have random
+    entries.  Entry degrees reach across the first field width, and
+    products of them further.
     """
     n = draw(st.integers(1, 3))
     ring = std_ring(n, draw(st.sampled_from(["grevlex", "lex"])))
@@ -98,7 +140,8 @@ def composable_pair(draw):
     e_degrees = [draw(st.integers(1, scale)) for _ in range(r)]
     if draw(st.booleans()):
         f = [draw(homogeneous_poly(n, d)) for d in e_degrees]
-        multipliers = draw(st.lists(COEFFICIENTS, min_size=1, max_size=3))
+        coefficients = draw(st.sampled_from([COEFFICIENTS, ANY_COEFFICIENTS]))
+        multipliers = draw(st.lists(coefficients, min_size=1, max_size=5))
         a = PolyMatrix(
             FreeModuleSpec(ring, [[0]] * len(multipliers)),
             FreeModuleSpec(ring, [[d] for d in e_degrees]),
@@ -107,7 +150,7 @@ def composable_pair(draw):
         columns, d_degrees = [], []
         for i, j in itertools.combinations(range(r), 2):
             gap = draw(st.integers(0, scale))
-            h = draw(homogeneous_poly(n, gap, 2))
+            h = draw(homogeneous_poly(n, gap, 2, coefficients))
             column = [Polynomial() for _ in range(r)]
             column[i], column[j] = h * f[j], -(h * f[i])
             columns.append(column)
@@ -135,10 +178,7 @@ def composable_pair(draw):
     return a, b
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(pair=composable_pair(), order=st.sampled_from(ALL_ORDERS))
-def test_product_kernel_matches_matmul(pair, order):
-    a, b = pair
+def assert_product_matches_matmul(a, b, order):
     expected = a @ b
     codec = _TermCodec(a.domain.ring, order, max(a.num_rows, b.num_rows), _largest_degree(a) + _largest_degree(b))
     packed_a, packed_b = codec.columns(a), codec.columns(b)
@@ -148,29 +188,55 @@ def test_product_kernel_matches_matmul(pair, order):
     assert (_nonzero_composite(*_packed_chain([a, b], order)) is None) == expected.is_zero
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=composable_pair(), order=st.sampled_from(ALL_ORDERS))
+def check_product_kernel_matches_matmul(pair, order):
+    assert_product_matches_matmul(*pair, order)
+
+
+def test_product_kernel_matches_matmul():
+    with kernel_paths() as taken:
+        check_product_kernel_matches_matmul()
+    assert set(taken) == {"dict", "packed"}
+
+
+def test_packed_rows_match_matmul_wherever_they_fit():
+    # the same pairs with the rows packed wherever they repeat a monomial and
+    # fit 64-bit slots; 200-bit coefficients and large denominators do not
+    with kernel_paths("packed") as taken:
+        check_product_kernel_matches_matmul()
+    assert set(taken) == {"dict", "packed"}
+
+
 ENTRIES = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+NONZERO_ENTRIES = st.one_of(st.sampled_from([1, -1, 2, 7, Fraction(1, 2), Fraction(-2, 3)]), WIDE_COEFFICIENTS)
 
 
 @st.composite
-def constant_left_factor(draw, spec):
+def constant_left_factor(draw, spec, kinds=("permutation", "triangular", "dense")):
     """(C, codomain): an invertible ScalarMatrix that maps spec to codomain preserving degrees.
 
-    Either a permutation, with codomain spec's basis permuted, or, within
-    each degree of spec, L @ U for L unit lower triangular and U upper
-    triangular with a nonzero diagonal, whose entries include zeros and
-    Fractions, with codomain spec.
+    A permutation, with codomain spec's basis permuted; or, with codomain
+    spec, within each degree of spec, L @ U for L unit lower triangular and
+    U upper triangular with a nonzero diagonal: "triangular" draws their
+    entries from values that include zeros, "dense" from nonzero ones,
+    wide ones too, so that C is dense in each degree block and every
+    column of it packs into one int of many rows.
     """
     r, degrees = spec.rank, spec.basis_degrees
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "permutation":
         perm = draw(st.permutations(range(r)))
         rows = [[int(k == perm[i]) for k in range(r)] for i in range(r)]
         return ScalarMatrix(rows), FreeModuleSpec(spec.ring, [degrees[k] for k in perm])
+    entries = ENTRIES if kind == "triangular" else NONZERO_ENTRIES
     rows = [[0] * r for _ in range(r)]
     for d in dict.fromkeys(degrees):
         block = [k for k in range(r) if degrees[k] == d]
         size = len(block)
-        lower = [[1 if p == q else draw(ENTRIES) if q < p else 0 for q in range(size)] for p in range(size)]
-        upper = [[draw(COEFFICIENTS) if p == q else draw(ENTRIES) if q > p else 0 for q in range(size)] for p in range(size)]
+        lower = [[1 if p == q else draw(entries) if q < p else 0 for q in range(size)] for p in range(size)]
+        upper = [[draw(COEFFICIENTS) if p == q else draw(entries) if q > p else 0 for q in range(size)] for p in range(size)]
         for p, i in enumerate(block):
             for q, k in enumerate(block):
                 rows[i][k] = sum(lower[p][m] * upper[m][q] for m in range(size))
@@ -195,6 +261,34 @@ def test_product_kernel_with_a_constant_left_factor_matches_matmul(data, pair, o
     assert_constant_product_matches_matmul(*data.draw(constant_left_factor(b.codomain)), b, order)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), label=st.sampled_from(["d2", "d3", "d4"]), order=st.sampled_from(ALL_ORDERS))
+def check_dense_rebase_of_the_generic_koszul_complex(data, label, order):
+    d = load_problem(fixture_path("generic_koszul_complex.json")).matrices[label]
+    assert_constant_product_matches_matmul(*data.draw(constant_left_factor(d.codomain, ("dense",))), d, order)
+
+
+def test_product_kernel_rebases_the_generic_koszul_complex_by_dense_constant_matrices():
+    # F_1, F_2 and F_3 of the complex lie in one degree each, so a dense C^-1
+    # packs each of its columns into one int of 4 or 6 rows
+    with kernel_paths() as taken:
+        check_dense_rebase_of_the_generic_koszul_complex()
+    assert "packed" in taken
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda order: order.kind)
+def test_generic_koszul_composites_vanish_on_packed_rows(order):
+    # a column of d_k holds k generic linear forms, so each of its monomials
+    # sits in k rows: d2, d3 and d4 pack 2, 3 and 4 rows per int
+    problem = load_problem(fixture_path("generic_koszul_complex.json"))
+    differentials = [problem.matrices[label] for label in problem.resolution]
+    with kernel_paths() as taken:
+        assert _nonzero_composite(*_packed_chain(differentials, order)) is None
+    assert taken == ["dict", "packed", "packed"]
+    for a, b in zip(differentials, differentials[1:]):
+        assert_product_matches_matmul(a, b, order)
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -207,6 +301,115 @@ def test_product_kernel_with_a_constant_left_factor_matches_matmul(data, pair, o
 def test_product_kernel_rebases_the_koszul_map_by_a_constant_matrix(rows, order):
     d2 = load_problem(fixture_path("koszul.json")).matrices["d2"]
     assert_constant_product_matches_matmul(ScalarMatrix(rows), d2.codomain, d2, order)
+
+
+def end_slot_pair(ring, row, perturbed, c):
+    """(a, b) whose product cancels in every row, or is nonzero in row `row` only.
+
+    a has four rows: each is c, 2, -3 and 5 times (x1, x2), and row `row`
+    has x3 in a third column besides.  b's column is c * (x2 e_1 - x1 e_2),
+    plus x3 e_3 when perturbed, so the product is zero in every row, or
+    x3^2 in row `row` alone.  Under *-up orders row 0 is the lowest slot of
+    the kernel's packed rows and row 3 the highest; *-down orders reverse
+    them.
+    """
+    x1, x2, x3 = (ring.variable(i) for i in range(3))
+    multipliers = [c, 2, -3, 5]
+    entries = [[x1.scale(m), x2.scale(m), x3 if i == row else Polynomial()] for i, m in enumerate(multipliers)]
+    a = PolyMatrix(FreeModuleSpec(ring, [[0]] * 4), FreeModuleSpec(ring, [[1]] * 3), entries)
+    column = [x2.scale(c), x1.scale(-c), x3 if perturbed else Polynomial()]
+    b = PolyMatrix(a.domain, FreeModuleSpec(ring, [[2]]), [[p] for p in column])
+    return a, b
+
+
+# (c, whether the products of end_slot_pair fit 64-bit slots)
+END_SLOT_COEFFICIENTS = [
+    (1, True),
+    (-(2**20), True),
+    (Fraction(7, 2**13 - 1), True),
+    (-(2**200), False),
+    (2**200 - 1, False),
+    (Fraction(7, 2**61 - 1), False),
+]
+
+
+@pytest.mark.parametrize("c, fits", END_SLOT_COEFFICIENTS, ids=["1", "-2^20", "7/8191", "-2^200", "2^200-1", "7/(2^61-1)"])
+@pytest.mark.parametrize("path", ["dict", "packed"])
+@pytest.mark.parametrize("row", [0, 3], ids=["row0", "row3"])
+def test_products_cancelling_in_an_end_slot_and_their_perturbations(row, path, c, fits):
+    # wide coefficients take the dict loop whichever path is asked for
+    ring = std_ring(3)
+    for order in ALL_ORDERS:
+        for perturbed in (False, True):
+            a, b = end_slot_pair(ring, row, perturbed, c)
+            expected = a @ b
+            assert expected.is_zero != perturbed
+            assert not perturbed or [i for i, entries in enumerate(expected.entries) if not entries[0].is_zero] == [row]
+            with kernel_paths(path) as taken:
+                assert_product_matches_matmul(a, b, order)
+            assert set(taken) == {path if fits else "dict"}
+
+
+@pytest.mark.parametrize(
+    "a_value, b_value, n, path",
+    [(7, 7, 3, "packed"), (2**28 - 1, 2**28 - 1, 127, "packed"), (2**28 - 1, 2**29 - 1, 127, "dict")],
+    ids=["2-byte", "8-byte", "65-bit"],
+)
+def test_products_at_the_slot_bound_read_out_exactly(a_value, b_value, n, path):
+    # n terms of b, each b_value, meet one term of a, a_value, in each of 3
+    # rows: every slot sums to +-n * a_value * b_value.  The slot width is
+    # the bit lengths of a_value, of b_value and of n, plus one for the
+    # sign.  3 * 7 * 7 = 147 needs 3 + 3 + 2 + 1 = 9 bits, so 2-byte slots;
+    # one bit less would give 1-byte slots, and 147 would wrap.  28 + 28 + 7
+    # + 1 = 64 bits is the widest slot, and one bit more takes the dict
+    # loop.  The rows alternate in sign, so that a spill would show.
+    ring = std_ring(2)
+    x1 = ring.variable(0)
+    a = PolyMatrix(
+        FreeModuleSpec(ring, [[0]] * 3),
+        FreeModuleSpec(ring, [[0]] * n),
+        [[ring.one().scale(s * a_value) for _ in range(n)] for s in (1, -1, 1)],
+    )
+    b = PolyMatrix(a.domain, FreeModuleSpec(ring, [[1]]), [[x1.scale(-b_value)] for _ in range(n)])
+    for order in ALL_ORDERS:
+        with kernel_paths() as taken:
+            assert_product_matches_matmul(a, b, order)
+        assert set(taken) == {path}
+    assert (a @ b).entries[1][0].terms == {(1, 0): n * a_value * b_value}
+
+
+@pytest.mark.parametrize("path", ["dict", "packed"])
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda order: order.kind)
+def test_product_kernel_takes_fractions_of_denominator_one(order, path):
+    # the dict loop keeps the types it multiplies, so Fraction(1, 2) * 2
+    # stays a Fraction; the walk hands such columns on as the next product's
+    # A, and the packed rows must scale them like any other non-int
+    for perturbed in (False, True):
+        a, b = end_slot_pair(std_ring(3), 3, perturbed, 3)
+        codec = _TermCodec(a.domain.ring, order, 4, 2)
+        packed_a, packed_b = (
+            [{t: Fraction(c) for t, c in col.items()} for col in codec.columns(m)] for m in (a, b)
+        )
+        with kernel_paths(path) as taken:
+            columns = list(codec.product(packed_a, packed_b))
+        assert taken == [path]
+        assert codec.matrix(columns, a.codomain, b.domain) == a @ b
+
+
+def test_packed_walk_rebases_onto_fractions_of_denominator_one():
+    # C^-1 of the step onto F_1 is 2 times a permutation, which the dict loop
+    # multiplies onto d2's halves: the rebased d2 has Fraction(+-1, 1)
+    # coefficients, two rows per monomial, and G = M @ C packs them
+    ring = std_ring(3)
+    x, y, z = (ring.variable(i) for i in range(3))
+    half = Fraction(1, 2)
+    f0, f1, f2 = (FreeModuleSpec(ring, [[k]] * rank) for k, rank in enumerate((1, 3, 1)))
+    d1 = PolyMatrix(f0, f1, [[x.scale(2), y.scale(2), z.scale(2)]])
+    d2 = PolyMatrix(f1, f2, [[(y + z).scale(half)], [(z - x).scale(half)], [(x + y).scale(-half)]])
+    assert (d1 @ d2).is_zero
+    with kernel_paths() as taken:
+        assert_walks_agree([d1, d2], weights_for([d1, d2]))
+    assert {"dict", "packed"} <= set(taken)
 
 
 def test_composite_that_would_alias_under_the_first_field_width_is_caught():
@@ -227,6 +430,46 @@ def test_composite_that_would_alias_under_the_first_field_width_is_caught():
         check_chain([d1, d2])
     with pytest.raises(InputError, match="differentials 1 and 2 do not compose to zero"):
         propagate_resolution([d1, d2], 0, [(0, 0)], ModuleTermOrder())
+
+
+def chain_failing_in_one_row(row):
+    """d1, d2, d3 with d1 @ d2 = 0 and d2 @ d3 nonzero in row `row` (0 or 2) of F_1 only.
+
+    Row i of d2 is m_i * (x1, x2) for m = (1, 2, 3), with x3 in a third
+    column at row `row`; d1 = w * a for a row a with a . m = 0 and a zero at
+    `row`, and d3 = (x2, -x1, x3), so d2 @ d3 is x3^2 at `row` alone.  Each
+    monomial of d2's first two columns sits in all three rows, so the
+    kernel packs them.  Under top-up row 2 is the highest slot.
+    """
+    ring = std_ring(4)
+    x1, x2, x3, w = (ring.variable(i) for i in range(4))
+    multipliers = (1, 2, 3)
+    a = (-2, 1, 0) if row == 2 else (0, 3, -2)
+    f0, f1, f2, f3 = (FreeModuleSpec(ring, [[k]] * rank) for k, rank in enumerate((1, 3, 3, 1)))
+    d1 = PolyMatrix(f0, f1, [[w.scale(c) for c in a]])
+    d2 = PolyMatrix(
+        f1, f2, [[x1.scale(m), x2.scale(m), x3 if i == row else Polynomial()] for i, m in enumerate(multipliers)]
+    )
+    d3 = PolyMatrix(f2, f3, [[x2], [x1.scale(-1)], [x3]])
+    return d1, d2, d3
+
+
+@pytest.mark.parametrize("path", ["dict", "packed"])
+@pytest.mark.parametrize("row", [2, 0], ids=["top-row", "bottom-row"])
+def test_chain_failing_in_one_end_row_slot_is_caught_on_both_kernel_paths(row, path):
+    d1, d2, d3 = chain_failing_in_one_row(row)
+    assert (d1 @ d2).is_zero
+    assert [i for i, entries in enumerate((d2 @ d3).entries) if not entries[0].is_zero] == [row]
+    message = "differentials 2 and 3 do not compose to zero"
+    with kernel_paths(path) as taken:
+        with pytest.raises(InputError, match=message):
+            check_chain([d1, d2, d3])
+    assert taken == ["dict", path]
+    for order in ALL_ORDERS:
+        with kernel_paths(path) as taken:
+            with pytest.raises(InputError, match=message):
+                propagate_resolution([d1, d2, d3], 0, [(0, 0, 0, 0)], order)
+        assert taken == ["dict", path], order
 
 
 # ---------- the packed transpose against dual_map ----------
@@ -287,11 +530,11 @@ def _propagate(matrix, weights, order):
     terms = sorted(degree_of, key=order.sort_key(ring), reverse=True)
     index = {t: i for i, t in enumerate(terms)}
     n = len(terms)
-    ech = Echelon(n + len(columns))
+    ech = Echelon()
     for j, col in enumerate(columns):
         vec = {index[term]: coeff for term, coeff in col.support()}
         vec[n + j] = 1
-        ech.add(vec)
+        ech.add(_dense_primitive(vec, range(n + len(columns))))
     if any(pos >= n for pos in ech.pivots):
         raise MinimalityError(_NOT_MINIMAL)
     rows = ech.reduced_rows()

@@ -31,7 +31,7 @@ from torusweights import (
 )
 from torusweights.errors import ResolutionStepError
 from torusweights.groebner import _buchberger_run, _nakayama_kept, _term_divides
-from torusweights.linalg import Echelon, _primitive, rank
+from torusweights.linalg import Echelon, _dense_primitive, _primitive, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
@@ -129,11 +129,13 @@ def rational_rows(draw):
 def test_echelon_matches_sympy_rref(case, explicit_zeros):
     sympy = __import__("sympy")
     num_cols, rows = case
-    ech = Echelon(num_cols)
+    ech = Echelon()
     flags = []
     for row in rows:
+        # the row laid out from the mapping of all its entries, zeros too, or
+        # of its nonzero ones
         vec = {j: x for j, x in enumerate(row) if x or explicit_zeros}
-        flags.append(ech.add(vec))
+        flags.append(ech.add(_dense_primitive(vec, range(num_cols))))
 
     def reference(prefix):
         return sympy.Matrix(len(prefix), num_cols, [sympy.Rational(x) for r in prefix for x in r]).rref()
@@ -528,14 +530,14 @@ def test_hilbert_function_of_leading_term_module(data):
         degree = (total,)
         terms = enumerate_terms(module, degree)
         index = {t: i for i, t in enumerate(terms)}
-        ech = Echelon(len(terms))
+        ech = Echelon()
         for j, col in enumerate(m.columns()):
             gap = total - m.domain.basis_degrees[j][0]
             if gap < 0:
                 continue
             for mono in ring.monomials_of_degree((gap,)):
                 shifted = col.multiply_term(mono, 1)
-                ech.add({index[term]: coeff for term, coeff in shifted.support()})
+                ech.add(_dense_primitive(dict(shifted.support()), index))
         image_dim = ech.rank
         standard = standard_monomials(basis, degree)
         assert len(standard) == len(terms) - image_dim
@@ -908,11 +910,11 @@ def reference_nakayama_kept(vectors, degrees, ring):
         members = [i for i, vd in enumerate(degrees) if vd == d]
         terms = sorted({t for e in products + [vectors[i] for i in members] for t, _ in e.support()})
         index = {t: i for i, t in enumerate(terms)}
-        ech = Echelon(len(terms))
+        ech = Echelon()
         for p in products:
-            ech.add({index[t]: c for t, c in p.support()})
+            ech.add(_dense_primitive(dict(p.support()), index))
         for i in members:
-            kept[i] = ech.add({index[t]: c for t, c in vectors[i].support()})
+            kept[i] = ech.add(_dense_primitive(dict(vectors[i].support()), index))
     return kept
 
 
