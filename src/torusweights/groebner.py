@@ -28,14 +28,17 @@ one add and a divisibility test one subtraction and one mask.  The boundary
 does not move: `Polynomial`, `ModuleTerm`, `ModuleElement` and every public
 or printed value keep exponent tuples.  Columns are packed once on entry,
 every map by `_packed_chain` (a single map is a chain of one), and basis
-elements and differentials are unpacked once on exit.  The checks that maps
-compose to zero multiply packed columns too (`_nonzero_composite`): the
-chain check packs each map once, by one codec for the whole chain
-(`_packed_chain`), and `propagate_resolution` reuses those columns for its
-minimality runs and its walk.  `minimal_resolution` and `syzygies` pack
-their input once, keep the frame's levels in the keys of
-`schreyer._FrameLayout` from the run on, and check the composites of the
-pruned differentials, packed by one codec, before they are unpacked.
+elements are unpacked once on exit, differentials when first read.  The
+checks that maps compose to zero multiply packed columns too
+(`_nonzero_composite`): the chain check packs each map once, by one codec
+for the whole chain (`_packed_chain`), and `propagate_resolution` reuses
+those columns for its minimality runs and its walk.  `minimal_resolution`
+and `syzygies` pack their input once, keep the frame's levels in the keys
+of `schreyer._FrameLayout` from the run on, and check the composites of
+the pruned differentials, packed by one codec.  `minimal_resolution`'s
+chain keeps that codec and those packed columns (see `_MinimalChain`),
+which `propagate_resolution` walks under the chain's own order, and its
+differentials are unpacked when first read.
 
 The field widths come from a bound the run proves.  Every variable's degree
 has positive functional (see `rings`), so a term of degree d at an index of
@@ -621,7 +624,7 @@ def syzygies(matrix, order):
         return codec.matrix([{codec.term(unit, j): 1} for j in range(matrix.num_cols)], matrix.domain, matrix.domain)
     from .schreyer import _frame, _pruned
 
-    differentials = _pruned(_frame(codec, columns, matrix, 3, kept), matrix, 2)
+    _, _, differentials = _pruned(_frame(codec, columns, matrix, 3, kept), matrix, 2)
     if len(differentials) == 2:
         return differentials[1]
     return codec.matrix([], matrix.domain, FreeModuleSpec(codec.ring, []))
@@ -688,7 +691,7 @@ def check_chain(differentials):
 
 
 class _MinimalChain(tuple):
-    """Differentials that `minimal_resolution` proved to be a minimal chain.
+    """Differentials that `minimal_resolution` proved to be a minimal chain, with their packed columns.
 
     Only `minimal_resolution` builds one, after its input passed the
     `is_minimal_map` test, every consecutive composite of the pruned frame
@@ -698,9 +701,19 @@ class _MinimalChain(tuple):
     each PolyMatrix, so the proof cannot go stale; `propagate_resolution`
     trusts it.  Copies, slices and concatenations are plain tuples or lists
     and carry no proof.
+
+    codec and packed are the codec and the packed columns of each map that
+    the proof ran on (None and () for the empty chain).  Like
+    `_packed_chain`'s, codec's fields hold every consecutive product and its
+    index field the largest module rank, so `propagate_resolution` walks
+    those columns under codec's order without packing anything.  They are
+    immutable by convention too: the walk reads them and never changes them.
     """
 
-    __slots__ = ()
+    def __new__(cls, maps=(), codec=None, packed=()):
+        chain = super().__new__(cls, maps)
+        chain.codec, chain.packed = codec, tuple(packed)
+        return chain
 
 
 class Resolution:
@@ -711,8 +724,11 @@ class Resolution:
     minimal, which `minimal_resolution` checked before it returned them.  The
     constructor checks nothing.  `propagate_resolution` takes a Resolution or
     its differentials and trusts the chain only when it is the tuple
-    `minimal_resolution` built; it checks any other chain in full, also one
-    inside a Resolution built by hand.
+    `minimal_resolution` built, which also carries the chain packed, so that
+    a walk under the resolution's order starts from those packed columns
+    and its differentials from d_2 on are unpacked only when first read; it
+    checks any other chain in full, also one inside a Resolution built by
+    hand.
     """
 
     def __init__(self, base_module, differentials):
@@ -751,10 +767,13 @@ def minimal_resolution(matrix, order, max_length=None):
 
     The differentials come as a `_MinimalChain`: the input passed the
     `is_minimal_map` test, each consecutive composite was checked to vanish
-    on packed columns before anything was unpacked, and no differential
-    after the first has a nonzero constant entry, which, since the pruned
-    frame stays exact, makes every map minimal.  So `propagate_resolution`
-    does not prove the chain or its minimality again.
+    on packed columns, and no differential after the first has a nonzero
+    constant entry, which, since the pruned frame stays exact, makes every
+    map minimal.  So `propagate_resolution` does not prove the chain or its
+    minimality again.  The chain keeps those packed columns and their codec,
+    on which `propagate_resolution` walks it under order, with no packing;
+    the differentials from d_2 on are PolyMatrices whose entries are
+    unpacked from them when first read.
     """
     check_order(order)
     if max_length is not None:
@@ -773,10 +792,11 @@ def minimal_resolution(matrix, order, max_length=None):
     if matrix.num_cols == 0:
         return Resolution(matrix.codomain, _MinimalChain())
     if max_length == 1:
-        return Resolution(matrix.codomain, _MinimalChain([matrix]))
+        return Resolution(matrix.codomain, _MinimalChain([matrix], codec, [columns]))
     # only resolutions need the frame: a process that never resolves does
     # not load its module
     from .schreyer import _frame, _pruned
 
     frame = _frame(codec, columns, matrix, None if max_length is None else max_length + 1, kept)
-    return Resolution(matrix.codomain, _MinimalChain(_pruned(frame, matrix, max_length)))
+    codec, packed, maps = _pruned(frame, matrix, max_length)
+    return Resolution(matrix.codomain, _MinimalChain(maps, codec, packed))

@@ -28,9 +28,11 @@ codec holds the product, and G = M @ C.  Where A repeats a monomial across
 rows, it packs the rows too (Kronecker substitution on the row index;
 Harvey, JSC 2009): one int per monomial, one signed slot per row, each
 slot wider than any sum it takes, so that an int is 0 exactly when every
-slot is.  A map is packed once per public call, and its
+slot is.  A map is packed at most once per public call, and its
 packed columns serve every reader of that call: the test that consecutive
-maps compose to zero, the minimality run and the walk.
+maps compose to zero, the minimality run and the walk; a chain from
+`groebner.minimal_resolution` keeps its pruning's packed columns for the
+walk.
 `_TermCodec.transposed` gives the packed columns of the transpose, the
 dual map the forward walk runs on, by re-tagging each term's index under
 the flipped order; the monomial fields do not move.  Only this module

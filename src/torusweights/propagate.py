@@ -34,12 +34,16 @@ minimal; a forward step checks its dual map by the same rule as
 `propagate`, since the dual of a minimal map need not be minimal.
 
 Each step runs on packed terms (see `packed`).  Every public call packs each
-map once, under the order it propagates under: `propagate_resolution` packs
-the chain by one codec (`groebner._packed_chain`), whose fields hold a
+map at most once, under the order it propagates under: `propagate_resolution`
+packs the chain by one codec (`groebner._packed_chain`), whose fields hold a
 product of consecutive maps and whose index field holds max(rows, cols),
 and the same packed columns serve the test that the maps compose to zero,
 each differential's minimality run and the walk, which lets each map's
-columns go once it has passed it.  The walk takes (codomain, domain,
+columns go once it has passed it.  A chain that `minimal_resolution`
+proved is walked, under its own order, on the packed columns its pruning
+already built and checked, with a codec sized the same way, so nothing is
+packed, and its matrices are unpacked only when first read; under any other
+order it is packed once, as any chain is.  The walk takes (codomain, domain,
 codec, columns) steps, no PolyMatrix, and rebases each map as the product
 C^-1 @ d through `_TermCodec.product`, with the nonzero entries of C^-1
 packed as constant terms: a constant factor adds no degree, so the map's
@@ -445,15 +449,16 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     `minimal_resolution`, passed as that Resolution or as its `differentials`
     tuple, were proved all that as they were computed and are not checked
     again; a copy, a slice or any other sequence, also inside a Resolution
-    built by hand, is checked in full.
+    built by hand, is checked in full.  Under the order it was built
+    under, such a chain is walked on the packed columns of its pruning,
+    which the walk only reads, and no map is packed or unpacked; under
+    another order each map is packed once.
 
     If a forward step hits a non-minimal dual mid-resolution, a
     ResolutionStepError is raised carrying the weight lists computed so far.
     """
-    if isinstance(differentials, Resolution):
-        differentials = differentials.differentials
-    proven = type(differentials) is _MinimalChain
-    differentials = list(differentials)
+    chain = differentials.differentials if isinstance(differentials, Resolution) else differentials
+    differentials = list(chain)
     m = len(differentials)
     if not differentials:
         raise InputError("resolution has no differentials")
@@ -467,13 +472,16 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     ring = modules[0].ring
     start_weights = _validate_weights(start_weights, modules[start_index].rank, ring, "starting weight list")
     check_order(order)
-    if proven:
-        codec, packed = _packed_chain(differentials, order)
-    else:
+    if type(chain) is not _MinimalChain:
         codec, packed = _checked_chain(differentials, order)
         for k, (d, columns) in enumerate(zip(differentials, packed)):
             if not all(_nakayama_kept(codec, d.codomain, columns, d.domain.basis_degrees)):
                 raise MinimalityError("differential %d is not a minimal map" % (k + 1))
+    elif chain.codec.order == order:
+        # a copy of the chain's list: the walk lets each map's columns go
+        codec, packed = chain.codec, list(chain.packed)
+    else:
+        codec, packed = _packed_chain(differentials, order)
 
     def walked(ks):
         for k in ks:

@@ -755,6 +755,8 @@ def packing_spies(monkeypatch):
 
 @pytest.mark.parametrize("name", ["koszul", "grassmannian"])
 def test_each_map_is_packed_once_per_call(monkeypatch, name):
+    # a proven chain under its own order is walked on its pruning's packed
+    # columns and packs nothing; under any other order it is packed once
     problem = load_problem(fixture_path(name + ".json"))
     explicit = [problem.matrices[d] for d in problem.resolution]
     proven = minimal_resolution(explicit[0], TOP_UP).differentials
@@ -762,10 +764,11 @@ def test_each_map_is_packed_once_per_call(monkeypatch, name):
     for diffs in (explicit, proven):
         modules = [diffs[0].codomain] + [d.domain for d in diffs]
         for order in ALL_ORDERS:
+            packs = 0 if diffs is proven and order == TOP_UP else len(diffs)
             for start in range(len(diffs) + 1):
                 columns.calls = degree.calls = 0
                 propagate_resolution(diffs, start, small_weights(modules[start]), order)
-                assert (columns.calls, degree.calls) == (len(diffs), len(diffs)), (order, start)
+                assert (columns.calls, degree.calls) == (packs, packs), (order, start)
     for m in explicit:
         for run, weights in ((propagate, small_weights(m.codomain)), (propagate_forward, small_weights(m.domain))):
             columns.calls = degree.calls = 0
@@ -783,6 +786,84 @@ def test_minimal_resolution_packs_each_level_once(monkeypatch, name):
     resolution = minimal_resolution(m, TOP_UP)
     assert resolution.length == m.num_cols
     assert (columns.calls, degree.calls) == (1, 1)
+
+
+# ---------- the packed chain handed from minimal_resolution to the walk ----------
+
+HAND_OFF = [("grassmannian", "d1", "W0"), ("bigraded", "m", "W"), ("generic_koszul", "d1", "W0")]
+
+
+def packed_snapshot(chain):
+    """The chain's packed columns as lists of (term, coefficient), in insertion order."""
+    return [[list(column.items()) for column in columns] for columns in chain.packed]
+
+
+def walk_both_ways(walked, weights, order):
+    """propagate_resolution of a Resolution or its maps from F_0 with weights, and from the top with small weights."""
+    maps = walked.differentials if isinstance(walked, Resolution) else walked
+    return (
+        propagate_resolution(walked, 0, weights, order),
+        propagate_resolution(walked, len(maps), small_weights(maps[-1].domain), order),
+    )
+
+
+@pytest.mark.parametrize("name, presentation, weights", HAND_OFF, ids=lambda v: v)
+def test_hand_off_never_changes_the_chain(name, presentation, weights):
+    problem = load_problem(fixture_path(name + ".json"))
+    for order in ALL_ORDERS:
+        resolution = minimal_resolution(problem.matrices[presentation], order)
+        chain = resolution.differentials
+        assert chain.codec.order == order and len(chain.packed) == len(chain)
+        snapshot = packed_snapshot(chain)
+        first = walk_both_ways(resolution, problem.weightlists[weights], order)
+        assert packed_snapshot(chain) == snapshot, order
+        assert walk_both_ways(resolution, problem.weightlists[weights], order) == first, order
+        assert packed_snapshot(chain) == snapshot, order
+
+
+@pytest.mark.parametrize("name, presentation, weights", HAND_OFF, ids=lambda v: v)
+def test_hand_off_under_another_order_walks_like_a_checked_copy(monkeypatch, name, presentation, weights):
+    # the chain's own order walks its packed columns and packs nothing; any
+    # other order repacks each map once, as an unproven chain's check does
+    problem = load_problem(fixture_path(name + ".json"))
+    columns, degree = packing_spies(monkeypatch)
+    for build in ALL_ORDERS:
+        resolution = minimal_resolution(problem.matrices[presentation], build)
+        diffs = resolution.differentials
+        for order in ALL_ORDERS:
+            columns.calls = degree.calls = 0
+            handed = walk_both_ways(resolution, problem.weightlists[weights], order)
+            packs = 0 if order == build else len(diffs)
+            assert (columns.calls, degree.calls) == (2 * packs, 2 * packs), (build, order)
+            assert handed == walk_both_ways(list(diffs), problem.weightlists[weights], order), (build, order)
+
+
+@pytest.mark.parametrize("name, presentation, weights", HAND_OFF, ids=lambda v: v)
+def test_hand_off_differentials_unpack_on_first_read(monkeypatch, name, presentation, weights):
+    problem = load_problem(fixture_path(name + ".json"))
+    m, start = problem.matrices[presentation], problem.weightlists[weights]
+    unpack = Spy(monkeypatch, "matrix", _TermCodec)
+    walked = propagate_resolution(minimal_resolution(m, TOP_UP), 0, start, TOP_UP)
+    # neither the resolution nor a walk that reads only the weights unpacks a map
+    assert unpack.calls == 0
+    chain = minimal_resolution(m, TOP_UP).differentials
+    for d in chain:
+        d.entries
+    assert propagate_resolution(chain, 0, start, TOP_UP) == walked
+    for k, d in enumerate(chain):
+        expected = chain.codec.matrix(chain.packed[k], d.codomain, d.domain)
+        assert d == expected and expected == d and hash(d) == hash(expected), k
+    # each reader, as the first read of a fresh map, sees the unpacked matrix
+    readers = [
+        lambda d: d.is_zero,
+        lambda d: dual_map(d),
+        lambda d: [d.column(j) for j in range(d.num_cols)],
+        entries_as_text,
+    ]
+    for read in readers:
+        fresh = minimal_resolution(m, TOP_UP).differentials
+        for k, d in enumerate(fresh):
+            assert read(d) == read(chain.codec.matrix(chain.packed[k], d.codomain, d.domain)), k
 
 
 def chain_faults(koszul):
@@ -866,6 +947,10 @@ def test_the_forward_walk_builds_only_what_is_read(monkeypatch):
     problem = load_problem(fixture_path("generic_koszul.json"))
     diffs = list(minimal_resolution(problem.matrices["d1"], TOP_UP).differentials)
     n = len(diffs)
+    # the differentials unpack on first read: read them before the spies,
+    # so that only the walk's own unpacking is counted
+    for d in diffs:
+        d.entries
     unpack = Spy(monkeypatch, "matrix", _TermCodec)
     dual = Spy(monkeypatch, "dual_map")
     invert = Spy(monkeypatch, "_inverted")
