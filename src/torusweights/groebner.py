@@ -22,11 +22,12 @@ that all lie in one degree are decided without a run, by the engine's one
 elimination, `linalg.Echelon` (see `_nakayama_kept`).  No monomial multiple
 of a vector is formed.
 
-Division, Buchberger and the inter-reduction run on packed terms (see
-`packed`): a module term is one int that is its own order key, a product is
-one add and a divisibility test one subtraction and one mask.  The boundary
-does not move: `Polynomial`, `ModuleTerm`, `ModuleElement` and every public
-or printed value keep exponent tuples.  Columns are packed once on entry,
+Division, Buchberger, the inter-reduction and the search for standard
+monomials run on packed terms (see `packed`): a module term is one int that
+is its own order key, a product is one add and a divisibility test one
+subtraction and one mask.  The boundary does not move: `Polynomial`,
+`ModuleTerm`, `ModuleElement` and every public or printed value keep
+exponent tuples.  Columns are packed once on entry,
 every map by `_packed_chain` (a single map is a chain of one), and basis
 elements are unpacked once on exit, differentials when first read.  The
 checks that maps compose to zero multiply packed columns too
@@ -37,8 +38,8 @@ and `syzygies` pack their input once, keep the frame's levels in the keys
 of `schreyer._FrameLayout` from the run on, and check the composites of
 the pruned differentials, packed by one codec.  `minimal_resolution`'s
 chain keeps that codec and those packed columns (see `_MinimalChain`),
-which `propagate_resolution` walks under the chain's own order, and its
-differentials are unpacked when first read.
+which `propagate_resolution` walks under the chain's own order, or
+re-keyed under another, and its differentials are unpacked when first read.
 
 The field widths come from a bound the run proves.  Every variable's degree
 has positive functional (see `rings`), so a term of degree d at an index of
@@ -136,10 +137,6 @@ class DivisionResult:
 
     quotients: list
     remainder: ModuleElement
-
-
-def _term_divides(a, b):
-    return a.index == b.index and monomial_divides(a.monomial, b.monomial)
 
 
 def normal_form(element, divisors, order):
@@ -530,13 +527,68 @@ def standard_monomials(basis, degree):
     By Macaulay's basis theorem their residues form a basis of the degree-d
     component of the quotient by the submodule the basis generates.
     Returned in decreasing module term order.
+
+    The search runs on packed terms (see `packed`), by one codec whose
+    fields hold both the largest total degree of a degree-d term and the
+    largest leading term, so a basis need not be bounded at d.  For each
+    basis index whose degree lies within d under the ring's positive
+    functional, a depth-first search over the variables adds one unit per
+    exponent step to the partial term, whose later exponents are 0; the
+    last exponent is the one that fills the degree, if any does.  A leading
+    term can first divide a partial term only at the step of its last
+    variable, so it is tested there and nowhere else, and a constant one
+    empties its index.  Exponents only grow along a branch, so a divisible
+    partial term ends its exponent loop and the branch with it.  The kept
+    ints, sorted in descending order, are the terms in decreasing order;
+    each is unpacked once.
     """
+    module, order = basis.module, basis.order
+    check_order(order)
+    ring = module.ring
+    degree = _int_vector(degree, "degree", ring.degree_length)
+    n, functional, degs = ring.num_vars, ring._functional, ring.var_degrees
+    weights = [functional(d) for d in degs]
     lts = basis.leading_terms()
-    return [
-        t
-        for t in enumerate_terms(basis.module, degree, basis.order)
-        if not any(_term_divides(lt, t) for lt in lts)
-    ]
+    rests = [vector_sub(degree, b) for b in module.basis_degrees]
+    bound = max([0] + [functional(r) // min(weights) for r in rests] + [sum(t.monomial) for t in lts])
+    codec = _TermCodec(ring, order, module.rank, bound)
+    divmask, units, found = codec.divmask, codec._units, []
+    # tests[i][k]: the packed leading terms at index i whose last variable
+    # is k; a constant one sits at k = -1, the extra last slot
+    tests = [[[] for _ in range(n + 1)] for _ in rests]
+    for t in lts:
+        last = max((k for k, e in enumerate(t.monomial) if e), default=-1)
+        tests[t.index][last].append(codec.term(t.monomial, t.index))
+
+    def divided(t, leads):
+        for s in leads:
+            if not (t - s) & divmask:
+                return True
+        return False
+
+    def search(k, t, budget, rest, leads):
+        if k == n - 1:
+            e = budget // weights[k]
+            t += e * units[k]
+            if rest == tuple(e * x for x in degs[k]) and not divided(t, leads[k]):
+                found.append(t)
+            return
+        while True:
+            search(k + 1, t, budget, rest, leads)
+            budget -= weights[k]
+            if budget < 0:
+                return
+            t += units[k]
+            rest = vector_sub(rest, degs[k])
+            if divided(t, leads[k]):
+                return
+
+    for i, (rest, leads) in enumerate(zip(rests, tests)):
+        budget = functional(rest)
+        if budget >= 0 and not leads[-1]:
+            search(0, codec.term(unit_monomial(n), i), budget, rest, leads)
+    found.sort(reverse=True)
+    return [codec.unpack(t) for t in found]
 
 
 def _nakayama_kept(codec, module, vectors, degrees):
@@ -706,7 +758,8 @@ class _MinimalChain(tuple):
     the proof ran on (None and () for the empty chain).  Like
     `_packed_chain`'s, codec's fields hold every consecutive product and its
     index field the largest module rank, so `propagate_resolution` walks
-    those columns under codec's order without packing anything.  They are
+    those columns under codec's order without packing anything, and under
+    another order re-keys them into a codec of the same fields.  They are
     immutable by convention too: the walk reads them and never changes them.
     """
 

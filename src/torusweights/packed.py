@@ -4,10 +4,13 @@ A module term, a monomial with a basis index, is one Python int (Monagan
 and Pearce, "Sparse polynomial division using a heap", JSC 2011, and "POLY:
 a new polynomial data structure for Maple 17", 2013) inside `groebner`'s
 division, Buchberger and inter-reduction, inside the propagation walk of
-`propagate`, and inside the tests that consecutive maps compose to zero.  A
-`_TermCodec`, built once per run, gives every exponent a fixed-width field
-with a guard bit on top and the basis index a field of its own, placed so
-that the int itself is the order key of `ModuleTermOrder.sort_key`.
+`propagate`, inside the tests that consecutive maps compose to zero, and
+inside `groebner.standard_monomials`, whose search over the variables
+grows a partial term by one add per exponent step and cuts it at the first
+leading term that divides it.  A `_TermCodec`, built once per run, gives
+every exponent a fixed-width field with a guard bit on top and the basis
+index a field of its own, placed so that the int itself is the order key
+of `ModuleTermOrder.sort_key`.
 Multiplying a term by a monomial is one int add, and "same index and
 divides" is one subtraction and one mask test on the guard bits.  Under
 grevlex the fields above the exponents hold their prefix sums e_1 + ... +

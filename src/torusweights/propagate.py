@@ -40,10 +40,11 @@ product of consecutive maps and whose index field holds max(rows, cols),
 and the same packed columns serve the test that the maps compose to zero,
 each differential's minimality run and the walk, which lets each map's
 columns go once it has passed it.  A chain that `minimal_resolution`
-proved is walked, under its own order, on the packed columns its pruning
-already built and checked, with a codec sized the same way, so nothing is
-packed, and its matrices are unpacked only when first read; under any other
-order it is packed once, as any chain is.  The walk takes (codomain, domain,
+proved is walked on the packed columns its pruning already built and
+checked, with a codec sized the same way, so nothing is packed, and its
+matrices are unpacked only when first read; under any other order than its
+own each term is re-keyed (`_TermCodec.repacked`) into a codec of the same
+fields and indices under that order.  The walk takes (codomain, domain,
 codec, columns) steps, no PolyMatrix, and rebases each map as the product
 C^-1 @ d through `_TermCodec.product`, with the nonzero entries of C^-1
 packed as constant terms: a constant factor adds no degree, so the map's
@@ -87,6 +88,7 @@ from .groebner import (
 )
 from .linalg import Echelon, _dense_primitive
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
+from .packed import _TermCodec
 from .rings import _int_vector, unit_monomial, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
@@ -451,8 +453,8 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     again; a copy, a slice or any other sequence, also inside a Resolution
     built by hand, is checked in full.  Under the order it was built
     under, such a chain is walked on the packed columns of its pruning,
-    which the walk only reads, and no map is packed or unpacked; under
-    another order each map is packed once.
+    which the walk only reads; under another order on those columns
+    re-keyed under it.  Either way no map is packed or unpacked.
 
     If a forward step hits a non-minimal dual mid-resolution, a
     ResolutionStepError is raised carrying the weight lists computed so far.
@@ -481,7 +483,10 @@ def propagate_resolution(differentials, start_index, start_weights, order):
         # a copy of the chain's list: the walk lets each map's columns go
         codec, packed = chain.codec, list(chain.packed)
     else:
-        codec, packed = _packed_chain(differentials, order)
+        # the same fields and indices under order: each term is re-keyed
+        old = chain.codec
+        codec = _TermCodec(ring, order, old.indices, old.capacity)
+        packed = [[codec.repacked(old, column) for column in columns] for columns in chain.packed]
 
     def walked(ks):
         for k in ks:

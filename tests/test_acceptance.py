@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: one test per criterion, each printing a pass/fail line,
+and the Gr(2,5) component in degree 10 against its tableau oracle.
 
 All comparisons are bit-exact (exact rational arithmetic throughout); run
 with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
@@ -6,7 +7,6 @@ with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 
 import json
 from collections import Counter
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -227,15 +227,27 @@ def test_criterion_4(grassmannian):
     run_criterion(4, "Grassmannian: forward propagation from the top matches exactly", body)
 
 
-def ssyt_two_by_two_contents():
+def ssyt_two_row_contents(d, letters=5):
+    """The contents of the semistandard tableaux of shape (d, d) on letters 1..letters.
+
+    A tableau is a run of d columns (a, b), a < b, in which both rows weakly
+    increase; its content counts each letter's entries.
+    """
     contents = []
-    for r1 in combinations_with_replacement(range(1, 6), 2):
-        for r2 in combinations_with_replacement(range(1, 6), 2):
-            if r2[0] > r1[0] and r2[1] > r1[1]:
-                c = [0] * 5
-                for x in r1 + r2:
-                    c[x - 1] += 1
-                contents.append(tuple(c))
+
+    def extend(length, top, bottom, content):
+        if length == d:
+            contents.append(tuple(content))
+            return
+        for a in range(top, letters):
+            for b in range(max(a + 1, bottom), letters + 1):
+                content[a - 1] += 1
+                content[b - 1] += 1
+                extend(length + 1, a, b, content)
+                content[a - 1] -= 1
+                content[b - 1] -= 1
+
+    extend(0, 1, 2, [0] * letters)
     return contents
 
 
@@ -258,9 +270,21 @@ def test_criterion_5(bigraded, grassmannian):
         assert counts[(2, 1, 1, 0, 0)] == 1
         assert counts[(1, 1, 1, 1, 0)] == 2
         # the multiset is that of the tableau contents of shape (2, 2) in 5 letters
-        assert Counter(big) == Counter(ssyt_two_by_two_contents())
+        assert Counter(big) == Counter(ssyt_two_row_contents(2))
 
     run_criterion(5, "graded components: small bigraded case and the frozen 50-weight multiset", body)
+
+
+def test_grassmannian_degree_ten_component_is_the_tableau_contents(grassmannian):
+    # the degree-d part of the Pluecker coordinate ring of Gr(2, 5) has one
+    # weight per semistandard tableau of shape (d, d) on 5 letters, its
+    # content; their number is the Hilbert function
+    d = 10
+    weights = propagate_graded_components(
+        (d,), grassmannian.matrices["d1"], grassmannian.weightlists["W0"], TOP_UP
+    )
+    assert len(weights) == (d + 1) * (d + 2) ** 2 * (d + 3) ** 2 * (d + 4) // 144 == 26026
+    assert Counter(weights) == Counter(ssyt_two_row_contents(d))
 
 
 def test_criterion_6():

@@ -40,7 +40,8 @@ from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.rings import vector_add
 
-from conftest import PROBLEMS, entries_as_text, fixture_path, matrix
+from conftest import PROBLEMS, entries_as_text, fixture_path, matrix, std_ring
+from reference import reference_standard_monomials
 
 TOP_UP = ModuleTermOrder("top-up")
 
@@ -443,6 +444,28 @@ def test_standard_monomials_gr2_count(grassmannian):
     basis = buchberger(grassmannian.matrices["d1"], TOP_UP)
     terms = standard_monomials(basis, (2,))
     assert len(terms) == 50
+
+
+@pytest.mark.parametrize(
+    "n, entries, degrees",
+    [
+        (2, ["x1^200", "x2^3", "x1^130*x2^2"], (0, 5, 127, 128, 132, 200, 201, 260)),
+        (3, ["x1^150", "x2^2*x3", "x3^140"], (0, 5, 20, 30)),
+    ],
+)
+def test_standard_monomials_beyond_the_initial_fields(n, entries, degrees):
+    # leading terms of total degree above what a fresh codec's fields hold,
+    # at degrees below, at and above them, under every order
+    ring = std_ring(n)
+    polys = [parse_polynomial(ring, e) for e in entries]
+    m = matrix(ring, [[0]], [[sum(next(iter(p.terms)))] for p in polys], [entries])
+    assert max(map(sum, (mono for p in polys for mono in p.terms))) > (1 << _FIELD_BITS) - 1
+    for order in ALL_ORDERS:
+        basis = buchberger(m, order)
+        for d in degrees:
+            expected = reference_standard_monomials(basis, (d,))
+            assert standard_monomials(basis, (d,)) == expected, (order, d)
+            assert standard_monomials(buchberger(m, order, bound=(d,)), (d,)) == expected, (order, d)
 
 
 # ---------- minimality ----------

@@ -20,9 +20,10 @@ from torusweights import (
     propagate_resolution,
     standard_monomials,
 )
-from torusweights.groebner import _term_divides
 from torusweights.parsing import parse_polynomial
 from torusweights.rings import vector_add, vector_sub
+
+from reference import _term_divides
 
 TOP_UP = ModuleTermOrder("top-up")
 

@@ -755,8 +755,8 @@ def packing_spies(monkeypatch):
 
 @pytest.mark.parametrize("name", ["koszul", "grassmannian"])
 def test_each_map_is_packed_once_per_call(monkeypatch, name):
-    # a proven chain under its own order is walked on its pruning's packed
-    # columns and packs nothing; under any other order it is packed once
+    # a proven chain is walked on its pruning's packed columns, re-keyed
+    # under any other order than its own, and packs nothing
     problem = load_problem(fixture_path(name + ".json"))
     explicit = [problem.matrices[d] for d in problem.resolution]
     proven = minimal_resolution(explicit[0], TOP_UP).differentials
@@ -764,7 +764,7 @@ def test_each_map_is_packed_once_per_call(monkeypatch, name):
     for diffs in (explicit, proven):
         modules = [diffs[0].codomain] + [d.domain for d in diffs]
         for order in ALL_ORDERS:
-            packs = 0 if diffs is proven and order == TOP_UP else len(diffs)
+            packs = 0 if diffs is proven else len(diffs)
             for start in range(len(diffs) + 1):
                 columns.calls = degree.calls = 0
                 propagate_resolution(diffs, start, small_weights(modules[start]), order)
@@ -823,18 +823,20 @@ def test_hand_off_never_changes_the_chain(name, presentation, weights):
 
 @pytest.mark.parametrize("name, presentation, weights", HAND_OFF, ids=lambda v: v)
 def test_hand_off_under_another_order_walks_like_a_checked_copy(monkeypatch, name, presentation, weights):
-    # the chain's own order walks its packed columns and packs nothing; any
-    # other order repacks each map once, as an unproven chain's check does
+    # the chain's own order walks its packed columns; any other order
+    # re-keys each packed column once per walk, and neither packs a map
     problem = load_problem(fixture_path(name + ".json"))
     columns, degree = packing_spies(monkeypatch)
+    rekeyed = Spy(monkeypatch, "repacked", _TermCodec)
     for build in ALL_ORDERS:
         resolution = minimal_resolution(problem.matrices[presentation], build)
         diffs = resolution.differentials
         for order in ALL_ORDERS:
-            columns.calls = degree.calls = 0
+            columns.calls = degree.calls = rekeyed.calls = 0
             handed = walk_both_ways(resolution, problem.weightlists[weights], order)
-            packs = 0 if order == build else len(diffs)
-            assert (columns.calls, degree.calls) == (2 * packs, 2 * packs), (build, order)
+            assert (columns.calls, degree.calls) == (0, 0), (build, order)
+            rekeys = 0 if order == build else sum(d.num_cols for d in diffs)
+            assert rekeyed.calls == 2 * rekeys, (build, order)
             assert handed == walk_both_ways(list(diffs), problem.weightlists[weights], order), (build, order)
 
 

@@ -29,16 +29,25 @@ from torusweights import (
     standard_monomials,
     syzygies,
 )
-from torusweights.errors import ResolutionStepError
-from torusweights.groebner import _buchberger_run, _nakayama_kept, _term_divides
+from torusweights.errors import InputError, ResolutionStepError
+from torusweights.groebner import _buchberger_run, _nakayama_kept
 from torusweights.linalg import Echelon, _dense_primitive, _primitive, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
-from torusweights.rings import Polynomial, exact, monomial_div, monomial_divides, vector_add, vector_sub
+from torusweights.rings import (
+    Polynomial,
+    exact,
+    monomial_div,
+    monomial_divides,
+    unit_monomial,
+    vector_add,
+    vector_sub,
+)
 
 from conftest import fixture_path, std_ring
+from reference import _term_divides, reference_standard_monomials
 from test_groebner import (
     assert_primitive_integer_columns,
     assert_resolution_matches_the_syzygies_loop,
@@ -1145,6 +1154,52 @@ def test_graded_components_match_the_unbounded_basis(data, ring, order):
             terms.reverse()
         expected = tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in terms)
         assert propagate_graded_components(degree, m, weights, order) == expected, degree
+
+
+# ---------- standard monomials against the filtered term list ----------
+
+
+# A ring whose last variable has degree 2, so that no exponent of it fills an odd rest.
+DEGREE_TWO_RING = RingSpec(["x", "y", "z"], [[1], [1], [2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    ring=st.sampled_from(KERNEL_RINGS + [MIXED_SIGN_RING, DEGREE_TWO_RING]),
+    order=st.sampled_from(ALL_ORDERS),
+)
+def test_standard_monomials_match_the_filtered_terms(data, ring, order):
+    # the pruned search on packed terms against every degree-d term filtered
+    # by divisibility on tuples, for a basis bounded at d, the unbounded one
+    # (leading terms above d) and, with a constant column, one with a unit
+    # leading term, which empties its row; a degree below every row's has none
+    offsets = monomial_degrees(ring, 1) if ring is MIXED_SIGN_RING else None
+    m = data.draw(homogeneous_matrix(ring, offsets=offsets))
+    rows = m.codomain.basis_degrees
+    unit_row = data.draw(st.sampled_from([None, None] + list(range(len(rows)))))
+    if unit_row is not None:
+        one = Polynomial({unit_monomial(ring.num_vars): 1})
+        entries = [list(row) + [one if i == unit_row else Polynomial()] for i, row in enumerate(m.entries)]
+        m = PolyMatrix(m.codomain, FreeModuleSpec(ring, list(m.domain.basis_degrees) + [rows[unit_row]]), entries)
+    basis = buchberger(m, order)
+    lowest = tuple(map(max, zip(*rows)))
+    below = vector_sub(min(rows, key=ring._functional), ring.var_degrees[data.draw(st.integers(0, ring.num_vars - 1))])
+    degrees = [vector_add(lowest, d) for d in data.draw(st.lists(monomial_degrees(ring, 3), min_size=1, max_size=3))]
+    for degree in degrees + [below]:
+        expected = reference_standard_monomials(basis, degree)
+        assert standard_monomials(basis, degree) == expected, degree
+        assert standard_monomials(buchberger(m, order, bound=degree), degree) == expected, degree
+        if unit_row is not None:
+            assert all(t.index != unit_row for t in expected), degree
+    assert reference_standard_monomials(basis, below) == []
+    width = ring.degree_length
+    for malformed in [(1,) * (width + 1), 2, (1.5,) * width, ("2",) * width]:
+        with pytest.raises(InputError) as raised:
+            standard_monomials(basis, malformed)
+        with pytest.raises(InputError) as reference:
+            enumerate_terms(basis.module, malformed, order)
+        assert str(raised.value) == str(reference.value)
 
 
 # ---------- equivariant Euler characteristic ----------
