@@ -10,8 +10,10 @@ it takes (the columns of a map over the terms of one degree, a block of
 C^-1 beside the identity) are mostly nonzero and their entries stay small:
 a list comprehension per step costs less than dict passes.  Its callers
 lay their vectors out as such lists through `_dense_primitive`, which
-clears any Fractions by `_primitive`, and each row stays primitive after
-every step.  Fractions appear only in `reduced_rows`, and there only for
+divides each by its content while it is still a sparse mapping and
+clears any Fractions.  A row that elimination changes is divided by its
+content once, when it is stored, not after every step.  Fractions appear
+only in `reduced_rows`, and there only for
 entries that are not integers.  `rank` is a caller like any other.  `solve` and `invert`
 stay dense, on lists of Fraction; the tests keep them as references
 independent of `Echelon`.
@@ -62,19 +64,18 @@ def _dense_primitive(vec, index):
 
 
 def _eliminate(row, pivot_row, pos):
-    """Primitive integer combination of the dense rows row and pivot_row that is zero at pos.
-
-    Both are integer rows, so `_primitive`'s int branch is all the
-    combination needs, written out here since this is the kernel's step.
-    """
+    """Integer combination of the dense rows row and pivot_row that is zero at pos, its content left in."""
     g = gcd(pivot_row[pos], row[pos])
     a, b = pivot_row[pos] // g, row[pos] // g
     if a == 1:
-        out = [u - b * v for u, v in zip(row, pivot_row)]
-    else:
-        out = [a * u - b * v for u, v in zip(row, pivot_row)]
-    c = gcd(*out)
-    return [v // c for v in out] if c > 1 else out
+        return [u - b * v for u, v in zip(row, pivot_row)]
+    return [a * u - b * v for u, v in zip(row, pivot_row)]
+
+
+def _divided(row):
+    """The dense integer row divided by its content; a zero row as it is."""
+    c = gcd(*row)
+    return [v // c for v in row] if c > 1 else row
 
 
 class Echelon:
@@ -82,11 +83,14 @@ class Echelon:
 
     A vector is a dense primitive integer row, a list of ints as
     `_dense_primitive` lays out a vector of rationals; its pivot is its
-    first (smallest) nonzero position.  A stored row is made primitive
-    again after every elimination step.  `pivots` maps each pivot position
-    to its stored row, in the order the rows were added.  Each stored row is
-    zero at the pivots of the rows before it, and every row is zero before
-    its own pivot.
+    first (smallest) nonzero position.  A row is reduced by fraction-free
+    steps and, if any step changed it, divided by its content once, when
+    it is stored.  Each step keeps the row a positive multiple of the one
+    that dividing after every step would give, so the stored rows are
+    those primitive rows, and only the working rows grow.  `pivots` maps
+    each pivot position to its stored row, in the order the rows were
+    added.  Each stored row is zero at the pivots of the rows before it,
+    and every row is zero before its own pivot.
     """
 
     def __init__(self):
@@ -99,32 +103,35 @@ class Echelon:
         the earlier pivots, so it cannot bring back an entry cleared before.
         row is not modified, but may be stored as it is.
         """
+        reduced = row
         for pos, pivot_row in self.pivots.items():
-            if row[pos]:
-                row = _eliminate(row, pivot_row, pos)
-        if not any(row):
+            if reduced[pos]:
+                reduced = _eliminate(reduced, pivot_row, pos)
+        if reduced is not row:
+            reduced = _divided(reduced)
+        if not any(reduced):
             return False
-        self.pivots[next(pos for pos, x in enumerate(row) if x)] = row
+        self.pivots[next(pos for pos, x in enumerate(reduced) if x)] = reduced
         return True
 
     def reduced_rows(self):
         """Reduced row echelon form: {pivot: {position: rational}}, by position.
 
-        Back-substitution in integers from the last pivot up: a row is zero
-        before its pivot, so only the rows with smaller pivots need it.  Each
-        row is then divided by its pivot entry; zero entries are left out.
-        An entry is an int when the division is exact, a Fraction otherwise.
+        Back-substitution in integers from the last pivot up: each row is
+        reduced against the rows after it, which are reduced already and
+        zero at each other's pivots, and divided by its content once, as
+        `add` does.  Each row is then divided by its pivot entry; zero
+        entries are left out.  An entry is an int when the division is
+        exact, a Fraction otherwise.
         """
-        rows = dict(sorted(self.pivots.items()))
-        for pos in reversed(rows):
-            row = rows[pos]
-            for other, vec in rows.items():
-                if other >= pos:
-                    break
-                if vec[pos]:
-                    rows[other] = _eliminate(vec, row, pos)
+        rows = {}
+        for pos, row in sorted(self.pivots.items(), reverse=True):
+            for other, done in rows.items():
+                if row[other]:
+                    row = _eliminate(row, done, other)
+            rows[pos] = _divided(row)
         return {
-            pos: {k: _quotient(x, row[pos]) for k, x in enumerate(row) if x} for pos, row in rows.items()
+            pos: {k: _quotient(x, row[pos]) for k, x in enumerate(row) if x} for pos, row in reversed(rows.items())
         }
 
     @property

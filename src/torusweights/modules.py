@@ -210,6 +210,13 @@ class ScalarMatrix:
             raise InputError("ragged scalar matrix")
 
     @classmethod
+    def _unchecked(cls, rows):
+        """The constructor without `exact` and the width check, for exact rows of one length."""
+        out = cls.__new__(cls)
+        out.rows = tuple(map(tuple, rows))
+        return out
+
+    @classmethod
     def identity(cls, n):
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -255,7 +262,7 @@ class ScalarMatrix:
         )
 
     def transpose(self):
-        return ScalarMatrix(list(zip(*self.rows))) if self.rows else ScalarMatrix([])
+        return ScalarMatrix._unchecked(zip(*self.rows))
 
     def inverse(self):
         return ScalarMatrix(invert([list(r) for r in self.rows]))

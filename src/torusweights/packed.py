@@ -28,11 +28,12 @@ computes A @ B on packed columns by adding packed terms.  It serves the
 chain checks, the walk's rebase, the product C^-1 @ d of a constant
 matrix and a map, whose constant terms add no degree, so the map's own
 codec holds the product, and G = M @ C.  Where A repeats a monomial across
-rows, it packs the rows too (Kronecker substitution on the row index;
-Harvey, JSC 2009): one int per monomial, one signed slot per row, each
-slot wider than any sum it takes, so that an int is 0 exactly when every
-slot is.  A map is packed at most once per public call, and its
-packed columns serve every reader of that call: the test that consecutive
+rows, which the one pass that groups A's terms finds, it packs the rows too
+(Kronecker substitution on the row index; Harvey, JSC 2009): one int per
+monomial, one signed slot per row, each slot wider than any sum it takes,
+so that an int is 0 exactly when every slot is.  A map is packed at most
+once per public call, each distinct nonzero entry and monomial once, and
+its packed columns serve every reader of that call: the test that consecutive
 maps compose to zero, the minimality run and the walk; a chain from
 `groebner.minimal_resolution` keeps its pruning's packed columns for the
 walk.
@@ -51,6 +52,7 @@ of the distinct terms it has met.
 import bisect
 import operator
 import struct
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import InternalError
@@ -145,14 +147,30 @@ class _TermCodec:
         return {self.term(t.monomial, t.index): c for t, c in element.support()}
 
     def columns(self, matrix):
-        """The columns of a PolyMatrix as packed dicts, entry i at index i."""
+        """The columns of a PolyMatrix as packed dicts, entry i at index i.
+
+        Each distinct nonzero entry object is packed once, since a loaded
+        matrix shares its equal entries, and each distinct monomial once,
+        since an unpacked one does not.
+        """
         units = self._units
+        entries, monomials = {}, {}
         columns = [{} for _ in range(matrix.num_cols)]
         for i, row in enumerate(matrix.entries):
             tag = self._tag(i)
             for col, p in zip(columns, row):
-                for mono, c in p.terms.items():
-                    col[sum(map(operator.mul, mono, units)) | tag] = c
+                if not p.terms:
+                    continue
+                terms = entries.get(id(p))
+                if terms is None:
+                    terms = entries[id(p)] = []
+                    for mono, c in p.terms.items():
+                        t = monomials.get(mono)
+                        if t is None:
+                            t = monomials[mono] = sum(map(operator.mul, mono, units))
+                        terms.append((t, c))
+                for t, c in terms:
+                    col[t | tag] = c
         return columns
 
     def transposed(self, columns, rows):
@@ -185,7 +203,8 @@ class _TermCodec:
         zero stops at the first nonzero one.  The codec must hold every
         product's total degree: the largest in A plus the largest in B.
 
-        Where `_row_slots` finds it cheaper, the rows are packed too: the
+        Where `_row_slots` finds it cheaper, from the one pass that groups
+        each column of A by packed monomial, the rows are packed too: the
         terms one packed monomial has in a column of A become one int whose
         slot r, `width` bits wide, holds the coefficient at the r-th index
         field value from A's lowest as a signed digit, once A and B are
@@ -208,34 +227,37 @@ class _TermCodec:
         """
         shift = self._index_shift
         field = self._index_mask << shift
-        layout = _row_slots(a, b, field, shift)
+        groups, tags = [], set()
+        add = tags.add
+        for col in a:
+            group = {}
+            for s in col:
+                tag = s & field
+                add(tag)
+                group[s - tag] = 0
+            groups.append(group)
+        layout = _row_slots(a, b, groups, tags, shift)
         if layout is None:
             by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
-            scale_b = 1
         else:
-            size, low, slots, scale_a, scale_b = layout
-            width, nbytes, scale = 8 * size, size * slots, scale_a * scale_b
+            size, low, slots, a, b, scale = layout
+            width, nbytes = 8 * size, size * slots
             row_tags = [low + (r << shift) for r in range(slots)]
             offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
             digits = struct.Struct("<%d%s" % (slots, "bhiq"[size.bit_length() - 1])).unpack
             by_tag = {}
-            for k, col in enumerate(a):
-                group = {}
-                get = group.get
+            for k, (col, group) in enumerate(zip(a, groups)):
                 for s, x in col.items():
                     tag = s & field
-                    x = x.numerator * (scale_a // x.denominator)
-                    s -= tag
-                    group[s] = get(s, 0) + (x << ((tag - low) >> shift) * width)
+                    group[s - tag] += x << ((tag - low) >> shift) * width
                 by_tag[self._tag(k)] = list(group.items())
+        del groups  # a product is consumed lazily, and its B loop needs no group dict
         for col in b:
             out = {}
             get = out.get
             for t, c in col.items():
                 tag = t & field
                 t -= tag
-                if scale_b != 1 or type(c) is not int and layout:
-                    c = c.numerator * (scale_b // c.denominator)
                 for s, x in by_tag[tag]:
                     s += t
                     out[s] = get(s, 0) + x * c
@@ -303,45 +325,49 @@ class _TermCodec:
 _BYTES_PER_ROW = 20
 
 
-def _row_slots(a, b, field, shift):
-    """The row slots of `_TermCodec.product` for A @ B: (size, low, slots, scale_a, scale_b), or None.
+def _row_slots(a, b, groups, tags, shift):
+    """The row slots of `_TermCodec.product` for A @ B: (size, low, slots, a, b, scale), or None.
 
-    None, for the dict loop, where A has fewer than two rows per packed
-    monomial of a column, a slot would need more than 64 bits, or a packed
-    int would take more than `_BYTES_PER_ROW` bytes per row it holds.
-    Otherwise slot r, for r below slots, holds the row whose index field is
-    low + (r << shift) and takes size bytes, 1, 2, 4 or 8, so that one
-    `struct` unpack reads a packed int out; scale_a and scale_b are the
-    lcms of A's and B's denominators.
+    groups and tags, from the product's grouping pass, are A's columns keyed
+    by packed monomial and A's index fields.  None, for the dict loop, where
+    A has fewer than two rows per packed monomial of a column, a slot would
+    need more than 64 bits, or a packed int would take more than
+    `_BYTES_PER_ROW` bytes per row it holds.  Otherwise slot r, for r below
+    slots, holds the row whose index field is low + (r << shift) in size
+    bytes, 1, 2, 4 or 8, and a and b come scaled to ints (`_integral`), by
+    scale in all.
     """
-    keep = ~field
     terms = sum(map(len, a))
-    groups = sum(len({s & keep for s in col}) for col in a)
-    if not terms or terms < 2 * groups:
+    count = sum(map(len, groups))
+    if not terms or terms < 2 * count:
         return None
-    tags = {s & field for col in a for s in col}
     low = min(tags)
     slots = ((max(tags) - low) >> shift) + 1
-    scale_a = lcm(*{x.denominator for col in a for x in col.values()})
-    scale_b = lcm(*{c.denominator for col in b for c in col.values()})
-    bits = (
-        int(max(abs(x) for col in a for x in col.values()) * scale_a).bit_length()
-        + int(max((abs(c) for col in b for c in col.values()), default=0) * scale_b).bit_length()
-        + max(map(len, b), default=0).bit_length()
-        + 1
-    )
-    size = (bits + 7) // 8
+    a, scale_a, big_a = _integral(a)
+    b, scale_b, big_b = _integral(b)
+    size = (big_a.bit_length() + big_b.bit_length() + max(map(len, b), default=0).bit_length() + 8) // 8
     if size > 8:
         return None
     size = 1 << (size - 1).bit_length()
-    if slots * size * groups > _BYTES_PER_ROW * terms:
+    if slots * size * count > _BYTES_PER_ROW * terms:
         return None
-    return size, low, slots, scale_a, scale_b
+    return size, low, slots, a, b, scale_a * scale_b
+
+
+def _integral(columns):
+    """(the packed columns times s, in ints; s, the lcm of their denominators; s * their largest |coefficient|)."""
+    values = list(chain.from_iterable(map(dict.values, columns)))
+    if set(map(type, values)) <= {int}:
+        return columns, 1, max(max(values, default=0), -min(values, default=0))
+    s = lcm(*{x.denominator for x in values})
+    scaled = [{t: x.numerator * (s // x.denominator) for t, x in col.items()} for col in columns]
+    return scaled, s, int(max(map(abs, values)) * s)
 
 
 def _largest_degree(matrix):
-    """The largest total degree of a monomial in the entries of a PolyMatrix, 0 if none."""
-    return max((sum(mono) for row in matrix.entries for p in row for mono in p.terms), default=0)
+    """The largest total degree of a monomial in the distinct nonzero entries of a PolyMatrix, 0 if none."""
+    entries = {id(p): p for row in matrix.entries for p in row if p.terms}.values()
+    return max((sum(mono) for p in entries for mono in p.terms), default=0)
 
 
 def _pseudo_divide(work, tail, divisors, codec):

@@ -341,7 +341,7 @@ def _inverted(inverse, row_degrees, column_degrees):
             for pos, x in row.items():
                 if pos >= n:
                     out[cols[pos - n]][rows[i]] = x
-    return ScalarMatrix(out)
+    return ScalarMatrix._unchecked(out)
 
 
 def propagate_forward(matrix, weights, order):

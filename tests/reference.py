@@ -2,8 +2,11 @@
 
 They stay independent of `packed`, `linalg.Echelon` and `schreyer`, so that
 a test comparing the library against them checks the packed engine against
-exponent tuples.
+exponent tuples, and the elimination against the one it replaced.
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from torusweights import enumerate_terms
 from torusweights.rings import monomial_divides
@@ -18,3 +21,59 @@ def reference_standard_monomials(basis, degree):
     """The filter `standard_monomials` replaced: every degree-d term that no leading term divides."""
     lts = basis.leading_terms()
     return [t for t in enumerate_terms(basis.module, degree, basis.order) if not any(_term_divides(lt, t) for lt in lts)]
+
+
+def _primitive_row(row):
+    """The row of rationals divided by its content: the primitive integer row with its signs; zeros stay."""
+    den = lcm(*(Fraction(x).denominator for x in row))
+    ints = [int(Fraction(x) * den) for x in row]
+    c = gcd(*ints)
+    return [v // c for v in ints] if c > 1 else ints
+
+
+class ReferenceEchelon:
+    """The elimination `linalg.Echelon` ran before it deferred content division.
+
+    `add` takes a row of rationals and makes it a primitive integer row, as
+    the row layout did, and every elimination step makes its row primitive
+    again, so each working row is primitive.  `pivots`, `rank` and
+    `reduced_rows` are as `linalg.Echelon`'s.
+    """
+
+    def __init__(self):
+        self.pivots = {}
+
+    @staticmethod
+    def _eliminate(row, pivot_row, pos):
+        g = gcd(pivot_row[pos], row[pos])
+        a, b = pivot_row[pos] // g, row[pos] // g
+        return _primitive_row([a * u - b * v for u, v in zip(row, pivot_row)])
+
+    def add(self, row):
+        row = _primitive_row(row)
+        for pos, pivot_row in self.pivots.items():
+            if row[pos]:
+                row = self._eliminate(row, pivot_row, pos)
+        if not any(row):
+            return False
+        self.pivots[next(pos for pos, x in enumerate(row) if x)] = row
+        return True
+
+    def reduced_rows(self):
+        rows = dict(sorted(self.pivots.items()))
+        for pos in reversed(rows):
+            row = rows[pos]
+            for other, vec in rows.items():
+                if other >= pos:
+                    break
+                if vec[pos]:
+                    rows[other] = self._eliminate(vec, row, pos)
+        out = {}
+        for pos, row in rows.items():
+            quotients = (Fraction(x, row[pos]) for x in row)
+            out[pos] = {k: q.numerator if q.denominator == 1 else q for k, q in enumerate(quotients) if q}
+        return out
+
+    @property
+    def rank(self):
+        return len(self.pivots)

@@ -94,8 +94,8 @@ def kernel_paths(force=None):
     taken = []
     rule = packed._row_slots
 
-    def spy(a, b, field, shift):
-        layout = None if force == "dict" else rule(a, b, field, shift)
+    def spy(*args):
+        layout = None if force == "dict" else rule(*args)
         taken.append("dict" if layout is None else "packed")
         return layout
 
@@ -206,6 +206,54 @@ def test_packed_rows_match_matmul_wherever_they_fit():
     with kernel_paths("packed") as taken:
         check_product_kernel_matches_matmul()
     assert set(taken) == {"dict", "packed"}
+
+
+class CountedTerms(dict):
+    """A term dict that counts the passes over its terms: each packing of its Polynomial makes one."""
+
+    passes = 0
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_columns_pack_each_distinct_entry_once():
+    # a loaded matrix shares one Polynomial between equal entries; packing
+    # it must give what packing equal entries that are distinct objects
+    # gives, dicts in the same insertion order, and pass over the terms of
+    # each nonzero object once
+    ring = std_ring(3)
+    x, y, z = (ring.variable(i) for i in range(3))
+    polys = [x * y - z.scale(3) * z, (x + y).scale(Fraction(1, 2)) * z, Polynomial()]
+    layout = [[0, 1, 2, 0], [1, 0, 0, 2], [2, 2, 1, 0]]
+
+    def counted(k):
+        return Polynomial._from_exact(CountedTerms(polys[k].terms))
+
+    codomain, domain = FreeModuleSpec(ring, [[0]] * 3), FreeModuleSpec(ring, [[2]] * 4)
+    shared = [counted(k) for k in range(len(polys))]
+    distinct = [[counted(k) for k in row] for row in layout]
+    m_shared = PolyMatrix(codomain, domain, [[shared[k] for k in row] for row in layout])
+    m_distinct = PolyMatrix(codomain, domain, distinct)
+    for order in ALL_ORDERS:
+        codec = _TermCodec(ring, order, 4, 2)
+        expected = [
+            list({codec.term(mono, i): c for i, k in enumerate(col) for mono, c in polys[k].terms.items()}.items())
+            for col in zip(*layout)
+        ]
+        for m, entries in ((m_shared, shared), (m_distinct, [p for row in distinct for p in row])):
+            for reader in (codec.columns, _largest_degree):
+                for p in entries:
+                    p.terms.passes = 0
+                reader(m)
+                assert [p.terms.passes for p in entries] == [int(bool(p)) for p in entries], (reader, order)
+            assert [list(col.items()) for col in codec.columns(m)] == expected, order
+        assert _largest_degree(m_shared) == _largest_degree(m_distinct) == 2
 
 
 ENTRIES = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])

@@ -47,7 +47,7 @@ from torusweights.rings import (
 )
 
 from conftest import fixture_path, std_ring
-from reference import _term_divides, reference_standard_monomials
+from reference import ReferenceEchelon, _term_divides, reference_standard_monomials
 from test_groebner import (
     assert_primitive_integer_columns,
     assert_resolution_matches_the_syzygies_loop,
@@ -169,6 +169,60 @@ def test_echelon_matches_sympy_rref(case, explicit_zeros):
     assert all(list(row) == sorted(row) for row in reduced.values())
 
 
+# entries of either sign up to 2**200, Fractions among them with small and
+# large denominators
+WIDE_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([2**200, -(2**200), 2**64 + 1, 3**120]),
+    nonzero_rationals,
+    st.builds(Fraction, st.integers(-(2**200), 2**200).filter(bool), st.sampled_from([7, 2**61 - 1, 3**90])),
+)
+
+
+@st.composite
+def echelon_cases(draw):
+    """Rows for an Echelon: all int or with Fractions, plus zero, repeated and rescaled copies.
+
+    Most entries are nonzero, so that a row meets several pivots and its
+    working row grows between stores; rescaled copies take factors up to
+    2**200, so that a row's content is large.
+    """
+    num_cols = draw(st.integers(1, 7))
+    entries = draw(st.sampled_from([st.integers(-9, 9), st.integers(-(2**200), 2**200), WIDE_ENTRIES]))
+    rows = draw(st.lists(st.lists(entries, min_size=num_cols, max_size=num_cols), max_size=6))
+    factors = st.one_of(st.integers(-(2**200), 2**200).filter(bool), nonzero_rationals, st.just(2**200))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "scale"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * num_cols)
+            continue
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        factor = 1 if kind == "repeat" else draw(factors)
+        rows.insert(draw(st.integers(0, len(rows))), [factor * x for x in source])
+    return num_cols, rows
+
+
+def typed_rows(reduced):
+    return [(pos, [(k, type(x).__name__, x) for k, x in row.items()]) for pos, row in reduced.items()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=echelon_cases())
+def test_deferred_content_division_matches_per_step_division(case):
+    # Echelon divides a row by its content only when it stores it; the
+    # reference divides after every step
+    num_cols, rows = case
+    ech, reference = Echelon(), ReferenceEchelon()
+    for row in rows:
+        vec = {j: x for j, x in enumerate(row) if x}
+        assert ech.add(_dense_primitive(vec, range(num_cols))) == reference.add(row)
+        assert list(ech.pivots.items()) == list(reference.pivots.items())
+        assert all(type(x) is int for stored in ech.pivots.values() for x in stored)
+    assert ech.rank == reference.rank
+    assert typed_rows(ech.reduced_rows()) == typed_rows(reference.reduced_rows())
+
+
 # mappings {key: rational} mixing ints and Fractions of either sign, with a
 # common factor, and sometimes empty
 @st.composite
@@ -260,6 +314,8 @@ def test_matrix_entries_are_int_exactly_when_integral(data):
     assert scalars == ScalarMatrix([[Fraction(x) for x in r] for r in rows])
     for matrix in (scalars, scalars @ scalars, scalars.transpose()):
         assert_exact(x for r in matrix.rows for x in r)
+    # the transpose trusts exact entries and skips the constructor's checks
+    assert scalars.transpose() == ScalarMatrix(list(zip(*rows))) and scalars.transpose().transpose() == scalars
 
 
 # ---------- random homogeneous matrices ----------
