@@ -51,6 +51,8 @@ def _pick(table, requested, what, flag):
         return table[requested]
     if len(table) == 1:
         return next(iter(table.values()))
+    if not table:
+        raise ProblemFileError("problem file defines no %s" % what)
     raise ProblemFileError(
         "problem file defines %d of these; choose a %s with --%s" % (len(table), what, flag)
     )

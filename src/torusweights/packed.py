@@ -46,7 +46,8 @@ sums multiply and whose differences `divmask` tests.
 Everything else, `Polynomial`, `ModuleTerm`, `ModuleElement`, `PolyMatrix`
 and every value the library returns or prints, keeps exponent tuples: a
 codec packs its inputs on entry and unpacks what it returns, through a memo
-of the distinct terms it has met.
+of the distinct terms it has met; a map (`_TermCodec.matrix`, the one
+route to a PolyMatrix) is unpacked only when its entries are first read.
 """
 
 import bisect
@@ -306,17 +307,41 @@ class _TermCodec:
         return [Polynomial._from_exact(e) for e in entries]
 
     def matrix(self, columns, codomain, domain):
-        """The PolyMatrix from domain to codomain whose columns are the packed dicts.
+        """The PolyMatrix from domain to codomain whose columns are the packed dicts, unpacked when first read.
 
         The caller guarantees that the columns fit the modules, as for
-        `PolyMatrix._unchecked`.
+        `PolyMatrix._unchecked`, and does not change them; see `_PackedMatrix`.
         """
-        entries = [self.entries(col, codomain.rank) for col in columns]
-        return PolyMatrix._unchecked(codomain, domain, [[e[i] for e in entries] for i in range(codomain.rank)])
+        return _PackedMatrix(self, columns, codomain, domain)
 
     def repacked(self, old, terms):
         """The dict terms, packed by codec old, packed by this codec."""
         return {self.term(*old.unpack(t)): c for t, c in terms.items()}
+
+
+class _PackedMatrix(PolyMatrix):
+    """A PolyMatrix held as packed columns, its entries unpacked on first read and cached.
+
+    columns are packed by codec: a pruned differential, which
+    `groebner._MinimalChain` keeps for the walk, a walk step's rebased map
+    or G = M @ C, so a map that is only walked is never unpacked.  `entries`
+    is PolyMatrix's own slot, filled by `__getattr__` when it is first read,
+    so every later read is a plain slot read and the matrix compares,
+    hashes, dualizes and prints as a PolyMatrix of the same entries.
+    """
+
+    __slots__ = ("_codec", "_columns")
+
+    def __init__(self, codec, columns, codomain, domain):
+        self.codomain, self.domain, self._codec, self._columns = codomain, domain, codec, columns
+
+    def __getattr__(self, name):
+        if name != "entries":
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        rank = self.codomain.rank
+        columns = [self._codec.entries(col, rank) for col in self._columns]
+        self.entries = entries = tuple(tuple(col[i] for col in columns) for i in range(rank))
+        return entries
 
 
 # The most bytes of packed int per coefficient it holds at which

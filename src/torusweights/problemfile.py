@@ -17,7 +17,9 @@ Schema (see docs/problem-file-schema.json for the machine-readable version):
 Matrix entries are polynomial strings in the expression grammar; "rows" names
 the codomain module, "cols" the domain module.  Matrices are checked for
 homogeneity while loading.  Equal entry strings in one document are parsed
-once and load as one shared Polynomial.
+once and load as one shared Polynomial.  A key that the schema does not name
+in the document, the ring, a module or a matrix is a ProblemFileError, as
+the JSON schema's "additionalProperties": false makes it.
 """
 
 import json
@@ -48,6 +50,13 @@ def _require(data, key, kind, where):
     return value
 
 
+def _reject_unknown(data, known, where):
+    """Raise ProblemFileError naming the first key of the object data that is not in known."""
+    for key in data:
+        if key not in known:
+            raise ProblemFileError("unknown key %r in %s" % (key, where))
+
+
 def _is_int_vector(value):
     return isinstance(value, list) and all(
         isinstance(x, int) and not isinstance(x, bool) for x in value
@@ -72,7 +81,11 @@ def problem_from_dict(data):
     """Build a Problem from parsed JSON, resolving all references."""
     if not isinstance(data, dict):
         raise ProblemFileError("problem document must be a JSON object")
+    _reject_unknown(
+        data, ("ring", "modules", "matrices", "weightlists", "resolution", "module_order"), "problem document"
+    )
     ring_data = _require(data, "ring", dict, "problem document")
+    _reject_unknown(ring_data, ("vars", "degrees", "weights", "order"), "ring")
     ring = RingSpec(
         _require(ring_data, "vars", list, "ring"),
         _require_int_vectors(ring_data, "degrees", "ring"),
@@ -82,12 +95,15 @@ def problem_from_dict(data):
 
     modules = {}
     for name, spec in _section(data, "modules").items():
-        modules[name] = FreeModuleSpec(ring, _require_int_vectors(spec, "degrees", "module %r" % name))
+        where = "module %r" % name
+        _reject_unknown(spec, ("degrees",), where)
+        modules[name] = FreeModuleSpec(ring, _require_int_vectors(spec, "degrees", where))
 
     matrices = {}
     parsed = {}
     for name, spec in _section(data, "matrices").items():
         where = "matrix %r" % name
+        _reject_unknown(spec, ("rows", "cols", "entries"), where)
         rows_name = _require(spec, "rows", str, where)
         cols_name = _require(spec, "cols", str, where)
         if rows_name not in modules:

@@ -23,10 +23,11 @@ raises MinimalityError when a column reduces to zero; the Nakayama check
 (`_fails_nakayama`) runs only on maps whose columns span more than one
 degree.
 `propagate` validates the weights and the order and leaves the rest to that
-rule.  Resolutions take one walk: `_walk` propagates backward along
-consecutive maps, rebasing each map d as C^-1 @ d with the previous step's
-C^-1, and `_walk_forward` runs it on the dual complex; `propagate_forward`
-is its one-step case.  `propagate_resolution` validates its start, and
+rule; `propagate_single_degree` checks only that the columns share one
+degree and calls it.  Resolutions take one walk: `_walk` propagates
+backward along consecutive maps, rebasing each map d as C^-1 @ d with the
+previous step's C^-1, and `_walk_forward` runs it on the dual complex;
+`propagate_forward` is its one-step case.  `propagate_resolution` validates its start, and
 checks the chain and every differential once unless `minimal_resolution`
 built them and so has proved both already.  A backward step is not checked
 again, since rebasing a minimal map by an invertible scalar matrix keeps it
@@ -49,11 +50,7 @@ codec, columns) steps, no PolyMatrix, and rebases each map as the product
 C^-1 @ d through `_TermCodec.product`, with the nonzero entries of C^-1
 packed as constant terms: a constant factor adds no degree, so the map's
 own codec holds every term of the product and the fields never need
-widening.  A column of C^-1 so has one monomial, the constant one, across
-all its rows.  Where C^-1 is dense, with at least two nonzero rows per
-column, the kernel packs those rows into one int, so that each term of d
-costs one int multiply-add; a sparse C^-1, such as a permutation or a
-nearly diagonal block, keeps the kernel's per-term loop.  The elimination
+widening; a dense C^-1 takes the kernel's row-packed path.  The elimination
 takes each packed column as a dense primitive integer row over its
 degree's terms (`linalg._dense_primitive`).  The forward walk packs each
 dual map by re-tagging the map's packed columns under the flipped order
@@ -61,9 +58,9 @@ dual map by re-tagging the map's packed columns under the flipped order
 map is read.  A packed term is its own order key, so the elimination
 sorts the image's terms as plain ints.
 The walk unpacks only the leading terms of G.  G, C and each step's rebased
-map are built on first read (see `PropagationResult` and `ResolutionStep`)
-and unpacked through the codec's memo; every returned value keeps exponent
-tuples.
+map are built on first read (see `PropagationResult` and `ResolutionStep`),
+and G and the maps are unpacked by `_TermCodec.matrix` only when their
+entries are read; every returned value keeps exponent tuples.
 
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
@@ -213,18 +210,14 @@ def _fails_nakayama(codomain, domain, codec, columns):
 def propagate_single_degree(matrix, weights, order):
     """Weight propagation along a minimal map whose domain sits in one degree.
 
-    Checks that the columns share one degree and hands off to the same
-    elimination as `propagate`.  With all columns in one degree, minimal
-    means linearly independent; a MinimalityError is raised when they are
-    not.
+    Checks that the columns share one degree and returns `propagate`'s
+    result, which for such a map runs no Nakayama check: minimal means
+    linearly independent, and the elimination raises MinimalityError when
+    the columns are not.
     """
-    ring = matrix.domain.ring
-    weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
-    check_order(order)
     if len(set(matrix.domain.basis_degrees)) != 1:
         raise InputError("columns do not share a single degree")
-    codec, (columns,) = _packed_chain([matrix], order)
-    return _propagate(matrix.codomain, matrix.domain, weights, codec, columns)
+    return propagate(matrix, weights, order)
 
 
 def propagate(matrix, weights, order):
@@ -369,8 +362,8 @@ def _walk(steps, weights):
     that step's C^-1, through `_TermCodec.product` with the columns of C^-1
     packed as constant terms, and yields (build, PropagationResult) per
     step, drawing each map from steps only when its step is taken.  build
-    is a function of no argument that unpacks the step's rebased map; the
-    walk itself never does.
+    is a function of no argument that gives the step's rebased map, by
+    `_TermCodec.matrix`; the walk itself never calls it.
     """
     inverse = None
     for codomain, domain, codec, columns in steps:
@@ -533,12 +526,11 @@ def propagate_graded_components(degree, matrix, weights, order):
     its monomial plus the weight attached to its row.  Returns these weights
     sorted by term, increasing for position-up orderings and decreasing for
     position-down, which is the order `propagate` gives on the matrix of
-    standard monomials.
+    standard monomials.  `buchberger` checks the order.
     """
     ring = matrix.domain.ring
     degree = _int_vector(degree, "degree", ring.degree_length)
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
-    check_order(order)
     terms = standard_monomials(buchberger(matrix, order, bound=degree), degree)
     if order.is_position_up:
         terms.reverse()

@@ -9,7 +9,7 @@ and Stillman, "Strategies for computing minimal free resolutions", JSC
 1998; Erocal, Motsak, Schreyer and Steenpass, "Refined algorithms to
 compute syzygies", JSC 2016).  `_pruned` cancels the frame's units and
 returns the differentials of the minimal resolution packed by one codec,
-with PolyMatrices (`_PackedMatrix`) that unpack them when first read.  The
+with the PolyMatrices of `_TermCodec.matrix`, unpacked when first read.  The
 frame's terms are ints laid out by `_FrameLayout`, so the division is
 `packed`'s.
 """
@@ -26,7 +26,7 @@ from .groebner import (
     _s_pair,
 )
 from .linalg import _primitive
-from .modules import FreeModuleSpec, PolyMatrix
+from .modules import FreeModuleSpec
 from .packed import _TermCodec, _divisor, _pseudo_divide
 from .rings import exact, exact_quotient, monomial_lcm, vector_add
 
@@ -335,8 +335,8 @@ def _pruned(frame, matrix, max_length):
 
     Returns (codec, packed, maps): the codec and the packed columns of
     every differential, d_1 = matrix first, that the check below ran on,
-    and the differentials as PolyMatrices, matrix itself and then one
-    `_PackedMatrix` per later differential, unpacked when first read.
+    and the differentials as PolyMatrices, matrix itself and then
+    `codec.matrix` of each later one, unpacked when first read.
 
     A nonzero constant entry of differential d_k (frame level k over level
     k - 1) at row a and column b splits off a trivial complex (Eisenbud,
@@ -477,28 +477,6 @@ def _pruned(frame, matrix, max_length):
     failed = _nonzero_composite(codec, packed)
     if failed is not None:
         raise InternalError("differentials %d and %d of the resolution do not compose to zero" % (failed + 1, failed + 2))
-    maps = [matrix] + [_PackedMatrix(codec, packed[k], modules[k], modules[k + 1]) for k in range(1, length)]
+    maps = [matrix] + [codec.matrix(packed[k], modules[k], modules[k + 1]) for k in range(1, length)]
     return codec, packed, maps
 
-
-class _PackedMatrix(PolyMatrix):
-    """A PolyMatrix held as packed columns, its entries unpacked on first read and cached.
-
-    codec and columns are a pruned differential's codec and packed columns,
-    which `groebner._MinimalChain` keeps for the walk, so a resolution that
-    is only walked never unpacks them; `groebner.syzygies` returns one too.  `entries` is PolyMatrix's own slot,
-    filled by `__getattr__` when it is first read, so every later read is a
-    plain slot read and the matrix compares, hashes, dualizes and prints as
-    the PolyMatrix that `codec.matrix` gives.
-    """
-
-    __slots__ = ("_codec", "_columns")
-
-    def __init__(self, codec, columns, codomain, domain):
-        self.codomain, self.domain, self._codec, self._columns = codomain, domain, codec, columns
-
-    def __getattr__(self, name):
-        if name != "entries":
-            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        self.entries = entries = self._codec.matrix(self._columns, self.codomain, self.domain).entries
-        return entries

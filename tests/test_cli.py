@@ -122,6 +122,104 @@ def test_propagate_resolution_empty_matrices_flag(capsys):
         assert err == "parse error: --matrices names no differentials\n"
 
 
+def test_resolve_human_golden(capsys):
+    code, out, err = run(capsys, "resolve", "--input", str(fixture_path("koszul.json")), "--matrix", "d1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "minimal free resolution of length 3\n"
+        "ranks: 1 3 3 1\n"
+        "d1 =\n  [ x1  x1+x2  x1+x3 ]\n"
+        "d2 =\n  [ x1+x2  x1+x3  x2-x3 ]\n  [   -x1      0     x3 ]\n  [     0    -x1    -x2 ]\n"
+        "d3 =\n  [  x3 ]\n  [ -x2 ]\n  [  x1 ]\n"
+    )
+
+
+def test_propagate_resolution_human_golden(capsys):
+    code, out, err = run(capsys, "propagate-resolution", "--input", str(fixture_path("koszul.json")), "--from", "0")
+    assert (code, err) == (0, "")
+    assert out == (
+        "V0 =\n  (0, 0, 0)\n"
+        "V1 =\n  (0, 0, 1)\n  (0, 1, 0)\n  (1, 0, 0)\n"
+        "V2 =\n  (0, 1, 1)\n  (1, 0, 1)\n  (1, 1, 0)\n"
+        "V3 =\n  (1, 1, 1)\n"
+    )
+
+
+def test_graded_weights_human_golden(capsys):
+    code, out, err = run(
+        capsys, "graded-weights", "--input", str(fixture_path("bigraded.json")), "--degree", "0,1"
+    )
+    assert (code, err) == (0, "")
+    assert out == "V =\n  (0, 0, 0, 1)\n  (0, 0, 1, 0)\n"
+
+
+def test_empty_matrices_print_their_shape(capsys, tmp_path):
+    doc = two_variables_document()
+    doc["modules"]["N"] = {"degrees": []}
+    doc["matrices"] = {"m": {"rows": "F0", "cols": "N", "entries": [[]]}}
+    path = tmp_path / "no_columns.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gb", "--input", str(path))
+    assert (code, out, err) == (0, "reduced Groebner basis with 0 elements\nG =\n  (empty 1x0 matrix)\n", "")
+    code, out, err = run(capsys, "propagate", "--input", str(path))
+    assert (code, out, err) == (0, "C =\n  (empty 0x0 matrix)\nV =\n", "")
+
+
+def test_propagate_resolution_matrices_flag(capsys):
+    # the flag's names are used in place of the file's resolution list
+    path = str(fixture_path("koszul.json"))
+    code, out, err = run(
+        capsys, "propagate-resolution", "--input", path, "--matrices", "d1,d2,d3",
+        "--from", "3", "--weights", "W0", "--json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "weights_by_module": [
+            [[-1, -1, -1]],
+            [[-1, -1, 0], [-1, 0, -1], [0, -1, -1]],
+            [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            [[0, 0, 0]],
+        ]
+    }
+    code, out, err = run(capsys, "propagate-resolution", "--input", path, "--matrices", "d1,d9", "--from", "0")
+    assert (code, out, err) == (2, "", "parse error: no matrix named 'd9' in the problem file\n")
+
+
+def test_propagate_resolution_without_a_resolution_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "propagate-resolution", "--input", str(fixture_path("two_variables.json")))
+    assert (code, out) == (2, "")
+    assert err == 'parse error: no resolution: add a "resolution" list or pass --matrices\n'
+
+
+def test_malformed_degree_is_a_parse_error(capsys):
+    for flag, value in (("--degree", "0,x"), ("--degree", ""), ("--degree", "0;1")):
+        code, out, err = run(capsys, "graded-weights", "--input", str(fixture_path("bigraded.json")), flag, value)
+        assert (code, out) == (2, "")
+        assert err == "parse error: degree must be comma-separated integers, got %r\n" % value
+
+
+def test_unknown_and_ambiguous_matrix(capsys):
+    path = str(fixture_path("koszul.json"))
+    code, out, err = run(capsys, "gb", "--input", path, "--matrix", "nope")
+    assert (code, out, err) == (2, "", "parse error: no matrix named 'nope' in the problem file\n")
+    code, out, err = run(capsys, "gb", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == "parse error: problem file defines 3 of these; choose a matrix with --matrix\n"
+
+
+def test_an_empty_table_is_named(capsys, tmp_path):
+    doc = two_variables_document()
+    del doc["weightlists"]
+    path = tmp_path / "no_weights.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "propagate", "--input", str(path))
+    assert (code, out, err) == (2, "", "parse error: problem file defines no weight list\n")
+    doc["matrices"] = {}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gb", "--input", str(path))
+    assert (code, out, err) == (2, "", "parse error: problem file defines no matrix\n")
+
+
 def test_gb_subcommand(capsys):
     code, out, err = run(
         capsys, "gb", "--input", str(fixture_path("koszul.json")), "--matrix", "d1", "--json"
@@ -524,6 +622,54 @@ def test_non_string_matrix_entry_is_a_parse_error(capsys, tmp_path):
     )
     assert code == 2
     assert "'entries' in matrix 'm'" in err
+
+
+def two_variables_document():
+    return json.loads(fixture_path("two_variables.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(module_ordr="pot-up"), "unknown key 'module_ordr' in problem document"),
+        (lambda doc: doc["ring"].update(term_order="lex"), "unknown key 'term_order' in ring"),
+        (lambda doc: doc["modules"]["E"].update(rank=2), "unknown key 'rank' in module 'E'"),
+        (lambda doc: doc["matrices"]["m"].update(row="F0"), "unknown key 'row' in matrix 'm'"),
+    ],
+    ids=["document", "ring", "module", "matrix"],
+)
+def test_unknown_keys_are_parse_errors(capsys, tmp_path, edit, message):
+    # docs/problem-file-schema.json allows no other keys at these four levels
+    doc = two_variables_document()
+    edit(doc)
+    with pytest.raises(ProblemFileError) as info:
+        problem_from_dict(doc)
+    assert str(info.value) == message
+    code, out, err = run_on_broken_two_variables(capsys, tmp_path, edit)
+    assert (code, out, err) == (2, "", "parse error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: doc["matrices"]["m"].update(rows="NOPE"),
+            "matrix 'm' references unknown module 'NOPE'",
+        ),
+        (lambda doc: doc.update(weightlists=[[0, 0]]), "'weightlists' must map names to weight lists"),
+        (lambda doc: doc.update(resolution="m"), "'resolution' must be a list of matrix names"),
+        (lambda doc: doc.update(resolution=["m", 1]), "'resolution' must be a list of matrix names"),
+        (lambda doc: doc.update(resolution=["m", "d2"]), "resolution references unknown matrix 'd2'"),
+    ],
+    ids=["unknown-rows-module", "weightlists-not-an-object", "resolution-not-a-list",
+         "resolution-not-strings", "resolution-unknown-matrix"],
+)
+def test_loader_errors_name_the_fault(edit, message):
+    doc = two_variables_document()
+    edit(doc)
+    with pytest.raises(ProblemFileError) as info:
+        problem_from_dict(doc)
+    assert str(info.value) == message
 
 
 def test_missing_file(capsys, tmp_path):

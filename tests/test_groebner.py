@@ -559,6 +559,21 @@ def test_syzygies_of_regular_sequence_start_empty():
     assert deeper.num_cols == 0
 
 
+def test_syzygies_of_zero_columns_are_the_identity(std3):
+    # every column is redundant: the syzygies are the whole domain, one unit per column
+    m = matrix(std3, [[0], [1]], [[2], [3]], [["0", "0"], ["0", "0"]])
+    s = syzygies(m, TOP_UP)
+    assert (s.codomain, s.domain) == (m.domain, m.domain)
+    assert entries_as_text(s) == [["1", "0"], ["0", "1"]]
+
+
+def test_buchberger_of_a_map_without_columns_is_empty(std3):
+    m = matrix(std3, [[0], [1]], [], [[], []])
+    for order in (TOP_UP, ModuleTermOrder("pot-down")):
+        basis = buchberger(m, order)
+        assert (basis.module, basis.elements) == (m.codomain, ())
+
+
 def test_syzygies_of_exa3_presentation(bigraded):
     m = bigraded.matrices["m"]
     s = syzygies(m, TOP_UP)

@@ -844,7 +844,7 @@ def test_hand_off_under_another_order_walks_like_a_checked_copy(monkeypatch, nam
 def test_hand_off_differentials_unpack_on_first_read(monkeypatch, name, presentation, weights):
     problem = load_problem(fixture_path(name + ".json"))
     m, start = problem.matrices[presentation], problem.weightlists[weights]
-    unpack = Spy(monkeypatch, "matrix", _TermCodec)
+    unpack = Spy(monkeypatch, "entries", _TermCodec)
     walked = propagate_resolution(minimal_resolution(m, TOP_UP), 0, start, TOP_UP)
     # neither the resolution nor a walk that reads only the weights unpacks a map
     assert unpack.calls == 0
@@ -904,6 +904,17 @@ def test_hand_built_resolution_is_checked(koszul):
     not_minimal = Resolution(base, [matrix(koszul.ring, [[0]], [[1], [2]], [["x1", "x1*x2"]])])
     with pytest.raises(MinimalityError, match="differential 1 is not a minimal map"):
         propagate_resolution(not_minimal, 0, koszul.weightlists["W0"], TOP_UP)
+
+
+def test_the_empty_resolution_of_a_free_module_is_rejected():
+    # a presentation without columns resolves to a chain of no differentials
+    ring = RingSpec(["x", "y"], [[1], [1]], [[1, 0], [0, 1]])
+    resolution = minimal_resolution(matrix(ring, [[0], [1]], [], [[], []]), TOP_UP)
+    assert resolution.differentials == ()
+    for chain in (resolution, resolution.differentials, []):
+        with pytest.raises(InputError) as info:
+            propagate_resolution(chain, 0, [(0, 0), (1, 0)], TOP_UP)
+        assert str(info.value) == "resolution has no differentials"
 
 
 def test_single_degree_non_minimal_dual_is_left_to_the_elimination(monkeypatch):
