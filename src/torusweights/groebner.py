@@ -30,6 +30,9 @@ subtraction and one mask.  The boundary does not move: `Polynomial`,
 exponent tuples.  Columns are packed once on entry,
 every map by `_packed_chain` (a single map is a chain of one), and basis
 elements are unpacked once on exit, differentials when first read.  The
+search for standard monomials (`_standard_search`) carries each term's
+torus weight as one int beside it, so graded components unpack no
+standard monomial, and `standard_monomials` unpacks each once.  The
 checks that maps compose to zero multiply packed columns too
 (`_nonzero_composite`): the chain check packs each map once, by one codec
 for the whole chain (`_packed_chain`), and `propagate_resolution` reuses
@@ -114,6 +117,7 @@ from .packed import (
     _largest_degree,
     _pseudo_divide,
     _shifted_difference,
+    _signed_slots,
 )
 from .rings import (
     _int_vector,
@@ -526,34 +530,67 @@ def standard_monomials(basis, degree):
 
     By Macaulay's basis theorem their residues form a basis of the degree-d
     component of the quotient by the submodule the basis generates.
-    Returned in decreasing module term order.
-
-    The search runs on packed terms (see `packed`), by one codec whose
-    fields hold both the largest total degree of a degree-d term and the
-    largest leading term, so a basis need not be bounded at d.  For each
-    basis index whose degree lies within d under the ring's positive
-    functional, a depth-first search over the variables adds one unit per
-    exponent step to the partial term, whose later exponents are 0; the
-    last exponent is the one that fills the degree, if any does.  A leading
-    term can first divide a partial term only at the step of its last
-    variable, so it is tested there and nowhere else, and a constant one
-    empties its index.  Exponents only grow along a branch, so a divisible
-    partial term ends its exponent loop and the branch with it.  The kept
-    ints, sorted in descending order, are the terms in decreasing order;
-    each is unpacked once.
+    Returned in decreasing module term order.  The terms are found by
+    `_standard_search`, whose codec holds the basis's largest leading term
+    too, so a basis need not be bounded at d; each kept term is unpacked
+    once.
     """
     module, order = basis.module, basis.order
     check_order(order)
     ring = module.ring
     degree = _int_vector(degree, "degree", ring.degree_length)
+    zero = (0,) * ring.weight_length
+    codec, terms, _ = _standard_search(module, order, basis.leading_terms(), degree, [zero] * module.rank)
+    return [codec.unpack(t) for t in terms]
+
+
+def _standard_search(module, order, lts, degree, weights):
+    """(codec, the degree-d terms of module that no term of lts divides, their weights).
+
+    lts are ModuleTerms of module, and weights holds one weight vector per
+    basis element of module; a term's weight is its monomial's plus its
+    basis element's.  The terms come packed by codec, in decreasing order,
+    and their weights as tuples, in the same order, from a generator that
+    reads each off when it is iterated.
+
+    The search runs on packed terms (see `packed`), by one codec whose
+    fields hold both the largest total degree of a degree-d term and the
+    largest term of lts.  For each basis index whose degree lies within d
+    under the ring's positive functional, a depth-first search over the
+    variables adds one unit per exponent step to the partial term, whose
+    later exponents are 0; the last exponent is the one that fills the
+    degree, if any does.  A term of lts can first divide a partial term
+    only at the step of its last variable, so it is tested there and
+    nowhere else, and a constant one empties its index.  Exponents only
+    grow along a branch, so a divisible partial term ends its exponent loop
+    and the branch with it.
+
+    Each partial term carries its weight as one int beside it, component c
+    in a signed slot of size bytes at bit 8 * size * c, so that adding two
+    such ints adds the vectors: a branch starts at its index's weight and
+    adds one packed variable weight per exponent step.  A slot holds, with
+    a sign bit, the largest |variable weight component| times the codec's
+    bound plus the largest |index weight component|, which bounds every
+    component a term of the search reaches, so no slot spills into the
+    next; `packed._signed_slots` reads the slots off.
+    """
+    ring = module.ring
     n, functional, degs = ring.num_vars, ring._functional, ring.var_degrees
-    weights = [functional(d) for d in degs]
-    lts = basis.leading_terms()
+    steps = [functional(d) for d in degs]
     rests = [vector_sub(degree, b) for b in module.basis_degrees]
-    bound = max([0] + [functional(r) // min(weights) for r in rests] + [sum(t.monomial) for t in lts])
+    bound = max([0] + [functional(r) // min(steps) for r in rests] + [sum(t.monomial) for t in lts])
     codec = _TermCodec(ring, order, module.rank, bound)
-    divmask, units, found = codec.divmask, codec._units, []
-    # tests[i][k]: the packed leading terms at index i whose last variable
+    divmask, units, found = codec.divmask, codec._units, {}
+    largest = max(map(abs, itertools.chain(*ring.var_weights)), default=0) * bound
+    largest += max(map(abs, itertools.chain(*weights)), default=0)
+    size = 1 << ((largest.bit_length() + 8) // 8 - 1).bit_length()
+    slots = range(0, 8 * size * ring.weight_length, 8 * size)
+
+    def packed(weight):
+        return sum(x << s for x, s in zip(weight, slots))
+
+    moves = [packed(w) for w in ring.var_weights]
+    # tests[i][k]: the packed terms of lts at index i whose last variable
     # is k; a constant one sits at k = -1, the extra last slot
     tests = [[[] for _ in range(n + 1)] for _ in rests]
     for t in lts:
@@ -566,19 +603,20 @@ def standard_monomials(basis, degree):
                 return True
         return False
 
-    def search(k, t, budget, rest, leads):
+    def search(k, t, w, budget, rest, leads):
         if k == n - 1:
-            e = budget // weights[k]
+            e = budget // steps[k]
             t += e * units[k]
             if rest == tuple(e * x for x in degs[k]) and not divided(t, leads[k]):
-                found.append(t)
+                found[t] = w + e * moves[k]
             return
         while True:
-            search(k + 1, t, budget, rest, leads)
-            budget -= weights[k]
+            search(k + 1, t, w, budget, rest, leads)
+            budget -= steps[k]
             if budget < 0:
                 return
             t += units[k]
+            w += moves[k]
             rest = vector_sub(rest, degs[k])
             if divided(t, leads[k]):
                 return
@@ -586,9 +624,11 @@ def standard_monomials(basis, degree):
     for i, (rest, leads) in enumerate(zip(rests, tests)):
         budget = functional(rest)
         if budget >= 0 and not leads[-1]:
-            search(0, codec.term(unit_monomial(n), i), budget, rest, leads)
-    found.sort(reverse=True)
-    return [codec.unpack(t) for t in found]
+            search(0, codec.term(unit_monomial(n), i), packed(weights[i]), budget, rest, leads)
+    terms = sorted(found, reverse=True)
+    offset, digits = _signed_slots(size, ring.weight_length)
+    nbytes = size * ring.weight_length
+    return codec, terms, (digits(((found[t] + offset) ^ offset).to_bytes(nbytes, "little")) for t in terms)
 
 
 def _nakayama_kept(codec, module, vectors, degrees):

@@ -5,7 +5,7 @@ and Pearce, "Sparse polynomial division using a heap", JSC 2011, and "POLY:
 a new polynomial data structure for Maple 17", 2013) inside `groebner`'s
 division, Buchberger and inter-reduction, inside the propagation walk of
 `propagate`, inside the tests that consecutive maps compose to zero, and
-inside `groebner.standard_monomials`, whose search over the variables
+inside `groebner._standard_search`, whose search over the variables
 grows a partial term by one add per exponent step and cuts it at the first
 leading term that divides it.  A `_TermCodec`, built once per run, gives
 every exponent a fixed-width field with a guard bit on top and the basis
@@ -31,7 +31,9 @@ codec holds the product, and G = M @ C.  Where A repeats a monomial across
 rows, which the one pass that groups A's terms finds, it packs the rows too
 (Kronecker substitution on the row index; Harvey, JSC 2009): one int per
 monomial, one signed slot per row, each slot wider than any sum it takes,
-so that an int is 0 exactly when every slot is.  A map is packed at most
+so that an int is 0 exactly when every slot is; the standard-monomial
+search carries a torus weight the same way, one signed slot per component,
+and both read their slots off with `_signed_slots`.  A map is packed at most
 once per public call, each distinct nonzero entry and monomial once, and
 its packed columns serve every reader of that call: the test that consecutive
 maps compose to zero, the minimality run and the walk; a chain from
@@ -244,8 +246,7 @@ class _TermCodec:
             size, low, slots, a, b, scale = layout
             width, nbytes = 8 * size, size * slots
             row_tags = [low + (r << shift) for r in range(slots)]
-            offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-            digits = struct.Struct("<%d%s" % (slots, "bhiq"[size.bit_length() - 1])).unpack
+            offset, digits = _signed_slots(size, slots)
             by_tag = {}
             for k, (col, group) in enumerate(zip(a, groups)):
                 for s, x in col.items():
@@ -377,6 +378,24 @@ def _row_slots(a, b, groups, tags, shift):
     if slots * size * count > _BYTES_PER_ROW * terms:
         return None
     return size, low, slots, a, b, scale_a * scale_b
+
+
+def _signed_slots(size, slots):
+    """(offset, digits), which read `slots` signed slots of size bytes, a power of two, off one int.
+
+    Let v be the sum of x_r << (8 * size * r) over r, with each x_r at
+    least -h and below h = 2**(8 * size - 1).  Then
+    digits(((v + offset) ^ offset).to_bytes(size * slots, "little")) is
+    (x_0, x_1, ...): adding offset, h in every slot, makes each slot a
+    digit from 0 to 2h - 1, so that none borrows from the next, and XOR-ing
+    offset off again leaves each digit in two's complement.  Slots of more
+    than 8 bytes are read by `int.from_bytes`.
+    """
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    if size <= 8:
+        return offset, struct.Struct("<%d%s" % (slots, "bhiq"[size.bit_length() - 1])).unpack
+    starts = range(0, size * slots, size)
+    return offset, lambda b: tuple(int.from_bytes(b[i:i + size], "little", signed=True) for i in starts)
 
 
 def _integral(columns):

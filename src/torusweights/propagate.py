@@ -62,6 +62,13 @@ map are built on first read (see `PropagationResult` and `ResolutionStep`),
 and G and the maps are unpacked by `_TermCodec.matrix` only when their
 entries are read; every returned value keeps exponent tuples.
 
+Graded components (`propagate_graded_components`) need only the leading
+terms of a Groebner basis bounded at the degree and the weight of each
+standard monomial.  The bounded run without tails gives those leading
+terms, with no monic pass and no inter-reduction, and the standard-monomial
+search (`groebner._standard_search`) carries each term's weight as it goes,
+so that only the leading terms are unpacked.
+
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
 matrix alone and is not checked here.
@@ -73,15 +80,17 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from .errors import InputError, MinimalityError, ResolutionStepError
+# buchberger is not called here, but perfbench's tracer test reads propagate.buchberger
 from .groebner import (
     Resolution,
+    _buchberger_run,
     _checked_chain,
     _MinimalChain,
     _nakayama_kept,
     _packed_chain,
+    _standard_search,
     buchberger,
     check_order,
-    standard_monomials,
 )
 from .linalg import Echelon, _dense_primitive
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
@@ -518,20 +527,32 @@ def propagate_resolution(differentials, start_index, start_weights, order):
 def propagate_graded_components(degree, matrix, weights, order):
     """Weights of one graded component of the cokernel of a presentation.
 
-    Computes a Groebner basis of the image, stopped at the requested degree
-    (a leading term dividing a degree-d term lies at or below d under the
-    ring's positive functional), and the standard monomials of that degree.
-    By Macaulay's basis theorem their residues form a basis of the
+    Runs Buchberger on the image, stopped at the requested degree (a
+    leading term dividing a degree-d term lies at or below d under the
+    ring's positive functional), and finds the standard monomials of that
+    degree.  By Macaulay's basis theorem their residues form a basis of the
     component; each is a single module term, so its weight is the weight of
     its monomial plus the weight attached to its row.  Returns these weights
     sorted by term, increasing for position-up orderings and decreasing for
     position-down, which is the order `propagate` gives on the matrix of
-    standard monomials.  `buchberger` checks the order.
+    standard monomials.
+
+    Checks the degree, the weights and the order, then packs the map once.
+    Only the leading terms matter, so the run carries no tails and its
+    basis is neither made monic nor inter-reduced: it top-reduces each item,
+    so no leading term it adds is divisible by an earlier one, and a later
+    one, of no smaller functional, divides an earlier one only if the two
+    are equal.  So its leading terms are those of the reduced basis
+    `buchberger` returns.  The search (`groebner._standard_search`) carries
+    each term's weight as it goes, so no standard monomial is unpacked.
     """
     ring = matrix.domain.ring
     degree = _int_vector(degree, "degree", ring.degree_length)
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
-    terms = standard_monomials(buchberger(matrix, order, bound=degree), degree)
-    if order.is_position_up:
-        terms.reverse()
-    return tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in terms)
+    check_order(order)
+    codec, (columns,) = _packed_chain([matrix], order)
+    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, degree, False)
+    lts = [codec.unpack(max(work)) for work, _ in basis]
+    _, _, found = _standard_search(matrix.codomain, order, lts, degree, weights)
+    found = tuple(found)
+    return found[::-1] if order.is_position_up else found

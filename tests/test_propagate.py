@@ -1190,3 +1190,19 @@ def test_graded_component_plucker_samples(grassmannian):
     assert counts[(2, 2, 0, 0, 0)] == 1
     assert counts[(2, 1, 1, 0, 0)] == 1
     assert counts[(1, 1, 1, 1, 0)] == 2
+
+
+def test_graded_components_read_no_reduced_basis_and_no_term_weights(monkeypatch, grassmannian):
+    # Gr(2,5) in degree 4: five leading terms, 490 standard monomials
+    d1, w0 = grassmannian.matrices["d1"], grassmannian.weightlists["W0"]
+    leads = len(buchberger(d1, TOP_UP, bound=(4,)).elements)
+    expected = propagate(standard_monomial_matrix((4,), d1, TOP_UP), w0, TOP_UP).weights
+    groebner = importlib.import_module("torusweights.groebner")
+    reduce = Spy(monkeypatch, "_reduce_basis", groebner)
+    weigh = Spy(monkeypatch, "monomial_weight", RingSpec)
+    unpack = Spy(monkeypatch, "unpack", _TermCodec)
+    assert propagate_graded_components((4,), d1, w0, TOP_UP) == expected
+    assert (len(expected), leads) == (490, 5)
+    assert (reduce.calls, weigh.calls) == (0, 0)
+    # the run unpacks each leading term it adds, and the search reads each once more
+    assert unpack.calls == 2 * leads

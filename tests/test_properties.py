@@ -30,7 +30,7 @@ from torusweights import (
     syzygies,
 )
 from torusweights.errors import InputError, ResolutionStepError
-from torusweights.groebner import _buchberger_run, _nakayama_kept
+from torusweights.groebner import _buchberger_run, _nakayama_kept, _packed_chain
 from torusweights.linalg import Echelon, _dense_primitive, _primitive, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
@@ -1193,14 +1193,25 @@ def test_a_top_reduced_element_keeps_a_reducible_tail_that_an_s_pair_meets():
     assert not is_minimal_map(m)
 
 
+# The search carries weights in signed slots sized from the largest
+# weights: variable weights that are negative and wider than 64 bits, and
+# no weights at all, are its edges.
+WIDE_WEIGHT_RING = RingSpec(
+    ["x", "y", "z"], [[1], [1], [1]], [[-(2**70) - 1, -3], [-(2**65), -(2**66) - 7], [-1, -(2**64)]]
+)
+WEIGHTLESS_RING = RingSpec(["x", "y"], [[1], [1]], [[], []])
+
+
 @SETTINGS
-@given(data=st.data(), ring=st.sampled_from(COMPONENT_RINGS), order=st.sampled_from(ALL_ORDERS))
-def test_graded_components_match_the_unbounded_basis(data, ring, order):
+@given(
+    data=st.data(),
+    ring=st.sampled_from(COMPONENT_RINGS + [WIDE_WEIGHT_RING, WEIGHTLESS_RING]),
+    order=st.sampled_from(ALL_ORDERS),
+    weight_values=st.sampled_from([st.integers(-2, 2), st.integers(-(2**70), 2**70)]),
+)
+def test_graded_components_match_the_unbounded_basis(data, ring, order, weight_values):
     m = data.draw(homogeneous_matrix(ring, offsets=monomial_degrees(ring, 1)))
-    weights = [
-        tuple(data.draw(st.integers(-2, 2)) for _ in ring.var_weights[0])
-        for _ in range(m.codomain.rank)
-    ]
+    weights = [tuple(data.draw(weight_values) for _ in ring.var_weights[0]) for _ in range(m.codomain.rank)]
     basis = buchberger(m, order)
     lowest = tuple(map(max, zip(*m.codomain.basis_degrees)))
     degrees = data.draw(st.lists(monomial_degrees(ring, 2), min_size=1, max_size=4))
@@ -1210,6 +1221,20 @@ def test_graded_components_match_the_unbounded_basis(data, ring, order):
             terms.reverse()
         expected = tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in terms)
         assert propagate_graded_components(degree, m, weights, order) == expected, degree
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(COMPONENT_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_the_bounded_run_has_the_leading_terms_of_the_reduced_basis(data, ring, order):
+    # graded components read the leading terms off the run without tails,
+    # which only top-reduces and is neither made monic nor inter-reduced
+    m = data.draw(homogeneous_matrix(ring, offsets=monomial_degrees(ring, 1)))
+    lowest = tuple(map(max, zip(*m.codomain.basis_degrees)))
+    bound = vector_add(lowest, data.draw(monomial_degrees(ring, 2)))
+    codec, (columns,) = _packed_chain([m], order)
+    codec, _, basis, _, _ = _buchberger_run(codec, columns, m.domain.basis_degrees, m.codomain, bound, False)
+    leads = [codec.unpack(max(work)) for work, _ in basis]
+    assert set(leads) == set(buchberger(m, order, bound=bound).leading_terms())
 
 
 # ---------- standard monomials against the filtered term list ----------
