@@ -67,6 +67,10 @@ from .rings import Polynomial, exact, exact_quotient, monomial_lcm
 _FIELD_BITS = 7
 
 
+# The zero entry that every empty cell of an unpacked map shares.
+_ZERO = Polynomial._from_exact({})
+
+
 class _FieldOverflow(InternalError):
     """A packed term outgrew its exponent fields."""
 
@@ -98,8 +102,12 @@ class _TermCodec:
 
     __slots__ = (
         "ring", "order", "indices", "bits", "capacity", "divmask", "guards",
-        "_units", "_shifts", "_index_shift", "_index_mask", "_down", "_terms",
+        "_units", "_shifts", "_low", "_index_shift", "_index_mask", "_down", "_terms",
     )
+
+    # `_pseudo_divide` looks a term's divisors up by term & bucketmask: a
+    # codec keeps them all in one bucket
+    bucketmask = 0
 
     def __init__(self, ring, order, indices, bound):
         n = ring.num_vars
@@ -110,7 +118,7 @@ class _TermCodec:
         fields = 2 * n if ring.term_order == "grevlex" else n
         index_width = max(indices, 1).bit_length() + 1
         position_first = order.kind.startswith("pot")
-        low = 0 if position_first else index_width
+        self._low = low = 0 if position_first else index_width
         self._index_shift = fields * width if position_first else 0
         self._index_mask = (1 << index_width) - 1
         self._down = not order.is_position_up
@@ -300,12 +308,21 @@ class _TermCodec:
         return self.term(monomial_lcm(mono, self.unpack(b).monomial), index)
 
     def entries(self, terms, size, scalar=1):
-        """The packed dict terms divided by scalar, as one Polynomial per index below size."""
-        entries = [{} for _ in range(size)]
+        """The packed dict terms divided by scalar, as one Polynomial per index below size.
+
+        Every index without a term gets the one shared zero Polynomial.
+        """
+        entries = {}
         for t, c in terms.items():
             mono, index = self.unpack(t)
-            entries[index][mono] = c if scalar == 1 else exact_quotient(c, scalar)
-        return [Polynomial._from_exact(e) for e in entries]
+            entry = entries.get(index)
+            if entry is None:
+                entry = entries[index] = {}
+            entry[mono] = c if scalar == 1 else exact_quotient(c, scalar)
+        out = [_ZERO] * size
+        for index, entry in entries.items():
+            out[index] = Polynomial._from_exact(entry)
+        return out
 
     def matrix(self, columns, codomain, domain):
         """The PolyMatrix from domain to codomain whose columns are the packed dicts, unpacked when first read.
@@ -431,7 +448,13 @@ def _pseudo_divide(work, tail, divisors, codec):
 
     At each step the first divisor (in list order) whose leading term
     divides the current leading term is used; irreducible leading terms stay
-    in work as remainder terms.  A tail of None marks an item of a
+    in work as remainder terms.  Only the divisors in the term's bucket are
+    tried: the bucket key of a term is term & codec.bucketmask, and a term
+    is divisible only by leading terms of its own key.  A `_TermCodec`'s
+    mask is 0, and divisors is a list, its one bucket; a
+    `schreyer._FrameLayout` keys a term by its chain, and divisors is a dict
+    from key to the divisors of that key, in list order (see
+    `_FrameLayout.buckets`).  A tail of None marks an item of a
     Buchberger run without tails: its divisors carry none either, and the
     division top-reduces, stopping at the first popped term that no divisor
     divides.  work then holds M times an element with that leading term,
@@ -452,7 +475,8 @@ def _pseudo_divide(work, tail, divisors, codec):
     and its stale list entry is skipped.  A popped term with a guard bit set
     has overflowed its field, and the division raises _FieldOverflow.
     """
-    divmask, guards = codec.divmask, codec.guards
+    divmask, guards, mask = codec.divmask, codec.guards, codec.bucketmask
+    buckets = divisors if mask else {0: divisors}
     pending = sorted(work)
     multiplier = 1
     while pending:
@@ -462,7 +486,7 @@ def _pseudo_divide(work, tail, divisors, codec):
             continue
         if term & guards:
             raise _FieldOverflow("a packed exponent outgrew its %d-bit field" % codec.bits)
-        for lead, g_coeff, body, body_tail in divisors:
+        for lead, g_coeff, body, body_tail in buckets.get(term & mask, ()):
             if not (term - lead) & divmask:
                 break
         else:

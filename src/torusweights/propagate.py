@@ -8,10 +8,11 @@ leading term: weight of the leading monomial plus the weight attached to
 the leading term's row.  Every S-pair lies above its columns' degree, so
 that basis is the reduced row echelon form of the columns, and one
 elimination per degree of the columns yields it and C^-1 with no Groebner
-run.  The weights and C^-1 need only the eliminations' pivots.  C, which
-the walk never reads, is built on first read by inverting C^-1 one degree
-block at a time (`_inverted`), and G, which it does not read either, as
-the product M @ C with that C (`_sorted_matrix`).  Forward propagation
+run.  The weights and C^-1 need only the eliminations' pivots.  The walk
+reads none of C^-1, C and G as a matrix: C^-1 as a ScalarMatrix is built
+on first read from its packed columns (`_inverse_matrix`), C by inverting
+C^-1 one degree block at a time (`_inverted`), and G as the product M @ C
+with that C (`_sorted_matrix`).  Forward propagation
 runs the same procedure on the dual map with negated weights and a flipped
 (up <-> down) ordering, and resolutions rebase each differential d as the
 product C^-1 @ d with the previous step's C^-1.
@@ -48,8 +49,9 @@ own each term is re-keyed (`_TermCodec.repacked`) into a codec of the same
 fields and indices under that order.  The walk takes (codomain, domain,
 codec, columns) steps, no PolyMatrix, and rebases each map as the product
 C^-1 @ d through `_TermCodec.product`, with the nonzero entries of C^-1
-packed as constant terms: a constant factor adds no degree, so the map's
-own codec holds every term of the product and the fields never need
+read straight off the previous step's packed columns into constant terms
+(`_inverse_columns`): a constant factor adds no degree, so the map's own
+codec holds every term of the product and the fields never need
 widening; a dense C^-1 takes the kernel's row-packed path.  The elimination
 takes each packed column as a dense primitive integer row over its
 degree's terms (`linalg._dense_primitive`).  The forward walk packs each
@@ -57,8 +59,8 @@ dual map by re-tagging the map's packed columns under the flipped order
 (`_TermCodec.transposed`), so no dual PolyMatrix is built until a step's
 map is read.  A packed term is its own order key, so the elimination
 sorts the image's terms as plain ints.
-The walk unpacks only the leading terms of G.  G, C and each step's rebased
-map are built on first read (see `PropagationResult` and `ResolutionStep`),
+The walk unpacks only the leading terms of G.  C^-1, G, C and each step's
+rebased map are built on first read (see `PropagationResult` and `ResolutionStep`),
 and G and the maps are unpacked by `_TermCodec.matrix` only when their
 entries are read; every returned value keeps exponent tuples.
 
@@ -95,7 +97,7 @@ from .groebner import (
 from .linalg import Echelon, _dense_primitive
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
 from .packed import _TermCodec
-from .rings import _int_vector, unit_monomial, vector_add, vector_neg
+from .rings import _int_vector, exact, unit_monomial, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
 
@@ -113,27 +115,32 @@ class PropagationResult:
     with its degrees in the new order.  `inverse_change_of_basis` is C^-1,
     read off the same elimination; resolutions rebase with it.
 
-    `inverse_change_of_basis`, `weights` and `rebased_module` are computed
-    with the result.  `change_of_basis` and `sorted_matrix` are built on
-    first read and cached, since propagation and the resolution walk read
-    neither: C by the function of no argument the result is made with, and
-    G by the function of one argument, C, it is made with, from the cached
-    C, so that reading both inverts C^-1 once.  Results are equal when all
-    five fields are.
+    `weights` and `rebased_module` are computed with the result.
+    `inverse_change_of_basis`, `change_of_basis` and `sorted_matrix` are
+    built on first read and cached, since propagation and the resolution
+    walk read none of them as matrices: C^-1 by the function of no argument
+    the result is made with, C by the function of one argument, C^-1, and G
+    by the function of one argument, C, each from the cached field before
+    it, so that reading all three inverts C^-1 once.  Results are equal when
+    all five fields are.
     """
 
     def __init__(
-        self, inverse_change_of_basis, weights, rebased_module, build_change_of_basis, build_sorted_matrix
+        self, build_inverse_change_of_basis, weights, rebased_module, build_change_of_basis, build_sorted_matrix
     ):
-        self.inverse_change_of_basis = inverse_change_of_basis
         self.weights = weights
         self.rebased_module = rebased_module
+        self._build_inverse_change_of_basis = build_inverse_change_of_basis
         self._build_change_of_basis = build_change_of_basis
         self._build_sorted_matrix = build_sorted_matrix
 
     @cached_property
+    def inverse_change_of_basis(self):
+        return self._build_inverse_change_of_basis()
+
+    @cached_property
     def change_of_basis(self):
-        return self._build_change_of_basis()
+        return self._build_change_of_basis(self.inverse_change_of_basis)
 
     @cached_property
     def sorted_matrix(self):
@@ -247,7 +254,7 @@ def propagate(matrix, weights, order):
     codec, (columns,) = _packed_chain([matrix], order)
     if _fails_nakayama(matrix.codomain, matrix.domain, codec, columns):
         raise MinimalityError(_NOT_MINIMAL)
-    return _propagate(matrix.codomain, matrix.domain, weights, codec, columns)
+    return _propagate(matrix.codomain, matrix.domain, weights, codec, columns)[0]
 
 
 def _propagate(codomain, domain, weights, codec, columns):
@@ -265,8 +272,11 @@ def _propagate(codomain, domain, weights, codec, columns):
     reduced echelon forms.  G is the identity at the pivots, so C^-1[k][j]
     is column j's coefficient at G_k's pivot, and neither C^-1 nor the
     weights need the back-substitution.  Only the leading terms of G are
-    unpacked; C (see `_inverted`) and G = M @ C (see `_sorted_matrix`) are
-    built on first read, so the result keeps no elimination.
+    unpacked.  Returns (result, the columns of C^-1 packed by codec as
+    constant terms, which `_walk` multiplies by; see `_inverse_columns`).
+    The ScalarMatrix C^-1 (see `_inverse_matrix`), C (see `_inverted`) and
+    G = M @ C (see `_sorted_matrix`) are built on first read, so the result
+    keeps no elimination.
     """
     ring = domain.ring
     classes = {}
@@ -284,17 +294,47 @@ def _propagate(codomain, domain, weights, codec, columns):
         degrees += [d] * len(block)
 
     rebased = FreeModuleSpec(ring, degrees)
-    inverse = ScalarMatrix([[col.get(t, 0) for col in columns] for t in leads])
+    inverse = _inverse_columns(codec, columns, leads)
     return PropagationResult(
-        inverse,
+        partial(_inverse_matrix, codec, inverse),
         tuple(
             vector_add(ring.monomial_weight(t.monomial), weights[t.index])
             for t in map(codec.unpack, leads)
         ),
         rebased,
-        partial(_inverted, inverse, degrees, domain.basis_degrees),
+        lambda inverse: _inverted(inverse, degrees, domain.basis_degrees),
         partial(_sorted_matrix, codec, columns, codomain, rebased),
-    )
+    ), inverse
+
+
+def _inverse_columns(codec, columns, leads):
+    """The columns of C^-1 packed by codec as constant terms, entry k at index k.
+
+    Entry k of column j is the coefficient of the packed column j at
+    leads[k], the pivot of G_k.  Each column is read over its own terms or
+    over the pivots, whichever are fewer, and lists its entries by
+    increasing k, made exact as a ScalarMatrix's are.
+    """
+    constants = _constants(codec, len(leads))
+    pivots = {t: k for k, t in enumerate(leads)}
+    out = []
+    for col in columns:
+        if len(col) < len(leads):
+            hits = sorted((pivots[t], x) for t, x in col.items() if t in pivots)
+        else:
+            hits = [(k, x) for k, t in enumerate(leads) if (x := col.get(t))]
+        out.append({constants[k]: exact(x) for k, x in hits})
+    return out
+
+
+def _inverse_matrix(codec, inverse):
+    """C^-1 as a ScalarMatrix, from its columns packed by codec (see `_inverse_columns`)."""
+    row = {t: k for k, t in enumerate(_constants(codec, len(inverse)))}
+    rows = [[0] * len(inverse) for _ in inverse]
+    for j, col in enumerate(inverse):
+        for t, x in col.items():
+            rows[row[t]][j] = x
+    return ScalarMatrix._unchecked(rows)
 
 
 def _sorted_matrix(codec, columns, codomain, rebased, change):
@@ -307,14 +347,19 @@ def _sorted_matrix(codec, columns, codomain, rebased, change):
     return codec.matrix(list(codec.product(columns, _constant_columns(codec, change))), codomain, rebased)
 
 
-def _constant_columns(codec, scalars):
-    """The columns of the ScalarMatrix scalars packed by codec as constant terms, entry i at index i.
+def _constants(codec, n):
+    """The constant terms at the indices below n, packed by codec.
 
     A constant factor adds no degree, so a codec that holds a map holds
-    its product with them.
+    its product with a matrix packed as constant terms.
     """
     unit = unit_monomial(codec.ring.num_vars)
-    constants = [codec.term(unit, i) for i in range(scalars.num_rows)]
+    return [codec.term(unit, i) for i in range(n)]
+
+
+def _constant_columns(codec, scalars):
+    """The columns of the ScalarMatrix scalars packed by codec as constant terms, entry i at index i."""
+    constants = _constants(codec, scalars.num_rows)
     return [{t: x for t, x in zip(constants, col) if x} for col in zip(*scalars.rows)]
 
 
@@ -366,22 +411,24 @@ def _walk(steps, weights):
 
     steps yields one (codomain, domain, codec, columns) per map: its
     modules, and its packed columns with the codec that packed them, under
-    the order propagated under.  The walk rebases each map d after the first
-    onto the previous step's rebased module as the product C^-1 @ d with
-    that step's C^-1, through `_TermCodec.product` with the columns of C^-1
-    packed as constant terms, and yields (build, PropagationResult) per
-    step, drawing each map from steps only when its step is taken.  build
-    is a function of no argument that gives the step's rebased map, by
-    `_TermCodec.matrix`; the walk itself never calls it.
+    the order propagated under; the codecs of consecutive maps share one
+    layout.  The walk rebases each map d after the first onto the previous
+    step's rebased module as the product C^-1 @ d with that step's C^-1,
+    through `_TermCodec.product` with the columns of C^-1 packed as
+    constant terms as `_propagate` reads them, and yields (build,
+    PropagationResult) per step, drawing each map from steps only when its
+    step is taken.  build is a function of no argument that gives the
+    step's rebased map, by `_TermCodec.matrix`; the walk itself never calls
+    it, nor builds any ScalarMatrix.
     """
     inverse = None
     for codomain, domain, codec, columns in steps:
         if inverse is not None:
-            columns = list(codec.product(_constant_columns(codec, inverse), columns))
+            columns = list(codec.product(inverse, columns))
             codomain = spec
-        result = _propagate(codomain, domain, weights, codec, columns)
+        result, inverse = _propagate(codomain, domain, weights, codec, columns)
         yield partial(codec.matrix, columns, codomain, domain), result
-        weights, inverse, spec = result.weights, result.inverse_change_of_basis, result.rebased_module
+        weights, spec = result.weights, result.rebased_module
 
 
 def _walk_forward(steps, weights):
@@ -420,14 +467,15 @@ def _walk_forward(steps, weights):
 def _read_back(build, inner):
     """A step of `_walk` on a dual map, as (build, PropagationResult) of the forward step.
 
-    The step's map, the dual of the rebased dual, and C, the transpose of
-    the dual run's C, are built on first read, like the dual run's own.
+    The step's map, the dual of the rebased dual, and C and C^-1, the
+    transposes of the dual run's, are built on first read, like the dual
+    run's own.
     """
     return (lambda: dual_map(build())), PropagationResult(
-        inner.inverse_change_of_basis.transpose(),
+        lambda: inner.inverse_change_of_basis.transpose(),
         negate_weights(inner.weights),
         inner.rebased_module.dual(),
-        lambda: inner.change_of_basis.transpose(),
+        lambda inverse: inner.change_of_basis.transpose(),
         lambda change: inner.sorted_matrix,
     )
 

@@ -7,14 +7,18 @@ relations of the S-pairs it took, and each further level costs one
 division per S-pair, whose leading term Schreyer's theorem gives (La Scala
 and Stillman, "Strategies for computing minimal free resolutions", JSC
 1998; Erocal, Motsak, Schreyer and Steenpass, "Refined algorithms to
-compute syzygies", JSC 2016).  `_pruned` cancels the frame's units and
-returns the differentials of the minimal resolution packed by one codec,
-with the PolyMatrices of `_TermCodec.matrix`, unpacked when first read.  The
-frame's terms are ints laid out by `_FrameLayout`, so the division is
-`packed`'s.
+compute syzygies", JSC 2016).  The frame's terms are ints laid out by
+`_FrameLayout`, so the division is `packed`'s, and it tries on each term
+only the divisors whose leading terms lie on the term's chain, the only
+ones that can divide it.  `_pruned` cancels the frame's units, visiting
+for each cancelled row only the columns that hold a term there, and
+returns the differentials of the minimal resolution packed by one codec
+with the frame codec's fields, into which a frame term moves by one shift,
+with the PolyMatrices of `_TermCodec.matrix`, unpacked when first read.
 """
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 
@@ -46,9 +50,12 @@ class _FrameLayout:
     order Schreyer's frame induces (La Scala and Stillman, JSC 1998), with
     ties between basis elements going to the larger index.  Multiplying a
     term by a monomial adds the packed monomial shifted by `width`, at every
-    level.  A term divides another exactly when their chains are equal and
-    the F_0 terms divide, one subtraction and one mask test on `divmask`; a
-    layout serves `_pseudo_divide` as its codec.
+    level.  Of two terms on one chain, one divides the other exactly when
+    their F_0 terms do: one subtraction and one mask test on `divmask`,
+    which leaves the chain test to the caller.  A layout serves
+    `_pseudo_divide` as its codec, which tries on a term only the divisors
+    on its chain (`bucketmask`, `buckets`), and `_minimal_pairs` compares
+    leading terms of one chain.
 
     A layout with the fields `widths` holds chains of len(widths) levels, a
     term of F_k with k < len(widths) leaving the fields below level k zero.
@@ -56,16 +63,17 @@ class _FrameLayout:
     the new field's width, `shift`.
     """
 
-    __slots__ = ("codec", "widths", "width", "shift", "offsets", "divmask", "guards", "bits")
+    __slots__ = ("codec", "widths", "width", "shift", "offsets", "divmask", "guards", "bits", "bucketmask")
 
     def __init__(self, codec, widths):
         self.codec, self.widths = codec, widths
         self.width = width = sum(widths)
         self.shift = widths[-1]
         self.offsets = [width - sum(widths[:k + 1]) for k in range(len(widths))]
-        self.divmask = codec.divmask << width | ((1 << width) - 1)
+        self.divmask = codec.divmask << width
         self.guards = codec.guards << width
         self.bits = codec.bits
+        self.bucketmask = (1 << width) - 1
 
     def appended(self, count):
         """This layout with one more field, at the bottom, for indices below count."""
@@ -79,18 +87,26 @@ class _FrameLayout:
         """The key of the packed monomial times the term whose key is unit."""
         return unit + (monomial << self.width)
 
-    def index(self, key, level):
-        """The basis index at level `level` (from 1) of the chain of key."""
-        return key >> self.offsets[level - 1] & ((1 << self.widths[level - 1]) - 1)
+    def field(self, level):
+        """(offset, mask) of the field of level `level` (from 1): a key's index there is key >> offset & mask."""
+        return self.offsets[level - 1], (1 << self.widths[level - 1]) - 1
 
     def chain(self, key):
-        return key & ((1 << self.width) - 1)
+        return key & self.bucketmask
+
+    def buckets(self, divisors):
+        """The `_pseudo_divide` divisors by the chain of their leading terms, in list order within a chain."""
+        out = {}
+        for divisor in divisors:
+            out.setdefault(divisor[0] & self.bucketmask, []).append(divisor)
+        return out
 
     def lcm(self, a, b):
         """The lcm of two keys with one chain."""
         return self.codec.lcm(a >> self.width, b >> self.width) << self.width | self.chain(a)
 
     def divides(self, a, b):
+        """Whether key a divides key b, two keys on one chain."""
         return not (b - a) & self.divmask
 
     def exponents(self, key, unit):
@@ -121,8 +137,8 @@ class _Frame:
     """A Schreyer frame over a minimal map, as `_frame` builds it.
 
     levels[k - 1] is level k.  codec packs the F_0 terms of every level and
-    the input's columns (columns), and holds total degree bound, which every
-    frame term is within.  born[t] is the input column that joined the
+    the input's columns (columns), and holds the total degree of every
+    frame term.  born[t] is the input column that joined the
     Groebner basis G as its element t, None if an S-pair added t; joins[t]
     is, for a column-born t, the relation over G that its division left
     (packed by level 2's layout) and the division's multiplier; creators[t]
@@ -133,7 +149,6 @@ class _Frame:
     """
 
     codec: object
-    bound: int
     columns: list
     levels: list
     born: list
@@ -159,8 +174,9 @@ def _frame(codec, columns, matrix, top, kept):
     order its keys follow (see `_FrameLayout`): the relation of an
     S-pair has its leading term at the pair's later element, times the lcm
     over that element's leading term, and costs one division of the
-    S-polynomial, which reduces to zero.  No level is reduced again.  Levels
-    beyond top are not built (all are if top is None); the frame ends at
+    S-polynomial, which reduces to zero.  A frame term is divisible only by
+    leading terms on its own chain, so the division tries only those.  No
+    level is reduced again.  Levels beyond top are not built (all are if top is None); the frame ends at
     the first level with no S-pair.  Every element from level 2 up is a
     primitive integer vector.
 
@@ -207,7 +223,7 @@ def _frame(codec, columns, matrix, top, kept):
     for mono, index in map(codec.unpack, g_leads):
         level1.degrees.append(vector_add(ring.monomial_degree(mono), module.basis_degrees[index]))
     level1.degrees += [degrees[j] for j in redundant]
-    frame = _Frame(codec, bound, packed, [level1], [None] * len(basis) + redundant, {}, {}, [])
+    frame = _Frame(codec, packed, [level1], [None] * len(basis) + redundant, {}, {}, [])
     layout = first.appended(sum(type(payload) is not int for _, _, payload, _, _ in records))
     level2 = _FrameLevel(layout, [], [], [])
     units = [layout.key(lead, (p,)) for p, lead in enumerate(g_leads)]
@@ -274,9 +290,10 @@ def _next_level(level):
     pairs.sort(key=lambda pair: (functional(pair[0]), pair[0]))
     below = layout.appended(len(pairs))
     out = _FrameLevel(below, [], [], [])
+    buckets = layout.buckets(divisors)
     for degree, i, j, lcm_key in pairs:
         work, tail = _s_pair(divisors[i], divisors[j], lcm_key)
-        _pseudo_divide(work, tail, divisors, layout)
+        _pseudo_divide(work, tail, buckets, layout)
         if work:
             raise InternalError("an S-polynomial of the frame did not reduce to zero")
         relation = _primitive(tail)[0]
@@ -302,12 +319,13 @@ def _input_coordinates(frame):
     level1, level2 = frame.levels[0], frame.levels[1]
     layout = level2.layout
     units = [(lead | p) << layout.shift for p, lead in enumerate(level1.leads)]
+    offset, mask = layout.field(1)
     cofactors = {}
 
     def substituted(vector):
         out = {}
         for key, c in vector.items():
-            p = layout.index(key, 1)
+            p = key >> offset & mask
             if p not in cofactors:
                 out[key] = out.get(key, 0) + c
                 continue
@@ -336,7 +354,8 @@ def _pruned(frame, matrix, max_length):
     Returns (codec, packed, maps): the codec and the packed columns of
     every differential, d_1 = matrix first, that the check below ran on,
     and the differentials as PolyMatrices, matrix itself and then
-    `codec.matrix` of each later one, unpacked when first read.
+    `codec.matrix` of each later one, unpacked when first read.  The
+    pruning works on the frame's own dicts, so the frame is spent.
 
     A nonzero constant entry of differential d_k (frame level k over level
     k - 1) at row a and column b splits off a trivial complex (Eisenbud,
@@ -350,8 +369,9 @@ def _pruned(frame, matrix, max_length):
     involves no later element, so no cancellation disturbs another's unit,
     and what is left of level 1 is the input columns.  Higher differentials
     cancel whatever constant entries they have, column by column, each at
-    its lowest row.  Each differential ends with an exact check that no
-    constant entry is left, an InternalError otherwise; the cancellations
+    its lowest row; a constant entry is a key equal to its row's unit, found
+    by one lookup per key.  Each differential ends with an exact check that
+    no constant entry is left, an InternalError otherwise; the cancellations
     keep the frame exact, so the result is minimal.  The redundant columns'
     relations follow level 2's elements in d_2: no pivots, and their
     constants stay (see `groebner.syzygies` for why they are minimal).
@@ -361,46 +381,72 @@ def _pruned(frame, matrix, max_length):
     positive integer instead of dividing by the pivot.  Right after, the
     column is divided by its content (`linalg._primitive`, signs kept), so
     every column stays a primitive integer vector as it goes, and the net
-    scaling of a column by s divides the next differential's row by s.  All
-    differentials are packed by one codec and checked to compose to zero
-    (an InternalError says a pair did not).  The codec's fields hold every
-    consecutive product and its index field the largest module rank, all
-    that a codec of `groebner._packed_chain` provides for the walk.  At
-    most max_length differentials are kept (all if None), and none from the
-    first level that pruning empties.
+    scaling of a column by s divides the next differential's row by s.  A
+    differential whose rows all survive unscaled takes the frame level's
+    elements as its columns, untouched.  Clearing row a visits only the
+    columns that may hold a term there, in index order: an index from each
+    row to those columns is built at the differential's first cancellation,
+    and a cleared column joins the rows of the pivot's terms.
+
+    All differentials are packed by one codec, with the frame codec's
+    fields, and checked to compose to zero (an InternalError says a pair
+    did not).  A frame key of m * e_a less the key of e_a is m's packed
+    monomial shifted left by the layout's width, so it becomes the term of
+    m at e_a's row by one shift and the row's index field.  The codec's
+    fields hold every consecutive product and its index field the largest
+    module rank, all that a codec of `groebner._packed_chain` provides for
+    the walk.  At most max_length differentials are kept (all if None), and
+    none from the first level that pruning empties.
     """
     levels = frame.levels
     steps = []  # per differential d_k, k >= 2: (layout, units of its rows, columns, alive columns, pruned rows)
     dead, factors = set(), {}
     for k in range(2, len(levels) + 1):
         layout, below = levels[k - 1].layout, levels[k - 2]
+        # a key's row is its level k - 1 index
+        offset, mask = layout.field(k - 1)
         units = [(lead | a) << layout.shift for a, lead in enumerate(below.leads)]
-        columns = []
-        for element in _input_coordinates(frame) if k == 2 else levels[k - 1].elements:
-            column = {}
-            for key, c in element.items():
-                a = layout.index(key, k - 1)
-                if a not in dead:
-                    column[key] = exact(c * factors[a]) if a in factors else c
-            columns.append(column)
+        unit_rows = {unit: a for a, unit in enumerate(units)}
+        elements = _input_coordinates(frame) if k == 2 else levels[k - 1].elements
+        if dead or factors:
+            columns = []
+            for element in elements:
+                column = {}
+                for key, c in element.items():
+                    a = key >> offset & mask
+                    if a not in dead:
+                        column[key] = exact(c * factors[a]) if a in factors else c
+                columns.append(column)
+        else:
+            columns = list(elements)
         # what the next differential's rows are multiplied by: 1 / s for
         # each scaling of the column by s
         next_factors = [1] * len(columns)
         for c, column in enumerate(columns):
             columns[c], next_factors[c] = _primitive(column)
-        alive = list(range(len(columns)))
+        live = [True] * len(columns)
         pruned = set()
+        holders = None  # row -> the columns that may hold a term at it
 
         def cancel(a, b):
             # fraction-free: a column with entries x at row a becomes
             # (|p| / g) * column - sum((sign(p) * x / g) * m_x * pivot)
+            nonlocal holders
+            if holders is None:
+                holders = defaultdict(set)
+                for c, column in enumerate(columns):
+                    for row in {key >> offset & mask for key in column}:
+                        holders[row].add(c)
             unit, pivot = units[a], list(columns[b].items())
             p = columns[b][unit]
-            alive.remove(b)
+            live[b] = False
             pruned.add(a)
-            for c in alive:
+            spread = {t >> offset & mask for t, _ in pivot}
+            for c in sorted(holders.pop(a)):
+                if not live[c]:
+                    continue
                 column = columns[c]
-                hits = [(key, x) for key, x in column.items() if layout.index(key, k - 1) == a]
+                hits = [(key, x) for key, x in column.items() if key >> offset & mask == a]
                 if not hits:
                     continue
                 g = gcd(p, *(x for _, x in hits))
@@ -419,22 +465,25 @@ def _pruned(frame, matrix, max_length):
                             del column[t]
                 columns[c], content = _primitive(column)
                 next_factors[c] = exact_quotient(next_factors[c] * content, scale)
+                for row in spread:
+                    holders[row].add(c)
 
-        def constants(column):
-            return sorted(a for key in column for a in (layout.index(key, k - 1),) if key == units[a])
+        def lowest_unit(column):
+            return min((unit_rows[key] for key in column if key in unit_rows), default=None)
 
         if k == 2:
             for t in sorted(frame.creators, reverse=True):
                 cancel(t, frame.creators[t])
         else:
-            for b in list(alive):
-                rows = constants(columns[b])
-                if rows:
-                    cancel(rows[0], b)
-        if any(constants(columns[c]) for c in alive if c < len(levels[k - 1].elements)):
+            for b in range(len(columns)):
+                a = lowest_unit(columns[b])
+                if a is not None:
+                    cancel(a, b)
+        alive = [c for c in range(len(columns)) if live[c]]
+        if any(lowest_unit(columns[c]) is not None for c in alive if c < len(levels[k - 1].elements)):
             raise InternalError("a unit survived pruning differential %d of the frame" % k)
         factors = {c: next_factors[c] for c in alive if next_factors[c] != 1}
-        dead = set(range(len(columns))) - set(alive)
+        dead = {c for c in range(len(columns)) if not live[c]}
         steps.append((layout, units, columns, alive, pruned))
     # what survives of each level: G's column-born elements and the
     # redundant columns at level 1, and at level k the columns of d_k not
@@ -461,16 +510,24 @@ def _pruned(frame, matrix, max_length):
     degrees[1] = degrees[1] + [degree for _, degree in frame.redundant]
     for k in range(2, length + 1):
         modules.append(FreeModuleSpec(ring, [degrees[k - 1][c] for c in survivors[k - 1]]))
-    codec = _TermCodec(ring, frame.codec.order, max(m.rank for m in modules), frame.bound)
-    packed = [[codec.repacked(frame.codec, c) for c in frame.columns]]
+    old = frame.codec
+    codec = _TermCodec(ring, old.order, max(m.rank for m in modules), old.capacity)
+    packed = [[codec.repacked(old, c) for c in frame.columns]]
     for k in range(2, length + 1):
         layout, units, columns, _, _ = steps[k - 2]
-        rows = dict(enumerate(frame.born)) if k == 2 else {a: n for n, a in enumerate(survivors[k - 2])}
+        offset, mask = layout.field(k - 1)
+        rows = {a: frame.born[a] for a in survivors[0]} if k == 2 else {a: n for n, a in enumerate(survivors[k - 2])}
+        tags = {a: codec._tag(row) for a, row in rows.items()}
+        # the packed monomial moves from the frame codec's fields to the
+        # walk codec's, which start at another bit where the index field is
+        # below them: by down bits right, or -down bits left
+        down = layout.width + old._low - codec._low
+        up, down = max(-down, 0), max(down, 0)
         packed.append([
             {
-                codec.term(layout.exponents(key, units[a]), rows[a]): c
+                (key - units[a] << up >> down) | tags[a]: c
                 for key, c in columns[b].items()
-                for a in (layout.index(key, k - 1),)
+                for a in (key >> offset & mask,)
             }
             for b in survivors[k - 1]
         ])
@@ -479,4 +536,3 @@ def _pruned(frame, matrix, max_length):
         raise InternalError("differentials %d and %d of the resolution do not compose to zero" % (failed + 1, failed + 2))
     maps = [matrix] + [codec.matrix(packed[k], modules[k], modules[k + 1]) for k in range(1, length)]
     return codec, packed, maps
-

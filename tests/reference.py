@@ -2,9 +2,11 @@
 
 They stay independent of `packed`, `linalg.Echelon` and `schreyer`, so that
 a test comparing the library against them checks the packed engine against
-exponent tuples, and the elimination against the one it replaced.
+exponent tuples, the elimination against the one it replaced, and the
+division that looks divisors up by bucket against the list scan.
 """
 
+import bisect
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -77,3 +79,64 @@ class ReferenceEchelon:
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def reference_pseudo_divide(work, tail, divisors, divmask, guards):
+    """The list scan `packed._pseudo_divide` ran before it looked divisors up by bucket.
+
+    work, tail and divisors are as `_pseudo_divide` takes them, divisors a
+    plain list; a divisor's leading term divides a term t exactly when
+    (t - lead) & divmask is 0, and a popped term with a bit of guards set
+    has overflowed.  Each step tries every divisor in list order and takes
+    the first that divides.  Returns the multiplier; work and tail change
+    in place, as `_pseudo_divide` leaves them.
+    """
+    pending = sorted(work)
+    multiplier = 1
+    while pending:
+        term = pending.pop()
+        coeff = work.get(term)
+        if coeff is None:
+            continue
+        if term & guards:
+            raise OverflowError("a packed exponent outgrew its field")
+        for lead, g_coeff, body, body_tail in divisors:
+            if not (term - lead) & divmask:
+                break
+        else:
+            if tail is None:
+                return multiplier
+            continue
+        del work[term]
+        if type(coeff) is int and type(g_coeff) is int:
+            g = gcd(g_coeff, coeff)
+            q_coeff = coeff // g if g_coeff > 0 else -(coeff // g)
+            factor = abs(g_coeff) // g
+            if factor != 1:
+                multiplier *= factor
+                for t, c in work.items():
+                    work[t] = c * factor
+                if tail:
+                    for t, c in tail.items():
+                        tail[t] = c * factor
+        else:
+            q_coeff = Fraction(coeff) / g_coeff
+            q_coeff = q_coeff.numerator if q_coeff.denominator == 1 else q_coeff
+        shift = term - lead
+        for t, c in body:
+            t += shift
+            value = work.get(t, 0) - c * q_coeff
+            if value:
+                if t not in work:
+                    bisect.insort(pending, t)
+                work[t] = value
+            else:
+                del work[t]
+        for t, c in body_tail:
+            t += shift
+            value = tail.get(t, 0) - c * q_coeff
+            if value:
+                tail[t] = value
+            else:
+                del tail[t]
+    return multiplier

@@ -40,7 +40,7 @@ from torusweights.problemfile import load_problem
 from torusweights.propagate import _NOT_MINIMAL, PropagationResult
 from torusweights.rings import Polynomial, unit_monomial, vector_add
 
-from conftest import PROBLEMS, fixture_path, std_ring
+from conftest import PROBLEMS, fixture_path, plucker_presentation, std_ring
 
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
 
@@ -555,6 +555,24 @@ def test_transposed_columns_are_the_packed_dual_map(m):
         assert flipped.matrix(columns, m.domain.dual(), m.codomain.dual()) == dual_map(m)
 
 
+def test_every_empty_cell_of_an_unpacked_map_is_one_shared_zero():
+    # Gr(2,6)'s differentials are mostly empty cells; unpacking shares one
+    # zero Polynomial among them, and every other cell is its own
+    differentials = minimal_resolution(plucker_presentation(6), ModuleTermOrder("top-up")).differentials[1:]
+    zeros, others, cells = set(), [], 0
+    for d in differentials:
+        for row in d.entries:
+            for p in row:
+                cells += 1
+                if p.terms:
+                    others.append(p)
+                else:
+                    zeros.add(id(p))
+                    assert p == Polynomial() and p.is_zero
+    assert len(zeros) == 1 and len(others) < cells // 2
+    assert len({id(p) for p in others}) == len(others)
+
+
 # ---------- the packed walk against the tuple walk ----------
 
 
@@ -602,11 +620,12 @@ def _propagate(matrix, weights, order):
     rebased = FreeModuleSpec(ring, [degree_of[t] for t in leads])
     change_of_basis = ScalarMatrix([[rows[pos].get(n + j, 0) for pos in pivots] for j in range(len(columns))])
     sorted_matrix = PolyMatrix._unchecked(matrix.codomain, rebased, _column_rows(g_columns, matrix.num_rows))
+    inverse = ScalarMatrix([[col.entries[t.index].terms.get(t.monomial, 0) for col in columns] for t in leads])
     return PropagationResult(
-        ScalarMatrix([[col.entries[t.index].terms.get(t.monomial, 0) for col in columns] for t in leads]),
+        lambda: inverse,
         tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in leads),
         rebased,
-        lambda: change_of_basis,
+        lambda inverse: change_of_basis,
         lambda change: sorted_matrix,
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 from collections import Counter
@@ -35,7 +36,7 @@ from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.propagate import _inverted
 
-from conftest import entries_as_text, fixture_path, matrix
+from conftest import entries_as_text, fixture_path, matrix, plucker_presentation
 
 TOP_UP = ModuleTermOrder("top-up")
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
@@ -866,6 +867,52 @@ def test_hand_off_differentials_unpack_on_first_read(monkeypatch, name, presenta
         fresh = minimal_resolution(m, TOP_UP).differentials
         for k, d in enumerate(fresh):
             assert read(d) == read(chain.codec.matrix(chain.packed[k], d.codomain, d.domain)), k
+
+
+# Gr(2,6) cancels units at four levels of its frame, so its pruning runs
+# the row index of the cancellation and the re-keying of every differential
+# for the walk.  Per order, the first 16 hex digits of the SHA-256 of the
+# repr of: the typed differentials, the weight lists of the walk from F_0
+# with weight 0, and that walk's C^-1, C and G, step by step.  Recorded
+# before the pruning indexed its rows or re-keyed by a shift.
+GR_2_6_DIGESTS = {
+    "top-up": ("0d7cdcfe779d3441", "6f526f6be2aef26c", "31863390b9536eb8", "0051d0d7264fdfe0", "ab37777b3d490f3e"),
+    "pot-up": ("0d7cdcfe779d3441", "0602bcbb2a12195b", "10c8b133aca52c16", "1673224b0519c188", "4d60cb0c8c33ca2d"),
+    "top-down": ("0d7cdcfe779d3441", "076c7b4430f21275", "53685231ee5ac5d9", "9ff5f395e0222784", "0295c9cc75480e76"),
+    "pot-down": ("0d7cdcfe779d3441", "be141c57b7a04238", "aee379f63c3a847a", "feff2af3966b2e8e", "12f2d48821a42679"),
+}
+
+
+def digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def named_matrix(m):
+    """The degrees of a PolyMatrix's modules and its entries' sorted terms, with coefficient type names."""
+    return (
+        m.codomain.basis_degrees,
+        m.domain.basis_degrees,
+        [[sorted((mono, type(c).__name__, c) for mono, c in p.terms.items()) for p in row] for row in m.entries],
+    )
+
+
+def named_scalars(s):
+    return [[(type(x).__name__, x) for x in row] for row in s.rows]
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_hand_off_of_the_gr_2_6_pruning_matches_its_goldens(order):
+    resolution = minimal_resolution(plucker_presentation(6), order)
+    assert resolution.ranks == [1, 15, 35, 42, 35, 15, 1]
+    walked = propagate_resolution(resolution, 0, [(0,) * 6], order)
+    results = [walked.steps[k].result for k in sorted(walked.steps)]
+    assert (
+        digest([named_matrix(d) for d in resolution.differentials]),
+        digest(walked.per_module),
+        digest([named_scalars(r.inverse_change_of_basis) for r in results]),
+        digest([named_scalars(r.change_of_basis) for r in results]),
+        digest([named_matrix(r.sorted_matrix) for r in results]),
+    ) == GR_2_6_DIGESTS[order.kind]
 
 
 def chain_faults(koszul):

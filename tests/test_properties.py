@@ -3,6 +3,7 @@
 Each suite runs at least 100 generated cases (hypothesis profile below).
 """
 
+import contextlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,7 @@ from torusweights import (
     syzygies,
 )
 from torusweights.errors import InputError, ResolutionStepError
+from torusweights import schreyer
 from torusweights.groebner import _buchberger_run, _nakayama_kept, _packed_chain
 from torusweights.linalg import Echelon, _dense_primitive, _primitive, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
@@ -47,7 +49,7 @@ from torusweights.rings import (
 )
 
 from conftest import fixture_path, std_ring
-from reference import ReferenceEchelon, _term_divides, reference_standard_monomials
+from reference import ReferenceEchelon, _term_divides, reference_pseudo_divide, reference_standard_monomials
 from test_groebner import (
     assert_primitive_integer_columns,
     assert_resolution_matches_the_syzygies_loop,
@@ -1168,6 +1170,68 @@ def test_nakayama_flags_do_not_depend_on_the_order(data, ring, dual):
         m = dual_map(m)
     flags = flags_under_every_order(m)
     assert flags == [flags[0]] * len(ALL_ORDERS)
+
+
+# ---------- the frame's bucketed division against the list scan ----------
+
+
+@contextlib.contextmanager
+def frame_divisions_against_the_list_scan():
+    """Check every division of a Schreyer frame level by the reference list scan; yields the list of checked counts.
+
+    `_next_level` hands `_pseudo_divide` its divisors by chain, as
+    `_FrameLayout.buckets` groups them; the spy on `buckets` keeps the list
+    each grouping came from, and the reference scans that list, testing the
+    chain itself: a key divides another when their chains are equal and
+    their F_0 terms divide.  The work, the tail, in insertion order, and
+    the multiplier must agree.
+    """
+    lists, checked = {}, []
+    buckets, divide = schreyer._FrameLayout.buckets, schreyer._pseudo_divide
+
+    def recorded(layout, divisors):
+        out = buckets(layout, divisors)
+        lists[id(out)] = (out, list(divisors))
+        return out
+
+    def compared(work, tail, divisors, codec):
+        if type(codec) is not schreyer._FrameLayout:
+            return divide(work, tail, divisors, codec)
+        # the F_0 terms divide, and the chains are equal
+        divmask = codec.codec.divmask << codec.width | ((1 << codec.width) - 1)
+        expected_work, expected_tail = dict(work), dict(tail)
+        expected = reference_pseudo_divide(expected_work, expected_tail, lists[id(divisors)][1], divmask, codec.guards)
+        multiplier = divide(work, tail, divisors, codec)
+        assert multiplier == expected
+        assert list(work.items()) == list(expected_work.items())
+        assert list(tail.items()) == list(expected_tail.items())
+        checked.append(len(lists[id(divisors)][1]))
+        return multiplier
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schreyer._FrameLayout, "buckets", recorded)
+        patch.setattr(schreyer, "_pseudo_divide", compared)
+        yield checked
+
+
+@pytest.mark.parametrize("name", ["bigraded", "generic_koszul", "grassmannian", "koszul", "mixed_sign"])
+def test_bucketed_frame_division_matches_the_list_scan_on_the_fixtures(name):
+    problem = load_problem(fixture_path(name + ".json"))
+    with frame_divisions_against_the_list_scan() as checked:
+        for m in problem.matrices.values():
+            if is_minimal_map(m) and m.num_cols:
+                for order in ALL_ORDERS:
+                    minimal_resolution(m, order)
+    assert checked
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(COMPONENT_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_bucketed_frame_division_matches_the_list_scan(data, ring, order):
+    m = data.draw(homogeneous_matrix(ring, offsets=monomial_degrees(ring, 1)))
+    assume(is_minimal_map(m))
+    with frame_divisions_against_the_list_scan():
+        minimal_resolution(m, order)
 
 
 def test_a_top_reduced_element_keeps_a_reducible_tail_that_an_s_pair_meets():
