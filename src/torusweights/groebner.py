@@ -100,7 +100,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DependentColumnsError, InputError, MinimalityError
-from .linalg import Echelon, _dense_primitive, _primitive, solve
+from .linalg import Echelon, _dense_primitive, _primitive, _signed_slots, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -117,7 +117,6 @@ from .packed import (
     _largest_degree,
     _pseudo_divide,
     _shifted_difference,
-    _signed_slots,
 )
 from .rings import (
     _int_vector,
@@ -572,7 +571,7 @@ def _standard_search(module, order, lts, degree, weights):
     a sign bit, the largest |variable weight component| times the codec's
     bound plus the largest |index weight component|, which bounds every
     component a term of the search reaches, so no slot spills into the
-    next; `packed._signed_slots` reads the slots off.
+    next; `linalg._signed_slots` reads the slots off.
     """
     ring = module.ring
     n, functional, degs = ring.num_vars, ring._functional, ring.var_degrees

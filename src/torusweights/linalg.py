@@ -4,25 +4,35 @@
 divides a mapping {key: rational} by its content, leaving a primitive
 integer vector with the same signs, and `Echelon`'s callers,
 `groebner._buchberger_run` and the Schreyer frame and its pruning apply it
-wherever a vector changes.  `Echelon` is the engine's one elimination.  It
-takes dense primitive integer rows, lists of one length, since the vectors
-it takes (the columns of a map over the terms of one degree, a block of
-C^-1 beside the identity) are mostly nonzero and their entries stay small:
-a list comprehension per step costs less than dict passes.  Its callers
-lay their vectors out as such lists through `_dense_primitive`, which
-divides each by its content while it is still a sparse mapping and
-clears any Fractions.  A row that elimination changes is divided by its
-content once, when it is stored, not after every step.  Fractions appear
-only in `reduced_rows`, and there only for
-entries that are not integers.  `rank` is a caller like any other.  `solve` and `invert`
-stay dense, on lists of Fraction; the tests keep them as references
-independent of `Echelon`.
+wherever a vector changes.  There are two eliminations, one per row form.
+`Echelon` takes dense primitive integer rows, lists of one length, and
+keeps its rows in echelon form, for the callers that need more than the
+pivots: the reduced rows of `propagate._inverted`, the keep-flags of
+`groebner._nakayama_kept` and `rank`; the walk's sparse degree blocks take
+it too.  A list comprehension per step costs less than dict passes on
+rows whose entries stay small.  Its callers lay their vectors out as such
+lists through `_dense_primitive`, which divides each by its content while
+it is still a sparse mapping and clears any Fractions.  A row that
+elimination changes is divided by its content once, when it is stored,
+not after every step.  Fractions appear only in `reduced_rows`, and there
+only for entries that are not integers.  `pivot_scan` finds only the
+pivots, for the walk's dense degree blocks (see `propagate._propagate`):
+it takes the matrix position by position, each position's column packed
+into one int with one signed slot per row (`_signed_slots`, the layout of
+`packed`'s row-packed product; Kronecker substitution, Harvey, JSC
+2009), reduces it by whole-int fraction-free steps, and stops at full rank.
+`solve` and `invert` stay dense, on lists of Fraction; the tests keep
+them as references independent of `Echelon`.
 """
 
+import logging
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DependentColumnsError, InputError, SingularMatrixError
+
+log = logging.getLogger(__name__)
 
 
 def _quotient(a, b):
@@ -137,6 +147,129 @@ class Echelon:
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def _signed_slots(size, slots):
+    """(offset, digits), which read `slots` signed slots of size bytes, a power of two, off one int.
+
+    Let v be the sum of x_r << (8 * size * r) over r, with each x_r at
+    least -h and below h = 2**(8 * size - 1).  Then
+    digits(((v + offset) ^ offset).to_bytes(size * slots, "little")) is
+    (x_0, x_1, ...): adding offset, h in every slot, makes each slot a
+    digit from 0 to 2h - 1, so that none borrows from the next, and XOR-ing
+    offset off again leaves each digit in two's complement.  Slots of more
+    than 8 bytes are read by `int.from_bytes`.
+    """
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    if size <= 8:
+        return offset, struct.Struct("<%d%s" % (slots, "bhiq"[size.bit_length() - 1])).unpack
+    starts = range(0, size * slots, size)
+    return offset, lambda b: tuple(int.from_bytes(b[i:i + size], "little", signed=True) for i in starts)
+
+
+def _slot_bytes(bits):
+    """The fewest bytes, a power of two, in which a signed slot holds every |x| of at most `bits` bits."""
+    return 1 << (bits // 8).bit_length()
+
+
+class _Slots:
+    """The layout of a `pivot_scan` over count vectors: count + 1 `_signed_slots` of size bytes.
+
+    Slot j + 1 holds the entry of vector j, and slot 0 stays zero, so that
+    every slot read has the slot below it to take its borrow from.
+    """
+
+    def __init__(self, size, count):
+        self.width = width = 8 * size
+        self.half, self.mask, self.window = 1 << width - 1, (1 << width) - 1, (1 << width + 1) - 1
+        self.offset, self.digits = _signed_slots(size, count + 1)
+        self.nbytes = size * (count + 1)
+        if size <= 8:
+            self.layout = struct.Struct("<%d%s" % (count + 1, "bhiq"[size.bit_length() - 1])).pack
+        else:
+            self.layout = lambda *xs: b"".join(x.to_bytes(size, "little", signed=True) for x in xs)
+
+    def pack(self, xs):
+        """The int whose slot j + 1 holds xs[j]: the two's complement slots with each top bit flipped twice."""
+        return (int.from_bytes(self.layout(0, *xs), "little") ^ self.offset) - self.offset
+
+    def unpack(self, v):
+        """The entries of the packed int v, slot 0 first."""
+        return self.digits(((v + self.offset) ^ self.offset).to_bytes(self.nbytes, "little"))
+
+    def repacked(self, v, wider):
+        """The int v packed by these slots, packed by the slots wider."""
+        return wider.pack(self.unpack(v)[1:])
+
+    def bits(self, digits):
+        """(content, bit length of the largest |entry| divided by it) of unpacked digits."""
+        c = gcd(*digits)
+        return c, (max(max(digits), -min(digits)) // c).bit_length()
+
+
+def pivot_scan(vectors, keys):
+    """The pivots of `Echelon` rows, found by a scan over their keys that stops at full rank.
+
+    vectors are primitive integer mappings {key: int}, and keys lists
+    every key they use, in the order of Echelon's positions.  Position k of
+    the matrix whose rows are vectors is a pivot exactly when its column,
+    (vec[k] for vec in vectors), is independent of the columns at the keys
+    before it.  The scan takes the keys in order and packs each column into
+    one int R (`_Slots`).  It reduces R fraction-free against the columns
+    it kept, each with its lowest nonzero slot as its pivot slot, by
+    whole-int steps a * R - b * P that clear P's pivot slot in R.  Slot s of
+    R is read by one shift and mask: the bits of slot s and the top bit of
+    slot s - 1, which is set exactly when the slots below s sum to a
+    negative number and so have borrowed one from slot s, which adding it
+    back returns.  A nonzero R is kept, divided by its content.  The scan
+    stops once it has kept len(vectors) keys; fewer mean that the vectors
+    are dependent.  Returns the kept keys in order.
+
+    The first slots are sized from the largest |entry| of the vectors, and
+    every slot of R and of each kept column has a bit bound: a step leaves
+    R's below 2**(max(bits of a + R's bound, bits of b + P's bound) + 1).
+    Where that would not fit a slot, R is divided by its content first,
+    and if it still does not fit, R and every kept column are repacked into
+    slots at least twice as wide.
+    """
+    count = len(vectors)
+    bits = max((max(map(abs, vec.values()), default=0) for vec in vectors), default=0).bit_length()
+    slots = _Slots(_slot_bytes(2 * bits + 8), count)
+    kept, rows = [], []  # rows: [packed column, pivot slot, pivot entry, bit bound]
+    for key in keys:
+        r, rb = slots.pack([vec.get(key, 0) for vec in vectors]), bits
+        for row in rows:
+            p, s, x0, pb = row
+            x = (((r >> s * slots.width - 1 & slots.window) + 1 >> 1) + slots.half & slots.mask) - slots.half
+            if not x:
+                continue
+            g = gcd(x0, x)
+            a, b = x0 // g, x // g
+            bound = max(a.bit_length() + rb, b.bit_length() + pb) + 1
+            if bound >= slots.width:
+                c, rb = slots.bits(slots.unpack(r))
+                r, x = r // c, x // c
+                g = gcd(x0, x)
+                a, b = x0 // g, x // g
+                bound = max(a.bit_length() + rb, b.bit_length() + pb) + 1
+                if bound >= slots.width:
+                    wider = _Slots(max(slots.width // 4, _slot_bytes(bound)), count)
+                    log.debug("walk: widened pivot-scan slots to %d bits", wider.width)
+                    for other in rows:
+                        other[0] = slots.repacked(other[0], wider)
+                    r, p, slots = slots.repacked(r, wider), row[0], wider
+            r = a * r - b * p
+            rb = bound
+        if not r:
+            continue
+        kept.append(key)
+        if len(kept) == count:
+            break
+        digits = slots.unpack(r)
+        c, pb = slots.bits(digits)
+        low = next(j for j, x in enumerate(digits) if x)
+        rows.append([r // c, low, digits[low] // c, pb])
+    return kept
 
 
 def rank(rows):

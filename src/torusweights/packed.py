@@ -33,7 +33,9 @@ rows, which the one pass that groups A's terms finds, it packs the rows too
 monomial, one signed slot per row, each slot wider than any sum it takes,
 so that an int is 0 exactly when every slot is; the standard-monomial
 search carries a torus weight the same way, one signed slot per component,
-and both read their slots off with `_signed_slots`.  A map is packed at most
+and the walk's pivot scan a term's coefficients in a degree block, one
+signed slot per column (`linalg.pivot_scan`); all three read their slots
+off with `linalg._signed_slots`.  A map is packed at most
 once per public call, each distinct nonzero entry and monomial once, and
 its packed columns serve every reader of that call: the test that consecutive
 maps compose to zero, the minimality run and the walk; a chain from
@@ -54,12 +56,11 @@ route to a PolyMatrix) is unpacked only when its entries are first read.
 
 import bisect
 import operator
-import struct
 from itertools import chain
 from math import gcd, lcm
 
 from .errors import InternalError
-from .linalg import _quotient
+from .linalg import _quotient, _signed_slots
 from .modules import ModuleTerm, PolyMatrix
 from .rings import Polynomial, exact, exact_quotient, monomial_lcm
 
@@ -395,24 +396,6 @@ def _row_slots(a, b, groups, tags, shift):
     if slots * size * count > _BYTES_PER_ROW * terms:
         return None
     return size, low, slots, a, b, scale_a * scale_b
-
-
-def _signed_slots(size, slots):
-    """(offset, digits), which read `slots` signed slots of size bytes, a power of two, off one int.
-
-    Let v be the sum of x_r << (8 * size * r) over r, with each x_r at
-    least -h and below h = 2**(8 * size - 1).  Then
-    digits(((v + offset) ^ offset).to_bytes(size * slots, "little")) is
-    (x_0, x_1, ...): adding offset, h in every slot, makes each slot a
-    digit from 0 to 2h - 1, so that none borrows from the next, and XOR-ing
-    offset off again leaves each digit in two's complement.  Slots of more
-    than 8 bytes are read by `int.from_bytes`.
-    """
-    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-    if size <= 8:
-        return offset, struct.Struct("<%d%s" % (slots, "bhiq"[size.bit_length() - 1])).unpack
-    starts = range(0, size * slots, size)
-    return offset, lambda b: tuple(int.from_bytes(b[i:i + size], "little", signed=True) for i in starts)
 
 
 def _integral(columns):

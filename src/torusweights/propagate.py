@@ -8,7 +8,9 @@ leading term: weight of the leading monomial plus the weight attached to
 the leading term's row.  Every S-pair lies above its columns' degree, so
 that basis is the reduced row echelon form of the columns, and one
 elimination per degree of the columns yields it and C^-1 with no Groebner
-run.  The weights and C^-1 need only the eliminations' pivots.  The walk
+run.  The weights and C^-1 need only the eliminations' pivots, which a
+dense degree block finds by `linalg.pivot_scan` and a sparse one by
+`linalg.Echelon` (see `_propagate`).  The walk
 reads none of C^-1, C and G as a matrix: C^-1 as a ScalarMatrix is built
 on first read from its packed columns (`_inverse_matrix`), C by inverting
 C^-1 one degree block at a time (`_inverted`), and G as the product M @ C
@@ -52,9 +54,11 @@ C^-1 @ d through `_TermCodec.product`, with the nonzero entries of C^-1
 read straight off the previous step's packed columns into constant terms
 (`_inverse_columns`): a constant factor adds no degree, so the map's own
 codec holds every term of the product and the fields never need
-widening; a dense C^-1 takes the kernel's row-packed path.  The elimination
-takes each packed column as a dense primitive integer row over its
-degree's terms (`linalg._dense_primitive`).  The forward walk packs each
+widening; a dense C^-1 takes the kernel's row-packed path.  A dense
+block's scan packs the coefficients each of its terms has in the block's
+primitive columns into one int; a sparse block's `Echelon` takes each
+packed column as a dense primitive integer row over its degree's terms
+(`linalg._dense_primitive`).  The forward walk packs each
 dual map by re-tagging the map's packed columns under the flipped order
 (`_TermCodec.transposed`), so no dual PolyMatrix is built until a step's
 map is read.  A packed term is its own order key, so the elimination
@@ -94,7 +98,7 @@ from .groebner import (
     buchberger,
     check_order,
 )
-from .linalg import Echelon, _dense_primitive
+from .linalg import Echelon, _dense_primitive, _primitive, pivot_scan
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
 from .packed import _TermCodec
 from .rings import _int_vector, exact, unit_monomial, vector_add, vector_neg
@@ -265,11 +269,11 @@ def _propagate(codomain, domain, weights, codec, columns):
     codomain; codec's order is the one propagated under.  A packed term is
     its own order key, so the image's terms sort as plain ints.  Degrees
     share no term, so each degree class of columns is eliminated on its
-    own, by one `Echelon` over that class's terms only, in decreasing
-    order: row j is column j's coefficients over them, and a column that
-    reduces to zero means dependent columns.  The pivots of the echelon
-    forms are the leading terms of G, whose columns are the rows of the
-    reduced echelon forms.  G is the identity at the pivots, so C^-1[k][j]
+    own, over that class's terms only, in decreasing order: row j is
+    column j's coefficients over them (see `_block_leads`).  The pivots of
+    the echelon forms are the leading terms of G, whose columns are the
+    rows of the reduced echelon forms, and fewer pivots than columns mean
+    dependent columns.  G is the identity at the pivots, so C^-1[k][j]
     is column j's coefficient at G_k's pivot, and neither C^-1 nor the
     weights need the back-substitution.  Only the leading terms of G are
     unpacked.  Returns (result, the columns of C^-1 packed by codec as
@@ -284,13 +288,7 @@ def _propagate(codomain, domain, weights, codec, columns):
         classes.setdefault(d, []).append(col)
     leads, degrees = [], []
     for d, block in classes.items():
-        terms = sorted({t for col in block for t in col}, reverse=True)
-        index = {t: i for i, t in enumerate(terms)}
-        ech = Echelon()
-        for col in block:
-            if not ech.add(_dense_primitive(col, index)):
-                raise MinimalityError(_NOT_MINIMAL)
-        leads += [terms[pos] for pos in sorted(ech.pivots, reverse=codec.order.is_position_up)]
+        leads += sorted(_block_leads(block), reverse=not codec.order.is_position_up)
         degrees += [d] * len(block)
 
     rebased = FreeModuleSpec(ring, degrees)
@@ -305,6 +303,40 @@ def _propagate(codomain, domain, weights, codec, columns):
         lambda inverse: _inverted(inverse, degrees, domain.basis_degrees),
         partial(_sorted_matrix, codec, columns, codomain, rebased),
     ), inverse
+
+
+# The density, nonzeros over columns times terms, from which a degree block
+# takes `pivot_scan` rather than `Echelon`.  Measured on the blocks of the
+# benchmark's walks, seeds 1-12: the blocks of 6 to 35 columns of the
+# Koszul duals that `forward` walks are at least 0.94 dense, and the scan
+# halved their elimination time; the blocks of 8 to 35 columns that
+# `resolve` walks are 0.13-0.31 dense, and the scan took three to four
+# times Echelon's time.  Smaller blocks cost little either way.
+_DENSE = 0.5
+
+
+def _block_leads(block):
+    """The pivots of one degree block's packed columns, as packed terms.
+
+    The pivot terms are those at which the block's coefficient matrix,
+    over its terms in decreasing order, gains rank.  A block at least
+    `_DENSE` nonzero finds them by `pivot_scan`, over the primitive parts
+    of its columns (scaling a column by a positive rational moves no
+    pivot), and any other by `Echelon`.  Raises MinimalityError when the
+    columns are dependent.
+    """
+    terms = sorted({t for col in block for t in col}, reverse=True)
+    if sum(map(len, block)) >= _DENSE * len(block) * len(terms):
+        pivots = pivot_scan([_primitive(col)[0] for col in block], terms)
+    else:
+        index = {t: i for i, t in enumerate(terms)}
+        ech = Echelon()
+        for col in block:
+            ech.add(_dense_primitive(col, index))
+        pivots = [terms[pos] for pos in ech.pivots]
+    if len(pivots) < len(block):
+        raise MinimalityError(_NOT_MINIMAL)
+    return pivots
 
 
 def _inverse_columns(codec, columns, leads):

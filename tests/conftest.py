@@ -1,9 +1,11 @@
 import itertools
 import pathlib
+import random
 
 import pytest
 
 from torusweights import FreeModuleSpec, PolyMatrix, RingSpec
+from torusweights.linalg import rank
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 
@@ -44,6 +46,35 @@ def plucker_presentation(n):
         for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
     ]
     return matrix(ring, [[0]], [[2]] * len(quadrics), [quadrics])
+
+
+def koszul_complex(n, seed):
+    """The differentials d_1 ... d_n of the Koszul complex on n generic linear forms.
+
+    As perfbench/problems.py's koszul_complex(n, seed) builds them: the
+    forms' coefficients are drawn from 1..9 by the same seeded stream until
+    the forms are independent, F_k has one basis element e_I per k-subset I
+    (lexicographic order) in degree k, and d_k(e_I) = sum_t (-1)^t l_{I[t]}
+    e_{I without I[t]}, over `std_ring(n)`.
+    """
+    rng = random.Random("%d:complex-forms-%d" % (seed, n))
+    while True:
+        coefficients = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        if rank(coefficients) == n:
+            break
+    forms = ["+".join("%d*x%d" % (c, j + 1) for j, c in enumerate(row)) for row in coefficients]
+    subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
+    ring = std_ring(n)
+    differentials = []
+    for k in range(1, n + 1):
+        row_of = {s: i for i, s in enumerate(subsets[k - 1])}
+        entries = [["0"] * len(subsets[k]) for _ in subsets[k - 1]]
+        for j, subset in enumerate(subsets[k]):
+            for t, var in enumerate(subset):
+                face = subset[:t] + subset[t + 1:]
+                entries[row_of[face]][j] = forms[var] if t % 2 == 0 else "-(%s)" % forms[var]
+        differentials.append(matrix(ring, [[k - 1]] * len(subsets[k - 1]), [[k]] * len(subsets[k]), entries))
+    return differentials
 
 
 def std_ring(n, order="grevlex"):

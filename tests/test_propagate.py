@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import logging
 from collections import Counter
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.propagate import _inverted
 
-from conftest import entries_as_text, fixture_path, matrix, plucker_presentation
+from conftest import entries_as_text, fixture_path, koszul_complex, matrix, plucker_presentation
 
 TOP_UP = ModuleTermOrder("top-up")
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
@@ -913,6 +914,57 @@ def test_hand_off_of_the_gr_2_6_pruning_matches_its_goldens(order):
         digest([named_scalars(r.change_of_basis) for r in results]),
         digest([named_matrix(r.sorted_matrix) for r in results]),
     ) == GR_2_6_DIGESTS[order.kind]
+
+
+# The Koszul complex on seven generic forms (conftest's koszul_complex(7, 7))
+# walked from its top and from F_0: per order, per start, SHA-256 digests of
+# the weights and of every step's C^-1, C and G, recorded before the dense
+# blocks took the pivot scan.
+DENSE_WALK_DIGESTS = {
+    "top-up": [
+        ("8b7ad6f9e64bf1bf", "6283f86551570175", "89f1aceca82201f3", "cac5a5b93cbaf708"),
+        ("8b7ad6f9e64bf1bf", "0ad310909a150342", "58c0db2acbf07aa1", "eb939c463a6318bd"),
+    ],
+    "pot-up": [
+        ("8b7ad6f9e64bf1bf", "7146a67b9cac31f2", "4e0a386b21bea7b8", "a86b201c9d6007fe"),
+        ("8b7ad6f9e64bf1bf", "a4a57cf5e4407853", "b18efc1087e97fdb", "153e3aa127ffa2c6"),
+    ],
+    "top-down": [
+        ("43474bda16c36ccc", "f041e612afa8082f", "65c4950e57ffeed4", "1fb6ac2b3b8883b3"),
+        ("43474bda16c36ccc", "ba87ea575583d8a9", "be1bd8690144110a", "acffbdfbe22a4c5c"),
+    ],
+    "pot-down": [
+        ("43474bda16c36ccc", "8651c0904dad242a", "d6a372428daa8b3b", "d533049e54d928d7"),
+        ("43474bda16c36ccc", "f361fa90b6f2f8d6", "a9424989d98ac620", "1c385f676317dc48"),
+    ],
+}
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_dense_walk_matches_its_goldens(order):
+    # every block of the walk from the top is dense, and its pivot scans widen their slots
+    differentials = koszul_complex(7, 7)
+    found = []
+    for start, weights in ((7, [(1,) * 7]), (0, [(0,) * 7])):
+        walked = propagate_resolution(differentials, start, weights, order)
+        results = [walked.steps[k].result for k in sorted(walked.steps)]
+        found.append((
+            digest(walked.per_module),
+            digest([named_scalars(r.inverse_change_of_basis) for r in results]),
+            digest([named_scalars(r.change_of_basis) for r in results]),
+            digest([named_matrix(r.sorted_matrix) for r in results]),
+        ))
+    assert found == DENSE_WALK_DIGESTS[order.kind]
+
+
+def test_the_dense_walk_widens_its_pivot_scan_slots(caplog):
+    differentials = koszul_complex(7, 7)
+    for order in ALL_ORDERS:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG):
+            propagate_resolution(differentials, 7, [(1,) * 7], order)
+        widened = [r.getMessage() for r in caplog.records if "pivot-scan" in r.getMessage()]
+        assert widened == ["walk: widened pivot-scan slots to %d bits" % w for w in (64, 64, 128)], order
 
 
 def chain_faults(koszul):

@@ -4,6 +4,7 @@ Each suite runs at least 100 generated cases (hypothesis profile below).
 """
 
 import contextlib
+import importlib
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -30,10 +31,10 @@ from torusweights import (
     standard_monomials,
     syzygies,
 )
-from torusweights.errors import InputError, ResolutionStepError
+from torusweights.errors import InputError, MinimalityError, ResolutionStepError
 from torusweights import schreyer
 from torusweights.groebner import _buchberger_run, _nakayama_kept, _packed_chain
-from torusweights.linalg import Echelon, _dense_primitive, _primitive, rank
+from torusweights.linalg import Echelon, _dense_primitive, _primitive, pivot_scan, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
@@ -249,6 +250,57 @@ def test_primitive_divides_out_the_positive_content(vec):
         assert c == 1
     assert all((x > 0) == (v > 0) for x, v in zip(out.values(), vec.values()))
     assert all(v == c * out[k] for k, v in vec.items())
+
+
+# ---------- the pivot scan against Echelon ----------
+
+
+propagate_module = importlib.import_module("torusweights.propagate")
+
+
+@st.composite
+def degree_blocks(draw):
+    """Packed columns of one degree block, dense or sparse, plus zero, repeated and rescaled copies.
+
+    Keys are ints, as packed terms are.  Entries are small ints, ints of
+    up to 24 bits, whose working vectors outgrow the first slots of the
+    pivot scan within a few steps, or ints and Fractions up to 2**200.
+    """
+    keys = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=12, unique=True))
+    entries = draw(st.sampled_from([st.integers(-9, 9), st.integers(-(2**24), 2**24), WIDE_ENTRIES])).filter(bool)
+    dense = draw(st.booleans())
+    block = []
+    for _ in range(draw(st.integers(1, 8))):
+        support = keys if dense else draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+        block.append({k: draw(entries) for k in support})
+    factors = st.one_of(st.integers(-(2**200), 2**200).filter(bool), nonzero_rationals)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["zero", "repeat", "scale"]))
+        source = block[draw(st.integers(0, len(block) - 1))]
+        factor = 0 if kind == "zero" else 1 if kind == "repeat" else draw(factors)
+        block.insert(draw(st.integers(0, len(block))), {k: factor * x for k, x in source.items() if factor})
+    return block
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(block=degree_blocks())
+def test_the_pivot_scan_finds_echelons_pivots(block):
+    terms = sorted({t for col in block for t in col}, reverse=True)
+    index = {t: i for i, t in enumerate(terms)}
+    ech = Echelon()
+    for col in block:
+        ech.add(_dense_primitive(col, index))
+    pivots = [terms[pos] for pos in sorted(ech.pivots)]
+    # the scan keeps Echelon's pivots, in decreasing order, whether or not the block is dependent
+    assert pivot_scan([_primitive(col)[0] for col in block], terms) == pivots
+    # _propagate's blocks: on the scan (_DENSE 0) and on Echelon (_DENSE 2) alike
+    for threshold in (0, 2):
+        with mock.patch.object(propagate_module, "_DENSE", threshold):
+            if len(pivots) < len(block):
+                with pytest.raises(MinimalityError):
+                    propagate_module._block_leads(block)
+            else:
+                assert sorted(propagate_module._block_leads(block), reverse=True) == pivots
 
 
 # ---------- exact coefficients: int when integral, else Fraction ----------
