@@ -31,7 +31,8 @@ exponent tuples.  Columns are packed once on entry,
 every map by `_packed_chain` (a single map is a chain of one), and basis
 elements are unpacked once on exit, differentials when first read.  The
 search for standard monomials (`_standard_search`) carries each term's
-torus weight as one int beside it, so graded components unpack no
+torus weight as one int beside it, one signed slot per component in the
+one slot layout, `linalg._Slots`, so graded components unpack no
 standard monomial, and `standard_monomials` unpacks each once.  The
 checks that maps compose to zero multiply packed columns too
 (`_nonzero_composite`): the chain check packs each map once, by one codec
@@ -100,7 +101,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DependentColumnsError, InputError, MinimalityError
-from .linalg import Echelon, _dense_primitive, _primitive, _signed_slots, solve
+from .linalg import Echelon, _Slots, _dense_primitive, _primitive, solve
 from .modules import (
     FreeModuleSpec,
     ModuleElement,
@@ -564,14 +565,14 @@ def _standard_search(module, order, lts, degree, weights):
     grow along a branch, so a divisible partial term ends its exponent loop
     and the branch with it.
 
-    Each partial term carries its weight as one int beside it, component c
-    in a signed slot of size bytes at bit 8 * size * c, so that adding two
-    such ints adds the vectors: a branch starts at its index's weight and
-    adds one packed variable weight per exponent step.  A slot holds, with
-    a sign bit, the largest |variable weight component| times the codec's
-    bound plus the largest |index weight component|, which bounds every
-    component a term of the search reaches, so no slot spills into the
-    next; `linalg._signed_slots` reads the slots off.
+    Each partial term carries its weight as one int beside it, packed by
+    `linalg._Slots`, one slot per component, so that adding two such ints
+    adds the vectors: a branch starts at its index's weight and adds one
+    packed variable weight per exponent step.  A slot holds the largest
+    |variable weight component| times the codec's bound, or times 1 where
+    the bound is 0 so that the packed variable weights fit too, plus the
+    largest |index weight component|, which bounds every component a term
+    of the search reaches, so no slot spills into the next.
     """
     ring = module.ring
     n, functional, degs = ring.num_vars, ring._functional, ring.var_degrees
@@ -580,15 +581,10 @@ def _standard_search(module, order, lts, degree, weights):
     bound = max([0] + [functional(r) // min(steps) for r in rests] + [sum(t.monomial) for t in lts])
     codec = _TermCodec(ring, order, module.rank, bound)
     divmask, units, found = codec.divmask, codec._units, {}
-    largest = max(map(abs, itertools.chain(*ring.var_weights)), default=0) * bound
+    largest = max(map(abs, itertools.chain(*ring.var_weights)), default=0) * max(bound, 1)
     largest += max(map(abs, itertools.chain(*weights)), default=0)
-    size = 1 << ((largest.bit_length() + 8) // 8 - 1).bit_length()
-    slots = range(0, 8 * size * ring.weight_length, 8 * size)
-
-    def packed(weight):
-        return sum(x << s for x, s in zip(weight, slots))
-
-    moves = [packed(w) for w in ring.var_weights]
+    slots = _Slots(largest.bit_length(), ring.weight_length)
+    moves = [slots.pack(w) for w in ring.var_weights]
     # tests[i][k]: the packed terms of lts at index i whose last variable
     # is k; a constant one sits at k = -1, the extra last slot
     tests = [[[] for _ in range(n + 1)] for _ in rests]
@@ -623,11 +619,9 @@ def _standard_search(module, order, lts, degree, weights):
     for i, (rest, leads) in enumerate(zip(rests, tests)):
         budget = functional(rest)
         if budget >= 0 and not leads[-1]:
-            search(0, codec.term(unit_monomial(n), i), packed(weights[i]), budget, rest, leads)
+            search(0, codec.term(unit_monomial(n), i), slots.pack(weights[i]), budget, rest, leads)
     terms = sorted(found, reverse=True)
-    offset, digits = _signed_slots(size, ring.weight_length)
-    nbytes = size * ring.weight_length
-    return codec, terms, (digits(((found[t] + offset) ^ offset).to_bytes(nbytes, "little")) for t in terms)
+    return codec, terms, (slots.unpack(found[t]) for t in terms)
 
 
 def _nakayama_kept(codec, module, vectors, degrees):

@@ -18,9 +18,11 @@ not after every step.  Fractions appear only in `reduced_rows`, and there
 only for entries that are not integers.  `pivot_scan` finds only the
 pivots, for the walk's dense degree blocks (see `propagate._propagate`):
 it takes the matrix position by position, each position's column packed
-into one int with one signed slot per row (`_signed_slots`, the layout of
-`packed`'s row-packed product; Kronecker substitution, Harvey, JSC
-2009), reduces it by whole-int fraction-free steps, and stops at full rank.
+into one int with one signed slot per row, reduces it by whole-int
+fraction-free steps, and stops at full rank.  `_Slots` is the one layout
+of signed slots packed into an int, and the only code that sizes, packs
+or reads them: the scan's columns, the rows of `packed`'s product kernel
+and the weights of `groebner._standard_search` all use it.
 `solve` and `invert` stay dense, on lists of Fraction; the tests keep
 them as references independent of `Echelon`.
 """
@@ -149,62 +151,47 @@ class Echelon:
         return len(self.pivots)
 
 
-def _signed_slots(size, slots):
-    """(offset, digits), which read `slots` signed slots of size bytes, a power of two, off one int.
-
-    Let v be the sum of x_r << (8 * size * r) over r, with each x_r at
-    least -h and below h = 2**(8 * size - 1).  Then
-    digits(((v + offset) ^ offset).to_bytes(size * slots, "little")) is
-    (x_0, x_1, ...): adding offset, h in every slot, makes each slot a
-    digit from 0 to 2h - 1, so that none borrows from the next, and XOR-ing
-    offset off again leaves each digit in two's complement.  Slots of more
-    than 8 bytes are read by `int.from_bytes`.
-    """
-    offset = int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
-    if size <= 8:
-        return offset, struct.Struct("<%d%s" % (slots, "bhiq"[size.bit_length() - 1])).unpack
-    starts = range(0, size * slots, size)
-    return offset, lambda b: tuple(int.from_bytes(b[i:i + size], "little", signed=True) for i in starts)
-
-
-def _slot_bytes(bits):
-    """The fewest bytes, a power of two, in which a signed slot holds every |x| of at most `bits` bits."""
-    return 1 << (bits // 8).bit_length()
-
-
 class _Slots:
-    """The layout of a `pivot_scan` over count vectors: count + 1 `_signed_slots` of size bytes.
+    """count signed slots in one int, the engine's one layout of integer vectors packed into an int.
 
-    Slot j + 1 holds the entry of vector j, and slot 0 stays zero, so that
-    every slot read has the slot below it to take its borrow from.
+    A slot is `width` bits, the fewest whole power-of-two bytes that hold,
+    with a sign bit, every |x| of at most `bits` bits.  pack(xs) is the sum
+    of x_j << width * j, for entries from -half to half - 1, half =
+    2**(width - 1) (Kronecker substitution, Harvey, JSC 2009).  Packed ints
+    add slotwise while every sum stays in that range: no slot borrows from
+    the next, and an int is 0 exactly when every slot is.  unpack adds
+    `offset`, half in every slot, which makes each slot a digit from 0 to
+    2 * half - 1, and XORs it off again, which leaves each digit in two's
+    complement for `struct`, or `int.from_bytes` above 8 bytes, to read.
     """
 
-    def __init__(self, size, count):
+    def __init__(self, bits, count):
+        size = 1 << (bits // 8).bit_length()
+        self.count, self.nbytes = count, size * count
         self.width = width = 8 * size
         self.half, self.mask, self.window = 1 << width - 1, (1 << width) - 1, (1 << width + 1) - 1
-        self.offset, self.digits = _signed_slots(size, count + 1)
-        self.nbytes = size * (count + 1)
+        self.offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
         if size <= 8:
-            self.layout = struct.Struct("<%d%s" % (count + 1, "bhiq"[size.bit_length() - 1])).pack
+            layout = struct.Struct("<%d%s" % (count, "bhiq"[size.bit_length() - 1]))
+            self._bytes, self._digits = layout.pack, layout.unpack
         else:
-            self.layout = lambda *xs: b"".join(x.to_bytes(size, "little", signed=True) for x in xs)
+            starts = range(0, self.nbytes, size)
+            self._bytes = lambda *xs: b"".join(x.to_bytes(size, "little", signed=True) for x in xs)
+            self._digits = lambda b: tuple(int.from_bytes(b[i:i + size], "little", signed=True) for i in starts)
 
     def pack(self, xs):
-        """The int whose slot j + 1 holds xs[j]: the two's complement slots with each top bit flipped twice."""
-        return (int.from_bytes(self.layout(0, *xs), "little") ^ self.offset) - self.offset
+        """The int whose slot j holds xs[j], for count entries: their two's complement, each top bit flipped twice."""
+        return (int.from_bytes(self._bytes(*xs), "little") ^ self.offset) - self.offset
 
     def unpack(self, v):
-        """The entries of the packed int v, slot 0 first."""
-        return self.digits(((v + self.offset) ^ self.offset).to_bytes(self.nbytes, "little"))
+        """The count entries of the packed int v, slot 0 first."""
+        return self._digits(((v + self.offset) ^ self.offset).to_bytes(self.nbytes, "little"))
 
-    def repacked(self, v, wider):
-        """The int v packed by these slots, packed by the slots wider."""
-        return wider.pack(self.unpack(v)[1:])
 
-    def bits(self, digits):
-        """(content, bit length of the largest |entry| divided by it) of unpacked digits."""
-        c = gcd(*digits)
-        return c, (max(max(digits), -min(digits)) // c).bit_length()
+def _content_bits(digits):
+    """(content, bit length of the largest |entry| divided by it) of unpacked digits."""
+    c = gcd(*digits)
+    return c, (max(max(digits), -min(digits)) // c).bit_length()
 
 
 def pivot_scan(vectors, keys):
@@ -215,29 +202,31 @@ def pivot_scan(vectors, keys):
     the matrix whose rows are vectors is a pivot exactly when its column,
     (vec[k] for vec in vectors), is independent of the columns at the keys
     before it.  The scan takes the keys in order and packs each column into
-    one int R (`_Slots`).  It reduces R fraction-free against the columns
-    it kept, each with its lowest nonzero slot as its pivot slot, by
-    whole-int steps a * R - b * P that clear P's pivot slot in R.  Slot s of
-    R is read by one shift and mask: the bits of slot s and the top bit of
-    slot s - 1, which is set exactly when the slots below s sum to a
-    negative number and so have borrowed one from slot s, which adding it
-    back returns.  A nonzero R is kept, divided by its content.  The scan
-    stops once it has kept len(vectors) keys; fewer mean that the vectors
-    are dependent.  Returns the kept keys in order.
+    one int R by `_Slots`, vector j in slot j + 1; slot 0 stays zero, so
+    that every slot read has a slot below it to take its borrow from.  It
+    reduces R fraction-free against the columns it kept, each with its
+    lowest nonzero slot as its pivot slot, by whole-int steps a * R - b * P
+    that clear P's pivot slot in R.  Slot s of R is read by one shift and
+    mask: the bits of slot s and the top bit of slot s - 1, which is set
+    exactly when the slots below s sum to a negative number and so have
+    borrowed one from slot s, which adding it back returns.  A nonzero R
+    is kept, divided by its content.  The scan stops once it has kept
+    len(vectors) keys; fewer mean that the vectors are dependent.  Returns
+    the kept keys in order.
 
     The first slots are sized from the largest |entry| of the vectors, and
     every slot of R and of each kept column has a bit bound: a step leaves
     R's below 2**(max(bits of a + R's bound, bits of b + P's bound) + 1).
     Where that would not fit a slot, R is divided by its content first,
-    and if it still does not fit, R and every kept column are repacked into
-    slots at least twice as wide.
+    and if it still does not fit, R and every kept column are unpacked and
+    packed again into slots at least twice as wide.
     """
     count = len(vectors)
     bits = max((max(map(abs, vec.values()), default=0) for vec in vectors), default=0).bit_length()
-    slots = _Slots(_slot_bytes(2 * bits + 8), count)
+    slots = _Slots(2 * bits + 8, count + 1)
     kept, rows = [], []  # rows: [packed column, pivot slot, pivot entry, bit bound]
     for key in keys:
-        r, rb = slots.pack([vec.get(key, 0) for vec in vectors]), bits
+        r, rb = slots.pack([0] + [vec.get(key, 0) for vec in vectors]), bits
         for row in rows:
             p, s, x0, pb = row
             x = (((r >> s * slots.width - 1 & slots.window) + 1 >> 1) + slots.half & slots.mask) - slots.half
@@ -247,17 +236,17 @@ def pivot_scan(vectors, keys):
             a, b = x0 // g, x // g
             bound = max(a.bit_length() + rb, b.bit_length() + pb) + 1
             if bound >= slots.width:
-                c, rb = slots.bits(slots.unpack(r))
+                c, rb = _content_bits(slots.unpack(r))
                 r, x = r // c, x // c
                 g = gcd(x0, x)
                 a, b = x0 // g, x // g
                 bound = max(a.bit_length() + rb, b.bit_length() + pb) + 1
                 if bound >= slots.width:
-                    wider = _Slots(max(slots.width // 4, _slot_bytes(bound)), count)
+                    wider = _Slots(max(2 * slots.width - 1, bound), count + 1)
                     log.debug("walk: widened pivot-scan slots to %d bits", wider.width)
                     for other in rows:
-                        other[0] = slots.repacked(other[0], wider)
-                    r, p, slots = slots.repacked(r, wider), row[0], wider
+                        other[0] = wider.pack(slots.unpack(other[0]))
+                    r, p, slots = wider.pack(slots.unpack(r)), row[0], wider
             r = a * r - b * p
             rb = bound
         if not r:
@@ -266,7 +255,7 @@ def pivot_scan(vectors, keys):
         if len(kept) == count:
             break
         digits = slots.unpack(r)
-        c, pb = slots.bits(digits)
+        c, pb = _content_bits(digits)
         low = next(j for j, x in enumerate(digits) if x)
         rows.append([r // c, low, digits[low] // c, pb])
     return kept

@@ -29,13 +29,12 @@ chain checks, the walk's rebase, the product C^-1 @ d of a constant
 matrix and a map, whose constant terms add no degree, so the map's own
 codec holds the product, and G = M @ C.  Where A repeats a monomial across
 rows, which the one pass that groups A's terms finds, it packs the rows too
-(Kronecker substitution on the row index; Harvey, JSC 2009): one int per
-monomial, one signed slot per row, each slot wider than any sum it takes,
-so that an int is 0 exactly when every slot is; the standard-monomial
-search carries a torus weight the same way, one signed slot per component,
-and the walk's pivot scan a term's coefficients in a degree block, one
-signed slot per column (`linalg.pivot_scan`); all three read their slots
-off with `linalg._signed_slots`.  A map is packed at most
+in the one layout of signed slots, `linalg._Slots`: one int per monomial,
+one slot per row, each slot wider than any sum it takes, so that an int is
+0 exactly when every slot is; the standard-monomial search carries a torus
+weight in the same layout, one slot per component, and the walk's pivot
+scan a term's coefficients in a degree block, one slot per column
+(`linalg.pivot_scan`).  A map is packed at most
 once per public call, each distinct nonzero entry and monomial once, and
 its packed columns serve every reader of that call: the test that consecutive
 maps compose to zero, the minimality run and the walk; a chain from
@@ -60,7 +59,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .errors import InternalError
-from .linalg import _quotient, _signed_slots
+from .linalg import _Slots, _quotient
 from .modules import ModuleTerm, PolyMatrix
 from .rings import Polynomial, exact, exact_quotient, monomial_lcm
 
@@ -150,6 +149,10 @@ class _TermCodec:
         """The index field of a term at index, in place."""
         return (self.indices - 1 - index if self._down else index) << self._index_shift
 
+    def field_shift(self, old):
+        """How far right a packed monomial of codec old, of this ring, order and bits, moves to fit this codec."""
+        return old._low - self._low
+
     def term(self, mono, index):
         """The term (mono, index) packed."""
         return sum(map(operator.mul, mono, self._units)) | self._tag(index)
@@ -217,25 +220,22 @@ class _TermCodec:
 
         Where `_row_slots` finds it cheaper, from the one pass that groups
         each column of A by packed monomial, the rows are packed too: the
-        terms one packed monomial has in a column of A become one int whose
-        slot r, `width` bits wide, holds the coefficient at the r-th index
-        field value from A's lowest as a signed digit, once A and B are
-        scaled to integers by the lcms of their denominators.  A term of B
-        then costs one int multiply-add per monomial of A's column, not one
-        dict update per term.  width is at least the sum of the bit lengths
-        of max|A|, of max|B| and of the longest column of B, plus 1: a slot
-        sums at most that many products, so it stays below 2**(width - 1) in
-        absolute value, no slot borrows from the next, and an int is 0
-        exactly when every slot is; a product column is zero exactly when
-        all its ints are.  Only nonzero ints are read out: adding 2**(width
-        - 1) to every slot and XOR-ing it off again leaves each digit in
-        two's complement, zero exactly on the zero slots, and each nonzero
-        digit, divided by the scales, is a coefficient.  A slot takes 1, 2, 4
-        or 8 bytes; where it would need more, the dict loop takes the
-        product.  Every coefficient that is scaled or not an int, a Fraction
-        of denominator 1 too, is made an int on entry.  Otherwise each term
-        of B updates one dict entry per term of A's column.  The product is
-        the same either way; the terms' insertion order is not.
+        terms one packed monomial has in a column of A become one int of
+        `linalg._Slots`, whose slot r holds the coefficient at the r-th
+        index field value from A's lowest, once A and B are scaled to
+        integers by the lcms of their denominators.  Each term adds its
+        coefficient shifted to its slot.  A term of B then costs one int
+        multiply-add per monomial of A's column, not one dict update per
+        term.  The slots hold the bit lengths of max|A|, of max|B| and of the
+        longest column of B together, which bounds every sum a slot takes,
+        so a product column is zero exactly when all its ints are.  Only
+        nonzero ints are unpacked, and each nonzero slot, divided by the
+        scales, is a coefficient.  Where a slot would need more than 64
+        bits, the dict loop takes the product.  Every coefficient that is
+        scaled or not an int, a Fraction of denominator 1 too, is made an
+        int on entry.  Otherwise each term of B updates one dict entry per
+        term of A's column.  The product is the same either way; the terms'
+        insertion order is not.
         """
         shift = self._index_shift
         field = self._index_mask << shift
@@ -252,10 +252,9 @@ class _TermCodec:
         if layout is None:
             by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
         else:
-            size, low, slots, a, b, scale = layout
-            width, nbytes = 8 * size, size * slots
-            row_tags = [low + (r << shift) for r in range(slots)]
-            offset, digits = _signed_slots(size, slots)
+            slots, low, a, b, scale = layout
+            width, unpack = slots.width, slots.unpack
+            row_tags = [low + (r << shift) for r in range(slots.count)]
             by_tag = {}
             for k, (col, group) in enumerate(zip(a, groups)):
                 for s, x in col.items():
@@ -278,7 +277,7 @@ class _TermCodec:
                 yield {
                     s + tag: d if scale == 1 else _quotient(d, scale)
                     for s, value in out.items() if value
-                    for tag, d in zip(row_tags, digits(((value + offset) ^ offset).to_bytes(nbytes, "little"))) if d
+                    for tag, d in zip(row_tags, unpack(value)) if d
                 }
 
     def divides(self, a, b):
@@ -370,15 +369,16 @@ _BYTES_PER_ROW = 20
 
 
 def _row_slots(a, b, groups, tags, shift):
-    """The row slots of `_TermCodec.product` for A @ B: (size, low, slots, a, b, scale), or None.
+    """The row slots of `_TermCodec.product` for A @ B: (slots, low, a, b, scale), or None.
 
     groups and tags, from the product's grouping pass, are A's columns keyed
     by packed monomial and A's index fields.  None, for the dict loop, where
     A has fewer than two rows per packed monomial of a column, a slot would
     need more than 64 bits, or a packed int would take more than
-    `_BYTES_PER_ROW` bytes per row it holds.  Otherwise slot r, for r below
-    slots, holds the row whose index field is low + (r << shift) in size
-    bytes, 1, 2, 4 or 8, and a and b come scaled to ints (`_integral`), by
+    `_BYTES_PER_ROW` bytes per row it holds.  Otherwise slots is the
+    `linalg._Slots` whose slot r holds the row whose index field is low +
+    (r << shift), sized for the bit lengths of max|A|, of max|B| and of the
+    longest column of B, and a and b come scaled to ints (`_integral`), by
     scale in all.
     """
     terms = sum(map(len, a))
@@ -386,16 +386,13 @@ def _row_slots(a, b, groups, tags, shift):
     if not terms or terms < 2 * count:
         return None
     low = min(tags)
-    slots = ((max(tags) - low) >> shift) + 1
     a, scale_a, big_a = _integral(a)
     b, scale_b, big_b = _integral(b)
-    size = (big_a.bit_length() + big_b.bit_length() + max(map(len, b), default=0).bit_length() + 8) // 8
-    if size > 8:
+    bits = big_a.bit_length() + big_b.bit_length() + max(map(len, b), default=0).bit_length()
+    slots = _Slots(bits, ((max(tags) - low) >> shift) + 1)
+    if slots.width > 64 or slots.nbytes * count > _BYTES_PER_ROW * terms:
         return None
-    size = 1 << (size - 1).bit_length()
-    if slots * size * count > _BYTES_PER_ROW * terms:
-        return None
-    return size, low, slots, a, b, scale_a * scale_b
+    return slots, low, a, b, scale_a * scale_b
 
 
 def _integral(columns):

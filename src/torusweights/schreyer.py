@@ -32,7 +32,7 @@ from .groebner import (
 from .linalg import _primitive
 from .modules import FreeModuleSpec
 from .packed import _TermCodec, _divisor, _pseudo_divide
-from .rings import exact, exact_quotient, monomial_lcm, vector_add
+from .rings import exact, exact_quotient, monomial_lcm, unit_monomial, vector_add
 
 log = logging.getLogger(__name__)
 
@@ -513,15 +513,15 @@ def _pruned(frame, matrix, max_length):
     old = frame.codec
     codec = _TermCodec(ring, old.order, max(m.rank for m in modules), old.capacity)
     packed = [[codec.repacked(old, c) for c in frame.columns]]
+    one = unit_monomial(ring.num_vars)
     for k in range(2, length + 1):
         layout, units, columns, _, _ = steps[k - 2]
         offset, mask = layout.field(k - 1)
         rows = {a: frame.born[a] for a in survivors[0]} if k == 2 else {a: n for n, a in enumerate(survivors[k - 2])}
-        tags = {a: codec._tag(row) for a, row in rows.items()}
+        tags = {a: codec.term(one, row) for a, row in rows.items()}
         # the packed monomial moves from the frame codec's fields to the
-        # walk codec's, which start at another bit where the index field is
-        # below them: by down bits right, or -down bits left
-        down = layout.width + old._low - codec._low
+        # walk codec's: by down bits right, or -down bits left
+        down = layout.width + codec.field_shift(old)
         up, down = max(-down, 0), max(down, 0)
         packed.append([
             {

@@ -15,6 +15,12 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PROBLEMS = ["bigraded", "generic_koszul", "grassmannian", "high_degree", "high_degree_3var", "koszul",
             "mixed_sign", "three_squares", "two_variables"]
 
+# Variable weights that are negative and wider than 64 bits, which the
+# search for standard monomials packs into signed slots.
+WIDE_WEIGHT_RING = RingSpec(
+    ["x", "y", "z"], [[1], [1], [1]], [[-(2**70) - 1, -3], [-(2**65), -(2**66) - 7], [-1, -(2**64)]]
+)
+
 
 def fixture_path(name):
     return FIXTURES / name

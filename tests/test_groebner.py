@@ -26,6 +26,7 @@ from torusweights import (
     is_minimal_map,
     minimal_resolution,
     normal_form,
+    propagate_graded_components,
     propagate_resolution,
     sort_gb_columns,
     standard_monomials,
@@ -40,7 +41,7 @@ from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.rings import vector_add
 
-from conftest import PROBLEMS, entries_as_text, fixture_path, matrix, std_ring
+from conftest import PROBLEMS, WIDE_WEIGHT_RING, entries_as_text, fixture_path, matrix, std_ring
 from reference import reference_standard_monomials
 
 TOP_UP = ModuleTermOrder("top-up")
@@ -466,6 +467,23 @@ def test_standard_monomials_beyond_the_initial_fields(n, entries, degrees):
             expected = reference_standard_monomials(basis, (d,))
             assert standard_monomials(basis, (d,)) == expected, (order, d)
             assert standard_monomials(buchberger(m, order, bound=(d,)), (d,)) == expected, (order, d)
+
+
+def test_the_search_at_the_rows_own_degree_packs_the_variable_weights_too():
+    # at the rows' own degree the search is bounded at total degree 0 and
+    # takes no exponent step, but it packs the variable weights, up to
+    # 2**70 here, beside index weights of 0 all the same, so its slots must
+    # hold them too
+    ring = WIDE_WEIGHT_RING
+    m = matrix(ring, [[0], [0]], [[2], [1]], [["x*y", "z"], ["z^2", "0"]])
+    assert max(abs(w) for ws in ring.var_weights for w in ws) >= 2**70
+    for order in ALL_ORDERS:
+        basis = buchberger(m, order, bound=(0,))
+        assert basis.leading_terms() == []
+        assert standard_monomials(basis, (0,)) == sorted(
+            [ModuleTerm((0, 0, 0), 0), ModuleTerm((0, 0, 0), 1)], key=order.sort_key(ring), reverse=True
+        )
+        assert propagate_graded_components((0,), m, [(0, 0), (0, 0)], order) == ((0, 0), (0, 0))
 
 
 # ---------- minimality ----------

@@ -32,7 +32,7 @@ from torusweights import (
 )
 from torusweights.errors import MinimalityError, ResolutionStepError
 from torusweights.groebner import _nonzero_composite, _packed_chain, check_chain
-from torusweights.linalg import Echelon, _dense_primitive, rank
+from torusweights.linalg import Echelon, _dense_primitive, _Slots, rank
 from torusweights.modules import ModuleElement, _column_rows, dual_map
 from torusweights import packed
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
@@ -518,6 +518,36 @@ def test_chain_failing_in_one_end_row_slot_is_caught_on_both_kernel_paths(row, p
             with pytest.raises(InputError, match=message):
                 propagate_resolution([d1, d2, d3], 0, [(0, 0, 0, 0)], order)
         assert taken == ["dict", path], order
+
+
+# ---------- the signed-slot layout ----------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), bits=st.integers(0, 200), count=st.integers(0, 40))
+def test_slots_pack_add_and_widen_exactly(data, bits, count):
+    # bit bounds up to 200 reach slots of 1 to 8 bytes, which struct reads,
+    # and the wider ones that int.from_bytes reads; entries include both
+    # ends of a slot's range
+    slots = _Slots(bits, count)
+    width, half = slots.width, slots.half
+    assert width >= 8 and width & (width - 1) == 0
+    assert 1 << bits <= half and (width == 8 or bits >= width // 2)
+    entries = st.one_of(st.sampled_from([-half, half - 1, 0]), st.integers(-half, half - 1))
+    xs, ys = (data.draw(st.lists(entries, min_size=count, max_size=count)) for _ in range(2))
+    v, w = slots.pack(xs), slots.pack(ys)
+    assert v == sum(x << width * j for j, x in enumerate(xs))
+    assert slots.unpack(v) == tuple(xs)
+    # packed ints add slotwise while the sums fit; halved entries always do
+    halves = [x // 2 for x in xs], [y // 2 for y in ys]
+    assert slots.unpack(sum(map(slots.pack, halves))) == tuple(map(sum, zip(*halves)))
+    sums = tuple(map(sum, zip(xs, ys)))
+    if all(-half <= x < half for x in sums):
+        assert slots.unpack(v + w) == sums
+        assert (v + w == 0) == (not any(sums))
+    wider = _Slots(data.draw(st.integers(bits, 400)), count)
+    assert wider.width >= width
+    assert wider.unpack(wider.pack(slots.unpack(v))) == tuple(xs)
 
 
 # ---------- the packed transpose against dual_map ----------

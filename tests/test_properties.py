@@ -49,7 +49,7 @@ from torusweights.rings import (
     vector_sub,
 )
 
-from conftest import fixture_path, std_ring
+from conftest import WIDE_WEIGHT_RING, fixture_path, std_ring
 from reference import ReferenceEchelon, _term_divides, reference_pseudo_divide, reference_standard_monomials
 from test_groebner import (
     assert_primitive_integer_columns,
@@ -1310,11 +1310,8 @@ def test_a_top_reduced_element_keeps_a_reducible_tail_that_an_s_pair_meets():
 
 
 # The search carries weights in signed slots sized from the largest
-# weights: variable weights that are negative and wider than 64 bits, and
-# no weights at all, are its edges.
-WIDE_WEIGHT_RING = RingSpec(
-    ["x", "y", "z"], [[1], [1], [1]], [[-(2**70) - 1, -3], [-(2**65), -(2**66) - 7], [-1, -(2**64)]]
-)
+# weights: variable weights that are negative and wider than 64 bits
+# (conftest's WIDE_WEIGHT_RING), and no weights at all, are its edges.
 WEIGHTLESS_RING = RingSpec(["x", "y"], [[1], [1]], [[], []])
 
 
