@@ -580,7 +580,7 @@ def _standard_search(module, order, lts, degree, weights):
     rests = [vector_sub(degree, b) for b in module.basis_degrees]
     bound = max([0] + [functional(r) // min(steps) for r in rests] + [sum(t.monomial) for t in lts])
     codec = _TermCodec(ring, order, module.rank, bound)
-    divmask, units, found = codec.divmask, codec._units, {}
+    divmask, units, found = codec.divmask, [codec.unit(k) for k in range(n)], {}
     largest = max(map(abs, itertools.chain(*ring.var_weights)), default=0) * max(bound, 1)
     largest += max(map(abs, itertools.chain(*weights)), default=0)
     slots = _Slots(largest.bit_length(), ring.weight_length)

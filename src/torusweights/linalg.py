@@ -17,9 +17,11 @@ elimination changes is divided by its content once, when it is stored,
 not after every step.  Fractions appear only in `reduced_rows`, and there
 only for entries that are not integers.  `pivot_scan` finds only the
 pivots, for the walk's dense degree blocks (see `propagate._propagate`):
-it takes the matrix position by position, each position's column packed
-into one int with one signed slot per row, reduces it by whole-int
-fraction-free steps, and stops at full rank.  `_Slots` is the one layout
+it takes the matrix position by position, each position's column a tuple
+of ints, a term vector, which it packs into one int with one signed slot
+per row, reduces it by whole-int fraction-free steps, and stops at full
+rank; the rows need not be primitive, so the walk hands it the product
+kernel's scaled ints as they are.  `_Slots` is the one layout
 of signed slots packed into an int, and the only code that sizes, packs
 or reads them: the scan's columns, the rows of `packed`'s product kernel
 and the weights of `groebner._standard_search` all use it.
@@ -194,39 +196,40 @@ def _content_bits(digits):
     return c, (max(max(digits), -min(digits)) // c).bit_length()
 
 
-def pivot_scan(vectors, keys):
-    """The pivots of `Echelon` rows, found by a scan over their keys that stops at full rank.
+def pivot_scan(vectors, count):
+    """The positions at which a matrix gains rank, found by a scan over its columns that stops at full rank.
 
-    vectors are primitive integer mappings {key: int}, and keys lists
-    every key they use, in the order of Echelon's positions.  Position k of
-    the matrix whose rows are vectors is a pivot exactly when its column,
-    (vec[k] for vec in vectors), is independent of the columns at the keys
-    before it.  The scan takes the keys in order and packs each column into
-    one int R by `_Slots`, vector j in slot j + 1; slot 0 stays zero, so
-    that every slot read has a slot below it to take its borrow from.  It
-    reduces R fraction-free against the columns it kept, each with its
-    lowest nonzero slot as its pivot slot, by whole-int steps a * R - b * P
-    that clear P's pivot slot in R.  Slot s of R is read by one shift and
-    mask: the bits of slot s and the top bit of slot s - 1, which is set
-    exactly when the slots below s sum to a negative number and so have
-    borrowed one from slot s, which adding it back returns.  A nonzero R
-    is kept, divided by its content.  The scan stops once it has kept
-    len(vectors) keys; fewer mean that the vectors are dependent.  Returns
-    the kept keys in order.
+    vectors are the columns of an integer matrix of `count` rows, each a
+    tuple of count ints, in the order of Echelon's positions: the walk's
+    term vectors, one per term of a degree block in decreasing term order,
+    holding the coefficients the block's columns have at that term.
+    Position k is a pivot of the `Echelon` form of the rows exactly when
+    vectors[k] is independent of the vectors before it, and no row needs
+    to be primitive for that.  The scan takes the vectors in order and
+    packs each into one int R by `_Slots`, entry j in slot j + 1; slot 0
+    stays zero, so that every slot read has a slot below it to take its
+    borrow from.  It reduces R fraction-free against the vectors it kept,
+    each with its lowest nonzero slot as its pivot slot, by whole-int steps
+    a * R - b * P that clear P's pivot slot in R.  Slot s of R is read by
+    one shift and mask: the bits of slot s and the top bit of slot s - 1,
+    which is set exactly when the slots below s sum to a negative number
+    and so have borrowed one from slot s, which adding it back returns.  A
+    nonzero R is kept, divided by its content.  The scan stops once it has
+    kept count positions; fewer mean that the rows are dependent.  Returns
+    the kept positions in order.
 
     The first slots are sized from the largest |entry| of the vectors, and
-    every slot of R and of each kept column has a bit bound: a step leaves
+    every slot of R and of each kept vector has a bit bound: a step leaves
     R's below 2**(max(bits of a + R's bound, bits of b + P's bound) + 1).
     Where that would not fit a slot, R is divided by its content first,
-    and if it still does not fit, R and every kept column are unpacked and
+    and if it still does not fit, R and every kept vector are unpacked and
     packed again into slots at least twice as wide.
     """
-    count = len(vectors)
-    bits = max((max(map(abs, vec.values()), default=0) for vec in vectors), default=0).bit_length()
+    bits = max(max(map(max, vectors), default=0), -min(map(min, vectors), default=0)).bit_length()
     slots = _Slots(2 * bits + 8, count + 1)
-    kept, rows = [], []  # rows: [packed column, pivot slot, pivot entry, bit bound]
-    for key in keys:
-        r, rb = slots.pack([0] + [vec.get(key, 0) for vec in vectors]), bits
+    kept, rows = [], []  # rows: [packed vector, pivot slot, pivot entry, bit bound]
+    for k, vec in enumerate(vectors):
+        r, rb = slots.pack((0, *vec)), bits
         for row in rows:
             p, s, x0, pb = row
             x = (((r >> s * slots.width - 1 & slots.window) + 1 >> 1) + slots.half & slots.mask) - slots.half
@@ -251,7 +254,7 @@ def pivot_scan(vectors, keys):
             rb = bound
         if not r:
             continue
-        kept.append(key)
+        kept.append(k)
         if len(kept) == count:
             break
         digits = slots.unpack(r)

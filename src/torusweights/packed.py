@@ -25,16 +25,20 @@ no field overflows silently.  `_TermCodec.widened` gives the same layout
 with wider fields, to which the caller repacks what it holds.  Outside the
 division, one kernel multiplies packed matrices: `_TermCodec.product`
 computes A @ B on packed columns by adding packed terms.  It serves the
-chain checks, the walk's rebase, the product C^-1 @ d of a constant
-matrix and a map, whose constant terms add no degree, so the map's own
-codec holds the product, and G = M @ C.  Where A repeats a monomial across
-rows, which the one pass that groups A's terms finds, it packs the rows too
-in the one layout of signed slots, `linalg._Slots`: one int per monomial,
-one slot per row, each slot wider than any sum it takes, so that an int is
-0 exactly when every slot is; the standard-monomial search carries a torus
-weight in the same layout, one slot per component, and the walk's pivot
-scan a term's coefficients in a degree block, one slot per column
-(`linalg.pivot_scan`).  A map is packed at most
+chain checks and G = M @ C, and `_TermCodec.rebased` runs it for the
+walk's rebase, the product C^-1 @ d of a constant matrix and a map, whose
+constant terms add no degree, so the map's own codec holds the product.
+Where A repeats a monomial across rows, which the one pass that groups A's
+terms finds, or where C^-1 is dense, it packs the rows too in the one
+layout of signed slots, `linalg._Slots`: one int per monomial, one slot
+per row, each slot wider than any sum it takes, so that an int is 0
+exactly when every slot is.  The rebase packs C^-1's columns straight
+from the walk's term vectors and hands the product on in those ints, a
+`_RowPacked`, which the walk's dense degree blocks read without any dict
+and which is unpacked into dicts only when the map or G is read.  The
+standard-monomial search carries a torus weight in the same layout, one
+slot per component, and the walk's pivot scan a term's coefficients in a
+degree block, one slot per column (`linalg.pivot_scan`).  A map is packed at most
 once per public call, each distinct nonzero entry and monomial once, and
 its packed columns serve every reader of that call: the test that consecutive
 maps compose to zero, the minimality run and the walk; a chain from
@@ -55,7 +59,8 @@ route to a PolyMatrix) is unpacked only when its entries are first read.
 
 import bisect
 import operator
-from itertools import chain
+from functools import partial
+from itertools import chain, compress
 from math import gcd, lcm
 
 from .errors import InternalError
@@ -149,6 +154,10 @@ class _TermCodec:
         """The index field of a term at index, in place."""
         return (self.indices - 1 - index if self._down else index) << self._index_shift
 
+    def unit(self, k):
+        """The packed monomial x_k: what a packed term gains per unit step of its k-th exponent."""
+        return self._units[k]
+
     def field_shift(self, old):
         """How far right a packed monomial of codec old, of this ring, order and bits, moves to fit this codec."""
         return old._low - self._low
@@ -230,12 +239,12 @@ class _TermCodec:
         longest column of B together, which bounds every sum a slot takes,
         so a product column is zero exactly when all its ints are.  Only
         nonzero ints are unpacked, and each nonzero slot, divided by the
-        scales, is a coefficient.  Where a slot would need more than 64
-        bits, the dict loop takes the product.  Every coefficient that is
-        scaled or not an int, a Fraction of denominator 1 too, is made an
-        int on entry.  Otherwise each term of B updates one dict entry per
-        term of A's column.  The product is the same either way; the terms'
-        insertion order is not.
+        scales, is a coefficient (`_unpacked`).  Where a slot would need
+        more than 64 bits, the dict loop takes the product.  Every
+        coefficient that is scaled or not an int, a Fraction of denominator
+        1 too, is made an int on entry.  Otherwise each term of B updates
+        one dict entry per term of A's column.  The product is the same
+        either way; the terms' insertion order is not.
         """
         shift = self._index_shift
         field = self._index_mask << shift
@@ -248,37 +257,69 @@ class _TermCodec:
                 add(tag)
                 group[s - tag] = 0
             groups.append(group)
-        layout = _row_slots(a, b, groups, tags, shift)
+        low = min(tags, default=0)
+        rows = ((max(tags, default=0) - low) >> shift) + 1
+        layout = _row_slots(partial(_integral, a), b, sum(map(len, a)), sum(map(len, groups)), rows)
         if layout is None:
             by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
-        else:
-            slots, low, a, b, scale = layout
-            width, unpack = slots.width, slots.unpack
-            row_tags = [low + (r << shift) for r in range(slots.count)]
-            by_tag = {}
-            for k, (col, group) in enumerate(zip(a, groups)):
-                for s, x in col.items():
-                    tag = s & field
-                    group[s - tag] += x << ((tag - low) >> shift) * width
-                by_tag[self._tag(k)] = list(group.items())
-        del groups  # a product is consumed lazily, and its B loop needs no group dict
-        for col in b:
-            out = {}
-            get = out.get
-            for t, c in col.items():
-                tag = t & field
-                t -= tag
-                for s, x in by_tag[tag]:
-                    s += t
-                    out[s] = get(s, 0) + x * c
-            if layout is None:
+            for out in _accumulated(by_tag, b, field):
                 yield {s: value for s, value in out.items() if value}
-            else:
-                yield {
-                    s + tag: d if scale == 1 else _quotient(d, scale)
-                    for s, value in out.items() if value
-                    for tag, d in zip(row_tags, unpack(value)) if d
-                }
+            return
+        slots, a, b, scale = layout
+        width = slots.width
+        by_tag = {}
+        for k, (col, group) in enumerate(zip(a, groups)):
+            for s, x in col.items():
+                tag = s & field
+                group[s - tag] += x << ((tag - low) >> shift) * width
+            by_tag[self._tag(k)] = list(group.items())
+        del groups  # a product is consumed lazily, and its B loop needs no group dict
+        row_tags = [low + (r << shift) for r in range(slots.count)]
+        for out in _accumulated(by_tag, b, field):
+            yield _unpacked(out, slots, row_tags, scale)
+
+    def rebased(self, inverse, scale, b):
+        """The columns of C^-1 @ B, the walk's rebase of the map B by the previous step's C^-1.
+
+        inverse lists the rows of C^-1, k = 0, 1, ..., by degree block: a
+        block (cols, vectors) holds one row per term vector, whose entry in
+        column cols[i] is the vector's entry i over scale and which is 0 in
+        every other column; a vector is a tuple, or a dict of its nonzero
+        entries (see `propagate._propagate`).  C^-1 is invertible, so each of
+        its columns is one constant term per nonzero entry, at one packed
+        monomial, 0, and `_row_slots` decides the path from its count of
+        nonzero entries and largest |vector entry|, with no grouping pass.
+        On the row-packed path, each column of C^-1 is packed straight from
+        the vectors by `linalg._Slots.pack`, row k in slot k, and the product
+        comes back as the kernel computed it: a `_RowPacked`, unpacked only
+        when read, whose slot k holds the coefficient at row k.  On
+        the dict path it is the list of the product's packed dict columns,
+        as `product` gives them.
+        """
+        field = self._index_mask << self._index_shift
+        n = sum(len(vectors) for _, vectors in inverse)
+        terms = sum(len(v) if type(v) is dict else len(v) - v.count(0) for _, vectors in inverse for v in vectors)
+        layout = _row_slots(lambda: (inverse, scale, _largest(inverse)), b, terms, n, n)
+        tags = [self._tag(k) for k in range(n)]
+        by_tag, start = {}, 0
+        if layout is None:
+            for cols, vectors in inverse:
+                columns = [[] for _ in cols]
+                for t, v in zip(tags[start:], vectors):
+                    for i, x in _nonzeros(v):
+                        columns[i].append((t, x if scale == 1 else _quotient(x, scale)))
+                by_tag.update(zip(map(tags.__getitem__, cols), columns))
+                start += len(vectors)
+            return [{s: value for s, value in out.items() if value} for out in _accumulated(by_tag, b, field)]
+        slots, _, b, scale = layout
+        zeros = [0] * n
+        for cols, vectors in inverse:
+            before, after = zeros[:start], zeros[start + len(vectors):]
+            dense = [tuple(map(v.get, range(len(cols)), zeros)) if type(v) is dict else v for v in vectors]
+            for j, column in zip(cols, zip(*dense)):
+                by_tag[tags[j]] = [(0, slots.pack(before + list(column) + after))]
+            start += len(vectors)
+        return _RowPacked(list(_accumulated(by_tag, b, field)), slots, tags, scale)
 
     def divides(self, a, b):
         """Whether packed term a has b's index and divides it."""
@@ -341,8 +382,9 @@ class _PackedMatrix(PolyMatrix):
     """A PolyMatrix held as packed columns, its entries unpacked on first read and cached.
 
     columns are packed by codec: a pruned differential, which
-    `groebner._MinimalChain` keeps for the walk, a walk step's rebased map
-    or G = M @ C, so a map that is only walked is never unpacked.  `entries`
+    `groebner._MinimalChain` keeps for the walk, a walk step's rebased map,
+    also a `_RowPacked` one, or G = M @ C, so a map that is only walked is
+    never unpacked.  `entries`
     is PolyMatrix's own slot, filled by `__getattr__` when it is first read,
     so every later read is a plain slot read and the matrix compares,
     hashes, dualizes and prints as a PolyMatrix of the same entries.
@@ -368,31 +410,29 @@ class _PackedMatrix(PolyMatrix):
 _BYTES_PER_ROW = 20
 
 
-def _row_slots(a, b, groups, tags, shift):
-    """The row slots of `_TermCodec.product` for A @ B: (slots, low, a, b, scale), or None.
+def _row_slots(a, b, terms, count, rows):
+    """The row slots of `_TermCodec.product` for A @ B: (slots, a, b, scale), or None.
 
-    groups and tags, from the product's grouping pass, are A's columns keyed
-    by packed monomial and A's index fields.  None, for the dict loop, where
-    A has fewer than two rows per packed monomial of a column, a slot would
-    need more than 64 bits, or a packed int would take more than
+    A has terms nonzero entries in count groups, one per monomial of a
+    column, and its index fields span rows values; a is a function of no
+    argument that gives (A scaled to ints, the scale, the largest |int|),
+    called only where the rows may be packed.  None, for the dict loop,
+    where A has fewer than two rows per packed monomial of a column, a slot
+    would need more than 64 bits, or a packed int would take more than
     `_BYTES_PER_ROW` bytes per row it holds.  Otherwise slots is the
-    `linalg._Slots` whose slot r holds the row whose index field is low +
-    (r << shift), sized for the bit lengths of max|A|, of max|B| and of the
-    longest column of B, and a and b come scaled to ints (`_integral`), by
-    scale in all.
+    `linalg._Slots` of `rows` slots sized for the bit lengths of max|A|, of
+    max|B| and of the longest column of B, and a and b come scaled to ints
+    (`_integral`), by scale in all.
     """
-    terms = sum(map(len, a))
-    count = sum(map(len, groups))
     if not terms or terms < 2 * count:
         return None
-    low = min(tags)
-    a, scale_a, big_a = _integral(a)
+    a, scale_a, big_a = a()
     b, scale_b, big_b = _integral(b)
     bits = big_a.bit_length() + big_b.bit_length() + max(map(len, b), default=0).bit_length()
-    slots = _Slots(bits, ((max(tags) - low) >> shift) + 1)
+    slots = _Slots(bits, rows)
     if slots.width > 64 or slots.nbytes * count > _BYTES_PER_ROW * terms:
         return None
-    return slots, low, a, b, scale_a * scale_b
+    return slots, a, b, scale_a * scale_b
 
 
 def _integral(columns):
@@ -403,6 +443,76 @@ def _integral(columns):
     s = lcm(*{x.denominator for x in values})
     scaled = [{t: x.numerator * (s // x.denominator) for t, x in col.items()} for col in columns]
     return scaled, s, int(max(map(abs, values)) * s)
+
+
+def _nonzeros(vector):
+    """The (position, entry) pairs of a term vector's nonzero entries: a tuple's, or a dict's, which holds only them."""
+    return vector.items() if type(vector) is dict else compress(enumerate(vector), vector)
+
+
+def _largest(inverse):
+    """The largest |entry| of the term vectors of the rows of C^-1 that `_TermCodec.rebased` takes."""
+    values = [x for _, vectors in inverse for v in vectors for _, x in _nonzeros(v)]
+    return max(max(values), -min(values))
+
+
+def _accumulated(by_tag, b, field):
+    """For each column of B, the dict {packed term: coefficient} of A @ B, zeros left in.
+
+    by_tag maps the index field of each column k of A to its (packed term,
+    coefficient) pairs; a term of B at index k, less its index field,
+    shifts each of them by one add.
+    """
+    for col in b:
+        out = {}
+        get = out.get
+        for t, c in col.items():
+            tag = t & field
+            t -= tag
+            for s, x in by_tag[tag]:
+                s += t
+                out[s] = get(s, 0) + x * c
+        yield out
+
+
+def _unpacked(out, slots, row_tags, scale):
+    """The packed dict of a product column held as {packed monomial: int of row slots}, scaled by scale.
+
+    Slot r of each nonzero int is the coefficient, times scale, of the
+    term whose index field is row_tags[r].
+    """
+    unpack = slots.unpack
+    return {
+        s + tag: d if scale == 1 else _quotient(d, scale)
+        for s, value in out.items() if value
+        for tag, d in zip(row_tags, unpack(value)) if d
+    }
+
+
+class _RowPacked:
+    """The columns of a walk's rebased map, C^-1 @ d, as the row-packed kernel computed them.
+
+    columns[j] maps each packed monomial of column j to one int of `slots`,
+    whose slot r holds the coefficient, times scale, of the term at that
+    monomial whose index field is tags[r]; an int may be 0 where terms
+    cancelled.  Iterating gives the packed dict columns, as `product` gives
+    them, unpacked by `dicts` on first use and kept, for the readers that
+    take those: the step's map and G = M @ C.
+    """
+
+    __slots__ = ("columns", "slots", "tags", "scale", "_dicts")
+
+    def __init__(self, columns, slots, tags, scale):
+        self.columns, self.slots, self.tags, self.scale = columns, slots, tags, scale
+        self._dicts = None
+
+    def dicts(self):
+        if self._dicts is None:
+            self._dicts = [_unpacked(out, self.slots, self.tags, self.scale) for out in self.columns]
+        return self._dicts
+
+    def __iter__(self):
+        return iter(self.dicts())
 
 
 def _largest_degree(matrix):

@@ -10,9 +10,10 @@ that basis is the reduced row echelon form of the columns, and one
 elimination per degree of the columns yields it and C^-1 with no Groebner
 run.  The weights and C^-1 need only the eliminations' pivots, which a
 dense degree block finds by `linalg.pivot_scan` and a sparse one by
-`linalg.Echelon` (see `_propagate`).  The walk
+`linalg.Echelon` (see `_propagate`), and row k of C^-1 is the term vector
+of G_k's pivot, the coefficients the columns have there.  The walk
 reads none of C^-1, C and G as a matrix: C^-1 as a ScalarMatrix is built
-on first read from its packed columns (`_inverse_matrix`), C by inverting
+on first read from those term vectors (`_inverse_matrix`), C by inverting
 C^-1 one degree block at a time (`_inverted`), and G as the product M @ C
 with that C (`_sorted_matrix`).  Forward propagation
 runs the same procedure on the dual map with negated weights and a flipped
@@ -50,14 +51,18 @@ matrices are unpacked only when first read; under any other order than its
 own each term is re-keyed (`_TermCodec.repacked`) into a codec of the same
 fields and indices under that order.  The walk takes (codomain, domain,
 codec, columns) steps, no PolyMatrix, and rebases each map as the product
-C^-1 @ d through `_TermCodec.product`, with the nonzero entries of C^-1
-read straight off the previous step's packed columns into constant terms
-(`_inverse_columns`): a constant factor adds no degree, so the map's own
+C^-1 @ d through `_TermCodec.rebased`, the product kernel with C^-1's
+columns packed as constant terms straight from its term vectors, over one
+common denominator: a constant factor adds no degree, so the map's own
 codec holds every term of the product and the fields never need
-widening; a dense C^-1 takes the kernel's row-packed path.  A dense
-block's scan packs the coefficients each of its terms has in the block's
-primitive columns into one int; a sparse block's `Echelon` takes each
-packed column as a dense primitive integer row over its degree's terms
+widening.  A dense C^-1 takes the kernel's row-packed path, and the
+rebased map stays in its row slots (`packed._RowPacked`), one int per
+monomial of a column, one slot per row: a dense degree block unpacks
+each int once and transposes the digits into the term vectors its scan
+takes, in decreasing term order (`_row_block_leads`), so a dense step
+goes from rebase to pivots to the next rebase in ints, with no dict and
+no Fraction.  A sparse block's `Echelon` takes each column as a dense
+primitive integer row over its degree's terms
 (`linalg._dense_primitive`).  The forward walk packs each
 dual map by re-tagging the map's packed columns under the flipped order
 (`_TermCodec.transposed`), so no dual PolyMatrix is built until a step's
@@ -66,7 +71,8 @@ sorts the image's terms as plain ints.
 The walk unpacks only the leading terms of G.  C^-1, G, C and each step's
 rebased map are built on first read (see `PropagationResult` and `ResolutionStep`),
 and G and the maps are unpacked by `_TermCodec.matrix` only when their
-entries are read; every returned value keeps exponent tuples.
+entries are read, a rebased map held in row slots into packed dicts first;
+every returned value keeps exponent tuples.
 
 Graded components (`propagate_graded_components`) need only the leading
 terms of a Groebner basis bounded at the degree and the weight of each
@@ -84,6 +90,7 @@ import logging
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from math import gcd
 
 from .errors import InputError, MinimalityError, ResolutionStepError
 # buchberger is not called here, but perfbench's tracer test reads propagate.buchberger
@@ -98,10 +105,10 @@ from .groebner import (
     buchberger,
     check_order,
 )
-from .linalg import Echelon, _dense_primitive, _primitive, pivot_scan
+from .linalg import Echelon, _dense_primitive, _quotient, pivot_scan
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
-from .packed import _TermCodec
-from .rings import _int_vector, exact, unit_monomial, vector_add, vector_neg
+from .packed import _integral, _nonzeros, _RowPacked, _TermCodec
+from .rings import _int_vector, unit_monomial, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
 
@@ -265,36 +272,58 @@ def _propagate(codomain, domain, weights, codec, columns):
     """propagate without checks: the weights are validated, and the map is
     minimal or has its columns in one degree (the elimination checks those).
 
-    columns are the packed columns, packed by codec, of a map from domain to
-    codomain; codec's order is the one propagated under.  A packed term is
-    its own order key, so the image's terms sort as plain ints.  Degrees
-    share no term, so each degree class of columns is eliminated on its
-    own, over that class's terms only, in decreasing order: row j is
-    column j's coefficients over them (see `_block_leads`).  The pivots of
-    the echelon forms are the leading terms of G, whose columns are the
-    rows of the reduced echelon forms, and fewer pivots than columns mean
-    dependent columns.  G is the identity at the pivots, so C^-1[k][j]
-    is column j's coefficient at G_k's pivot, and neither C^-1 nor the
-    weights need the back-substitution.  Only the leading terms of G are
-    unpacked.  Returns (result, the columns of C^-1 packed by codec as
-    constant terms, which `_walk` multiplies by; see `_inverse_columns`).
-    The ScalarMatrix C^-1 (see `_inverse_matrix`), C (see `_inverted`) and
-    G = M @ C (see `_sorted_matrix`) are built on first read, so the result
-    keeps no elimination.
+    columns are the columns, packed by codec, of a map from domain to
+    codomain: packed dicts, or a rebase's `packed._RowPacked`; codec's order
+    is the one propagated under.  A packed term is its own order key, so
+    the image's terms sort as plain ints.  Degrees share no term, so each
+    degree class of columns is eliminated on its own, over that class's
+    terms only, in decreasing order (see `_block_leads` and
+    `_row_block_leads`).  The pivots of the echelon forms are the leading
+    terms of G, whose columns are the rows of the reduced echelon forms,
+    and fewer pivots than columns mean dependent columns.  G is the
+    identity at the pivots, so C^-1[k][j] is column j's coefficient at G_k's
+    pivot, and neither C^-1 nor the weights need the back-substitution:
+    row k of C^-1 is the term vector of G_k's pivot, the coefficients the
+    class's columns have there, over the common denominator the columns
+    were scaled to ints by, reduced by the gcd of that denominator and every
+    vector entry.  Only the leading terms of G are unpacked.  Returns
+    (result, (C^-1's rows by class, as `_TermCodec.rebased` takes them, and
+    their denominator)).  The ScalarMatrix C^-1 (see `_inverse_matrix`), C
+    (see `_inverted`) and G = M @ C (see `_sorted_matrix`) are built on
+    first read, so the result keeps no elimination.
     """
     ring = domain.ring
     classes = {}
-    for col, d in zip(columns, domain.basis_degrees):
-        classes.setdefault(d, []).append(col)
-    leads, degrees = [], []
-    for d, block in classes.items():
-        leads += sorted(_block_leads(block), reverse=not codec.order.is_position_up)
-        degrees += [d] * len(block)
+    for j, d in enumerate(domain.basis_degrees):
+        classes.setdefault(d, []).append(j)
+    packed_rows = isinstance(columns, _RowPacked)
+    if packed_rows:
+        scale = columns.scale
+    else:
+        integral, scale, _ = _integral(columns)
+    up = codec.order.is_position_up
+    leads, degrees, inverse = [], [], []
+    for d, cols in classes.items():
+        if packed_rows:
+            pivots = _row_block_leads(columns, cols)
+        else:
+            pivots = _block_leads([integral[j] for j in cols])
+        keys, vectors = zip(*pivots)
+        if up:
+            keys, vectors = keys[::-1], vectors[::-1]
+        leads += keys
+        degrees += [d] * len(cols)
+        inverse.append((cols, vectors))
+    if scale != 1:
+        g = gcd(scale, *(x for _, vectors in inverse for v in vectors for _, x in _nonzeros(v)))
+        if g > 1:
+            divided = lambda v: {i: x // g for i, x in v.items()} if type(v) is dict else tuple([x // g for x in v])
+            inverse = [(cols, list(map(divided, vectors))) for cols, vectors in inverse]
+            scale //= g
 
     rebased = FreeModuleSpec(ring, degrees)
-    inverse = _inverse_columns(codec, columns, leads)
     return PropagationResult(
-        partial(_inverse_matrix, codec, inverse),
+        partial(_inverse_matrix, inverse, scale),
         tuple(
             vector_add(ring.monomial_weight(t.monomial), weights[t.index])
             for t in map(codec.unpack, leads)
@@ -302,7 +331,7 @@ def _propagate(codomain, domain, weights, codec, columns):
         rebased,
         lambda inverse: _inverted(inverse, degrees, domain.basis_degrees),
         partial(_sorted_matrix, codec, columns, codomain, rebased),
-    ), inverse
+    ), (inverse, scale)
 
 
 # The density, nonzeros over columns times terms, from which a degree block
@@ -316,56 +345,90 @@ _DENSE = 0.5
 
 
 def _block_leads(block):
-    """The pivots of one degree block's packed columns, as packed terms.
+    """The pivots of one degree block's packed dict columns of ints, with their term vectors.
 
     The pivot terms are those at which the block's coefficient matrix,
-    over its terms in decreasing order, gains rank.  A block at least
-    `_DENSE` nonzero finds them by `pivot_scan`, over the primitive parts
-    of its columns (scaling a column by a positive rational moves no
-    pivot), and any other by `Echelon`.  Raises MinimalityError when the
-    columns are dependent.
+    over its terms in decreasing order, gains rank; a term's vector is the
+    tuple of the coefficients the columns have there.  A block at least
+    `_DENSE` nonzero finds them by `pivot_scan` over the term vectors, and
+    any other by `Echelon` over the columns' primitive parts (scaling a
+    column by a positive rational moves no pivot).  Returns the (pivot
+    term, term vector) pairs in decreasing term order: a tuple from the
+    scan, and from `Echelon`, whose blocks can be large and sparse, a dict
+    of its nonzeros (see `packed._nonzeros`).  Raises MinimalityError when
+    the columns are dependent.
     """
     terms = sorted({t for col in block for t in col}, reverse=True)
     if sum(map(len, block)) >= _DENSE * len(block) * len(terms):
-        pivots = pivot_scan([_primitive(col)[0] for col in block], terms)
+        vectors = [tuple([col.get(t, 0) for col in block]) for t in terms]
+        pivots = [(terms[k], vectors[k]) for k in pivot_scan(vectors, len(block))]
     else:
         index = {t: i for i, t in enumerate(terms)}
         ech = Echelon()
         for col in block:
             ech.add(_dense_primitive(col, index))
-        pivots = [terms[pos] for pos in ech.pivots]
+        keys = [terms[pos] for pos in sorted(ech.pivots)]
+        pivots = list(zip(keys, _term_vectors(block, keys)))
     if len(pivots) < len(block):
         raise MinimalityError(_NOT_MINIMAL)
     return pivots
 
 
-def _inverse_columns(codec, columns, leads):
-    """The columns of C^-1 packed by codec as constant terms, entry k at index k.
-
-    Entry k of column j is the coefficient of the packed column j at
-    leads[k], the pivot of G_k.  Each column is read over its own terms or
-    over the pivots, whichever are fewer, and lists its entries by
-    increasing k, made exact as a ScalarMatrix's are.
-    """
-    constants = _constants(codec, len(leads))
-    pivots = {t: k for k, t in enumerate(leads)}
-    out = []
-    for col in columns:
-        if len(col) < len(leads):
-            hits = sorted((pivots[t], x) for t, x in col.items() if t in pivots)
-        else:
-            hits = [(k, x) for k, t in enumerate(leads) if (x := col.get(t))]
-        out.append({constants[k]: exact(x) for k, x in hits})
-    return out
-
-
-def _inverse_matrix(codec, inverse):
-    """C^-1 as a ScalarMatrix, from its columns packed by codec (see `_inverse_columns`)."""
-    row = {t: k for k, t in enumerate(_constants(codec, len(inverse)))}
-    rows = [[0] * len(inverse) for _ in inverse]
-    for j, col in enumerate(inverse):
+def _term_vectors(block, keys):
+    """The term vectors of the block's packed dict columns at keys, as dicts {column position: nonzero coefficient}."""
+    at = {t: k for k, t in enumerate(keys)}
+    vectors = [{} for _ in keys]
+    for i, col in enumerate(block):
         for t, x in col.items():
-            rows[row[t]][j] = x
+            if t in at:
+                vectors[at[t]][i] = x
+    return vectors
+
+
+def _row_block_leads(rows, cols):
+    """`_block_leads` of the columns cols of a rebased map held in row slots (a `packed._RowPacked`).
+
+    Each nonzero int is unpacked once.  A block has at least as many terms
+    as it has monomials and as any one column has nonzeros, and a block too
+    sparse for `pivot_scan` even on that count takes `_block_leads`'
+    `Echelon` route on its unpacked dicts, untransposed.  Any other block
+    is transposed: a term vector is one row of the unpacked ints that the
+    columns have at one packed monomial, zeros where a column has none, and
+    its term is that monomial plus the row's index field.  That gives the
+    exact count of terms and, if the block is still dense enough, the term
+    vectors `pivot_scan` takes in decreasing term order.
+    """
+    unpack, tags, count = rows.slots.unpack, rows.tags, rows.slots.count
+    unpacked = [{m: unpack(v) for m, v in rows.columns[j].items() if v} for j in cols]
+    sizes = [sum(count - d.count(0) for d in col.values()) for col in unpacked]
+    nonzeros, monomials = sum(sizes), set().union(*unpacked)
+    if nonzeros >= _DENSE * len(cols) * max(len(monomials), max(sizes)):
+        zero = (0,) * count
+        vectors = [
+            (m + tag, v)
+            for m in monomials
+            for tag, v in zip(tags, zip(*[col.get(m, zero) for col in unpacked]))
+            if any(v)
+        ]
+        if nonzeros >= _DENSE * len(cols) * len(vectors):
+            vectors.sort(reverse=True)
+            pivots = [vectors[k] for k in pivot_scan([v for _, v in vectors], len(cols))]
+            if len(pivots) < len(cols):
+                raise MinimalityError(_NOT_MINIMAL)
+            return pivots
+    return _block_leads([{m + tag: x for m, d in col.items() for tag, x in zip(tags, d) if x} for col in unpacked])
+
+
+def _inverse_matrix(inverse, scale):
+    """C^-1 as a ScalarMatrix, from its rows by degree class over the denominator scale (see `_propagate`)."""
+    n = sum(len(cols) for cols, _ in inverse)
+    rows = []
+    for cols, vectors in inverse:
+        for vec in vectors:
+            row = [0] * n
+            for i, x in _nonzeros(vec):
+                row[cols[i]] = x if scale == 1 else _quotient(x, scale)
+            rows.append(row)
     return ScalarMatrix._unchecked(rows)
 
 
@@ -379,19 +442,14 @@ def _sorted_matrix(codec, columns, codomain, rebased, change):
     return codec.matrix(list(codec.product(columns, _constant_columns(codec, change))), codomain, rebased)
 
 
-def _constants(codec, n):
-    """The constant terms at the indices below n, packed by codec.
+def _constant_columns(codec, scalars):
+    """The columns of the ScalarMatrix scalars packed by codec as constant terms, entry i at index i.
 
     A constant factor adds no degree, so a codec that holds a map holds
     its product with a matrix packed as constant terms.
     """
     unit = unit_monomial(codec.ring.num_vars)
-    return [codec.term(unit, i) for i in range(n)]
-
-
-def _constant_columns(codec, scalars):
-    """The columns of the ScalarMatrix scalars packed by codec as constant terms, entry i at index i."""
-    constants = _constants(codec, scalars.num_rows)
+    constants = [codec.term(unit, i) for i in range(scalars.num_rows)]
     return [{t: x for t, x in zip(constants, col) if x} for col in zip(*scalars.rows)]
 
 
@@ -446,8 +504,8 @@ def _walk(steps, weights):
     the order propagated under; the codecs of consecutive maps share one
     layout.  The walk rebases each map d after the first onto the previous
     step's rebased module as the product C^-1 @ d with that step's C^-1,
-    through `_TermCodec.product` with the columns of C^-1 packed as
-    constant terms as `_propagate` reads them, and yields (build,
+    through `_TermCodec.rebased` with C^-1 as `_propagate` hands it on, its
+    pivots' term vectors over one denominator, and yields (build,
     PropagationResult) per step, drawing each map from steps only when its
     step is taken.  build is a function of no argument that gives the
     step's rebased map, by `_TermCodec.matrix`; the walk itself never calls
@@ -456,7 +514,7 @@ def _walk(steps, weights):
     inverse = None
     for codomain, domain, codec, columns in steps:
         if inverse is not None:
-            columns = list(codec.product(inverse, columns))
+            columns = codec.rebased(*inverse, columns)
             codomain = spec
         result, inverse = _propagate(codomain, domain, weights, codec, columns)
         yield partial(codec.matrix, columns, codomain, domain), result

@@ -967,6 +967,55 @@ def test_the_dense_walk_widens_its_pivot_scan_slots(caplog):
         assert widened == ["walk: widened pivot-scan slots to %d bits" % w for w in (64, 64, 128)], order
 
 
+def scaled_map(d, factor):
+    return PolyMatrix(d.codomain, d.domain, [[p.scale(factor) for p in row] for row in d.entries])
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_the_rational_dense_walk_carries_its_denominators_through_c_inverse(order):
+    # every map of the complex a third of the integral one: the walk from the
+    # top rebases each dual by a C^-1 over a denominator, a power of 3, which
+    # the next product's row slots scale by, and reads the same pivots
+    differentials = koszul_complex(7, 7)
+    integral = propagate_resolution(differentials, 7, [(1,) * 7], order)
+    third = propagate_resolution([scaled_map(d, Fraction(1, 3)) for d in differentials], 7, [(1,) * 7], order)
+    assert third.per_module == integral.per_module
+    for k, step in integral.steps.items():
+        rational = third.steps[k].result
+        assert rational.sorted_matrix == step.result.sorted_matrix, k
+        expected = [[Fraction(x, 3 ** (7 - k)) for x in row] for row in step.result.inverse_change_of_basis.rows]
+        assert named_scalars(rational.inverse_change_of_basis) == named_scalars(ScalarMatrix(expected)), k
+
+
+def test_the_dense_walk_builds_nothing_before_it_is_read(monkeypatch):
+    # the walk carries each rebased map in row slots and C^-1 as term
+    # vectors: no packed dict, no ScalarMatrix is made until it is read
+    packed = importlib.import_module("torusweights.packed")
+    built = []
+    dicts, unchecked = packed._RowPacked.dicts, ScalarMatrix._unchecked.__func__
+    monkeypatch.setattr(packed._RowPacked, "dicts", lambda self: built.append("dicts") or dicts(self))
+    monkeypatch.setattr(
+        ScalarMatrix, "_unchecked", classmethod(lambda cls, rows: built.append("scalars") or unchecked(cls, rows))
+    )
+    differentials = koszul_complex(7, 7)
+    for order in ALL_ORDERS:
+        found = []
+        for start, weights in ((7, [(1,) * 7]), (0, [(0,) * 7])):
+            built.clear()
+            walked = propagate_resolution(differentials, start, weights, order)
+            assert len(walked.per_module) == 8 and built == [], (order, start)
+            steps = [walked.steps[k] for k in sorted(walked.steps)]
+            sorted_matrices = [named_matrix(step.result.sorted_matrix) for step in steps]
+            changes = [named_scalars(step.result.change_of_basis) for step in steps]
+            inverses = [named_scalars(step.result.inverse_change_of_basis) for step in steps]
+            maps = [named_matrix(step.matrix) for step in steps]
+            assert {"scalars", "dicts"} <= set(built), (order, start)
+            found.append((digest(walked.per_module), digest(inverses), digest(changes), digest(sorted_matrices)))
+            again = propagate_resolution(differentials, start, weights, order)
+            assert maps == [named_matrix(again.steps[k].matrix) for k in sorted(again.steps)], (order, start)
+        assert found == DENSE_WALK_DIGESTS[order.kind], order
+
+
 def chain_faults(koszul):
     """(chain, expected error) for explicit Koszul chains that fail the checks, in the checks' precedence."""
     d1, d2, d3 = (koszul.matrices[name] for name in koszul.resolution)

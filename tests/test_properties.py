@@ -34,9 +34,9 @@ from torusweights import (
 from torusweights.errors import InputError, MinimalityError, ResolutionStepError
 from torusweights import schreyer
 from torusweights.groebner import _buchberger_run, _nakayama_kept, _packed_chain
-from torusweights.linalg import Echelon, _dense_primitive, _primitive, pivot_scan, rank
+from torusweights.linalg import Echelon, _dense_primitive, _primitive, _Slots, pivot_scan, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
-from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
+from torusweights.packed import _FIELD_BITS, _integral, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.rings import (
@@ -256,15 +256,19 @@ def test_primitive_divides_out_the_positive_content(vec):
 
 
 propagate_module = importlib.import_module("torusweights.propagate")
+packed_module = importlib.import_module("torusweights.packed")
 
 
 @st.composite
 def degree_blocks(draw):
-    """Packed columns of one degree block, dense or sparse, plus zero, repeated and rescaled copies.
+    """Packed columns of one degree block, dense or sparse, plus zero, repeated, rescaled and non-primitive copies.
 
     Keys are ints, as packed terms are.  Entries are small ints, ints of
     up to 24 bits, whose working vectors outgrow the first slots of the
     pivot scan within a few steps, or ints and Fractions up to 2**200.
+    Non-primitive columns are one or two columns times one integer factor
+    of up to 2**70, which they then share, as the product kernel's scaled
+    ints can.
     """
     keys = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=12, unique=True))
     entries = draw(st.sampled_from([st.integers(-9, 9), st.integers(-(2**24), 2**24), WIDE_ENTRIES])).filter(bool)
@@ -275,11 +279,33 @@ def degree_blocks(draw):
         block.append({k: draw(entries) for k in support})
     factors = st.one_of(st.integers(-(2**200), 2**200).filter(bool), nonzero_rationals)
     for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["zero", "repeat", "scale"]))
-        source = block[draw(st.integers(0, len(block) - 1))]
+        kind = draw(st.sampled_from(["zero", "repeat", "scale", "shared"]))
+        i, j = (draw(st.integers(0, len(block) - 1)) for _ in range(2))
+        if kind == "shared":
+            factor = draw(st.integers(2, 2**70))
+            for k in {i, j}:
+                block[k] = {key: factor * x for key, x in block[k].items()}
+            continue
         factor = 0 if kind == "zero" else 1 if kind == "repeat" else draw(factors)
-        block.insert(draw(st.integers(0, len(block))), {k: factor * x for k, x in source.items() if factor})
+        block.insert(draw(st.integers(0, len(block))), {k: factor * x for k, x in block[i].items() if factor})
     return block
+
+
+def row_packed(block):
+    """The int columns of block as the row-packed kernel holds them: one int of eight row slots per monomial.
+
+    A key's low three bits are its row tag and the rest its monomial, so
+    that monomial plus tag is the key again and orders like it.
+    """
+    bits = max(abs(x) for col in block for x in col.values()).bit_length() if any(block) else 0
+    slots = _Slots(bits, 8)
+    columns = []
+    for col in block:
+        digits = {}
+        for key, x in col.items():
+            digits.setdefault(key - (key & 7), [0] * 8)[key & 7] = x
+        columns.append({m: slots.pack(xs) for m, xs in digits.items()})
+    return packed_module._RowPacked(columns, slots, list(range(8)), 1)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -291,16 +317,29 @@ def test_the_pivot_scan_finds_echelons_pivots(block):
     for col in block:
         ech.add(_dense_primitive(col, index))
     pivots = [terms[pos] for pos in sorted(ech.pivots)]
+    # the walk's ints: the block times the lcm of its denominators, not made primitive
+    ints = _integral(block)[0]
+    vectors = [tuple(col.get(t, 0) for col in ints) for t in terms]
     # the scan keeps Echelon's pivots, in decreasing order, whether or not the block is dependent
-    assert pivot_scan([_primitive(col)[0] for col in block], terms) == pivots
-    # _propagate's blocks: on the scan (_DENSE 0) and on Echelon (_DENSE 2) alike
+    assert [terms[k] for k in pivot_scan(vectors, len(block))] == pivots
+    # _propagate's blocks: on the scan (_DENSE 0) and on Echelon (_DENSE 2) alike, from dicts and
+    # from row slots, each pivot with its term vector: a tuple from the scan, from Echelon a dict
+    # of its nonzeros
     for threshold in (0, 2):
         with mock.patch.object(propagate_module, "_DENSE", threshold):
-            if len(pivots) < len(block):
-                with pytest.raises(MinimalityError):
-                    propagate_module._block_leads(block)
-            else:
-                assert sorted(propagate_module._block_leads(block), reverse=True) == pivots
+            for found in (
+                lambda: propagate_module._block_leads(ints),
+                lambda: propagate_module._row_block_leads(row_packed(ints), range(len(ints))),
+            ):
+                if len(pivots) < len(block):
+                    with pytest.raises(MinimalityError):
+                        found()
+                    continue
+                leads = found()
+                assert all(type(v) is (tuple if threshold == 0 else dict) for _, v in leads)
+                assert all(all(v.values()) for _, v in leads if type(v) is dict)
+                dense = [(t, tuple(v.get(i, 0) for i in range(len(block))) if type(v) is dict else v) for t, v in leads]
+                assert dense == [(t, vectors[index[t]]) for t in pivots]
 
 
 # ---------- exact coefficients: int when integral, else Fraction ----------
