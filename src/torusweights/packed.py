@@ -60,7 +60,7 @@ route to a PolyMatrix) is unpacked only when its entries are first read.
 import bisect
 import operator
 from functools import partial
-from itertools import chain, compress
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import InternalError
@@ -261,9 +261,7 @@ class _TermCodec:
         rows = ((max(tags, default=0) - low) >> shift) + 1
         layout = _row_slots(partial(_integral, a), b, sum(map(len, a)), sum(map(len, groups)), rows)
         if layout is None:
-            by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
-            for out in _accumulated(by_tag, b, field):
-                yield {s: value for s, value in out.items() if value}
+            yield from self._dict_product(a, b)
             return
         slots, a, b, scale = layout
         width = slots.width
@@ -282,44 +280,45 @@ class _TermCodec:
         """The columns of C^-1 @ B, the walk's rebase of the map B by the previous step's C^-1.
 
         inverse lists the rows of C^-1, k = 0, 1, ..., by degree block: a
-        block (cols, vectors) holds one row per term vector, whose entry in
-        column cols[i] is the vector's entry i over scale and which is 0 in
-        every other column; a vector is a tuple, or a dict of its nonzero
-        entries (see `propagate._propagate`).  C^-1 is invertible, so each of
-        its columns is one constant term per nonzero entry, at one packed
-        monomial, 0, and `_row_slots` decides the path from its count of
-        nonzero entries and largest |vector entry|, with no grouping pass.
-        On the row-packed path, each column of C^-1 is packed straight from
-        the vectors by `linalg._Slots.pack`, row k in slot k, and the product
-        comes back as the kernel computed it: a `_RowPacked`, unpacked only
-        when read, whose slot k holds the coefficient at row k.  On
-        the dict path it is the list of the product's packed dict columns,
-        as `product` gives them.
+        block (cols, vectors) holds one row per term vector, a dict of its
+        nonzero entries, whose entry i is the row's entry in column cols[i]
+        times scale; the row is 0 in every other column.  Each column of
+        C^-1 is one constant term per nonzero entry, at one packed monomial,
+        so `_row_slots` decides the path with no grouping pass.  On the
+        row-packed path each column of C^-1 is packed by
+        `linalg._Slots.pack`, row k in slot k, and the product is returned
+        as the kernel computed it, a `_RowPacked`; on the dict path it is
+        the list of `product`'s packed dict columns.
         """
-        field = self._index_mask << self._index_shift
         n = sum(len(vectors) for _, vectors in inverse)
-        terms = sum(len(v) if type(v) is dict else len(v) - v.count(0) for _, vectors in inverse for v in vectors)
-        layout = _row_slots(lambda: (inverse, scale, _largest(inverse)), b, terms, n, n)
+        rows = [v for _, vectors in inverse for v in vectors]
+        layout = _row_slots(lambda: (rows, scale), b, sum(map(len, rows)), n, n)
         tags = [self._tag(k) for k in range(n)]
-        by_tag, start = {}, 0
+        start = 0
         if layout is None:
+            columns = [{} for _ in range(n)]
             for cols, vectors in inverse:
-                columns = [[] for _ in cols]
                 for t, v in zip(tags[start:], vectors):
-                    for i, x in _nonzeros(v):
-                        columns[i].append((t, x if scale == 1 else _quotient(x, scale)))
-                by_tag.update(zip(map(tags.__getitem__, cols), columns))
+                    for i, x in v.items():
+                        columns[cols[i]][t] = x if scale == 1 else _quotient(x, scale)
                 start += len(vectors)
-            return [{s: value for s, value in out.items() if value} for out in _accumulated(by_tag, b, field)]
+            return list(self._dict_product(columns, b))
         slots, _, b, scale = layout
-        zeros = [0] * n
+        by_tag, zeros = {}, [0] * n
         for cols, vectors in inverse:
-            before, after = zeros[:start], zeros[start + len(vectors):]
-            dense = [tuple(map(v.get, range(len(cols)), zeros)) if type(v) is dict else v for v in vectors]
-            for j, column in zip(cols, zip(*dense)):
-                by_tag[tags[j]] = [(0, slots.pack(before + list(column) + after))]
+            column = zeros[:]
+            for i, j in enumerate(cols):
+                for k, v in enumerate(vectors, start):
+                    column[k] = v.get(i, 0)
+                by_tag[tags[j]] = [(0, slots.pack(column))]
             start += len(vectors)
-        return _RowPacked(list(_accumulated(by_tag, b, field)), slots, tags, scale)
+        return _RowPacked(list(_accumulated(by_tag, b, self._index_mask << self._index_shift)), slots, tags, scale)
+
+    def _dict_product(self, a, b):
+        """A @ B on the packed dict columns a and b by the dict loop: one dict update per pair of terms that meet."""
+        by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
+        for out in _accumulated(by_tag, b, self._index_mask << self._index_shift):
+            yield {s: value for s, value in out.items() if value}
 
     def divides(self, a, b):
         """Whether packed term a has b's index and divides it."""
@@ -415,20 +414,20 @@ def _row_slots(a, b, terms, count, rows):
 
     A has terms nonzero entries in count groups, one per monomial of a
     column, and its index fields span rows values; a is a function of no
-    argument that gives (A scaled to ints, the scale, the largest |int|),
-    called only where the rows may be packed.  None, for the dict loop,
-    where A has fewer than two rows per packed monomial of a column, a slot
-    would need more than 64 bits, or a packed int would take more than
-    `_BYTES_PER_ROW` bytes per row it holds.  Otherwise slots is the
-    `linalg._Slots` of `rows` slots sized for the bit lengths of max|A|, of
-    max|B| and of the longest column of B, and a and b come scaled to ints
-    (`_integral`), by scale in all.
+    argument, called only where the rows may be packed, that gives (A
+    scaled to ints as dicts whose values are its entries, the scale).
+    None, for the dict loop, where A has fewer than two rows per packed
+    monomial of a column, a slot would need more than 64 bits, or a packed
+    int would take more than `_BYTES_PER_ROW` bytes per row it holds.
+    Otherwise slots is the `linalg._Slots` of `rows` slots sized for the
+    bit lengths of max|A|, of max|B| and of the longest column of B, and a
+    and b come scaled to ints (`_integral`), by scale in all.
     """
     if not terms or terms < 2 * count:
         return None
-    a, scale_a, big_a = a()
-    b, scale_b, big_b = _integral(b)
-    bits = big_a.bit_length() + big_b.bit_length() + max(map(len, b), default=0).bit_length()
+    a, scale_a = a()
+    b, scale_b = _integral(b)
+    bits = _largest(a).bit_length() + _largest(b).bit_length() + max(map(len, b), default=0).bit_length()
     slots = _Slots(bits, rows)
     if slots.width > 64 or slots.nbytes * count > _BYTES_PER_ROW * terms:
         return None
@@ -436,24 +435,17 @@ def _row_slots(a, b, terms, count, rows):
 
 
 def _integral(columns):
-    """(the packed columns times s, in ints; s, the lcm of their denominators; s * their largest |coefficient|)."""
+    """(the packed columns times s, in ints; s, the lcm of their denominators)."""
     values = list(chain.from_iterable(map(dict.values, columns)))
     if set(map(type, values)) <= {int}:
-        return columns, 1, max(max(values, default=0), -min(values, default=0))
+        return columns, 1
     s = lcm(*{x.denominator for x in values})
-    scaled = [{t: x.numerator * (s // x.denominator) for t, x in col.items()} for col in columns]
-    return scaled, s, int(max(map(abs, values)) * s)
+    return [{t: x.numerator * (s // x.denominator) for t, x in col.items()} for col in columns], s
 
 
-def _nonzeros(vector):
-    """The (position, entry) pairs of a term vector's nonzero entries: a tuple's, or a dict's, which holds only them."""
-    return vector.items() if type(vector) is dict else compress(enumerate(vector), vector)
-
-
-def _largest(inverse):
-    """The largest |entry| of the term vectors of the rows of C^-1 that `_TermCodec.rebased` takes."""
-    values = [x for _, vectors in inverse for v in vectors for _, x in _nonzeros(v)]
-    return max(max(values), -min(values))
+def _largest(columns):
+    """The largest |value| of the dicts columns, 0 if none."""
+    return max(map(abs, chain.from_iterable(map(dict.values, columns))), default=0)
 
 
 def _accumulated(by_tag, b, field):
@@ -476,10 +468,9 @@ def _accumulated(by_tag, b, field):
 
 
 def _unpacked(out, slots, row_tags, scale):
-    """The packed dict of a product column held as {packed monomial: int of row slots}, scaled by scale.
+    """The packed dict of a product column held as {packed monomial: int of row slots}, over scale.
 
-    Slot r of each nonzero int is the coefficient, times scale, of the
-    term whose index field is row_tags[r].
+    Slot r holds the coefficient of the term whose index field is row_tags[r].
     """
     unpack = slots.unpack
     return {
@@ -495,9 +486,8 @@ class _RowPacked:
     columns[j] maps each packed monomial of column j to one int of `slots`,
     whose slot r holds the coefficient, times scale, of the term at that
     monomial whose index field is tags[r]; an int may be 0 where terms
-    cancelled.  Iterating gives the packed dict columns, as `product` gives
-    them, unpacked by `dicts` on first use and kept, for the readers that
-    take those: the step's map and G = M @ C.
+    cancelled.  Iterating gives the packed dict columns, unpacked by
+    `dicts` on first use and kept, for the step's map and G = M @ C.
     """
 
     __slots__ = ("columns", "slots", "tags", "scale", "_dicts")

@@ -107,7 +107,7 @@ from .groebner import (
 )
 from .linalg import Echelon, _dense_primitive, _quotient, pivot_scan
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
-from .packed import _integral, _nonzeros, _RowPacked, _TermCodec
+from .packed import _integral, _RowPacked, _TermCodec
 from .rings import _int_vector, unit_monomial, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
@@ -300,7 +300,7 @@ def _propagate(codomain, domain, weights, codec, columns):
     if packed_rows:
         scale = columns.scale
     else:
-        integral, scale, _ = _integral(columns)
+        integral, scale = _integral(columns)
     up = codec.order.is_position_up
     leads, degrees, inverse = [], [], []
     for d, cols in classes.items():
@@ -315,10 +315,9 @@ def _propagate(codomain, domain, weights, codec, columns):
         degrees += [d] * len(cols)
         inverse.append((cols, vectors))
     if scale != 1:
-        g = gcd(scale, *(x for _, vectors in inverse for v in vectors for _, x in _nonzeros(v)))
+        g = gcd(scale, *(x for _, vectors in inverse for v in vectors for x in v.values()))
         if g > 1:
-            divided = lambda v: {i: x // g for i, x in v.items()} if type(v) is dict else tuple([x // g for x in v])
-            inverse = [(cols, list(map(divided, vectors))) for cols, vectors in inverse]
+            inverse = [(cols, [{i: x // g for i, x in v.items()} for v in vectors]) for cols, vectors in inverse]
             scale //= g
 
     rebased = FreeModuleSpec(ring, degrees)
@@ -348,30 +347,35 @@ def _block_leads(block):
     """The pivots of one degree block's packed dict columns of ints, with their term vectors.
 
     The pivot terms are those at which the block's coefficient matrix,
-    over its terms in decreasing order, gains rank; a term's vector is the
-    tuple of the coefficients the columns have there.  A block at least
-    `_DENSE` nonzero finds them by `pivot_scan` over the term vectors, and
-    any other by `Echelon` over the columns' primitive parts (scaling a
-    column by a positive rational moves no pivot).  Returns the (pivot
-    term, term vector) pairs in decreasing term order: a tuple from the
-    scan, and from `Echelon`, whose blocks can be large and sparse, a dict
-    of its nonzeros (see `packed._nonzeros`).  Raises MinimalityError when
+    over its terms in decreasing order, gains rank; a term's vector holds
+    the coefficients the columns have there, as a dict {column position:
+    nonzero coefficient}.  A block at least `_DENSE` nonzero finds them by
+    `pivot_scan` over the term vectors (`_scanned`), and any other by
+    `Echelon` over the columns' primitive parts (scaling a column by a
+    positive rational moves no pivot).  Returns the (pivot term, term
+    vector) pairs in decreasing term order.  Raises MinimalityError when
     the columns are dependent.
     """
     terms = sorted({t for col in block for t in col}, reverse=True)
     if sum(map(len, block)) >= _DENSE * len(block) * len(terms):
-        vectors = [tuple([col.get(t, 0) for col in block]) for t in terms]
-        pivots = [(terms[k], vectors[k]) for k in pivot_scan(vectors, len(block))]
-    else:
-        index = {t: i for i, t in enumerate(terms)}
-        ech = Echelon()
-        for col in block:
-            ech.add(_dense_primitive(col, index))
-        keys = [terms[pos] for pos in sorted(ech.pivots)]
-        pivots = list(zip(keys, _term_vectors(block, keys)))
-    if len(pivots) < len(block):
+        return _scanned([(t, tuple([col.get(t, 0) for col in block])) for t in terms], len(block))
+    index = {t: i for i, t in enumerate(terms)}
+    ech = Echelon()
+    for col in block:
+        ech.add(_dense_primitive(col, index))
+    if len(ech.pivots) < len(block):
         raise MinimalityError(_NOT_MINIMAL)
-    return pivots
+    keys = [terms[pos] for pos in sorted(ech.pivots)]
+    del ech  # free its rows now, or the cyclic collector traverses them while the term vectors are built
+    return list(zip(keys, _term_vectors(block, keys)))
+
+
+def _scanned(vectors, count):
+    """`_block_leads` by `pivot_scan`, over count columns given as (term, tuple term vector) pairs, terms decreasing."""
+    kept = pivot_scan([v for _, v in vectors], count)
+    if len(kept) < count:
+        raise MinimalityError(_NOT_MINIMAL)
+    return [(vectors[k][0], {i: x for i, x in enumerate(vectors[k][1]) if x}) for k in kept]
 
 
 def _term_vectors(block, keys):
@@ -388,34 +392,26 @@ def _term_vectors(block, keys):
 def _row_block_leads(rows, cols):
     """`_block_leads` of the columns cols of a rebased map held in row slots (a `packed._RowPacked`).
 
-    Each nonzero int is unpacked once.  A block has at least as many terms
-    as it has monomials and as any one column has nonzeros, and a block too
-    sparse for `pivot_scan` even on that count takes `_block_leads`'
-    `Echelon` route on its unpacked dicts, untransposed.  Any other block
-    is transposed: a term vector is one row of the unpacked ints that the
-    columns have at one packed monomial, zeros where a column has none, and
-    its term is that monomial plus the row's index field.  That gives the
-    exact count of terms and, if the block is still dense enough, the term
-    vectors `pivot_scan` takes in decreasing term order.
+    Each nonzero int is unpacked once, and the block is transposed: a term
+    vector is one row of the unpacked ints that the columns have at one
+    packed monomial, zeros where a column has none, and its term is that
+    monomial plus the row's index field.  That gives the block's count of
+    terms and, if the block is dense enough, the term vectors `pivot_scan`
+    takes in decreasing term order; a sparser block takes `_block_leads`'
+    `Echelon` route on its unpacked dicts.
     """
     unpack, tags, count = rows.slots.unpack, rows.tags, rows.slots.count
     unpacked = [{m: unpack(v) for m, v in rows.columns[j].items() if v} for j in cols]
-    sizes = [sum(count - d.count(0) for d in col.values()) for col in unpacked]
-    nonzeros, monomials = sum(sizes), set().union(*unpacked)
-    if nonzeros >= _DENSE * len(cols) * max(len(monomials), max(sizes)):
-        zero = (0,) * count
-        vectors = [
-            (m + tag, v)
-            for m in monomials
-            for tag, v in zip(tags, zip(*[col.get(m, zero) for col in unpacked]))
-            if any(v)
-        ]
-        if nonzeros >= _DENSE * len(cols) * len(vectors):
-            vectors.sort(reverse=True)
-            pivots = [vectors[k] for k in pivot_scan([v for _, v in vectors], len(cols))]
-            if len(pivots) < len(cols):
-                raise MinimalityError(_NOT_MINIMAL)
-            return pivots
+    zero = (0,) * count
+    vectors = [
+        (m + tag, v)
+        for m in set().union(*unpacked)
+        for tag, v in zip(tags, zip(*[col.get(m, zero) for col in unpacked]))
+        if any(v)
+    ]
+    if sum(count - d.count(0) for col in unpacked for d in col.values()) >= _DENSE * len(cols) * len(vectors):
+        vectors.sort(reverse=True)
+        return _scanned(vectors, len(cols))
     return _block_leads([{m + tag: x for m, d in col.items() for tag, x in zip(tags, d) if x} for col in unpacked])
 
 
@@ -426,7 +422,7 @@ def _inverse_matrix(inverse, scale):
     for cols, vectors in inverse:
         for vec in vectors:
             row = [0] * n
-            for i, x in _nonzeros(vec):
+            for i, x in vec.items():
                 row[cols[i]] = x if scale == 1 else _quotient(x, scale)
             rows.append(row)
     return ScalarMatrix._unchecked(rows)

@@ -815,3 +815,24 @@ def test_packed_walk_matches_the_tuple_walk_above_the_first_field_width():
     differentials = koszul_complex(ring, forms)
     assert max(map(_largest_degree, differentials)) > FIRST_CAPACITY
     assert_walks_agree(differentials, weights_for(differentials))
+
+
+def test_packed_walk_matches_the_tuple_walk_where_c_inverse_spans_several_degree_blocks(monkeypatch):
+    # two linear and two quadratic forms, every coefficient nonzero: F_1, F_2 and F_3 each hold two or
+    # three degrees, so a rebase can pack a C^-1 of several degree blocks into its row slots
+    ring = std_ring(4)
+    forms = []
+    for degree, seed in ((1, 0), (1, 1), (2, 2), (2, 3)):
+        monomials = [m for m in itertools.product(range(degree + 1), repeat=4) if sum(m) == degree]
+        forms.append(Polynomial({m: (seed + 5 * k) % 7 - 3 or 4 for k, m in enumerate(monomials)}))
+    differentials = koszul_complex(ring, forms)
+    rebased, blocks = _TermCodec.rebased, []
+
+    def spy(codec, inverse, scale, b):
+        out = rebased(codec, inverse, scale, b)
+        blocks.append((len(inverse), type(out) is packed._RowPacked))
+        return out
+
+    monkeypatch.setattr(_TermCodec, "rebased", spy)
+    assert_walks_agree(differentials, weights_for(differentials))
+    assert (2, True) in blocks and (3, True) in blocks

@@ -323,8 +323,7 @@ def test_the_pivot_scan_finds_echelons_pivots(block):
     # the scan keeps Echelon's pivots, in decreasing order, whether or not the block is dependent
     assert [terms[k] for k in pivot_scan(vectors, len(block))] == pivots
     # _propagate's blocks: on the scan (_DENSE 0) and on Echelon (_DENSE 2) alike, from dicts and
-    # from row slots, each pivot with its term vector: a tuple from the scan, from Echelon a dict
-    # of its nonzeros
+    # from row slots, each pivot with its term vector as a dict of its nonzeros
     for threshold in (0, 2):
         with mock.patch.object(propagate_module, "_DENSE", threshold):
             for found in (
@@ -336,9 +335,8 @@ def test_the_pivot_scan_finds_echelons_pivots(block):
                         found()
                     continue
                 leads = found()
-                assert all(type(v) is (tuple if threshold == 0 else dict) for _, v in leads)
-                assert all(all(v.values()) for _, v in leads if type(v) is dict)
-                dense = [(t, tuple(v.get(i, 0) for i in range(len(block))) if type(v) is dict else v) for t, v in leads]
+                assert all(type(v) is dict and all(v.values()) for _, v in leads)
+                dense = [(t, tuple(v.get(i, 0) for i in range(len(block)))) for t, v in leads]
                 assert dense == [(t, vectors[index[t]]) for t in pivots]
 
 
