@@ -9,6 +9,15 @@ deterministic machine schema.  Exit codes: 0 success, 1 domain error (message
 names the violated precondition), 2 parse error, 3 internal error (a failed
 invariant of the library itself).  Set TORUSWEIGHTS_LOG to a
 level name (debug, info, ...) for diagnostics on stderr.
+
+Each subcommand is one entry of `_SUBCOMMANDS`: its help text, the function
+that adds its arguments and the function that runs it.  A call runs one
+subcommand, so when the first argument names one, `main` builds a parser
+that registers that entry alone, which saves building six parsers it would
+not use.  Any other first argument (none, -h, an unknown or abbreviated
+name), and a call whose subcommand is given an argument it does not take,
+goes to the parser of every entry, so top-level help, usage lines and
+errors read as they always have.
 """
 
 import argparse
@@ -16,6 +25,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 
 from .errors import InputError, InternalError, PolynomialSyntaxError, ProblemFileError
 from .groebner import buchberger, is_minimal_map, minimal_resolution, sort_gb_columns
@@ -177,67 +187,87 @@ def _cmd_check_minimal(problem, args):
     return 0
 
 
-def _build_parser():
+def _common(p, weights=False):
+    p.add_argument("--input", required=True, help="problem description file (JSON)")
+    p.add_argument("--matrix", help="matrix name (optional when the file has exactly one)")
+    if weights:
+        p.add_argument("--weights", help="weight list name (optional when unique)")
+    p.add_argument(
+        "--module-order",
+        choices=list(ModuleTermOrder.KINDS),
+        help="module term order (default: the file's module_order, else top-up)",
+    )
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+
+
+def _gb_arguments(p):
+    _common(p)
+    p.add_argument("--truncate", help="degree bound, comma-separated integers, compared through the "
+                   "ring's positive functional (so not componentwise on a multigraded ring)")
+
+
+def _resolve_arguments(p):
+    _common(p)
+    p.add_argument("--max-length", type=int, default=None)
+
+
+def _propagate_resolution_arguments(p):
+    _common(p, weights=True)
+    p.add_argument("--from", dest="start_index", type=int, default=0,
+                   help="index of the module whose weights are given (default 0)")
+    p.add_argument("--matrices", help="comma-separated differential names d1,...,dm")
+
+
+def _graded_weights_arguments(p):
+    _common(p, weights=True)
+    p.add_argument("--degree", required=True, help="target degree, comma-separated integers")
+
+
+# name: (help, a function that adds the subcommand's arguments to its parser, run)
+_SUBCOMMANDS = {
+    "gb": ("reduced Groebner basis of a matrix image", _gb_arguments, _cmd_gb),
+    "resolve": ("minimal free resolution of a presentation", _resolve_arguments, _cmd_resolve),
+    "propagate": ("propagate codomain weights to the domain", partial(_common, weights=True), _cmd_propagate),
+    "propagate-forward": (
+        "propagate domain weights to the codomain",
+        partial(_common, weights=True),
+        partial(_cmd_propagate, forward=True),
+    ),
+    "propagate-resolution": (
+        "propagate weights along a resolution", _propagate_resolution_arguments, _cmd_propagate_resolution,
+    ),
+    "graded-weights": (
+        "weights of one graded component of a cokernel", _graded_weights_arguments, _cmd_graded_weights,
+    ),
+    "check-minimal": ("test whether a matrix is a minimal map", _common, _cmd_check_minimal),
+}
+
+
+def _build_parser(names):
+    """The top-level parser, with a subparser for each of names, keys of `_SUBCOMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="torusweights",
         description="Torus-weight propagation along equivariant maps and resolutions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, weights=False):
-        p.add_argument("--input", required=True, help="problem description file (JSON)")
-        p.add_argument("--matrix", help="matrix name (optional when the file has exactly one)")
-        if weights:
-            p.add_argument("--weights", help="weight list name (optional when unique)")
-        p.add_argument(
-            "--module-order",
-            choices=list(ModuleTermOrder.KINDS),
-            help="module term order (default: the file's module_order, else top-up)",
-        )
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("gb", help="reduced Groebner basis of a matrix image")
-    common(p)
-    p.add_argument("--truncate", help="degree bound, comma-separated integers, compared through the "
-                   "ring's positive functional (so not componentwise on a multigraded ring)")
-    p.set_defaults(run=_cmd_gb)
-
-    p = sub.add_parser("resolve", help="minimal free resolution of a presentation")
-    common(p)
-    p.add_argument("--max-length", type=int, default=None)
-    p.set_defaults(run=_cmd_resolve)
-
-    p = sub.add_parser("propagate", help="propagate codomain weights to the domain")
-    common(p, weights=True)
-    p.set_defaults(run=_cmd_propagate)
-
-    p = sub.add_parser("propagate-forward", help="propagate domain weights to the codomain")
-    common(p, weights=True)
-    p.set_defaults(run=lambda problem, args: _cmd_propagate(problem, args, forward=True))
-
-    p = sub.add_parser("propagate-resolution", help="propagate weights along a resolution")
-    common(p, weights=True)
-    p.add_argument("--from", dest="start_index", type=int, default=0,
-                   help="index of the module whose weights are given (default 0)")
-    p.add_argument("--matrices", help="comma-separated differential names d1,...,dm")
-    p.set_defaults(run=_cmd_propagate_resolution)
-
-    p = sub.add_parser("graded-weights", help="weights of one graded component of a cokernel")
-    common(p, weights=True)
-    p.add_argument("--degree", required=True, help="target degree, comma-separated integers")
-    p.set_defaults(run=_cmd_graded_weights)
-
-    p = sub.add_parser("check-minimal", help="test whether a matrix is a minimal map")
-    common(p)
-    p.set_defaults(run=_cmd_check_minimal)
-
+    for name in names:
+        help_text, add_arguments, run = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv=None):
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    names = argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS
+    args, extras = _build_parser(names).parse_known_args(argv)
+    if extras:
+        # the top-level parser reports arguments that its subcommand does
+        # not take, in a usage line that lists every registered subcommand
+        args = _build_parser(_SUBCOMMANDS).parse_args(argv)
     try:
         problem = load_problem(args.input)
         return args.run(problem, args)

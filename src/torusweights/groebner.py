@@ -115,6 +115,7 @@ from .packed import (
     _FieldOverflow,
     _TermCodec,
     _divisor,
+    _integral,
     _largest_degree,
     _pseudo_divide,
     _shifted_difference,
@@ -754,7 +755,9 @@ def _checked_chain(differentials, order):
         if d.basis_degrees != previous.basis_degrees or d.ring != previous.ring:
             raise InputError("chain-shape mismatch between differentials %d and %d" % (k, k + 1))
     codec, packed = _packed_chain(differentials, order)
-    k = _nonzero_composite(codec, packed)
+    # A @ B = 0 exactly when sA @ tB = 0, so a rational chain is tested on
+    # ints; the walk gets the columns as they are
+    k = _nonzero_composite(codec, [_integral(columns)[0] for columns in packed])
     if k is not None:
         raise InputError("differentials %d and %d do not compose to zero" % (k + 1, k + 2))
     return codec, packed
@@ -765,11 +768,12 @@ def check_chain(differentials):
 
     Each differential after the first must map into the domain of the one
     before it, and consecutive composites must vanish.  The composites are
-    tested on packed terms, each map packed once (see `_nonzero_composite`),
-    not multiplied out as PolyMatrix products; any order serves a zero test,
-    and top-up is used.  `propagate_resolution` runs the same checks under
-    its own order and keeps the packed columns for its minimality runs and
-    its walk.  Messages number the differentials from 1.
+    tested on packed terms, each map packed once and scaled to integers (see
+    `_nonzero_composite`), not multiplied out as PolyMatrix products; any
+    order serves a zero test, and top-up is used.  `propagate_resolution`
+    runs the same checks under its own order and keeps the packed columns,
+    unscaled, for its minimality runs and its walk.  Messages number the
+    differentials from 1.
     """
     if differentials:
         _checked_chain(differentials, ModuleTermOrder())

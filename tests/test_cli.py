@@ -1,3 +1,4 @@
+import argparse
 import collections
 import copy
 import json
@@ -28,7 +29,7 @@ from torusweights import (
     syzygies,
 )
 from torusweights import problemfile
-from torusweights.cli import main
+from torusweights.cli import _SUBCOMMANDS, _build_parser, main
 from torusweights.parsing import MAX_EXPONENT, parse_polynomial
 from torusweights.problemfile import load_problem, problem_from_dict, problem_to_dict, scalar_matrix_to_rows
 
@@ -719,6 +720,55 @@ def test_loader_raises_only_documented_errors(doc):
         problem_from_dict(doc)
     except (ProblemFileError, PolynomialSyntaxError, InputError):
         pass
+
+
+# help, usage and parse errors of the front end; "problem.json" is never read
+FRONT_END_PROBES = [
+    ["--help"],
+    *([name, "--help"] for name in _SUBCOMMANDS),
+    [],
+    ["-h", "resolve"],
+    ["nosuch"],
+    ["res"],
+    ["resolve"],
+    ["resolve", "--max-length", "x"],
+    ["check-minimal", "--input", "problem.json", "--bogus"],
+    ["propagate", "--input", "problem.json", "extra"],
+]
+
+
+def outcome(capsys, call):
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", FRONT_END_PROBES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_the_front_end_prints_what_the_parser_of_every_subcommand_prints(capsys, monkeypatch, argv):
+    # argparse's wording moves between Python versions, so the reference is
+    # the parser of every subcommand in this interpreter, not pinned text.
+    # An argument the subcommand does not take is reported by the top-level
+    # parser, whose usage line lists the subcommands it registered.
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = outcome(capsys, lambda: _build_parser(_SUBCOMMANDS).parse_args(argv))
+    assert expected[0] in (0, 2)
+    assert outcome(capsys, lambda: main(argv)) == expected
+
+
+def test_a_call_registers_only_its_subcommand(capsys, monkeypatch):
+    registered = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        registered.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    code, out, _ = run(capsys, "check-minimal", "--input", str(fixture_path("koszul.json")), "--matrix", "d1")
+    assert (code, out, registered) == (0, "minimal\n", ["check-minimal"])
 
 
 def test_log_verbosity_env_var():

@@ -502,17 +502,58 @@ def chain_failing_in_one_row(row):
     return d1, d2, d3
 
 
+@contextlib.contextmanager
+def product_coefficient_types():
+    """For each `_TermCodec.product` call inside the block, the set of its operands' coefficient types."""
+    seen = []
+    product = _TermCodec.product
+
+    def spy(self, a, b):
+        seen.append({type(x) for col in itertools.chain(a, b) for x in col.values()})
+        return product(self, a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_TermCodec, "product", spy)
+        yield seen
+
+
+def scaled(differentials, factor):
+    return [PolyMatrix(d.codomain, d.domain, [[p.scale(factor) for p in row] for row in d.entries]) for d in differentials]
+
+
 @pytest.mark.parametrize("path", ["dict", "packed"])
-@pytest.mark.parametrize("row", [2, 0], ids=["top-row", "bottom-row"])
-def test_chain_failing_in_one_end_row_slot_is_caught_on_both_kernel_paths(row, path):
-    d1, d2, d3 = chain_failing_in_one_row(row)
+def test_a_rational_complex_is_checked_on_ints(path):
+    # A @ B = 0 exactly when sA @ tB = 0, so the chain check multiplies each
+    # map scaled to ints, on either kernel path, and a third of the generic
+    # Koszul complex on four forms passes it as the complex does
+    problem = load_problem(fixture_path("generic_koszul_complex.json"))
+    third = scaled([problem.matrices[d] for d in problem.resolution], Fraction(1, 3))
+    with kernel_paths(path) as taken, product_coefficient_types() as seen:
+        check_chain(third)
+    assert seen == [{int}] * 3
+    assert path in taken
+
+
+@pytest.mark.parametrize(
+    "row, path, factor",
+    [
+        # the integral cases keep their ids; the chain scaled by 1/3 adds "-third"
+        pytest.param(row, path, factor, id=name + "-" + path + suffix)
+        for factor, suffix in ((1, ""), (Fraction(1, 3), "-third"))
+        for path in ("dict", "packed")
+        for row, name in ((2, "top-row"), (0, "bottom-row"))
+    ],
+)
+def test_chain_failing_in_one_end_row_slot_is_caught_on_both_kernel_paths(row, path, factor):
+    d1, d2, d3 = scaled(chain_failing_in_one_row(row), factor)
     assert (d1 @ d2).is_zero
     assert [i for i, entries in enumerate((d2 @ d3).entries) if not entries[0].is_zero] == [row]
     message = "differentials 2 and 3 do not compose to zero"
-    with kernel_paths(path) as taken:
+    with kernel_paths(path) as taken, product_coefficient_types() as seen:
         with pytest.raises(InputError, match=message):
             check_chain([d1, d2, d3])
     assert taken == ["dict", path]
+    assert seen == [{int}] * 2
     for order in ALL_ORDERS:
         with kernel_paths(path) as taken:
             with pytest.raises(InputError, match=message):
