@@ -2,29 +2,30 @@
 
 `_primitive` is the engine's one routine for its fraction-free rule: it
 divides a mapping {key: rational} by its content, leaving a primitive
-integer vector with the same signs, and `Echelon`'s callers,
+integer vector with the same signs, and `Echelon`,
 `groebner._buchberger_run` and the Schreyer frame and its pruning apply it
-wherever a vector changes.  There are two eliminations, one per row form.
-`Echelon` takes dense primitive integer rows, lists of one length, and
-keeps its rows in echelon form, for the callers that need more than the
-pivots: the reduced rows of `propagate._inverted`, the keep-flags of
-`groebner._nakayama_kept` and `rank`; the walk's sparse degree blocks take
-it too.  A list comprehension per step costs less than dict passes on
-rows whose entries stay small.  Its callers lay their vectors out as such
-lists through `_dense_primitive`, which divides each by its content while
-it is still a sparse mapping and clears any Fractions.  A row that
-elimination changes is divided by its content once, when it is stored,
-not after every step.  Fractions appear only in `reduced_rows`, and there
-only for entries that are not integers.  `pivot_scan` finds only the
-pivots, for the walk's dense degree blocks (see `propagate._propagate`):
-it takes the matrix position by position, each position's column a tuple
-of ints, a term vector, which it packs into one int with one signed slot
-per row, reduces it by whole-int fraction-free steps, and stops at full
-rank; the rows need not be primitive, so the walk hands it the product
-kernel's scaled ints as they are.  `_Slots` is the one layout
-of signed slots packed into an int, and the only code that sizes, packs
-or reads them: the scan's columns, the rows of `packed`'s product kernel
-and the weights of `groebner._standard_search` all use it.
+wherever a vector changes.  There are two eliminations, one sparse and one
+packed.  `Echelon` is the sparse one: a row is a dict of its nonzeros over
+keys that order themselves, its lead is its smallest key, and `add`
+reduces a row by fraction-free steps only at its lead, until the lead is
+no stored row's lead, then divides it by its content once and stores it.
+Its callers key their rows as the order of the elimination needs: the
+walk's sparse degree blocks by packed term, each negated so that the
+largest term leads (see `propagate._block_leads`),
+`groebner._nakayama_kept`, for the keep-flags of vectors of one degree,
+by the order in which the terms first appear, and C from C^-1
+(`propagate._inverted`, by `reduced_rows`) and `rank` by position.  Fractions appear only in
+`reduced_rows`, and there only for entries that are not integers.
+`pivot_scan` finds only the pivots, for the walk's dense degree blocks
+(see `propagate._propagate`): it takes the matrix position by position,
+each position's column a tuple of ints, a term vector, which it packs into
+one int with one signed slot per row, reduces it by whole-int
+fraction-free steps, and stops at full rank; the rows need not be
+primitive, so the walk hands it the product kernel's scaled ints as they
+are.  `_Slots` is the one layout of signed slots packed into an int, and
+the only code that sizes, packs or reads them: the scan's columns, the
+rows of `packed`'s product kernel and the weights of
+`groebner._standard_search` all use it.
 `solve` and `invert` stay dense, on lists of Fraction; the tests keep
 them as references independent of `Echelon`.
 """
@@ -64,88 +65,76 @@ def _primitive(vec):
     return {k: v.numerator * (den // v.denominator) // num for k, v in vec.items()}, _quotient(num, den)
 
 
-def _dense_primitive(vec, index):
-    """The {key: rational} mapping vec, divided by its content, as the dense row `Echelon.add` takes.
-
-    index maps each key of vec to its position, and the row has len(index)
-    entries: a dict over the terms of one degree, or range(width) when the
-    keys are positions already.
-    """
-    row = [0] * len(index)
-    for key, x in _primitive(vec)[0].items():
-        row[index[key]] = x
-    return row
-
-
-def _eliminate(row, pivot_row, pos):
-    """Integer combination of the dense rows row and pivot_row that is zero at pos, its content left in."""
-    g = gcd(pivot_row[pos], row[pos])
-    a, b = pivot_row[pos] // g, row[pos] // g
-    if a == 1:
-        return [u - b * v for u, v in zip(row, pivot_row)]
-    return [a * u - b * v for u, v in zip(row, pivot_row)]
-
-
-def _divided(row):
-    """The dense integer row divided by its content; a zero row as it is."""
-    c = gcd(*row)
-    return [v // c for v in row] if c > 1 else row
+def _top_step(row, pivot_row, key):
+    """a * row - b * pivot_row for the dict rows, a > 0 and b in lowest terms, so that key cancels; content left in."""
+    g = gcd(pivot_row[key], row[key])
+    a, b = pivot_row[key] // g, row[key] // g
+    if a < 0:
+        a, b = -a, -b
+    out = {k: a * x for k, x in row.items()} if a != 1 else dict(row)
+    for k, x in pivot_row.items():
+        y = out.get(k, 0) - b * x
+        if y:
+            out[k] = y
+        else:
+            del out[k]
+    return out
 
 
 class Echelon:
-    """Incremental row echelon form of rational vectors of one length.
+    """Incremental echelon form of sparse rational vectors, reduced only at their leads.
 
-    A vector is a dense primitive integer row, a list of ints as
-    `_dense_primitive` lays out a vector of rationals; its pivot is its
-    first (smallest) nonzero position.  A row is reduced by fraction-free
-    steps and, if any step changed it, divided by its content once, when
-    it is stored.  Each step keeps the row a positive multiple of the one
-    that dividing after every step would give, so the stored rows are
-    those primitive rows, and only the working rows grow.  `pivots` maps
-    each pivot position to its stored row, in the order the rows were
-    added.  Each stored row is zero at the pivots of the rows before it,
-    and every row is zero before its own pivot.
+    A row is a dict {key: rational} of its nonzeros, over keys of one
+    total order, and its lead is its smallest key.  `add` makes a row a
+    primitive integer vector (`_primitive`) and top-reduces it: while its
+    lead is the lead of a stored row, one fraction-free step a * r - b * p
+    cancels that lead, and the row is divided by its content once, when it
+    is stored (Faugere and Lachartre, PASCO 2010, reduce the rows of their
+    top block the same way).  So the stored rows have distinct leads and
+    span what the added rows span, and their leads are the pivots of any
+    echelon form of that span.  `pivots` maps each lead to its stored row,
+    in the order the rows were added; a stored row is a primitive integer
+    vector, and a row no step changed is the caller's dict as given.
     """
 
     def __init__(self):
         self.pivots = {}
 
-    def add(self, row):
-        """Reduce the primitive integer row and absorb it; return True if it enlarged the span.
+    def add(self, vec):
+        """Top-reduce the {key: rational} mapping of nonzeros vec and absorb it; return True if it enlarged the span.
 
-        Rows are taken in the order they were added: a later row is zero at
-        the earlier pivots, so it cannot bring back an entry cleared before.
-        row is not modified, but may be stored as it is.
+        vec is not modified, but may be stored as it is.
         """
-        reduced = row
-        for pos, pivot_row in self.pivots.items():
-            if reduced[pos]:
-                reduced = _eliminate(reduced, pivot_row, pos)
-        if reduced is not row:
-            reduced = _divided(reduced)
-        if not any(reduced):
-            return False
-        self.pivots[next(pos for pos, x in enumerate(reduced) if x)] = reduced
-        return True
+        row = reduced = _primitive(vec)[0]
+        pivots = self.pivots
+        while reduced:
+            lead = min(reduced)
+            pivot_row = pivots.get(lead)
+            if pivot_row is None:
+                pivots[lead] = reduced if reduced is row else _primitive(reduced)[0]
+                return True
+            reduced = _top_step(reduced, pivot_row, lead)
+        return False
 
     def reduced_rows(self):
-        """Reduced row echelon form: {pivot: {position: rational}}, by position.
+        """Reduced row echelon form: {pivot: {key: rational}}, pivots and each row's keys increasing.
 
-        Back-substitution in integers from the last pivot up: each row is
-        reduced against the rows after it, which are reduced already and
-        zero at each other's pivots, and divided by its content once, as
-        `add` does.  Each row is then divided by its pivot entry; zero
-        entries are left out.  An entry is an int when the division is
-        exact, a Fraction otherwise.
+        Back-substitution in integers from the largest lead to the
+        smallest: each stored row is reduced at its keys that are leads of
+        rows already reduced, which are zero at each other's leads, so a
+        step brings in no other lead, and a row a step changed is divided
+        by its content once.  Each row is then divided by its lead
+        entry, an int where the division is exact and a Fraction otherwise.
         """
         rows = {}
-        for pos, row in sorted(self.pivots.items(), reverse=True):
-            for other, done in rows.items():
-                if row[other]:
-                    row = _eliminate(row, done, other)
-            rows[pos] = _divided(row)
+        for lead in sorted(self.pivots, reverse=True):
+            row = self.pivots[lead]
+            hits = [k for k in row if k in rows]
+            for k in hits:
+                row = _top_step(row, rows[k], k)
+            rows[lead] = _primitive(row)[0] if hits else row
         return {
-            pos: {k: _quotient(x, row[pos]) for k, x in enumerate(row) if x} for pos, row in reversed(rows.items())
+            lead: {k: _quotient(x, row[lead]) for k, x in sorted(row.items())} for lead, row in sorted(rows.items())
         }
 
     @property
@@ -268,7 +257,7 @@ def rank(rows):
     """Rank of a matrix given as a list of dense rows."""
     ech = Echelon()
     for row in rows:
-        ech.add(_dense_primitive(dict(enumerate(row)), range(len(row))))
+        ech.add({j: x for j, x in enumerate(row) if x})
     return ech.rank
 
 

@@ -61,9 +61,10 @@ monomial of a column, one slot per row: a dense degree block unpacks
 each int once and transposes the digits into the term vectors its scan
 takes, in decreasing term order (`_row_block_leads`), so a dense step
 goes from rebase to pivots to the next rebase in ints, with no dict and
-no Fraction.  A sparse block's `Echelon` takes each column as a dense
-primitive integer row over its degree's terms
-(`linalg._dense_primitive`).  The forward walk packs each
+no Fraction.  A sparse block's `Echelon` takes each column as the
+packed dict it is, each term keyed by its negation, and reduces a row
+only at its current largest term, so a row holds only its nonzeros and
+no term of the block is laid out.  The forward walk packs each
 dual map by re-tagging the map's packed columns under the flipped order
 (`_TermCodec.transposed`), so no dual PolyMatrix is built until a step's
 map is read.  A packed term is its own order key, so the elimination
@@ -105,7 +106,7 @@ from .groebner import (
     buchberger,
     check_order,
 )
-from .linalg import Echelon, _dense_primitive, _quotient, pivot_scan
+from .linalg import Echelon, _quotient, pivot_scan
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
 from .packed import _integral, _RowPacked, _TermCodec
 from .rings import _int_vector, unit_monomial, vector_add, vector_neg
@@ -335,11 +336,13 @@ def _propagate(codomain, domain, weights, codec, columns):
 
 # The density, nonzeros over columns times terms, from which a degree block
 # takes `pivot_scan` rather than `Echelon`.  Measured on the blocks of the
-# benchmark's walks, seeds 1-12: the blocks of 6 to 35 columns of the
-# Koszul duals that `forward` walks are at least 0.94 dense, and the scan
-# halved their elimination time; the blocks of 8 to 35 columns that
-# `resolve` walks are 0.13-0.31 dense, and the scan took three to four
-# times Echelon's time.  Smaller blocks cost little either way.
+# benchmark's walks: the blocks of 6 to 35 columns of the Koszul duals
+# that `forward` walks are at least 0.94 dense (seeds 1-12), and the scan
+# took a third of Echelon's time on them (the 33 such blocks of seeds 1-3,
+# best of 5 passes: 45 ms against 132 ms); the blocks of 8 to 35 columns
+# that `resolve` walks are 0.13-0.31 dense, and the scan took six times
+# Echelon's time (the 21 such blocks of seeds 1-3, best of 10 passes: 33
+# ms against 5.7 ms).  Smaller blocks cost little either way.
 _DENSE = 0.5
 
 
@@ -351,22 +354,21 @@ def _block_leads(block):
     the coefficients the columns have there, as a dict {column position:
     nonzero coefficient}.  A block at least `_DENSE` nonzero finds them by
     `pivot_scan` over the term vectors (`_scanned`), and any other by
-    `Echelon` over the columns' primitive parts (scaling a column by a
-    positive rational moves no pivot).  Returns the (pivot term, term
-    vector) pairs in decreasing term order.  Raises MinimalityError when
-    the columns are dependent.
+    `Echelon` over the columns, each term keyed by its negation so that
+    the largest term leads.  Returns the (pivot term, term vector) pairs in
+    decreasing term order.  Raises MinimalityError when the columns are
+    dependent.
     """
-    terms = sorted({t for col in block for t in col}, reverse=True)
+    terms = {t for col in block for t in col}
     if sum(map(len, block)) >= _DENSE * len(block) * len(terms):
+        terms = sorted(terms, reverse=True)
         return _scanned([(t, tuple([col.get(t, 0) for col in block])) for t in terms], len(block))
-    index = {t: i for i, t in enumerate(terms)}
     ech = Echelon()
     for col in block:
-        ech.add(_dense_primitive(col, index))
-    if len(ech.pivots) < len(block):
+        ech.add({-t: x for t, x in col.items()})
+    if ech.rank < len(block):
         raise MinimalityError(_NOT_MINIMAL)
-    keys = [terms[pos] for pos in sorted(ech.pivots)]
-    del ech  # free its rows now, or the cyclic collector traverses them while the term vectors are built
+    keys = [-k for k in sorted(ech.pivots)]
     return list(zip(keys, _term_vectors(block, keys)))
 
 
@@ -455,10 +457,11 @@ def _inverted(inverse, row_degrees, column_degrees):
     Row r of inverse lies in degree row_degrees[r] and column j in
     column_degrees[j], and inverse is zero between degrees, so each degree's
     block of rows and columns is square and inverts on its own.  Within a
-    block M of size n, row j of [M^T | I] is column j of M followed by the
-    unit vector e_j at position n + j, and the reduced echelon form is
-    [I | (M^T)^-1], whose row r holds M^-1[j][r] at position n + j.
-    Entries are ints where they are integral, as everywhere.
+    block M of size n, row j of [M^T | I] is the nonzeros of column j of M
+    at positions 0 to n - 1 and the unit vector e_j at position n + j, and
+    the reduced echelon form is [I | (M^T)^-1], whose row r holds
+    M^-1[j][r] at position n + j.  Entries are ints where they are
+    integral, as everywhere.
     """
     out = [[0] * inverse.num_rows for _ in range(inverse.num_rows)]
     for d in dict.fromkeys(column_degrees):
@@ -467,9 +470,9 @@ def _inverted(inverse, row_degrees, column_degrees):
         n = len(cols)
         ech = Echelon()
         for k, j in enumerate(cols):
-            vec = {i: inverse.rows[r][j] for i, r in enumerate(rows)}
+            vec = {i: x for i, r in enumerate(rows) if (x := inverse.rows[r][j])}
             vec[n + k] = 1
-            ech.add(_dense_primitive(vec, range(2 * n)))
+            ech.add(vec)
         for i, row in ech.reduced_rows().items():
             for pos, x in row.items():
                 if pos >= n:

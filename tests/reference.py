@@ -2,16 +2,21 @@
 
 They stay independent of `packed`, `linalg.Echelon` and `schreyer`, so that
 a test comparing the library against them checks the packed engine against
-exponent tuples, the elimination against the one it replaced, and the
+exponent tuples, the sparse elimination against a dense one, and the
 division that looks divisors up by bucket against the list scan.
+`generic_minors` builds determinantal inputs, and `eagon_northcott_weights`
+is a closed form, which no walk computes, for the weights of their
+resolutions.
 """
 
 import bisect
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 
-from torusweights import enumerate_terms
-from torusweights.rings import monomial_divides
+from torusweights import FreeModuleSpec, PolyMatrix, RingSpec, enumerate_terms
+from torusweights.rings import Polynomial, monomial_divides
 
 
 def _term_divides(a, b):
@@ -34,12 +39,15 @@ def _primitive_row(row):
 
 
 class ReferenceEchelon:
-    """The elimination `linalg.Echelon` ran before it deferred content division.
+    """A dense elimination that reduces every row fully, the oracle for the sparse `linalg.Echelon`.
 
-    `add` takes a row of rationals and makes it a primitive integer row, as
-    the row layout did, and every elimination step makes its row primitive
-    again, so each working row is primitive.  `pivots`, `rank` and
-    `reduced_rows` are as `linalg.Echelon`'s.
+    `add` takes a dense row of rationals, a list over positions 0, 1, ...,
+    and makes it a primitive integer row; it reduces the row at every
+    pivot of the rows before it, and every step makes the row primitive
+    again.  A row's pivot is its first nonzero position, as a sparse row's
+    lead is its smallest key, so `pivots` has `linalg.Echelon`'s keys in
+    its order, and `rank`, the keep-flags of `add` and `reduced_rows` are
+    as `linalg.Echelon`'s.
     """
 
     def __init__(self):
@@ -79,6 +87,50 @@ class ReferenceEchelon:
     @property
     def rank(self):
         return len(self.pivots)
+
+
+def generic_minors(p, n, k):
+    """The k x k minors of the generic p x n matrix, as a one-row PolyMatrix with one column per minor.
+
+    The variable x_ij (row i, column j) has degree 1 and torus weight
+    e_i + f_j in Z^(p + n), and the ring's term order is grevlex; each
+    minor lies in degree k.  The minors come by row subset, then column subset,
+    both in lexicographic order, each the signed sum over permutations.
+    """
+    cells = [(i, j) for i in range(p) for j in range(n)]
+    weights = [[int(a == i) for a in range(p)] + [int(b == j) for b in range(n)] for i, j in cells]
+    ring = RingSpec(["x%d_%d" % (i + 1, j + 1) for i, j in cells], [[1]] * len(cells), weights, "grevlex")
+    minors = []
+    for rows in combinations(range(p), k):
+        for cols in combinations(range(n), k):
+            terms = {}
+            for perm in permutations(range(k)):
+                inversions = sum(perm[a] > perm[b] for a, b in combinations(range(k), 2))
+                exponents = [0] * len(cells)
+                for i, c in zip(rows, perm):
+                    exponents[i * n + cols[c]] = 1
+                terms[tuple(exponents)] = (-1) ** inversions
+            minors.append(Polynomial(terms))
+    return PolyMatrix(FreeModuleSpec(ring, [[0]]), FreeModuleSpec(ring, [[k]] * len(minors)), [minors])
+
+
+def eagon_northcott_weights(p, n):
+    """The weights of the Eagon-Northcott resolution of the maximal minors of `generic_minors(p, n, p)`.
+
+    One Counter per module F_0, ..., F_(n - p + 1): F_0 has the weight 0,
+    and F_i (i >= 1) the weights (e_1 + ... + e_p) + e_alpha + f_S, over
+    the multisets alpha of size i - 1 in {1..p} and the subsets S of size
+    p + i - 1 of {1..n} (Eagon and Northcott, Proc. Roy. Soc. A 1962;
+    Eisenbud, "The Geometry of Syzygies", appendix A2).
+    """
+    modules = [Counter([(0,) * (p + n)])]
+    for i in range(1, n - p + 2):
+        weights = Counter()
+        for alpha in combinations_with_replacement(range(p), i - 1):
+            for subset in combinations(range(n), p + i - 1):
+                weights[tuple([1 + alpha.count(a) for a in range(p)] + [int(b in subset) for b in range(n)])] += 1
+        modules.append(weights)
+    return modules
 
 
 def reference_pseudo_divide(work, tail, divisors, divmask, guards):

@@ -32,7 +32,7 @@ from torusweights import (
 )
 from torusweights.errors import MinimalityError, ResolutionStepError
 from torusweights.groebner import _nonzero_composite, _packed_chain, check_chain
-from torusweights.linalg import Echelon, _dense_primitive, _Slots, rank
+from torusweights.linalg import Echelon, _Slots, rank
 from torusweights.modules import ModuleElement, _column_rows, dual_map
 from torusweights import packed
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
@@ -671,7 +671,7 @@ def _propagate(matrix, weights, order):
     for j, col in enumerate(columns):
         vec = {index[term]: coeff for term, coeff in col.support()}
         vec[n + j] = 1
-        ech.add(_dense_primitive(vec, range(n + len(columns))))
+        ech.add(vec)
     if any(pos >= n for pos in ech.pivots):
         raise MinimalityError(_NOT_MINIMAL)
     rows = ech.reduced_rows()

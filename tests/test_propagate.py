@@ -31,13 +31,15 @@ from torusweights import (
     split_by_column_degree,
     standard_monomials,
 )
-from torusweights.modules import dual_map, permute_columns
+from torusweights.modules import ModuleTerm, dual_map, permute_columns
 from torusweights.packed import _TermCodec
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.propagate import _inverted
+from torusweights.rings import vector_add
 
 from conftest import entries_as_text, fixture_path, koszul_complex, matrix, plucker_presentation
+from reference import eagon_northcott_weights, generic_minors
 
 TOP_UP = ModuleTermOrder("top-up")
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
@@ -1354,3 +1356,49 @@ def test_graded_components_read_no_reduced_basis_and_no_term_weights(monkeypatch
     assert (reduce.calls, weigh.calls) == (0, 0)
     # the run unpacks each leading term it adds, and the search reads each once more
     assert unpack.calls == 2 * leads
+
+
+# ---------- sparse degree blocks ----------
+
+
+# The maximal minors of a generic p x n matrix, x_ij of weight e_i + f_j,
+# are resolved by the Eagon-Northcott complex, whose weights have a closed
+# form (reference.eagon_northcott_weights) that no walk computes.  Nearly
+# every degree block of these walks is below `_DENSE`, so their pivots come
+# from the sparse `linalg.Echelon`.
+@pytest.mark.parametrize("size", [(2, 3), (2, 4), (2, 5), (3, 5), (2, 7), (3, 6)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_eagon_northcott_walk_matches_the_closed_form(order, size):
+    p, n = size
+    resolution = minimal_resolution(generic_minors(p, n, p), order)
+    walked = propagate_resolution(resolution, 0, [(0,) * (p + n)], order)
+    assert [Counter(ws) for ws in walked.per_module] == eagon_northcott_weights(p, n)
+
+
+def test_single_term_columns_are_stored_as_their_nonzeros(monkeypatch):
+    # a 2 x 924 map whose columns are the single terms m * e_i, m every
+    # monomial of degree 6 in six variables: one sparse degree block, whose
+    # every column is stored as it comes, one nonzero each, and whose
+    # weights are those of the columns' own terms in the order's sort
+    ring = RingSpec(["x%d" % k for k in range(1, 7)], [[1]] * 6, [[int(j == k) for j in range(6)] for k in range(6)])
+    monomials = ring.monomials_of_degree((6,))
+    codomain, domain = FreeModuleSpec(ring, [[0], [0]]), FreeModuleSpec(ring, [[6]] * (2 * len(monomials)))
+    entries = [[Polynomial({m: 1}) if i == row else Polynomial() for i in (0, 1) for m in monomials] for row in (0, 1)]
+    weights = [(0,) * 6, (1, 2, 3, 4, 5, 6)]
+    echelons = []
+    propagate_module = importlib.import_module("torusweights.propagate")
+
+    class Recorded(propagate_module.Echelon):
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    monkeypatch.setattr(propagate_module, "Echelon", Recorded)
+    for order in ALL_ORDERS:
+        echelons.clear()
+        result = propagate(PolyMatrix(codomain, domain, entries), weights, order)
+        (ech,) = echelons
+        assert ech.rank == 924 and all(len(row) == 1 and all(row.values()) for row in ech.pivots.values())
+        terms = [ModuleTerm(m, i) for i in (0, 1) for m in monomials]
+        terms.sort(key=order.sort_key(ring), reverse=not order.is_position_up)
+        assert result.weights == tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in terms)

@@ -34,7 +34,7 @@ from torusweights import (
 from torusweights.errors import InputError, MinimalityError, ResolutionStepError
 from torusweights import schreyer
 from torusweights.groebner import _buchberger_run, _nakayama_kept, _packed_chain
-from torusweights.linalg import Echelon, _dense_primitive, _primitive, _Slots, pivot_scan, rank
+from torusweights.linalg import Echelon, _primitive, _Slots, pivot_scan, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
 from torusweights.packed import _FIELD_BITS, _integral, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
@@ -137,17 +137,15 @@ def rational_rows(draw):
 
 
 @SETTINGS
-@given(case=rational_rows(), explicit_zeros=st.booleans())
-def test_echelon_matches_sympy_rref(case, explicit_zeros):
+@given(case=rational_rows())
+def test_echelon_matches_sympy_rref(case):
     sympy = __import__("sympy")
     num_cols, rows = case
     ech = Echelon()
     flags = []
     for row in rows:
-        # the row laid out from the mapping of all its entries, zeros too, or
-        # of its nonzero ones
-        vec = {j: x for j, x in enumerate(row) if x or explicit_zeros}
-        flags.append(ech.add(_dense_primitive(vec, range(num_cols))))
+        # the row as the mapping of its nonzero entries, keyed by position
+        flags.append(ech.add({j: x for j, x in enumerate(row) if x}))
 
     def reference(prefix):
         return sympy.Matrix(len(prefix), num_cols, [sympy.Rational(x) for r in prefix for x in r]).rref()
@@ -213,17 +211,81 @@ def typed_rows(reduced):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=echelon_cases())
 def test_deferred_content_division_matches_per_step_division(case):
-    # Echelon divides a row by its content only when it stores it; the
-    # reference divides after every step
+    # Echelon divides a row by its content only when it stores it, and
+    # reduces it only at its lead; the reference divides after every step
+    # and reduces at every pivot, so the stored rows share their leads, in
+    # the order they were stored, and each is a primitive integer row
     num_cols, rows = case
     ech, reference = Echelon(), ReferenceEchelon()
     for row in rows:
         vec = {j: x for j, x in enumerate(row) if x}
-        assert ech.add(_dense_primitive(vec, range(num_cols))) == reference.add(row)
-        assert list(ech.pivots.items()) == list(reference.pivots.items())
-        assert all(type(x) is int for stored in ech.pivots.values() for x in stored)
+        assert ech.add(vec) == reference.add(row)
+        assert list(ech.pivots) == list(reference.pivots)
+        assert all(type(x) is int for stored in ech.pivots.values() for x in stored.values())
+        assert all(min(stored) == pos and gcd(*stored.values()) == 1 for pos, stored in ech.pivots.items())
     assert ech.rank == reference.rank
     assert typed_rows(ech.reduced_rows()) == typed_rows(reference.reduced_rows())
+
+
+@st.composite
+def sparse_echelon_cases(draw):
+    """Rows for the sparse Echelon, dicts of their nonzeros over a few int keys, plus zero, repeated and rescaled rows.
+
+    Keys are ints of either sign, as positions and negated packed terms
+    are.  The rows of one case are all sparse (at most three keys each) or
+    all dense (every key), with small ints, Fractions or the wide entries
+    above; zero rows are empty dicts, and rescaled copies take rational or
+    integer factors up to 2**200.
+    """
+    keys = sorted(draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=8, unique=True)))
+    entries = draw(st.sampled_from([st.integers(-9, 9), nonzero_rationals, WIDE_ENTRIES])).filter(bool)
+    dense = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        support = keys if dense else draw(st.lists(st.sampled_from(keys), max_size=3, unique=True))
+        rows.append({k: draw(entries) for k in support})
+    factors = st.one_of(nonzero_rationals, st.integers(-(2**200), 2**200).filter(bool))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "scale"]))
+        if kind == "zero" or not rows:
+            rows.insert(draw(st.integers(0, len(rows))), {})
+            continue
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        factor = 1 if kind == "repeat" else draw(factors)
+        rows.insert(draw(st.integers(0, len(rows))), {k: factor * x for k, x in source.items()})
+    return keys, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=sparse_echelon_cases())
+def test_sparse_echelon_matches_the_dense_reference_and_sympy(case):
+    # the reference takes each row laid out densely over the sorted keys, so
+    # that position j stands for keys[j]; sympy's rref is the third opinion
+    sympy = __import__("sympy")
+    keys, rows = case
+    ech, reference = Echelon(), ReferenceEchelon()
+    flags = []
+    for row in rows:
+        flags.append(ech.add(row))
+        assert flags[-1] == reference.add([row.get(k, 0) for k in keys])
+    assert list(ech.pivots) == [keys[pos] for pos in reference.pivots]
+    assert ech.rank == reference.rank
+    assert all(type(x) is int for stored in ech.pivots.values() for x in stored.values())
+    expected = {keys[pos]: {keys[j]: x for j, x in row.items()} for pos, row in reference.reduced_rows().items()}
+    reduced = ech.reduced_rows()
+    assert typed_rows(reduced) == typed_rows(expected)
+
+    def rref(prefix):
+        cells = [sympy.Rational(row.get(k, 0)) for row in prefix for k in keys]
+        return sympy.Matrix(len(prefix), len(keys), cells).rref()
+
+    matrix, pivots = rref(rows)
+    assert sorted(ech.pivots) == [keys[j] for j in pivots]
+    assert flags == [len(rref(rows[: k + 1])[1]) > len(rref(rows[:k])[1]) for k in range(len(rows))]
+    assert reduced == {
+        keys[j]: {keys[c]: Fraction(int(matrix[r, c].p), int(matrix[r, c].q)) for c in range(len(keys)) if matrix[r, c]}
+        for r, j in enumerate(pivots)
+    }
 
 
 # mappings {key: rational} mixing ints and Fractions of either sign, with a
@@ -261,11 +323,13 @@ packed_module = importlib.import_module("torusweights.packed")
 
 @st.composite
 def degree_blocks(draw):
-    """Packed columns of one degree block, dense or sparse, plus zero, repeated, rescaled and non-primitive copies.
+    """Packed columns of one degree block, dense or sparse, plus zero, repeated, rescaled, combined and non-primitive copies.
 
     Keys are ints, as packed terms are.  Entries are small ints, ints of
     up to 24 bits, whose working vectors outgrow the first slots of the
     pivot scan within a few steps, or ints and Fractions up to 2**200.
+    A combined column is one column plus a small multiple of another, so
+    that a dependent block need not repeat a column's support.
     Non-primitive columns are one or two columns times one integer factor
     of up to 2**70, which they then share, as the product kernel's scaled
     ints can.
@@ -279,8 +343,13 @@ def degree_blocks(draw):
         block.append({k: draw(entries) for k in support})
     factors = st.one_of(st.integers(-(2**200), 2**200).filter(bool), nonzero_rationals)
     for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["zero", "repeat", "scale", "shared"]))
+        kind = draw(st.sampled_from(["zero", "repeat", "scale", "shared", "combined"]))
         i, j = (draw(st.integers(0, len(block) - 1)) for _ in range(2))
+        if kind == "combined":
+            c = draw(st.integers(-3, 3))
+            combined = {k: block[i].get(k, 0) + c * block[j].get(k, 0) for k in block[i].keys() | block[j].keys()}
+            block.insert(draw(st.integers(0, len(block))), {k: x for k, x in combined.items() if x})
+            continue
         if kind == "shared":
             factor = draw(st.integers(2, 2**70))
             for k in {i, j}:
@@ -315,7 +384,7 @@ def test_the_pivot_scan_finds_echelons_pivots(block):
     index = {t: i for i, t in enumerate(terms)}
     ech = Echelon()
     for col in block:
-        ech.add(_dense_primitive(col, index))
+        ech.add({index[t]: x for t, x in col.items()})
     pivots = [terms[pos] for pos in sorted(ech.pivots)]
     # the walk's ints: the block times the lcm of its denominators, not made primitive
     ints = _integral(block)[0]
@@ -693,7 +762,7 @@ def test_hilbert_function_of_leading_term_module(data):
                 continue
             for mono in ring.monomials_of_degree((gap,)):
                 shifted = col.multiply_term(mono, 1)
-                ech.add(_dense_primitive(dict(shifted.support()), index))
+                ech.add({index[t]: c for t, c in shifted.support()})
         image_dim = ech.rank
         standard = standard_monomials(basis, degree)
         assert len(standard) == len(terms) - image_dim
@@ -1068,9 +1137,9 @@ def reference_nakayama_kept(vectors, degrees, ring):
         index = {t: i for i, t in enumerate(terms)}
         ech = Echelon()
         for p in products:
-            ech.add(_dense_primitive(dict(p.support()), index))
+            ech.add({index[t]: c for t, c in p.support()})
         for i in members:
-            kept[i] = ech.add(_dense_primitive(dict(vectors[i].support()), index))
+            kept[i] = ech.add({index[t]: c for t, c in vectors[i].support()})
     return kept
 
 
