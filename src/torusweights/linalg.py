@@ -10,16 +10,16 @@ keys that order themselves, its lead is its smallest key, and `add`
 reduces a row by fraction-free steps only at its lead, until the lead is
 no stored row's lead, then divides it by its content once and stores it.
 Its callers key their rows as the order of the elimination needs: the
-walk's sparse degree blocks by packed term, each negated so that the
-largest term leads (see `propagate._block_leads`),
+walk's degree blocks that come as packed dicts by packed term, each
+negated so that the largest term leads (see `propagate._block_leads`),
 `groebner._nakayama_kept`, for the keep-flags of vectors of one degree,
 by the order in which the terms first appear, and C from C^-1
 (`propagate._inverted`, by `reduced_rows`) and `rank` by position.  Fractions appear only in
 `reduced_rows`, and there only for entries that are not integers.
-`pivot_scan` finds only the pivots, for the walk's dense degree blocks
-(see `propagate._propagate`): it takes the matrix position by position,
-each position's column a tuple of ints, a term vector, which it packs into
-one int with one signed slot per row, reduces it by whole-int
+`pivot_scan` finds only the pivots, for the walk's degree blocks in row
+slots (see `propagate._row_block_leads`): it takes the matrix position by
+position, each position's column a tuple of ints, a term vector, which it
+packs into one int with one signed slot per row, reduces it by whole-int
 fraction-free steps, and stops at full rank; the rows need not be
 primitive, so the walk hands it the product kernel's scaled ints as they
 are.  `_Slots` is the one layout of signed slots packed into an int, and
@@ -190,8 +190,8 @@ def pivot_scan(vectors, count):
 
     vectors are the columns of an integer matrix of `count` rows, each a
     tuple of count ints, in the order of Echelon's positions: the walk's
-    term vectors, one per term of a degree block in decreasing term order,
-    holding the coefficients the block's columns have at that term.
+    term vectors, one per term of a degree block in row slots, terms
+    decreasing, holding the coefficients the block's columns have there.
     Position k is a pivot of the `Echelon` form of the rows exactly when
     vectors[k] is independent of the vectors before it, and no row needs
     to be primitive for that.  The scan takes the vectors in order and

@@ -34,8 +34,8 @@ layout of signed slots, `linalg._Slots`: one int per monomial, one slot
 per row, each slot wider than any sum it takes, so that an int is 0
 exactly when every slot is.  The rebase packs C^-1's columns straight
 from the walk's term vectors and hands the product on in those ints, a
-`_RowPacked`, which the walk's dense degree blocks read without any dict
-and which is unpacked into dicts only when the map or G is read.  The
+`_RowPacked`, whose degree blocks the walk reads without any dict and
+which is unpacked into dicts only when the map or G is read.  The
 standard-monomial search carries a torus weight in the same layout, one
 slot per component, and the walk's pivot scan a term's coefficients in a
 degree block, one slot per column (`linalg.pivot_scan`).  A map is packed at most
@@ -487,7 +487,8 @@ class _RowPacked:
     whose slot r holds the coefficient, times scale, of the term at that
     monomial whose index field is tags[r]; an int may be 0 where terms
     cancelled.  Iterating gives the packed dict columns, unpacked by
-    `dicts` on first use and kept, for the step's map and G = M @ C.
+    `dicts` on first use and kept, for the step's map and G = M @ C, and
+    a degree block's coefficients are read by `term_vectors`.
     """
 
     __slots__ = ("columns", "slots", "tags", "scale", "_dicts")
@@ -495,6 +496,25 @@ class _RowPacked:
     def __init__(self, columns, slots, tags, scale):
         self.columns, self.slots, self.tags, self.scale = columns, slots, tags, scale
         self._dicts = None
+
+    def term_vectors(self, cols):
+        """The (term, coefficient tuple) pairs of the columns cols, terms decreasing, each int unpacked once.
+
+        A term is a packed monomial plus a row's tag, and its tuple holds
+        the coefficients, times scale, of the columns cols there, in turn;
+        only terms at which some column is nonzero are given.
+        """
+        unpack, tags = self.slots.unpack, self.tags
+        unpacked = [{m: unpack(v) for m, v in self.columns[j].items() if v} for j in cols]
+        zero = (0,) * self.slots.count
+        vectors = [
+            (m + tag, v)
+            for m in set().union(*unpacked)
+            for tag, v in zip(tags, zip(*[col.get(m, zero) for col in unpacked]))
+            if any(v)
+        ]
+        vectors.sort(reverse=True)
+        return vectors
 
     def dicts(self):
         if self._dicts is None:

@@ -19,7 +19,9 @@ the codomain module, "cols" the domain module.  Matrices are checked for
 homogeneity while loading.  Equal entry strings in one document are parsed
 once and load as one shared Polynomial.  A key that the schema does not name
 in the document, the ring, a module or a matrix is a ProblemFileError, as
-the JSON schema's "additionalProperties": false makes it.
+the JSON schema's "additionalProperties": false makes it, and so is any
+other value the schema rejects: a variable name that is not a string of its
+pattern, an empty "vars", or an "order" or "module_order" outside its enum.
 """
 
 import json
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from .errors import ProblemFileError
 from .modules import FreeModuleSpec, ModuleTermOrder, PolyMatrix
 from .parsing import number_to_string, parse_polynomial, polynomial_to_string
-from .rings import RingSpec
+from .rings import _NAME_RE, RingSpec
 
 
 @dataclass
@@ -70,6 +72,14 @@ def _require_int_vectors(data, key, where):
     return value
 
 
+def _choice(data, key, choices, default, where):
+    """data[key], which must be one of choices, or default when data has no key."""
+    value = data.get(key, default)
+    if value not in choices:
+        raise ProblemFileError("%r in %s must be one of %s" % (key, where, ", ".join(map(repr, choices))))
+    return value
+
+
 def _section(data, key):
     value = data.get(key, {})
     if not isinstance(value, dict) or not all(isinstance(v, dict) for v in value.values()):
@@ -86,11 +96,14 @@ def problem_from_dict(data):
     )
     ring_data = _require(data, "ring", dict, "problem document")
     _reject_unknown(ring_data, ("vars", "degrees", "weights", "order"), "ring")
+    names = _require(ring_data, "vars", list, "ring")
+    if not names or not all(isinstance(v, str) and _NAME_RE.match(v) for v in names):
+        raise ProblemFileError("'vars' in ring must be a nonempty list of variable names")
     ring = RingSpec(
-        _require(ring_data, "vars", list, "ring"),
+        names,
         _require_int_vectors(ring_data, "degrees", "ring"),
         _require_int_vectors(ring_data, "weights", "ring"),
-        ring_data.get("order", "grevlex"),
+        _choice(ring_data, "order", RingSpec.TERM_ORDERS, "grevlex", "ring"),
     )
 
     modules = {}
@@ -139,7 +152,7 @@ def problem_from_dict(data):
             if name not in matrices:
                 raise ProblemFileError("resolution references unknown matrix %r" % name)
 
-    module_order = ModuleTermOrder(data.get("module_order", "top-up"))
+    module_order = ModuleTermOrder(_choice(data, "module_order", ModuleTermOrder.KINDS, "top-up", "problem document"))
     return Problem(ring, modules, matrices, weightlists, resolution, module_order)
 
 

@@ -9,8 +9,8 @@ the leading term's row.  Every S-pair lies above its columns' degree, so
 that basis is the reduced row echelon form of the columns, and one
 elimination per degree of the columns yields it and C^-1 with no Groebner
 run.  The weights and C^-1 need only the eliminations' pivots, which a
-dense degree block finds by `linalg.pivot_scan` and a sparse one by
-`linalg.Echelon` (see `_propagate`), and row k of C^-1 is the term vector
+degree block finds by the elimination that suits the form its map comes
+in (see below), and row k of C^-1 is the term vector
 of G_k's pivot, the coefficients the columns have there.  The walk
 reads none of C^-1, C and G as a matrix: C^-1 as a ScalarMatrix is built
 on first read from those term vectors (`_inverse_matrix`), C by inverting
@@ -55,20 +55,27 @@ C^-1 @ d through `_TermCodec.rebased`, the product kernel with C^-1's
 columns packed as constant terms straight from its term vectors, over one
 common denominator: a constant factor adds no degree, so the map's own
 codec holds every term of the product and the fields never need
-widening.  A dense C^-1 takes the kernel's row-packed path, and the
-rebased map stays in its row slots (`packed._RowPacked`), one int per
-monomial of a column, one slot per row: a dense degree block unpacks
-each int once and transposes the digits into the term vectors its scan
-takes, in decreasing term order (`_row_block_leads`), so a dense step
-goes from rebase to pivots to the next rebase in ints, with no dict and
-no Fraction.  A sparse block's `Echelon` takes each column as the
-packed dict it is, each term keyed by its negation, and reduces a row
-only at its current largest term, so a row holds only its nonzeros and
-no term of the block is laid out.  The forward walk packs each
-dual map by re-tagging the map's packed columns under the flipped order
-(`_TermCodec.transposed`), so no dual PolyMatrix is built until a step's
-map is read.  A packed term is its own order key, so the elimination
-sorts the image's terms as plain ints.
+widening.  The forward walk packs each dual map by re-tagging the map's
+packed columns under the flipped order (`_TermCodec.transposed`), so no
+dual PolyMatrix is built until a step's map is read.
+
+The rebase decides once which elimination each of its degree blocks
+takes, by the form it hands the map on in.  A dense C^-1 takes the
+kernel's row-packed path (`packed._row_slots`), and the rebased map
+stays in its row slots (`packed._RowPacked`), one int per monomial of a
+column, one slot per row: each block's term vectors, in decreasing term
+order, come from those ints (`packed._RowPacked.term_vectors`) to
+`linalg.pivot_scan` (`_row_block_leads`), so such a step goes from rebase
+to pivots to the next rebase in ints, with no dict and no Fraction.  A
+map in packed dicts, the first step's or a rebase's by a sparse C^-1,
+takes `linalg.Echelon` on every block (`_block_leads`), each column as
+the packed dict it is, so a row holds only its nonzeros.  No block
+measures its density again: on the benchmark's walks (seed 1) 9 dict
+blocks of `resolve` and 4 of `forward`, none wider than 7 columns, are
+at least half nonzero, and 2 row-packed blocks of `resolve`, of 15 and
+21 columns, are less.  A packed term is its own order key, so either
+elimination sorts the image's terms as plain ints.
+
 The walk unpacks only the leading terms of G.  C^-1, G, C and each step's
 rebased map are built on first read (see `PropagationResult` and `ResolutionStep`),
 and G and the maps are unpacked by `_TermCodec.matrix` only when their
@@ -278,8 +285,9 @@ def _propagate(codomain, domain, weights, codec, columns):
     is the one propagated under.  A packed term is its own order key, so
     the image's terms sort as plain ints.  Degrees share no term, so each
     degree class of columns is eliminated on its own, over that class's
-    terms only, in decreasing order (see `_block_leads` and
-    `_row_block_leads`).  The pivots of the echelon forms are the leading
+    terms only, in decreasing order: by `Echelon` on packed dicts
+    (`_block_leads`) and by `pivot_scan` on row slots
+    (`_row_block_leads`).  The pivots of the echelon forms are the leading
     terms of G, whose columns are the rows of the reduced echelon forms,
     and fewer pivots than columns mean dependent columns.  G is the
     identity at the pivots, so C^-1[k][j] is column j's coefficient at G_k's
@@ -298,18 +306,12 @@ def _propagate(codomain, domain, weights, codec, columns):
     for j, d in enumerate(domain.basis_degrees):
         classes.setdefault(d, []).append(j)
     packed_rows = isinstance(columns, _RowPacked)
-    if packed_rows:
-        scale = columns.scale
-    else:
-        integral, scale = _integral(columns)
+    held, scale = (columns, columns.scale) if packed_rows else _integral(columns)
+    block_leads = _row_block_leads if packed_rows else _block_leads
     up = codec.order.is_position_up
     leads, degrees, inverse = [], [], []
     for d, cols in classes.items():
-        if packed_rows:
-            pivots = _row_block_leads(columns, cols)
-        else:
-            pivots = _block_leads([integral[j] for j in cols])
-        keys, vectors = zip(*pivots)
+        keys, vectors = zip(*block_leads(held, cols))
         if up:
             keys, vectors = keys[::-1], vectors[::-1]
         leads += keys
@@ -334,87 +336,43 @@ def _propagate(codomain, domain, weights, codec, columns):
     ), (inverse, scale)
 
 
-# The density, nonzeros over columns times terms, from which a degree block
-# takes `pivot_scan` rather than `Echelon`.  Measured on the blocks of the
-# benchmark's walks: the blocks of 6 to 35 columns of the Koszul duals
-# that `forward` walks are at least 0.94 dense (seeds 1-12), and the scan
-# took a third of Echelon's time on them (the 33 such blocks of seeds 1-3,
-# best of 5 passes: 45 ms against 132 ms); the blocks of 8 to 35 columns
-# that `resolve` walks are 0.13-0.31 dense, and the scan took six times
-# Echelon's time (the 21 such blocks of seeds 1-3, best of 10 passes: 33
-# ms against 5.7 ms).  Smaller blocks cost little either way.
-_DENSE = 0.5
-
-
-def _block_leads(block):
-    """The pivots of one degree block's packed dict columns of ints, with their term vectors.
+def _block_leads(columns, cols):
+    """The pivots of the degree block cols of packed dict columns of ints, with their term vectors, by `Echelon`.
 
     The pivot terms are those at which the block's coefficient matrix,
     over its terms in decreasing order, gains rank; a term's vector holds
-    the coefficients the columns have there, as a dict {column position:
-    nonzero coefficient}.  A block at least `_DENSE` nonzero finds them by
-    `pivot_scan` over the term vectors (`_scanned`), and any other by
-    `Echelon` over the columns, each term keyed by its negation so that
-    the largest term leads.  Returns the (pivot term, term vector) pairs in
-    decreasing term order.  Raises MinimalityError when the columns are
-    dependent.
+    the coefficients the block's columns have there, as a dict {position
+    in cols: nonzero coefficient}.  `Echelon` takes each column as the
+    packed dict it is, each term keyed by its negation so that the largest
+    term leads.  Returns the (pivot term, term vector) pairs in decreasing
+    term order.  Raises MinimalityError when the columns are dependent.
     """
-    terms = {t for col in block for t in col}
-    if sum(map(len, block)) >= _DENSE * len(block) * len(terms):
-        terms = sorted(terms, reverse=True)
-        return _scanned([(t, tuple([col.get(t, 0) for col in block])) for t in terms], len(block))
+    block = [columns[j] for j in cols]
     ech = Echelon()
     for col in block:
         ech.add({-t: x for t, x in col.items()})
     if ech.rank < len(block):
         raise MinimalityError(_NOT_MINIMAL)
-    keys = [-k for k in sorted(ech.pivots)]
-    return list(zip(keys, _term_vectors(block, keys)))
-
-
-def _scanned(vectors, count):
-    """`_block_leads` by `pivot_scan`, over count columns given as (term, tuple term vector) pairs, terms decreasing."""
-    kept = pivot_scan([v for _, v in vectors], count)
-    if len(kept) < count:
-        raise MinimalityError(_NOT_MINIMAL)
-    return [(vectors[k][0], {i: x for i, x in enumerate(vectors[k][1]) if x}) for k in kept]
-
-
-def _term_vectors(block, keys):
-    """The term vectors of the block's packed dict columns at keys, as dicts {column position: nonzero coefficient}."""
-    at = {t: k for k, t in enumerate(keys)}
-    vectors = [{} for _ in keys]
+    at = {-k: i for i, k in enumerate(sorted(ech.pivots))}
+    vectors = [{} for _ in at]
     for i, col in enumerate(block):
         for t, x in col.items():
             if t in at:
                 vectors[at[t]][i] = x
-    return vectors
+    return list(zip(at, vectors))
 
 
 def _row_block_leads(rows, cols):
-    """`_block_leads` of the columns cols of a rebased map held in row slots (a `packed._RowPacked`).
+    """`_block_leads` of the columns cols of a `packed._RowPacked`, by `pivot_scan` over its term vectors.
 
-    Each nonzero int is unpacked once, and the block is transposed: a term
-    vector is one row of the unpacked ints that the columns have at one
-    packed monomial, zeros where a column has none, and its term is that
-    monomial plus the row's index field.  That gives the block's count of
-    terms and, if the block is dense enough, the term vectors `pivot_scan`
-    takes in decreasing term order; a sparser block takes `_block_leads`'
-    `Echelon` route on its unpacked dicts.
+    `packed._RowPacked.term_vectors` gives them in the form the scan
+    takes, and the kept terms are the pivots.
     """
-    unpack, tags, count = rows.slots.unpack, rows.tags, rows.slots.count
-    unpacked = [{m: unpack(v) for m, v in rows.columns[j].items() if v} for j in cols]
-    zero = (0,) * count
-    vectors = [
-        (m + tag, v)
-        for m in set().union(*unpacked)
-        for tag, v in zip(tags, zip(*[col.get(m, zero) for col in unpacked]))
-        if any(v)
-    ]
-    if sum(count - d.count(0) for col in unpacked for d in col.values()) >= _DENSE * len(cols) * len(vectors):
-        vectors.sort(reverse=True)
-        return _scanned(vectors, len(cols))
-    return _block_leads([{m + tag: x for m, d in col.items() for tag, x in zip(tags, d) if x} for col in unpacked])
+    vectors = rows.term_vectors(cols)
+    kept = pivot_scan([v for _, v in vectors], len(cols))
+    if len(kept) < len(cols):
+        raise MinimalityError(_NOT_MINIMAL)
+    return [(vectors[k][0], {i: x for i, x in enumerate(vectors[k][1]) if x}) for k in kept]
 
 
 def _inverse_matrix(inverse, scale):

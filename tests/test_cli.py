@@ -308,10 +308,13 @@ def test_resolve_subcommand(capsys):
     assert payload["ranks"] == [1, 5, 9, 7, 2]
 
 
-def test_check_minimal(capsys):
-    code, out, err = run(capsys, "check-minimal", "--input", str(fixture_path("two_variables.json")))
+@pytest.mark.parametrize(
+    "flags, expected", [([], "minimal\n"), (["--json"], '{"minimal":true}\n')], ids=["text", "json"]
+)
+def test_check_minimal(capsys, flags, expected):
+    code, out, err = run(capsys, "check-minimal", "--input", str(fixture_path("two_variables.json")), *flags)
     assert code == 0
-    assert out == "minimal\n"
+    assert out == expected
 
 
 def test_propagate_forward_subcommand(capsys, tmp_path):
@@ -650,6 +653,9 @@ def test_unknown_keys_are_parse_errors(capsys, tmp_path, edit, message):
     assert (code, out, err) == (2, "", "parse error: %s\n" % message)
 
 
+VARS_MESSAGE = "'vars' in ring must be a nonempty list of variable names"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -661,16 +667,35 @@ def test_unknown_keys_are_parse_errors(capsys, tmp_path, edit, message):
         (lambda doc: doc.update(resolution="m"), "'resolution' must be a list of matrix names"),
         (lambda doc: doc.update(resolution=["m", 1]), "'resolution' must be a list of matrix names"),
         (lambda doc: doc.update(resolution=["m", "d2"]), "resolution references unknown matrix 'd2'"),
+        (lambda doc: doc["matrices"]["m"].pop("entries"), "missing 'entries' in matrix 'm'"),
+        (lambda doc: doc["matrices"]["m"].pop("rows"), "missing 'rows' in matrix 'm'"),
+        (lambda doc: doc["matrices"]["m"].pop("cols"), "missing 'cols' in matrix 'm'"),
+        (lambda doc: doc["matrices"]["m"].update(entries=[["x1"]]), "matrix 'm' entries do not match the module ranks"),
+        (lambda doc: doc["matrices"]["m"].update(entries=[]), "matrix 'm' entries do not match the module ranks"),
+        # values docs/problem-file-schema.json rejects, as it rejects unknown keys
+        (lambda doc: doc["ring"].update(vars=[True, "x2"]), VARS_MESSAGE),
+        (lambda doc: doc["ring"].update(vars=[1]), VARS_MESSAGE),
+        (lambda doc: doc["ring"].update(vars=[]), VARS_MESSAGE),
+        (lambda doc: doc["ring"].update(vars=["1x", "x2"]), VARS_MESSAGE),
+        (lambda doc: doc["ring"].update(order="deglex"), "'order' in ring must be one of 'grevlex', 'lex'"),
+        (
+            lambda doc: doc.update(module_order="x"),
+            "'module_order' in problem document must be one of 'top-up', 'pot-up', 'top-down', 'pot-down'",
+        ),
     ],
     ids=["unknown-rows-module", "weightlists-not-an-object", "resolution-not-a-list",
-         "resolution-not-strings", "resolution-unknown-matrix"],
+         "resolution-not-strings", "resolution-unknown-matrix", "missing-entries", "missing-rows",
+         "missing-cols", "entries-too-narrow", "entries-too-short", "vars-bool", "vars-int", "vars-empty",
+         "vars-pattern", "order-enum", "module-order-enum"],
 )
-def test_loader_errors_name_the_fault(edit, message):
+def test_loader_errors_name_the_fault(capsys, tmp_path, edit, message):
     doc = two_variables_document()
     edit(doc)
     with pytest.raises(ProblemFileError) as info:
         problem_from_dict(doc)
     assert str(info.value) == message
+    code, out, err = run_on_broken_two_variables(capsys, tmp_path, edit)
+    assert (code, out, err) == (2, "", "parse error: %s\n" % message)
 
 
 def test_missing_file(capsys, tmp_path):
@@ -801,6 +826,13 @@ def test_problem_round_trip_is_idempotent():
     assert once == twice
 
 
+def test_a_matrix_on_a_module_outside_the_table_does_not_serialize():
+    problem = load_problem(fixture_path("two_variables.json"))
+    del problem.modules["E"]
+    with pytest.raises(ProblemFileError, match="matrix uses a module that is not in the module table"):
+        problem_to_dict(problem)
+
+
 def test_module_order_flag(capsys):
     code_top, out_top, _ = run(
         capsys, "propagate", "--input", str(fixture_path("bigraded.json")), "--json",
@@ -871,7 +903,7 @@ def test_a_shared_entry_is_checked_at_every_cell():
         problem_from_dict(doc)
 
 
-@pytest.mark.parametrize("bad", ["x1 +", "(3*x1)^10000001", "(3*x1)^10000000", "x1 ^ -1", "y"])
+@pytest.mark.parametrize("bad", ["x1 +", "(3*x1)^10000001", "(3*x1)^10000000", "x1 ^ -1", "y", "1/x1"])
 def test_a_repeated_malformed_entry_fails_as_a_single_one(monkeypatch, bad):
     def failure(doc):
         with pytest.raises(PolynomialSyntaxError) as info:

@@ -1363,9 +1363,10 @@ def test_graded_components_read_no_reduced_basis_and_no_term_weights(monkeypatch
 
 # The maximal minors of a generic p x n matrix, x_ij of weight e_i + f_j,
 # are resolved by the Eagon-Northcott complex, whose weights have a closed
-# form (reference.eagon_northcott_weights) that no walk computes.  Nearly
-# every degree block of these walks is below `_DENSE`, so their pivots come
-# from the sparse `linalg.Echelon`.
+# form (reference.eagon_northcott_weights) that no walk computes.  Every
+# C^-1 of these walks is sparse enough that its rebase takes the dict loop,
+# so every degree block comes as packed dicts and finds its pivots by the
+# sparse `linalg.Echelon`.
 @pytest.mark.parametrize("size", [(2, 3), (2, 4), (2, 5), (3, 5), (2, 7), (3, 6)], ids=lambda s: "%dx%d" % s)
 @pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
 def test_eagon_northcott_walk_matches_the_closed_form(order, size):

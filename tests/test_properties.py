@@ -6,8 +6,10 @@ Each suite runs at least 100 generated cases (hypothesis profile below).
 import contextlib
 import importlib
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from unittest import mock
 
@@ -391,22 +393,62 @@ def test_the_pivot_scan_finds_echelons_pivots(block):
     vectors = [tuple(col.get(t, 0) for col in ints) for t in terms]
     # the scan keeps Echelon's pivots, in decreasing order, whether or not the block is dependent
     assert [terms[k] for k in pivot_scan(vectors, len(block))] == pivots
-    # _propagate's blocks: on the scan (_DENSE 0) and on Echelon (_DENSE 2) alike, from dicts and
-    # from row slots, each pivot with its term vector as a dict of its nonzeros
-    for threshold in (0, 2):
-        with mock.patch.object(propagate_module, "_DENSE", threshold):
-            for found in (
-                lambda: propagate_module._block_leads(ints),
-                lambda: propagate_module._row_block_leads(row_packed(ints), range(len(ints))),
-            ):
-                if len(pivots) < len(block):
-                    with pytest.raises(MinimalityError):
-                        found()
-                    continue
-                leads = found()
-                assert all(type(v) is dict and all(v.values()) for _, v in leads)
-                dense = [(t, tuple(v.get(i, 0) for i in range(len(block)))) for t, v in leads]
-                assert dense == [(t, vectors[index[t]]) for t in pivots]
+    # _propagate's blocks, sparse, dense and dependent alike: on Echelon as packed dicts and on the
+    # scan as row slots, each pivot with its term vector as a dict of its nonzeros
+    for found in (
+        lambda: propagate_module._block_leads(ints, range(len(ints))),
+        lambda: propagate_module._row_block_leads(row_packed(ints), range(len(ints))),
+    ):
+        if len(pivots) < len(block):
+            with pytest.raises(MinimalityError):
+                found()
+            continue
+        leads = found()
+        assert all(type(v) is dict and all(v.values()) for _, v in leads)
+        dense = [(t, tuple(v.get(i, 0) for i in range(len(block)))) for t, v in leads]
+        assert dense == [(t, vectors[index[t]]) for t in pivots]
+
+
+def route_spies(monkeypatch):
+    """(the column counts `pivot_scan` is called on by the walk, the rows `Echelon.add` takes), from now on."""
+    scans, adds = [], []
+    scan, add = propagate_module.pivot_scan, Echelon.add
+    monkeypatch.setattr(
+        propagate_module, "pivot_scan", lambda vectors, count: scans.append(count) or scan(vectors, count)
+    )
+    monkeypatch.setattr(Echelon, "add", lambda self, vec: adds.append(vec) or add(self, vec))
+    return scans, adds
+
+
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_a_dense_block_of_packed_dicts_takes_echelon(monkeypatch, order):
+    # 21 generic linear forms in seven variables, one per column of a rank-7
+    # module: one degree block, every one of its 49 terms nonzero in every
+    # column, which comes as packed dicts and so never reaches the scan
+    ring = RingSpec(["x%d" % k for k in range(1, 8)], [[1]] * 7, [[int(j == k) for j in range(7)] for k in range(7)])
+    variables = [tuple(int(j == k) for j in range(7)) for k in range(7)]
+    draw = partial(random.Random(1).choice, [-9, -5, -2, -1, 1, 3, 4, 7])
+    entries = [[Polynomial({v: draw() for v in variables}) for _ in range(21)] for _ in range(7)]
+    matrix = PolyMatrix(FreeModuleSpec(ring, [[0]] * 7), FreeModuleSpec(ring, [[1]] * 21), entries)
+    weights = [(k,) * 7 for k in range(7)]
+    scans, adds = route_spies(monkeypatch)
+    result = propagate(matrix, weights, order)
+    assert scans == [] and len(adds) == 21 and all(len(row) == 49 for row in adds)
+    # generic columns gain rank at each of the 21 largest terms
+    terms = sorted((ModuleTerm(v, i) for i in range(7) for v in variables), key=order.sort_key(ring), reverse=True)
+    leads = terms[:21][::-1] if order.is_position_up else terms[:21]
+    assert result.weights == tuple(vector_add(ring.monomial_weight(t.monomial), weights[t.index]) for t in leads)
+
+
+def test_a_sparse_block_in_row_slots_takes_the_scan(monkeypatch):
+    # four columns of one or two terms over five terms, a fifth nonzero: in
+    # row slots, as a rebase by a dense C^-1 hands a block on, it goes to the
+    # scan and builds no Echelon
+    block = [{8: 1}, {17: 2, 41: -1}, {26: 3}, {33: 5}]
+    scans, adds = route_spies(monkeypatch)
+    leads = propagate_module._row_block_leads(row_packed(block), range(4))
+    assert (scans, adds) == ([4], [])
+    assert leads == [(41, {1: -1}), (33, {3: 5}), (26, {2: 3}), (8, {0: 1})]
 
 
 # ---------- exact coefficients: int when integral, else Fraction ----------
