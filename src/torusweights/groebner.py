@@ -14,10 +14,10 @@ arithmetic is exact.  Coefficients are ints where they are integral (see
 primitive integer vectors.
 
 One engine, `_buchberger_run`, computes Groebner bases, minimality and the
-first two levels of the frame behind resolutions and syzygies.  Whether
-vectors minimally generate their span (graded Nakayama) is read off a
-bounded run over them that takes the S-pairs of each degree before its
-generators: a vector is needed exactly when it joins the basis.  Vectors
+first two levels of the frame behind resolutions and syzygies.  A generator
+that may not join waits for its degree's S-pairs: every generator of the
+bounded run that reads graded Nakayama off (a vector is needed exactly
+when it joins), and each redundant column of the frame's run.  Vectors
 that all lie in one degree are decided without a run, by the engine's one
 sparse elimination, `linalg.Echelon` (see `_nakayama_kept`).  No monomial
 multiple of a vector is formed.
@@ -206,36 +206,40 @@ class GroebnerBasis:
         return [g.leading_term(self.order)[0] for g in self.elements]
 
 
-def _buchberger_run(codec, columns, degrees, module, bound, units):
+def _buchberger_run(codec, columns, degrees, module, bound, kept):
     """Core Buchberger loop on packed terms; returns (codec, columns, basis, records, joined).
 
     columns are packed dicts, packed by codec, of elements of module, column
     j of degree degrees[j]; the run copies them and leaves them as they are.
-    codec has indices for module.  units is False for a run without tails
-    (`buchberger`, `_nakayama_kept`) and True for a run with unit tails (the
-    frame of `minimal_resolution` and `syzygies`).
+    codec has indices for module.  kept is None for a run without tails
+    (`buchberger`, `_nakayama_kept`), and the columns' keep-flags (see
+    `_nakayama_kept`) for a run with unit tails (the frame of
+    `minimal_resolution` and `syzygies`); a column not kept is redundant.
     Generators and S-pairs are processed in increasing order of the ring's
     positive functional of their degrees, ties broken by the degrees
     themselves (normal selection strategy); items whose functional exceeds
     the bound's are dropped.  joined holds one flag per column: whether it
     joined the basis.
 
-    Within a degree a run without tails takes the S-pairs before the
-    generators, in column order.  A new element's S-pairs lie in strictly
-    higher degrees, so when column j's turn comes the basis is a Groebner
-    basis, up to j's degree, of the submodule the columns before j
-    generate, and column j joins exactly when it is not in that submodule:
-    graded Nakayama's test of whether it is needed to generate (see
-    `_nakayama_kept`).  Such a run only top-reduces each item (see
-    `_pseudo_divide`): the division stops at the first popped term that no
-    divisor's leading term divides.  Up to there its steps are those of full
-    reduction, so the item reduces to zero, or joins with that leading
-    term, exactly as it would under full reduction by the same basis.  The
-    element's lower terms may stay reducible, and a later S-pair of it then
-    differs from full reduction's by an element of the submodule the basis
-    generates; the leading terms the basis reaches in each degree, and so
-    the S-pair degrees and the generators that join (within a degree the
-    S-pairs go first), depend only on that submodule.
+    Within a degree a generator that may not join (without tails every
+    one, with them each redundant column) waits for the S-pairs; kept
+    columns go first, as `resolve`'s output needs.  A new element's S-pairs
+    lie in strictly higher degrees, so when column j's turn comes the basis
+    is a Groebner basis, up to j's degree, of the submodule the columns
+    before j generate, and column j joins exactly when it is not in that
+    submodule: graded Nakayama's test of whether it is needed to generate
+    (see `_nakayama_kept`).  So a redundant column reduces to zero, and as
+    later elements lie in other degrees, its division and record are those
+    of a division by the finished basis.  A run without tails only
+    top-reduces each item (see `_pseudo_divide`): the division stops at the
+    first popped term that no divisor's leading term divides.  Up to there
+    its steps are those of full reduction, so the item reduces to zero, or
+    joins with that leading term, exactly as it would under full reduction
+    by the same basis.  The element's lower terms may stay reducible, and a
+    later S-pair of it then differs from full reduction's by an element of
+    the submodule the basis generates; the leading terms the basis reaches
+    in each degree, and so the S-pair degrees and the generators that join
+    (within a degree the S-pairs go first), depend only on that submodule.
 
     With unit tails, element t of the basis carries the unit vector e_t over
     the basis as its divisor tail, and every item enters with an empty
@@ -278,6 +282,7 @@ def _buchberger_run(codec, columns, degrees, module, bound, units):
     joined = [False] * len(columns)
     if not columns:
         return codec, columns, [], [], joined
+    tails = kept is not None
     ring = codec.ring
     functional = ring._functional
     limit = functional(bound) if bound is not None else None
@@ -291,19 +296,15 @@ def _buchberger_run(codec, columns, degrees, module, bound, units):
     seq = itertools.count()
     records = []
 
-    def push(degree, generator, payload):
+    def push(degree, waits, payload):
         value = functional(degree)
         if limit is None or value <= limit:
-            # without tails the S-pairs of a degree go before its generators,
-            # so that a generator joins exactly when Nakayama keeps it; with
-            # unit tails the generators go first, in push order, since the
-            # matrices `resolve` prints depend on it
-            heapq.heappush(heap, (value, degree, generator and not units, next(seq), payload))
+            heapq.heappush(heap, (value, degree, waits, next(seq), payload))
 
     for j, (col, degree) in enumerate(zip(columns, degrees)):
         if col:
-            push(degree, True, j)
-        elif units:
+            push(degree, not (tails and kept[j]), j)
+        elif tails:
             records.append(({}, degree, j, 1, None))
 
     basis = []
@@ -314,8 +315,8 @@ def _buchberger_run(codec, columns, degrees, module, bound, units):
         # the largest total degree of a term of the next item; a run with
         # unit tails also needs an index for the element it may add
         needed = max(0, (heap[0][0] - base) // step)
-        if needed > codec.capacity or (units and len(basis) >= codec.indices):
-            old, codec = codec, codec.widened(needed, 2 * len(basis) if units else 0)
+        if needed > codec.capacity or (tails and len(basis) >= codec.indices):
+            old, codec = codec, codec.widened(needed, 2 * len(basis) if tails else 0)
             if codec.bits > old.bits:
                 log.debug("buchberger: widened exponent fields to %d bits for degree %s", codec.bits, heap[0][1])
             columns = [codec.repacked(old, c) for c in columns]
@@ -328,10 +329,10 @@ def _buchberger_run(codec, columns, degrees, module, bound, units):
         else:
             i, j, lcm_mono = payload
             work, tail = _s_pair(divisors[i], divisors[j], codec.term(lcm_mono, leads[j].index))
-        multiplier = _pseudo_divide(work, tail if units else None, divisors, codec)
+        multiplier = _pseudo_divide(work, tail if tails else None, divisors, codec)
         t = len(basis)
         if not work:
-            if units:
+            if tails:
                 records.append((tail, degree, payload, multiplier, None))
             continue
         if type(payload) is int:
@@ -341,7 +342,7 @@ def _buchberger_run(codec, columns, degrees, module, bound, units):
         if work[lead] < 0:
             work = {s: -c for s, c in work.items()}
             content = -content
-        if units:
+        if tails:
             # work is content times the new element, so the item's relation
             # is its tail less content times the element's unit
             own = codec.term(unit, t)
@@ -354,7 +355,7 @@ def _buchberger_run(codec, columns, degrees, module, bound, units):
         leads.append(new)
         log.debug("basis element %d with leading term %s", t, new)
         pairs = [(i, monomial_lcm(leads[i].monomial, new.monomial)) for i in range(t) if leads[i].index == new.index]
-        if units:
+        if tails:
             pairs = _minimal_pairs(pairs, monomial_divides)
         for i, lcm_mono in pairs:
             pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
@@ -451,7 +452,7 @@ def buchberger(matrix, order, bound=None):
     if bound is not None:
         bound = _int_vector(bound, "degree bound", ring.degree_length)
     codec, (columns,) = _packed_chain([matrix], order)
-    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, bound, False)
+    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, bound, None)
     monic = []
     for work, _ in basis:
         lead_coeff = work[max(work)]
@@ -662,7 +663,7 @@ def _nakayama_kept(codec, module, vectors, degrees):
         return [ech.add({index[t]: x for t, x in v.items()}) for v in vectors]
     functional = codec.ring._functional
     bound = max(degrees, key=lambda d: (functional(d), d))
-    return _buchberger_run(codec, vectors, degrees, module, bound, False)[4]
+    return _buchberger_run(codec, vectors, degrees, module, bound, None)[4]
 
 
 def is_minimal_map(matrix):
@@ -686,11 +687,12 @@ def syzygies(matrix, order):
     Read off the pruned Schreyer frame that `minimal_resolution` builds
     (see `schreyer`).  Graded Nakayama (`_nakayama_kept`) splits the columns
     of M = matrix into kept ones K, which minimally generate the image, and
-    redundant ones R.  The frame is built over M_K, and each redundant
-    column c_j is divided by its Groebner basis G with unit tails, as the
-    frame's run divides a column: s * c_j = v_j . G for a positive integer
-    s, which gives the relation s * e_j - v_j once v_j is written over the
-    kept columns, as the frame's second differential is.  The map (u, w) ->
+    redundant ones R.  The frame is built over M_K; its run takes every
+    column, and each redundant c_j reduces to zero there with unit tails, as
+    a division by its Groebner basis G would (see `_buchberger_run`):
+    s * c_j = v_j . G for a positive integer s, which gives the relation
+    s * e_j - v_j once v_j is written over the kept columns, as the frame's
+    second differential is.  The map (u, w) ->
     (u + A * w, w), with M_R = M_K * A, is a degree-preserving automorphism
     that carries the syzygies of M onto those of M_K plus the free module on
     R, so the pruned second differential over M_K and these relations

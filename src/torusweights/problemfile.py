@@ -186,15 +186,17 @@ def scalar_matrix_to_rows(matrix):
 
 
 def problem_to_dict(problem):
-    """Serialize a Problem back to its canonical JSON-compatible dict."""
-    module_names = {}
-    modules = {}
+    """Serialize a Problem back to its canonical JSON-compatible dict.
+
+    A matrix's module is named by the table entry that is that object, else by an equal one.
+    """
+    own, equal, modules = {}, {}, {}
     for name, spec in problem.modules.items():
-        module_names[spec.basis_degrees] = name
+        own[id(spec)] = equal[spec] = name
         modules[name] = {"degrees": [list(d) for d in spec.basis_degrees]}
 
     def module_ref(spec):
-        name = module_names.get(spec.basis_degrees)
+        name = own.get(id(spec), equal.get(spec))
         if name is None:
             raise ProblemFileError("matrix uses a module that is not in the module table")
         return name

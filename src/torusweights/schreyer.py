@@ -161,9 +161,10 @@ def _frame(codec, columns, matrix, top, kept):
     """The Schreyer frame (a `_Frame`) over matrix, whose columns codec packed, and kept of them.
 
     kept flags the columns that minimally generate the image (see
-    `groebner.syzygies`), and the frame is built over those.  Each other
-    column c_j is divided by G with unit tails: M * c_j = v_j . G gives its
-    relation M * e_j - v_j, e_j the column's own row of level 1.
+    `groebner.syzygies`), and the frame is built over those.  The run takes
+    every column, and each other column c_j reduces to zero by G with unit
+    tails: M * c_j = v_j . G gives its relation M * e_j - v_j, e_j the
+    column's own row of level 1.  The run must join exactly the kept ones.
 
     Level 1 is the Groebner basis G of the image that one Buchberger run
     with unit tails builds (see `_buchberger_run`), level 2 the relations
@@ -182,28 +183,22 @@ def _frame(codec, columns, matrix, top, kept):
 
     The run fits its fields to the items it takes.  A frame term has the
     degree of its element's leading term, whose F_0 monomial divides the
-    lcm of G's leading monomials at its index, and a redundant column's
-    relation the column's degree; the codec is widened, once, to hold the
-    largest such degree before level 2 is packed.
+    lcm of G's leading monomials at its index; the codec is widened, once,
+    to hold the largest such degree before level 2 is packed.
     """
     module = matrix.codomain
     ring = module.ring
     degrees = matrix.domain.basis_degrees
-    inputs = [j for j, keep in enumerate(kept) if keep]
     redundant = [j for j, keep in enumerate(kept) if not keep]
-    start = codec
-    codec, packed, basis, records, joined = _buchberger_run(
-        codec, [columns[j] for j in inputs], [degrees[j] for j in inputs], module, None, True
-    )
-    if not all(joined):
-        raise InternalError("a column of a minimal map reduced to zero in the frame's run")
+    codec, packed, basis, records, joined = _buchberger_run(codec, columns, degrees, module, None, kept)
+    if joined != kept:
+        raise InternalError("the frame's run joined other columns than Nakayama keeps")
     lcms = {}
     for work, _ in basis:
         mono, index = codec.unpack(max(work))
         lcms[index] = monomial_lcm(lcms.get(index, mono), mono)
     functional = ring._functional
     top_degree = max(functional(vector_add(ring.monomial_degree(m), module.basis_degrees[i])) for i, m in lcms.items())
-    top_degree = max([top_degree] + [functional(degrees[j]) for j in redundant])
     base = min(map(functional, module.basis_degrees))
     step = min(map(functional, ring.var_degrees))
     bound = (top_degree - base) // step
@@ -213,9 +208,6 @@ def _frame(codec, columns, matrix, top, kept):
         packed = [codec.repacked(old, c) for c in packed]
         basis = [(codec.repacked(old, w), codec.repacked(old, t)) for w, t in basis]
         records = [(codec.repacked(old, r), *rest) for r, *rest in records]
-    if redundant:
-        # the run packed only the kept columns by its last codec
-        packed = [codec.repacked(start, c) for c in columns]
     g_leads = [max(w) for w, _ in basis]
     first = _FrameLayout(codec, (max(len(basis) + len(redundant), 1).bit_length(),))
     # a redundant column's row has no leading term: its key is its chain
@@ -236,10 +228,14 @@ def _frame(codec, columns, matrix, top, kept):
             out[layout.lifted(units[p], monomial)] = c
         return out
 
+    relations = {}  # redundant column j -> the tail and multiplier M of its division
     for relation, degree, payload, multiplier, t in records:
         if type(payload) is int:
-            frame.born[t] = inputs[payload]
-            frame.joins[t] = (lifted(relation), multiplier)
+            if t is None:
+                relations[payload] = (relation, multiplier)
+            else:
+                frame.born[t] = payload
+                frame.joins[t] = (lifted(relation), multiplier)
             continue
         if t is not None:
             frame.creators[t] = len(level2.elements)
@@ -247,14 +243,10 @@ def _frame(codec, columns, matrix, top, kept):
         level2.elements.append(_primitive(lifted(relation))[0])
         level2.leads.append(layout.key(codec.term(lcm_mono, codec.unpack(g_leads[j]).index), (j,)))
         level2.degrees.append(degree)
-    divisors = [_divisor(w, t) for w, t in basis] if redundant else []
-    for r, j in enumerate(redundant):
-        work, tail = dict(packed[j]), {}
-        multiplier = _pseudo_divide(work, tail, divisors, codec)
-        if work:
-            raise InternalError("a redundant column is not in the span of the kept columns")
+    for r, j in enumerate(redundant, start=len(basis)):
+        tail, multiplier = relations[j]
         relation = lifted(tail)
-        relation[layout.key(0, (len(basis) + r,))] = multiplier
+        relation[layout.key(0, (r,))] = multiplier
         frame.redundant.append((relation, degrees[j]))
     frame.levels.append(level2)
     while frame.levels[-1].elements and (top is None or len(frame.levels) < top):

@@ -9,6 +9,9 @@ from torusweights.linalg import rank
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 
+# tests import the Pluecker presentation from here
+from reference import plucker_presentation
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 # The problem files under fixtures/, without their ".json".
@@ -35,23 +38,6 @@ def matrix(ring, cod_degs, dom_degs, rows):
 def entries_as_text(m):
     ring = m.domain.ring
     return [[polynomial_to_string(ring, p) for p in row] for row in m.entries]
-
-
-def plucker_presentation(n):
-    """The C(n, 4) Pluecker quadrics of Gr(2, n) as a one-row presentation.
-
-    p_ij, i < j, has degree 1 and weight e_i + e_j, declared by increasing
-    j and then i, under grevlex, as perfbench's Gr(2,5) problem declares
-    them; the quadric of a < b < c < d is p_ab p_cd - p_ac p_bd + p_ad p_bc.
-    """
-    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
-    weights = [[int(k + 1 in pair) for k in range(n)] for pair in pairs]
-    ring = RingSpec(["p_%d%d" % pair for pair in pairs], [[1]] * len(pairs), weights, "grevlex")
-    quadrics = [
-        "p_%d%d*p_%d%d-p_%d%d*p_%d%d+p_%d%d*p_%d%d" % (a, b, c, d, a, c, b, d, a, d, b, c)
-        for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
-    ]
-    return matrix(ring, [[0]], [[2]] * len(quadrics), [quadrics])
 
 
 def koszul_complex(n, seed):

@@ -4,7 +4,8 @@ They stay independent of `packed`, `linalg.Echelon` and `schreyer`, so that
 a test comparing the library against them checks the packed engine against
 exponent tuples, the sparse elimination against a dense one, and the
 division that looks divisors up by bucket against the list scan.
-`generic_minors` builds determinantal inputs, and `eagon_northcott_weights`
+`generic_minors` builds determinantal inputs, `plucker_presentation` the
+Grassmannians Gr(2, n), and `eagon_northcott_weights`
 is a closed form, which no walk computes, for the weights of their
 resolutions.
 """
@@ -16,6 +17,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 
 from torusweights import FreeModuleSpec, PolyMatrix, RingSpec, enumerate_terms
+from torusweights.parsing import parse_polynomial
 from torusweights.rings import Polynomial, monomial_divides
 
 
@@ -112,6 +114,24 @@ def generic_minors(p, n, k):
                 terms[tuple(exponents)] = (-1) ** inversions
             minors.append(Polynomial(terms))
     return PolyMatrix(FreeModuleSpec(ring, [[0]]), FreeModuleSpec(ring, [[k]] * len(minors)), [minors])
+
+
+def plucker_presentation(n):
+    """The C(n, 4) Pluecker quadrics of Gr(2, n) as a one-row presentation.
+
+    p_ij, i < j, has degree 1 and weight e_i + e_j, declared by increasing
+    j and then i, under grevlex, as perfbench's Gr(2,5) problem declares
+    them; the quadric of a < b < c < d is p_ab p_cd - p_ac p_bd + p_ad p_bc.
+    """
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    weights = [[int(k + 1 in pair) for k in range(n)] for pair in pairs]
+    ring = RingSpec(["p_%d%d" % pair for pair in pairs], [[1]] * len(pairs), weights, "grevlex")
+    quadrics = [
+        "p_%d%d*p_%d%d-p_%d%d*p_%d%d+p_%d%d*p_%d%d" % (a, b, c, d, a, c, b, d, a, d, b, c)
+        for a, b, c, d in combinations(range(1, n + 1), 4)
+    ]
+    entries = [[parse_polynomial(ring, q) for q in quadrics]]
+    return PolyMatrix(FreeModuleSpec(ring, [[0]]), FreeModuleSpec(ring, [[2]] * len(quadrics)), entries)
 
 
 def eagon_northcott_weights(p, n):

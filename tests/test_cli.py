@@ -826,6 +826,26 @@ def test_problem_round_trip_is_idempotent():
     assert once == twice
 
 
+def test_modules_of_equal_degrees_keep_their_names_in_a_round_trip():
+    # a module named by its degrees alone came back under the last such name
+    data = {
+        "ring": {"vars": ["x", "y"], "degrees": [[1], [1]], "weights": [[1], [0]], "order": "grevlex"},
+        "modules": {"F": {"degrees": [[0]]}, "G": {"degrees": [[0]]}, "H": {"degrees": [[1]]}},
+        "matrices": {
+            "on_f": {"rows": "F", "cols": "H", "entries": [["x"]]},
+            "on_g": {"rows": "G", "cols": "H", "entries": [["y"]]},
+            "f_to_g": {"rows": "G", "cols": "F", "entries": [["1"]]},
+        },
+        "weightlists": {},
+        "module_order": "top-up",
+    }
+    once = problem_to_dict(problem_from_dict(data))
+    assert {name: (m["rows"], m["cols"]) for name, m in once["matrices"].items()} == {
+        "on_f": ("F", "H"), "on_g": ("G", "H"), "f_to_g": ("G", "F"),
+    }
+    assert once == data
+
+
 def test_a_matrix_on_a_module_outside_the_table_does_not_serialize():
     problem = load_problem(fixture_path("two_variables.json"))
     del problem.modules["E"]

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import logging
 import random
@@ -39,7 +40,7 @@ from torusweights.modules import ModuleElement
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
-from torusweights.rings import vector_add
+from torusweights.rings import monomial_div, monomial_lcm, vector_add
 
 from conftest import PROBLEMS, WIDE_WEIGHT_RING, entries_as_text, fixture_path, matrix, std_ring
 from reference import reference_standard_monomials
@@ -61,7 +62,7 @@ def tracked_run(m, order):
     ring = m.domain.ring
     codec = _TermCodec(ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
     codec, _, basis, records, _ = _buchberger_run(
-        codec, codec.columns(m), m.domain.basis_degrees, m.codomain, None, True
+        codec, codec.columns(m), m.domain.basis_degrees, m.codomain, None, [True] * m.num_cols
     )
     elements = [ModuleElement(m.codomain, codec.entries(work, m.num_rows)) for work, _ in basis]
     over = FreeModuleSpec(ring, [g.term_degree(g.leading_term(order)[0]) for g in elements])
@@ -645,6 +646,74 @@ def with_redundant_columns(m):
     return PolyMatrix.from_columns(m.codomain, FreeModuleSpec(ring, degrees), columns + extra)
 
 
+def with_s_polynomials(m, order):
+    """m with the S-polynomials under order of its pairs of columns placed before its columns.
+
+    Only pairs whose leading terms share a row give one, and zero ones are
+    left out.  Each lies in the span of its pair's columns, in the pair's
+    S-pair degree, so where that S-pair adds an element of G, the frame's
+    run reduces its column to zero only once the element has joined.
+    """
+    ring = m.domain.ring
+    columns = list(zip(m.columns(), m.domain.basis_degrees))
+    extra = []
+    for n, (a, a_degree) in enumerate(columns):
+        for b, _ in columns[n + 1:]:
+            (ta, ca), (tb, cb) = a.leading_term(order), b.leading_term(order)
+            if ta.index != tb.index:
+                continue
+            lcm = monomial_lcm(ta.monomial, tb.monomial)
+            ma, mb = monomial_div(lcm, ta.monomial), monomial_div(lcm, tb.monomial)
+            s = a.multiply_term(ma, cb) - b.multiply_term(mb, ca)
+            if s:
+                extra.append((s, vector_add(a_degree, ring.monomial_degree(ma))))
+    return PolyMatrix.from_columns(
+        m.codomain, FreeModuleSpec(ring, [d for _, d in extra + columns]), [c for c, _ in extra + columns]
+    )
+
+
+# A fixture's map, and the level of its resolution whose differential, with
+# S-polynomial columns prepended (`with_s_polynomials`), has columns that
+# vanish in the frame's run only after an S-pair of their own degree: a run
+# that queued them with the kept columns fails its keep-flag check, on
+# mixed_sign and high_degree_3var under every order, on bigraded under
+# top-up and top-down.  bigraded's own columns are monomials.
+S_POLYNOMIAL_MAPS = {
+    "mixed_sign": ("m", 1), "bigraded": ("m", 3), "grassmannian": ("d1", 2), "high_degree_3var": ("m", 1),
+}
+
+
+def s_polynomial_map(name, order):
+    presentation, level = S_POLYNOMIAL_MAPS[name]
+    m = load_problem(fixture_path(name + ".json")).matrices[presentation]
+    return with_s_polynomials(minimal_resolution(m, order, max_length=level).differentials[level - 1], order)
+
+
+# SHA-256 digests of `syzygies` (its domain degrees and entries) on each
+# S_POLYNOMIAL_MAPS map, per order, recorded while the frame's run took
+# the kept columns only and the redundant ones were divided after it.
+S_POLYNOMIAL_SYZYGY_DIGESTS = {
+    "bigraded": {"top-up": "773181436dc17b9c", "pot-up": "2785251751e04c3f", "top-down": "773181436dc17b9c",
+                 "pot-down": "796f6ce60a027bd4"},
+    "grassmannian": {"top-up": "a259568fd5ab5651", "pot-up": "a259568fd5ab5651", "top-down": "a259568fd5ab5651",
+                     "pot-down": "3ebbd00a528ecb19"},
+    "high_degree_3var": {"top-up": "440485a76811b532", "pot-up": "440485a76811b532", "top-down": "440485a76811b532",
+                         "pot-down": "440485a76811b532"},
+    "mixed_sign": {"top-up": "8a58fcbd1b3bc777", "pot-up": "8a58fcbd1b3bc777", "top-down": "8a58fcbd1b3bc777",
+                   "pot-down": "8a58fcbd1b3bc777"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(S_POLYNOMIAL_MAPS))
+def test_syzygies_of_s_polynomial_columns_match_their_digests(name):
+    digests = {}
+    for order in ALL_ORDERS:
+        s = syzygies(s_polynomial_map(name, order), order)
+        text = repr((s.domain.basis_degrees, entries_as_text(s)))
+        digests[order.kind] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == S_POLYNOMIAL_SYZYGY_DIGESTS[name]
+
+
 @pytest.mark.parametrize(
     "name, presentation, widens, redundant",
     [
@@ -659,6 +728,11 @@ def with_redundant_columns(m):
         # are perturbed
         ("grassmannian", "d1", False, True),
         ("high_degree", "m", True, True),
+        # S-polynomial columns (see S_POLYNOMIAL_MAPS), built under each order
+        ("mixed_sign", "m", False, "s-pairs"),
+        ("bigraded", "m", False, "s-pairs"),
+        ("grassmannian", "d1", False, "s-pairs"),
+        ("high_degree_3var", "m", True, "s-pairs"),
     ],
 )
 def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(
@@ -666,7 +740,7 @@ def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(
 ):
     schreyer = importlib.import_module("torusweights.schreyer")
     m = load_problem(fixture_path(name + ".json")).matrices[presentation]
-    if redundant:
+    if redundant is True:
         m = with_redundant_columns(m)
     real_coordinates, real_composite = schreyer._input_coordinates, schreyer._nonzero_composite
     guard_bits = []
@@ -692,6 +766,8 @@ def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(
 
     monkeypatch.setattr(schreyer, "_nonzero_composite", composite)
     for order in ALL_ORDERS:
+        if redundant == "s-pairs":
+            m = s_polynomial_map(name, order)
         guard_bits.clear()
         s = syzygies(m, order)
         assert (m @ s).is_zero
@@ -704,6 +780,16 @@ def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(
                 syzygies(m, order)
         assert str(info.value) == "differentials 1 and 2 of the resolution do not compose to zero"
         assert len(guard_bits) == 1
+
+
+def test_the_frame_rejects_keep_flags_that_its_run_does_not_join(monkeypatch):
+    # with every column flagged kept, the repeated first column is queued
+    # with the kept ones and reduces to zero: it does not join
+    groebner = importlib.import_module("torusweights.groebner")
+    m = with_redundant_columns(load_problem(fixture_path("koszul.json")).matrices["d1"])
+    monkeypatch.setattr(groebner, "_nakayama_kept", lambda codec, module, vectors, degrees: [True] * len(vectors))
+    with pytest.raises(InternalError, match="the frame's run joined other columns than Nakayama keeps"):
+        syzygies(m, TOP_UP)
 
 
 def test_minimal_resolution_koszul_shape(koszul):

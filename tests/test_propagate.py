@@ -1366,7 +1366,11 @@ def test_graded_components_read_no_reduced_basis_and_no_term_weights(monkeypatch
 # form (reference.eagon_northcott_weights) that no walk computes.  Every
 # C^-1 of these walks is sparse enough that its rebase takes the dict loop,
 # so every degree block comes as packed dicts and finds its pivots by the
-# sparse `linalg.Echelon`.
+# sparse `linalg.Echelon`.  The walk from F_0 rebases every module; its
+# rebased maps (each step's sorted_matrix) form a chain whose top module
+# has per_module[top] as its weight list, so the walk from the top starts
+# there: the top module has rank > 1 and no known weight list in the
+# resolution's own basis.
 @pytest.mark.parametrize("size", [(2, 3), (2, 4), (2, 5), (3, 5), (2, 7), (3, 6)], ids=lambda s: "%dx%d" % s)
 @pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
 def test_eagon_northcott_walk_matches_the_closed_form(order, size):
@@ -1374,6 +1378,10 @@ def test_eagon_northcott_walk_matches_the_closed_form(order, size):
     resolution = minimal_resolution(generic_minors(p, n, p), order)
     walked = propagate_resolution(resolution, 0, [(0,) * (p + n)], order)
     assert [Counter(ws) for ws in walked.per_module] == eagon_northcott_weights(p, n)
+    top = resolution.length
+    rebased = [walked.steps[k].result.sorted_matrix for k in range(1, top + 1)]
+    from_top = propagate_resolution(rebased, top, walked.per_module[top], order)
+    assert [Counter(ws) for ws in from_top.per_module] == eagon_northcott_weights(p, n)
 
 
 def test_single_term_columns_are_stored_as_their_nonzeros(monkeypatch):

@@ -1272,7 +1272,7 @@ def test_single_degree_nakayama_flags_match_the_run_and_sympy(data, ring, order,
     codec = _TermCodec(ring, order, module.rank, bound)
     packed = [codec.packed(v) for v in vectors]
     flags = _nakayama_kept(codec, module, packed, degrees)
-    assert flags == _buchberger_run(codec, packed, degrees, module, degree, False)[4]
+    assert flags == _buchberger_run(codec, packed, degrees, module, degree, None)[4]
     terms = sorted({t for v in vectors for t, _ in v.support()})
     coefficients = [dict(v.support()) for v in vectors]
     cells = [Fraction(c.get(t, 0)) for c in coefficients for t in terms]
@@ -1447,7 +1447,7 @@ def test_a_top_reduced_element_keeps_a_reducible_tail_that_an_s_pair_meets():
     assert expected == [True, True, False]
     for order in ALL_ORDERS:
         codec = _TermCodec(ring, order, 1, 3)
-        _, _, basis, _, joined = _buchberger_run(codec, codec.columns(m), degrees, m.codomain, (3,), False)
+        _, _, basis, _, joined = _buchberger_run(codec, codec.columns(m), degrees, m.codomain, (3,), None)
         assert joined == expected
         assert codec.term((1, 1), 0) in basis[1][0]
         assert basis[2][0] == {codec.term((0, 3), 0): 1}
@@ -1493,7 +1493,7 @@ def test_the_bounded_run_has_the_leading_terms_of_the_reduced_basis(data, ring, 
     lowest = tuple(map(max, zip(*m.codomain.basis_degrees)))
     bound = vector_add(lowest, data.draw(monomial_degrees(ring, 2)))
     codec, (columns,) = _packed_chain([m], order)
-    codec, _, basis, _, _ = _buchberger_run(codec, columns, m.domain.basis_degrees, m.codomain, bound, False)
+    codec, _, basis, _, _ = _buchberger_run(codec, columns, m.domain.basis_degrees, m.codomain, bound, None)
     leads = [codec.unpack(max(work)) for work, _ in basis]
     assert set(leads) == set(buchberger(m, order, bound=bound).leading_terms())
 
