@@ -14,7 +14,9 @@ arithmetic is exact.  Coefficients are ints where they are integral (see
 primitive integer vectors.
 
 One engine, `_buchberger_run`, computes Groebner bases, minimality and the
-first two levels of the frame behind resolutions and syzygies.  A generator
+first two levels of the frame behind resolutions and syzygies; the frame's
+run back-substitutes each degree it finishes, so the frame is built on a
+reduced basis (La Scala and Stillman, JSC 1998).  A generator
 that may not join waits for its degree's S-pairs: every generator of the
 bounded run that reads graded Nakayama off (a vector is needed exactly
 when it joins), and each redundant column of the frame's run.  Vectors
@@ -273,11 +275,26 @@ def _buchberger_run(codec, columns, degrees, module, bound, kept):
     at once; the leading terms cancel, so it is formed from the divisor
     bodies.
 
+    With unit tails, once the run has taken every item of a degree, it
+    reduces that degree's elements by the later ones of the same degree
+    (`_back_substitute`), the only reduction that its full divisions leave:
+    the change of basis is constant and unitriangular within the degree,
+    and every S-pair of a higher degree is formed from, and divided by, the
+    reduced elements, so the finished basis is reduced.  A run without
+    tails is not touched.
+
     records is empty without tails.  With unit tails it holds (relation,
     degree, payload, M, t) for every item taken, in the order taken: payload
     is the column index or the S-pair (i, t', lcm), M the division's
     multiplier and t the index the item joined the basis at, None if it
-    reduced to zero; a zero column gives ({}, its degree, j, 1, None).
+    reduced to zero; a zero column gives ({}, its degree, j, 1, None).  An
+    item's relation is over the basis as the run held it then: each element
+    of the item's degree before, and each of a lower degree after, its
+    degree's back-substitution.  After a degree's items come its
+    back-substitutions, the last element first, each (tail, degree, None,
+    content, i) for an element i that changed: content * g'_i = tail . G,
+    tail being M * e_i, e_i the element before, less the quotients of the
+    later elements, which are reduced.
     """
     joined = [False] * len(columns)
     if not columns:
@@ -310,8 +327,12 @@ def _buchberger_run(codec, columns, degrees, module, bound, kept):
     basis = []
     divisors = []
     leads = []
+    start, degree = 0, None  # the first element of the degree being taken, and that degree
 
     while heap:
+        if tails and heap[0][1] != degree:
+            _back_substitute(codec, basis, divisors, records, start, degree)
+            start = len(basis)
         # the largest total degree of a term of the next item; a run with
         # unit tails also needs an index for the element it may add
         needed = max(0, (heap[0][0] - base) // step)
@@ -361,7 +382,35 @@ def _buchberger_run(codec, columns, degrees, module, bound, kept):
             pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
             push(pair_degree, False, (i, t, lcm_mono))
 
+    if tails:
+        _back_substitute(codec, basis, divisors, records, start, degree)
     return codec, columns, basis, records, joined
+
+
+def _back_substitute(codec, basis, divisors, records, start, degree):
+    """Reduce the run's elements of one degree, from start on, by the later ones; record each change.
+
+    On a positive grading only a later element of the same degree can
+    divide a term of an element, and only a term equal to its leading
+    term, so each element needs one pass over its terms, the last element
+    first: g_i is divided by the elements whose leading terms it holds,
+    already reduced, which adds no such term.  A changed element is made
+    primitive and its divisor rebuilt; its record (tail, degree, None,
+    content, i) says content * g'_i = tail . G, tail being M * e_i less the
+    quotients of the later elements, g_i the element before.
+    """
+    later = {}
+    for i in range(len(basis) - 1, start - 1, -1):
+        work, own = basis[i]
+        hits = [divisors[later[t]] for t in work if t in later]
+        later[divisors[i][0]] = i
+        if hits:
+            work, tail = dict(work), dict(own)
+            _pseudo_divide(work, tail, hits, codec)
+            work, content = _primitive(work)
+            records.append((tail, degree, None, content, i))
+            basis[i] = work, own
+            divisors[i] = _divisor(work, own)
 
 
 def _s_pair(a, b, lcm_term):

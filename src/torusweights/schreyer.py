@@ -2,8 +2,11 @@
 
 `groebner.minimal_resolution` checks its input and builds the frame here
 (`_frame`): one Buchberger run with unit tails over its basis (see
-`groebner._buchberger_run`) gives the Groebner basis G of the image and the
-relations of the S-pairs it took, and each further level costs one
+`groebner._buchberger_run`) gives the reduced Groebner basis G of the image,
+each degree back-substituted once the run has taken it, and the relations
+of the S-pairs it took, rewritten over the reduced elements; on generic
+linear forms G is the variables, and the frame from level 3 on is their
+monomial Koszul complex.  Each further level costs one
 division per S-pair, whose leading term Schreyer's theorem gives (La Scala
 and Stillman, "Strategies for computing minimal free resolutions", JSC
 1998; Erocal, Motsak, Schreyer and Steenpass, "Refined algorithms to
@@ -20,7 +23,7 @@ with the PolyMatrices of `_TermCodec.matrix`, unpacked when first read.
 import logging
 from collections import defaultdict
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InternalError
 from .groebner import (
@@ -139,11 +142,14 @@ class _Frame:
     levels[k - 1] is level k.  codec packs the F_0 terms of every level and
     the input's columns (columns), and holds the total degree of every
     frame term.  born[t] is the input column that joined the
-    Groebner basis G as its element t, None if an S-pair added t; joins[t]
-    is, for a column-born t, the relation over G that its division left
-    (packed by level 2's layout) and the division's multiplier; creators[t]
-    is, for an S-pair-born t, the level-2 element of the S-pair that added
-    it.  redundant lists the (relation, degree) of each redundant column,
+    Groebner basis G as its element t, None if an S-pair added t.  joins
+    lists (t, tail, M, content) for each column-born t, in the run's order,
+    packed by level 2's layout, each saying content * g_t = M * c + tail . G
+    for t's column c: first its join, tail and content from the relation
+    that its division left, then, if its degree's back-substitution changed
+    it, that record, with M = 0 and e_t in tail standing for g_t as it was
+    joined.  creators[t] is, for an S-pair-born t, the level-2 element of
+    the S-pair that added it.  redundant lists the (relation, degree) of each redundant column,
     packed by level 2's layout; level 1 gives each a row after G's, with
     lead 0.
     """
@@ -176,8 +182,13 @@ def _frame(codec, columns, matrix, top, kept):
     S-pair has its leading term at the pair's later element, times the lcm
     over that element's leading term, and costs one division of the
     S-polynomial, which reduces to zero.  A frame term is divisible only by
-    leading terms on its own chain, so the division tries only those.  No
-    level is reduced again.  Levels beyond top are not built (all are if top is None); the frame ends at
+    leading terms on its own chain, so the division tries only those.  The
+    run's records of each degree are over that degree's elements as they
+    were before its back-substitution: each S-pair's relation and each
+    redundant column's is rewritten over the reduced elements (a relation
+    times a positive integer, e_i = (content * e'_i + M * e_i - tail) / M),
+    and the columns' joins are left to `_input_coordinates` with the
+    back-substitutions.  No level is reduced again.  Levels beyond top are not built (all are if top is None); the frame ends at
     the first level with no S-pair.  Every element from level 2 up is a
     primitive integer vector.
 
@@ -215,8 +226,8 @@ def _frame(codec, columns, matrix, top, kept):
     for mono, index in map(codec.unpack, g_leads):
         level1.degrees.append(vector_add(ring.monomial_degree(mono), module.basis_degrees[index]))
     level1.degrees += [degrees[j] for j in redundant]
-    frame = _Frame(codec, packed, [level1], [None] * len(basis) + redundant, {}, {}, [])
-    layout = first.appended(sum(type(payload) is not int for _, _, payload, _, _ in records))
+    frame = _Frame(codec, packed, [level1], [None] * len(basis) + redundant, [], {}, [])
+    layout = first.appended(sum(type(payload) is tuple for _, _, payload, _, _ in records))
     level2 = _FrameLevel(layout, [], [], [])
     units = [layout.key(lead, (p,)) for p, lead in enumerate(g_leads)]
 
@@ -228,19 +239,51 @@ def _frame(codec, columns, matrix, top, kept):
             out[layout.lifted(units[p], monomial)] = c
         return out
 
+    # the back-substitution of element i: the run's key of e_i -> (tail,
+    # content), content * g'_i = tail . G, tail holding M * e_i
+    reduced = {tail_key: (tail, content) for tail, _, payload, content, i in records if payload is None
+               for tail_key in (codec.term(unit_monomial(ring.num_vars), i),)}
+
+    def rewritten(relation):
+        # a relation over the elements as its degree's run left them, times
+        # s > 0, over the reduced ones: e_i = (content * e'_i + M * e_i -
+        # tail) / M, only a constant e_i being of the relation's degree
+        hits = [(key, c) for key, c in relation.items() if key in reduced]
+        if not hits:
+            return relation, 1
+        quotients = [exact_quotient(c, reduced[key][0][key]) for key, c in hits]
+        s = lcm(*(x.denominator for x in quotients if type(x) is not int))
+        out = {key: c * s for key, c in relation.items()}
+        for (key, _), x in zip(hits, quotients):
+            tail, content = reduced[key]
+            x = exact(x * s)
+            out[key] += x * content
+            for t, y in tail.items():
+                out[t] = out.get(t, 0) - x * y
+        return {key: c for key, c in out.items() if c}, s
+
     relations = {}  # redundant column j -> the tail and multiplier M of its division
     for relation, degree, payload, multiplier, t in records:
+        if payload is None:
+            if frame.born[t] is not None:
+                frame.joins.append((t, lifted(relation), 0, multiplier))
+            continue
         if type(payload) is int:
             if t is None:
-                relations[payload] = (relation, multiplier)
+                relation, s = rewritten(relation)
+                relations[payload] = (relation, s * multiplier)
             else:
+                # the block's columns come before its S-pairs, so a column's
+                # tail holds no element of its degree that an S-pair added
                 frame.born[t] = payload
-                frame.joins[t] = (lifted(relation), multiplier)
+                tail = lifted(relation)
+                content = -tail.pop(units[t])
+                frame.joins.append((t, tail, multiplier, content))
             continue
         if t is not None:
             frame.creators[t] = len(level2.elements)
         _, j, lcm_mono = payload
-        level2.elements.append(_primitive(lifted(relation))[0])
+        level2.elements.append(_primitive(lifted(rewritten(relation)[0]))[0])
         level2.leads.append(layout.key(codec.term(lcm_mono, codec.unpack(g_leads[j]).index), (j,)))
         level2.degrees.append(degree)
     for r, j in enumerate(redundant, start=len(basis)):
@@ -296,48 +339,68 @@ def _next_level(level):
 
 
 def _input_coordinates(frame):
-    """Level 2 of the frame and the redundant columns' relations, over the input columns and G's S-pair-born elements.
+    """Level 2 of the frame and the redundant columns' relations over the input columns: (vectors, scales).
 
-    The run divides input column c, which joins G as element t, by unit
-    tails: it leaves M * c = content * g_t - tail . G, and records the
-    relation tail - content * e_t.  So g_t is (M * c + tail . G) / content,
-    and substituting that for every column-born e_t writes a vector over G
-    over the columns and the S-pair-born elements.  A tail involves only
-    elements before t, so each substitution is built from the earlier ones.
-    Keys stay those of level 2's layout, the key of e_t standing for the
-    input column of element t; a column that joined as it was (M = content,
-    empty tail) needs no substitution, nor does a redundant column's row.
+    Vector k is scales[k] times relation k written over the input columns
+    and G's S-pair-born elements, in ints.  The run divides input column c,
+    which joins G as element t, by unit tails: it leaves M * c = content *
+    g_t - tail . G, and records the relation tail - content * e_t.  So g_t
+    is (M * c + tail . G) / content, and substituting that for every
+    column-born e_t writes a vector over G over the columns and the
+    S-pair-born elements.  A tail involves only elements before t, so each
+    substitution is built from the earlier ones.  The back-substitution of
+    a column-born t at the end of its degree (see
+    `groebner._back_substitute`) then gives content * g'_t = tail . G, in
+    which e_t is the element that its column's substitution gave, and each
+    later element of the degree is reduced, a later column's already
+    substituted; so the joins and back-substitutions, in the run's order,
+    are one triangular system per degree.  Keys stay those of level 2's
+    layout, the key of e_t standing for the input column of element t; a
+    column that joined as it was (M = content, empty tail) needs no
+    substitution, nor does a redundant column's row.  A substitution is kept
+    as an int vector and its denominator, and each vector is scaled by the
+    lcm of the denominators it meets, so no Fraction arises.
     """
     level1, level2 = frame.levels[0], frame.levels[1]
     layout = level2.layout
     units = [(lead | p) << layout.shift for p, lead in enumerate(level1.leads)]
     offset, mask = layout.field(1)
-    cofactors = {}
+    cofactors = {}  # row p -> (int vector, denominator) of its element over the input columns
 
     def substituted(vector):
+        scale = 1
+        for key, c in vector.items():
+            p = key >> offset & mask
+            if p in cofactors:
+                x = exact_quotient(c, cofactors[p][1])
+                if type(x) is not int:
+                    scale = lcm(scale, x.denominator)
         out = {}
         for key, c in vector.items():
             p = key >> offset & mask
             if p not in cofactors:
-                out[key] = out.get(key, 0) + c
+                out[key] = out.get(key, 0) + c * scale
                 continue
-            move = key - units[p]
-            for t, x in cofactors[p]:
+            terms, den = cofactors[p]
+            x, move = exact_quotient(c * scale, den), key - units[p]
+            for t, y in terms:
                 t += move
-                out[t] = out.get(t, 0) + c * x
-        return {key: c for key, c in out.items() if c}
+                out[t] = out.get(t, 0) + x * y
+        return {key: c for key, c in out.items() if c}, scale
 
-    for t, (relation, multiplier) in frame.joins.items():
-        tail = dict(relation)
-        content = -tail.pop(units[t])
+    for t, tail, multiplier, content in frame.joins:
         if tail or multiplier != content:
-            tail = substituted(tail)
-            tail[units[t]] = tail.get(units[t], 0) + multiplier
-            cofactors[t] = [(key, exact_quotient(c, content)) for key, c in tail.items() if c]
+            tail, scale = substituted(tail)
+            if multiplier:
+                tail[units[t]] = tail.get(units[t], 0) + multiplier * scale
+            den = content * scale
+            g = gcd(den, *tail.values()) if {type(den), *map(type, tail.values())} == {int} else 1
+            cofactors[t] = [(key, exact_quotient(c, g)) for key, c in tail.items()], exact_quotient(den, g)
     vectors = level2.elements + [relation for relation, _ in frame.redundant]
     if not cofactors:
-        return vectors
-    return [substituted(e) for e in vectors]
+        return vectors, [1] * len(vectors)
+    pairs = [substituted(e) for e in vectors]
+    return [v for v, _ in pairs], [s for _, s in pairs]
 
 
 def _pruned(frame, matrix, max_length):
@@ -355,11 +418,15 @@ def _pruned(frame, matrix, max_length):
     row a by multiples of column b, then row a and column b go, with column
     a of d_{k-1} and row b of d_{k+1}.  Levels are pruned from d_2 up.  The
     second differential is first written over the input columns (see
-    `_input_coordinates`), and there only the units that added an
-    S-pair-born element t of G are cancelled, the last t first: the
-    relation of the S-pair that added t has the constant -content at t and
-    involves no later element, so no cancellation disturbs another's unit,
-    and what is left of level 1 is the input columns.  Higher differentials
+    `_input_coordinates`), and there only the rows of S-pair-born elements
+    of G are cancelled, by the relations of the S-pairs that added them,
+    the last first, each at its highest unit on such a row.  Without
+    back-substitution that row is its own element t: the relation has the
+    constant -content at t and involves no later element.  With it, the
+    relations' constants on those rows of one degree are the old ones
+    times an invertible triangular matrix, so each relation still has a
+    unit on a row that no earlier cancellation took, and what is left of
+    level 1 is the input columns.  Higher differentials
     cancel whatever constant entries they have, column by column, each at
     its lowest row; a constant entry is a key equal to its row's unit, found
     by one lookup per key.  Each differential ends with an exact check that
@@ -369,7 +436,8 @@ def _pruned(frame, matrix, max_length):
     constants stay (see `groebner.syzygies` for why they are minimal).
 
     The cancellation is fraction-free: each differential's columns start
-    as primitive integer vectors, and clearing a row scales a column by a
+    as primitive integer vectors, a column whose rows' factors have
+    denominators being scaled by their lcm first, and clearing a row scales a column by a
     positive integer instead of dividing by the pivot.  Right after, the
     column is divided by its content (`linalg._primitive`, signs kept), so
     every column stays a primitive integer vector as it goes, and the net
@@ -399,16 +467,23 @@ def _pruned(frame, matrix, max_length):
         offset, mask = layout.field(k - 1)
         units = [(lead | a) << layout.shift for a, lead in enumerate(below.leads)]
         unit_rows = {unit: a for a, unit in enumerate(units)}
-        elements = _input_coordinates(frame) if k == 2 else levels[k - 1].elements
+        # each column comes as scales[c] times the relation, in ints on
+        # integral input: a row's factor n / d is applied as n * (s / d),
+        # s the lcm of the d of the column's rows
+        elements, scales = _input_coordinates(frame) if k == 2 else (levels[k - 1].elements, None)
         if dead or factors:
-            columns = []
+            columns, scales = [], []
             for element in elements:
+                rows = {key >> offset & mask for key in element}
+                scale = lcm(*(factors[a].denominator for a in rows if a in factors))
+                scaled = {a: factors[a].numerator * (scale // factors[a].denominator) for a in rows if a in factors}
                 column = {}
                 for key, c in element.items():
                     a = key >> offset & mask
                     if a not in dead:
-                        column[key] = exact(c * factors[a]) if a in factors else c
+                        column[key] = c * scaled[a] if a in scaled else c * scale
                 columns.append(column)
+                scales.append(scale)
         else:
             columns = list(elements)
         # what the next differential's rows are multiplied by: 1 / s for
@@ -416,6 +491,8 @@ def _pruned(frame, matrix, max_length):
         next_factors = [1] * len(columns)
         for c, column in enumerate(columns):
             columns[c], next_factors[c] = _primitive(column)
+        if scales:
+            next_factors = [f if s == 1 else exact_quotient(f, s) for f, s in zip(next_factors, scales)]
         live = [True] * len(columns)
         pruned = set()
         holders = None  # row -> the columns that may hold a term at it
@@ -464,8 +541,15 @@ def _pruned(frame, matrix, max_length):
             return min((unit_rows[key] for key in column if key in unit_rows), default=None)
 
         if k == 2:
+            # each creator cancels its highest unit at a row that stands
+            # for no input column and is not pruned: its own, unless
+            # back-substitution moved the constants of its degree
             for t in sorted(frame.creators, reverse=True):
-                cancel(t, frame.creators[t])
+                b = frame.creators[t]
+                free = [a for key in columns[b] if key in unit_rows
+                        for a in (unit_rows[key],) if frame.born[a] is None and a not in pruned]
+                if free:
+                    cancel(max(free), b)
         else:
             for b in range(len(columns)):
                 a = lowest_unit(columns[b])

@@ -49,12 +49,7 @@ def koszul_complex(n, seed):
     (lexicographic order) in degree k, and d_k(e_I) = sum_t (-1)^t l_{I[t]}
     e_{I without I[t]}, over `std_ring(n)`.
     """
-    rng = random.Random("%d:complex-forms-%d" % (seed, n))
-    while True:
-        coefficients = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
-        if rank(coefficients) == n:
-            break
-    forms = ["+".join("%d*x%d" % (c, j + 1) for j, c in enumerate(row)) for row in coefficients]
+    forms = generic_forms(n, seed, "complex")
     subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
     ring = std_ring(n)
     differentials = []
@@ -67,6 +62,20 @@ def koszul_complex(n, seed):
                 entries[row_of[face]][j] = forms[var] if t % 2 == 0 else "-(%s)" % forms[var]
         differentials.append(matrix(ring, [[k - 1]] * len(subsets[k - 1]), [[k]] * len(subsets[k]), entries))
     return differentials
+
+
+def generic_forms(n, seed, label):
+    """n independent linear forms in x1 ... xn, as texts, drawn as perfbench/problems.py's generic_forms draws them."""
+    rng = random.Random("%d:%s-forms-%d" % (seed, label, n))
+    while True:
+        coefficients = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        if rank(coefficients) == n:
+            return ["+".join("%d*x%d" % (c, j + 1) for j, c in enumerate(row)) for row in coefficients]
+
+
+def koszul_presentation(n, seed):
+    """The row of n generic linear forms, as perfbench/problems.py's koszul_presentation(n, seed) builds it."""
+    return matrix(std_ring(n), [[0]], [[1]] * n, [generic_forms(n, seed, "presentation")])
 
 
 def std_ring(n, order="grevlex"):

@@ -493,8 +493,10 @@ def test_high_degree_fixture_widens_the_packed_fields(capsys, caplog, order):
 
 def test_mixed_sign_resolution_golden(capsys):
     # the printed matrices depend on the frame: the order in which its run
-    # takes generators and S-pairs (generators first), the pairs each
-    # level keeps, and which units pruning cancels
+    # takes generators and S-pairs (generators first), the reduced basis it
+    # is built on (here two elements are back-substituted, which leaves the
+    # pruned matrices as they were), the pairs each level keeps, and which
+    # units pruning cancels
     path = str(fixture_path("mixed_sign.json"))
     code, out, err = run(capsys, "resolve", "--input", path, "--module-order", "top-up", "--json")
     assert (code, err) == (0, "")

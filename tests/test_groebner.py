@@ -5,7 +5,8 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
 
@@ -42,7 +43,15 @@ from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.rings import monomial_div, monomial_lcm, vector_add
 
-from conftest import PROBLEMS, WIDE_WEIGHT_RING, entries_as_text, fixture_path, matrix, std_ring
+from conftest import (
+    PROBLEMS,
+    WIDE_WEIGHT_RING,
+    entries_as_text,
+    fixture_path,
+    koszul_presentation,
+    matrix,
+    std_ring,
+)
 from reference import reference_standard_monomials
 
 TOP_UP = ModuleTermOrder("top-up")
@@ -755,14 +764,15 @@ def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(
         # relations, which come last, or else every level-2 element that is
         # no pivot of pruning; each then no longer maps to zero, and pruning
         # the third differential removes only some level-2 elements
-        vectors = [dict(v) for v in real_coordinates(frame)]
+        vectors, scales = real_coordinates(frame)
+        vectors = [dict(v) for v in vectors]
         if redundant:
             targets = range(len(vectors) - len(frame.redundant), len(vectors))
         else:
             targets = set(range(len(vectors))) - set(frame.creators.values())
         for k in targets:
             vectors[k][next(iter(vectors[k]))] *= 2
-        return vectors
+        return vectors, scales
 
     monkeypatch.setattr(schreyer, "_nonzero_composite", composite)
     for order in ALL_ORDERS:
@@ -1022,10 +1032,11 @@ def test_the_resolution_guard_rejects_differentials_that_do_not_compose(monkeypa
     def doubled(frame):
         # double one coefficient of the first relation: it stays
         # homogeneous, but no longer maps to zero
-        elements = [dict(e) for e in real(frame)]
+        elements, scales = real(frame)
+        elements = [dict(e) for e in elements]
         key = next(iter(elements[0]))
         elements[0][key] *= 2
-        return elements
+        return elements, scales
 
     monkeypatch.setattr(schreyer, "_input_coordinates", doubled)
     with pytest.raises(InternalError) as info:
@@ -1046,17 +1057,16 @@ def test_the_resolution_guard_rejects_differentials_that_do_not_compose(monkeypa
     assert str(info.value) == "a unit survived pruning differential 2 of the frame"
 
 
-# d2 of the generic Koszul fixture's resolution under top-up, as `syzygies`
-# gave it before its columns were scaled to primitive integer vectors; the
-# pruned frame gives the same columns, each scaled by a positive rational
+# d2 of the generic Koszul fixture's resolution under top-up, from the frame
+# over the reduced basis x1, ..., x4: column (i, j) is the Koszul relation
+# x_j * e_i - x_i * e_j written over the input forms, each column a
+# primitive integer vector; checked in sympy to be C * A for the Koszul
+# relations C of the forms and an invertible constant A, under every order
 GENERIC_KOSZUL_RATIONAL_D2 = [
-    ["-3/13*x1-2/13*x2-1/39*x3-7/39*x4", "42/319*x1-48/319*x3-12/319*x4", "42/319*x2+79/319*x3+67/319*x4",
-     "139/1331*x1-114/1331*x4", "139/1331*x2+344/1331*x4", "139/1331*x3-65/1331*x4"],
-    ["4/39*x1+7/39*x2+1/39*x3+4/39*x4", "-10/319*x1+57/319*x3+39/319*x4", "-10/319*x2-34/319*x3-28/319*x4",
-     "-185/1331*x1+123/1331*x4", "-185/1331*x2-161/1331*x4", "-185/1331*x3-105/1331*x4"],
-    ["0", "-39/319*x1-1/319*x3-25/319*x4", "-39/319*x2-5/319*x3-8/319*x4",
-     "-167/2662*x1-56/1331*x4", "-167/2662*x2-59/2662*x4", "-167/2662*x3+193/2662*x4"],
-    ["0", "0", "0", "29/242*x1+9/121*x4", "29/242*x2+3/242*x4", "29/242*x3+23/242*x4"],
+    ["-688*x1-228*x2", "130*x1-228*x3", "130*x2+688*x3", "278*x1-228*x4", "278*x2+688*x4", "278*x3-130*x4"],
+    ["322*x1+246*x2", "210*x1+246*x3", "210*x2-322*x3", "-370*x1+246*x4", "-370*x2-322*x4", "-370*x3-210*x4"],
+    ["59*x1-112*x2", "-193*x1-112*x3", "-193*x2-59*x3", "-167*x1-112*x4", "-167*x2-59*x4", "-167*x3+193*x4"],
+    ["-33*x1+198*x2", "-253*x1+198*x3", "-253*x2+33*x3", "319*x1+198*x4", "319*x2+33*x4", "319*x3+253*x4"],
 ]
 
 
@@ -1073,3 +1083,70 @@ def test_syzygies_of_generic_forms_are_primitive_integer_columns():
         ratio = Fraction(col.entries[term.index].terms[term.monomial]) / c
         assert ratio > 0
         assert col == old.scale(ratio)
+
+
+def test_the_level_2_vectors_handed_to_pruning_have_int_entries(monkeypatch):
+    # the column-born elements of generic forms are rational combinations
+    # of the input columns; each substituted vector comes scaled to ints
+    schreyer = importlib.import_module("torusweights.schreyer")
+    real = schreyer._input_coordinates
+    seen = []
+
+    def recorded(frame):
+        vectors, scales = real(frame)
+        seen.append((vectors, scales))
+        return vectors, scales
+
+    monkeypatch.setattr(schreyer, "_input_coordinates", recorded)
+    maps = [load_problem(fixture_path("generic_koszul.json")).matrices["d1"]]
+    maps += [koszul_presentation(n, seed) for n in (6, 7) for seed in (1, 2, 3)]
+    for m in maps:
+        for order in ALL_ORDERS:
+            seen.clear()
+            minimal_resolution(m, order)
+            [(vectors, scales)] = seen
+            assert vectors and len(scales) == len(vectors)
+            assert all(type(c) is int for v in vectors for c in v.values())
+            assert all(type(s) is int and s > 0 for s in scales)
+            assert any(s > 1 for s in scales)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_generic_linear_forms_resolve_to_the_monomial_koszul_complex_from_d3_on(n):
+    # the frame is built on the reduced basis x_1, ..., x_n, so from level 3
+    # on it is the Koszul complex on the variables, which pruning leaves as
+    # it is: every column of d_k, k >= 3, holds k single-term entries
+    weights = [Counter(tuple(int(i in s) for i in range(n)) for s in combinations(range(n), k)) for k in range(n + 1)]
+    for seed in (1, 2):
+        m = koszul_presentation(n, seed)
+        for order in ALL_ORDERS:
+            resolution = minimal_resolution(m, order)
+            assert resolution.ranks == [comb(n, k) for k in range(n + 1)]
+            for k, d in enumerate(resolution.differentials[2:], start=3):
+                for col in d.columns():
+                    assert sorted(len(e.terms) for e in col.entries if e.terms) == [1] * k, (seed, order, k)
+            result = propagate_resolution(resolution, 0, [(0,) * n], order)
+            assert [Counter(map(tuple, ws)) for ws in result.per_module] == weights
+
+
+@pytest.mark.parametrize("name, presentation", [("mixed_sign", "m"), ("generic_koszul", "d1")])
+def test_resolutions_of_rewritten_frames_are_minimal_complexes_in_sympy(name, presentation):
+    # the two fixture presentations whose frames back-substitution rewrites: sympy
+    # multiplies each consecutive pair of differentials out, and no
+    # differential after the first has a nonzero constant entry
+    sympy = __import__("sympy")
+    m = load_problem(fixture_path(name + ".json")).matrices[presentation]
+    ring = m.domain.ring
+    symbols = {v: sympy.Symbol(v) for v in ring.var_names}
+
+    def as_sympy(d):
+        rows = [[sympy.parse_expr(t.replace("^", "**"), local_dict=symbols) for t in row] for row in entries_as_text(d)]
+        return sympy.Matrix(d.num_rows, d.num_cols, [x for row in rows for x in row])
+
+    for order in ALL_ORDERS:
+        maps = [as_sympy(d) for d in minimal_resolution(m, order).differentials]
+        assert len(maps) >= 2
+        for a, b in zip(maps, maps[1:]):
+            assert (a * b).expand().is_zero_matrix, order
+        for d in maps[1:]:
+            assert all(sympy.Poly(x, *symbols.values()).coeff_monomial(1) == 0 for x in d if x != 0), order

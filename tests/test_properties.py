@@ -30,6 +30,7 @@ from torusweights import (
     propagate,
     propagate_forward,
     propagate_graded_components,
+    propagate_resolution,
     standard_monomials,
     syzygies,
 )
@@ -51,7 +52,7 @@ from torusweights.rings import (
     vector_sub,
 )
 
-from conftest import WIDE_WEIGHT_RING, fixture_path, std_ring
+from conftest import WIDE_WEIGHT_RING, fixture_path, matrix, std_ring
 from reference import ReferenceEchelon, _term_divides, reference_pseudo_divide, reference_standard_monomials
 from test_groebner import (
     assert_primitive_integer_columns,
@@ -1087,6 +1088,26 @@ def basis_image(module, elements, vector):
     return image
 
 
+def held_elements(module, elements, records, degree):
+    """The run's elements as it held them while it took the items of degree.
+
+    elements are the ones the run returns; each element of that degree that
+    the degree's back-substitution changed is given as it was before:
+    content * g'_i = tail . G, tail = M * e_i less the later elements'
+    quotients, so g_i = (content * g'_i - (tail - M * e_i) . G) / M.
+    """
+    held = list(elements)
+    unit = (0,) * module.ring.num_vars
+    for tail, d, payload, content, i in records:
+        if payload is None and d == degree:
+            entries = list(tail.entries)
+            multiplier = entries[i].terms[unit]
+            entries[i] = Polynomial()
+            rest = basis_image(module, elements, ModuleElement(tail.module, entries))
+            held[i] = (elements[i].scale(content) + rest.scale(-1)).scale(Fraction(1, multiplier))
+    return held
+
+
 @SETTINGS
 @given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
 def test_buchberger_elements_are_primitive_integer_vectors(data, ring, order):
@@ -1106,9 +1127,10 @@ def test_buchberger_elements_are_primitive_integer_vectors(data, ring, order):
         assert gcd(*coefficients) == 1
         assert element.leading_term(order)[1] > 0
     unit = (0,) * ring.num_vars
-    for relation, _, payload, multiplier, t in records:
+    for relation, degree, payload, multiplier, t in records:
         if type(payload) is not int:
             continue
+        held = held_elements(m.codomain, elements, records, degree)
         entries = list(relation.entries)
         content = 0
         if t is not None:
@@ -1118,8 +1140,8 @@ def test_buchberger_elements_are_primitive_integer_vectors(data, ring, order):
         tail = ModuleElement(relation.module, entries)
         expected = m.codomain.zero_element()
         if t is not None:
-            expected = elements[t].scale(content)
-        assert columns[payload].scale(multiplier) + basis_image(m.codomain, elements, tail) == expected
+            expected = held[t].scale(content)
+        assert columns[payload].scale(multiplier) + basis_image(m.codomain, held, tail) == expected
 
 
 @SETTINGS
@@ -1133,8 +1155,75 @@ def test_buchberger_relations_are_homogeneous_syzygies(coefficients, data, ring,
     for relation, degree, payload, _, _ in records:
         if not relation.is_zero:
             assert relation.homogeneous_degree() == degree
-        if type(payload) is not int:
-            assert basis_image(m.codomain, elements, relation).is_zero
+        if type(payload) is tuple:
+            assert basis_image(m.codomain, held_elements(m.codomain, elements, records, degree), relation).is_zero
+
+
+def frame_run_bases(call):
+    """(codec, basis) of each frame run that call() makes, the basis as the run returns it."""
+    real, runs = schreyer._buchberger_run, []
+
+    def recorded(*args):
+        out = real(*args)
+        runs.append((out[0], out[2]))
+        return out
+
+    with mock.patch.object(schreyer, "_buchberger_run", recorded):
+        call()
+    return runs
+
+
+def assert_reduced_basis(codec, basis):
+    # no term of an element but its leading one is divisible by another
+    # element's leading term
+    leads = [max(work) for work, _ in basis]
+    for i, (work, _) in enumerate(basis):
+        for t in work:
+            if t != leads[i]:
+                assert not any(codec.divides(lead, t) for j, lead in enumerate(leads) if j != i)
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_the_frames_run_leaves_a_reduced_basis(data, ring, order):
+    m = data.draw(homogeneous_matrix(ring))
+    calls = [lambda: syzygies(m, order)]
+    if is_minimal_map(m):
+        calls.append(lambda: minimal_resolution(m, order))
+    for call in calls:
+        for codec, basis in frame_run_bases(call):
+            assert_reduced_basis(codec, basis)
+
+
+# under top-up the degree-3 S-pair adds an element whose leading term is a
+# term of the degree-3 column's element, which the run took first, so that
+# column-born element is reduced by an S-pair-born one of its degree
+S_BORN_REDUCES_A_COLUMN = ["x1^2-x3^2-x1*x2", "2*x1^2+2*x2^2+x1*x2", "2*x1*x2*x3+2*x1^3"]
+
+
+def test_an_s_pair_born_element_reduces_a_column_born_one_of_its_degree():
+    ring = RingSpec(["x1", "x2", "x3"], [[1]] * 3, [[1]] * 3)
+    m = matrix(ring, [[0]], [[2], [2], [3]], [S_BORN_REDUCES_A_COLUMN])
+    elements, records = tracked_run(m, TOP_UP)
+    s_born = {t for _, _, payload, _, t in records if type(payload) is tuple and t is not None}
+    column_born = {t for _, _, payload, _, t in records if type(payload) is int and t is not None}
+    assert any(
+        payload is None and i in column_born and any(not tail.entries[j].is_zero for j in s_born)
+        for tail, _, payload, _, i in records
+    )
+    for order in ALL_ORDERS:
+        for call in (minimal_resolution, syzygies):
+            runs = frame_run_bases(lambda: call(m, order))
+            assert runs
+            for codec, basis in runs:
+                assert_reduced_basis(codec, basis)
+        resolution = minimal_resolution(m, order)
+        assert resolution.ranks == [1, 3, 3, 1]
+        maps = resolution.differentials
+        assert all((a @ b).is_zero for a, b in zip(maps, maps[1:]))
+        assert maps[1] == syzygies(m, order)
+        result = propagate_resolution(resolution, 0, [(0,)], order)
+        assert [sorted(ws) for ws in result.per_module] == [[(0,)], [(2,), (2,), (3,)], [(4,), (5,), (5,)], [(7,)]]
 
 
 # ---------- graded components from the bounded run ----------
