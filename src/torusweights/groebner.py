@@ -16,13 +16,12 @@ primitive integer vectors.
 One engine, `_buchberger_run`, computes Groebner bases, minimality and the
 first two levels of the frame behind resolutions and syzygies; the frame's
 run back-substitutes each degree it finishes, so the frame is built on a
-reduced basis (La Scala and Stillman, JSC 1998).  A generator
-that may not join waits for its degree's S-pairs: every generator of the
-bounded run that reads graded Nakayama off (a vector is needed exactly
-when it joins), and each redundant column of the frame's run.  Vectors
-that all lie in one degree are decided without a run, by the engine's one
-sparse elimination, `linalg.Echelon` (see `_nakayama_kept`).  No monomial
-multiple of a vector is formed.
+reduced basis (La Scala and Stillman, JSC 1998), and decides minimality
+from its relations (see `schreyer._frame`).  The bounded run without tails
+behind `is_minimal_map` reads graded Nakayama off: a vector is needed
+exactly when it joins.  Vectors that all lie in one degree are decided
+without a run, by the engine's one sparse elimination, `linalg.Echelon`
+(see `_nakayama_kept`).  No monomial multiple of a vector is formed.
 
 Division, Buchberger, the inter-reduction and the search for standard
 monomials run on packed terms (see `packed`): a module term is one int that
@@ -208,40 +207,37 @@ class GroebnerBasis:
         return [g.leading_term(self.order)[0] for g in self.elements]
 
 
-def _buchberger_run(codec, columns, degrees, module, bound, kept):
+def _buchberger_run(codec, columns, degrees, module, bound, tails):
     """Core Buchberger loop on packed terms; returns (codec, columns, basis, records, joined).
 
     columns are packed dicts, packed by codec, of elements of module, column
     j of degree degrees[j]; the run copies them and leaves them as they are.
-    codec has indices for module.  kept is None for a run without tails
-    (`buchberger`, `_nakayama_kept`), and the columns' keep-flags (see
-    `_nakayama_kept`) for a run with unit tails (the frame of
-    `minimal_resolution` and `syzygies`); a column not kept is redundant.
-    Generators and S-pairs are processed in increasing order of the ring's
-    positive functional of their degrees, ties broken by the degrees
-    themselves (normal selection strategy); items whose functional exceeds
-    the bound's are dropped.  joined holds one flag per column: whether it
-    joined the basis.
+    codec has indices for module.  tails says whether the run carries unit
+    tails (the frame of `minimal_resolution` and `syzygies`) or none
+    (`buchberger`, `_nakayama_kept`).  Generators and S-pairs are processed
+    in increasing order of the ring's positive functional of their degrees,
+    ties broken by the degrees themselves (normal selection strategy);
+    items whose functional exceeds the bound's are dropped.  joined holds
+    one flag per column: whether it joined the basis.
 
-    Within a degree a generator that may not join (without tails every
-    one, with them each redundant column) waits for the S-pairs; kept
-    columns go first, as `resolve`'s output needs.  A new element's S-pairs
-    lie in strictly higher degrees, so when column j's turn comes the basis
-    is a Groebner basis, up to j's degree, of the submodule the columns
-    before j generate, and column j joins exactly when it is not in that
-    submodule: graded Nakayama's test of whether it is needed to generate
-    (see `_nakayama_kept`).  So a redundant column reduces to zero, and as
-    later elements lie in other degrees, its division and record are those
-    of a division by the finished basis.  A run without tails only
-    top-reduces each item (see `_pseudo_divide`): the division stops at the
-    first popped term that no divisor's leading term divides.  Up to there
-    its steps are those of full reduction, so the item reduces to zero, or
-    joins with that leading term, exactly as it would under full reduction
-    by the same basis.  The element's lower terms may stay reducible, and a
-    later S-pair of it then differs from full reduction's by an element of
-    the submodule the basis generates; the leading terms the basis reaches
-    in each degree, and so the S-pair degrees and the generators that join
-    (within a degree the S-pairs go first), depend only on that submodule.
+    Within a degree the columns go, in index order, before the S-pairs with
+    unit tails, as `resolve`'s output needs, and after them without.  A new
+    element's S-pairs lie in strictly higher degrees, so in a run without
+    tails, when column j's turn comes the basis is a Groebner basis, up to
+    j's degree, of the submodule the columns before j generate, and column
+    j joins exactly when it is not in that submodule: graded Nakayama's
+    test of whether it is needed to generate (see `_nakayama_kept`).  Such
+    a run only top-reduces each item (see `_pseudo_divide`): the division
+    stops at the first popped term that no divisor's leading term divides.
+    Up to there its steps are those of full reduction, so the item reduces
+    to zero, or joins with that leading term, exactly as it would under
+    full reduction by the same basis.  The element's lower terms may stay
+    reducible, and a later S-pair of it then differs from full reduction's
+    by an element of the submodule the basis generates; the leading terms
+    the basis reaches in each degree, and so the S-pair degrees and the
+    generators that join, depend only on that submodule.  With unit tails a
+    redundant column may join, and the frame reads minimality off the
+    relations (see `schreyer._frame`).
 
     With unit tails, element t of the basis carries the unit vector e_t over
     the basis as its divisor tail, and every item enters with an empty
@@ -299,7 +295,6 @@ def _buchberger_run(codec, columns, degrees, module, bound, kept):
     joined = [False] * len(columns)
     if not columns:
         return codec, columns, [], [], joined
-    tails = kept is not None
     ring = codec.ring
     functional = ring._functional
     limit = functional(bound) if bound is not None else None
@@ -320,7 +315,7 @@ def _buchberger_run(codec, columns, degrees, module, bound, kept):
 
     for j, (col, degree) in enumerate(zip(columns, degrees)):
         if col:
-            push(degree, not (tails and kept[j]), j)
+            push(degree, not tails, j)
         elif tails:
             records.append(({}, degree, j, 1, None))
 
@@ -501,7 +496,7 @@ def buchberger(matrix, order, bound=None):
     if bound is not None:
         bound = _int_vector(bound, "degree bound", ring.degree_length)
     codec, (columns,) = _packed_chain([matrix], order)
-    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, bound, None)
+    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, bound, False)
     monic = []
     for work, _ in basis:
         lead_coeff = work[max(work)]
@@ -700,9 +695,8 @@ def _nakayama_kept(codec, module, vectors, degrees):
     is the run's flag there.  Its rows key the terms by first appearance,
     which on the Koszul differentials that `forward` checks takes 527
     reduction steps against 2,370 in the packed terms' own order (seeds
-    1-3).  This is the rule for every caller: `is_minimal_map`,
-    `syzygies`, the input check of `minimal_resolution` and the
-    per-differential checks of `propagate.propagate_resolution`.
+    1-3).  This is the rule for every caller: `is_minimal_map`, `propagate`,
+    `minimal_resolution` with max_length 1 and `propagate_resolution`.
     """
     if not vectors:
         return []
@@ -712,7 +706,7 @@ def _nakayama_kept(codec, module, vectors, degrees):
         return [ech.add({index[t]: x for t, x in v.items()}) for v in vectors]
     functional = codec.ring._functional
     bound = max(degrees, key=lambda d: (functional(d), d))
-    return _buchberger_run(codec, vectors, degrees, module, bound, None)[4]
+    return _buchberger_run(codec, vectors, degrees, module, bound, False)[4]
 
 
 def is_minimal_map(matrix):
@@ -724,7 +718,8 @@ def is_minimal_map(matrix):
     packed columns, under top-up, by a bounded run or, for columns in one
     degree, by one elimination; the flags do not depend on the order, so
     `propagate` and `propagate_resolution` run it on the columns they packed
-    under theirs.
+    under theirs.  `syzygies` and `minimal_resolution` read the answer off
+    their frame's run instead (see `schreyer._frame`).
     """
     codec, (columns,) = _packed_chain([matrix], ModuleTermOrder())
     return all(_nakayama_kept(codec, matrix.codomain, columns, matrix.domain.basis_degrees))
@@ -734,22 +729,19 @@ def syzygies(matrix, order):
     """A minimal generating set for the syzygies of the matrix columns.
 
     Read off the pruned Schreyer frame that `minimal_resolution` builds
-    (see `schreyer`).  Graded Nakayama (`_nakayama_kept`) splits the columns
-    of M = matrix into kept ones K, which minimally generate the image, and
-    redundant ones R.  The frame is built over M_K; its run takes every
-    column, and each redundant c_j reduces to zero there with unit tails, as
-    a division by its Groebner basis G would (see `_buchberger_run`):
-    s * c_j = v_j . G for a positive integer s, which gives the relation
-    s * e_j - v_j once v_j is written over the kept columns, as the frame's
-    second differential is.  The map (u, w) ->
-    (u + A * w, w), with M_R = M_K * A, is a degree-preserving automorphism
-    that carries the syzygies of M onto those of M_K plus the free module on
-    R, so the pruned second differential over M_K and these relations
-    together generate the syzygies minimally.  On a minimal map R is empty
-    and the result is exactly `minimal_resolution(matrix, order,
-    max_length=2)`'s second differential, or a zero-column matrix where the
-    resolution has none.  Where every column is zero (so also where the map
-    has no rows) the syzygies are the identity.
+    (see `schreyer`) over every column of M = matrix.  A column c_j that
+    the frame's run reduces to zero gives s * c_j = v_j . G for a positive
+    integer s and its Groebner basis G, and so the relation s * e_j - v_j,
+    with v_j written over the input columns as the frame's second
+    differential is; no other relation has a term at e_j, so it is needed.
+    A redundant column that joins G instead stays a row of the frame, and
+    pruning the frame's third differential drops the relations that the
+    others generate, so the pruned second differential and these relations
+    together generate the syzygies minimally.  On a minimal map no column
+    reduces to zero, and the result is exactly `minimal_resolution(matrix,
+    order, max_length=2)`'s second differential, or a zero-column matrix
+    where the resolution has none.  Where every column is zero (so also
+    where the map has no rows) the syzygies are the identity.
 
     Every column is a primitive integer vector (integer coefficients with
     gcd 1).  The claim matrix @ S = 0 is checked once, on packed columns,
@@ -757,13 +749,12 @@ def syzygies(matrix, order):
     """
     check_order(order)
     codec, (columns,) = _packed_chain([matrix], order)
-    kept = _nakayama_kept(codec, matrix.codomain, columns, matrix.domain.basis_degrees)
-    if not any(kept):
+    if not any(columns):
         unit = unit_monomial(codec.ring.num_vars)
         return codec.matrix([{codec.term(unit, j): 1} for j in range(matrix.num_cols)], matrix.domain, matrix.domain)
     from .schreyer import _frame, _pruned
 
-    _, _, differentials = _pruned(_frame(codec, columns, matrix, 3, kept), matrix, 2)
+    _, _, differentials = _pruned(_frame(codec, columns, matrix), matrix, 2)
     if len(differentials) == 2:
         return differentials[1]
     return codec.matrix([], matrix.domain, FreeModuleSpec(codec.ring, []))
@@ -836,7 +827,7 @@ class _MinimalChain(tuple):
     """Differentials that `minimal_resolution` proved to be a minimal chain, with their packed columns.
 
     Only `minimal_resolution` builds one, after its input passed the
-    `is_minimal_map` test, every consecutive composite of the pruned frame
+    graded Nakayama test, every consecutive composite of the pruned frame
     was checked to vanish, and no differential after the first was left
     with a constant entry: the maps chain, consecutive composites vanish
     and every map is minimal.  The tuple is immutable and so, by convention, is
@@ -902,14 +893,16 @@ def minimal_resolution(matrix, order, max_length=None):
     division per S-pair.  The frame is a free resolution of the cokernel,
     through G, but not a minimal one; `schreyer._pruned` cancels its units
     and writes the second differential over the input columns, so that the
-    first differential is the input itself.  The input must be a minimal map; a
-    zero-column presentation resolves a free module and gives a length-zero
-    resolution.  max_length, when given, must be an integer of at least 1,
-    and at most max_length differentials are returned; the frame is then
-    built only one level beyond them.
+    first differential is the input itself.  The input must be a minimal
+    map, which the frame's run decides before any level beyond 2 is built
+    (see `schreyer._frame`), or `_nakayama_kept` where max_length is 1 and
+    no frame is built; a zero-column presentation resolves a free module
+    and gives a length-zero resolution.  max_length, when given, must be an
+    integer of at least 1, and at most max_length differentials are
+    returned; the frame is then built only one level beyond them.
 
     The differentials come as a `_MinimalChain`: the input passed the
-    `is_minimal_map` test, each consecutive composite was checked to vanish
+    minimality test, each consecutive composite was checked to vanish
     on packed columns, and no differential after the first has a nonzero
     constant entry, which, since the pruned frame stays exact, makes every
     map minimal.  So `propagate_resolution` does not prove the chain or its
@@ -926,20 +919,19 @@ def minimal_resolution(matrix, order, max_length=None):
             raise InputError("max_length must be an integer, got %r" % (max_length,)) from None
         if max_length < 1:
             raise InputError("max_length must be at least 1, got %r" % (max_length,))
-    # `is_minimal_map`'s test, on the columns the frame's run takes: its
-    # flags do not depend on the order
     codec, (columns,) = _packed_chain([matrix], order)
-    kept = _nakayama_kept(codec, matrix.codomain, columns, matrix.domain.basis_degrees)
-    if not all(kept):
-        raise MinimalityError("presentation matrix is not a minimal map")
     if matrix.num_cols == 0:
         return Resolution(matrix.codomain, _MinimalChain())
     if max_length == 1:
+        if not all(_nakayama_kept(codec, matrix.codomain, columns, matrix.domain.basis_degrees)):
+            raise MinimalityError("presentation matrix is not a minimal map")
         return Resolution(matrix.codomain, _MinimalChain([matrix], codec, [columns]))
     # only resolutions need the frame: a process that never resolves does
     # not load its module
     from .schreyer import _frame, _pruned
 
-    frame = _frame(codec, columns, matrix, None if max_length is None else max_length + 1, kept)
+    frame = _frame(codec, columns, matrix)
+    if not frame.minimal:
+        raise MinimalityError("presentation matrix is not a minimal map")
     codec, packed, maps = _pruned(frame, matrix, max_length)
     return Resolution(matrix.codomain, _MinimalChain(maps, codec, packed))

@@ -13,8 +13,9 @@ Its callers key their rows as the order of the elimination needs: the
 walk's degree blocks that come as packed dicts by packed term, each
 negated so that the largest term leads (see `propagate._block_leads`),
 `groebner._nakayama_kept`, for the keep-flags of vectors of one degree,
-by the order in which the terms first appear, and C from C^-1
-(`propagate._inverted`, by `reduced_rows`) and `rank` by position.  Fractions appear only in
+by the order in which the terms first appear, `schreyer._frame`'s rank
+test S-pair-born elements first, and C from C^-1 (`propagate._inverted`,
+by `reduced_rows`) and `rank` by position.  Fractions appear only in
 `reduced_rows`, and there only for entries that are not integers.
 `pivot_scan` finds only the pivots, for the walk's degree blocks in row
 slots (see `propagate._row_block_leads`): it takes the matrix position by

@@ -335,8 +335,8 @@ class _TermCodec:
 
     def split(self, t):
         """(the packed monomial of the packed term t, its index): t less its index field, and the index."""
-        index = self.unpack(t).index
-        return t - self._tag(index), index
+        field = t >> self._index_shift & self._index_mask
+        return t - (field << self._index_shift), self.indices - 1 - field if self._down else field
 
     def exponents(self, monomial):
         """The exponent tuple of a packed monomial, a term less its index field."""

@@ -646,7 +646,7 @@ def propagate_graded_components(degree, matrix, weights, order):
     weights = _validate_weights(weights, matrix.codomain.rank, ring, "codomain weight list")
     check_order(order)
     codec, (columns,) = _packed_chain([matrix], order)
-    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, degree, None)
+    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, degree, False)
     lts = [codec.unpack(max(work)) for work, _ in basis]
     _, _, found = _standard_search(matrix.codomain, order, lts, degree, weights)
     found = tuple(found)

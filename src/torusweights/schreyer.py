@@ -1,12 +1,12 @@
 """Minimal free resolutions pruned from a Schreyer frame.
 
-`groebner.minimal_resolution` checks its input and builds the frame here
-(`_frame`): one Buchberger run with unit tails over its basis (see
-`groebner._buchberger_run`) gives the reduced Groebner basis G of the image,
-each degree back-substituted once the run has taken it, and the relations
-of the S-pairs it took, rewritten over the reduced elements; on generic
-linear forms G is the variables, and the frame from level 3 on is their
-monomial Koszul complex.  Each further level costs one
+`groebner.minimal_resolution` and `groebner.syzygies` build the frame here
+(`_frame`): one Buchberger run with unit tails (see `groebner._buchberger_run`)
+decides whether the input is minimal and gives the reduced Groebner basis G
+of the image, each degree back-substituted once the run has taken it, and
+the relations of the S-pairs it took, rewritten over the reduced elements;
+on generic linear forms G is the variables, and the frame from level 3 on
+is their monomial Koszul complex.  Each further level costs one
 division per S-pair, whose leading term Schreyer's theorem gives (La Scala
 and Stillman, "Strategies for computing minimal free resolutions", JSC
 1998; Erocal, Motsak, Schreyer and Steenpass, "Refined algorithms to
@@ -32,7 +32,7 @@ from .groebner import (
     _nonzero_composite,
     _s_pair,
 )
-from .linalg import _primitive
+from .linalg import Echelon, _primitive
 from .modules import FreeModuleSpec
 from .packed import _TermCodec, _divisor, _pseudo_divide
 from .rings import exact, exact_quotient, monomial_lcm, unit_monomial, vector_add
@@ -137,7 +137,7 @@ class _FrameLevel:
 
 @dataclass
 class _Frame:
-    """A Schreyer frame over a minimal map, as `_frame` builds it.
+    """A Schreyer frame over a map, as `_frame` builds it and `_pruned` grows it.
 
     levels[k - 1] is level k.  codec packs the F_0 terms of every level and
     the input's columns (columns), and holds the total degree of every
@@ -149,9 +149,10 @@ class _Frame:
     that its division left, then, if its degree's back-substitution changed
     it, that record, with M = 0 and e_t in tail standing for g_t as it was
     joined.  creators[t] is, for an S-pair-born t, the level-2 element of
-    the S-pair that added it.  redundant lists the (relation, degree) of each redundant column,
-    packed by level 2's layout; level 1 gives each a row after G's, with
-    lead 0.
+    the S-pair that added it.  redundant lists the (relation, degree) of
+    each column that the run reduced to zero, in index order, packed by
+    level 2's layout; level 1 gives each a row after G's, with lead 0.
+    minimal says whether the columns minimally generate the image.
     """
 
     codec: object
@@ -161,36 +162,34 @@ class _Frame:
     joins: dict
     creators: dict
     redundant: list
+    minimal: bool = True
 
 
-def _frame(codec, columns, matrix, top, kept):
-    """The Schreyer frame (a `_Frame`) over matrix, whose columns codec packed, and kept of them.
-
-    kept flags the columns that minimally generate the image (see
-    `groebner.syzygies`), and the frame is built over those.  The run takes
-    every column, and each other column c_j reduces to zero by G with unit
-    tails: M * c_j = v_j . G gives its relation M * e_j - v_j, e_j the
-    column's own row of level 1.  The run must join exactly the kept ones.
+def _frame(codec, columns, matrix):
+    """Levels 1 and 2 of the Schreyer frame (a `_Frame`) over matrix, whose columns codec packed.
 
     Level 1 is the Groebner basis G of the image that one Buchberger run
     with unit tails builds (see `_buchberger_run`), level 2 the relations
-    of the S-pairs that run took, and level k + 1 the relations of the
-    S-pairs of level k's elements whose leading terms share a basis element
-    of F_{k-1}, those `_minimal_pairs` keeps.  By Schreyer's theorem each
-    level is a Groebner basis of the syzygies of the one below, under the
-    order its keys follow (see `_FrameLayout`): the relation of an
-    S-pair has its leading term at the pair's later element, times the lcm
-    over that element's leading term, and costs one division of the
-    S-polynomial, which reduces to zero.  A frame term is divisible only by
-    leading terms on its own chain, so the division tries only those.  The
-    run's records of each degree are over that degree's elements as they
-    were before its back-substitution: each S-pair's relation and each
-    redundant column's is rewritten over the reduced elements (a relation
-    times a positive integer, e_i = (content * e'_i + M * e_i - tail) / M),
-    and the columns' joins are left to `_input_coordinates` with the
-    back-substitutions.  No level is reduced again.  Levels beyond top are not built (all are if top is None); the frame ends at
-    the first level with no S-pair.  Every element from level 2 up is a
-    primitive integer vector.
+    of its S-pairs, by Schreyer's theorem a Groebner basis of G's syzygies
+    under the order of its keys (see `_FrameLayout`).  The run takes each
+    column before its degree's S-pairs, and a column c_j that reduces to
+    zero gives M * c_j = v_j . G, so the relation M * e_j - v_j, e_j the
+    column's own row of level 1.  The run's records of each degree are over
+    that degree's elements as they were before its back-substitution: each
+    S-pair's relation and each such column's is rewritten over the reduced
+    elements (a relation times a positive integer, e_i = (content * e'_i +
+    M * e_i - tail) / M), and the columns' joins are left to
+    `_input_coordinates` with the back-substitutions.
+
+    The columns minimally generate the image (graded Nakayama) exactly when
+    none reduces to zero and, in each degree d, the constant parts of the
+    S-pairs' relations have rank the number of elements that S-pairs added:
+    G's degree-d elements less that rank is the number of minimal
+    generators of degree d (La Scala and Stillman, JSC 1998), and the
+    relation of each S-pair that added an element has a constant there and
+    none at later elements.  One `linalg.Echelon` over every degree, keyed
+    S-pair-born elements first, shows a larger rank as a row led by a
+    column-born element.
 
     The run fits its fields to the items it takes.  A frame term has the
     degree of its element's leading term, whose F_0 monomial divides the
@@ -200,19 +199,16 @@ def _frame(codec, columns, matrix, top, kept):
     module = matrix.codomain
     ring = module.ring
     degrees = matrix.domain.basis_degrees
-    redundant = [j for j, keep in enumerate(kept) if not keep]
-    codec, packed, basis, records, joined = _buchberger_run(codec, columns, degrees, module, None, kept)
-    if joined != kept:
-        raise InternalError("the frame's run joined other columns than Nakayama keeps")
+    codec, packed, basis, records, _ = _buchberger_run(codec, columns, degrees, module, None, True)
+    redundant = sorted(payload for _, _, payload, _, t in records if type(payload) is int and t is None)
     lcms = {}
     for work, _ in basis:
         mono, index = codec.unpack(max(work))
         lcms[index] = monomial_lcm(lcms.get(index, mono), mono)
     functional = ring._functional
-    top_degree = max(functional(vector_add(ring.monomial_degree(m), module.basis_degrees[i])) for i, m in lcms.items())
     base = min(map(functional, module.basis_degrees))
-    step = min(map(functional, ring.var_degrees))
-    bound = (top_degree - base) // step
+    tops = [functional(vector_add(ring.monomial_degree(m), module.basis_degrees[i])) for i, m in lcms.items()]
+    bound = (max(tops, default=base) - base) // min(map(functional, ring.var_degrees))
     if bound > codec.capacity:
         old, codec = codec, codec.widened(bound)
         log.debug("frame: widened exponent fields to %d bits", codec.bits)
@@ -230,6 +226,8 @@ def _frame(codec, columns, matrix, top, kept):
     layout = first.appended(sum(type(payload) is tuple for _, _, payload, _, _ in records))
     level2 = _FrameLevel(layout, [], [], [])
     units = [layout.key(lead, (p,)) for p, lead in enumerate(g_leads)]
+    one = unit_monomial(ring.num_vars)
+    constants = {codec.term(one, p): p for p in range(len(basis))}
 
     def lifted(relation):
         # the run's tail term m * e_p packs as the F_0 term of m at index p
@@ -241,8 +239,7 @@ def _frame(codec, columns, matrix, top, kept):
 
     # the back-substitution of element i: the run's key of e_i -> (tail,
     # content), content * g'_i = tail . G, tail holding M * e_i
-    reduced = {tail_key: (tail, content) for tail, _, payload, content, i in records if payload is None
-               for tail_key in (codec.term(unit_monomial(ring.num_vars), i),)}
+    reduced = {codec.term(one, i): (tail, content) for tail, _, payload, content, i in records if payload is None}
 
     def rewritten(relation):
         # a relation over the elements as its degree's run left them, times
@@ -263,6 +260,7 @@ def _frame(codec, columns, matrix, top, kept):
         return {key: c for key, c in out.items() if c}, s
 
     relations = {}  # redundant column j -> the tail and multiplier M of its division
+    ranks = Echelon()  # the constant parts of the S-pairs' relations
     for relation, degree, payload, multiplier, t in records:
         if payload is None:
             if frame.born[t] is not None:
@@ -273,13 +271,15 @@ def _frame(codec, columns, matrix, top, kept):
                 relation, s = rewritten(relation)
                 relations[payload] = (relation, s * multiplier)
             else:
-                # the block's columns come before its S-pairs, so a column's
+                # each column comes before its degree's S-pairs, so its
                 # tail holds no element of its degree that an S-pair added
                 frame.born[t] = payload
                 tail = lifted(relation)
                 content = -tail.pop(units[t])
                 frame.joins.append((t, tail, multiplier, content))
             continue
+        ranks.add({(frame.born[p] is not None, p): c for key, c in relation.items() if key in constants
+                   for p in (constants[key],)})
         if t is not None:
             frame.creators[t] = len(level2.elements)
         _, j, lcm_mono = payload
@@ -292,16 +292,17 @@ def _frame(codec, columns, matrix, top, kept):
         relation[layout.key(0, (r,))] = multiplier
         frame.redundant.append((relation, degrees[j]))
     frame.levels.append(level2)
-    while frame.levels[-1].elements and (top is None or len(frame.levels) < top):
-        frame.levels.append(_next_level(frame.levels[-1]))
+    frame.minimal = not redundant and not any(column_born for column_born, _ in ranks.pivots)
     return frame
 
 
 def _next_level(level):
     """The frame level of the relations of level's S-pairs, each one S-polynomial divided by level's elements.
 
-    The new elements come in increasing order of the ring's positive
-    functional of their degrees (ties by degree).
+    The relation of an S-pair has its leading term at the pair's later
+    element, times the lcm over that element's leading term.  The new
+    elements are primitive integer vectors, in increasing order of the
+    ring's positive functional of their degrees (ties by degree).
     """
     layout = level.layout
     ring = layout.codec.ring
@@ -409,8 +410,9 @@ def _pruned(frame, matrix, max_length):
     Returns (codec, packed, maps): the codec and the packed columns of
     every differential, d_1 = matrix first, that the check below ran on,
     and the differentials as PolyMatrices, matrix itself and then
-    `codec.matrix` of each later one, unpacked when first read.  The
-    pruning works on the frame's own dicts, so the frame is spent.
+    `codec.matrix` of each later one, unpacked when first read.  The frame,
+    grown by `_next_level` to a level beyond max_length or with no S-pair,
+    is spent: the pruning works on its own dicts.
 
     A nonzero constant entry of differential d_k (frame level k over level
     k - 1) at row a and column b splits off a trivial complex (Eisenbud,
@@ -431,9 +433,10 @@ def _pruned(frame, matrix, max_length):
     its lowest row; a constant entry is a key equal to its row's unit, found
     by one lookup per key.  Each differential ends with an exact check that
     no constant entry is left, an InternalError otherwise; the cancellations
-    keep the frame exact, so the result is minimal.  The redundant columns'
-    relations follow level 2's elements in d_2: no pivots, and their
-    constants stay (see `groebner.syzygies` for why they are minimal).
+    keep the frame exact, so the result is minimal.  Over a map that is not
+    minimal, d_2 may keep constants on input columns' rows, as do the
+    relations of the columns that reduced to zero, which follow level 2's
+    elements with no pivots (see `groebner.syzygies`).
 
     The cancellation is fraction-free: each differential's columns start
     as primitive integer vectors, a column whose rows' factors have
@@ -459,6 +462,8 @@ def _pruned(frame, matrix, max_length):
     none from the first level that pruning empties.
     """
     levels = frame.levels
+    while levels[-1].elements and (max_length is None or len(levels) <= max_length):
+        levels.append(_next_level(levels[-1]))
     steps = []  # per differential d_k, k >= 2: (layout, units of its rows, columns, alive columns, pruned rows)
     dead, factors = set(), {}
     for k in range(2, len(levels) + 1):
@@ -537,8 +542,8 @@ def _pruned(frame, matrix, max_length):
                 for row in spread:
                     holders[row].add(c)
 
-        def lowest_unit(column):
-            return min((unit_rows[key] for key in column if key in unit_rows), default=None)
+        def constant_rows(column):
+            return [unit_rows[key] for key in column if key in unit_rows]
 
         if k == 2:
             # each creator cancels its highest unit at a row that stands
@@ -552,11 +557,12 @@ def _pruned(frame, matrix, max_length):
                     cancel(max(free), b)
         else:
             for b in range(len(columns)):
-                a = lowest_unit(columns[b])
-                if a is not None:
-                    cancel(a, b)
+                rows = constant_rows(columns[b])
+                if rows:
+                    cancel(min(rows), b)
         alive = [c for c in range(len(columns)) if live[c]]
-        if any(lowest_unit(columns[c]) is not None for c in alive if c < len(levels[k - 1].elements)):
+        allowed = {a for a, c in enumerate(frame.born) if c is not None} if k == 2 and not frame.minimal else ()
+        if any(a not in allowed for c in alive if c < len(levels[k - 1].elements) for a in constant_rows(columns[c])):
             raise InternalError("a unit survived pruning differential %d of the frame" % k)
         factors = {c: next_factors[c] for c in alive if next_factors[c] != 1}
         dead = {c for c in range(len(columns)) if not live[c]}

@@ -5,7 +5,8 @@ a test comparing the library against them checks the packed engine against
 exponent tuples, the sparse elimination against a dense one, and the
 division that looks divisors up by bucket against the list scan.
 `generic_minors` builds determinantal inputs, `plucker_presentation` the
-Grassmannians Gr(2, n), and `eagon_northcott_weights`
+Grassmannians Gr(2, n), `with_s_polynomials` maps that are not minimal
+because of S-polynomial columns, and `eagon_northcott_weights`
 is a closed form, which no walk computes, for the weights of their
 resolutions.
 """
@@ -18,7 +19,7 @@ from math import gcd, lcm
 
 from torusweights import FreeModuleSpec, PolyMatrix, RingSpec, enumerate_terms
 from torusweights.parsing import parse_polynomial
-from torusweights.rings import Polynomial, monomial_divides
+from torusweights.rings import Polynomial, monomial_div, monomial_divides, monomial_lcm, vector_add
 
 
 def _term_divides(a, b):
@@ -132,6 +133,33 @@ def plucker_presentation(n):
     ]
     entries = [[parse_polynomial(ring, q) for q in quadrics]]
     return PolyMatrix(FreeModuleSpec(ring, [[0]]), FreeModuleSpec(ring, [[2]] * len(quadrics)), entries)
+
+
+def with_s_polynomials(m, order):
+    """m with the S-polynomials under order of its pairs of columns placed before its columns.
+
+    Only pairs whose leading terms share a row give one, and zero ones are
+    left out.  Each lies in the span of its pair's columns, in the pair's
+    S-pair degree, so the map is not minimal; where that S-pair would add an
+    element of G, the frame's run, which takes columns first, joins the
+    S-polynomial column instead.
+    """
+    ring = m.domain.ring
+    columns = list(zip(m.columns(), m.domain.basis_degrees))
+    extra = []
+    for n, (a, a_degree) in enumerate(columns):
+        for b, _ in columns[n + 1:]:
+            (ta, ca), (tb, cb) = a.leading_term(order), b.leading_term(order)
+            if ta.index != tb.index:
+                continue
+            common = monomial_lcm(ta.monomial, tb.monomial)
+            ma, mb = monomial_div(common, ta.monomial), monomial_div(common, tb.monomial)
+            s = a.multiply_term(ma, cb) - b.multiply_term(mb, ca)
+            if s:
+                extra.append((s, vector_add(a_degree, ring.monomial_degree(ma))))
+    return PolyMatrix.from_columns(
+        m.codomain, FreeModuleSpec(ring, [d for _, d in extra + columns]), [c for c, _ in extra + columns]
+    )
 
 
 def eagon_northcott_weights(p, n):

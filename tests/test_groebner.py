@@ -41,7 +41,7 @@ from torusweights.modules import ModuleElement
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
-from torusweights.rings import monomial_div, monomial_lcm, vector_add
+from torusweights.rings import vector_add
 
 from conftest import (
     PROBLEMS,
@@ -50,9 +50,10 @@ from conftest import (
     fixture_path,
     koszul_presentation,
     matrix,
+    plucker_presentation,
     std_ring,
 )
-from reference import reference_standard_monomials
+from reference import reference_standard_monomials, with_s_polynomials
 
 TOP_UP = ModuleTermOrder("top-up")
 
@@ -71,7 +72,7 @@ def tracked_run(m, order):
     ring = m.domain.ring
     codec = _TermCodec(ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
     codec, _, basis, records, _ = _buchberger_run(
-        codec, codec.columns(m), m.domain.basis_degrees, m.codomain, None, [True] * m.num_cols
+        codec, codec.columns(m), m.domain.basis_degrees, m.codomain, None, True
     )
     elements = [ModuleElement(m.codomain, codec.entries(work, m.num_rows)) for work, _ in basis]
     over = FreeModuleSpec(ring, [g.term_degree(g.leading_term(order)[0]) for g in elements])
@@ -655,38 +656,13 @@ def with_redundant_columns(m):
     return PolyMatrix.from_columns(m.codomain, FreeModuleSpec(ring, degrees), columns + extra)
 
 
-def with_s_polynomials(m, order):
-    """m with the S-polynomials under order of its pairs of columns placed before its columns.
-
-    Only pairs whose leading terms share a row give one, and zero ones are
-    left out.  Each lies in the span of its pair's columns, in the pair's
-    S-pair degree, so where that S-pair adds an element of G, the frame's
-    run reduces its column to zero only once the element has joined.
-    """
-    ring = m.domain.ring
-    columns = list(zip(m.columns(), m.domain.basis_degrees))
-    extra = []
-    for n, (a, a_degree) in enumerate(columns):
-        for b, _ in columns[n + 1:]:
-            (ta, ca), (tb, cb) = a.leading_term(order), b.leading_term(order)
-            if ta.index != tb.index:
-                continue
-            lcm = monomial_lcm(ta.monomial, tb.monomial)
-            ma, mb = monomial_div(lcm, ta.monomial), monomial_div(lcm, tb.monomial)
-            s = a.multiply_term(ma, cb) - b.multiply_term(mb, ca)
-            if s:
-                extra.append((s, vector_add(a_degree, ring.monomial_degree(ma))))
-    return PolyMatrix.from_columns(
-        m.codomain, FreeModuleSpec(ring, [d for _, d in extra + columns]), [c for c, _ in extra + columns]
-    )
-
-
 # A fixture's map, and the level of its resolution whose differential, with
 # S-polynomial columns prepended (`with_s_polynomials`), has columns that
-# vanish in the frame's run only after an S-pair of their own degree: a run
-# that queued them with the kept columns fails its keep-flag check, on
-# mixed_sign and high_degree_3var under every order, on bigraded under
-# top-up and top-down.  bigraded's own columns are monomials.
+# join G in the frame's run, which takes each column before its degree's
+# S-pairs: the S-pair whose element such a column stands in for reduces to
+# zero instead, and only the rank of the run's constant relations shows the
+# map not minimal.  On grassmannian and high_degree_3var no column reduces
+# to zero at all.  bigraded's own columns are monomials.
 S_POLYNOMIAL_MAPS = {
     "mixed_sign": ("m", 1), "bigraded": ("m", 3), "grassmannian": ("d1", 2), "high_degree_3var": ("m", 1),
 }
@@ -699,17 +675,18 @@ def s_polynomial_map(name, order):
 
 
 # SHA-256 digests of `syzygies` (its domain degrees and entries) on each
-# S_POLYNOMIAL_MAPS map, per order, recorded while the frame's run took
-# the kept columns only and the redundant ones were divided after it.
+# S_POLYNOMIAL_MAPS map, per order, recorded once the frame's run took
+# every column before its degree's S-pairs; each matrix was checked in
+# sympy (see test_s_polynomial_syzygies_generate_sympys_syzygy_module).
 S_POLYNOMIAL_SYZYGY_DIGESTS = {
-    "bigraded": {"top-up": "773181436dc17b9c", "pot-up": "2785251751e04c3f", "top-down": "773181436dc17b9c",
+    "bigraded": {"top-up": "0d8a99565c25e739", "pot-up": "2785251751e04c3f", "top-down": "0d8a99565c25e739",
                  "pot-down": "796f6ce60a027bd4"},
-    "grassmannian": {"top-up": "a259568fd5ab5651", "pot-up": "a259568fd5ab5651", "top-down": "a259568fd5ab5651",
-                     "pot-down": "3ebbd00a528ecb19"},
-    "high_degree_3var": {"top-up": "440485a76811b532", "pot-up": "440485a76811b532", "top-down": "440485a76811b532",
-                         "pot-down": "440485a76811b532"},
-    "mixed_sign": {"top-up": "8a58fcbd1b3bc777", "pot-up": "8a58fcbd1b3bc777", "top-down": "8a58fcbd1b3bc777",
-                   "pot-down": "8a58fcbd1b3bc777"},
+    "grassmannian": {"top-up": "0c0fe1dc91a9f018", "pot-up": "0c0fe1dc91a9f018", "top-down": "0c0fe1dc91a9f018",
+                     "pot-down": "7721b04260614cac"},
+    "high_degree_3var": {"top-up": "1325110bc14b4f3c", "pot-up": "1325110bc14b4f3c", "top-down": "1325110bc14b4f3c",
+                         "pot-down": "1325110bc14b4f3c"},
+    "mixed_sign": {"top-up": "73258a453aeb2e95", "pot-up": "73258a453aeb2e95", "top-down": "73258a453aeb2e95",
+                   "pot-down": "73258a453aeb2e95"},
 }
 
 
@@ -721,6 +698,68 @@ def test_syzygies_of_s_polynomial_columns_match_their_digests(name):
         text = repr((s.domain.basis_degrees, entries_as_text(s)))
         digests[order.kind] = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digests == S_POLYNOMIAL_SYZYGY_DIGESTS[name]
+
+
+def test_the_frames_run_alone_decides_minimality(monkeypatch):
+    # syzygies and minimal_resolution run no separate Nakayama check, and a
+    # presentation that is not minimal is rejected before the frame grows
+    # past level 2; with max_length 1 no frame is built, and the check runs
+    groebner = importlib.import_module("torusweights.groebner")
+    schreyer = importlib.import_module("torusweights.schreyer")
+    calls = Counter()
+    for module, name in ((groebner, "_nakayama_kept"), (schreyer, "_next_level")):
+
+        def spy(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    maps = [("koszul", "d1"), ("bigraded", "m"), ("grassmannian", "d1"), ("grassmannian", "d2"), ("mixed_sign", "m")]
+    for name, presentation in maps:
+        m = load_problem(fixture_path(name + ".json")).matrices[presentation]
+        for order in ALL_ORDERS:
+            syzygies(m, order)
+            syzygies(with_redundant_columns(m), order)
+            for max_length in (None, 2):
+                minimal_resolution(m, order, max_length=max_length)
+    assert calls["_nakayama_kept"] == 0 and calls["_next_level"] > 0
+    minimal_resolution(m, TOP_UP, max_length=1)
+    assert calls["_nakayama_kept"] == 1
+    calls.clear()
+    gr26 = with_s_polynomials(plucker_presentation(6), TOP_UP)
+    for max_length in (None, 2):
+        with pytest.raises(MinimalityError) as info:
+            minimal_resolution(gr26, TOP_UP, max_length=max_length)
+        assert str(info.value) == "presentation matrix is not a minimal map"
+    assert not calls
+
+
+def test_only_a_map_that_is_not_minimal_keeps_units_on_its_columns_rows(monkeypatch):
+    # the syzygies of Gr(2,5)'s d2 with S-polynomial columns keep constants
+    # on the rows of the columns that joined G; the level-2 guard lets them
+    # through only because the run found the map not minimal, and a unit
+    # on a row that an S-pair added still fails it
+    schreyer = importlib.import_module("torusweights.schreyer")
+    real = schreyer._frame
+    m = s_polynomial_map("grassmannian", TOP_UP)
+    unit = (0,) * m.domain.ring.num_vars
+    assert any(unit in e.terms for col in syzygies(m, TOP_UP).columns() for e in col.entries)
+
+    def claimed_minimal(*args):
+        frame = real(*args)
+        frame.minimal = True
+        return frame
+
+    def without_creators(*args):
+        frame = real(*args)
+        frame.creators.clear()
+        return frame
+
+    for patched in (claimed_minimal, without_creators):
+        monkeypatch.setattr(schreyer, "_frame", patched)
+        with pytest.raises(InternalError) as info:
+            syzygies(m, TOP_UP)
+        assert str(info.value) == "a unit survived pruning differential 2 of the frame"
 
 
 @pytest.mark.parametrize(
@@ -760,13 +799,14 @@ def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(
 
     def doubled(frame):
         # double one coefficient of each relation that reaches the guard as
-        # it is, up to multiples of the pivots: the redundant columns'
-        # relations, which come last, or else every level-2 element that is
-        # no pivot of pruning; each then no longer maps to zero, and pruning
+        # it is, up to multiples of the pivots: the relations of the columns
+        # that reduced to zero, which come last, or else every level-2
+        # element that is no pivot of pruning, also where S-polynomial
+        # columns joined G; each then no longer maps to zero, and pruning
         # the third differential removes only some level-2 elements
         vectors, scales = real_coordinates(frame)
         vectors = [dict(v) for v in vectors]
-        if redundant:
+        if redundant is True:
             targets = range(len(vectors) - len(frame.redundant), len(vectors))
         else:
             targets = set(range(len(vectors))) - set(frame.creators.values())
@@ -790,16 +830,6 @@ def test_the_syzygy_guard_rejects_a_relation_that_does_not_annihilate(
                 syzygies(m, order)
         assert str(info.value) == "differentials 1 and 2 of the resolution do not compose to zero"
         assert len(guard_bits) == 1
-
-
-def test_the_frame_rejects_keep_flags_that_its_run_does_not_join(monkeypatch):
-    # with every column flagged kept, the repeated first column is queued
-    # with the kept ones and reduces to zero: it does not join
-    groebner = importlib.import_module("torusweights.groebner")
-    m = with_redundant_columns(load_problem(fixture_path("koszul.json")).matrices["d1"])
-    monkeypatch.setattr(groebner, "_nakayama_kept", lambda codec, module, vectors, degrees: [True] * len(vectors))
-    with pytest.raises(InternalError, match="the frame's run joined other columns than Nakayama keeps"):
-        syzygies(m, TOP_UP)
 
 
 def test_minimal_resolution_koszul_shape(koszul):

@@ -3,6 +3,7 @@ import importlib
 import json
 import logging
 from collections import Counter
+from itertools import combinations_with_replacement
 from fractions import Fraction
 
 import pytest
@@ -1382,6 +1383,25 @@ def test_eagon_northcott_walk_matches_the_closed_form(order, size):
     rebased = [walked.steps[k].result.sorted_matrix for k in range(1, top + 1)]
     from_top = propagate_resolution(rebased, top, walked.per_module[top], order)
     assert [Counter(ws) for ws in from_top.per_module] == eagon_northcott_weights(p, n)
+
+
+def symmetric_power_weights(d, k):
+    """The weights of Sym^d(C^k) under the diagonal torus: the exponent vectors of the degree-d monomials in k letters."""
+    return [tuple(Counter(letters)[i] for i in range(k)) for letters in combinations_with_replacement(range(k), d)]
+
+
+# The 2 x 2 minors of a generic p x n matrix cut out the Segre embedding of
+# P^(p-1) x P^(n-1), whose coordinate ring in degree d is Sym^d(C^p) (x)
+# Sym^d(C^n): its character is the product of the two characters, which
+# is enumerated here.
+@pytest.mark.parametrize("size", [(3, 3), (3, 4)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_segre_components_are_products_of_symmetric_powers(order, size):
+    p, n = size
+    m = generic_minors(p, n, 2)
+    for d in range(1, 5):
+        expected = Counter(a + b for a in symmetric_power_weights(d, p) for b in symmetric_power_weights(d, n))
+        assert Counter(propagate_graded_components((d,), m, [(0,) * (p + n)], order)) == expected, d
 
 
 def test_single_term_columns_are_stored_as_their_nonzeros(monkeypatch):

@@ -31,6 +31,7 @@ from torusweights import (
     propagate_forward,
     propagate_graded_components,
     propagate_resolution,
+    sort_gb_columns,
     standard_monomials,
     syzygies,
 )
@@ -52,11 +53,19 @@ from torusweights.rings import (
     vector_sub,
 )
 
-from conftest import WIDE_WEIGHT_RING, fixture_path, matrix, std_ring
-from reference import ReferenceEchelon, _term_divides, reference_pseudo_divide, reference_standard_monomials
+from conftest import WIDE_WEIGHT_RING, entries_as_text, fixture_path, matrix, std_ring
+from reference import (
+    ReferenceEchelon,
+    _term_divides,
+    reference_pseudo_divide,
+    reference_standard_monomials,
+    with_s_polynomials,
+)
 from test_groebner import (
+    S_POLYNOMIAL_MAPS,
     assert_primitive_integer_columns,
     assert_resolution_matches_the_syzygies_loop,
+    s_polynomial_map,
     tracked_run,
     with_redundant_columns,
 )
@@ -1042,6 +1051,34 @@ def test_syzygies_span_sympys_syzygy_module(data, ring, order, coefficients):
     assert span(s) == expected
 
 
+@pytest.mark.parametrize("name", sorted(S_POLYNOMIAL_MAPS))
+def test_s_polynomial_syzygies_generate_sympys_syzygy_module(name):
+    # the pinned syzygies of maps whose S-polynomial columns join G in the
+    # frame's run (see S_POLYNOMIAL_SYZYGY_DIGESTS): they generate sympy's
+    # syzygy module, and none lies in the span of the others, which for
+    # homogeneous generators means that they generate it minimally; each
+    # map and its syzygies are checked once, whichever orders give them
+    seen = set()
+    for order in ALL_ORDERS:
+        m = s_polynomial_map(name, order)
+        s = syzygies(m, order)
+        key = repr((entries_as_text(m), s.domain.basis_degrees, entries_as_text(s)))
+        if key in seen:
+            continue
+        seen.add(key)
+        expected, span = sympy_syzygy_module(m)
+
+        def spanned(keep):
+            degrees = [d for k, d in enumerate(s.domain.basis_degrees) if keep(k)]
+            columns = [c for k, c in enumerate(s.columns()) if keep(k)]
+            return span(PolyMatrix.from_columns(s.codomain, FreeModuleSpec(m.domain.ring, degrees), columns))
+
+        assert spanned(lambda k: True) == expected, order
+        for j in range(s.num_cols):
+            (column,) = spanned(lambda k: k == j).gens
+            assert not spanned(lambda k: k != j).contains(column), (order, j)
+
+
 @SETTINGS
 @given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
 def test_syzygy_columns_are_primitive_multiples_of_the_relations(data, ring, order):
@@ -1361,7 +1398,7 @@ def test_single_degree_nakayama_flags_match_the_run_and_sympy(data, ring, order,
     codec = _TermCodec(ring, order, module.rank, bound)
     packed = [codec.packed(v) for v in vectors]
     flags = _nakayama_kept(codec, module, packed, degrees)
-    assert flags == _buchberger_run(codec, packed, degrees, module, degree, None)[4]
+    assert flags == _buchberger_run(codec, packed, degrees, module, degree, False)[4]
     terms = sorted({t for v in vectors for t, _ in v.support()})
     coefficients = [dict(v.support()) for v in vectors]
     cells = [Fraction(c.get(t, 0)) for c in coefficients for t in terms]
@@ -1369,24 +1406,74 @@ def test_single_degree_nakayama_flags_match_the_run_and_sympy(data, ring, order,
     assert all(flags) == (matrix.rank() == len(vectors))
 
 
+# ---------- minimality read off the frame's run ----------
+
+
+@st.composite
+def maps_with_redundant_columns(draw, ring, order):
+    """A `homogeneous_matrix`, or its image's reduced Groebner basis, with S-polynomial (see `with_s_polynomials`),
+    repeated, multiple and zero columns added, in a shuffled order, so that its columns need not generate their
+    image minimally.  No column of a reduced basis reduces to zero in the frame's run, so its rank test alone finds
+    the redundant ones there."""
+    m = draw(homogeneous_matrix(ring))
+    if draw(st.booleans()):
+        m = sort_gb_columns(buchberger(m, order))
+    if not any(c.is_zero for c in m.columns()) and draw(st.booleans()):
+        m = with_s_polynomials(m, order)
+    columns, degrees = m.columns(), list(m.domain.basis_degrees)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        kind, j = draw(st.sampled_from(["repeat", "multiple", "zero"])), draw(st.integers(0, len(columns) - 1))
+        if kind == "multiple":
+            var = draw(st.integers(0, ring.num_vars - 1))
+            columns.append(columns[j].multiply(ring.variable(var)))
+            degrees.append(vector_add(degrees[j], ring.var_degrees[var]))
+        else:
+            columns.append(columns[j] if kind == "repeat" else m.codomain.zero_element())
+            degrees.append(degrees[j])
+    perm = draw(st.permutations(range(len(columns))))
+    return PolyMatrix.from_columns(m.codomain, FreeModuleSpec(ring, [degrees[i] for i in perm]), [columns[i] for i in perm])
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(KERNEL_RINGS), order=st.sampled_from(ALL_ORDERS))
+def test_the_frames_run_decides_minimality(data, ring, order):
+    # minimal_resolution rejects exactly the maps whose columns graded
+    # Nakayama does not all keep, and the syzygies of any of them are those
+    # of the kept columns plus one minimal generator per redundant column,
+    # in that column's degree
+    m = data.draw(maps_with_redundant_columns(ring, order))
+    columns, degrees = m.columns(), list(m.domain.basis_degrees)
+    kept = reference_nakayama_kept(columns, degrees, ring)
+    for max_length in (None, 1, 2):
+        if all(kept):
+            assert minimal_resolution(m, order, max_length=max_length).differentials[0] is m
+        else:
+            with pytest.raises(MinimalityError) as info:
+                minimal_resolution(m, order, max_length=max_length)
+            assert str(info.value) == "presentation matrix is not a minimal map"
+    s = syzygies(m, order)
+    assert (m @ s).is_zero
+    assert is_minimal_map(s)
+    m_k = PolyMatrix.from_columns(
+        m.codomain, FreeModuleSpec(ring, [d for d, k in zip(degrees, kept) if k]), [c for c, k in zip(columns, kept) if k]
+    )
+    expected = list(syzygies(m_k, order).domain.basis_degrees) + [d for d, k in zip(degrees, kept) if not k]
+    assert sorted(s.domain.basis_degrees) == sorted(expected)
+
+
 # ---------- top reduction in runs without tails ----------
 
 
-def recorded_nakayama_inputs(matrix, order):
-    """minimal_resolution(matrix, order), and the unpacked (module, vectors, degrees) of the `_nakayama_kept` calls
-    of `syzygies` on each of its differentials with two redundant columns appended (see `with_redundant_columns`)."""
-    calls = []
-
-    def record(codec, module, vectors, degrees):
-        calls.append((module, [ModuleElement(module, codec.entries(v, module.rank)) for v in vectors], list(degrees)))
-        return _nakayama_kept(codec, module, vectors, degrees)
-
+def redundant_nakayama_inputs(matrix, order):
+    """minimal_resolution(matrix, order), and the (module, vectors, degrees) of each of its differentials with two
+    redundant columns appended (see `with_redundant_columns`)."""
     resolution = minimal_resolution(matrix, order)
-    with mock.patch("torusweights.groebner._nakayama_kept", record):
-        for d in resolution.differentials:
-            if d.num_cols:
-                syzygies(with_redundant_columns(d), order)
-    return resolution, calls
+    inputs = []
+    for d in resolution.differentials:
+        if d.num_cols:
+            w = with_redundant_columns(d)
+            inputs.append((w.codomain, w.columns(), list(w.domain.basis_degrees)))
+    return resolution, inputs
 
 
 def assert_flags_match_the_reference(module, vectors, degrees, expected):
@@ -1400,15 +1487,14 @@ def assert_flags_match_the_reference(module, vectors, degrees, expected):
 @pytest.mark.parametrize("name", ["mixed_sign", "high_degree", "high_degree_3var", "bigraded", "grassmannian"])
 def test_top_reduced_runs_keep_the_nakayama_flags_on_the_fixtures(name):
     # each map, its dual and the differentials minimal_resolution computes
-    # from it under every order, and every vector set a Nakayama run takes
-    # in `syzygies` on those differentials with redundant columns appended,
-    # which it does not keep
+    # from it under every order, and those differentials with redundant
+    # columns appended, which it does not keep
     problem = load_problem(fixture_path(name + ".json"))
     maps, runs = [], []
     for m in problem.matrices.values():
         maps += [m, dual_map(m)]
         for order in ALL_ORDERS:
-            resolution, calls = recorded_nakayama_inputs(m, order)
+            resolution, calls = redundant_nakayama_inputs(m, order)
             maps += resolution.differentials[1:]
             runs += calls
     for k in maps:
@@ -1536,7 +1622,7 @@ def test_a_top_reduced_element_keeps_a_reducible_tail_that_an_s_pair_meets():
     assert expected == [True, True, False]
     for order in ALL_ORDERS:
         codec = _TermCodec(ring, order, 1, 3)
-        _, _, basis, _, joined = _buchberger_run(codec, codec.columns(m), degrees, m.codomain, (3,), None)
+        _, _, basis, _, joined = _buchberger_run(codec, codec.columns(m), degrees, m.codomain, (3,), False)
         assert joined == expected
         assert codec.term((1, 1), 0) in basis[1][0]
         assert basis[2][0] == {codec.term((0, 3), 0): 1}
@@ -1582,7 +1668,7 @@ def test_the_bounded_run_has_the_leading_terms_of_the_reduced_basis(data, ring, 
     lowest = tuple(map(max, zip(*m.codomain.basis_degrees)))
     bound = vector_add(lowest, data.draw(monomial_degrees(ring, 2)))
     codec, (columns,) = _packed_chain([m], order)
-    codec, _, basis, _, _ = _buchberger_run(codec, columns, m.domain.basis_degrees, m.codomain, bound, None)
+    codec, _, basis, _, _ = _buchberger_run(codec, columns, m.domain.basis_degrees, m.codomain, bound, False)
     leads = [codec.unpack(max(work)) for work, _ in basis]
     assert set(leads) == set(buchberger(m, order, bound=bound).leading_terms())
 
