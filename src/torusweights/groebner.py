@@ -124,7 +124,6 @@ from .packed import (
 from .rings import (
     _int_vector,
     exact_quotient,
-    monomial_divides,
     monomial_lcm,
     unit_monomial,
     vector_add,
@@ -372,7 +371,11 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
         log.debug("basis element %d with leading term %s", t, new)
         pairs = [(i, monomial_lcm(leads[i].monomial, new.monomial)) for i in range(t) if leads[i].index == new.index]
         if tails:
-            pairs = _minimal_pairs(pairs, monomial_divides)
+            # each lcm packed once; an exponent of an lcm of two leads is
+            # within the capacity, and a grevlex sum within twice it, which
+            # its field holds with its guard bit, so `divides` stays exact
+            packed = [(n, codec.term(m, new.index)) for n, (_, m) in enumerate(pairs)]
+            pairs = [pairs[n] for n, _ in _minimal_pairs(packed, codec.divides)]
         for i, lcm_mono in pairs:
             pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
             push(pair_degree, False, (i, t, lcm_mono))
@@ -516,7 +519,7 @@ def sort_gb_columns(basis):
     """
     elements = basis.elements if basis.order.is_position_up else basis.elements[::-1]
     degrees = [g.term_degree(g.leading_term(basis.order)[0]) for g in elements]
-    domain = FreeModuleSpec(basis.module.ring, degrees)
+    domain = FreeModuleSpec._unchecked(basis.module.ring, degrees)
     return PolyMatrix._unchecked(basis.module, domain, _column_rows(elements, basis.module.rank))
 
 

@@ -3,30 +3,27 @@
 `_primitive` is the engine's one routine for its fraction-free rule: it
 divides a mapping {key: rational} by its content, leaving a primitive
 integer vector with the same signs, and `Echelon`,
-`groebner._buchberger_run` and the Schreyer frame and its pruning apply it
-wherever a vector changes.  There are two eliminations, one sparse and one
-packed.  `Echelon` is the sparse one: a row is a dict of its nonzeros over
-keys that order themselves, its lead is its smallest key, and `add`
-reduces a row by fraction-free steps only at its lead, until the lead is
-no stored row's lead, then divides it by its content once and stores it.
-Its callers key their rows as the order of the elimination needs: the
-walk's degree blocks that come as packed dicts by packed term, each
-negated so that the largest term leads (see `propagate._block_leads`),
+`groebner._buchberger_run` and the Schreyer frame and its pruning apply
+it wherever a vector changes.  One elimination rule serves two row forms:
+a row is reduced by fraction-free steps only at its lead, until its lead
+is no kept row's lead, then divided by its content once and kept (Faugere
+and Lachartre, PASCO 2010).  `Echelon` takes a row as a dict of its
+nonzeros over keys that order themselves, its lead its smallest key.  Its
+callers key their rows as the order of the elimination needs: the walk's
+degree blocks that come as packed dicts by packed term, each negated so
+that the largest term leads (see `propagate._block_leads`),
 `groebner._nakayama_kept`, for the keep-flags of vectors of one degree,
 by the order in which the terms first appear, `schreyer._frame`'s rank
 test S-pair-born elements first, and C from C^-1 (`propagate._inverted`,
 by `reduced_rows`) and `rank` by position.  Fractions appear only in
 `reduced_rows`, and there only for entries that are not integers.
-`pivot_scan` finds only the pivots, for the walk's degree blocks in row
-slots (see `propagate._row_block_leads`): it takes the matrix position by
-position, each position's column a tuple of ints, a term vector, which it
-packs into one int with one signed slot per row, reduces it by whole-int
-fraction-free steps, and stops at full rank; the rows need not be
-primitive, so the walk hands it the product kernel's scaled ints as they
-are.  `_Slots` is the one layout of signed slots packed into an int, and
-the only code that sizes, packs or reads them: the scan's columns, the
-rows of `packed`'s product kernel and the weights of
-`groebner._standard_search` all use it.
+`pivot_scan` takes a row packed into one int, one signed slot per entry,
+its lead its lowest nonzero slot, and finds only the pivots of the walk's
+degree blocks in row slots (see `propagate._row_block_leads`), from the
+product kernel's scaled ints as they are.  `_Slots` is the one
+layout of signed slots packed into an int, and the only code that sizes,
+packs or reads them: the scan's columns, the rows of `packed`'s product
+kernel and the weights of `groebner._standard_search` all use it.
 `solve` and `invert` stay dense, on lists of Fraction; the tests keep
 them as references independent of `Echelon`.
 """
@@ -161,7 +158,7 @@ class _Slots:
         size = 1 << (bits // 8).bit_length()
         self.count, self.nbytes = count, size * count
         self.width = width = 8 * size
-        self.half, self.mask, self.window = 1 << width - 1, (1 << width) - 1, (1 << width + 1) - 1
+        self.half, self.mask = 1 << width - 1, (1 << width) - 1
         self.offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
         if size <= 8:
             layout = struct.Struct("<%d%s" % (count, "bhiq"[size.bit_length() - 1]))
@@ -179,6 +176,11 @@ class _Slots:
         """The count entries of the packed int v, slot 0 first."""
         return self._digits(((v + self.offset) ^ self.offset).to_bytes(self.nbytes, "little"))
 
+    def lowest(self, v):
+        """(s, x): the slot s of the nonzero packed int v's lowest set bit, its lowest nonzero slot, and its entry x."""
+        s = ((v & -v).bit_length() - 1) // self.width
+        return s, ((v >> s * self.width) + self.half & self.mask) - self.half
+
 
 def _content_bits(digits):
     """(content, bit length of the largest |entry| divided by it) of unpacked digits."""
@@ -195,18 +197,16 @@ def pivot_scan(vectors, count):
     decreasing, holding the coefficients the block's columns have there.
     Position k is a pivot of the `Echelon` form of the rows exactly when
     vectors[k] is independent of the vectors before it, and no row needs
-    to be primitive for that.  The scan takes the vectors in order and
-    packs each into one int R by `_Slots`, entry j in slot j + 1; slot 0
-    stays zero, so that every slot read has a slot below it to take its
-    borrow from.  It reduces R fraction-free against the vectors it kept,
-    each with its lowest nonzero slot as its pivot slot, by whole-int steps
-    a * R - b * P that clear P's pivot slot in R.  Slot s of R is read by
-    one shift and mask: the bits of slot s and the top bit of slot s - 1,
-    which is set exactly when the slots below s sum to a negative number
-    and so have borrowed one from slot s, which adding it back returns.  A
-    nonzero R is kept, divided by its content.  The scan stops once it has
-    kept count positions; fewer mean that the rows are dependent.  Returns
-    the kept positions in order.
+    to be primitive for that.  The scan packs each vector into one int R
+    by `_Slots`, entry j in slot j, and top-reduces it as `Echelon.add`
+    does a row: while R's lowest nonzero slot, which no slot below it has
+    borrowed from (`_Slots.lowest`), is the pivot slot of a kept vector P,
+    one whole-int fraction-free step a * R - b * P clears it.  A nonzero
+    combination of vectors with distinct pivot slots, their lowest nonzero
+    ones, is nonzero at one of them, so R reaches zero exactly when
+    vectors[k] is dependent; otherwise R is kept, divided by its content.
+    The scan stops once it has kept count positions; fewer mean that the
+    rows are dependent.  Returns the kept positions in order.
 
     The first slots are sized from the largest |entry| of the vectors, and
     every slot of R and of each kept vector has a bit bound: a step leaves
@@ -216,15 +216,16 @@ def pivot_scan(vectors, count):
     packed again into slots at least twice as wide.
     """
     bits = max(max(map(max, vectors), default=0), -min(map(min, vectors), default=0)).bit_length()
-    slots = _Slots(2 * bits + 8, count + 1)
-    kept, rows = [], []  # rows: [packed vector, pivot slot, pivot entry, bit bound]
+    slots = _Slots(2 * bits + 8, count)
+    kept, rows = [], {}  # rows: {pivot slot: [packed vector, pivot entry, bit bound]}
     for k, vec in enumerate(vectors):
-        r, rb = slots.pack((0, *vec)), bits
-        for row in rows:
-            p, s, x0, pb = row
-            x = (((r >> s * slots.width - 1 & slots.window) + 1 >> 1) + slots.half & slots.mask) - slots.half
-            if not x:
-                continue
+        r, rb = slots.pack(vec), bits
+        while r:
+            s, x = slots.lowest(r)
+            row = rows.get(s)
+            if row is None:
+                break
+            p, x0, pb = row
             g = gcd(x0, x)
             a, b = x0 // g, x // g
             bound = max(a.bit_length() + rb, b.bit_length() + pb) + 1
@@ -235,9 +236,9 @@ def pivot_scan(vectors, count):
                 a, b = x0 // g, x // g
                 bound = max(a.bit_length() + rb, b.bit_length() + pb) + 1
                 if bound >= slots.width:
-                    wider = _Slots(max(2 * slots.width - 1, bound), count + 1)
+                    wider = _Slots(max(2 * slots.width - 1, bound), count)
                     log.debug("walk: widened pivot-scan slots to %d bits", wider.width)
-                    for other in rows:
+                    for other in rows.values():
                         other[0] = wider.pack(slots.unpack(other[0]))
                     r, p, slots = wider.pack(slots.unpack(r)), row[0], wider
             r = a * r - b * p
@@ -247,10 +248,8 @@ def pivot_scan(vectors, count):
         kept.append(k)
         if len(kept) == count:
             break
-        digits = slots.unpack(r)
-        c, pb = _content_bits(digits)
-        low = next(j for j, x in enumerate(digits) if x)
-        rows.append([r // c, low, digits[low] // c, pb])
+        c, pb = _content_bits(slots.unpack(r))
+        rows[s] = [r // c, x // c, pb]
     return kept
 
 

@@ -24,13 +24,20 @@ class FreeModuleSpec:
             _int_vector(d, "basis degree", ring.degree_length) for d in basis_degrees
         )
 
+    @classmethod
+    def _unchecked(cls, ring, basis_degrees):
+        """The constructor without `_int_vector`, for degrees that are already tuples of ints of the ring's length."""
+        out = cls.__new__(cls)
+        out.ring, out.basis_degrees = ring, tuple(basis_degrees)
+        return out
+
     @property
     def rank(self):
         return len(self.basis_degrees)
 
     def dual(self):
         """The dual module: same rank, negated basis degrees."""
-        return FreeModuleSpec(self.ring, tuple(vector_neg(d) for d in self.basis_degrees))
+        return FreeModuleSpec._unchecked(self.ring, map(vector_neg, self.basis_degrees))
 
     def zero_element(self):
         return ModuleElement(self, (Polynomial(),) * self.rank)

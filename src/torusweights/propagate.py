@@ -69,12 +69,14 @@ order, come from those ints (`packed._RowPacked.term_vectors`) to
 to pivots to the next rebase in ints, with no dict and no Fraction.  A
 map in packed dicts, the first step's or a rebase's by a sparse C^-1,
 takes `linalg.Echelon` on every block (`_block_leads`), each column as
-the packed dict it is, so a row holds only its nonzeros.  No block
-measures its density again: on the benchmark's walks (seed 1) 9 dict
-blocks of `resolve` and 4 of `forward`, none wider than 7 columns, are
-at least half nonzero, and 2 row-packed blocks of `resolve`, of 15 and
-21 columns, are less.  A packed term is its own order key, so either
-elimination sorts the image's terms as plain ints.
+the packed dict it is, so a row holds only its nonzeros.  Both
+top-reduce: the scan a term vector at its lowest nonzero slot, `Echelon`
+a row at its smallest key.  No block measures its density again: on the
+benchmark's walks (seed 1) 9 dict blocks of `resolve` and 4 of
+`forward`, none wider than 7 columns, are at least half nonzero, and 2
+row-packed blocks of `resolve`, of 15 and 21 columns, are less.  A
+packed term is its own order key, so either elimination sorts the
+image's terms as plain ints.
 
 The walk unpacks only the leading terms of G.  C^-1, G, C and each step's
 rebased map are built on first read (see `PropagationResult` and `ResolutionStep`),
@@ -323,7 +325,7 @@ def _propagate(codomain, domain, weights, codec, columns):
             inverse = [(cols, [{i: x // g for i, x in v.items()} for v in vectors]) for cols, vectors in inverse]
             scale //= g
 
-    rebased = FreeModuleSpec(ring, degrees)
+    rebased = FreeModuleSpec._unchecked(ring, degrees)
     return PropagationResult(
         partial(_inverse_matrix, inverse, scale),
         tuple(

@@ -591,7 +591,7 @@ def _pruned(frame, matrix, max_length):
     degrees = [level.degrees for level in levels]
     degrees[1] = degrees[1] + [degree for _, degree in frame.redundant]
     for k in range(2, length + 1):
-        modules.append(FreeModuleSpec(ring, [degrees[k - 1][c] for c in survivors[k - 1]]))
+        modules.append(FreeModuleSpec._unchecked(ring, [degrees[k - 1][c] for c in survivors[k - 1]]))
     old = frame.codec
     codec = _TermCodec(ring, old.order, max(m.rank for m in modules), old.capacity)
     packed = [[codec.repacked(old, c) for c in frame.columns]]

@@ -3,7 +3,7 @@ import importlib
 import json
 import logging
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from fractions import Fraction
 
 import pytest
@@ -960,14 +960,35 @@ def test_dense_walk_matches_its_goldens(order):
     assert found == DENSE_WALK_DIGESTS[order.kind]
 
 
+# The Koszul complexes on seven and eight generic forms walked from their
+# tops: the scan widens its slots whenever a step's bit bound outgrows
+# them, and on eight forms past 8 bytes, to 128-bit slots, which `_Slots`
+# reads with int.from_bytes, not struct.
 def test_the_dense_walk_widens_its_pivot_scan_slots(caplog):
+    for n, seed, widths in ((7, 7, (64, 64)), (8, 1, (64, 64, 128, 128, 128))):
+        differentials = koszul_complex(n, seed)
+        subsets = [
+            Counter(tuple(int(i in s) for i in range(n)) for s in combinations(range(n), k)) for k in range(n + 1)
+        ]
+        for order in ALL_ORDERS:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG):
+                walked = propagate_resolution(differentials, n, [(1,) * n], order)
+            widened = [r.getMessage() for r in caplog.records if "pivot-scan" in r.getMessage()]
+            assert widened == ["walk: widened pivot-scan slots to %d bits" % w for w in widths], (n, order)
+            assert [Counter(ws) for ws in walked.per_module] == subsets, (n, order)
+
+
+def test_the_dense_walk_builds_no_module_through_the_validating_constructor(monkeypatch):
+    # the walk's modules, each dual and each rebased domain, come from
+    # degrees that are already checked, so none is checked again
     differentials = koszul_complex(7, 7)
+    built = []
+    init = FreeModuleSpec.__init__
+    monkeypatch.setattr(FreeModuleSpec, "__init__", lambda self, *args: built.append(args) or init(self, *args))
     for order in ALL_ORDERS:
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG):
-            propagate_resolution(differentials, 7, [(1,) * 7], order)
-        widened = [r.getMessage() for r in caplog.records if "pivot-scan" in r.getMessage()]
-        assert widened == ["walk: widened pivot-scan slots to %d bits" % w for w in (64, 64, 128)], order
+        walked = propagate_resolution(differentials, 7, [(1,) * 7], order)
+        assert len(walked.per_module) == 8 and built == [], order
 
 
 def scaled_map(d, factor):
@@ -1402,6 +1423,36 @@ def test_segre_components_are_products_of_symmetric_powers(order, size):
     for d in range(1, 5):
         expected = Counter(a + b for a in symmetric_power_weights(d, p) for b in symmetric_power_weights(d, n))
         assert Counter(propagate_graded_components((d,), m, [(0,) * (p + n)], order)) == expected, d
+
+
+def segre_monomial_weights(p, n, k):
+    """The weights of the degree-k monomials in the variables x_ij of weight e_i + f_j, with multiplicity."""
+    cells = [(i, j) for i in range(p) for j in range(n)]
+    return Counter(
+        tuple(Counter(i for i, _ in c)[a] for a in range(p)) + tuple(Counter(j for _, j in c)[b] for b in range(n))
+        for c in combinations_with_replacement(cells, k)
+    )
+
+
+# Through the walk from F_0, the same character is an Euler
+# characteristic: sum_i (-1)^i sum_{e in F_i} w(e) char(S_{d - deg e}),
+# each F_i's degrees those of the basis its weights belong to.
+@pytest.mark.parametrize("size", [(3, 3), (3, 4)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=lambda o: o.kind)
+def test_segre_characters_are_euler_characteristics_of_the_walk(order, size):
+    p, n = size
+    resolution = minimal_resolution(generic_minors(p, n, 2), order)
+    walked = propagate_resolution(resolution, 0, [(0,) * (p + n)], order)
+    degrees = [resolution.modules[0].basis_degrees]
+    degrees += [walked.steps[i].result.rebased_module.basis_degrees for i in range(1, resolution.length + 1)]
+    for d in range(1, 5):
+        character = Counter()
+        for i, (weights, module_degrees) in enumerate(zip(walked.per_module, degrees)):
+            for w, (e,) in zip(weights, module_degrees):
+                for v, count in segre_monomial_weights(p, n, d - e).items() if e <= d else ():
+                    character[vector_add(w, v)] += (-1) ** i * count
+        expected = Counter(a + b for a in symmetric_power_weights(d, p) for b in symmetric_power_weights(d, n))
+        assert {v: c for v, c in character.items() if c} == expected, d
 
 
 def test_single_term_columns_are_stored_as_their_nonzeros(monkeypatch):
