@@ -14,16 +14,18 @@ arithmetic is exact.  Coefficients are ints where they are integral (see
 primitive integer vectors.
 
 One engine, `_buchberger_run`, computes Groebner bases, minimality and the
-first two levels of the frame behind resolutions and syzygies; the frame's
-run back-substitutes each degree it finishes, so the frame is built on a
-reduced basis (La Scala and Stillman, JSC 1998), and decides minimality
-from its relations (see `schreyer._frame`).  The bounded run without tails
+first two levels of the frame behind resolutions and syzygies, and every
+run queues only the S-pairs `_minimal_pairs` keeps.  Its run with unit
+tails back-substitutes each degree it finishes, so its basis is reduced:
+`buchberger` returns that basis, sorted and made monic, and the frame is
+built on it (La Scala and Stillman, JSC 1998) and decides minimality from
+its relations (see `schreyer._frame`).  The bounded run without tails
 behind `is_minimal_map` reads graded Nakayama off: a vector is needed
 exactly when it joins.  Vectors that all lie in one degree are decided
 without a run, by the engine's one sparse elimination, `linalg.Echelon`
 (see `_nakayama_kept`).  No monomial multiple of a vector is formed.
 
-Division, Buchberger, the inter-reduction and the search for standard
+Division, Buchberger, the back-substitution and the search for standard
 monomials run on packed terms (see `packed`): a module term is one int that
 is its own order key, a product is one add and a divisibility test one
 subtraction and one mask.  The boundary does not move: `Polynomial`,
@@ -65,14 +67,14 @@ negated unit vector -e_k, which collects M times the quotient q_k.  When
 the division ends the two dicts hold M * input - sum(q_k * (g_k |
 tail_k)), so the remainder, the quotients and each relation over the
 divisors (Moeller, Mora and Traverso, ISSAC 1992) are read straight off
-them.  A run that wants no relations, the one behind `buchberger` and
-`_nakayama_kept`, gives its columns empty tails, so its divisors carry
-none, and it only top-reduces each item: the division stops at the first
-term that no leading term divides, which is the leading term full
-reduction would leave.  So whether an item joins the basis, and with what
-leading term, does not change, nor does any later S-pair's degree;
-`buchberger` fully inter-reduces its basis at the end, and `normal_form`
-and the runs with unit tails reduce fully.  Where the coefficient
+them.  A run that needs leading terms alone, the one behind
+`_nakayama_kept` and `propagate_graded_components`, gives its columns empty
+tails, so its divisors carry none, and it only top-reduces each item: the
+division stops at the first term that no leading term divides, which is
+the leading term full reduction would leave.  So whether an item joins the
+basis, and with what leading term, does not change, nor does any later
+S-pair's degree; `normal_form` and the runs with unit tails, `buchberger`'s
+among them, reduce fully.  Where the coefficient
 to cancel and the divisor's leading coefficient are ints the division is
 fraction-free, as `linalg.Echelon`'s top-reduction of sparse integer rows
 is (Bareiss, Math. Comp. 1968).
@@ -80,8 +82,8 @@ Buchberger keeps its basis elements as primitive integer vectors with
 positive leading coefficients, so on integer input its run makes no
 fractions; each element and each relation is a
 positive multiple of what a run with monic elements gives, so the supports,
-the divisor choices and the outputs are the same.  `buchberger` makes the
-basis monic once, before inter-reducing it.
+the divisor choices and the outputs are the same.  `buchberger` divides
+each element by its leading coefficient once, when it unpacks the basis.
 
 Generators and S-pairs are processed in increasing order of the ring's
 positive functional of their degrees, a linear form that is positive on
@@ -123,7 +125,6 @@ from .packed import (
 )
 from .rings import (
     _int_vector,
-    exact_quotient,
     monomial_lcm,
     unit_monomial,
     vector_add,
@@ -193,7 +194,7 @@ class GroebnerBasis:
     """Reduced monic Groebner basis, elements sorted by increasing leading term.
 
     With a truncation bound, contains exactly the elements of the
-    (inter-reduced) basis whose degree does not exceed the bound under the
+    (reduced) basis whose degree does not exceed the bound under the
     ring's positive functional, the one order the Buchberger queue follows,
     not only those componentwise below it.
     """
@@ -212,12 +213,14 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     columns are packed dicts, packed by codec, of elements of module, column
     j of degree degrees[j]; the run copies them and leaves them as they are.
     codec has indices for module.  tails says whether the run carries unit
-    tails (the frame of `minimal_resolution` and `syzygies`) or none
-    (`buchberger`, `_nakayama_kept`).  Generators and S-pairs are processed
+    tails (`buchberger` and the frame of `minimal_resolution` and
+    `syzygies`) or none (`_nakayama_kept` and `propagate_graded_components`,
+    which need leading terms alone).  Generators and S-pairs are processed
     in increasing order of the ring's positive functional of their degrees,
     ties broken by the degrees themselves (normal selection strategy);
     items whose functional exceeds the bound's are dropped.  joined holds
-    one flag per column: whether it joined the basis.
+    one flag per column: whether it joined the basis.  Only the S-pairs
+    `_minimal_pairs` keeps are queued, which still completes the basis.
 
     Within a degree the columns go, in index order, before the S-pairs with
     unit tails, as `resolve`'s output needs, and after them without.  A new
@@ -246,9 +249,8 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     as element t (its remainder being content times the element).  An
     S-pair's relation is the one Schreyer's frame takes; a column's, with
     the multiplier M of its division, says how the column, times M, is made
-    of the basis.  Only the S-pairs `_minimal_pairs` keeps are queued, which
-    still completes the basis.  The codec's index field must then also hold
-    the basis, and it is widened when the basis fills it.
+    of the basis.  The codec's index field must then also hold the basis,
+    and it is widened when the basis fills it.
 
     Before an item whose degree admits a larger total degree than the
     codec's fields hold is taken, the codec is widened and the columns, the
@@ -258,8 +260,8 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     index.
 
     The run is fraction-free on integer columns.  basis lists the (work,
-    tail) packed dicts of the elements in the order they were added, not
-    yet inter-reduced, tail {e_t: 1} with unit tails and empty without:
+    tail) packed dicts of the elements in the order they were added, tail
+    {e_t: 1} with unit tails and empty without:
     each element is a primitive integer vector with a positive leading
     coefficient, a positive multiple of the monic element a run with monic
     elements would add at that point: an item that joins is divided by its
@@ -275,8 +277,8 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     (`_back_substitute`), the only reduction that its full divisions leave:
     the change of basis is constant and unitriangular within the degree,
     and every S-pair of a higher degree is formed from, and divided by, the
-    reduced elements, so the finished basis is reduced.  A run without
-    tails is not touched.
+    reduced elements, so the finished basis is reduced, the basis
+    `buchberger` returns.  A run without tails is not touched.
 
     records is empty without tails.  With unit tails it holds (relation,
     degree, payload, M, t) for every item taken, in the order taken: payload
@@ -370,12 +372,11 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
         leads.append(new)
         log.debug("basis element %d with leading term %s", t, new)
         pairs = [(i, monomial_lcm(leads[i].monomial, new.monomial)) for i in range(t) if leads[i].index == new.index]
-        if tails:
-            # each lcm packed once; an exponent of an lcm of two leads is
-            # within the capacity, and a grevlex sum within twice it, which
-            # its field holds with its guard bit, so `divides` stays exact
-            packed = [(n, codec.term(m, new.index)) for n, (_, m) in enumerate(pairs)]
-            pairs = [pairs[n] for n, _ in _minimal_pairs(packed, codec.divides)]
+        # each lcm packed once; an exponent of an lcm of two leads is within
+        # the capacity, and a grevlex sum within twice it, which its field
+        # holds with its guard bit, so `divides` stays exact
+        packed = [(n, codec.term(m, new.index)) for n, (_, m) in enumerate(pairs)]
+        pairs = [pairs[n] for n, _ in _minimal_pairs(packed, codec.divides)]
         for i, lcm_mono in pairs:
             pair_degree = vector_add(ring.monomial_degree(lcm_mono), module.basis_degrees[new.index])
             push(pair_degree, False, (i, t, lcm_mono))
@@ -442,34 +443,18 @@ def _minimal_pairs(pairs, divides):
     the kept pairs' relations of the leading terms still generate all of
     them: the kept S-pairs complete a Groebner basis (Buchberger's
     criterion), and their relations are a Groebner basis of its syzygies
-    (Schreyer's theorem; La Scala and Stillman, JSC 1998).
+    (Schreyer's theorem; La Scala and Stillman, JSC 1998).  The argument
+    reads only leading terms, so it holds for every run, with tails or
+    without; the relation that drops a pair lies in the pair's degree or
+    below, so a run that takes the degrees in turn, or stops at a bound,
+    has taken what it needs when it needs it (Gebauer and Moeller, JSC
+    1988).
     """
     return [
         (i, m)
         for n, (i, m) in enumerate(pairs)
         if not any(k != n and divides(o, m) and (k < n or o != m) for k, (_, o) in enumerate(pairs))
     ]
-
-
-def _reduce_basis(elements, codec, module):
-    """Inter-reduce monic packed element dicts: drop redundant leading terms, reduce tails.
-
-    Returns the reduced basis as ModuleElements of module, sorted by
-    increasing leading term.  Reducing a tail does not change its leading
-    term, so the sort is done once.
-    """
-    kept = []
-    for g in sorted(elements, key=max):
-        lead = max(g)
-        if not any(codec.divides(other, lead) for other, _ in kept):
-            kept.append((lead, g))
-    divisors = [_divisor(g) for _, g in kept]
-    reduced = []
-    for pos, (_, g) in enumerate(kept):
-        work = dict(g)
-        multiplier = _pseudo_divide(work, {}, divisors[:pos] + divisors[pos + 1:], codec)
-        reduced.append(ModuleElement(module, codec.entries(work, module.rank, multiplier)))
-    return reduced
 
 
 def check_order(order):
@@ -487,10 +472,13 @@ def buchberger(matrix, order, bound=None):
     basis elements within it are returned (on a multigraded ring, not only
     those componentwise below it);
     the degree-d elements of a bounded run at bound d form a basis of the
-    degree-d component of the column span.  The run keeps primitive integer
-    elements and carries no cofactors; they are made monic once, before the
-    inter-reduction.  The elements are canonical: they do not depend on the
-    column order or on invertible scalar mixing of equal-degree columns.
+    degree-d component of the column span.  The basis is that of the run
+    with unit tails behind the Schreyer frame, which back-substitutes each
+    degree it finishes and so leaves it reduced (see `_buchberger_run`);
+    its primitive integer elements are sorted by leading term and each is
+    divided once by its leading coefficient.  The elements are canonical:
+    they do not depend on the column order or on invertible scalar mixing
+    of equal-degree columns.
     Propagation along a map needs no run: in the columns' own degree the
     basis is a reduced echelon form.
     """
@@ -499,13 +487,11 @@ def buchberger(matrix, order, bound=None):
     if bound is not None:
         bound = _int_vector(bound, "degree bound", ring.degree_length)
     codec, (columns,) = _packed_chain([matrix], order)
-    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, bound, False)
-    monic = []
-    for work, _ in basis:
-        lead_coeff = work[max(work)]
-        monic.append({t: exact_quotient(c, lead_coeff) for t, c in work.items()})
-    elements = _reduce_basis(monic, codec, matrix.codomain)
-    return GroebnerBasis(matrix.codomain, order, tuple(elements))
+    codec, _, basis, _, _ = _buchberger_run(codec, columns, matrix.domain.basis_degrees, matrix.codomain, bound, True)
+    module = matrix.codomain
+    works = sorted((work for work, _ in basis), key=max)
+    elements = tuple(ModuleElement(module, codec.entries(work, module.rank, work[max(work)])) for work in works)
+    return GroebnerBasis(module, order, elements)
 
 
 def sort_gb_columns(basis):

@@ -3,7 +3,7 @@
 A module term, a monomial with a basis index, is one Python int (Monagan
 and Pearce, "Sparse polynomial division using a heap", JSC 2011, and "POLY:
 a new polynomial data structure for Maple 17", 2013) inside `groebner`'s
-division, Buchberger and inter-reduction, inside the propagation walk of
+division, Buchberger and back-substitution, inside the propagation walk of
 `propagate`, inside the tests that consecutive maps compose to zero, and
 inside `groebner._standard_search`, whose search over the variables
 grows a partial term by one add per exponent step and cuts it at the first
@@ -627,7 +627,7 @@ def _pseudo_divide(work, tail, divisors, codec):
     return multiplier
 
 
-def _divisor(work, tail=None):
+def _divisor(work, tail):
     """The nonzero packed element dict work, with its tail dict, as a `_pseudo_divide` divisor.
 
     Its leading term is work's largest packed term.  Its leading coefficient

@@ -87,9 +87,9 @@ every returned value keeps exponent tuples.
 Graded components (`propagate_graded_components`) need only the leading
 terms of a Groebner basis bounded at the degree and the weight of each
 standard monomial.  The bounded run without tails gives those leading
-terms, with no monic pass and no inter-reduction, and the standard-monomial
-search (`groebner._standard_search`) carries each term's weight as it goes,
-so that only the leading terms are unpacked.
+terms, with no monic pass and no back-substitution, and the
+standard-monomial search (`groebner._standard_search`) carries each term's
+weight as it goes, so that only the leading terms are unpacked.
 
 The triangularity assumption connecting the codomain basis to a basis of
 weight vectors is a trusted caller contract: it cannot be verified from the
@@ -636,11 +636,12 @@ def propagate_graded_components(degree, matrix, weights, order):
 
     Checks the degree, the weights and the order, then packs the map once.
     Only the leading terms matter, so the run carries no tails and its
-    basis is neither made monic nor inter-reduced: it top-reduces each item,
-    so no leading term it adds is divisible by an earlier one, and a later
-    one, of no smaller functional, divides an earlier one only if the two
-    are equal.  So its leading terms are those of the reduced basis
-    `buchberger` returns.  The search (`groebner._standard_search`) carries
+    basis is neither made monic nor back-substituted: it top-reduces each
+    item, so no leading term it adds is divisible by an earlier one, and a
+    later one, of no smaller functional, divides an earlier one only if the
+    two are equal.  So its leading terms are those of the reduced basis
+    that `buchberger` takes from the run with unit tails, at the same
+    bound.  The search (`groebner._standard_search`) carries
     each term's weight as it goes, so no standard monomial is unpacked.
     """
     ring = matrix.domain.ring

@@ -302,6 +302,13 @@ def test_gb_plucker_relations_already_reduced(grassmannian):
     }
 
 
+def truncation_inputs():
+    """Every matrix of every fixture problem file, and the Gr(2,6) presentation."""
+    for name in PROBLEMS + ["generic_koszul_complex"]:
+        yield from load_problem(fixture_path(name + ".json")).matrices.values()
+    yield plucker_presentation(6)
+
+
 def test_gb_truncation_bound(std3):
     # bound below the S-pair degrees: only the inter-reduced generators survive
     m = row_matrix(std3, [[2], [2]], ["x1*x2", "x2^2-x1*x3"])
@@ -311,6 +318,17 @@ def test_gb_truncation_bound(std3):
     assert len(full.elements) > len(truncated.elements)
     full_lts_deg2 = [g for g in full.elements if g.homogeneous_degree() == (2,)]
     assert full_lts_deg2 == list(truncated.elements)
+    # at a bound at each column degree and each leading-term degree, the
+    # bounded basis is exactly the full basis's elements whose degree has
+    # functional within the bound's
+    for m in [m, *truncation_inputs()]:
+        functional = m.domain.ring._functional
+        for order in ALL_ORDERS:
+            full = buchberger(m, order)
+            degrees = [g.homogeneous_degree() for g in full.elements]
+            for bound in sorted(set(m.domain.basis_degrees) | set(degrees)):
+                kept = tuple(g for g, d in zip(full.elements, degrees) if functional(d) <= functional(bound))
+                assert buchberger(m, order, bound=bound).elements == kept, (order.kind, bound)
 
 
 def test_gb_truncation_bound_must_be_an_integer_degree_of_the_ring(std3):

@@ -1370,7 +1370,7 @@ def test_graded_components_read_no_reduced_basis_and_no_term_weights(monkeypatch
     leads = len(buchberger(d1, TOP_UP, bound=(4,)).elements)
     expected = propagate(standard_monomial_matrix((4,), d1, TOP_UP), w0, TOP_UP).weights
     groebner = importlib.import_module("torusweights.groebner")
-    reduce = Spy(monkeypatch, "_reduce_basis", groebner)
+    reduce = Spy(monkeypatch, "_back_substitute", groebner)
     weigh = Spy(monkeypatch, "monomial_weight", RingSpec)
     unpack = Spy(monkeypatch, "unpack", _TermCodec)
     assert propagate_graded_components((4,), d1, w0, TOP_UP) == expected
