@@ -40,7 +40,10 @@ standard monomial, and `standard_monomials` unpacks each once.  The
 checks that maps compose to zero multiply packed columns too
 (`_nonzero_composite`): the chain check packs each map once, by one codec
 for the whole chain (`_packed_chain`), and `propagate_resolution` reuses
-those columns for its minimality runs and its walk.  `minimal_resolution`
+those columns for its minimality runs and its walk.  The chain check first
+sums each composite formally over the maps' distinct entries up to a
+scalar (`_uncancelled`) and multiplies only the columns that do not cancel
+so; `schreyer._pruned`'s guard multiplies every column.  `minimal_resolution`
 and `syzygies` pack their input once, keep the frame's levels in the keys
 of `schreyer._FrameLayout` from the run on, and check the composites of
 the pruned differentials, packed by one codec.  `minimal_resolution`'s
@@ -764,33 +767,94 @@ def _packed_chain(differentials, order):
     return codec, [codec.columns(d) for d in differentials]
 
 
-def _nonzero_composite(codec, packed):
+def _nonzero_composite(codec, packed, kept=None):
     """The first k with packed[k] @ packed[k + 1] nonzero, or None.
 
     packed are the packed columns, by codec, of maps that chain, and codec
     holds the total degree of every consecutive product.  Each composite is
     multiplied by `_TermCodec.product` until its first nonzero column.
+    kept, where given, lists for each k the columns of packed[k + 1] to
+    multiply, the others' products being known to vanish; a composite with
+    none kept multiplies nothing.
     """
     for k in range(len(packed) - 1):
-        if any(codec.product(packed[k], packed[k + 1])):
+        b = packed[k + 1] if kept is None else [packed[k + 1][j] for j in kept[k]]
+        if b and any(codec.product(packed[k], b)):
             return k
     return None
+
+
+def _entry_forms(differentials):
+    """Each map's columns as lists of (row, p, scalar): the entry there is scalar times the p-th polynomial.
+
+    The numbered polynomials are primitive integer ones with a positive
+    coefficient at their largest exponent tuple, so entries equal up to a
+    scalar share a number however they are written.  Each distinct entry
+    object is normalised once.
+    """
+    numbers, forms, out = {}, {}, []
+    for d in differentials:
+        columns = [[] for _ in range(d.num_cols)]
+        for i, row in enumerate(d.entries):
+            for col, p in zip(columns, row):
+                if p.terms:
+                    form = forms.get(id(p))
+                    if form is None:
+                        if len(p.terms) == 1:
+                            # a term is its monomial, which no frozenset equals
+                            (key, c), = p.terms.items()
+                        else:
+                            terms, c = _primitive(p.terms)
+                            if terms[max(terms)] < 0:
+                                terms, c = {m: -x for m, x in terms.items()}, -c
+                            key = frozenset(terms.items())
+                        form = forms[id(p)] = numbers.setdefault(key, len(numbers)), c
+                    col.append((i, *form))
+        out.append(columns)
+    return out
+
+
+def _uncancelled(a, b):
+    """The columns j of A @ B that do not vanish formally, from A's and B's `_entry_forms`.
+
+    Entry (r, j) of A @ B is the sum of c * p * q over the unordered pairs
+    {p, q} of numbered polynomials, where c adds up x * y over the k with
+    A[r][k] = x * p and B[k][j] = y * q, or p and q swapped.  A column whose
+    every such c is 0 is zero; any other may still be, and is multiplied.
+    """
+    kept = []
+    for j, col in enumerate(b):
+        formal = {}
+        for k, q, y in col:
+            for r, p, x in a[k]:
+                key = (r, p, q) if p < q else (r, q, p)
+                formal[key] = formal.get(key, 0) + x * y
+        if any(formal.values()):
+            kept.append(j)
+    return kept
 
 
 def _checked_chain(differentials, order):
     """`check_chain` under order, returning `_packed_chain`'s codec and packed columns.
 
     The differentials must be nonempty.  The shapes are checked before
-    anything is packed, so a chain over several rings fails there.
+    anything is packed, so a chain over several rings fails there.  Each
+    composite is first summed formally over its distinct entries up to a
+    scalar (`_uncancelled`), and only the columns that do not cancel so are
+    multiplied out, in full; an explicit Koszul-type complex, whose
+    composites cancel as f_a * f_b - f_b * f_a, multiplies none.  The
+    composites are tested in order either way.
     """
     for k in range(1, len(differentials)):
         previous, d = differentials[k - 1].domain, differentials[k].codomain
         if d.basis_degrees != previous.basis_degrees or d.ring != previous.ring:
             raise InputError("chain-shape mismatch between differentials %d and %d" % (k, k + 1))
     codec, packed = _packed_chain(differentials, order)
+    forms = _entry_forms(differentials)
+    kept = list(map(_uncancelled, forms, forms[1:]))
     # A @ B = 0 exactly when sA @ tB = 0, so a rational chain is tested on
     # ints; the walk gets the columns as they are
-    k = _nonzero_composite(codec, [_integral(columns)[0] for columns in packed])
+    k = _nonzero_composite(codec, [_integral(columns)[0] for columns in packed], kept)
     if k is not None:
         raise InputError("differentials %d and %d do not compose to zero" % (k + 1, k + 2))
     return codec, packed
@@ -800,13 +864,15 @@ def check_chain(differentials):
     """Raise InputError unless the differentials form a complex.
 
     Each differential after the first must map into the domain of the one
-    before it, and consecutive composites must vanish.  The composites are
-    tested on packed terms, each map packed once and scaled to integers (see
-    `_nonzero_composite`), not multiplied out as PolyMatrix products; any
-    order serves a zero test, and top-up is used.  `propagate_resolution`
-    runs the same checks under its own order and keeps the packed columns,
-    unscaled, for its minimality runs and its walk.  Messages number the
-    differentials from 1.
+    before it, and consecutive composites must vanish.  A composite's
+    columns are first summed formally over the maps' distinct entries up to
+    a scalar, and a column that cancels so is zero; every other column is
+    multiplied out on packed terms, each map packed once and scaled to
+    integers (see `_checked_chain` and `_nonzero_composite`), not as
+    PolyMatrix products.  Any order serves a zero test, and top-up is used.
+    `propagate_resolution` runs the same checks under its own order and
+    keeps the packed columns, unscaled, for its minimality runs and its
+    walk.  Messages number the differentials from 1.
     """
     if differentials:
         _checked_chain(differentials, ModuleTermOrder())

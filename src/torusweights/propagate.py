@@ -44,7 +44,11 @@ packs the chain by one codec (`groebner._packed_chain`), whose fields hold a
 product of consecutive maps and whose index field holds max(rows, cols),
 and the same packed columns serve the test that the maps compose to zero,
 each differential's minimality run and the walk, which lets each map's
-columns go once it has passed it.  A chain that `minimal_resolution`
+columns go once it has passed it.  That test multiplies only the columns
+of a composite that do not cancel formally over the maps' distinct
+entries up to a scalar (`groebner._checked_chain`), so an explicit
+Koszul-type complex, whose composites cancel as f_a * f_b - f_b * f_a,
+is checked without multiplying a term.  A chain that `minimal_resolution`
 proved is walked on the packed columns its pruning already built and
 checked, with a codec sized the same way, so nothing is packed, and its
 matrices are unpacked only when first read; under any other order than its

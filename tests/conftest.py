@@ -40,19 +40,19 @@ def entries_as_text(m):
     return [[polynomial_to_string(ring, p) for p in row] for row in m.entries]
 
 
-def koszul_complex(n, seed):
-    """The differentials d_1 ... d_n of the Koszul complex on n generic linear forms.
+def koszul_complex_document(n, seed):
+    """The problem document of the Koszul complex on n generic linear forms, as perfbench/problems.py's koszul_complex(n, seed) builds it.
 
-    As perfbench/problems.py's koszul_complex(n, seed) builds them: the
-    forms' coefficients are drawn from 1..9 by the same seeded stream until
-    the forms are independent, F_k has one basis element e_I per k-subset I
-    (lexicographic order) in degree k, and d_k(e_I) = sum_t (-1)^t l_{I[t]}
-    e_{I without I[t]}, over `std_ring(n)`.
+    The forms' coefficients are drawn from 1..9 by the same seeded stream
+    until the forms are independent, F_k has one basis element e_I per
+    k-subset I (lexicographic order) in degree k, and d_k(e_I) = sum_t
+    (-1)^t l_{I[t]} e_{I without I[t]}; the top module carries the weight
+    list `VN` = [(1, ..., 1)].  Loading it shares one entry between equal
+    entry texts.
     """
     forms = generic_forms(n, seed, "complex")
     subsets = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
-    ring = std_ring(n)
-    differentials = []
+    matrices = {}
     for k in range(1, n + 1):
         row_of = {s: i for i, s in enumerate(subsets[k - 1])}
         entries = [["0"] * len(subsets[k]) for _ in subsets[k - 1]]
@@ -60,8 +60,29 @@ def koszul_complex(n, seed):
             for t, var in enumerate(subset):
                 face = subset[:t] + subset[t + 1:]
                 entries[row_of[face]][j] = forms[var] if t % 2 == 0 else "-(%s)" % forms[var]
-        differentials.append(matrix(ring, [[k - 1]] * len(subsets[k - 1]), [[k]] * len(subsets[k]), entries))
-    return differentials
+        matrices["d%d" % k] = {"rows": "F%d" % (k - 1), "cols": "F%d" % k, "entries": entries}
+    return {
+        "ring": {
+            "vars": ["x%d" % (j + 1) for j in range(n)],
+            "degrees": [[1]] * n,
+            "weights": [[int(i == j) for j in range(n)] for i in range(n)],
+            "order": "grevlex",
+        },
+        "modules": {"F%d" % k: {"degrees": [[k]] * len(subsets[k])} for k in range(n + 1)},
+        "matrices": matrices,
+        "weightlists": {"VN": [[1] * n]},
+        "resolution": ["d%d" % k for k in range(1, n + 1)],
+        "module_order": "top-up",
+    }
+
+
+def koszul_complex(n, seed):
+    """The differentials d_1 ... d_n of `koszul_complex_document(n, seed)`, over `std_ring(n)`, each entry parsed on its own."""
+    document = koszul_complex_document(n, seed)
+    ring = std_ring(n)
+    degrees = {name: module["degrees"] for name, module in document["modules"].items()}
+    maps = (document["matrices"][name] for name in document["resolution"])
+    return [matrix(ring, degrees[m["rows"]], degrees[m["cols"]], m["entries"]) for m in maps]
 
 
 def generic_forms(n, seed, label):

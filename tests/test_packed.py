@@ -36,11 +36,11 @@ from torusweights.linalg import Echelon, _Slots, rank
 from torusweights.modules import ModuleElement, _column_rows, dual_map
 from torusweights import packed
 from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
-from torusweights.problemfile import load_problem
+from torusweights.problemfile import load_problem, problem_from_dict
 from torusweights.propagate import _NOT_MINIMAL, PropagationResult
 from torusweights.rings import Polynomial, unit_monomial, vector_add
 
-from conftest import PROBLEMS, fixture_path, plucker_presentation, std_ring
+from conftest import PROBLEMS, fixture_path, koszul_complex_document, plucker_presentation, std_ring
 
 ALL_ORDERS = [ModuleTermOrder(kind) for kind in ModuleTermOrder.KINDS]
 
@@ -483,21 +483,22 @@ def test_composite_that_would_alias_under_the_first_field_width_is_caught():
 def chain_failing_in_one_row(row):
     """d1, d2, d3 with d1 @ d2 = 0 and d2 @ d3 nonzero in row `row` (0 or 2) of F_1 only.
 
-    Row i of d2 is m_i * (x1, x2) for m = (1, 2, 3), with x3 in a third
-    column at row `row`; d1 = w * a for a row a with a . m = 0 and a zero at
-    `row`, and d3 = (x2, -x1, x3), so d2 @ d3 is x3^2 at `row` alone.  Each
-    monomial of d2's first two columns sits in all three rows, so the
-    kernel packs them.  Under top-up row 2 is the highest slot.
+    With u = x4, v = x5 and g_i = u + (i + 1) v, row i of d2 is g_i x1, g_i
+    x2, with x3 u in a third column at row `row`; d1 is (g_1, -g_0, 0) or
+    (0, g_2, -g_1), zero at `row`, and d3 = (x2, -x1, x3), so d2 @ d3 is
+    x3^2 u at `row` alone.  d1 @ d2 = 0 does not cancel formally: g_1 *
+    (g_0 x1) and g_0 * (g_1 x1) multiply different entries, so the chain
+    check multiplies it.  Each monomial of d2's first two columns sits in
+    all three rows, so the kernel packs them.  Under top-up row 2 is the
+    highest slot.
     """
-    ring = std_ring(4)
-    x1, x2, x3, w = (ring.variable(i) for i in range(4))
-    multipliers = (1, 2, 3)
-    a = (-2, 1, 0) if row == 2 else (0, 3, -2)
-    f0, f1, f2, f3 = (FreeModuleSpec(ring, [[k]] * rank) for k, rank in enumerate((1, 3, 3, 1)))
-    d1 = PolyMatrix(f0, f1, [[w.scale(c) for c in a]])
-    d2 = PolyMatrix(
-        f1, f2, [[x1.scale(m), x2.scale(m), x3 if i == row else Polynomial()] for i, m in enumerate(multipliers)]
-    )
+    ring = std_ring(5)
+    x1, x2, x3, u, v = (ring.variable(i) for i in range(5))
+    g = [u + v.scale(m) for m in (1, 2, 3)]
+    a = [g[1], -g[0], Polynomial()] if row == 2 else [Polynomial(), g[2], -g[1]]
+    f0, f1, f2, f3 = (FreeModuleSpec(ring, [[k]] * rank) for k, rank in ((0, 1), (1, 3), (3, 3), (4, 1)))
+    d1 = PolyMatrix(f0, f1, [a])
+    d2 = PolyMatrix(f1, f2, [[gi * x1, gi * x2, x3 * u if i == row else Polynomial()] for i, gi in enumerate(g)])
     d3 = PolyMatrix(f2, f3, [[x2], [x1.scale(-1)], [x3]])
     return d1, d2, d3
 
@@ -521,13 +522,34 @@ def scaled(differentials, factor):
     return [PolyMatrix(d.codomain, d.domain, [[p.scale(factor) for p in row] for row in d.entries]) for d in differentials]
 
 
+def in_another_basis(differentials):
+    """The complex with the basis of each inner module F_k changed by P_k, the identity plus ones below its diagonal.
+
+    d_k becomes P_(k-1)^-1 @ d_k @ P_k, with P_0 and P_m the identity, so
+    the composites still vanish; every F_k must lie in one degree.  An entry
+    becomes a signed sum of d_k's entries, so on a Koszul complex the
+    composites no longer cancel formally over the entries.
+    """
+    modules = [differentials[0].codomain] + [d.domain for d in differentials]
+    bases = [
+        ScalarMatrix([[int(i == j or i == j + 1) for j in range(f.rank)] for i in range(f.rank)])
+        if 0 < k < len(differentials) else ScalarMatrix.identity(f.rank)
+        for k, f in enumerate(modules)
+    ]
+    return [
+        bases[k].inverse().to_poly_matrix(d.codomain, d.codomain) @ d @ bases[k + 1].to_poly_matrix(d.domain, d.domain)
+        for k, d in enumerate(differentials)
+    ]
+
+
 @pytest.mark.parametrize("path", ["dict", "packed"])
 def test_a_rational_complex_is_checked_on_ints(path):
     # A @ B = 0 exactly when sA @ tB = 0, so the chain check multiplies each
     # map scaled to ints, on either kernel path, and a third of the generic
-    # Koszul complex on four forms passes it as the complex does
+    # Koszul complex on four forms, in another basis so that no composite
+    # cancels formally, passes it as the complex does
     problem = load_problem(fixture_path("generic_koszul_complex.json"))
-    third = scaled([problem.matrices[d] for d in problem.resolution], Fraction(1, 3))
+    third = scaled(in_another_basis([problem.matrices[d] for d in problem.resolution]), Fraction(1, 3))
     with kernel_paths(path) as taken, product_coefficient_types() as seen:
         check_chain(third)
     assert seen == [{int}] * 3
@@ -557,8 +579,73 @@ def test_chain_failing_in_one_end_row_slot_is_caught_on_both_kernel_paths(row, p
     for order in ALL_ORDERS:
         with kernel_paths(path) as taken:
             with pytest.raises(InputError, match=message):
-                propagate_resolution([d1, d2, d3], 0, [(0, 0, 0, 0)], order)
+                propagate_resolution([d1, d2, d3], 0, [(0,) * 5], order)
         assert taken == ["dict", path], order
+
+
+@contextlib.contextmanager
+def multiplied_columns():
+    """For each `_TermCodec.product` call inside the block, [columns of B it was handed, columns it gave]."""
+    calls = []
+    product = _TermCodec.product
+
+    def spy(self, a, b):
+        calls.append([len(b), 0])
+        for column in product(self, a, b):
+            calls[-1][1] += 1
+            yield column
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_TermCodec, "product", spy)
+        yield calls
+
+
+def test_the_chain_check_multiplies_only_the_columns_that_do_not_cancel_formally():
+    # the Koszul complex on seven generic forms, loaded as the benchmark
+    # loads it, cancels formally in every column and multiplies none
+    problem = problem_from_dict(koszul_complex_document(7, 1))
+    koszul = [problem.matrices[d] for d in problem.resolution]
+    with multiplied_columns() as calls:
+        check_chain(koszul)
+    assert calls == []
+    # Gr(2,5)'s composites vanish by the Pluecker relations, not formally,
+    # so every column is multiplied
+    grassmannian = load_problem(fixture_path("grassmannian.json"))
+    explicit = [grassmannian.matrices[d] for d in grassmannian.resolution]
+    with multiplied_columns() as calls:
+        check_chain(explicit)
+    assert calls == [[d.num_cols, d.num_cols] for d in explicit[1:]]
+    # one entry of d_4 replaced by another form: d_3 @ d_4 is nonzero in
+    # the one column that holds it, and only that column is multiplied
+    d4 = koszul[3]
+    i, j = next((i, j) for i, row in enumerate(d4.entries) for j, p in enumerate(row) if p.terms)
+    other = next(f for f in koszul[0].entries[0] if f not in (d4.entries[i][j], -d4.entries[i][j]))
+    entries = [list(row) for row in d4.entries]
+    entries[i][j] = other
+    broken = koszul[:3] + [PolyMatrix(d4.codomain, d4.domain, entries)] + koszul[4:]
+    assert [k for k in range(6) if not (broken[k] @ broken[k + 1]).is_zero] == [2, 3]
+    assert [c for c, column in enumerate(zip(*(broken[2] @ broken[3]).entries)) if any(column)] == [j]
+    message = "differentials 3 and 4 do not compose to zero"
+    with multiplied_columns() as calls:
+        with pytest.raises(InputError, match=message):
+            check_chain(broken)
+    assert calls == [[1, 1]]
+    with pytest.raises(InputError, match=message):
+        propagate_resolution(broken, 7, problem.weightlists["VN"], problem.module_order)
+
+
+def test_formal_coefficients_are_summed_per_row():
+    # (x, -x) @ (y) is (xy, -xy): the pair {x, y} has coefficient 1 in one
+    # row and -1 in the other, which must not cancel
+    ring = std_ring(2)
+    x, y = ring.variable(0), ring.variable(1)
+    f0, f1, f2 = (FreeModuleSpec(ring, [[k]] * rank) for k, rank in ((0, 1), (1, 2), (2, 1)))
+    d1 = PolyMatrix(f0, f1, [[x, x]])
+    d2 = PolyMatrix(f1, f2, [[x], [x.scale(-1)]])
+    d3 = PolyMatrix(f2, FreeModuleSpec(ring, [[3]]), [[y]])
+    check_chain([d1, d2])
+    with pytest.raises(InputError, match="differentials 2 and 3 do not compose to zero"):
+        check_chain([d1, d2, d3])
 
 
 # ---------- the signed-slot layout ----------

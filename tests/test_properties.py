@@ -37,7 +37,7 @@ from torusweights import (
 )
 from torusweights.errors import InputError, MinimalityError, ResolutionStepError
 from torusweights import schreyer
-from torusweights.groebner import _buchberger_run, _nakayama_kept, _packed_chain
+from torusweights.groebner import _buchberger_run, _nakayama_kept, _packed_chain, check_chain
 from torusweights.linalg import Echelon, _primitive, _Slots, pivot_scan, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
 from torusweights.packed import _FIELD_BITS, _integral, _TermCodec, _largest_degree
@@ -57,6 +57,7 @@ from conftest import WIDE_WEIGHT_RING, entries_as_text, fixture_path, matrix, st
 from reference import (
     ReferenceEchelon,
     _term_divides,
+    generic_minors,
     reference_pseudo_divide,
     reference_standard_monomials,
     with_s_polynomials,
@@ -1919,3 +1920,139 @@ def propagate_resolution_fixture(diffs, weights):
     from torusweights import propagate_resolution
 
     return propagate_resolution(diffs, 0, weights, TOP_UP)
+
+
+# ---------- the chain check against the @ product ----------
+
+
+def plucker_chain():
+    """d1 and d2 of the explicit Gr(2,5) resolution, whose composite vanishes by the Pluecker relations."""
+    problem = load_problem(fixture_path("grassmannian.json"))
+    return [problem.matrices[d] for d in problem.resolution[:2]]
+
+
+def eagon_northcott_chain(n):
+    """d1 and d2 of the Eagon-Northcott complex of the 2x2 minors of the generic 2 x n matrix.
+
+    d1 is `generic_minors(2, n, 2)`, one column per minor D_ab, a < b; d2
+    has a column x_ia e_bc - x_ib e_ac + x_ic e_ab for each row i and
+    columns a < b < c, the expansion of a 3x3 determinant with row i twice.
+    """
+    d1 = generic_minors(2, n, 2)
+    ring = d1.domain.ring
+    pairs = {pair: k for k, pair in enumerate(itertools.combinations(range(n), 2))}
+    columns = []
+    for i in range(2):
+        for a, b, c in itertools.combinations(range(n), 3):
+            column = [Polynomial()] * len(pairs)
+            for sign, x, pair in ((1, a, (b, c)), (-1, b, (a, c)), (1, c, (a, b))):
+                column[pairs[pair]] = ring.variable(i * n + x).scale(sign)
+            columns.append(column)
+    d2 = PolyMatrix(d1.domain, FreeModuleSpec(ring, [[3]] * len(columns)), [list(row) for row in zip(*columns)])
+    return [d1, d2]
+
+
+# products of two entries that vanish, but not formally over the entries
+NON_FORMAL_CHAINS = {"plucker": plucker_chain(), "eagon_northcott": eagon_northcott_chain(4)}
+
+chain_scalars = st.one_of(st.sampled_from([-3, -2, -1, 1, 2, 3]), nonzero_rationals)
+
+
+@st.composite
+def koszul_pattern_chain(draw):
+    """The Koszul complex on two to four generators drawn, with repeats, from a pool of up to three polynomials.
+
+    Generator a is s_a f_a, f_a from the pool, and F_k's basis element e_I
+    is scaled by l_I, so entry (I - I[t], I) of d_k is (-1)^t s_a l_I /
+    l_(I - I[t]) f_a for a = I[t]: every composite cancels formally over
+    the pool.  Equal entries are one shared object or distinct ones.
+    """
+    ring = std_ring(3)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = ring.monomials_of_degree((draw(st.integers(1, 2)),))
+        f = Polynomial(dict(zip(monos, draw(st.lists(st.integers(-2, 2), min_size=len(monos), max_size=len(monos))))))
+        assume(f.terms)
+        pool.append(f)
+    generators = [(draw(st.sampled_from(pool)), draw(chain_scalars)) for _ in range(draw(st.integers(2, 4)))]
+    g = len(generators)
+    subsets = [list(itertools.combinations(range(g), k)) for k in range(g + 1)]
+    scales = {subset: draw(chain_scalars) for level in subsets for subset in level}
+    degree = {subset: sum(ring.poly_degree(generators[a][0])[0] for a in subset) for level in subsets for subset in level}
+    shared = {} if draw(st.booleans()) else None
+    chain = []
+    for k in range(1, g + 1):
+        row_of = {face: i for i, face in enumerate(subsets[k - 1])}
+        entries = [[Polynomial()] * len(subsets[k]) for _ in subsets[k - 1]]
+        for j, subset in enumerate(subsets[k]):
+            for t, a in enumerate(subset):
+                face = subset[:t] + subset[t + 1:]
+                f, s = generators[a]
+                c = Fraction((-1) ** t * s * scales[subset]) / scales[face]
+                if shared is None:
+                    entry = f.scale(c)
+                else:
+                    entry = shared.setdefault((id(f), c), f.scale(c))
+                entries[row_of[face]][j] = entry
+        modules = [FreeModuleSpec(ring, [[degree[subset]] for subset in subsets[i]]) for i in (k - 1, k)]
+        chain.append(PolyMatrix(*modules, entries))
+    return chain
+
+
+@st.composite
+def mutated_chain(draw, chain):
+    """chain with one nonzero entry object replaced: by an equal polynomial built another way, by a multiple, by another one, or by 0."""
+    k = draw(st.integers(0, len(chain) - 1))
+    d = chain[k]
+    cells = [(i, j) for i, row in enumerate(d.entries) for j, p in enumerate(row) if p.terms]
+    i, j = draw(st.sampled_from(cells))
+    p = d.entries[i][j]
+    ring = d.domain.ring
+    monomial = Polynomial({draw(st.sampled_from(list(p.terms))): 1})
+    kind = draw(st.sampled_from(["equal", "multiple", "other", "zero"]))
+    if kind == "equal":
+        entry = (p + monomial) + -monomial
+        assert entry == p and entry is not p
+    elif kind == "multiple":
+        entry = p.scale(draw(chain_scalars))
+    elif kind == "other":
+        # another multiple of a variable times p's monomial, divided by one of its variables
+        var = draw(st.sampled_from([v for v, e in enumerate(next(iter(monomial.terms))) if e]))
+        other = draw(st.integers(0, ring.num_vars - 1))
+        shift = [0] * ring.num_vars
+        shift[var] -= 1
+        shift[other] += 1
+        entry = p + monomial.multiply_term(tuple(shift), draw(chain_scalars))
+    else:
+        entry = Polynomial()
+    entries = [list(row) for row in d.entries]
+    entries[i][j] = entry
+    return chain[:k] + [PolyMatrix(d.codomain, d.domain, entries)] + chain[k + 1:]
+
+
+def composite_error(run, chain):
+    """The message of the InputError run(chain) raises, or None; a minimality failure counts as none."""
+    try:
+        run(chain)
+    except MinimalityError:
+        return None
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@SETTINGS
+@given(data=st.data())
+def test_the_chain_check_fails_exactly_where_a_composite_is_nonzero(data):
+    # the @ product is the oracle; composites that cancel formally and ones
+    # that vanish only as polynomials pass, and after one entry object is
+    # mutated the first nonzero composite is named
+    source = data.draw(st.sampled_from(["koszul", "koszul", "plucker", "eagon_northcott"]))
+    chain = data.draw(koszul_pattern_chain()) if source == "koszul" else NON_FORMAL_CHAINS[source]
+    if data.draw(st.booleans()):
+        chain = data.draw(mutated_chain(chain))
+    first = next((k for k in range(len(chain) - 1) if not (chain[k] @ chain[k + 1]).is_zero), None)
+    message = None if first is None else "differentials %d and %d do not compose to zero" % (first + 1, first + 2)
+    assert composite_error(check_chain, chain) == message
+    weights = [(0,) * chain[0].domain.ring.weight_length]
+    assert composite_error(lambda c: propagate_resolution(c, 0, weights, TOP_UP), chain) == message
