@@ -6,9 +6,10 @@ problemfile).  graded-weights stops its Groebner run at --degree; gb --truncate
 bounds degrees through the ring's positive functional.  Output is
 human-readable by default; --json switches to a
 deterministic machine schema.  Exit codes: 0 success, 1 domain error (message
-names the violated precondition), 2 parse error, 3 internal error (a failed
-invariant of the library itself).  Set TORUSWEIGHTS_LOG to a
-level name (debug, info, ...) for diagnostics on stderr.
+names the violated precondition, or memory or recursion depth ran out), 2
+parse error, 3 internal error (a failed invariant of the library itself),
+130 interrupted.  Set TORUSWEIGHTS_LOG to a level name (debug, info, ...)
+for diagnostics on stderr.
 
 Each subcommand is one entry of `_SUBCOMMANDS`: its help text, the function
 that adds its arguments and the function that runs it.  A call runs one
@@ -274,15 +275,18 @@ def main(argv=None):
     except (ProblemFileError, PolynomialSyntaxError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except InputError as exc:
+    except (InputError, OSError, RecursionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except InternalError as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

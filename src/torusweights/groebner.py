@@ -297,15 +297,13 @@ def _buchberger_run(codec, columns, degrees, module, bound, tails):
     later elements, which are reduced.
     """
     joined = [False] * len(columns)
-    if not columns:
-        return codec, columns, [], [], joined
     ring = codec.ring
     functional = ring._functional
     limit = functional(bound) if bound is not None else None
     # a term of an item of degree d at element index i has degree d, so its
     # monomial has degree d - deg e_i; with unit tails, at tail index t,
     # d - deg g_t, which is at least a column's degree
-    base = min(map(functional, itertools.chain(module.basis_degrees, degrees)))
+    base = min(map(functional, itertools.chain(module.basis_degrees, degrees)), default=0)
     step = min(functional(d) for d in ring.var_degrees)
     unit = unit_monomial(ring.num_vars)
     heap = []
@@ -524,8 +522,6 @@ def change_of_basis(matrix, sorted_basis_matrix):
     degrees = set(matrix.domain.basis_degrees) | set(sorted_basis_matrix.domain.basis_degrees)
     if len(degrees) > 1:
         raise InputError("change of basis needs all columns in a single degree")
-    if matrix.num_cols == 0 and sorted_basis_matrix.num_cols == 0:
-        return ScalarMatrix([])
     m_cols = matrix.columns()
     g_cols = sorted_basis_matrix.columns()
     index = {term: i for i, term in enumerate(sorted({t for e in m_cols + g_cols for t, _ in e.support()}))}
@@ -680,7 +676,7 @@ def _nakayama_kept(codec, module, vectors, degrees):
     of each degree before its generators and top-reduces each item (see
     `_buchberger_run`).  No monomial multiple of a vector is formed.
 
-    Vectors that all lie in one degree d need no run: no positive-degree
+    Vectors in one degree d (or none) need no run: no positive-degree
     monomial multiple of a vector lands in d, so a vector is kept iff it is
     linearly independent of the vectors before it.  One `linalg.Echelon`
     decides that, keeping a vector iff adding it enlarges the span, which
@@ -690,9 +686,7 @@ def _nakayama_kept(codec, module, vectors, degrees):
     1-3).  This is the rule for every caller: `is_minimal_map`, `propagate`,
     `minimal_resolution` with max_length 1 and `propagate_resolution`.
     """
-    if not vectors:
-        return []
-    if len(set(degrees)) == 1:
+    if len(set(degrees)) <= 1:
         index = {t: i for i, t in enumerate(dict.fromkeys(t for v in vectors for t in v))}
         ech = Echelon()
         return [ech.add({index[t]: x for t, x in v.items()}) for v in vectors]
@@ -733,7 +727,8 @@ def syzygies(matrix, order):
     reduces to zero, and the result is exactly `minimal_resolution(matrix,
     order, max_length=2)`'s second differential, or a zero-column matrix
     where the resolution has none.  Where every column is zero (so also
-    where the map has no rows) the syzygies are the identity.
+    where the map has no rows) each relation is e_j, and the frame gives
+    the identity.
 
     Every column is a primitive integer vector (integer coefficients with
     gcd 1).  The claim matrix @ S = 0 is checked once, on packed columns,
@@ -741,9 +736,6 @@ def syzygies(matrix, order):
     """
     check_order(order)
     codec, (columns,) = _packed_chain([matrix], order)
-    if not any(columns):
-        unit = unit_monomial(codec.ring.num_vars)
-        return codec.matrix([{codec.term(unit, j): 1} for j in range(matrix.num_cols)], matrix.domain, matrix.domain)
     from .schreyer import _frame, _pruned
 
     _, _, differentials = _pruned(_frame(codec, columns, matrix), matrix, 2)
@@ -800,14 +792,10 @@ def _entry_forms(differentials):
                 if p.terms:
                     form = forms.get(id(p))
                     if form is None:
-                        if len(p.terms) == 1:
-                            # a term is its monomial, which no frozenset equals
-                            (key, c), = p.terms.items()
-                        else:
-                            terms, c = _primitive(p.terms)
-                            if terms[max(terms)] < 0:
-                                terms, c = {m: -x for m, x in terms.items()}, -c
-                            key = frozenset(terms.items())
+                        terms, c = _primitive(p.terms)
+                        if terms[max(terms)] < 0:
+                            terms, c = {m: -x for m, x in terms.items()}, -c
+                        key = frozenset(terms.items())
                         form = forms[id(p)] = numbers.setdefault(key, len(numbers)), c
                     col.append((i, *form))
         out.append(columns)
@@ -852,9 +840,11 @@ def _checked_chain(differentials, order):
     codec, packed = _packed_chain(differentials, order)
     forms = _entry_forms(differentials)
     kept = list(map(_uncancelled, forms, forms[1:]))
-    # A @ B = 0 exactly when sA @ tB = 0, so a rational chain is tested on
-    # ints; the walk gets the columns as they are
-    k = _nonzero_composite(codec, [_integral(columns)[0] for columns in packed], kept)
+    # A @ B = 0 exactly when sA @ tB = 0, so a map that a composite
+    # multiplies is tested on ints; the walk gets the columns as they are
+    scaled = [_integral(columns)[0] if any(kept[max(i - 1, 0):i + 1]) else columns
+              for i, columns in enumerate(packed)]
+    k = _nonzero_composite(codec, scaled, kept)
     if k is not None:
         raise InputError("differentials %d and %d do not compose to zero" % (k + 1, k + 2))
     return codec, packed
@@ -952,7 +942,8 @@ def minimal_resolution(matrix, order, max_length=None):
     map, which the frame's run decides before any level beyond 2 is built
     (see `schreyer._frame`), or `_nakayama_kept` where max_length is 1 and
     no frame is built; a zero-column presentation resolves a free module
-    and gives a length-zero resolution.  max_length, when given, must be an
+    and gives a length-zero resolution, and one with columns into the
+    rank-zero module is not minimal.  max_length, when given, must be an
     integer of at least 1, and at most max_length differentials are
     returned; the frame is then built only one level beyond them.
 

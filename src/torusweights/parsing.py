@@ -88,7 +88,10 @@ class _Parser:
         raise PolynomialSyntaxError(message, tok[2])
 
     def parse(self):
-        poly = self.expr()
+        try:
+            poly = self.expr()
+        except RecursionError:
+            self.fail("nesting is deeper than the recursion limit", self.tokens[self.i - 1])
         kind, value, _ = self.peek()
         if kind != "end":
             self.fail("unexpected %r" % (value,))

@@ -194,7 +194,8 @@ def _frame(codec, columns, matrix):
     The run fits its fields to the items it takes.  A frame term has the
     degree of its element's leading term, whose F_0 monomial divides the
     lcm of G's leading monomials at its index; the codec is widened, once,
-    to hold the largest such degree before level 2 is packed.
+    to hold the largest such degree before level 2 is packed.  Over a
+    rank-zero codomain G is empty and every column is redundant.
     """
     module = matrix.codomain
     ring = module.ring
@@ -206,7 +207,7 @@ def _frame(codec, columns, matrix):
         mono, index = codec.unpack(max(work))
         lcms[index] = monomial_lcm(lcms.get(index, mono), mono)
     functional = ring._functional
-    base = min(map(functional, module.basis_degrees))
+    base = min(map(functional, module.basis_degrees), default=0)
     tops = [functional(vector_add(ring.monomial_degree(m), module.basis_degrees[i])) for i, m in lcms.items()]
     bound = (max(tops, default=base) - base) // min(map(functional, ring.var_degrees))
     if bound > codec.capacity:

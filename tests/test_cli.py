@@ -578,6 +578,66 @@ def test_polynomial_syntax_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_polynomial_nested_past_the_recursion_limit_is_a_parse_error(capsys, tmp_path):
+    doc = {
+        "ring": {"vars": ["x"], "degrees": [[1]], "weights": [[1]]},
+        "modules": {"F0": {"degrees": [[0]]}, "E": {"degrees": [[1]]}},
+        "matrices": {"m": {"rows": "F0", "cols": "E", "entries": [["(" * 250 + "x" + ")" * 250]]}},
+    }
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gb", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: nesting is deeper than the recursion limit (at position ")
+    assert err.count("\n") == 1
+
+
+def test_resolve_into_the_zero_module_is_a_domain_error(capsys, tmp_path):
+    doc = {
+        "ring": {"vars": ["x1", "x2"], "degrees": [[1], [1]], "weights": [[1, 0], [0, 1]]},
+        "modules": {"F0": {"degrees": []}, "E": {"degrees": [[1]]}},
+        "matrices": {"m": {"rows": "F0", "cols": "E", "entries": []}},
+    }
+    path = tmp_path / "rank_zero.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--max-length", "1"], ["--max-length", "2"]):
+        code, out, err = run(capsys, "resolve", "--input", str(path), *extra)
+        assert (code, out, err) == (1, "", "error: presentation matrix is not a minimal map\n")
+
+
+@pytest.mark.parametrize(
+    "raised, code, message",
+    [
+        (KeyboardInterrupt(), 130, "interrupted\n"),
+        (MemoryError(), 1, "error: out of memory\n"),
+        (RecursionError("maximum recursion depth exceeded"), 1, "error: maximum recursion depth exceeded\n"),
+    ],
+)
+def test_resource_errors_and_interrupts_end_with_one_line(capsys, monkeypatch, raised, code, message):
+    def run_and_raise(problem, args):
+        raise raised
+
+    help_text, add_arguments, _ = _SUBCOMMANDS["check-minimal"]
+    monkeypatch.setitem(_SUBCOMMANDS, "check-minimal", (help_text, add_arguments, run_and_raise))
+    assert run(capsys, "check-minimal", "--input", str(fixture_path("two_variables.json"))) == (code, "", message)
+
+
+def test_a_search_deeper_than_the_recursion_limit_is_a_domain_error(capsys, tmp_path):
+    # the standard-monomial search recurses once per variable
+    n = 1200
+    doc = {
+        "ring": {"vars": ["x%d" % i for i in range(n)], "degrees": [[1]] * n, "weights": [[1]] * n},
+        "modules": {"F": {"degrees": [[0]]}, "E": {"degrees": [[1]]}},
+        "matrices": {"m": {"rows": "F", "cols": "E", "entries": [["x0"]]}},
+        "weightlists": {"w": [[0]]},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "graded-weights", "--input", str(path), "--degree", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
 def test_unknown_reference_exit_code(capsys, tmp_path):
     doc = {
         "ring": {"vars": ["x"], "degrees": [[1]], "weights": [[1]]},

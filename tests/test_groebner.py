@@ -612,6 +612,17 @@ def test_syzygies_of_zero_columns_are_the_identity(std3):
     s = syzygies(m, TOP_UP)
     assert (s.codomain, s.domain) == (m.domain, m.domain)
     assert entries_as_text(s) == [["1", "0"], ["0", "1"]]
+    # the frame records each zero column as redundant, and its pruned d_2
+    # is the identity on the domain under every order, also where the
+    # codomain has rank zero
+    zero = Polynomial({})
+    for order in ALL_ORDERS:
+        for rows, cols in [(0, 1), (0, 3), (1, 1), (2, 3), (3, 0)]:
+            domain = FreeModuleSpec(std3, [[2 + j % 2] for j in range(cols)])
+            m = PolyMatrix(FreeModuleSpec(std3, [[r] for r in range(rows)]), domain, [[zero] * cols] * rows)
+            s = syzygies(m, order)
+            assert (s.codomain, s.domain) == (domain, domain)
+            assert entries_as_text(s) == [["1" if i == j else "0" for j in range(cols)] for i in range(cols)]
 
 
 def test_buchberger_of_a_map_without_columns_is_empty(std3):
@@ -909,6 +920,16 @@ def test_minimal_resolution_rejects_non_minimal():
     wide = row_matrix(ring, [[1], [1]], ["x", "x"])
     with pytest.raises(MinimalityError):
         minimal_resolution(wide, TOP_UP)
+
+
+def test_minimal_resolution_rejects_a_map_into_the_zero_module(std3):
+    # every column is zero, so none is needed: the frame over an empty
+    # codomain says so as the max_length 1 check does
+    m = PolyMatrix(FreeModuleSpec(std3, []), FreeModuleSpec(std3, [[1], [2]]), [])
+    for order in ALL_ORDERS:
+        for max_length in (1, 2, None):
+            with pytest.raises(MinimalityError, match="presentation matrix is not a minimal map"):
+                minimal_resolution(m, order, max_length)
 
 
 def test_resolution_differentials_have_no_constant_entries(bigraded):

@@ -64,6 +64,14 @@ def test_unary_minus_stacking(ring):
     assert parse_polynomial(ring, "-x1+x1").is_zero
 
 
+def test_nesting_past_the_recursion_limit_is_a_syntax_error(ring):
+    for text in ["(" * 250 + "x1" + ")" * 250, "-" * 5000 + "x1"]:
+        with pytest.raises(PolynomialSyntaxError, match="recursion limit") as info:
+            parse_polynomial(ring, text)
+        # the position of the last token the parser took, within the nesting
+        assert info.value.position <= text.index("x1")
+
+
 def test_unknown_identifier(ring):
     with pytest.raises(PolynomialSyntaxError) as info:
         parse_polynomial(ring, "x1 + zz")
