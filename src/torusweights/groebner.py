@@ -38,12 +38,14 @@ torus weight as one int beside it, one signed slot per component in the
 one slot layout, `linalg._Slots`, so graded components unpack no
 standard monomial, and `standard_monomials` unpacks each once.  The
 checks that maps compose to zero multiply packed columns too
-(`_nonzero_composite`): the chain check packs each map once, by one codec
-for the whole chain (`_packed_chain`), and `propagate_resolution` reuses
-those columns for its minimality runs and its walk.  The chain check first
-sums each composite formally over the maps' distinct entries up to a
-scalar (`_uncancelled`) and multiplies only the columns that do not cancel
-so; `schreyer._pruned`'s guard multiplies every column.  `minimal_resolution`
+(`_nonzero_composite`): the chain check reads each map's cells once
+(`packed._Cells`) and packs each map once, by one codec for the whole
+chain (`_packed_chain`), and `propagate_resolution` reuses those columns
+for its minimality runs and its walk.  The chain check first sums each
+composite formally over the maps' distinct entries up to a scalar
+(`_entry_forms`, `_uncancelled`) and multiplies only the columns that do
+not cancel so, and every column from the second that does not;
+`schreyer._pruned`'s guard multiplies every column.  `minimal_resolution`
 and `syzygies` pack their input once, keep the frame's levels in the keys
 of `schreyer._FrameLayout` from the run on, and check the composites of
 the pruned differentials, packed by one codec.  `minimal_resolution`'s
@@ -118,6 +120,7 @@ from .modules import (
     _column_rows,
 )
 from .packed import (
+    _Cells,
     _FieldOverflow,
     _TermCodec,
     _divisor,
@@ -662,7 +665,8 @@ def _nakayama_kept(codec, module, vectors, degrees):
     """Graded Nakayama selection: one keep-flag per homogeneous vector.
 
     vectors are packed dicts, packed by codec, of elements of module, vector
-    i of degree degrees[i].  Taken in increasing order of the ring's
+    i of degree degrees[i]; vectors in one degree may come in other
+    coordinates (see below).  Taken in increasing order of the ring's
     positive functional of their degrees (ties by degree), then in index
     order, a vector is kept iff it is not in the submodule the vectors
     before it generate.  The kept vectors minimally generate the submodule
@@ -680,11 +684,11 @@ def _nakayama_kept(codec, module, vectors, degrees):
     monomial multiple of a vector lands in d, so a vector is kept iff it is
     linearly independent of the vectors before it.  One `linalg.Echelon`
     decides that, keeping a vector iff adding it enlarges the span, which
-    is the run's flag there.  Its rows key the terms by first appearance,
-    which on the Koszul differentials that `forward` checks takes 527
-    reduction steps against 2,370 in the packed terms' own order (seeds
-    1-3).  This is the rule for every caller: `is_minimal_map`, `propagate`,
-    `minimal_resolution` with max_length 1 and `propagate_resolution`.
+    is the run's flag there, in any coordinates that an injective linear
+    map takes to the vectors; its rows key them by first appearance.
+    `propagate_resolution` hands such a map whose entries are independent
+    up to a scalar in one coordinate per nonzero cell (see
+    `propagate._check_minimal`); every other caller hands packed columns.
     """
     if len(set(degrees)) <= 1:
         index = {t: i for i, t in enumerate(dict.fromkeys(t for v in vectors for t in v))}
@@ -744,19 +748,22 @@ def syzygies(matrix, order):
     return codec.matrix([], matrix.domain, FreeModuleSpec(codec.ring, []))
 
 
-def _packed_chain(differentials, order):
+def _packed_chain(differentials, order, cells=None):
     """One codec under order for a nonempty chain of maps, and each map's packed columns.
 
-    The fields hold the largest total degree of a product of consecutive
-    maps, so that `_nonzero_composite` can multiply any two neighbours, and
-    the index field holds max(rows, cols) over the chain, so that
+    cells, where given, are the maps' `_Cells`, read here otherwise.  The
+    fields hold the largest total degree of a product of consecutive maps, so
+    that `_nonzero_composite` can multiply any two neighbours, and the
+    index field holds max(rows, cols) over the chain, so that
     `_TermCodec.transposed` can re-tag any map's transpose.
     """
-    degrees = [_largest_degree(d) for d in differentials]
+    if cells is None:
+        cells = list(map(_Cells, differentials))
+    degrees = list(map(_largest_degree, cells))
     bound = max(map(operator.add, degrees, degrees[1:]), default=degrees[0])
     indices = max(max(d.num_rows, d.num_cols) for d in differentials)
     codec = _TermCodec(differentials[0].domain.ring, order, indices, bound)
-    return codec, [codec.columns(d) for d in differentials]
+    return codec, list(map(codec.columns, cells))
 
 
 def _nonzero_composite(codec, packed, kept=None):
@@ -776,39 +783,50 @@ def _nonzero_composite(codec, packed, kept=None):
     return None
 
 
-def _entry_forms(differentials):
-    """Each map's columns as lists of (row, p, scalar): the entry there is scalar times the p-th polynomial.
+def _entry_forms(cells):
+    """The maps' entries numbered up to a scalar, from their `_Cells`: (forms, polynomials).
 
-    The numbered polynomials are primitive integer ones with a positive
-    coefficient at their largest exponent tuple, so entries equal up to a
-    scalar share a number however they are written.  Each distinct entry
-    object is normalised once.
+    forms[m] lists map m's columns as lists of (row, p, scalar): the entry
+    there is scalar times polynomials[p], a terms dict.  The numbered
+    polynomials are primitive integer ones with a positive coefficient at
+    their largest exponent tuple, numbered as the maps, and their rows,
+    first meet them, so entries equal up to a scalar share a number however
+    they are written.  Each distinct entry object is normalised once.
     """
-    numbers, forms, out = {}, {}, []
-    for d in differentials:
-        columns = [[] for _ in range(d.num_cols)]
-        for i, row in enumerate(d.entries):
-            for col, p in zip(columns, row):
-                if p.terms:
-                    form = forms.get(id(p))
-                    if form is None:
-                        terms, c = _primitive(p.terms)
-                        if terms[max(terms)] < 0:
-                            terms, c = {m: -x for m, x in terms.items()}, -c
-                        key = frozenset(terms.items())
-                        form = forms[id(p)] = numbers.setdefault(key, len(numbers)), c
-                    col.append((i, *form))
-        out.append(columns)
-    return out
+    numbers, seen, polynomials, forms = {}, {}, [], []
+    for c in cells:
+        numbered = []
+        for p in c.entries:
+            form = seen.get(id(p))
+            if form is None:
+                if len(p.terms) == 1:
+                    # a term is its coefficient times its monomial, keyed by itself
+                    ((key, scalar),) = p.terms.items()
+                    terms = {key: 1}
+                else:
+                    terms, scalar = _primitive(p.terms)
+                    if terms[max(terms)] < 0:
+                        terms, scalar = {m: -x for m, x in terms.items()}, -scalar
+                    key = frozenset(terms.items())
+                number = numbers.setdefault(key, len(numbers))
+                if number == len(polynomials):
+                    polynomials.append(terms)
+                form = seen[id(p)] = number, scalar
+            numbered.append(form)
+        forms.append([[(i, *numbered[k]) for i, k in col] for col in c.columns])
+    return forms, polynomials
 
 
 def _uncancelled(a, b):
-    """The columns j of A @ B that do not vanish formally, from A's and B's `_entry_forms`.
+    """The columns j of A @ B to multiply, from A's and B's `_entry_forms`.
 
     Entry (r, j) of A @ B is the sum of c * p * q over the unordered pairs
     {p, q} of numbered polynomials, where c adds up x * y over the k with
     A[r][k] = x * p and B[k][j] = y * q, or p and q swapped.  A column whose
     every such c is 0 is zero; any other may still be, and is multiplied.
+    The formal sums stop at the second column that does not cancel: a
+    composite that two columns fail to cancel so vanishes, if it does, as
+    polynomials, and every column from there on is multiplied.
     """
     kept = []
     for j, col in enumerate(b):
@@ -818,18 +836,22 @@ def _uncancelled(a, b):
                 key = (r, p, q) if p < q else (r, q, p)
                 formal[key] = formal.get(key, 0) + x * y
         if any(formal.values()):
+            if kept:
+                return kept + list(range(j, len(b)))
             kept.append(j)
     return kept
 
 
 def _checked_chain(differentials, order):
-    """`check_chain` under order, returning `_packed_chain`'s codec and packed columns.
+    """`check_chain` under order: `_packed_chain`'s codec and packed columns, and `_entry_forms`' forms and polynomials.
 
     The differentials must be nonempty.  The shapes are checked before
-    anything is packed, so a chain over several rings fails there.  Each
-    composite is first summed formally over its distinct entries up to a
-    scalar (`_uncancelled`), and only the columns that do not cancel so are
-    multiplied out, in full; an explicit Koszul-type complex, whose
+    anything is read, so a chain over several rings fails there.  Each
+    map's cells are read once (`_Cells`), to be packed and numbered, and
+    then let go.  Each composite is first summed formally over its
+    distinct entries up to a scalar (`_uncancelled`), and only the columns
+    that do not cancel so, and every column from the second of them on,
+    are multiplied out, in full; an explicit Koszul-type complex, whose
     composites cancel as f_a * f_b - f_b * f_a, multiplies none.  The
     composites are tested in order either way.
     """
@@ -837,8 +859,10 @@ def _checked_chain(differentials, order):
         previous, d = differentials[k - 1].domain, differentials[k].codomain
         if d.basis_degrees != previous.basis_degrees or d.ring != previous.ring:
             raise InputError("chain-shape mismatch between differentials %d and %d" % (k, k + 1))
-    codec, packed = _packed_chain(differentials, order)
-    forms = _entry_forms(differentials)
+    cells = list(map(_Cells, differentials))
+    codec, packed = _packed_chain(differentials, order, cells)
+    forms, polynomials = _entry_forms(cells)
+    del cells
     kept = list(map(_uncancelled, forms, forms[1:]))
     # A @ B = 0 exactly when sA @ tB = 0, so a map that a composite
     # multiplies is tested on ints; the walk gets the columns as they are
@@ -847,7 +871,7 @@ def _checked_chain(differentials, order):
     k = _nonzero_composite(codec, scaled, kept)
     if k is not None:
         raise InputError("differentials %d and %d do not compose to zero" % (k + 1, k + 2))
-    return codec, packed
+    return codec, packed, forms, polynomials
 
 
 def check_chain(differentials):
@@ -856,13 +880,15 @@ def check_chain(differentials):
     Each differential after the first must map into the domain of the one
     before it, and consecutive composites must vanish.  A composite's
     columns are first summed formally over the maps' distinct entries up to
-    a scalar, and a column that cancels so is zero; every other column is
-    multiplied out on packed terms, each map packed once and scaled to
-    integers (see `_checked_chain` and `_nonzero_composite`), not as
-    PolyMatrix products.  Any order serves a zero test, and top-up is used.
+    a scalar, and a column that cancels so is zero; the first column that
+    does not, and every column from the second on, is multiplied out on
+    packed terms, each map packed once and scaled to integers (see
+    `_checked_chain` and `_nonzero_composite`), not as PolyMatrix products.
+    Any order serves a zero test, and top-up is used.
     `propagate_resolution` runs the same checks under its own order and
-    keeps the packed columns, unscaled, for its minimality runs and its
-    walk.  Messages number the differentials from 1.
+    keeps the packed columns, unscaled, and the numbered entries for its
+    minimality checks and its walk.  Messages number the differentials
+    from 1.
     """
     if differentials:
         _checked_chain(differentials, ModuleTermOrder())

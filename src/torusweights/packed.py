@@ -38,10 +38,11 @@ from the walk's term vectors and hands the product on in those ints, a
 which is unpacked into dicts only when the map or G is read.  The
 standard-monomial search carries a torus weight in the same layout, one
 slot per component, and the walk's pivot scan a term's coefficients in a
-degree block, one slot per column (`linalg.pivot_scan`).  A map is packed at most
-once per public call, each distinct nonzero entry and monomial once, and
-its packed columns serve every reader of that call: the test that consecutive
-maps compose to zero, the minimality run and the walk; a chain from
+degree block, one slot per column (`linalg.pivot_scan`).  A map's cells
+are read once per public call (`_Cells`), and it is packed at most once,
+each distinct nonzero entry and monomial once; its packed columns serve
+every reader of that call: the test that consecutive maps compose to
+zero, the minimality run and the walk; a chain from
 `groebner.minimal_resolution` keeps its pruning's packed columns for the
 walk.
 `_TermCodec.transposed` gives the packed columns of the transpose, the
@@ -170,32 +171,26 @@ class _TermCodec:
         """The terms of a ModuleElement as a packed dict, in support order."""
         return {self.term(t.monomial, t.index): c for t, c in element.support()}
 
-    def columns(self, matrix):
-        """The columns of a PolyMatrix as packed dicts, entry i at index i.
+    def columns(self, cells):
+        """The columns of a map as packed dicts, entry i at index i, from its `_Cells`.
 
         Each distinct nonzero entry object is packed once, since a loaded
         matrix shares its equal entries, and each distinct monomial once,
-        since an unpacked one does not.
+        since an unpacked one does not; each nonzero cell then tags the
+        packed terms of its entry with its row.
         """
         units = self._units
-        entries, monomials = {}, {}
-        columns = [{} for _ in range(matrix.num_cols)]
-        for i, row in enumerate(matrix.entries):
-            tag = self._tag(i)
-            for col, p in zip(columns, row):
-                if not p.terms:
-                    continue
-                terms = entries.get(id(p))
-                if terms is None:
-                    terms = entries[id(p)] = []
-                    for mono, c in p.terms.items():
-                        t = monomials.get(mono)
-                        if t is None:
-                            t = monomials[mono] = sum(map(operator.mul, mono, units))
-                        terms.append((t, c))
-                for t, c in terms:
-                    col[t | tag] = c
-        return columns
+        monomials, entries = {}, []
+        for p in cells.entries:
+            terms = []
+            for mono, c in p.terms.items():
+                t = monomials.get(mono)
+                if t is None:
+                    t = monomials[mono] = sum(map(operator.mul, mono, units))
+                terms.append((t, c))
+            entries.append(terms)
+        tags = [self._tag(i) for i in range(cells.rows)]
+        return [{t | tags[i]: c for i, k in col for t, c in entries[k]} for col in cells.columns]
 
     def transposed(self, columns, rows):
         """A codec of this layout under the flipped order, and the transpose's packed columns.
@@ -525,10 +520,36 @@ class _RowPacked:
         return iter(self.dicts())
 
 
-def _largest_degree(matrix):
-    """The largest total degree of a monomial in the distinct nonzero entries of a PolyMatrix, 0 if none."""
-    entries = {id(p): p for row in matrix.entries for p in row if p.terms}.values()
-    return max((sum(mono) for p in entries for mono in p.terms), default=0)
+class _Cells:
+    """A PolyMatrix's nonzero cells, read in one pass over its entries.
+
+    entries lists its distinct nonzero entry objects, in the order the
+    rows first meet them, and columns[j] lists column j's nonzero cells as
+    (row, k), rows increasing, entry k sitting at that row; rows is the
+    number of rows.  A codec is sized (`_largest_degree`) and the map
+    packed (`_TermCodec.columns`) and its entries numbered
+    (`groebner._entry_forms`) from these alone.
+    """
+
+    __slots__ = ("rows", "entries", "columns")
+
+    def __init__(self, matrix):
+        index, entries = {}, []
+        columns = [[] for _ in range(matrix.num_cols)]
+        for i, row in enumerate(matrix.entries):
+            for col, p in zip(columns, row):
+                if p.terms:
+                    k = index.get(id(p))
+                    if k is None:
+                        k = index[id(p)] = len(entries)
+                        entries.append(p)
+                    col.append((i, k))
+        self.rows, self.entries, self.columns = matrix.num_rows, entries, columns
+
+
+def _largest_degree(cells):
+    """The largest total degree of a monomial in a map's distinct nonzero entries, from its `_Cells`; 0 if none."""
+    return max((sum(mono) for p in cells.entries for mono in p.terms), default=0)
 
 
 def _pseudo_divide(work, tail, divisors, codec):

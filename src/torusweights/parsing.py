@@ -98,32 +98,20 @@ class _Parser:
         return poly
 
     def expr(self):
-        poly = self.term()
+        """A sum of products of factors: a level of parentheses costs this frame and `factor`'s."""
+        poly, sign = None, "+"
         while True:
+            product = self.factor()
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
+            while kind == "op" and value == "*":
                 self.advance()
-                rhs = self.term()
-                poly = poly + rhs if value == "+" else poly - rhs
-            else:
+                product = product * self.factor()
+                kind, value, _ = self.peek()
+            poly = product if poly is None else poly + product if sign == "+" else poly - product
+            if not (kind == "op" and value in "+-"):
                 return poly
-
-    def term(self):
-        poly = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                poly = poly * self.factor()
-            else:
-                return poly
-
-    def factor(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
             self.advance()
-            return -self.factor()
-        return self.primary()
+            sign = value
 
     def exponent(self):
         kind, value, _ = self.peek()
@@ -136,8 +124,13 @@ class _Parser:
         self.advance()
         return value
 
-    def primary(self):
+    def factor(self):
+        """A number, a variable or a parenthesised sum, with any power, after unary minuses counted in a loop."""
+        negate = False
         kind, value, pos = self.advance()
+        while kind == "op" and value == "-":
+            negate = not negate
+            kind, value, pos = self.advance()
         if kind == "int":
             nxt_kind, nxt_value, _ = self.peek()
             if nxt_kind == "op" and nxt_value == "/":
@@ -150,20 +143,20 @@ class _Parser:
                 coeff = Fraction(value, den_value)
             else:
                 coeff = Fraction(value)
-            return Polynomial({unit_monomial(self.ring.num_vars): coeff})
-        if kind == "name":
+            poly = Polynomial({unit_monomial(self.ring.num_vars): coeff})
+        elif kind == "name":
             if value not in self.ring._var_index:
                 raise PolynomialSyntaxError("unknown identifier %r" % value, pos)
-            poly = self.ring.variable(value)
-            return self.maybe_power(poly)
-        if kind == "op" and value == "(":
+            poly = self.maybe_power(self.ring.variable(value))
+        elif kind == "op" and value == "(":
             poly = self.expr()
             close_kind, close_value, close_pos = self.advance()
             if not (close_kind == "op" and close_value == ")"):
                 raise PolynomialSyntaxError("expected ')'", close_pos)
-            return self.maybe_power(poly)
-        self.fail("unexpected %s" % ("end of input" if kind == "end" else repr(value)),
-                  (kind, value, pos))
+            poly = self.maybe_power(poly)
+        else:
+            self.fail("unexpected %s" % ("end of input" if kind == "end" else repr(value)), (kind, value, pos))
+        return -poly if negate else poly
 
     def maybe_power(self, poly):
         kind, value, _ = self.peek()

@@ -33,23 +33,25 @@ backward along consecutive maps, rebasing each map d as C^-1 @ d with the
 previous step's C^-1, and `_walk_forward` runs it on the dual complex;
 `propagate_forward` is its one-step case.  `propagate_resolution` validates its start, and
 checks the chain and every differential once unless `minimal_resolution`
-built them and so has proved both already.  A backward step is not checked
+built them and so has proved both already; a map in one degree whose
+entries are independent up to a scalar is checked on one coordinate per
+nonzero cell (see `_check_minimal`).  A backward step is not checked
 again, since rebasing a minimal map by an invertible scalar matrix keeps it
 minimal; a forward step checks its dual map by the same rule as
 `propagate`, since the dual of a minimal map need not be minimal.
 
 Each step runs on packed terms (see `packed`).  Every public call packs each
 map at most once, under the order it propagates under: `propagate_resolution`
-packs the chain by one codec (`groebner._packed_chain`), whose fields hold a
-product of consecutive maps and whose index field holds max(rows, cols),
-and the same packed columns serve the test that the maps compose to zero,
-each differential's minimality run and the walk, which lets each map's
-columns go once it has passed it.  That test multiplies only the columns
-of a composite that do not cancel formally over the maps' distinct
-entries up to a scalar (`groebner._checked_chain`), so an explicit
-Koszul-type complex, whose composites cancel as f_a * f_b - f_b * f_a,
-is checked without multiplying a term.  A chain that `minimal_resolution`
-proved is walked on the packed columns its pruning already built and
+reads each map's cells once (`packed._Cells`) and packs the chain from
+them by one codec (`groebner._packed_chain`), whose fields hold a
+product of consecutive maps and whose index field holds max(rows, cols);
+the same read numbers the distinct entries up to a scalar.  The packed
+columns serve the test that the maps compose to zero, the minimality runs
+and the walk, which lets each map's columns go once it has passed it.
+That test sums each composite formally over the numbered entries
+(`groebner._checked_chain`), so an explicit Koszul-type complex, whose
+composites cancel as f_a * f_b - f_b * f_a, is checked without
+multiplying a term.  A chain that `minimal_resolution` proved is walked on the packed columns its pruning already built and
 checked, with a codec sized the same way, so nothing is packed, and its
 matrices are unpacked only when first read; under any other order than its
 own each term is re-keyed (`_TermCodec.repacked`) into a codec of the same
@@ -533,6 +535,31 @@ def _read_back(build, inner):
     )
 
 
+def _check_minimal(differentials, codec, packed, forms, polynomials):
+    """Raise MinimalityError naming the first differential that is not a minimal map.
+
+    packed, forms and polynomials are `groebner._checked_chain`'s.  Once
+    some map has its columns in one degree, one `Echelon` adds the
+    numbered polynomials f_p in turn and stops at the first that depends
+    on those before it.  A map in one degree whose entries are all
+    numbered below that one is handed to `_nakayama_kept` as the vectors
+    {(row, p): scalar}: (row, p) -> f_p * e_row is injective, so the
+    keep-flags are those of the packed columns, which every other map is
+    handed.
+    """
+    independent = None
+    for k, (d, columns, form) in enumerate(zip(differentials, packed, forms)):
+        degrees = d.domain.basis_degrees
+        if len(set(degrees)) <= 1:
+            if independent is None:
+                ech = Echelon()
+                independent = next((p for p, f in enumerate(polynomials) if not ech.add(f)), len(polynomials))
+            if all(p < independent for col in form for _, p, _ in col):
+                columns = [{(r, p): x for r, p, x in col} for col in form]
+        if not all(_nakayama_kept(codec, d.codomain, columns, degrees)):
+            raise MinimalityError("differential %d is not a minimal map" % (k + 1))
+
+
 def propagate_resolution(differentials, start_index, start_weights, order):
     """Weight propagation along an entire minimal free resolution.
 
@@ -550,11 +577,12 @@ def propagate_resolution(differentials, start_index, start_weights, order):
 
     The differentials are checked once: they must chain, compose to zero and
     each be minimal.  Each is packed once, under order, and the checks and
-    the walk share its packed columns.  The differentials of a Resolution from
-    `minimal_resolution`, passed as that Resolution or as its `differentials`
-    tuple, were proved all that as they were computed and are not checked
-    again; a copy, a slice or any other sequence, also inside a Resolution
-    built by hand, is checked in full.  Under the order it was built
+    the walk share its packed columns (see `_check_minimal` for the
+    minimality checks).  The differentials of a Resolution from `minimal_resolution`, passed as
+    that Resolution or as its `differentials` tuple, were proved all that
+    as they were computed and are not checked again; a copy, a slice or
+    any other sequence, also inside a Resolution built by hand, is checked
+    in full.  Under the order it was built
     under, such a chain is walked on the packed columns of its pruning,
     which the walk only reads; under another order on those columns
     re-keyed under it.  Either way no map is packed or unpacked.
@@ -578,10 +606,9 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     start_weights = _validate_weights(start_weights, modules[start_index].rank, ring, "starting weight list")
     check_order(order)
     if type(chain) is not _MinimalChain:
-        codec, packed = _checked_chain(differentials, order)
-        for k, (d, columns) in enumerate(zip(differentials, packed)):
-            if not all(_nakayama_kept(codec, d.codomain, columns, d.domain.basis_degrees)):
-                raise MinimalityError("differential %d is not a minimal map" % (k + 1))
+        codec, packed, forms, polynomials = _checked_chain(differentials, order)
+        _check_minimal(differentials, codec, packed, forms, polynomials)
+        del forms, polynomials
     elif chain.codec.order == order:
         # a copy of the chain's list: the walk lets each map's columns go
         codec, packed = chain.codec, list(chain.packed)

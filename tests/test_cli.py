@@ -582,7 +582,7 @@ def test_polynomial_nested_past_the_recursion_limit_is_a_parse_error(capsys, tmp
     doc = {
         "ring": {"vars": ["x"], "degrees": [[1]], "weights": [[1]]},
         "modules": {"F0": {"degrees": [[0]]}, "E": {"degrees": [[1]]}},
-        "matrices": {"m": {"rows": "F0", "cols": "E", "entries": [["(" * 250 + "x" + ")" * 250]]}},
+        "matrices": {"m": {"rows": "F0", "cols": "E", "entries": [["(" * 1000 + "x" + ")" * 1000]]}},
     }
     path = tmp_path / "nested.json"
     path.write_text(json.dumps(doc))

@@ -38,7 +38,7 @@ from torusweights.errors import InternalError
 from torusweights.groebner import _buchberger_run, check_chain
 from torusweights.linalg import invert, solve
 from torusweights.modules import ModuleElement
-from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
+from torusweights.packed import _FIELD_BITS, _Cells, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.rings import vector_add
@@ -70,9 +70,9 @@ def tracked_run(m, order):
     ModuleElement of the free module over those elements.
     """
     ring = m.domain.ring
-    codec = _TermCodec(ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
+    codec = _TermCodec(ring, order, max(m.num_rows, m.num_cols), _largest_degree(_Cells(m)))
     codec, _, basis, records, _ = _buchberger_run(
-        codec, codec.columns(m), m.domain.basis_degrees, m.codomain, None, True
+        codec, codec.columns(_Cells(m)), m.domain.basis_degrees, m.codomain, None, True
     )
     elements = [ModuleElement(m.codomain, codec.entries(work, m.num_rows)) for work, _ in basis]
     over = FreeModuleSpec(ring, [g.term_degree(g.leading_term(order)[0]) for g in elements])

@@ -35,7 +35,7 @@ from torusweights.groebner import _nonzero_composite, _packed_chain, check_chain
 from torusweights.linalg import Echelon, _Slots, rank
 from torusweights.modules import ModuleElement, _column_rows, dual_map
 from torusweights import packed
-from torusweights.packed import _FIELD_BITS, _TermCodec, _largest_degree
+from torusweights.packed import _FIELD_BITS, _Cells, _TermCodec, _largest_degree
 from torusweights.problemfile import load_problem, problem_from_dict
 from torusweights.propagate import _NOT_MINIMAL, PropagationResult
 from torusweights.rings import Polynomial, unit_monomial, vector_add
@@ -180,8 +180,8 @@ def composable_pair(draw):
 
 def assert_product_matches_matmul(a, b, order):
     expected = a @ b
-    codec = _TermCodec(a.domain.ring, order, max(a.num_rows, b.num_rows), _largest_degree(a) + _largest_degree(b))
-    packed_a, packed_b = codec.columns(a), codec.columns(b)
+    codec = _TermCodec(a.domain.ring, order, max(a.num_rows, b.num_rows), _largest_degree(_Cells(a)) + _largest_degree(_Cells(b)))
+    packed_a, packed_b = codec.columns(_Cells(a)), codec.columns(_Cells(b))
     product = codec.matrix(list(codec.product(packed_a, packed_b)), a.codomain, b.domain)
     assert typed_matrix(product) == typed_matrix(expected)
     assert (not any(codec.product(packed_a, packed_b))) == expected.is_zero
@@ -250,10 +250,10 @@ def test_columns_pack_each_distinct_entry_once():
             for reader in (codec.columns, _largest_degree):
                 for p in entries:
                     p.terms.passes = 0
-                reader(m)
+                reader(_Cells(m))
                 assert [p.terms.passes for p in entries] == [int(bool(p)) for p in entries], (reader, order)
-            assert [list(col.items()) for col in codec.columns(m)] == expected, order
-        assert _largest_degree(m_shared) == _largest_degree(m_distinct) == 2
+            assert [list(col.items()) for col in codec.columns(_Cells(m))] == expected, order
+        assert _largest_degree(_Cells(m_shared)) == _largest_degree(_Cells(m_distinct)) == 2
 
 
 ENTRIES = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
@@ -295,10 +295,10 @@ def assert_constant_product_matches_matmul(left, codomain, b, order):
     # the walk's rebase C^-1 @ d, with the columns of C^-1 packed as constant
     # terms into a codec sized for d alone
     expected = left.to_poly_matrix(codomain, b.codomain) @ b
-    codec = _TermCodec(b.domain.ring, order, b.num_rows, _largest_degree(b))
+    codec = _TermCodec(b.domain.ring, order, b.num_rows, _largest_degree(_Cells(b)))
     unit = unit_monomial(b.domain.ring.num_vars)
     packed_left = [{codec.term(unit, i): x for i, x in enumerate(col) if x} for col in zip(*left.rows)]
-    product = codec.matrix(list(codec.product(packed_left, codec.columns(b))), codomain, b.domain)
+    product = codec.matrix(list(codec.product(packed_left, codec.columns(_Cells(b)))), codomain, b.domain)
     assert typed_matrix(product) == typed_matrix(expected)
 
 
@@ -436,7 +436,7 @@ def test_product_kernel_takes_fractions_of_denominator_one(order, path):
         a, b = end_slot_pair(std_ring(3), 3, perturbed, 3)
         codec = _TermCodec(a.domain.ring, order, 4, 2)
         packed_a, packed_b = (
-            [{t: Fraction(c) for t, c in col.items()} for col in codec.columns(m)] for m in (a, b)
+            [{t: Fraction(c) for t, c in col.items()} for col in codec.columns(_Cells(m))] for m in (a, b)
         )
         with kernel_paths(path) as taken:
             columns = list(codec.product(packed_a, packed_b))
@@ -472,7 +472,7 @@ def test_composite_that_would_alias_under_the_first_field_width_is_caught():
     d2 = PolyMatrix(d1.domain, FreeModuleSpec(ring, [[256]]), [[power], [ring.one().scale(-1)]])
     assert not (d1 @ d2).is_zero
     first_width = _TermCodec(ring, ModuleTermOrder(), 2, FIRST_CAPACITY)
-    packed = [first_width.columns(d) for d in (d1, d2)]
+    packed = [first_width.columns(_Cells(d)) for d in (d1, d2)]
     assert not any(first_width.product(*packed))  # the alias the sized codec avoids
     with pytest.raises(InputError, match="differentials 1 and 2 do not compose to zero"):
         check_chain([d1, d2])
@@ -705,10 +705,10 @@ def test_transposed_columns_are_the_packed_dual_map(m):
     # the dual map packed by the flipped codec: same layout, same terms and
     # the same insertion order in every column
     for order in ALL_ORDERS:
-        codec = _TermCodec(m.domain.ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
-        flipped, columns = codec.transposed(codec.columns(m), m.num_rows)
+        codec = _TermCodec(m.domain.ring, order, max(m.num_rows, m.num_cols), _largest_degree(_Cells(m)))
+        flipped, columns = codec.transposed(codec.columns(_Cells(m)), m.num_rows)
         assert (flipped.order, flipped.indices, flipped.bits) == (order.flipped(), codec.indices, codec.bits)
-        expected = flipped.columns(dual_map(m))
+        expected = flipped.columns(_Cells(dual_map(m)))
         assert [list(col.items()) for col in columns] == [list(col.items()) for col in expected], order
         assert flipped.matrix(columns, m.domain.dual(), m.codomain.dual()) == dual_map(m)
 
@@ -941,7 +941,7 @@ def test_packed_walk_matches_the_tuple_walk_above_the_first_field_width():
         Polynomial({(0, 0, 129): 1, (64, 65, 0): Fraction(1, 2)}),
     ]
     differentials = koszul_complex(ring, forms)
-    assert max(map(_largest_degree, differentials)) > FIRST_CAPACITY
+    assert max(_largest_degree(_Cells(d)) for d in differentials) > FIRST_CAPACITY
     assert_walks_agree(differentials, weights_for(differentials))
 
 

@@ -64,8 +64,15 @@ def test_unary_minus_stacking(ring):
     assert parse_polynomial(ring, "-x1+x1").is_zero
 
 
+def test_deep_nesting_and_long_runs_of_unary_minus_parse(ring):
+    # a level of parentheses costs the parser two frames, and a unary minus none
+    assert parse_polynomial(ring, "(" * 400 + "x1" + ")" * 400) == ring.variable(0)
+    assert parse_polynomial(ring, "-" * 5000 + "x1") == ring.variable(0)
+    assert parse_polynomial(ring, "-" * 5001 + "(" * 400 + "x1" + ")" * 400) == -ring.variable(0)
+
+
 def test_nesting_past_the_recursion_limit_is_a_syntax_error(ring):
-    for text in ["(" * 250 + "x1" + ")" * 250, "-" * 5000 + "x1"]:
+    for text in ["(" * 1000 + "x1" + ")" * 1000, "(-" * 1000 + "x1" + ")" * 1000]:
         with pytest.raises(PolynomialSyntaxError, match="recursion limit") as info:
             parse_polynomial(ring, text)
         # the position of the last token the parser took, within the nesting

@@ -711,17 +711,18 @@ def test_proven_chain_propagates_like_a_checked_copy(name, presentation, weights
 
 
 class Spy:
-    """Counts the calls of one function of torusweights.propagate, or of one method of owner."""
+    """Counts the calls of one function of torusweights.propagate, or of one method of owner, and keeps their arguments."""
 
     def __init__(self, monkeypatch, name, owner=None):
         # the package's `propagate` attribute is the function, not the module
         if owner is None:
             owner = importlib.import_module("torusweights.propagate")
-        self.calls = 0
+        self.calls, self.args = 0, []
         wrapped = getattr(owner, name)
 
         def spy(*args):
             self.calls += 1
+            self.args.append(args)
             return wrapped(*args)
 
         monkeypatch.setattr(owner, name, spy)
@@ -748,6 +749,53 @@ def test_only_the_proven_chain_skips_the_checks(monkeypatch, grassmannian):
         chain.calls = minimal.calls = 0
         propagate_resolution(copy, 0, weights, TOP_UP)
         assert (chain.calls, minimal.calls) == (1, length)
+
+
+def key_types(spy):
+    """For each `_nakayama_kept` call spy saw, the set of the types of the keys of the vectors it was handed."""
+    return [{type(t) for v in vectors for t in v} for _, _, vectors, _ in spy.args]
+
+
+def test_one_degree_maps_of_independent_entries_take_one_coordinate_per_cell(monkeypatch):
+    # the Koszul complex on four generic forms: every entry is +-f_a, the
+    # forms are independent, so each map is handed {(row, a): +-1}
+    koszul = koszul_complex(4, 1)
+    spy = Spy(monkeypatch, "_nakayama_kept")
+    propagate_resolution(koszul, 4, [(1,) * 4], TOP_UP)
+    assert key_types(spy) == [{tuple}] * 4
+    cells = [sum(bool(p.terms) for row in d.entries for p in row) for d in koszul]
+    assert [sum(map(len, vectors)) for _, _, vectors, _ in spy.args] == cells
+
+
+def test_a_chain_with_dependent_entries_takes_the_packed_terms(monkeypatch):
+    # x + y depends on x and y, so the map takes its packed columns; its
+    # columns are independent all the same
+    ring = RingSpec(["x", "y"], [[1], [1]], [[1, 0], [0, 1]])
+    d = matrix(ring, [[0]] * 2, [[1]] * 2, [["x", "y"], ["y", "x + y"]])
+    spy = Spy(monkeypatch, "_nakayama_kept")
+    propagate_resolution([d], 0, [(0, 0)] * 2, TOP_UP)
+    assert key_types(spy) == [{int}]
+    # the Koszul complex on four generic forms, in another basis of F_2:
+    # d_2's and d_3's entries are sums of two forms, dependent on the
+    # forms d_1 numbers first, while d_1 and d_4 keep one coordinate per cell
+    koszul = koszul_complex(4, 1)
+    d2, d3 = koszul[1], koszul[2]
+    p = ScalarMatrix([[int(i == j or i == j + 1) for j in range(d2.num_cols)] for i in range(d2.num_cols)])
+    moved = [
+        koszul[0],
+        d2 @ p.to_poly_matrix(d2.domain, d2.domain),
+        p.inverse().to_poly_matrix(d3.codomain, d3.codomain) @ d3,
+        koszul[3],
+    ]
+    spy.args.clear()
+    result = propagate_resolution(moved, 4, [(1,) * 4], TOP_UP)
+    assert key_types(spy) == [{tuple}, {int}, {int}, {tuple}]
+    expected = propagate_resolution(koszul, 4, [(1,) * 4], TOP_UP)
+    assert list(map(Counter, result.per_module)) == list(map(Counter, expected.per_module))
+    # a dependent column is named as the packed columns name it
+    bad = matrix(ring, [[0]] * 2, [[1]] * 3, [["x", "y", "x + y"], ["y", "x", "x + y"]])
+    with pytest.raises(MinimalityError, match="differential 1 is not a minimal map"):
+        propagate_resolution([bad], 0, [(0, 0)] * 2, TOP_UP)
 
 
 def packing_spies(monkeypatch):

@@ -40,7 +40,7 @@ from torusweights import schreyer
 from torusweights.groebner import _buchberger_run, _nakayama_kept, _packed_chain, check_chain
 from torusweights.linalg import Echelon, _primitive, _Slots, pivot_scan, rank
 from torusweights.modules import ModuleElement, ModuleTerm, dual_map
-from torusweights.packed import _FIELD_BITS, _integral, _TermCodec, _largest_degree
+from torusweights.packed import _FIELD_BITS, _Cells, _integral, _TermCodec, _largest_degree
 from torusweights.parsing import parse_polynomial, polynomial_to_string
 from torusweights.problemfile import load_problem
 from torusweights.rings import (
@@ -1513,8 +1513,8 @@ def flags_under_every_order(m):
     """`_nakayama_kept`'s flags on m's columns, packed as `propagate_resolution` packs them, per order."""
     flags = []
     for order in ALL_ORDERS:
-        codec = _TermCodec(m.domain.ring, order, max(m.num_rows, m.num_cols), _largest_degree(m))
-        flags.append(_nakayama_kept(codec, m.codomain, codec.columns(m), m.domain.basis_degrees))
+        codec = _TermCodec(m.domain.ring, order, max(m.num_rows, m.num_cols), _largest_degree(_Cells(m)))
+        flags.append(_nakayama_kept(codec, m.codomain, codec.columns(_Cells(m)), m.domain.basis_degrees))
     return flags
 
 
@@ -1623,7 +1623,7 @@ def test_a_top_reduced_element_keeps_a_reducible_tail_that_an_s_pair_meets():
     assert expected == [True, True, False]
     for order in ALL_ORDERS:
         codec = _TermCodec(ring, order, 1, 3)
-        _, _, basis, _, joined = _buchberger_run(codec, codec.columns(m), degrees, m.codomain, (3,), False)
+        _, _, basis, _, joined = _buchberger_run(codec, codec.columns(_Cells(m)), degrees, m.codomain, (3,), False)
         assert joined == expected
         assert codec.term((1, 1), 0) in basis[1][0]
         assert basis[2][0] == {codec.term((0, 3), 0): 1}
@@ -2056,3 +2056,112 @@ def test_the_chain_check_fails_exactly_where_a_composite_is_nonzero(data):
     assert composite_error(check_chain, chain) == message
     weights = [(0,) * chain[0].domain.ring.weight_length]
     assert composite_error(lambda c: propagate_resolution(c, 0, weights, TOP_UP), chain) == message
+
+
+# ---------- the coordinates of the minimality checks ----------
+
+
+def coordinate_pool():
+    """Entries over x1, x2, x3: scalar multiples (x1, -2 x1, x1/3), dependent ones (x1, x2, x1 + x2), x3, and x3^2 apart."""
+    ring = std_ring(3)
+    x1, x2, x3 = (ring.variable(i) for i in range(3))
+    return ring, [x1, x1.scale(-2), x1.scale(Fraction(1, 3)), x2, x1 + x2, x3], x3 * x3
+
+
+@st.composite
+def pool_entry(draw, pool):
+    """An entry drawn from pool, as the pool's object (a loaded matrix shares equal entries) or a copy."""
+    p = draw(st.sampled_from(pool))
+    return p if draw(st.booleans()) else Polynomial(dict(p.terms))
+
+
+@st.composite
+def one_degree_pool_map(draw):
+    """A map from F_1, all in degree 1, to F_0 in degree 0, its entries drawn from the pool or 0.
+
+    Columns drawn so are joined, in some order, by the sum of two of them
+    or a multiple of one, whose entries x1 + x2 and the like depend on the
+    others, and by a zero column.
+    """
+    ring, linear, _ = coordinate_pool()
+    rows = draw(st.integers(1, 3))
+    entry = st.one_of(pool_entry(linear), pool_entry(linear), st.just(Polynomial()))
+    columns = [[draw(entry) for _ in range(rows)] for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        a, b = draw(st.lists(st.sampled_from(columns), min_size=2, max_size=2))
+        c = draw(chain_scalars)
+        columns.append([p + q.scale(c) for p, q in zip(a, b)] if a is not b else [p.scale(c) for p in a])
+    if draw(st.integers(0, 3)) == 0:
+        columns.append([Polynomial()] * rows)
+    columns = draw(st.permutations(columns))
+    entries = [[col[i] for col in columns] for i in range(rows)]
+    return [PolyMatrix(FreeModuleSpec(ring, [[0]] * rows), FreeModuleSpec(ring, [[1]] * len(columns)), entries)]
+
+
+@st.composite
+def pool_koszul_chain(draw):
+    """The Koszul complex on two to four generators drawn from the pool, x3^2 among them, maybe cut at a map made not minimal.
+
+    The generators are drawn with repeats, or take x1, x2 and x1 + x2, so
+    that every map holds entries that depend on each other, or are drawn
+    from independent entries.
+    """
+    ring, linear, quadric = coordinate_pool()
+    kind = draw(st.sampled_from(["drawn", "dependent", "independent"]))
+    if kind == "drawn":
+        generators = [draw(pool_entry(linear + [quadric])) for _ in range(draw(st.integers(2, 4)))]
+    elif kind == "dependent":
+        generators = draw(st.permutations([linear[0], linear[3], linear[4]])) + [draw(pool_entry(linear))][: draw(st.integers(0, 1))]
+    else:
+        third = draw(st.sampled_from([linear[5], quadric]))
+        generators = draw(st.permutations([draw(st.sampled_from(linear[:3])), linear[3], third]))[: draw(st.integers(2, 3))]
+    g = len(generators)
+    subsets = [list(itertools.combinations(range(g), k)) for k in range(g + 1)]
+    degree = {s: sum(ring.poly_degree(generators[a])[0] for a in s) for level in subsets for s in level}
+    chain = []
+    for k in range(1, g + 1):
+        row_of = {face: i for i, face in enumerate(subsets[k - 1])}
+        entries = [[Polynomial()] * len(subsets[k]) for _ in subsets[k - 1]]
+        for j, subset in enumerate(subsets[k]):
+            for t, a in enumerate(subset):
+                entries[row_of[subset[:t] + subset[t + 1:]]][j] = generators[a].scale((-1) ** t)
+        modules = [FreeModuleSpec(ring, [[degree[s]] for s in subsets[i]]) for i in (k - 1, k)]
+        chain.append(PolyMatrix(*modules, entries))
+    wide = [k for k, d in enumerate(chain) if k and d.num_cols > 2 and len(set(d.domain.basis_degrees[:3])) == 1]
+    if wide and draw(st.booleans()):
+        # the chain cut after a map past the first whose first three
+        # columns share a degree, the first replaced by 0, a copy of the
+        # second or the second plus or minus the third: the composites
+        # stay zero
+        k = draw(st.sampled_from(wide))
+        c = draw(st.sampled_from([None, 0, 1, -1]))
+        entries = [[Polynomial() if c is None else row[1] + row[2].scale(c)] + list(row[1:]) for row in chain[k].entries]
+        chain = chain[:k] + [PolyMatrix(chain[k].codomain, chain[k].domain, entries)]
+    return chain
+
+
+def packed_minimality_error(chain, order):
+    """The message naming the first map of chain that `_nakayama_kept` rejects on its packed columns, or None."""
+    codec, packed = _packed_chain(chain, order)
+    for k, (d, columns) in enumerate(zip(chain, packed)):
+        if not all(_nakayama_kept(codec, d.codomain, columns, d.domain.basis_degrees)):
+            return "differential %d is not a minimal map" % (k + 1)
+    return None
+
+
+@SETTINGS
+@given(data=st.data(), order=st.sampled_from(ALL_ORDERS))
+def test_minimality_verdicts_do_not_depend_on_the_coordinates(data, order):
+    # a one-degree map of independent entries is checked on one coordinate
+    # per cell, any other map on its packed columns; the verdict and the
+    # differential it names are the packed columns' either way
+    chain = data.draw(st.one_of(one_degree_pool_map(), pool_koszul_chain()))
+    check_chain(chain)
+    expected = packed_minimality_error(chain, order)
+    weights = [(0, 0, 0)] * chain[0].num_rows
+    try:
+        propagate_resolution(chain, 0, weights, order)
+    except MinimalityError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
