@@ -38,7 +38,8 @@ torus weight as one int beside it, one signed slot per component in the
 one slot layout, `linalg._Slots`, so graded components unpack no
 standard monomial, and `standard_monomials` unpacks each once.  The
 checks that maps compose to zero multiply packed columns too
-(`_nonzero_composite`): the chain check reads each map's cells once
+(`_nonzero_composite`), by the one product kernel, the dict loop of
+`packed._TermCodec.product`: the chain check reads each map's cells once
 (`packed._Cells`) and packs each map once, by one codec for the whole
 chain (`_packed_chain`), and `propagate_resolution` reuses those columns
 for its minimality runs and its walk.  The chain check first sums each

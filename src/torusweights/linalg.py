@@ -20,10 +20,11 @@ by `reduced_rows`) and `rank` by position.  Fractions appear only in
 `pivot_scan` takes a row packed into one int, one signed slot per entry,
 its lead its lowest nonzero slot, and finds only the pivots of the walk's
 degree blocks in row slots (see `propagate._row_block_leads`), from the
-product kernel's scaled ints as they are.  `_Slots` is the one
+scaled ints the rebase hands on, as they are.  `_Slots` is the one
 layout of signed slots packed into an int, and the only code that sizes,
-packs or reads them: the scan's columns, the rows of `packed`'s product
-kernel and the weights of `groebner._standard_search` all use it.
+packs or reads them: the scan's columns, the rows of `packed`'s rebase
+(`_TermCodec.rebased`) and the weights of `groebner._standard_search` all
+use it.
 `solve` and `invert` stay dense, on lists of Fraction; the tests keep
 them as references independent of `Echelon`.
 """

@@ -24,15 +24,15 @@ outgrew it: a popped term with a guard bit set raises `_FieldOverflow`, so
 no field overflows silently.  `_TermCodec.widened` gives the same layout
 with wider fields, to which the caller repacks what it holds.  Outside the
 division, one kernel multiplies packed matrices: `_TermCodec.product`
-computes A @ B on packed columns by adding packed terms.  It serves the
-chain checks and G = M @ C, and `_TermCodec.rebased` runs it for the
+computes A @ B on packed columns by adding packed terms, one dict update
+per pair of terms that meet.  It serves the chain checks, the composite
+guard of `schreyer._pruned` and G = M @ C.  `_TermCodec.rebased` gives the
 walk's rebase, the product C^-1 @ d of a constant matrix and a map, whose
 constant terms add no degree, so the map's own codec holds the product.
-Where A repeats a monomial across rows, which the one pass that groups A's
-terms finds, or where C^-1 is dense, it packs the rows too in the one
-layout of signed slots, `linalg._Slots`: one int per monomial, one slot
-per row, each slot wider than any sum it takes, so that an int is 0
-exactly when every slot is.  The rebase packs C^-1's columns straight
+Where C^-1 is dense it packs the rows too, in the one layout of signed
+slots, `linalg._Slots`: one int per monomial, one slot per row, each slot
+wider than any sum it takes, so that an int is 0 exactly when every slot
+is; elsewhere it runs `product`.  The rebase packs C^-1's columns straight
 from the walk's term vectors and hands the product on in those ints, a
 `_RowPacked`, whose degree blocks the walk reads without any dict and
 which is unpacked into dicts only when the map or G is read.  The
@@ -60,7 +60,6 @@ route to a PolyMatrix) is unpacked only when its entries are first read.
 
 import bisect
 import operator
-from functools import partial
 from itertools import chain
 from math import gcd, lcm
 
@@ -217,59 +216,16 @@ class _TermCodec:
 
         a and b are the packed columns of A and B.  The term of B's column j
         at index k, stripped of its index field, is a packed monomial, so it
-        shifts every term of A's column k by one add; only nonzero entries
-        meet.  The columns come lazily, so a caller testing the product for
-        zero stops at the first nonzero one.  The codec must hold every
-        product's total degree: the largest in A plus the largest in B.
-
-        Where `_row_slots` finds it cheaper, from the one pass that groups
-        each column of A by packed monomial, the rows are packed too: the
-        terms one packed monomial has in a column of A become one int of
-        `linalg._Slots`, whose slot r holds the coefficient at the r-th
-        index field value from A's lowest, once A and B are scaled to
-        integers by the lcms of their denominators.  Each term adds its
-        coefficient shifted to its slot.  A term of B then costs one int
-        multiply-add per monomial of A's column, not one dict update per
-        term.  The slots hold the bit lengths of max|A|, of max|B| and of the
-        longest column of B together, which bounds every sum a slot takes,
-        so a product column is zero exactly when all its ints are.  Only
-        nonzero ints are unpacked, and each nonzero slot, divided by the
-        scales, is a coefficient (`_unpacked`).  Where a slot would need
-        more than 64 bits, the dict loop takes the product.  Every
-        coefficient that is scaled or not an int, a Fraction of denominator
-        1 too, is made an int on entry.  Otherwise each term of B updates
-        one dict entry per term of A's column.  The product is the same
-        either way; the terms' insertion order is not.
+        shifts every term of A's column k by one add, and each pair of terms
+        that meet updates one dict entry; only nonzero entries meet, and the
+        coefficients are multiplied as they come.  The columns come lazily,
+        so a caller testing the product for zero stops at the first nonzero
+        one.  The codec must hold every product's total degree: the largest
+        in A plus the largest in B.
         """
-        shift = self._index_shift
-        field = self._index_mask << shift
-        groups, tags = [], set()
-        add = tags.add
-        for col in a:
-            group = {}
-            for s in col:
-                tag = s & field
-                add(tag)
-                group[s - tag] = 0
-            groups.append(group)
-        low = min(tags, default=0)
-        rows = ((max(tags, default=0) - low) >> shift) + 1
-        layout = _row_slots(partial(_integral, a), b, sum(map(len, a)), sum(map(len, groups)), rows)
-        if layout is None:
-            yield from self._dict_product(a, b)
-            return
-        slots, a, b, scale = layout
-        width = slots.width
-        by_tag = {}
-        for k, (col, group) in enumerate(zip(a, groups)):
-            for s, x in col.items():
-                tag = s & field
-                group[s - tag] += x << ((tag - low) >> shift) * width
-            by_tag[self._tag(k)] = list(group.items())
-        del groups  # a product is consumed lazily, and its B loop needs no group dict
-        row_tags = [low + (r << shift) for r in range(slots.count)]
-        for out in _accumulated(by_tag, b, field):
-            yield _unpacked(out, slots, row_tags, scale)
+        by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
+        for out in _accumulated(by_tag, b, self._index_mask << self._index_shift):
+            yield {s: value for s, value in out.items() if value}
 
     def rebased(self, inverse, scale, b):
         """The columns of C^-1 @ B, the walk's rebase of the map B by the previous step's C^-1.
@@ -279,15 +235,16 @@ class _TermCodec:
         nonzero entries, whose entry i is the row's entry in column cols[i]
         times scale; the row is 0 in every other column.  Each column of
         C^-1 is one constant term per nonzero entry, at one packed monomial,
-        so `_row_slots` decides the path with no grouping pass.  On the
-        row-packed path each column of C^-1 is packed by
-        `linalg._Slots.pack`, row k in slot k, and the product is returned
-        as the kernel computed it, a `_RowPacked`; on the dict path it is
-        the list of `product`'s packed dict columns.
+        so where C^-1 is dense enough (`_row_slots`) it packs the rows too,
+        in the one layout of signed slots, `linalg._Slots`: each column of
+        C^-1 is packed by `linalg._Slots.pack`, row k in slot k, each term
+        of B then costs one int multiply-add, and the product is returned as
+        the accumulated ints, a `_RowPacked`.  Otherwise it is the list of
+        `product`'s packed dict columns.
         """
-        n = sum(len(vectors) for _, vectors in inverse)
         rows = [v for _, vectors in inverse for v in vectors]
-        layout = _row_slots(lambda: (rows, scale), b, sum(map(len, rows)), n, n)
+        n = len(rows)
+        layout = _row_slots(rows, scale, b)
         tags = [self._tag(k) for k in range(n)]
         start = 0
         if layout is None:
@@ -297,8 +254,8 @@ class _TermCodec:
                     for i, x in v.items():
                         columns[cols[i]][t] = x if scale == 1 else _quotient(x, scale)
                 start += len(vectors)
-            return list(self._dict_product(columns, b))
-        slots, _, b, scale = layout
+            return list(self.product(columns, b))
+        slots, b, scale = layout
         by_tag, zeros = {}, [0] * n
         for cols, vectors in inverse:
             column = zeros[:]
@@ -308,12 +265,6 @@ class _TermCodec:
                 by_tag[tags[j]] = [(0, slots.pack(column))]
             start += len(vectors)
         return _RowPacked(list(_accumulated(by_tag, b, self._index_mask << self._index_shift)), slots, tags, scale)
-
-    def _dict_product(self, a, b):
-        """A @ B on the packed dict columns a and b by the dict loop: one dict update per pair of terms that meet."""
-        by_tag = {self._tag(k): list(col.items()) for k, col in enumerate(a)}
-        for out in _accumulated(by_tag, b, self._index_mask << self._index_shift):
-            yield {s: value for s, value in out.items() if value}
 
     def divides(self, a, b):
         """Whether packed term a has b's index and divides it."""
@@ -399,34 +350,32 @@ class _PackedMatrix(PolyMatrix):
 
 
 # The most bytes of packed int per coefficient it holds at which
-# `_TermCodec.product` still packs rows: measured on the benchmark's calls,
-# wider or emptier ints cost more than the dict loop saves.
+# `_TermCodec.rebased` still packs C^-1's rows: measured on the benchmark's
+# calls, wider or emptier ints cost more than the dict loop saves.  On the
+# benchmark's walks only the rule of two nonzero entries per row declines.
 _BYTES_PER_ROW = 20
 
 
-def _row_slots(a, b, terms, count, rows):
-    """The row slots of `_TermCodec.product` for A @ B: (slots, a, b, scale), or None.
+def _row_slots(rows, scale, b):
+    """The row slots of `_TermCodec.rebased` for C^-1 @ B: (slots, b, scale), or None.
 
-    A has terms nonzero entries in count groups, one per monomial of a
-    column, and its index fields span rows values; a is a function of no
-    argument, called only where the rows may be packed, that gives (A
-    scaled to ints as dicts whose values are its entries, the scale).
-    None, for the dict loop, where A has fewer than two rows per packed
-    monomial of a column, a slot would need more than 64 bits, or a packed
-    int would take more than `_BYTES_PER_ROW` bytes per row it holds.
-    Otherwise slots is the `linalg._Slots` of `rows` slots sized for the
-    bit lengths of max|A|, of max|B| and of the longest column of B, and a
-    and b come scaled to ints (`_integral`), by scale in all.
+    rows are C^-1's rows as dicts of their nonzero entries, ints times
+    scale.  None, for the dict loop, where they hold fewer than two nonzero
+    entries per row on average, a slot would need more than 64 bits, or a
+    packed int would take more than `_BYTES_PER_ROW` bytes per row it
+    holds.  Otherwise slots is the `linalg._Slots` of one slot per row, sized for
+    the bit lengths of max|C^-1|, of max|B| and of the longest column of B,
+    and b comes scaled to ints (`_integral`), by scale in all.
     """
-    if not terms or terms < 2 * count:
+    n, terms = len(rows), sum(map(len, rows))
+    if not terms or terms < 2 * n:
         return None
-    a, scale_a = a()
     b, scale_b = _integral(b)
-    bits = _largest(a).bit_length() + _largest(b).bit_length() + max(map(len, b), default=0).bit_length()
-    slots = _Slots(bits, rows)
-    if slots.width > 64 or slots.nbytes * count > _BYTES_PER_ROW * terms:
+    bits = _largest(rows).bit_length() + _largest(b).bit_length() + max(map(len, b), default=0).bit_length()
+    slots = _Slots(bits, n)
+    if slots.width > 64 or slots.nbytes * n > _BYTES_PER_ROW * terms:
         return None
-    return slots, a, b, scale_a * scale_b
+    return slots, b, scale * scale_b
 
 
 def _integral(columns):
@@ -462,21 +411,8 @@ def _accumulated(by_tag, b, field):
         yield out
 
 
-def _unpacked(out, slots, row_tags, scale):
-    """The packed dict of a product column held as {packed monomial: int of row slots}, over scale.
-
-    Slot r holds the coefficient of the term whose index field is row_tags[r].
-    """
-    unpack = slots.unpack
-    return {
-        s + tag: d if scale == 1 else _quotient(d, scale)
-        for s, value in out.items() if value
-        for tag, d in zip(row_tags, unpack(value)) if d
-    }
-
-
 class _RowPacked:
-    """The columns of a walk's rebased map, C^-1 @ d, as the row-packed kernel computed them.
+    """The columns of a walk's rebased map, C^-1 @ d, as `_TermCodec.rebased` accumulated them in row slots.
 
     columns[j] maps each packed monomial of column j to one int of `slots`,
     whose slot r holds the coefficient, times scale, of the term at that
@@ -512,8 +448,17 @@ class _RowPacked:
         return vectors
 
     def dicts(self):
+        """The packed dict columns: each nonzero slot, divided by scale, at its monomial plus its row's tag."""
         if self._dicts is None:
-            self._dicts = [_unpacked(out, self.slots, self.tags, self.scale) for out in self.columns]
+            unpack, tags, scale = self.slots.unpack, self.tags, self.scale
+            self._dicts = [
+                {
+                    m + tag: d if scale == 1 else _quotient(d, scale)
+                    for m, value in column.items() if value
+                    for tag, d in zip(tags, unpack(value)) if d
+                }
+                for column in self.columns
+            ]
         return self._dicts
 
     def __iter__(self):

@@ -57,9 +57,9 @@ matrices are unpacked only when first read; under any other order than its
 own each term is re-keyed (`_TermCodec.repacked`) into a codec of the same
 fields and indices under that order.  The walk takes (codomain, domain,
 codec, columns) steps, no PolyMatrix, and rebases each map as the product
-C^-1 @ d through `_TermCodec.rebased`, the product kernel with C^-1's
-columns packed as constant terms straight from its term vectors, over one
-common denominator: a constant factor adds no degree, so the map's own
+C^-1 @ d through `_TermCodec.rebased`, which packs C^-1's columns as
+constant terms straight from its term vectors, over one common
+denominator: a constant factor adds no degree, so the map's own
 codec holds every term of the product and the fields never need
 widening.  The forward walk packs each dual map by re-tagging the map's
 packed columns under the flipped order (`_TermCodec.transposed`), so no
@@ -67,7 +67,7 @@ dual PolyMatrix is built until a step's map is read.
 
 The rebase decides once which elimination each of its degree blocks
 takes, by the form it hands the map on in.  A dense C^-1 takes the
-kernel's row-packed path (`packed._row_slots`), and the rebased map
+rebase's row-packed path (`packed._row_slots`), and the rebased map
 stays in its row slots (`packed._RowPacked`), one int per monomial of a
 column, one slot per row: each block's term vectors, in decreasing term
 order, come from those ints (`packed._RowPacked.term_vectors`) to
