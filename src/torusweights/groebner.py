@@ -749,22 +749,22 @@ def syzygies(matrix, order):
     return codec.matrix([], matrix.domain, FreeModuleSpec(codec.ring, []))
 
 
-def _packed_chain(differentials, order, cells=None):
-    """One codec under order for a nonempty chain of maps, and each map's packed columns.
+def _packed_chain(differentials, order):
+    """`_chain_codec` for a nonempty chain of maps, and each map's packed columns."""
+    cells = list(map(_Cells, differentials))
+    codec = _chain_codec(differentials, order, cells)
+    return codec, list(map(codec.columns, cells))
 
-    cells, where given, are the maps' `_Cells`, read here otherwise.  The
-    fields hold the largest total degree of a product of consecutive maps, so
-    that `_nonzero_composite` can multiply any two neighbours, and the
-    index field holds max(rows, cols) over the chain, so that
-    `_TermCodec.transposed` can re-tag any map's transpose.
+
+def _chain_codec(differentials, order, cells):
+    """One codec under order for a nonempty chain of maps, sized from their `_Cells`.
+
+    Its fields hold a product of neighbours, its index field any map's transpose.
     """
-    if cells is None:
-        cells = list(map(_Cells, differentials))
     degrees = list(map(_largest_degree, cells))
     bound = max(map(operator.add, degrees, degrees[1:]), default=degrees[0])
     indices = max(max(d.num_rows, d.num_cols) for d in differentials)
-    codec = _TermCodec(differentials[0].domain.ring, order, indices, bound)
-    return codec, list(map(codec.columns, cells))
+    return _TermCodec(differentials[0].domain.ring, order, indices, bound)
 
 
 def _nonzero_composite(codec, packed, kept=None):
@@ -844,32 +844,31 @@ def _uncancelled(a, b):
 
 
 def _checked_chain(differentials, order):
-    """`check_chain` under order: `_packed_chain`'s codec and packed columns, and `_entry_forms`' forms and polynomials.
+    """`check_chain` under order: `_chain_codec`'s codec, each map packed or as cells, and `_entry_forms`' output.
 
     The differentials must be nonempty.  The shapes are checked before
     anything is read, so a chain over several rings fails there.  Each
-    map's cells are read once (`_Cells`), to be packed and numbered, and
-    then let go.  Each composite is first summed formally over its
-    distinct entries up to a scalar (`_uncancelled`), and only the columns
-    that do not cancel so, and every column from the second of them on,
-    are multiplied out, in full; an explicit Koszul-type complex, whose
-    composites cancel as f_a * f_b - f_b * f_a, multiplies none.  The
-    composites are tested in order either way.
+    map's cells are read once (`_Cells`) and numbered.  Each composite is
+    first summed formally over its distinct entries up to a scalar
+    (`_uncancelled`), and only the columns that do not cancel so, and
+    every column from the second of them on, are multiplied out, in full;
+    an explicit Koszul-type complex, whose composites cancel as f_a * f_b -
+    f_b * f_a, multiplies none, and packs no map: only maps multiplied are
+    packed, and every other is returned as its cells.
     """
     for k in range(1, len(differentials)):
         previous, d = differentials[k - 1].domain, differentials[k].codomain
         if d.basis_degrees != previous.basis_degrees or d.ring != previous.ring:
             raise InputError("chain-shape mismatch between differentials %d and %d" % (k, k + 1))
     cells = list(map(_Cells, differentials))
-    codec, packed = _packed_chain(differentials, order, cells)
+    codec = _chain_codec(differentials, order, cells)
     forms, polynomials = _entry_forms(cells)
-    del cells
     kept = list(map(_uncancelled, forms, forms[1:]))
+    read = [any(kept[max(i - 1, 0):i + 1]) for i in range(len(cells))]
+    packed = [codec.columns(c) if r else c for c, r in zip(cells, read)]
     # A @ B = 0 exactly when sA @ tB = 0, so a map that a composite
     # multiplies is tested on ints; the walk gets the columns as they are
-    scaled = [_integral(columns)[0] if any(kept[max(i - 1, 0):i + 1]) else columns
-              for i, columns in enumerate(packed)]
-    k = _nonzero_composite(codec, scaled, kept)
+    k = _nonzero_composite(codec, [_integral(c)[0] if r else c for c, r in zip(packed, read)], kept)
     if k is not None:
         raise InputError("differentials %d and %d do not compose to zero" % (k + 1, k + 2))
     return codec, packed, forms, polynomials
@@ -887,9 +886,9 @@ def check_chain(differentials):
     `_checked_chain` and `_nonzero_composite`), not as PolyMatrix products.
     Any order serves a zero test, and top-up is used.
     `propagate_resolution` runs the same checks under its own order and
-    keeps the packed columns, unscaled, and the numbered entries for its
-    minimality checks and its walk.  Messages number the differentials
-    from 1.
+    keeps the packed columns, unscaled, or cells, and the numbered entries
+    for its minimality checks and its walk.  Messages number the
+    differentials from 1.
     """
     if differentials:
         _checked_chain(differentials, ModuleTermOrder())

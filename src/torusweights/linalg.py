@@ -20,7 +20,7 @@ by `reduced_rows`) and `rank` by position.  Fractions appear only in
 `pivot_scan` takes a row packed into one int, one signed slot per entry,
 its lead its lowest nonzero slot, and finds only the pivots of the walk's
 degree blocks in row slots (see `propagate._row_block_leads`), from the
-scaled ints the rebase hands on, as they are.  `_Slots` is the one
+scaled ints the rebase hands on, a group at a time.  `_Slots` is the one
 layout of signed slots packed into an int, and the only code that sizes,
 packs or reads them: the scan's columns, the rows of `packed`'s rebase
 (`_TermCodec.rebased`) and the weights of `groebner._standard_search` all
@@ -177,11 +177,6 @@ class _Slots:
         """The count entries of the packed int v, slot 0 first."""
         return self._digits(((v + self.offset) ^ self.offset).to_bytes(self.nbytes, "little"))
 
-    def lowest(self, v):
-        """(s, x): the slot s of the nonzero packed int v's lowest set bit, its lowest nonzero slot, and its entry x."""
-        s = ((v & -v).bit_length() - 1) // self.width
-        return s, ((v >> s * self.width) + self.half & self.mask) - self.half
-
 
 def _content_bits(digits):
     """(content, bit length of the largest |entry| divided by it) of unpacked digits."""
@@ -189,69 +184,82 @@ def _content_bits(digits):
     return c, (max(max(digits), -min(digits)) // c).bit_length()
 
 
-def pivot_scan(vectors, count):
-    """The positions at which a matrix gains rank, found by a scan over its columns that stops at full rank.
+def pivot_scan(groups, count):
+    """The vectors at which a matrix gains rank, found by a scan over its columns that stops at full rank.
 
-    vectors are the columns of an integer matrix of `count` rows, each a
-    tuple of count ints, in the order of Echelon's positions: the walk's
-    term vectors, one per term of a degree block in row slots, terms
-    decreasing, holding the coefficients the block's columns have there.
-    Position k is a pivot of the `Echelon` form of the rows exactly when
-    vectors[k] is independent of the vectors before it, and no row needs
-    to be primitive for that.  The scan packs each vector into one int R
-    by `_Slots`, entry j in slot j, and top-reduces it as `Echelon.add`
-    does a row: while R's lowest nonzero slot, which no slot below it has
-    borrowed from (`_Slots.lowest`), is the pivot slot of a kept vector P,
-    one whole-int fraction-free step a * R - b * P clears it.  A nonzero
-    combination of vectors with distinct pivot slots, their lowest nonzero
-    ones, is nonzero at one of them, so R reaches zero exactly when
-    vectors[k] is dependent; otherwise R is kept, divided by its content.
-    The scan stops once it has kept count positions; fewer mean that the
-    rows are dependent.  Returns the kept positions in order.
+    groups yields the columns of an integer matrix of `count` rows, in the
+    order of Echelon's positions, as lists of (key, vector) pairs, each
+    vector a tuple of count ints: the walk's term vectors by term
+    (`packed._RowPacked.term_groups`).  A vector is a pivot of the `Echelon`
+    form of the rows exactly when it is independent of the vectors before
+    it, and no row needs to be primitive for that.  The scan packs each
+    vector into one int R by `_Slots`, entry j in slot j, and top-reduces it
+    as `Echelon.add` does a row: while R's lowest nonzero slot, that of its
+    lowest set bit, which no slot below it has borrowed from, is the pivot
+    slot of a kept vector P, one whole-int fraction-free step a * R - b * P
+    clears it.  A nonzero combination of vectors with distinct pivot slots,
+    their lowest nonzero ones, is nonzero at one of them, so R reaches zero
+    exactly when its vector is dependent; otherwise R is kept, divided by
+    its content.  The scan stops once it has kept count vectors, reading no
+    further group; fewer mean that the rows are dependent.  Returns the kept
+    (key, vector) pairs in order.
 
-    The first slots are sized from the largest |entry| of the vectors, and
-    every slot of R and of each kept vector has a bit bound: a step leaves
-    R's below 2**(max(bits of a + R's bound, bits of b + P's bound) + 1).
-    Where that would not fit a slot, R is divided by its content first,
-    and if it still does not fit, R and every kept vector are unpacked and
-    packed again into slots at least twice as wide.
+    The slots are sized from the largest |entry| of the first group, or of a
+    later group where that sizes them wider.  Every slot of R and of each kept
+    vector has a bit bound: a step leaves R's below 2**(max(bits of a + R's
+    bound, bits of b + P's bound) + 1).  Where that would not fit a slot, R is
+    divided by its content first, and if it still does not fit, R and every
+    kept vector are packed again into slots at least twice as wide.
     """
-    bits = max(max(map(max, vectors), default=0), -min(map(min, vectors), default=0)).bit_length()
-    slots = _Slots(2 * bits + 8, count)
-    kept, rows = [], {}  # rows: {pivot slot: [packed vector, pivot entry, bit bound]}
-    for k, vec in enumerate(vectors):
-        r, rb = slots.pack(vec), bits
-        while r:
-            s, x = slots.lowest(r)
-            row = rows.get(s)
-            if row is None:
-                break
-            p, x0, pb = row
-            g = gcd(x0, x)
-            a, b = x0 // g, x // g
-            bound = max(a.bit_length() + rb, b.bit_length() + pb) + 1
-            if bound >= slots.width:
-                c, rb = _content_bits(slots.unpack(r))
-                r, x = r // c, x // c
+    slots, top, kept, rows = None, -1, [], {}  # rows: {pivot slot: [packed vector, pivot entry, bit bound]}
+    for group in groups:
+        vectors = [v for _, v in group]
+        bits = max(max(map(max, vectors)), -min(map(min, vectors))).bit_length()
+        if bits > top:
+            top, sized = bits, _Slots(2 * bits + 8, count)
+            if slots is None or sized.width > slots.width:
+                slots = sized if slots is None else _widened(rows, slots, sized)
+        width, half, mask = slots.width, slots.half, slots.mask
+        for key, vec in group:
+            r, rb = slots.pack(vec), bits
+            while r:
+                s = ((r & -r).bit_length() - 1) // width
+                x = ((r >> s * width) + half & mask) - half
+                row = rows.get(s)
+                if row is None:
+                    break
+                p, x0, pb = row
                 g = gcd(x0, x)
                 a, b = x0 // g, x // g
                 bound = max(a.bit_length() + rb, b.bit_length() + pb) + 1
-                if bound >= slots.width:
-                    wider = _Slots(max(2 * slots.width - 1, bound), count)
-                    log.debug("walk: widened pivot-scan slots to %d bits", wider.width)
-                    for other in rows.values():
-                        other[0] = wider.pack(slots.unpack(other[0]))
-                    r, p, slots = wider.pack(slots.unpack(r)), row[0], wider
-            r = a * r - b * p
-            rb = bound
-        if not r:
-            continue
-        kept.append(k)
-        if len(kept) == count:
-            break
-        c, pb = _content_bits(slots.unpack(r))
-        rows[s] = [r // c, x // c, pb]
+                if bound >= width:
+                    c, rb = _content_bits(slots.unpack(r))
+                    r, x = r // c, x // c
+                    g = gcd(x0, x)
+                    a, b = x0 // g, x // g
+                    bound = max(a.bit_length() + rb, b.bit_length() + pb) + 1
+                    if bound >= width:
+                        wider = _Slots(max(2 * width - 1, bound), count)
+                        r, slots = wider.pack(slots.unpack(r)), _widened(rows, slots, wider)
+                        p, width, half, mask = row[0], slots.width, slots.half, slots.mask
+                r = a * r - b * p
+                rb = bound
+            if not r:
+                continue
+            kept.append((key, vec))
+            if len(kept) == count:
+                return kept
+            c, pb = _content_bits(slots.unpack(r))
+            rows[s] = [r // c, x // c, pb]
     return kept
+
+
+def _widened(rows, slots, wider):
+    """wider, the scan's slots from now on: each kept vector of rows, packed in slots, packed again in wider."""
+    log.debug("walk: widened pivot-scan slots to %d bits", wider.width)
+    for row in rows.values():
+        row[0] = wider.pack(slots.unpack(row[0]))
+    return wider
 
 
 def rank(rows):

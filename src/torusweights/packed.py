@@ -38,16 +38,15 @@ from the walk's term vectors and hands the product on in those ints, a
 which is unpacked into dicts only when the map or G is read.  The
 standard-monomial search carries a torus weight in the same layout, one
 slot per component, and the walk's pivot scan a term's coefficients in a
-degree block, one slot per column (`linalg.pivot_scan`).  A map's cells
-are read once per public call (`_Cells`), and it is packed at most once,
-each distinct nonzero entry and monomial once; its packed columns serve
-every reader of that call: the test that consecutive maps compose to
-zero, the minimality run and the walk; a chain from
-`groebner.minimal_resolution` keeps its pruning's packed columns for the
-walk.
-`_TermCodec.transposed` gives the packed columns of the transpose, the
-dual map the forward walk runs on, by re-tagging each term's index under
-the flipped order; the monomial fields do not move.  Only this module
+degree block, one slot per column (`linalg.pivot_scan`), a group of terms
+at a time (`_RowPacked.term_groups`).  A map's cells are read once per
+public call (`_Cells`), and it is packed at most once, by its first
+reader, each distinct nonzero entry and monomial once, for every reader of
+that call: the test that consecutive maps compose to zero, the minimality
+run and the walk; a chain from `groebner.minimal_resolution` keeps its
+pruning's packed columns for the walk.  The forward walk runs on the
+transpose, which the `flipped` codec packs from the transposed cells, or
+`_TermCodec.transposed` re-tags from packed columns.  Only this module
 knows the bit layout; `schreyer._FrameLayout` stacks chains of basis
 indices below a codec's packed terms, and sees those only as ints whose
 sums multiply and whose differences `divmask` tests.
@@ -191,17 +190,20 @@ class _TermCodec:
         tags = [self._tag(i) for i in range(cells.rows)]
         return [{t | tags[i]: c for i, k in col for t, c in entries[k]} for col in cells.columns]
 
-    def transposed(self, columns, rows):
-        """A codec of this layout under the flipped order, and the transpose's packed columns.
+    def flipped(self):
+        """The codec of this layout under the flipped order, which packs a map's transpose (`modules.dual_map`)."""
+        return _TermCodec(self.ring, self.order.flipped(), self.indices, self.capacity)
 
-        columns are the packed columns of a map with `rows` rows; the result
-        packs the columns of its transpose (`modules.dual_map`), as that
-        codec's `columns` would, dicts in the same insertion order.  The
-        flipped order changes only how an index is tagged, so each term keeps
-        its packed monomial and takes its column's index as its own.  The
-        codec must index max(rows, columns) for both to fit.
+    def transposed(self, columns, rows):
+        """The `flipped` codec, and the transpose's packed columns, as it packs `_Cells.transposed`.
+
+        columns are the packed columns of a map with `rows` rows, and the
+        result's dicts come in the same insertion order as `columns` gives.
+        The flipped order changes only how an index is tagged, so each term
+        keeps its packed monomial and takes its column's index as its own.
+        The codec must index max(rows, columns) for both to fit.
         """
-        flipped = _TermCodec(self.ring, self.order.flipped(), self.indices, self.capacity)
+        flipped = self.flipped()
         field = self._index_mask << self._index_shift
         out = {self._tag(i): {} for i in range(rows)}
         for j, col in enumerate(columns):
@@ -256,15 +258,24 @@ class _TermCodec:
                 start += len(vectors)
             return list(self.product(columns, b))
         slots, b, scale = layout
-        by_tag, zeros = {}, [0] * n
+        by_tag, zeros, field = {}, [0] * n, self._index_mask << self._index_shift
         for cols, vectors in inverse:
             column = zeros[:]
             for i, j in enumerate(cols):
                 for k, v in enumerate(vectors, start):
                     column[k] = v.get(i, 0)
-                by_tag[tags[j]] = [(0, slots.pack(column))]
+                by_tag[tags[j]] = slots.pack(column)
             start += len(vectors)
-        return _RowPacked(list(_accumulated(by_tag, b, self._index_mask << self._index_shift)), slots, tags, scale)
+        out = []
+        for col in b:
+            acc = {}
+            get = acc.get
+            for t, c in col.items():
+                tag = t & field
+                t -= tag
+                acc[t] = get(t, 0) + by_tag[tag] * c
+            out.append(acc)
+        return _RowPacked(out, slots, tags, scale)
 
     def divides(self, a, b):
         """Whether packed term a has b's index and divides it."""
@@ -419,7 +430,7 @@ class _RowPacked:
     monomial whose index field is tags[r]; an int may be 0 where terms
     cancelled.  Iterating gives the packed dict columns, unpacked by
     `dicts` on first use and kept, for the step's map and G = M @ C, and
-    a degree block's coefficients are read by `term_vectors`.
+    a degree block's coefficients are read by `term_groups`.
     """
 
     __slots__ = ("columns", "slots", "tags", "scale", "_dicts")
@@ -428,24 +439,30 @@ class _RowPacked:
         self.columns, self.slots, self.tags, self.scale = columns, slots, tags, scale
         self._dicts = None
 
-    def term_vectors(self, cols):
-        """The (term, coefficient tuple) pairs of the columns cols, terms decreasing, each int unpacked once.
+    def term_groups(self, cols):
+        """The (term, coefficient tuple) pairs of the columns cols, terms decreasing, in groups each unpacked when read.
 
         A term is a packed monomial plus a row's tag, and its tuple holds
         the coefficients, times scale, of the columns cols there, in turn;
-        only terms at which some column is nonzero are given.
+        only terms at which some column is nonzero are given.  A group ends
+        where all its terms lie above the next monomial's: it is one
+        monomial's terms under top-* orders and all terms under pot-*.
         """
-        unpack, tags = self.slots.unpack, self.tags
-        unpacked = [{m: unpack(v) for m, v in self.columns[j].items() if v} for j in cols]
-        zero = (0,) * self.slots.count
-        vectors = [
-            (m + tag, v)
-            for m in set().union(*unpacked)
-            for tag, v in zip(tags, zip(*[col.get(m, zero) for col in unpacked]))
-            if any(v)
-        ]
-        vectors.sort(reverse=True)
-        return vectors
+        unpack, tags, block = self.slots.unpack, self.tags, [self.columns[j] for j in cols]
+        zero, low, high = (0,) * self.slots.count, min(tags), max(tags)
+        groups = []
+        for m in sorted({m for col in block for m, v in col.items() if v}, reverse=True):
+            if groups and groups[-1][-1] + low <= m + high:
+                groups[-1].append(m)
+            else:
+                groups.append([m])
+        for group in groups:
+            vectors = []
+            for m in group:
+                digits = [unpack(x) if (x := col.get(m)) else zero for col in block]
+                vectors += [(m + tag, v) for tag, v in zip(tags, zip(*digits)) if any(v)]
+            vectors.sort(reverse=True)
+            yield vectors
 
     def dicts(self):
         """The packed dict columns: each nonzero slot, divided by scale, at its monomial plus its row's tag."""
@@ -471,8 +488,8 @@ class _Cells:
     entries lists its distinct nonzero entry objects, in the order the
     rows first meet them, and columns[j] lists column j's nonzero cells as
     (row, k), rows increasing, entry k sitting at that row; rows is the
-    number of rows.  A codec is sized (`_largest_degree`) and the map
-    packed (`_TermCodec.columns`) and its entries numbered
+    number of rows.  A codec is sized (`_largest_degree`), the map or its
+    `transposed` packed (`_TermCodec.columns`) and its entries numbered
     (`groebner._entry_forms`) from these alone.
     """
 
@@ -490,6 +507,15 @@ class _Cells:
                         entries.append(p)
                     col.append((i, k))
         self.rows, self.entries, self.columns = matrix.num_rows, entries, columns
+
+    def transposed(self):
+        """The cells of the transpose, with the same entries, numbered the same."""
+        cells = _Cells.__new__(_Cells)
+        cells.rows, cells.entries, cells.columns = len(self.columns), self.entries, [[] for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, k in col:
+                cells.columns[i].append((j, k))
+        return cells
 
 
 def _largest_degree(cells):

@@ -42,40 +42,40 @@ minimal; a forward step checks its dual map by the same rule as
 
 Each step runs on packed terms (see `packed`).  Every public call packs each
 map at most once, under the order it propagates under: `propagate_resolution`
-reads each map's cells once (`packed._Cells`) and packs the chain from
-them by one codec (`groebner._packed_chain`), whose fields hold a
-product of consecutive maps and whose index field holds max(rows, cols);
-the same read numbers the distinct entries up to a scalar.  The packed
-columns serve the test that the maps compose to zero, the minimality runs
-and the walk, which lets each map's columns go once it has passed it.
-That test sums each composite formally over the numbered entries
-(`groebner._checked_chain`), so an explicit Koszul-type complex, whose
-composites cancel as f_a * f_b - f_b * f_a, is checked without
-multiplying a term.  A chain that `minimal_resolution` proved is walked on the packed columns its pruning already built and
-checked, with a codec sized the same way, so nothing is packed, and its
-matrices are unpacked only when first read; under any other order than its
-own each term is re-keyed (`_TermCodec.repacked`) into a codec of the same
-fields and indices under that order.  The walk takes (codomain, domain,
-codec, columns) steps, no PolyMatrix, and rebases each map as the product
-C^-1 @ d through `_TermCodec.rebased`, which packs C^-1's columns as
-constant terms straight from its term vectors, over one common
-denominator: a constant factor adds no degree, so the map's own
-codec holds every term of the product and the fields never need
-widening.  The forward walk packs each dual map by re-tagging the map's
-packed columns under the flipped order (`_TermCodec.transposed`), so no
-dual PolyMatrix is built until a step's map is read.
+reads each map's cells once (`packed._Cells`), sizes one codec for the
+chain from them (`groebner._chain_codec`), whose fields hold a product of
+consecutive maps and whose index field holds max(rows, cols), and numbers
+the distinct entries up to a scalar.  A map is packed by its first
+reader, the test that the maps compose to zero, a minimality run or the
+walk, which lets each map go once it has passed it.  That test sums each
+composite formally over the numbered entries (`groebner._checked_chain`),
+so an explicit Koszul-type complex, whose composites cancel as f_a * f_b -
+f_b * f_a, is checked without packing or multiplying a term.  A chain that
+`minimal_resolution` proved is walked on the packed columns its pruning
+already built and checked, with a codec sized the same way, so nothing is
+packed, and its matrices are unpacked only when first read; under any
+other order than its own each term is re-keyed (`_TermCodec.repacked`)
+into a codec of the same fields and indices under that order.  The walk
+takes (codomain, domain, codec, columns) steps, no PolyMatrix, and rebases
+each map as the product C^-1 @ d through `_TermCodec.rebased`, which packs
+C^-1's columns as constant terms straight from its term vectors, over one
+common denominator: a constant factor adds no degree, so the map's own
+codec holds every term of the product and the fields never need widening.
+The forward walk packs each dual map from the map's cells or re-tags its
+packed columns (`_TermCodec.transposed`), so no dual PolyMatrix is built
+until a step's map is read.
 
 The rebase decides once which elimination each of its degree blocks
 takes, by the form it hands the map on in.  A dense C^-1 takes the
 rebase's row-packed path (`packed._row_slots`), and the rebased map
 stays in its row slots (`packed._RowPacked`), one int per monomial of a
 column, one slot per row: each block's term vectors, in decreasing term
-order, come from those ints (`packed._RowPacked.term_vectors`) to
-`linalg.pivot_scan` (`_row_block_leads`), so such a step goes from rebase
-to pivots to the next rebase in ints, with no dict and no Fraction.  A
-map in packed dicts, the first step's or a rebase's by a sparse C^-1,
-takes `linalg.Echelon` on every block (`_block_leads`), each column as
-the packed dict it is, so a row holds only its nonzeros.  Both
+order, come from those ints a group at a time (`packed._RowPacked.term_groups`)
+to `linalg.pivot_scan` (`_row_block_leads`), which reads no group past
+full rank, so such a step goes from rebase to pivots to the next rebase
+in ints, with no dict and no Fraction.  A map in packed dicts, the first
+step's or a rebase's by a sparse C^-1, takes `linalg.Echelon` on every
+block (`_block_leads`), each column as the packed dict it is.  Both
 top-reduce: the scan a term vector at its lowest nonzero slot, `Echelon`
 a row at its smallest key.  No block measures its density again: on the
 benchmark's walks (seed 1) 9 dict blocks of `resolve` and 4 of
@@ -113,6 +113,7 @@ from .errors import InputError, MinimalityError, ResolutionStepError
 from .groebner import (
     Resolution,
     _buchberger_run,
+    _chain_codec,
     _checked_chain,
     _MinimalChain,
     _nakayama_kept,
@@ -123,7 +124,7 @@ from .groebner import (
 )
 from .linalg import Echelon, _quotient, pivot_scan
 from .modules import FreeModuleSpec, ScalarMatrix, dual_map
-from .packed import _integral, _RowPacked, _TermCodec
+from .packed import _Cells, _integral, _RowPacked, _TermCodec
 from .rings import _int_vector, unit_monomial, vector_add, vector_neg
 
 log = logging.getLogger(__name__)
@@ -373,14 +374,13 @@ def _block_leads(columns, cols):
 def _row_block_leads(rows, cols):
     """`_block_leads` of the columns cols of a `packed._RowPacked`, by `pivot_scan` over its term vectors.
 
-    `packed._RowPacked.term_vectors` gives them in the form the scan
+    `packed._RowPacked.term_groups` gives them in the groups the scan
     takes, and the kept terms are the pivots.
     """
-    vectors = rows.term_vectors(cols)
-    kept = pivot_scan([v for _, v in vectors], len(cols))
+    kept = pivot_scan(rows.term_groups(cols), len(cols))
     if len(kept) < len(cols):
         raise MinimalityError(_NOT_MINIMAL)
-    return [(vectors[k][0], {i: x for i, x in enumerate(vectors[k][1]) if x}) for k in kept]
+    return [(t, {i: x for i, x in enumerate(v) if x}) for t, v in kept]
 
 
 def _inverse_matrix(inverse, scale):
@@ -450,14 +450,15 @@ def propagate_forward(matrix, weights, order):
     """Weight propagation from the domain to the codomain of a map.
 
     Requires the dual map to be minimal.  Checks the weights and the order,
-    packs the map once and takes the one step of `_walk_forward`, which
-    checks the dual map and runs backward propagation on it with negated
-    weights under the flipped (up <-> down) ordering.
+    reads its cells and takes the one step of `_walk_forward`, which packs
+    the dual map from them, checks it and runs backward propagation on it
+    with negated weights under the flipped (up <-> down) ordering.
     """
     weights = _validate_weights(weights, matrix.domain.rank, matrix.domain.ring, "domain weight list")
     check_order(order)
-    codec, (columns,) = _packed_chain([matrix], order)
-    ((_, result),) = _walk_forward([(matrix.codomain, matrix.domain, codec, columns)], weights)
+    cells = _Cells(matrix)
+    codec = _chain_codec([matrix], order, [cells])
+    ((_, result),) = _walk_forward([(matrix.codomain, matrix.domain, codec, cells)], weights)
     return result
 
 
@@ -489,24 +490,28 @@ def _walk(steps, weights):
 def _walk_forward(steps, weights):
     """Forward propagation along the maps of steps: `_walk` on the dual complex.
 
-    steps are as for `_walk`; the walk runs under the flipped order.  Each
-    dual map is packed by re-tagging its map's packed columns into a codec
-    of the same layout under the flipped order (`_TermCodec.transposed`),
-    so no dual PolyMatrix is built until a step's map is read.  Each step on
-    a dual is read back (see `_read_back`) by transposing C and C^-1,
-    negating the weights and dualizing the modules.  Each dual map is
-    checked by the rule of `propagate`: a dual whose columns span more than
-    one degree goes through the Nakayama check, as given, before its step,
-    and any other is left to its step's elimination, which runs on the
-    rebased dual.  The rebased dual differs from the dual by an automorphism
-    of the codomain (an invertible degree-preserving scalar matrix), so both
-    are minimal or neither is.  Either way the MinimalityError says that the
-    dual map is not minimal.
+    steps are as for `_walk`, except that columns may be `packed._Cells`; the
+    walk runs under the flipped order.  Each dual map is packed from the
+    map's cells, transposed, or re-tagged from its packed columns
+    (`_TermCodec.transposed`), so no dual PolyMatrix is built until a step's
+    map is read.  Each step on a dual is read back (see `_read_back`) by
+    transposing C and C^-1, negating the weights and dualizing the modules.
+    Each dual map is checked by the rule of `propagate`: a dual whose
+    columns span more than one degree goes through the Nakayama check, as
+    given, before its step, and any other is left to its step's elimination,
+    which runs on the rebased dual.  The rebased dual differs from the dual
+    by an automorphism of the codomain (an invertible degree-preserving
+    scalar matrix), so both are minimal or neither is.  Either way the
+    MinimalityError says that the dual map is not minimal.
     """
 
     def duals():
         for codomain, domain, codec, columns in steps:
-            dual_codec, dual_columns = codec.transposed(columns, codomain.rank)
+            if type(columns) is _Cells:
+                dual_codec = codec.flipped()
+                dual_columns = dual_codec.columns(columns.transposed())
+            else:
+                dual_codec, dual_columns = codec.transposed(columns, codomain.rank)
             dual_codomain, dual_domain = domain.dual(), codomain.dual()
             if _fails_nakayama(dual_codomain, dual_domain, dual_codec, dual_columns):
                 raise MinimalityError(_NOT_MINIMAL)
@@ -545,7 +550,7 @@ def _check_minimal(differentials, codec, packed, forms, polynomials):
     numbered below that one is handed to `_nakayama_kept` as the vectors
     {(row, p): scalar}: (row, p) -> f_p * e_row is injective, so the
     keep-flags are those of the packed columns, which every other map is
-    handed.
+    handed, packing those the chain check left as cells into packed.
     """
     independent = None
     for k, (d, columns, form) in enumerate(zip(differentials, packed, forms)):
@@ -556,6 +561,8 @@ def _check_minimal(differentials, codec, packed, forms, polynomials):
                 independent = next((p for p, f in enumerate(polynomials) if not ech.add(f)), len(polynomials))
             if all(p < independent for col in form for _, p, _ in col):
                 columns = [{(r, p): x for r, p, x in col} for col in form]
+        if type(columns) is _Cells:
+            columns = packed[k] = codec.columns(columns)
         if not all(_nakayama_kept(codec, d.codomain, columns, degrees)):
             raise MinimalityError("differential %d is not a minimal map" % (k + 1))
 
@@ -576,16 +583,16 @@ def propagate_resolution(differentials, start_index, start_weights, order):
     it is in general not a start weight list for the input differentials at i.
 
     The differentials are checked once: they must chain, compose to zero and
-    each be minimal.  Each is packed once, under order, and the checks and
-    the walk share its packed columns (see `_check_minimal` for the
-    minimality checks).  The differentials of a Resolution from `minimal_resolution`, passed as
-    that Resolution or as its `differentials` tuple, were proved all that
-    as they were computed and are not checked again; a copy, a slice or
-    any other sequence, also inside a Resolution built by hand, is checked
-    in full.  Under the order it was built
-    under, such a chain is walked on the packed columns of its pruning,
-    which the walk only reads; under another order on those columns
-    re-keyed under it.  Either way no map is packed or unpacked.
+    each be minimal.  Each is packed once, under order, by its first reader, a
+    check or the walk (as its dual on a forward step), and later readers share
+    it (see `_check_minimal` for the minimality checks).  The differentials of
+    a Resolution from `minimal_resolution`, passed as that Resolution or as
+    its `differentials` tuple, were proved all that as they were computed and
+    are not checked again; a copy, a slice or any other sequence, also inside
+    a Resolution built by hand, is checked in full.  Under the order it was
+    built under, such a chain is walked on the packed columns of its pruning,
+    which the walk only reads; under another order on those columns re-keyed
+    under it.  Either way no map is packed or unpacked.
 
     If a forward step hits a non-minimal dual mid-resolution, a
     ResolutionStepError is raised carrying the weight lists computed so far.
@@ -618,24 +625,24 @@ def propagate_resolution(differentials, start_index, start_weights, order):
         codec = _TermCodec(ring, order, old.indices, old.capacity)
         packed = [[codec.repacked(old, column) for column in columns] for columns in chain.packed]
 
-    def walked(ks):
+    def walked(ks, pack):
         for k in ks:
-            d = differentials[k]
-            yield d.codomain, d.domain, codec, packed[k]
-            # the walk has passed map k: let its packed columns go
+            d, columns = differentials[k], packed[k]
+            yield d.codomain, d.domain, codec, codec.columns(columns) if pack and type(columns) is _Cells else columns
+            # the walk has passed map k: let its cells or packed columns go
             packed[k] = None
 
     per_module = [None] * (m + 1)
     per_module[start_index] = start_weights
     steps = {}
 
-    backward = _walk(walked(range(start_index, m)), start_weights)
+    backward = _walk(walked(range(start_index, m), True), start_weights)
     for target, (build, result) in enumerate(backward, start_index + 1):
         log.debug("backward step onto module %d", target)
         per_module[target] = result.weights
         steps[target] = ResolutionStep(target, build, result)
 
-    forward = _walk_forward(walked(reversed(range(start_index))), start_weights)
+    forward = _walk_forward(walked(reversed(range(start_index)), False), start_weights)
     for target in reversed(range(start_index)):
         log.debug("forward step onto module %d", target)
         try:

@@ -767,13 +767,16 @@ def transpose_cases():
 def test_transposed_columns_are_the_packed_dual_map(m):
     # the forward walk's dual columns, re-tagged from the map's own, against
     # the dual map packed by the flipped codec: same layout, same terms and
-    # the same insertion order in every column
+    # the same insertion order in every column; and the dual the walk packs
+    # from the map's cells, transposed, where it has not packed the map
     for order in ALL_ORDERS:
         codec = _TermCodec(m.domain.ring, order, max(m.num_rows, m.num_cols), _largest_degree(_Cells(m)))
         flipped, columns = codec.transposed(codec.columns(_Cells(m)), m.num_rows)
         assert (flipped.order, flipped.indices, flipped.bits) == (order.flipped(), codec.indices, codec.bits)
         expected = flipped.columns(_Cells(dual_map(m)))
         assert [list(col.items()) for col in columns] == [list(col.items()) for col in expected], order
+        from_cells = codec.flipped().columns(_Cells(m).transposed())
+        assert [list(col.items()) for col in from_cells] == [list(col.items()) for col in columns], order
         assert flipped.matrix(columns, m.domain.dual(), m.codomain.dual()) == dual_map(m)
 
 

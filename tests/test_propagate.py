@@ -32,6 +32,7 @@ from torusweights import (
     split_by_column_degree,
     standard_monomials,
 )
+from torusweights.groebner import check_chain
 from torusweights.modules import ModuleTerm, dual_map, permute_columns
 from torusweights.packed import _TermCodec
 from torusweights.parsing import parse_polynomial, polynomial_to_string
@@ -809,24 +810,36 @@ def packing_spies(monkeypatch):
 @pytest.mark.parametrize("name", ["koszul", "grassmannian"])
 def test_each_map_is_packed_once_per_call(monkeypatch, name):
     # a proven chain is walked on its pruning's packed columns, re-keyed
-    # under any other order than its own, and packs nothing
+    # under any other order than its own, and packs nothing; a forward step
+    # re-tags a map that the chain check packed, and every map of a proven
+    # chain, and packs any other map's dual from its cells
     problem = load_problem(fixture_path(name + ".json"))
     explicit = [problem.matrices[d] for d in problem.resolution]
     proven = minimal_resolution(explicit[0], TOP_UP).differentials
     columns, degree = packing_spies(monkeypatch)
+    transposed = Spy(monkeypatch, "transposed", _TermCodec)
+    check_chain(explicit)
+    checked = {(cells.rows, len(cells.columns)) for _, cells in columns.args}
+    assert checked == (set() if name == "koszul" else {(d.num_rows, d.num_cols) for d in explicit})
     for diffs in (explicit, proven):
         modules = [diffs[0].codomain] + [d.domain for d in diffs]
         for order in ALL_ORDERS:
             packs = 0 if diffs is proven else len(diffs)
             for start in range(len(diffs) + 1):
                 columns.calls = degree.calls = 0
+                transposed.args.clear()
                 propagate_resolution(diffs, start, small_weights(modules[start]), order)
                 assert (columns.calls, degree.calls) == (packs, packs), (order, start)
+                forward = [(d.num_rows, d.num_cols) for d in reversed(diffs[:start])]
+                retagged = [(rows, len(cols)) for _, cols, rows in transposed.args]
+                assert retagged == (forward if diffs is proven else [s for s in forward if s in checked]), (order, start)
+    # propagate_forward packs the dual from the map's cells
     for m in explicit:
         for run, weights in ((propagate, small_weights(m.codomain)), (propagate_forward, small_weights(m.domain))):
-            columns.calls = degree.calls = 0
+            columns.calls = degree.calls = transposed.calls = 0
             run(m, weights, TOP_UP)
             assert (columns.calls, degree.calls) == (1, 1), run
+            assert transposed.calls == 0, run
 
 
 @pytest.mark.parametrize("name", ["koszul", "generic_koszul"])
@@ -1025,6 +1038,71 @@ def test_the_dense_walk_widens_its_pivot_scan_slots(caplog):
             widened = [r.getMessage() for r in caplog.records if "pivot-scan" in r.getMessage()]
             assert widened == ["walk: widened pivot-scan slots to %d bits" % w for w in widths], (n, order)
             assert [Counter(ws) for ws in walked.per_module] == subsets, (n, order)
+
+
+# The Koszul complex on seven generic forms (conftest's koszul_complex(7, 1))
+# walked from its top: per block in row slots, its column count and how many
+# of its groups of term vectors the scan reads, of the 7 it has under a
+# term-first order, one per monomial; under a position-first order a block
+# is one group.
+DENSE_WALK_GROUPS_READ = [(21, 6), (35, 5), (35, 4), (21, 3), (7, 2), (1, 1)]
+
+
+def test_the_dense_walk_scan_reads_no_group_past_full_rank(monkeypatch):
+    # each group is unpacked only when the scan asks for it, and the scan
+    # stops at full rank before it asks for another
+    packed = importlib.import_module("torusweights.packed")
+    term_groups, blocks = packed._RowPacked.term_groups, []
+
+    def counted(self, cols):
+        blocks.append([self, cols, 0])
+        for group in term_groups(self, cols):
+            blocks[-1][2] += 1
+            yield group
+
+    monkeypatch.setattr(packed._RowPacked, "term_groups", counted)
+    # the ints each block unpacks: the block's own slots' unpack calls, keyed
+    # by the slots themselves, which the counter keeps alive
+    slots, unpacked = importlib.import_module("torusweights.linalg")._Slots, Counter()
+    unpack = slots.unpack
+    monkeypatch.setattr(slots, "unpack", lambda self, v: unpacked.update([self]) or unpack(self, v))
+
+    def ints(rows, cols):
+        """(the ints the walk unpacked for the block cols of rows, the nonzero ints it holds)."""
+        return unpacked[rows.slots], sum(1 for j in cols for v in rows.columns[j].values() if v)
+
+    differentials = koszul_complex(7, 1)
+    # d_6 with its first row repeated still composes to zero with d_7 and
+    # is minimal, but its dual's columns are dependent: the walk from F_2
+    # rebases that dual in row slots, its scan reads every group of the one
+    # block, and the step raises
+    d6, d7 = differentials[5], differentials[6]
+    repeated = PolyMatrix(
+        FreeModuleSpec(d6.codomain.ring, list(d6.codomain.basis_degrees) + [d6.codomain.basis_degrees[0]]),
+        d6.domain,
+        list(d6.entries) + [d6.entries[0]],
+    )
+    for order in ALL_ORDERS:
+        groups = 7 if order.kind.startswith("top") else 1
+        blocks.clear()
+        unpacked.clear()
+        walked = propagate_resolution(differentials, 7, [(1,) * 7], order)
+        assert len(walked.per_module) == 8
+        for rows, cols, _ in blocks:
+            read, held = ints(rows, cols)
+            assert read < held if groups > 1 else read == held, (order, len(cols))
+        assert [(len(cols), read) for _, cols, read in blocks] == [
+            (n, read if groups > 1 else 1) for n, read in DENSE_WALK_GROUPS_READ
+        ], order
+        assert [len(list(term_groups(rows, cols))) for rows, cols, _ in blocks] == [groups] * 6, order
+        blocks.clear()
+        unpacked.clear()
+        with pytest.raises(ResolutionStepError, match="dual map is not minimal") as caught:
+            propagate_resolution([repeated, d7], 2, [(1,) * 7], order)
+        assert type(caught.value.__cause__) is MinimalityError
+        assert [(len(cols), read) for _, cols, read in blocks] == [(22, groups)], order
+        read, held = ints(*blocks[0][:2])
+        assert read == held, order
 
 
 def test_the_dense_walk_builds_no_module_through_the_validating_constructor(monkeypatch):

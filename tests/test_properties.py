@@ -403,7 +403,7 @@ def test_the_pivot_scan_finds_echelons_pivots(block):
     ints = _integral(block)[0]
     vectors = [tuple(col.get(t, 0) for col in ints) for t in terms]
     # the scan keeps Echelon's pivots, in decreasing order, whether or not the block is dependent
-    assert [terms[k] for k in pivot_scan(vectors, len(block))] == pivots
+    assert [terms[k] for k, _ in pivot_scan([list(enumerate(vectors))], len(block))] == pivots
     # _propagate's blocks, sparse, dense and dependent alike: on Echelon as packed dicts and on the
     # scan as row slots, each pivot with its term vector as a dict of its nonzeros
     for found in (
@@ -425,7 +425,7 @@ def route_spies(monkeypatch):
     scans, adds = [], []
     scan, add = propagate_module.pivot_scan, Echelon.add
     monkeypatch.setattr(
-        propagate_module, "pivot_scan", lambda vectors, count: scans.append(count) or scan(vectors, count)
+        propagate_module, "pivot_scan", lambda groups, count: scans.append(count) or scan(groups, count)
     )
     monkeypatch.setattr(Echelon, "add", lambda self, vec: adds.append(vec) or add(self, vec))
     return scans, adds
